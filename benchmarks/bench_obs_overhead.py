@@ -1,10 +1,13 @@
 """Observability overhead — instrumentation must be close to free.
 
-The tentpole claim for ``repro.obs``: wiring metrics + tracing + ULM
-events through the hot transfer path costs < 5% wall time on the
-Table 1 schedule. Every emit helper is a plain function call guarded by
-one ``is not None`` check, and spans/counters do no simulation yields,
-so the schedule's event count is identical with and without the bundle.
+The tentpole claim for ``repro.obs``: wiring metrics + ULM events
+through the hot transfer path costs < 5% wall time on the Table 1
+schedule. The ULM log is the one event stream: the tracer records
+nothing while the run goes and rebuilds spans from the log only when
+read, so it adds no cost here. Every emit helper is a plain function
+call guarded by one ``is not None`` check, and events/counters do no
+simulation yields, so the schedule's event count is identical with and
+without the bundle.
 
 Measured as best-of-N wall time for the same seeded ScinetTestbed run,
 with the bundle attached post-construction (the testbed itself takes no

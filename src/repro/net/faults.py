@@ -186,7 +186,7 @@ class FaultSchedule:
         """Corrupt one file at rest on ``hostname`` at the window start.
 
         The corruption is persistent (disks do not heal); ``duration``
-        only scopes the observability span.
+        only scopes the logged fault window.
         """
         self.faults.append(Fault("corrupt_replica", hostname, start,
                                  duration, path=path,
@@ -244,35 +244,33 @@ class FaultInjector:
         self.log: List[tuple] = []  # (time, action, description)
 
     # -- observability -----------------------------------------------------
-    def _fault_begin(self, fault: Fault):
-        """``fault.begin`` event + an open span on the "faults" trace."""
+    def _fault_begin(self, fault: Fault) -> Optional[int]:
+        """Emit ``fault.begin``; returns the id its ``fault.end`` carries
+        so overlapping windows on one target pair correctly."""
         if self.obs is None:
             return None
-        self.obs.event("fault.begin", prog="fault-injector",
+        fid = self.env.next_id("fault")
+        self.obs.event("fault.begin", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
         self.obs.count("faults.injected_total", kind=fault.kind)
-        return self.obs.span(f"fault.{fault.kind}", trace="faults",
-                             target=fault.target,
-                             description=fault.description)
+        return fid
 
-    def _fault_end(self, fault: Fault, span) -> None:
-        if self.obs is None:
+    def _fault_end(self, fault: Fault, fid: Optional[int]) -> None:
+        if fid is None:
             return
-        self.obs.event("fault.end", prog="fault-injector",
+        self.obs.event("fault.end", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
-        if span is not None:
-            span.finish()
 
     def _observe_window(self, fault: Fault):
-        """Span + begin/end events for windows executed elsewhere
+        """Begin/end events for windows executed elsewhere
         (NameService / directory outages install their own timers)."""
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         yield self.env.timeout(fault.duration)
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def install(self, schedule: FaultSchedule) -> None:
         """Arm every fault in ``schedule`` as a simulation process."""
@@ -359,7 +357,7 @@ class FaultInjector:
                 link.set_down()
         self.log.append((self.env.now, f"{fault.kind} down",
                          fault.description or fault.target))
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         # Scoped reallocation: only the components crossing the faulted
         # links pay for the recompute (site outages coalesce into one).
         for link in links:
@@ -372,7 +370,7 @@ class FaultInjector:
                 link.restore()
         self.log.append((self.env.now, f"{fault.kind} restored",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
         for link in links:
             self.network.link_updated(link)
 
@@ -380,7 +378,7 @@ class FaultInjector:
         server = self.servers[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         server.crash()
         self.log.append((self.env.now, "server down",
                          fault.description or fault.target))
@@ -388,13 +386,13 @@ class FaultInjector:
         server.restart()
         self.log.append((self.env.now, "server restored",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def _run_hrm_fault(self, fault: Fault):
         hrm = self.hrms[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         hrm.fail_staging()
         self.log.append((self.env.now, "hrm down",
                          fault.description or fault.target))
@@ -402,7 +400,7 @@ class FaultInjector:
         hrm.restore()
         self.log.append((self.env.now, "hrm restored",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def _run_corrupt_fault(self, fault: Fault):
         # Capacity is untouched, so no link_updated/reallocation: the
@@ -414,20 +412,20 @@ class FaultInjector:
         link.corrupt_hold()
         self.log.append((self.env.now, "corrupt window open",
                          fault.description or fault.target))
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         yield self.env.timeout(fault.duration)
         link.release_corrupt()
         self.log.append((self.env.now, "corrupt window closed",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def _run_corrupt_replica_fault(self, fault: Fault):
         server = self.servers[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         # Persistent: the bytes go bad at the window start and stay bad
-        # (disks do not heal); the duration only scopes the span.
+        # (disks do not heal); the duration only scopes the window.
         tag = f"at-rest@{self.env.now:.0f}"
         try:
             server.corrupt_file(fault.path, tag=tag)
@@ -441,13 +439,13 @@ class FaultInjector:
                              fault.description
                              or f"{fault.target}:{fault.path}"))
         yield self.env.timeout(fault.duration)
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def _run_truncate_fault(self, fault: Fault):
         hrm = self.hrms[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         hrm.begin_truncating()
         self.log.append((self.env.now, "hrm truncating",
                          fault.description or fault.target))
@@ -455,13 +453,13 @@ class FaultInjector:
         hrm.end_truncating()
         self.log.append((self.env.now, "hrm truncation ended",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)
 
     def _run_rm_fault(self, fault: Fault):
         target = self.crashables[fault.target]
         if fault.start > 0:
             yield self.env.timeout(fault.start)
-        span = self._fault_begin(fault)
+        fid = self._fault_begin(fault)
         target.crash()
         self.log.append((self.env.now, "rm down",
                          fault.description or fault.target))
@@ -469,4 +467,4 @@ class FaultInjector:
         target.restart()
         self.log.append((self.env.now, "rm restored",
                          fault.description or fault.target))
-        self._fault_end(fault, span)
+        self._fault_end(fault, fid)

@@ -16,7 +16,7 @@ Two halves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -258,29 +258,28 @@ def extract_fault_windows(records: Iterable[LogRecord]
                           ) -> List[FaultWindow]:
     """Pair fault.begin / fault.end events into windows.
 
-    Unmatched begins (the run ended mid-fault) close at +inf so they
-    still overlap everything after their onset.
+    Events pair on their ``fault`` id, so overlapping windows on one
+    target stay distinct; records without one (older logs) pair on
+    (kind, target). Windows come out in start order, ties in begin
+    order. Unmatched begins (the run ended mid-fault) close at +inf so
+    they still overlap everything after their onset.
     """
-    open_faults: Dict[Tuple[str, str], LogRecord] = {}
+    open_faults: Dict[object, int] = {}   # pairing key -> window index
     windows: List[FaultWindow] = []
     for rec in records:
+        if rec.event not in ("fault.begin", "fault.end"):
+            continue
+        f = rec.fields
+        kind, target = f.get("kind", "?"), f.get("target", "?")
+        key = f.get("fault") or (kind, target)
         if rec.event == "fault.begin":
-            key = (rec.fields.get("kind", "?"),
-                   rec.fields.get("target", "?"))
-            open_faults[key] = rec
-        elif rec.event == "fault.end":
-            key = (rec.fields.get("kind", "?"),
-                   rec.fields.get("target", "?"))
-            begin = open_faults.pop(key, None)
-            if begin is not None:
-                windows.append(FaultWindow(
-                    key[0], key[1], begin.t, rec.t,
-                    begin.fields.get("description", "")))
-    for key, begin in open_faults.items():
-        windows.append(FaultWindow(key[0], key[1], begin.t,
-                                   float("inf"),
-                                   begin.fields.get("description", "")))
-    windows.sort(key=lambda w: (w.start, w.kind, w.target))
+            open_faults[key] = len(windows)
+            windows.append(FaultWindow(kind, target, rec.t, float("inf"),
+                                       f.get("description", "")))
+        elif key in open_faults:
+            i = open_faults.pop(key)
+            windows[i] = replace(windows[i], end=rec.t)
+    windows.sort(key=lambda w: w.start)
     return windows
 
 

@@ -6,10 +6,12 @@ optional reference to get all of them:
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges,
   histograms with label sets and sim-clock timestamps (Prometheus-style
   text + JSON export);
-- :class:`~repro.obs.trace.Tracer` — causal spans carrying
-  ticket/file/transfer ids through the whole request path;
-- a :class:`~repro.netlogger.log.NetLogger` — the ULM event log the
-  lifeline analysis in :mod:`repro.netlogger.analysis` consumes.
+- a :class:`~repro.netlogger.log.NetLogger` — the one ULM event stream
+  every component emits into; the lifeline analysis in
+  :mod:`repro.netlogger.analysis` consumes it;
+- :class:`~repro.obs.trace.Tracer` — a read-only view rebuilding causal
+  span trees (ticket → file → attempt, plus fault windows) from that
+  log, so it records nothing of its own.
 
 Every emit helper checks for ``None`` legs, so components can be handed
 a partially-wired bundle (e.g. metrics only) and instrumentation always
@@ -61,7 +63,7 @@ class Observability:
                                capacity=capacity)
         return cls(env=env, logger=logger,
                    metrics=MetricsRegistry(env, logger=logger),
-                   tracer=Tracer(env))
+                   tracer=Tracer(logger))
 
     # -- guarded emit helpers --------------------------------------------
     def event(self, name: str, host: Optional[str] = None,
@@ -84,14 +86,6 @@ class Observability:
         """Record a histogram observation (no-op without metrics)."""
         if self.metrics is not None:
             self.metrics.histogram(name).observe(value, **labels)
-
-    def span(self, name: str, trace: Optional[str] = None,
-             parent: Optional[Span] = None, **fields) -> Optional[Span]:
-        """Open a span (None without a tracer — callers must guard)."""
-        if self.tracer is None:
-            return None
-        return self.tracer.start(name, trace=trace, parent=parent,
-                                 **fields)
 
 
 __all__ = [

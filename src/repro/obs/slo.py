@@ -16,9 +16,10 @@ turn that delta into a windowed p95 or an error rate.
 Alerting follows the SRE multi-window multi-burn-rate recipe: an
 objective *pages* only when both the long window (sustained damage) and
 the short window (still happening right now) burn error budget faster
-than the configured rate. Breach begin/end are emitted as ULM events
-and as spans on the shared ``"faults"`` trace, so an SLO breach lands
-on the same timeline as the injected faults that caused it.
+than the configured rate. Breach begin/end are emitted as ULM events,
+which the tracer shows as ``slo.breach`` spans on the shared
+``"faults"`` trace, so an SLO breach lands on the same timeline as the
+injected faults that caused it.
 """
 
 from __future__ import annotations
@@ -131,13 +132,12 @@ class SloEngine:
     """
 
     def __init__(self, env, obs: Observability,
-                 eval_interval: float = 15.0, trace: str = "faults"):
+                 eval_interval: float = 15.0):
         if eval_interval <= 0:
             raise ValueError("eval_interval must be positive")
         self.env = env
         self.obs = obs
         self.eval_interval = float(eval_interval)
-        self.trace = trace
         self.specs: List[SloSpec] = []
         # per spec: [(t, state)] snapshots; state is a bucket row copy
         # (latency) or a counter value (throughput).
@@ -146,7 +146,7 @@ class SloEngine:
         self._started_at: float = float(env.now)
         self.evaluations: List[SloEvaluation] = []
         self.alerts: List[SloAlert] = []
-        self._open: Dict[str, Tuple[SloAlert, object]] = {}
+        self._open: Dict[str, SloAlert] = {}
         self.started = False
 
     def add(self, spec: SloSpec) -> SloSpec:
@@ -254,15 +254,12 @@ class SloEngine:
         return out
 
     def _transition(self, spec: SloSpec, ev: SloEvaluation) -> None:
-        """Open/close alerts; emit ULM events + faults-trace spans."""
-        open_entry = self._open.get(spec.name)
+        """Open/close alerts and emit their ULM begin/end events."""
+        alert = self._open.get(spec.name)
         if ev.breaching:
-            if open_entry is None:
-                alert = SloAlert(spec.name, spec.tenant, ev.t)
-                span = self.obs.span(
-                    "slo.breach", trace=self.trace, slo=spec.name,
-                    tenant=spec.tenant, objective=spec.objective)
-                self._open[spec.name] = (alert, span)
+            if alert is None:
+                alert = self._open[spec.name] = SloAlert(spec.name,
+                                                         spec.tenant, ev.t)
                 self.alerts.append(alert)
                 self.obs.event("slo.breach.begin", prog="slo",
                                slo=spec.name, tenant=spec.tenant,
@@ -270,19 +267,15 @@ class SloEngine:
                                burn_long=f"{ev.burn_long:.2f}",
                                burn_short=f"{ev.burn_short:.2f}")
                 self.obs.count("slo.breaches_total", slo=spec.name)
-                open_entry = self._open[spec.name]
-            alert = open_entry[0]
             alert.peak_burn = max(alert.peak_burn, ev.burn_long,
                                   ev.burn_short)
-        elif open_entry is not None:
-            alert, span = self._open.pop(spec.name)
+        elif alert is not None:
+            del self._open[spec.name]
             alert.closed_at = ev.t
-            if span is not None:
-                span.finish(status="recovered",
-                            peak_burn=f"{alert.peak_burn:.2f}")
             self.obs.event("slo.breach.end", prog="slo", slo=spec.name,
                            tenant=spec.tenant,
-                           seconds=f"{ev.t - alert.opened_at:.1f}")
+                           seconds=f"{ev.t - alert.opened_at:.1f}",
+                           peak_burn=f"{alert.peak_burn:.2f}")
         self.obs.gauge("slo.burn_rate", ev.burn_long, slo=spec.name,
                        window="long")
         self.obs.gauge("slo.burn_rate", ev.burn_short, slo=spec.name,

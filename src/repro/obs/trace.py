@@ -1,56 +1,50 @@
-"""Causal tracing: spans threading ticket/file/transfer ids together.
+"""Causal tracing: span trees rebuilt from the ULM event log.
 
 A :class:`Span` is one timed operation (a ticket, a file's pipeline, a
-replica attempt, a fault window); spans form trees via ``parent`` and
-share a ``trace_id`` (one per request ticket, or the shared ``"faults"``
-trace for injected incidents), so `repro trace` can show a CDAT request,
-its catalog lookups, the GridFTP attempts, HRM staging, *and* the fault
-windows that explain the retries — on one timeline.
+replica attempt, a fault window, an SLO breach); spans form trees via
+``parent_id`` and share a ``trace_id`` (``ticket-<id>`` per request
+ticket, or the shared ``"faults"`` trace for injected incidents and SLO
+breaches), so `repro trace` can show a CDAT request, its GridFTP
+attempts, *and* the fault windows that explain the retries — on one
+timeline.
 
-The tracer never yields or schedules: recording a span is a list append
-plus clock reads, so instrumentation does not perturb the simulation.
+The :class:`Tracer` records nothing: it is a read-only view that
+rebuilds spans from the records a :class:`~repro.netlogger.log.NetLogger`
+still holds. Every span is backed by a record in the log, so a bounded
+(ring-buffer) log bounds the spans too; a span whose closing record has
+not been logged yet is open. Where each span comes from:
+
+- ``rm.ticket`` / ``rm.file`` — ``rm.request`` records grouped by
+  (ticket, file); a file span ends at the file's
+  :data:`~repro.netlogger.analysis.TERMINAL_EVENTS` record, the ticket
+  span when its last file does;
+- ``rm.attempt`` — opened by ``rm.attempt``, closed by the file's next
+  ``rm.transfer.done`` (ok) or ``rm.attempt.failed`` (error);
+- ``fault.<kind>`` — :func:`~repro.netlogger.analysis.extract_fault_windows`;
+- ``slo.breach`` — ``slo.breach.begin`` / ``slo.breach.end``.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.core import Environment
+from repro.netlogger.analysis import TERMINAL_EVENTS, extract_fault_windows
+from repro.netlogger.log import LogRecord, NetLogger
 
 
+@dataclass
 class Span:
     """One timed, attributed operation within a trace."""
 
-    __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
-                 "started_at", "ended_at", "status", "fields")
-
-    def __init__(self, tracer: "Tracer", name: str, trace_id: str,
-                 span_id: str, parent_id: Optional[str],
-                 started_at: float, fields: Dict[str, str]):
-        self.tracer = tracer
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.started_at = started_at
-        self.ended_at: Optional[float] = None
-        self.status = "open"
-        self.fields = fields
-
-    def annotate(self, **fields) -> "Span":
-        """Attach extra key/values to the span."""
-        for k, v in fields.items():
-            self.fields[k] = str(v)
-        return self
-
-    def finish(self, status: str = "ok", **fields) -> "Span":
-        """Close the span (idempotent — the first finish wins)."""
-        if self.ended_at is None:
-            self.ended_at = self.tracer.env.now
-            self.status = status
-            self.annotate(**fields)
-        return self
+    name: str
+    trace_id: str
+    span_id: str
+    parent_id: Optional[str]
+    started_at: float
+    ended_at: Optional[float] = None
+    status: str = "open"
+    fields: Dict[str, str] = field(default_factory=dict)
 
     @property
     def open(self) -> bool:
@@ -62,12 +56,10 @@ class Span:
             return None
         return self.ended_at - self.started_at
 
-    # context-manager sugar: ``with tracer.start(...) as span:``
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish(status="error" if exc_type is not None else "ok")
+    def _close(self, t: float, status: str, **fields: str) -> None:
+        self.ended_at = t
+        self.status = status
+        self.fields.update(fields)
 
     def __repr__(self) -> str:
         dur = f"{self.duration:.3f}s" if self.duration is not None else "open"
@@ -75,26 +67,79 @@ class Span:
                 f"{self.status}, {dur})")
 
 
+def build_spans(records: Iterable[LogRecord]) -> List[Span]:
+    """Rebuild every span the records describe, in start order."""
+    records = list(records)
+    spans: List[Span] = []
+    tickets: Dict[str, Tuple[Span, List[Span]]] = {}
+    files: Dict[Tuple[str, str], Span] = {}
+    attempts: Dict[Tuple[str, str], Span] = {}   # the open one per file
+    tries: Dict[Tuple[str, str], int] = {}
+    breaches: Dict[str, Span] = {}
+    for rec in records:
+        event, f = rec.event, rec.fields
+        key = (f.get("ticket", "?"), f.get("file", "?"))
+        trace = f"ticket-{key[0]}"
+        file_id = f"{trace}/{key[1]}"
+        if event == "rm.request":
+            if key[0] not in tickets:
+                ticket = Span("rm.ticket", trace, trace, None, rec.t,
+                              fields={"ticket": key[0]})
+                tickets[key[0]] = (ticket, [])
+                spans.append(ticket)
+            ticket, members = tickets[key[0]]
+            span = files[key] = Span("rm.file", trace, file_id, trace, rec.t,
+                                     fields={"ticket": key[0],
+                                             "file": key[1]})
+            members.append(span)
+            ticket.fields["files"] = str(len(members))
+            spans.append(span)
+        elif event == "rm.attempt":
+            tries[key] = tries.get(key, 0) + 1
+            span = attempts[key] = Span(
+                "rm.attempt", trace, f"{file_id}#{tries[key]}", file_id,
+                rec.t, fields={"file": key[1], "host": rec.host})
+            spans.append(span)
+        elif event == "rm.attempt.failed" and key in attempts:
+            attempts.pop(key)._close(rec.t, "error", error=f["error"])
+        elif event == "rm.transfer.done" and key in attempts:
+            attempts.pop(key)._close(rec.t, "ok", bytes=f["bytes"])
+        elif event == "slo.breach.begin":
+            span = breaches[f["slo"]] = Span(
+                "slo.breach", "faults", f"slo-{f['slo']}@{rec.t}", None,
+                rec.t, fields={k: f[k] for k in ("slo", "tenant",
+                                                 "objective")})
+            spans.append(span)
+        elif event == "slo.breach.end" and f.get("slo") in breaches:
+            breaches.pop(f["slo"])._close(rec.t, "recovered",
+                                          peak_burn=f["peak_burn"])
+        if event in TERMINAL_EVENTS and key in files:
+            files.pop(key)._close(rec.t, TERMINAL_EVENTS[event])
+            ticket, members = tickets[key[0]]
+            if all(not m.open for m in members):
+                ticket._close(rec.t, "ok")
+    for n, window in enumerate(extract_fault_windows(records), 1):
+        done = window.end != float("inf")
+        spans.append(Span(f"fault.{window.kind}", "faults", f"fault-{n}",
+                          None, window.start,
+                          window.end if done else None,
+                          "ok" if done else "open",
+                          {"target": window.target,
+                           "description": window.description}))
+    spans.sort(key=lambda s: s.started_at)
+    return spans
+
+
 class Tracer:
-    """Records spans; a simulation run usually owns exactly one."""
+    """A read-only span view over one run's event log."""
 
-    def __init__(self, env: Environment):
-        self.env = env
-        self.spans: List[Span] = []
-        self._serial = itertools.count(1)
+    def __init__(self, logger: NetLogger):
+        self.logger = logger
 
-    def start(self, name: str, trace: Optional[str] = None,
-              parent: Optional[Span] = None, **fields) -> Span:
-        """Open a span; ``trace`` defaults to the parent's trace (or a
-        fresh trace id when there is no parent)."""
-        sid = f"s{next(self._serial)}"
-        if trace is None:
-            trace = parent.trace_id if parent is not None else f"t:{sid}"
-        span = Span(self, name, trace, sid,
-                    parent.span_id if parent is not None else None,
-                    self.env.now, {k: str(v) for k, v in fields.items()})
-        self.spans.append(span)
-        return span
+    @property
+    def spans(self) -> List[Span]:
+        """Every span the log's surviving records describe."""
+        return build_spans(self.logger.records)
 
     # -- queries ----------------------------------------------------------
     def for_trace(self, trace_id: str) -> List[Span]:
@@ -143,4 +188,4 @@ class Tracer:
         return len(self.spans)
 
     def __repr__(self) -> str:
-        return f"Tracer({len(self.spans)} spans)"
+        return f"Tracer({len(self)} spans)"

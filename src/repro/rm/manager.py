@@ -35,7 +35,6 @@ from repro.gridftp.protocol import (
 from repro.gridftp.restart import ReliabilityPolicy
 from repro.gridftp.server import GridFtpServer
 from repro.mds.service import MdsService
-from repro.netlogger.log import NetLogger
 from repro.nws.service import NetworkWeatherService
 from repro.obs import Observability
 from repro.replica.catalog import LocationInfo, ReplicaCatalog
@@ -79,19 +78,17 @@ class RequestManager:
     nws:
         Optional NWS service; completed transfers are fed back as
         measurements.
-    logger:
-        Optional NetLogger for ULM events.
     resilience:
         Optional :class:`~repro.rm.resilience.ResiliencePolicy` enabling
         retry rounds, circuit breakers, and default deadlines. ``None``
         preserves the original single-sweep behaviour exactly.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle: pipeline
-        metrics, per-ticket/per-file/per-attempt spans, and lifeline
-        milestone events (``rm.request`` → ``rm.select`` →
-        ``gridftp.connect`` → ``gridftp.first_byte`` → terminal). When
-        ``obs`` carries a logger and ``logger`` is unset, events go to
-        the bundle's log.
+        Optional :class:`~repro.obs.Observability` bundle, the RM's one
+        emit path: pipeline metrics plus the ULM records — lifeline
+        milestones (``rm.request`` → ``rm.select`` →
+        ``gridftp.connect`` → ``gridftp.first_byte`` → terminal),
+        ``rm.attempt`` / ``rm.attempt.failed`` (the tracer's attempt
+        spans) and the ``rm.message`` lines of the Figure 4 monitor.
     scheduler:
         Optional shared :class:`~repro.rm.scheduler.TransferScheduler`.
         When set, every transfer attempt acquires an admission slot
@@ -110,7 +107,6 @@ class RequestManager:
                  policy: Optional[SelectionPolicy] = None,
                  reliability: Optional[ReliabilityPolicy] = None,
                  nws: Optional[NetworkWeatherService] = None,
-                 logger: Optional[NetLogger] = None,
                  config: Optional[GridFtpConfig] = None,
                  resilience: Optional[ResiliencePolicy] = None,
                  obs: Optional[Observability] = None,
@@ -128,9 +124,6 @@ class RequestManager:
         self.reliability = reliability
         self.nws = nws
         self.obs = obs
-        if logger is None and obs is not None:
-            logger = obs.logger
-        self.logger = logger
         # selection policies record ranking metrics when instrumented
         if obs is not None and getattr(self.policy, "obs", None) is None \
                 and hasattr(self.policy, "obs"):
@@ -139,7 +132,6 @@ class RequestManager:
         self.resilience = resilience
         self.scheduler = scheduler
         self.tickets: List[RequestTicket] = []
-        self.messages: List[tuple] = []  # (t, text) — Figure 4 bottom pane
         # Integrity pipeline state: replicas whose delivered digest
         # mismatched the catalog, keyed (collection, logical_file,
         # location name) → sim time of the mismatch. Quarantined copies
@@ -214,11 +206,6 @@ class RequestManager:
             ticket.breakers = res.board(obs=self.obs)
         if self.obs is not None:
             self.obs.count("rm.tickets_total")
-            span = self.obs.span("rm.ticket", trace=f"ticket-{ticket.id}",
-                                 ticket=ticket.id, files=len(files))
-            if span is not None:
-                ticket.span = span
-                ticket.done.add_callback(lambda _ev: span.finish())
         self.tickets.append(ticket)
         workers = [self.env.process(self._file_thread(ticket, fr))
                    for fr in files]
@@ -287,11 +274,11 @@ class RequestManager:
                 ticket.done.succeed(ticket)
                 return
 
-    def _say(self, text: str) -> None:
-        self.messages.append((self.env.now, text))
-        if self.logger is not None:
-            self.logger.event("rm.message", prog="request-manager",
-                              text=text)
+    def _say(self, ticket: RequestTicket, text: str) -> None:
+        """One Figure 4 monitor line, as an ``rm.message`` record."""
+        if self.obs is not None:
+            self.obs.event("rm.message", prog="request-manager",
+                           ticket=ticket.id, text=text)
 
     def _should_stop(self, ticket: RequestTicket, fr: FileRequest) -> bool:
         """Checkpoint between yields: True = stop, ``fr`` is finalized."""
@@ -317,43 +304,34 @@ class RequestManager:
                  attempt: int):
         """Interruptible sleep before retry round ``attempt`` + 1."""
         delay = self.resilience.retry.delay(attempt, rng=self._jitter_rng)
-        if self.logger is not None:
-            self.logger.event("rm.retry", prog="request-manager",
-                              file=fr.logical_file, round=str(attempt),
-                              ticket=str(ticket.id),
-                              backoff=f"{delay:.2f}")
         if self.obs is not None:
+            self.obs.event("rm.retry", prog="request-manager",
+                           file=fr.logical_file, round=attempt,
+                           ticket=ticket.id, backoff=f"{delay:.2f}")
             self.obs.count("rm.retries_total")
-        self._say(f"{fr.logical_file}: retry round {attempt + 1} in "
-                  f"{delay:.1f}s")
+        self._say(ticket, f"{fr.logical_file}: retry round {attempt + 1} "
+                  f"in {delay:.1f}s")
         timer = self.env.timeout(delay)
         # A cancelled ticket must not sit out the full backoff.
         yield self.env.any_of([timer, ticket.aborted])
 
     def _file_thread(self, ticket: RequestTicket, fr: FileRequest):
-        """Span/event wrapper around :meth:`_file_body`.
+        """Event/metrics wrapper around :meth:`_file_body`.
 
-        Emits the ``rm.request`` lifeline milestone, opens the per-file
-        span under the ticket span, and guarantees both the span finish
-        and the outcome metrics fire no matter how the body exits.
+        Emits the ``rm.request`` lifeline milestone and guarantees the
+        outcome metrics fire no matter how the body exits.
         """
-        env = self.env
-        fr.started_at = env.now
+        fr.started_at = self.env.now
         obs = self.obs
         if obs is not None:
             obs.event("rm.request", prog="request-manager",
                       ticket=ticket.id, file=fr.logical_file,
                       collection=fr.collection)
-            fr.span = obs.span("rm.file", parent=ticket.span,
-                               trace=f"ticket-{ticket.id}",
-                               ticket=ticket.id, file=fr.logical_file)
         try:
             yield from self._file_body(ticket, fr)
         finally:
             if obs is not None:
                 outcome = fr.state.value
-                if fr.span is not None:
-                    fr.span.finish(status=outcome)
                 obs.count("rm.files_total", outcome=outcome)
                 if fr.finished_at is not None:
                     obs.observe("rm.file_seconds",
@@ -424,7 +402,7 @@ class RequestManager:
             # with the reliability plug-in able to force a switch
             # mid-transfer.
             candidates = yield from self._rank(
-                replicas, fr,
+                ticket, replicas, fr,
                 stale=lookup_meta is not None and lookup_meta.stale)
             if self._should_stop(ticket, fr):
                 return
@@ -442,7 +420,7 @@ class RequestManager:
                                ticket=ticket.id, file=fr.logical_file,
                                host=candidates[0].location.hostname,
                                candidates=len(candidates))
-            self._say(f"selecting replica for {fr.logical_file}: "
+            self._say(ticket, f"selecting replica for {fr.logical_file}: "
                       + ", ".join(f"{c.location.hostname}"
                                   f"@{mbps_str(c.bandwidth)}"
                                   for c in candidates))
@@ -465,7 +443,7 @@ class RequestManager:
                     continue
                 fr.chosen_location = loc.name
                 fr.tried_locations.append(loc.name)
-                self._say(f"transfer of {fr.logical_file} from "
+                self._say(ticket, f"transfer of {fr.logical_file} from "
                           f"{loc.hostname} initiated")
                 ok, err, fclass = yield from self._attempt(fr, loc, ticket)
                 if ok:
@@ -473,7 +451,7 @@ class RequestManager:
                         breaker.record_success()
                     fr.state = FileState.DONE
                     fr.finished_at = env.now
-                    self._say(f"{fr.logical_file}: complete from "
+                    self._say(ticket, f"{fr.logical_file}: complete from "
                               f"{loc.hostname}")
                     return
                 if fclass is FailureClass.STALE:
@@ -481,19 +459,19 @@ class RequestManager:
                     # the replica. Demote the entry (not the host) so
                     # re-selection and future lookups skip it until the
                     # collection is refreshed.
-                    self._demote_stale(fr, loc)
+                    self._demote_stale(ticket, fr, loc)
                 elif breaker is not None:
                     breaker.record_failure(env.now)
                 if self._should_stop(ticket, fr):
                     return
                 last_error, last_class = err, fclass
                 fr.replica_switches += 1
-                self._say(f"{fr.logical_file}: switching replica after "
-                          f"{err}")
+                self._say(ticket, f"{fr.logical_file}: switching replica "
+                          f"after {err}")
         self._fail(ticket, fr, last_error, last_class)
 
-    def _rank(self, replicas: List[LocationInfo], fr: FileRequest,
-              stale: bool = False):
+    def _rank(self, ticket: RequestTicket, replicas: List[LocationInfo],
+              fr: FileRequest, stale: bool = False):
         """Forecast-and-rank; degrades gracefully when MDS is down.
 
         Healthy path: live NWS forecasts via MDS, ranked by the
@@ -539,13 +517,11 @@ class RequestManager:
             fr.degraded_rankings += 1
             if self.obs is not None:
                 self.obs.count("rm.degraded_ranks_total")
-            if self.logger is not None:
-                self.logger.event("rm.rank.degraded",
-                                  prog="request-manager",
-                                  file=fr.logical_file,
-                                  candidates=str(len(candidates)))
-            self._say(f"{fr.logical_file}: MDS unreachable, ranking from "
-                      "cached forecasts (round-robin)")
+                self.obs.event("rm.rank.degraded", prog="request-manager",
+                               file=fr.logical_file,
+                               candidates=len(candidates))
+            self._say(ticket, f"{fr.logical_file}: MDS unreachable, "
+                      "ranking from cached forecasts (round-robin)")
             ordered = sorted(candidates, key=lambda c: c.location.name)
             k = self._degraded_counter % len(ordered) if ordered else 0
             self._degraded_counter += 1
@@ -565,7 +541,8 @@ class RequestManager:
             return FailureClass.STALE
         return FailureClass.TRANSFER
 
-    def _demote_stale(self, fr: FileRequest, loc: LocationInfo) -> None:
+    def _demote_stale(self, ticket: RequestTicket, fr: FileRequest,
+                      loc: LocationInfo) -> None:
         """Verify-on-open mismatch: hide the entry, not the host.
 
         A federated catalog owns the demotion registry (and emits the
@@ -587,12 +564,11 @@ class RequestManager:
                 self.obs.count("catalog.demotes_total")
         if self.obs is not None:
             self.obs.count("rm.stale_demotes_total")
-        self._say(f"{fr.logical_file}: stale catalog entry at {loc.name} "
-                  "demoted")
+        self._say(ticket, f"{fr.logical_file}: stale catalog entry at "
+                  f"{loc.name} demoted")
 
     def _acquire_slot(self, fr: FileRequest, loc: LocationInfo,
-                      ticket: Optional[RequestTicket],
-                      handle: TransferHandle):
+                      ticket: RequestTicket, handle: TransferHandle):
         """Admission control: wait for a scheduler grant for this attempt.
 
         Returns ``(grant, error, failure_class)`` — exactly one of
@@ -601,18 +577,18 @@ class RequestManager:
         """
         if self.scheduler is None:
             return None, None, None
-        flow = f"ticket-{ticket.id}" if ticket is not None else "adhoc"
-        # Interactive tickets (few files) outrank bulk replication; the
-        # scheduler's aging keeps the bulk class starvation-bounded.
-        priority = len(ticket.files) if ticket is not None else 1
         try:
+            # Interactive tickets (few files) outrank bulk replication;
+            # the scheduler's aging keeps the bulk class
+            # starvation-bounded.
             grant = yield from self.scheduler.acquire(
-                loc.hostname, flow=flow, size=fr.size,
+                loc.hostname, flow=f"ticket-{ticket.id}", size=fr.size,
                 link=getattr(self.dest_host, "site", None),
-                streams=self.config.parallelism, priority=priority,
+                streams=self.config.parallelism,
+                priority=len(ticket.files),
                 abort=handle.abort_event)
         except QueueFull as exc:
-            self._say(f"{fr.logical_file}: {exc}")
+            self._say(ticket, f"{fr.logical_file}: {exc}")
             return None, str(exc), FailureClass.CONNECT
         if grant is None:  # aborted (deadline/cancel) while queued
             return (None, f"aborted while queued "
@@ -620,17 +596,27 @@ class RequestManager:
                     FailureClass.TRANSFER)
         return grant, None, None
 
+    def _emit(self, event: str, ticket: RequestTicket, fr: FileRequest,
+              loc: LocationInfo, **fields) -> None:
+        """One ULM record about ``fr``'s attempt at ``loc``."""
+        if self.obs is not None:
+            self.obs.event(event, prog="request-manager", host=loc.hostname,
+                           ticket=ticket.id, file=fr.logical_file, **fields)
+
     def _attempt(self, fr: FileRequest, loc: LocationInfo,
-                 ticket: Optional[RequestTicket] = None):
-        """One replica attempt; returns (ok, error_text, failure_class)."""
+                 ticket: RequestTicket):
+        """One replica attempt; returns (ok, error_text, failure_class).
+
+        Opens with an ``rm.attempt`` record; a failed exit logs
+        ``rm.attempt.failed``, a successful one ``rm.transfer.done``.
+        """
         env = self.env
         server = self.registry[loc.hostname]
         handle = TransferHandle(env, fr.logical_file, fr.size)
-        if ticket is not None:
-            ticket._handles[fr.logical_file] = handle
+        ticket._handles[fr.logical_file] = handle
         policy = (self.reliability.clone()
                   if self.reliability is not None else None)
-        if server.hrm is not None and ticket is not None:
+        if server.hrm is not None:
             # Dataset-aware prefetch: hand the HRM the ticket's full
             # logical-file list so it can stage not-yet-requested
             # siblings during idle drive time.
@@ -639,36 +625,24 @@ class RequestManager:
         if server.hrm is not None and not server.hrm.is_staged(
                 fr.logical_file) and server.hrm.mss.has(fr.logical_file):
             fr.state = FileState.STAGING
-            self._say(f"{fr.logical_file}: staging from MSS at "
+            self._say(ticket, f"{fr.logical_file}: staging from MSS at "
                       f"{loc.hostname}")
-        span = None
-        if self.obs is not None:
-            span = self.obs.span("rm.attempt", parent=fr.span,
-                                 trace=(f"ticket-{ticket.id}"
-                                        if ticket is not None else None),
-                                 file=fr.logical_file, host=loc.hostname)
+        self._emit("rm.attempt", ticket, fr, loc)
         self._hook("attempt", fr, host=loc.hostname, location=loc.name)
-        tfields = ({"ticket": str(ticket.id)}
-                   if ticket is not None else {})
-        if self.scheduler is not None and self.logger is not None:
+        if self.scheduler is not None:
             # Lifeline milestone: admission-queue wait starts here and
             # ends at rm.granted, so queue time is blamed on the
             # scheduler rather than folded into connect time.
-            self.logger.event("rm.queue", prog="request-manager",
-                              file=fr.logical_file, host=loc.hostname,
-                              **tfields)
+            self._emit("rm.queue", ticket, fr, loc)
         grant, err, fclass = yield from self._acquire_slot(
             fr, loc, ticket, handle)
         if err is not None:
-            if span is not None:
-                span.finish(status="error", error="admission")
+            self._emit("rm.attempt.failed", ticket, fr, loc,
+                       error="admission")
             return False, err, fclass
         if grant is not None:
-            if self.logger is not None:
-                self.logger.event("rm.granted", prog="request-manager",
-                                  file=fr.logical_file,
-                                  host=loc.hostname,
-                                  waited=f"{grant.waited:.3f}", **tfields)
+            self._emit("rm.granted", ticket, fr, loc,
+                       waited=f"{grant.waited:.3f}")
             if self.obs is not None:
                 self.obs.observe("rm.queue_seconds", grant.waited,
                                  tenant=self.tenant)
@@ -684,16 +658,15 @@ class RequestManager:
                 session = yield from self.client.connect(
                     self.dest_host, loc.hostname, cfg)
             except GridFtpError as exc:
-                if span is not None:
-                    span.finish(status="error", error="connect")
+                self._emit("rm.attempt.failed", ticket, fr, loc,
+                           error="connect")
                 return (False, f"connect failed ({exc.reply.code})",
                         FailureClass.CONNECT)
             connected_at = env.now
             if self.obs is not None:
                 self.obs.event(
                     "gridftp.connect", prog="gridftp", host=loc.hostname,
-                    file=fr.logical_file,
-                    **({"ticket": ticket.id} if ticket is not None else {}))
+                    file=fr.logical_file, ticket=ticket.id)
             # Verify-on-open: the catalog entry may be stale (cached or
             # lagging-shard answer). Probe before committing streams;
             # a server that cannot produce the file fails the attempt as
@@ -701,8 +674,8 @@ class RequestManager:
             probe = getattr(server, "exists", None)
             if probe is not None and not probe(fr.logical_file):
                 session.close()
-                if span is not None:
-                    span.finish(status="error", error="stale")
+                self._emit("rm.attempt.failed", ticket, fr, loc,
+                           error="stale")
                 return (False, f"{loc.hostname}: no such file "
                         "(stale catalog entry)", FailureClass.STALE)
             transfer = env.process(session.get(
@@ -744,8 +717,8 @@ class RequestManager:
             except GridFtpError as exc:
                 fr.bytes_done = handle.bytes_done()
                 session.close()
-                if span is not None:
-                    span.finish(status="error", error=str(exc.reply))
+                self._emit("rm.attempt.failed", ticket, fr, loc,
+                           error=exc.reply)
                 return False, str(exc.reply), self._classify(exc)
             fr.bytes_done = stats.transferred_bytes
             fr.size = stats.transferred_bytes
@@ -757,8 +730,6 @@ class RequestManager:
                                  self.client.transport.network.topology.rtt(
                                      server.host.node,
                                      self.dest_host.node) / 2)
-            extra = ({"ticket": str(ticket.id)}
-                     if ticket is not None else {})
             if self.obs is not None:
                 self.obs.count("rm.transfers_total", host=loc.hostname)
                 self.obs.count("rm.transfer_bytes_total",
@@ -773,32 +744,25 @@ class RequestManager:
                                      tenant=self.tenant)
             self._hook("delivered", fr, host=loc.hostname,
                        location=loc.name, bytes=stats.transferred_bytes)
-            if self.logger is not None:
-                # Milestone: closes the stream stage, so checksum time
-                # is blamed on verify rather than on the WAN.
-                self.logger.event("rm.verify", prog="request-manager",
-                                  file=fr.logical_file, host=loc.hostname,
-                                  **extra)
-            ok, verr = yield from self._verify_arrival(fr, loc, cfg, stats)
+            # Milestone: closes the stream stage, so checksum time is
+            # blamed on verify rather than on the WAN.
+            self._emit("rm.verify", ticket, fr, loc)
+            ok, verr = yield from self._verify_arrival(ticket, fr, loc, cfg,
+                                                       stats)
             if not ok:
                 # Quarantine + delete happened inside _verify_arrival;
                 # the grant release in the finally below stays the one
                 # and only release for this attempt.
-                if span is not None:
-                    span.finish(status="error", error="integrity")
+                self._emit("rm.attempt.failed", ticket, fr, loc,
+                           error="integrity")
                 session.close()
                 return False, verr, FailureClass.INTEGRITY
-            if self.logger is not None:
-                # Terminal event only once the delivered bytes passed
-                # (or skipped) verification — an integrity-failed
-                # attempt must not leave a "done" lifeline behind.
-                self.logger.event("rm.transfer.done",
-                                  prog="request-manager",
-                                  file=fr.logical_file, host=loc.hostname,
-                                  bytes=f"{stats.transferred_bytes:.0f}",
-                                  seconds=f"{elapsed:.3f}", **extra)
-            if span is not None:
-                span.finish(status="ok", bytes=stats.transferred_bytes)
+            # Terminal event only once the delivered bytes passed (or
+            # skipped) verification — an integrity-failed attempt must
+            # not leave a "done" lifeline behind.
+            self._emit("rm.transfer.done", ticket, fr, loc,
+                       bytes=f"{stats.transferred_bytes:.0f}",
+                       seconds=f"{elapsed:.3f}")
             session.close()
             return True, "", None
         finally:
@@ -806,8 +770,8 @@ class RequestManager:
                 self.scheduler.release(grant,
                                        bytes_done=handle.bytes_done())
 
-    def _verify_arrival(self, fr: FileRequest, loc: LocationInfo,
-                        cfg: GridFtpConfig, stats):
+    def _verify_arrival(self, ticket: RequestTicket, fr: FileRequest,
+                        loc: LocationInfo, cfg: GridFtpConfig, stats):
         """Verify-on-arrival: recompute the delivered file's digest.
 
         Simulation process returning ``(ok, error_text)``. A no-op when
@@ -849,14 +813,10 @@ class RequestManager:
                           loc.name)] = self.env.now
         if self.dest_fs.exists(fr.logical_file):
             self.dest_fs.delete(fr.logical_file)
-        self._say(f"{fr.logical_file}: digest mismatch from "
+        self._say(ticket, f"{fr.logical_file}: digest mismatch from "
                   f"{loc.hostname} — replica quarantined")
-        if self.logger is not None:
-            self.logger.event("rm.integrity.mismatch",
-                              prog="request-manager",
-                              file=fr.logical_file, host=loc.hostname,
-                              location=loc.name, expected=expected,
-                              actual=actual)
+        self._emit("rm.integrity.mismatch", ticket, fr, loc,
+                   location=loc.name, expected=expected, actual=actual)
         if self.obs is not None:
             self.obs.count("rm.verifies_total", outcome="mismatch")
             self.obs.count("rm.integrity_failures_total",
@@ -870,7 +830,7 @@ class RequestManager:
             return
         fr.state = FileState.CANCELLED
         fr.finished_at = self.env.now
-        self._say(f"{fr.logical_file}: cancelled")
+        self._say(ticket, f"{fr.logical_file}: cancelled")
         if self.obs is not None:
             self.obs.event("rm.cancelled", prog="request-manager",
                            ticket=ticket.id, file=fr.logical_file)
@@ -884,12 +844,11 @@ class RequestManager:
         fr.failure_class = failure_class
         fr.finished_at = self.env.now
         label = failure_class.value if failure_class is not None else "?"
-        self._say(f"{fr.logical_file}: FAILED [{label}] ({reason})")
-        if self.logger is not None:
-            self.logger.event("rm.failure", prog="request-manager",
-                              file=fr.logical_file, cls=label,
-                              ticket=str(ticket.id), reason=reason)
+        self._say(ticket, f"{fr.logical_file}: FAILED [{label}] ({reason})")
         if self.obs is not None:
+            self.obs.event("rm.failure", prog="request-manager",
+                           file=fr.logical_file, cls=label,
+                           ticket=ticket.id, reason=reason)
             self.obs.count("rm.failures_total", cls=label)
         self._hook("failed", fr, reason=reason,
                    cls=label)

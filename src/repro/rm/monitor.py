@@ -6,8 +6,9 @@ as to its current size. This information as well as the total bytes
 transferred for all file requests are displayed on the client's screen."
 
 Three panes, as in the figure: per-file progress bars on top, chosen
-replica locations in the middle, and initiation/selection messages at
-the bottom. :meth:`render` produces the text snapshot; :meth:`run`
+replica locations in the middle, and the ticket's newest event-log
+records at the bottom — the RM's ``rm.message`` initiation/selection
+lines as their text, lifeline events with their fields. :meth:`render` produces the text snapshot; :meth:`run`
 samples periodically and keeps history for tests/benchmarks.
 """
 
@@ -26,13 +27,8 @@ class TransferMonitor:
     Parameters
     ----------
     env, manager, ticket, period:
-        What to watch and how often.
-    events:
-        Optional NetLogger (or any iterable of
-        :class:`~repro.netlogger.log.LogRecord`). When hooked, the
-        Messages pane shows the ticket's latest NetLogger lifeline
-        events instead of the manager's free-text messages. Defaults to
-        ``obs.logger`` when an ``obs`` bundle is given.
+        What to watch and how often. The Messages pane reads the
+        manager's event log (``manager.obs.logger``).
     obs:
         Optional :class:`~repro.obs.Observability`; each :meth:`run`
         sample also updates the ``monitor.sample`` gauge (bytes done,
@@ -41,7 +37,7 @@ class TransferMonitor:
 
     def __init__(self, env: Environment, manager: RequestManager,
                  ticket: RequestTicket, period: float = 3.0,
-                 events=None, obs=None):
+                 obs=None):
         if period <= 0:
             raise ValueError("period must be positive")
         self.env = env
@@ -49,22 +45,21 @@ class TransferMonitor:
         self.ticket = ticket
         self.period = period
         self.obs = obs
-        if events is None and obs is not None:
-            events = obs.logger
-        self.events = events
         self.snapshots: List[Tuple[float, float]] = []  # (t, total bytes)
 
     def _ticket_events(self, limit: int) -> List:
         """The newest ULM records carrying this ticket's id."""
-        if self.events is None:
+        obs = self.manager.obs
+        if obs is None or obs.logger is None:
             return []
         tid = str(self.ticket.id)
-        out = [r for r in self.events if r.fields.get("ticket") == tid]
+        out = [r for r in obs.logger if r.fields.get("ticket") == tid]
         return out[-limit:]
 
     # -- rendering --------------------------------------------------------
-    def render(self, bar_width: int = 30, max_messages: int = 12) -> str:
-        """A Figure 4-style text snapshot."""
+    def render(self, bar_width: int = 30, max_messages: int = 24) -> str:
+        """A Figure 4-style text snapshot (``max_messages`` newest
+        records: about nine per file of a finished ticket)."""
         t = self.env.now
         lines = [f"=== Request #{self.ticket.id} at t={t:.1f}s ==="]
         lines.append("--- File Transfer Progress ---")
@@ -85,16 +80,14 @@ class TransferMonitor:
                                 f"{'es' if fr.replica_switches != 1 else ''})"
                                 if fr.replica_switches else ""))
         lines.append("--- Messages ---")
-        records = self._ticket_events(max_messages)
-        if records:
-            for r in records:
-                detail = " ".join(
-                    f"{k}={v}" for k, v in sorted(r.fields.items())
+        for r in self._ticket_events(max_messages):
+            if r.event == "rm.message":
+                text = r.fields["text"]
+            else:
+                text = r.event + "".join(
+                    f" {k}={v}" for k, v in sorted(r.fields.items())
                     if k != "ticket")
-                lines.append(f"[{r.t:9.1f}s] {r.event} {detail}".rstrip())
-        else:
-            for mt, text in self.manager.messages[-max_messages:]:
-                lines.append(f"[{mt:9.1f}s] {text}")
+            lines.append(f"[{r.t:9.1f}s] {text}")
         return "\n".join(lines)
 
     # -- sampling ------------------------------------------------------------

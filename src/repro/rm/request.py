@@ -51,8 +51,6 @@ class FileRequest:
     verified: bool = False                    # digest matched the catalog
     verify_seconds: float = 0.0               # time spent in checksum scans
     integrity_failures: int = 0               # mismatches caught on arrival
-    # per-file trace span (repro.obs), attached by an instrumented RM
-    span: Optional[object] = field(default=None, repr=False)
 
     @property
     def fraction(self) -> float:
@@ -84,8 +82,6 @@ class RequestTicket:
         self.aborted: Event = Event(env)
         # per-ticket circuit-breaker board, attached by the RM at submit
         self.breakers = None
-        # per-ticket trace span (repro.obs), attached by an instrumented RM
-        self.span = None
         # transient per-file transfer handles, maintained by the RM
         self._handles: dict = {}
 

@@ -216,7 +216,8 @@ class EsgTestbed:
         self.logger = NetLogger(env, host="client", prog="esg",
                                 capacity=log_capacity)
         # One observability bundle for the whole testbed: the shared ULM
-        # log above plus a metrics registry and tracer (repro.obs).
+        # log above (its one event stream) plus a metrics registry and
+        # the tracer's span view over that log (repro.obs).
         self.obs = Observability.create(env, logger=self.logger)
         # attached by start_timeseries() when windowed recording is on
         self.timeseries = None
@@ -333,7 +334,7 @@ class EsgTestbed:
         self.request_manager = RequestManager(
             env, self.replica_catalog, self.mds, self.gridftp,
             self.registry, self.client_host, self.client_fs,
-            reliability=reliability, nws=self.nws, logger=self.logger,
+            reliability=reliability, nws=self.nws,
             config=config or GridFtpConfig(parallelism=4),
             resilience=resilience, obs=self.obs,
             scheduler=self.scheduler, tenant="client")
@@ -471,8 +472,7 @@ class EsgTestbed:
             config=cfg, client_name=name, obs=self.obs)
         rm = RequestManager(
             self.env, self.replica_catalog, self.mds, client,
-            self.registry, host, fs, nws=self.nws, logger=self.logger,
-            config=cfg, obs=self.obs,
+            self.registry, host, fs, nws=self.nws, config=cfg, obs=self.obs,
             resilience=resilience, scheduler=self.scheduler,
             tenant=name)
         return rm
@@ -526,7 +526,7 @@ class EsgTestbed:
                 rm = RequestManager(
                     self.env, self.replica_catalog, self.mds, client,
                     self.registry, host, fs, nws=self.nws,
-                    logger=self.logger, config=cfg, obs=self.obs,
+                    config=cfg, obs=self.obs,
                     scheduler=self.scheduler, tenant=pop)
                 rms.append(rm)
         return rms

@@ -71,6 +71,30 @@ def test_trace_command(capsys):
     assert "rm.file" in out
 
 
+_F = "file=pcmdi.ncar_csm.run1.1995"
+GOLDEN_SPANS = f"""\
+=== spans ===
+trace ticket-1
+  - rm.ticket [90.007s +65.708s] ok files=3 ticket=1
+    - rm.file [90.007s +65.708s] done {_F}.m06-m06.nc ticket=1
+      - rm.attempt [90.027s +65.688s] ok bytes=50743 {_F}.m06-m06.nc \
+host=gridftp.lbnl-pdsf.gov
+    - rm.file [90.007s +0.781s] done {_F}.m07-m07.nc ticket=1
+      - rm.attempt [90.027s +0.760s] ok bytes=50743 {_F}.m07-m07.nc \
+host=gridftp.anl.gov
+    - rm.file [90.007s +1.037s] done {_F}.m08-m08.nc ticket=1
+      - rm.attempt [90.027s +1.016s] ok bytes=50743 {_F}.m08-m08.nc \
+host=gridftp.lbnl-clipper.gov
+"""
+
+
+def test_trace_spans_golden(capsys):
+    """The demo's span tree, rebuilt from the ULM log, line for line."""
+    assert main(["--seed", "4", "trace", "--spans"]) == 0
+    out = capsys.readouterr().out
+    assert out[out.index("=== spans ==="):] == GOLDEN_SPANS
+
+
 def test_metrics_command(capsys):
     assert main(["--seed", "4", "metrics"]) == 0
     out = capsys.readouterr().out

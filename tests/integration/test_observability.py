@@ -100,3 +100,35 @@ def test_ring_buffer_caps_the_log_and_counts_drops():
     # the survivors are the newest records
     times = [r.t for r in log.records]
     assert times == sorted(times)
+
+
+def test_fleet_recorders_stay_bounded_by_the_ring():
+    """A 512-user fleet on a 256-record log: every span the tracer
+    shows is backed by a record still in the ring, and no request
+    manager keeps a per-message list beside the log."""
+    from repro.scenarios.esg import fleet_config
+    tb = EsgTestbed(seed=2, with_tape=False, file_size_override=2**20,
+                    aggregation_threshold=2, log_capacity=256)
+    tb.warm_nws(60.0)
+    rms = tb.add_fleet(512, users_per_pop=64, config=fleet_config())
+    ds = tb.dataset_ids()[0]
+    names = tb.metadata_catalog.resolve(ds, "tas")[:4]
+    tickets = [rm.submit([(ds, names[i % 4])]) for i, rm in enumerate(rms)]
+
+    def spans_backed_by_ring():
+        records = list(tb.logger.records)
+        requests = [r for r in records if r.event == "rm.request"]
+        attempts = [r for r in records if r.event == "rm.attempt"]
+        tickets_seen = {r.fields["ticket"] for r in requests}
+        return len(tickets_seen) + len(requests) + len(attempts)
+
+    tb.env.run(until=tb.env.now + 0.05)      # mid-flight
+    assert 0 < len(tb.obs.tracer.spans) == spans_backed_by_ring()
+    tb.env.run(until=tb.env.all_of([t.done for t in tickets]))
+    assert all(t.complete and not t.failed_files for t in tickets)
+    assert tb.logger.emitted > 10 * len(tb.logger.records)
+    assert len(tb.obs.tracer.spans) == spans_backed_by_ring()
+    for rm in rms:
+        # one ticket each: nothing else may grow per message
+        assert all(len(v) <= 1 for v in vars(rm).values()
+                   if isinstance(v, list))

@@ -114,6 +114,25 @@ def test_fault_window_extraction_pairs_and_unmatched():
     assert not windows[0].overlaps(9.0, 20.0)
 
 
+def test_overlapping_fault_windows_on_one_target_pair_by_id():
+    """Two outages overlapping on one link must stay two windows: the
+    injector stamps a fault id on begin/end and extraction pairs on it,
+    not on (kind, target)."""
+    tb = EsgTestbed(seed=3)
+    t0 = tb.env.now
+    tb.fault_injector().install(FaultSchedule()
+                                .link_outage("wan-anl:fwd", 10.0, 20.0)
+                                .link_outage("wan-anl:fwd", 15.0, 5.0))
+    tb.env.run(until=t0 + 40.0)
+    windows = extract_fault_windows(tb.logger.records)
+    assert [(w.start - t0, w.end - t0) for w in windows] == \
+        [(pytest.approx(10.0), pytest.approx(30.0)),
+         (pytest.approx(15.0), pytest.approx(20.0))]
+    assert [(s.started_at - t0, s.ended_at - t0)
+            for s in tb.obs.tracer.for_trace("faults")] == \
+        [(w.start - t0, w.end - t0) for w in windows]
+
+
 def test_faults_attach_only_to_overlapping_lifelines():
     records = [
         rec(0.0, "rm.request", file="early"),

@@ -106,7 +106,12 @@ def test_latency_burn_opens_and_closes_an_alert(env, obs):
     assert alert.peak_burn >= 20.0
     ends = [r for r in obs.logger.records if r.event == "slo.breach.end"]
     assert len(ends) == 1
+    # spans are a view rebuilt from the log: read it again
+    spans = obs.tracer.find("slo.breach")
+    assert len(spans) == 1
     assert not spans[0].open and spans[0].status == "recovered"
+    assert float(spans[0].fields["peak_burn"]) == \
+        pytest.approx(alert.peak_burn, abs=0.01)
 
 
 def test_breach_requires_both_windows_burning(env, obs):
