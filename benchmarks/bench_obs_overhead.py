@@ -4,14 +4,15 @@ The tentpole claim for ``repro.obs``: wiring metrics + ULM events
 through the hot transfer path costs < 5% wall time on the Table 1
 schedule. The ULM log is the one event stream: the tracer records
 nothing while the run goes and rebuilds spans from the log only when
-read, so it adds no cost here. Every emit helper is a plain function
-call guarded by one ``is not None`` check, and events/counters do no
-simulation yields, so the schedule's event count is identical with and
-without the bundle.
+read, so it adds no cost here. Components always hold a bundle: the
+bare run's client and servers carry the unwired ``Observability()``,
+whose emit helpers return after one leg check, so both runs make the
+same calls. Events/counters do no simulation yields, so the schedule's
+event count is identical with and without a wired bundle.
 
 Measured as best-of-N wall time for the same seeded ScinetTestbed run,
-with the bundle attached post-construction (the testbed itself takes no
-code path differences).
+with the wired bundle attached post-construction (the testbed itself
+takes no code path differences).
 """
 
 import time

@@ -30,6 +30,7 @@ from repro.campaign.journal import (
     TERMINAL,
 )
 from repro.campaign.manifest import CampaignManifest, ManifestEntry
+from repro.obs import Observability
 from repro.replica.catalog import LocationInfo
 from repro.rm.manager import RequestManager
 from repro.rm.request import FileState
@@ -79,7 +80,7 @@ class ReplicationCampaign:
         self.max_inflight = max_inflight
         self.batch_size = batch_size
         self.max_file_attempts = max_file_attempts
-        self.obs = obs
+        self.obs = obs or Observability()
         self.name = name
         self._by_key = {e.key: e for e in manifest.entries}
         self.queue: deque = deque()
@@ -107,9 +108,7 @@ class ReplicationCampaign:
         rm.add_hook(self._on_rm_event)
 
     def _event(self, name: str, **fields) -> None:
-        if self.obs is not None:
-            self.obs.event(name, prog="campaign", host=self.name,
-                           **fields)
+        self.obs.event(name, prog="campaign", host=self.name, **fields)
 
     # -- driving -------------------------------------------------------------
     def start(self) -> Event:

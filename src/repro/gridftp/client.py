@@ -31,6 +31,7 @@ from repro.net.fluid import FlowError
 from repro.net.recorder import RateRecorder
 from repro.net.tcp import TcpParams, bdp_buffer_size
 from repro.net.transport import Connection, ConnectionRefused, Transport
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileSystem
@@ -221,10 +222,8 @@ class ClientSession:
 
     def _record_transfer(self, op: str, stats: TransferStats,
                          handle: TransferHandle) -> None:
-        """Per-transfer metrics (no-op when the client is uninstrumented)."""
+        """Per-transfer metrics."""
         obs = self.client.obs
-        if obs is None:
-            return
         host = self.server.hostname
         obs.count("gridftp.transfers_total", op=op, host=host)
         obs.count("gridftp.bytes_total", stats.transferred_bytes, op=op)
@@ -274,10 +273,9 @@ class ClientSession:
                 handle._active_flows.append(flow)
                 if handle.first_byte_at is None:
                     handle.first_byte_at = self.env.now
-                    obs = self.client.obs
-                    if obs is not None:
-                        obs.event("gridftp.first_byte", prog="gridftp",
-                                  host=self.server.hostname, file=path)
+                    self.client.obs.event(
+                        "gridftp.first_byte", prog="gridftp",
+                        host=self.server.hostname, file=path)
                 self.env.process(conn.stream.drive(flow))
                 yield from self._watch(conn, flow)
                 moved += block
@@ -289,10 +287,8 @@ class ClientSession:
                 if suspect or any(l.corrupting for l in path_links):
                     handle.taints.append(
                         f"xfer@{self.env.now:.3f}+{offset:.0f}")
-                    obs = self.client.obs
-                    if obs is not None:
-                        obs.count("gridftp.tainted_blocks_total",
-                                  host=self.server.hostname)
+                    self.client.obs.count("gridftp.tainted_blocks_total",
+                                          host=self.server.hostname)
                 if rec is not None and not rec.is_empty:
                     series_out.append(rec.close(self.env.now))
             except FlowError as exc:
@@ -400,9 +396,8 @@ class ClientSession:
             if not channels:
                 attempts += 1
                 stats.restarts += 1
-                if self.client.obs is not None:
-                    self.client.obs.count("gridftp.restarts_total",
-                                          reason="no_channels")
+                self.client.obs.count("gridftp.restarts_total",
+                                      reason="no_channels")
                 stats.faults.append((env.now, "no data channels"))
                 if attempts > cfg.retry_limit:
                     raise GridFtpError(FtpReply(
@@ -434,9 +429,8 @@ class ClientSession:
             if blocks:
                 attempts += 1
                 stats.restarts += 1
-                if self.client.obs is not None:
-                    self.client.obs.count("gridftp.restarts_total",
-                                          reason="blocks_lost")
+                self.client.obs.count("gridftp.restarts_total",
+                                      reason="blocks_lost")
                 stats.faults.append((env.now, f"{len(blocks)} blocks lost"))
                 if handle.aborted:
                     raise GridFtpError(FtpReply(TRANSFER_ABORTED,
@@ -476,14 +470,9 @@ class GridFtpClient:
         self.credential_chain = credential_chain
         self.config = config or GridFtpConfig()
         self.client_name = client_name
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.channel_cache = DataChannelCache(env)
         self._stream_serial = 0
-
-    def _count_connect(self, hostname: str, outcome: str) -> None:
-        if self.obs is not None:
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome=outcome)
 
     # -- session management ---------------------------------------------------
     def connect(self, client_host, hostname: str,
@@ -491,18 +480,21 @@ class GridFtpClient:
         """Simulation process: open an authenticated control session."""
         server = self.registry.get(hostname)
         if server is None:
-            self._count_connect(hostname, "unknown")
+            self.obs.count("gridftp.connects_total", host=hostname,
+                           outcome="unknown")
             raise GridFtpError(FtpReply(CANT_OPEN_DATA,
                                         f"unknown server {hostname!r}"))
         if not server.up:
-            self._count_connect(hostname, "down")
+            self.obs.count("gridftp.connects_total", host=hostname,
+                           outcome="down")
             raise GridFtpError(FtpReply(
                 CANT_OPEN_DATA, f"server {hostname} refused connection "
                 "(down)"))
         if not server.try_accept():
             # At its connection limit the daemon rejects outright (421)
             # instead of queueing silently — visible backpressure.
-            self._count_connect(hostname, "busy")
+            self.obs.count("gridftp.connects_total", host=hostname,
+                           outcome="busy")
             raise GridFtpError(FtpReply(
                 SERVICE_UNAVAILABLE,
                 f"server {hostname} refused connection (busy: "
@@ -515,7 +507,8 @@ class GridFtpClient:
                           stall_poll=cfg.stall_poll))
         except ConnectionRefused as exc:
             server.release_connection()
-            self._count_connect(hostname, "refused")
+            self.obs.count("gridftp.connects_total", host=hostname,
+                           outcome="refused")
             raise GridFtpError(FtpReply(CANT_OPEN_DATA, str(exc))) from exc
         rtt = self.transport.network.topology.rtt(
             client_host.node, server.control_node)
@@ -525,9 +518,11 @@ class GridFtpClient:
         except AuthenticationError as exc:
             control.close()
             server.release_connection()
-            self._count_connect(hostname, "auth")
+            self.obs.count("gridftp.connects_total", host=hostname,
+                           outcome="auth")
             raise GridFtpError(FtpReply(530, str(exc))) from exc
-        self._count_connect(hostname, "ok")
+        self.obs.count("gridftp.connects_total", host=hostname,
+                       outcome="ok")
         return ClientSession(self, server, control, subjects)
 
     # -- data channel pool --------------------------------------------------------

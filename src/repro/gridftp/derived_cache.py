@@ -23,6 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs import Observability
+
 
 @dataclass
 class DerivedProduct:
@@ -41,7 +43,7 @@ class DerivedProductCache:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = float(capacity_bytes)
         self.hostname = hostname
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self._entries: "OrderedDict[str, DerivedProduct]" = OrderedDict()
         self.bytes_used = 0.0
         self.hits = 0
@@ -59,19 +61,17 @@ class DerivedProductCache:
         hit = self._entries.get(key)
         if hit is None:
             self.misses += 1
-            if self.obs is not None:
-                self.obs.count("gridftp.derived_cache_misses_total",
-                               host=self.hostname)
-                self.obs.event("gridftp.derived.miss", prog="gridftp",
-                               host=self.hostname, file=file, op=op)
+            self.obs.count("gridftp.derived_cache_misses_total",
+                           host=self.hostname)
+            self.obs.event("gridftp.derived.miss", prog="gridftp",
+                           host=self.hostname, file=file, op=op)
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if self.obs is not None:
-            self.obs.count("gridftp.derived_cache_hits_total",
-                           host=self.hostname)
-            self.obs.event("gridftp.derived.hit", prog="gridftp",
-                           host=self.hostname, file=file, op=op)
+        self.obs.count("gridftp.derived_cache_hits_total",
+                       host=self.hostname)
+        self.obs.event("gridftp.derived.hit", prog="gridftp",
+                       host=self.hostname, file=file, op=op)
         return hit
 
     def put(self, key: str, size: float, content: Optional[bytes],
@@ -86,16 +86,14 @@ class DerivedProductCache:
             victim_key, victim = self._entries.popitem(last=False)
             self.bytes_used -= victim.size
             self.evictions += 1
-            if self.obs is not None:
-                self.obs.count("gridftp.derived_cache_evictions_total",
-                               host=self.hostname)
-                self.obs.event("gridftp.derived.evict", prog="gridftp",
-                               host=self.hostname, key=victim_key)
+            self.obs.count("gridftp.derived_cache_evictions_total",
+                           host=self.hostname)
+            self.obs.event("gridftp.derived.evict", prog="gridftp",
+                           host=self.hostname, key=victim_key)
         self._entries[key] = DerivedProduct(float(size), content)
         self.bytes_used += float(size)
-        if self.obs is not None:
-            self.obs.gauge("gridftp.derived_cache_bytes", self.bytes_used,
-                           host=self.hostname)
+        self.obs.gauge("gridftp.derived_cache_bytes", self.bytes_used,
+                       host=self.hostname)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -22,6 +22,7 @@ from repro.gridftp.protocol import (
 )
 from repro.gsi.auth import AuthenticationError, GsiContext
 from repro.hosts.host import Host
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileObject, FileSystem
 from repro.storage.hrm import HierarchicalResourceManager, StagingError
@@ -103,7 +104,7 @@ class GridFtpServer:
         self.gsi = gsi
         self.credential_chain = credential_chain
         self.hrm = hrm
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.hostname = hostname or host.node
         self.max_connections = max_connections
         self.active_connections = 0
@@ -127,7 +128,7 @@ class GridFtpServer:
         self.eret_decoded_bytes = 0.0
         self.eret_range_staged = 0
         self.derived_cache: Optional[DerivedProductCache] = (
-            DerivedProductCache(derived_cache_bytes, self.hostname, obs)
+            DerivedProductCache(derived_cache_bytes, self.hostname, self.obs)
             if derived_cache_bytes > 0 else None)
         # Per-path stack of how each in-flight RETR must balance its
         # stage pin: "release" (full stage waited, pin held), "shared"
@@ -145,24 +146,21 @@ class GridFtpServer:
         if (self.max_connections is not None
                 and self.active_connections >= self.max_connections):
             self.rejected_connections += 1
-            if self.obs is not None:
-                self.obs.count("gridftp.server_rejects_total",
-                               host=self.hostname)
+            self.obs.count("gridftp.server_rejects_total",
+                           host=self.hostname)
             return False
         self.active_connections += 1
-        if self.obs is not None:
-            self.obs.gauge("gridftp.server_connections",
-                           self.active_connections, host=self.hostname)
+        self.obs.gauge("gridftp.server_connections",
+                       self.active_connections, host=self.hostname)
         return True
 
     def release_connection(self) -> None:
         """Give back a control-session slot (idempotent at zero)."""
         if self.active_connections > 0:
             self.active_connections -= 1
-            if self.obs is not None:
-                self.obs.gauge("gridftp.server_connections",
-                               self.active_connections,
-                               host=self.hostname)
+            self.obs.gauge("gridftp.server_connections",
+                           self.active_connections,
+                           host=self.hostname)
 
     # -- fault injection ---------------------------------------------------
     def register_handle(self, handle) -> None:
@@ -184,15 +182,14 @@ class GridFtpServer:
         for handle in list(self._active_handles):
             handle.abort(f"server {self.hostname} crashed")
         self._active_handles.clear()
-        if self.obs is not None:
-            self.obs.event("gridftp.server.crash", prog="gridftp",
-                           host=self.hostname, aborted=aborted)
-            self.obs.count("gridftp.server_crashes_total",
-                           host=self.hostname)
+        self.obs.event("gridftp.server.crash", prog="gridftp",
+                       host=self.hostname, aborted=aborted)
+        self.obs.count("gridftp.server_crashes_total",
+                       host=self.hostname)
 
     def restart(self) -> None:
         """Come back up; clients must reconnect."""
-        if not self.up and self.obs is not None:
+        if not self.up:
             self.obs.event("gridftp.server.restart", prog="gridftp",
                            host=self.hostname)
         self.up = True
@@ -269,8 +266,7 @@ class GridFtpServer:
             file = self.fs.stat(path)
             yield self.env.timeout(file.size / self.checksum_rate)
         self.checksums_served += 1
-        if self.obs is not None:
-            self.obs.count("gridftp.checksums_total", host=self.hostname)
+        self.obs.count("gridftp.checksums_total", host=self.hostname)
         return file_digest(file)
 
     def integrity_marks(self, path: str) -> tuple:
@@ -289,11 +285,10 @@ class GridFtpServer:
         """
         file = self._find(path)
         add_mark(file, tag)
-        if self.obs is not None:
-            self.obs.event("gridftp.replica.corrupted", prog="gridftp",
-                           host=self.hostname, file=path, tag=tag)
-            self.obs.count("gridftp.replica_corruptions_total",
-                           host=self.hostname)
+        self.obs.event("gridftp.replica.corrupted", prog="gridftp",
+                       host=self.hostname, file=path, tag=tag)
+        self.obs.count("gridftp.replica_corruptions_total",
+                       host=self.hostname)
         return file
 
     def exists(self, path: str) -> bool:
@@ -410,9 +405,8 @@ class GridFtpServer:
         # not to file size — the whole point of the chunked layout.
         yield self.env.timeout(decoded / self.eret_rate)
         self.eret_decoded_bytes += decoded
-        if self.obs is not None:
-            self.obs.count("gridftp.eret_decoded_bytes_total", decoded,
-                           host=self.hostname)
+        self.obs.count("gridftp.eret_decoded_bytes_total", decoded,
+                       host=self.hostname)
         if key is not None:
             self.derived_cache.put(key, size, content, file=path, op=eret)
         return size, content, action, {"decoded": decoded, "cache": False}
@@ -453,10 +447,9 @@ class GridFtpServer:
         stage pin this RETR took (no-op for non-MSS files)."""
         self.bytes_served += nbytes
         self.transfers_served += 1
-        if self.obs is not None:
-            self.obs.count("gridftp.served_total", host=self.hostname)
-            self.obs.count("gridftp.served_bytes_total", nbytes,
-                           host=self.hostname)
+        self.obs.count("gridftp.served_total", host=self.hostname)
+        self.obs.count("gridftp.served_bytes_total", nbytes,
+                       host=self.hostname)
         self._settle_retrieve(path, self._pop_action(path))
 
     def abandon_retrieve(self, path: str) -> None:
@@ -546,14 +539,13 @@ class GridFtpServer:
                     yield self.env.any_of([gate, req.ready])
                     if not req.ready.triggered:
                         self.eret_range_staged += 1
-                        if self.obs is not None:
-                            self.obs.count("gridftp.eret_range_staged_total",
-                                           host=self.hostname)
-                            self.obs.event(
-                                "hrm.rangestage.start", prog="gridftp",
-                                host=self.hostname, file=path,
-                                prefix=f"{prefix_bytes:.0f}",
-                                total=f"{req.size:.0f}")
+                        self.obs.count("gridftp.eret_range_staged_total",
+                                       host=self.hostname)
+                        self.obs.event(
+                            "hrm.rangestage.start", prog="gridftp",
+                            host=self.hostname, file=path,
+                            prefix=f"{prefix_bytes:.0f}",
+                            total=f"{req.size:.0f}")
                         return self.hrm.mss.tape.lookup(path), "shared"
                     file = req.ready.value
                 else:
@@ -577,12 +569,11 @@ class GridFtpServer:
         rate = self.hrm.mss.tape.spec.read_rate
         self._pending_rate_caps.setdefault(path, []).append(rate)
         self.cutthrough_served += 1
-        if self.obs is not None:
-            self.obs.count("gridftp.cutthrough_total", host=self.hostname)
-            self.obs.event(
-                "hrm.cutthrough.start", prog="gridftp", host=self.hostname,
-                file=path, staged=f"{req.progress.staged_bytes():.0f}",
-                total=f"{req.size:.0f}")
+        self.obs.count("gridftp.cutthrough_total", host=self.hostname)
+        self.obs.event(
+            "hrm.cutthrough.start", prog="gridftp", host=self.hostname,
+            file=path, staged=f"{req.progress.staged_bytes():.0f}",
+            total=f"{req.size:.0f}")
         return self.hrm.mss.tape.lookup(path)
 
     def __repr__(self) -> str:

@@ -128,9 +128,8 @@ class StripedServer:
         cfg = config or client.config
         started = env.now
         obs = client.obs
-        if obs is not None:
-            obs.event("gridftp.striped.start", prog="gridftp",
-                      host=self.name, file=path, stripes=len(layout))
+        obs.event("gridftp.striped.start", prog="gridftp",
+                  host=self.name, file=path, stripes=len(layout))
         sessions = []
         for idx, _, _ in layout:
             session = yield from client.connect(
@@ -154,13 +153,12 @@ class StripedServer:
                    else None)
         dest_fs.create(dest_name or path, total, content=content,
                        overwrite=True)
-        if obs is not None:
-            obs.event("gridftp.striped.done", prog="gridftp",
-                      host=self.name, file=path,
-                      bytes=f"{total:.0f}",
-                      seconds=f"{env.now - started:.3f}")
-            obs.count("gridftp.striped_transfers_total", host=self.name)
-            obs.observe("gridftp.striped_seconds", env.now - started)
+        obs.event("gridftp.striped.done", prog="gridftp",
+                  host=self.name, file=path,
+                  bytes=f"{total:.0f}",
+                  seconds=f"{env.now - started:.3f}")
+        obs.count("gridftp.striped_transfers_total", host=self.name)
+        obs.observe("gridftp.striped_seconds", env.now - started)
         return StripedTransferResult(
             path=path, total_bytes=total, started_at=started,
             finished_at=env.now, per_stripe=per_stripe)

@@ -25,7 +25,6 @@ from repro.ldap.directory import (
     Entry,
     Scope,
 )
-from repro.ldap.replicated import ReplicatedDirectory
 
 __all__ = [
     "DN",
@@ -34,7 +33,6 @@ __all__ = [
     "DirectoryServer",
     "Entry",
     "FilterError",
-    "ReplicatedDirectory",
     "Scope",
     "parse_filter",
 ]

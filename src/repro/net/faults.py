@@ -240,15 +240,15 @@ class FaultInjector:
         self.directories = directories or {}
         self.hrms = hrms or {}
         self.crashables = crashables or {}
-        self.obs = obs          # optional repro.obs.Observability bundle
+        # Imported here: repro.obs reaches back into repro.net.
+        from repro.obs import Observability
+        self.obs = obs or Observability()
         self.log: List[tuple] = []  # (time, action, description)
 
     # -- observability -----------------------------------------------------
-    def _fault_begin(self, fault: Fault) -> Optional[int]:
+    def _fault_begin(self, fault: Fault) -> int:
         """Emit ``fault.begin``; returns the id its ``fault.end`` carries
         so overlapping windows on one target pair correctly."""
-        if self.obs is None:
-            return None
         fid = self.env.next_id("fault")
         self.obs.event("fault.begin", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
@@ -256,9 +256,7 @@ class FaultInjector:
         self.obs.count("faults.injected_total", kind=fault.kind)
         return fid
 
-    def _fault_end(self, fault: Fault, fid: Optional[int]) -> None:
-        if fid is None:
-            return
+    def _fault_end(self, fault: Fault, fid: int) -> None:
         self.obs.event("fault.end", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
@@ -282,8 +280,7 @@ class FaultInjector:
                 # to install time.
                 self.name_service.add_outage(self.env.now + fault.start,
                                              fault.duration)
-                if self.obs is not None:
-                    self.env.process(self._observe_window(fault))
+                self.env.process(self._observe_window(fault))
                 continue
             if fault.kind == "directory":
                 directory = self.directories.get(fault.target)
@@ -294,8 +291,7 @@ class FaultInjector:
                                      fault.duration, mode=fault.mode)
                 self.log.append((self.env.now, "directory scheduled",
                                  fault.description or fault.target))
-                if self.obs is not None:
-                    self.env.process(self._observe_window(fault))
+                self.env.process(self._observe_window(fault))
                 continue
             if fault.kind == "server":
                 if fault.target not in self.servers:

@@ -10,6 +10,7 @@ import numpy as np
 from repro.nws.forecasters import AdaptiveForecaster
 from repro.nws.sensors import NetworkSensor, ProbeResult
 from repro.net.fluid import FluidNetwork
+from repro.obs import Observability
 from repro.sim.core import Environment
 
 
@@ -45,7 +46,7 @@ class NetworkWeatherService:
         self.network = network
         self.mds = mds
         self.rng = rng
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.sensors: Dict[Tuple[str, str], NetworkSensor] = {}
         self._bw: Dict[Tuple[str, str], AdaptiveForecaster] = {}
         self._lat: Dict[Tuple[str, str], AdaptiveForecaster] = {}
@@ -78,14 +79,12 @@ class NetworkWeatherService:
         self._last[key] = result
         self._counts[key] += 1
         forecast = self.forecast(*key)
-        if self.obs is not None:
-            self.obs.count("nws.measurements_total", src=key[0],
-                           dst=key[1])
-            if forecast is not None:
-                self.obs.gauge("nws.forecast_bandwidth_bytes",
-                               forecast.bandwidth, src=key[0], dst=key[1])
-                self.obs.gauge("nws.forecast_latency_seconds",
-                               forecast.latency, src=key[0], dst=key[1])
+        self.obs.count("nws.measurements_total", src=key[0], dst=key[1])
+        if forecast is not None:
+            self.obs.gauge("nws.forecast_bandwidth_bytes",
+                           forecast.bandwidth, src=key[0], dst=key[1])
+            self.obs.gauge("nws.forecast_latency_seconds",
+                           forecast.latency, src=key[0], dst=key[1])
         if self.mds is not None:
             self.mds.publish_nws(key[0], key[1], forecast)
 

@@ -13,9 +13,11 @@ optional reference to get all of them:
   span trees (ticket → file → attempt, plus fault windows) from that
   log, so it records nothing of its own.
 
-Every emit helper checks for ``None`` legs, so components can be handed
-a partially-wired bundle (e.g. metrics only) and instrumentation always
-degrades to a no-op.
+Every instrumented component holds a bundle: one built without ``obs``
+defaults to ``Observability()``, the unwired bundle whose legs are all
+``None``. The emit helpers below are the only place that checks a leg,
+so an unwired component emits through the same calls as a wired one
+and each call is a no-op.
 """
 
 from __future__ import annotations
@@ -38,15 +40,15 @@ from repro.sim.core import Environment
 
 @dataclass
 class Observability:
-    """The bundle instrumented components carry (all legs optional).
+    """The bundle instrumented components carry.
 
-    The analysis tier (``repro.obs.timeseries`` / ``critical_path`` /
-    ``slo``) reads this bundle; ``timeseries`` is attached by scenario
-    helpers (e.g. ``EsgTestbed.start_timeseries``) when windowed
-    recording is on.
+    ``Observability()`` is the unwired bundle (every leg ``None``);
+    :meth:`create` wires the logger, metrics and tracer. The analysis
+    tier (``repro.obs.timeseries`` / ``critical_path`` / ``slo``) reads
+    this bundle; ``timeseries`` is attached by scenario helpers (e.g.
+    ``EsgTestbed.start_timeseries``) when windowed recording is on.
     """
 
-    env: Environment
     logger: Optional[NetLogger] = None
     metrics: Optional[MetricsRegistry] = None
     tracer: Optional[Tracer] = None
@@ -61,11 +63,11 @@ class Observability:
         if logger is None:
             logger = NetLogger(env, host=host, prog=prog,
                                capacity=capacity)
-        return cls(env=env, logger=logger,
+        return cls(logger=logger,
                    metrics=MetricsRegistry(env, logger=logger),
                    tracer=Tracer(logger))
 
-    # -- guarded emit helpers --------------------------------------------
+    # -- emit helpers (the only leg checks on the emit path) -----------
     def event(self, name: str, host: Optional[str] = None,
               prog: Optional[str] = None, **fields) -> None:
         """Append a ULM event (no-op without a logger)."""

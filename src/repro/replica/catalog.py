@@ -80,15 +80,9 @@ class ReplicaCatalog:
         # and a caller-supplied backing store must never be discarded.
         self.directory = (directory if directory is not None
                           else DirectoryServer(env, name=f"rc-{name}"))
-        # Authoritative view for the write path: a replicated directory
-        # serves point reads from possibly-stale replicas, but
-        # duplicate/parent guards and read-modify-write need the
-        # master's truth (read-your-writes).
-        auth = getattr(self.directory, "primary", None)
-        self._auth = auth if auth is not None else self.directory
         self.name = name
         self.root = DN.parse(f"rc={name}")
-        if not self._auth.exists(self.root):
+        if not self.directory.exists(self.root):
             self.directory.add(self.root, {"objectclass": "replicacatalog"})
 
     # -- registration (setup-time, immediate) -----------------------------
@@ -96,7 +90,7 @@ class ReplicaCatalog:
                           description: str = "") -> None:
         """Register a logical collection."""
         dn = self.root.child("lc", collection)
-        if self._auth.exists(dn):
+        if self.directory.exists(dn):
             raise ReplicaError(f"collection {collection!r} exists")
         self.directory.add(dn, {"objectclass": "logicalcollection",
                                 "description": description})
@@ -108,7 +102,7 @@ class ReplicaCatalog:
         files = tuple(files)
         cdn = self._collection_dn(collection)
         dn = cdn.child("loc", location)
-        if self._auth.exists(dn):
+        if self.directory.exists(dn):
             raise ReplicaError(f"location {location!r} exists in "
                                f"{collection!r}")
         self.directory.add(dn, {
@@ -123,7 +117,7 @@ class ReplicaCatalog:
         """Optionally register a per-file entry (size etc.)."""
         cdn = self._collection_dn(collection)
         dn = cdn.child("lf", logical_file)
-        if self._auth.exists(dn):
+        if self.directory.exists(dn):
             raise ReplicaError(f"logical file {logical_file!r} exists")
         attrs = {"objectclass": "logicalfile", "size": str(size)}
         attrs.update(attributes or {})
@@ -139,7 +133,7 @@ class ReplicaCatalog:
                                   logical_file: str) -> None:
         """Drop one file from a location (replica deleted)."""
         dn = self._location_dn(collection, location)
-        entry = self._auth.lookup(dn)
+        entry = self.directory.lookup(dn)
         files = [f for f in entry.get("filename") if f != logical_file]
         self.directory.modify(dn, replace={"filename": files})
 
@@ -180,9 +174,9 @@ class ReplicaCatalog:
                           logical_file: str) -> Optional[float]:
         """Registered size, or None (logical file entries are optional)."""
         dn = self._collection_dn(collection).child("lf", logical_file)
-        if not self._auth.exists(dn):
+        if not self.directory.exists(dn):
             return None
-        return float(self._auth.lookup(dn).first("size", "0"))
+        return float(self.directory.lookup(dn).first("size", "0"))
 
     def logical_file_digest(self, collection: str,
                             logical_file: str) -> Optional[str]:
@@ -192,9 +186,9 @@ class ReplicaCatalog:
         verification compares every delivered copy against it.
         """
         dn = self._collection_dn(collection).child("lf", logical_file)
-        if not self._auth.exists(dn):
+        if not self.directory.exists(dn):
             return None
-        return self._auth.lookup(dn).first("digest", "") or None
+        return self.directory.lookup(dn).first("digest", "") or None
 
     # -- timed query (what the request manager calls) ------------------------------
     def find_replicas(self, collection: str, logical_file: str):
@@ -218,13 +212,13 @@ class ReplicaCatalog:
     # -- internals ------------------------------------------------------------------
     def _collection_dn(self, collection: str) -> DN:
         dn = self.root.child("lc", collection)
-        if not self._auth.exists(dn):
+        if not self.directory.exists(dn):
             raise ReplicaError(f"no collection {collection!r}")
         return dn
 
     def _location_dn(self, collection: str, location: str) -> DN:
         dn = self._collection_dn(collection).child("loc", location)
-        if not self._auth.exists(dn):
+        if not self.directory.exists(dn):
             raise ReplicaError(f"no location {location!r} in "
                                f"{collection!r}")
         return dn

@@ -45,6 +45,7 @@ from repro.ldap.directory import (
     DirectoryServer,
     DirectoryUnavailable,
 )
+from repro.obs import Observability
 from repro.replica.catalog import (
     CollectionInfo,
     LocationInfo,
@@ -179,7 +180,7 @@ class FederatedReplicaCatalog:
         hits cost no simulated time; they may be stale, which the
         request manager's verify-on-open + :meth:`demote` tolerate.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle.
+        :class:`~repro.obs.Observability` bundle (unwired when omitted).
     base_latency:
         Per-operation cost of each shard's directory server.
     """
@@ -198,7 +199,7 @@ class FederatedReplicaCatalog:
         self.name = name
         self.sync_interval = sync_interval
         self.cache_ttl = cache_ttl
-        self.obs = obs
+        self.obs = obs or Observability()
         self.router = ShardRouter(sites, replicas=replication,
                                   vnodes=vnodes)
         self.sites: Dict[str, SiteCatalog] = {}
@@ -212,7 +213,7 @@ class FederatedReplicaCatalog:
         self._breakers = {
             site: CircuitBreaker(f"catalog:{site}",
                                  breaker_failure_threshold,
-                                 breaker_reset_timeout, obs=obs)
+                                 breaker_reset_timeout, obs=self.obs)
             for site in self._site_order}
         # per-collection monotonic version (bumped by every home write)
         self._version: Dict[str, int] = {}
@@ -279,7 +280,7 @@ class FederatedReplicaCatalog:
                 applied += 1
             queue.clear()
         self.syncs += 1
-        if applied and self.obs is not None:
+        if applied:
             self.obs.event("catalog.sync", prog="replica-catalog",
                            ops=applied)
             self.obs.count("catalog.replicated_ops_total", applied)
@@ -405,11 +406,10 @@ class FederatedReplicaCatalog:
         if cached is not None:
             cached.pop(logical_file, None)
         self.demotes += 1
-        if self.obs is not None:
-            self.obs.event("catalog.demote", prog="replica-catalog",
-                           collection=collection, file=logical_file,
-                           location=location)
-            self.obs.count("catalog.demotes_total")
+        self.obs.event("catalog.demote", prog="replica-catalog",
+                       collection=collection, file=logical_file,
+                       location=location)
+        self.obs.count("catalog.demotes_total")
 
     def is_demoted(self, collection: str, logical_file: str,
                    location: str) -> bool:
@@ -432,11 +432,10 @@ class FederatedReplicaCatalog:
     def _note_stale(self, collection: str, logical_file: str,
                     source: str) -> None:
         self.stale_hits += 1
-        if self.obs is not None:
-            self.obs.event("catalog.stale_hit", prog="replica-catalog",
-                           collection=collection, file=logical_file,
-                           source=source)
-            self.obs.count("catalog.stale_hits_total", source=source)
+        self.obs.event("catalog.stale_hit", prog="replica-catalog",
+                       collection=collection, file=logical_file,
+                       source=source)
+        self.obs.count("catalog.stale_hits_total", source=source)
 
     # -- timed federated lookup (what the request manager calls) -----------
     def find_replicas(self, collection: str, logical_file: str):
@@ -507,8 +506,7 @@ class FederatedReplicaCatalog:
         partial = failed > 0
         if partial:
             self.partial_queries += 1
-            if self.obs is not None:
-                self.obs.count("catalog.partial_queries_total")
+            self.obs.count("catalog.partial_queries_total")
         if not responders:
             if failed > 0:
                 self._emit_query(collection, logical_file, served=0,
@@ -554,8 +552,6 @@ class FederatedReplicaCatalog:
 
     def _emit_query(self, collection: str, logical_file: str, served: int,
                     winner: str, partial: bool, stale: bool) -> None:
-        if self.obs is None:
-            return
         self.obs.event("catalog.federated_query", prog="replica-catalog",
                        collection=collection, file=logical_file,
                        served=served, winner=winner,

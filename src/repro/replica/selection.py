@@ -14,6 +14,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
+from repro.obs import Observability
 from repro.replica.catalog import LocationInfo
 
 
@@ -42,11 +43,9 @@ class SelectionPolicy(Protocol):
         ...  # pragma: no cover
 
 
-def _record_rank(obs, policy: str,
+def _record_rank(obs: Observability, policy: str,
                  candidates: List[ReplicaCandidate]) -> None:
-    """Selection metrics shared by all policies (no-op without obs)."""
-    if obs is None:
-        return
+    """Selection metrics shared by all policies."""
     obs.count("replica.ranks_total", policy=policy)
     obs.gauge("replica.candidates", len(candidates), policy=policy)
     n_stale = sum(1 for c in candidates if c.stale)
@@ -63,7 +62,7 @@ class NwsBestPolicy:
 
     def __init__(self, consider_staging: bool = False, obs=None):
         self.consider_staging = consider_staging
-        self.obs = obs
+        self.obs = obs or Observability()
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
@@ -90,7 +89,7 @@ class NwsSpreadPolicy:
         if tolerance < 0:
             raise ValueError("tolerance must be >= 0")
         self.tolerance = tolerance
-        self.obs = obs
+        self.obs = obs or Observability()
         self._counter = 0
 
     def rank(self, candidates: List[ReplicaCandidate],
@@ -117,7 +116,7 @@ class RandomPolicy:
 
     def __init__(self, rng: np.random.Generator, obs=None):
         self.rng = rng
-        self.obs = obs
+        self.obs = obs or Observability()
 
     def rank(self, candidates: List[ReplicaCandidate],
              nbytes: float) -> List[ReplicaCandidate]:
@@ -132,7 +131,7 @@ class RoundRobinPolicy:
     information would do)."""
 
     def __init__(self, obs=None):
-        self.obs = obs
+        self.obs = obs or Observability()
         self._counter = 0
 
     def rank(self, candidates: List[ReplicaCandidate],

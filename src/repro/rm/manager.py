@@ -83,9 +83,10 @@ class RequestManager:
         retry rounds, circuit breakers, and default deadlines. ``None``
         preserves the original single-sweep behaviour exactly.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle, the RM's one
-        emit path: pipeline metrics plus the ULM records — lifeline
-        milestones (``rm.request`` → ``rm.select`` →
+        The RM's :class:`~repro.obs.Observability` bundle (unwired when
+        omitted; the default policy shares it), its one emit path:
+        pipeline metrics plus the ULM records — lifeline milestones
+        (``rm.request`` → ``rm.select`` →
         ``gridftp.connect`` → ``gridftp.first_byte`` → terminal),
         ``rm.attempt`` / ``rm.attempt.failed`` (the tracer's attempt
         spans) and the ``rm.message`` lines of the Figure 4 monitor.
@@ -120,18 +121,13 @@ class RequestManager:
         self.registry = registry
         self.dest_host = dest_host
         self.dest_fs = dest_fs
-        self.policy = policy or NwsBestPolicy()
+        self.obs = obs or Observability()
+        self.policy = policy or NwsBestPolicy(obs=self.obs)
         self.reliability = reliability
         self.nws = nws
-        self.obs = obs
-        # selection policies record ranking metrics when instrumented
-        if obs is not None and getattr(self.policy, "obs", None) is None \
-                and hasattr(self.policy, "obs"):
-            self.policy.obs = obs
         self.config = config or GridFtpConfig()
         self.resilience = resilience
         self.scheduler = scheduler
-        self.tickets: List[RequestTicket] = []
         # Integrity pipeline state: replicas whose delivered digest
         # mismatched the catalog, keyed (collection, logical_file,
         # location name) → sim time of the mismatch. Quarantined copies
@@ -204,9 +200,7 @@ class RequestManager:
                          if ticket_deadline is not None else None))
         if res is not None:
             ticket.breakers = res.board(obs=self.obs)
-        if self.obs is not None:
-            self.obs.count("rm.tickets_total")
-        self.tickets.append(ticket)
+        self.obs.count("rm.tickets_total")
         workers = [self.env.process(self._file_thread(ticket, fr))
                    for fr in files]
         self.env.process(self._completion_watcher(ticket, workers))
@@ -276,9 +270,8 @@ class RequestManager:
 
     def _say(self, ticket: RequestTicket, text: str) -> None:
         """One Figure 4 monitor line, as an ``rm.message`` record."""
-        if self.obs is not None:
-            self.obs.event("rm.message", prog="request-manager",
-                           ticket=ticket.id, text=text)
+        self.obs.event("rm.message", prog="request-manager",
+                       ticket=ticket.id, text=text)
 
     def _should_stop(self, ticket: RequestTicket, fr: FileRequest) -> bool:
         """Checkpoint between yields: True = stop, ``fr`` is finalized."""
@@ -304,11 +297,10 @@ class RequestManager:
                  attempt: int):
         """Interruptible sleep before retry round ``attempt`` + 1."""
         delay = self.resilience.retry.delay(attempt, rng=self._jitter_rng)
-        if self.obs is not None:
-            self.obs.event("rm.retry", prog="request-manager",
-                           file=fr.logical_file, round=attempt,
-                           ticket=ticket.id, backoff=f"{delay:.2f}")
-            self.obs.count("rm.retries_total")
+        self.obs.event("rm.retry", prog="request-manager",
+                       file=fr.logical_file, round=attempt,
+                       ticket=ticket.id, backoff=f"{delay:.2f}")
+        self.obs.count("rm.retries_total")
         self._say(ticket, f"{fr.logical_file}: retry round {attempt + 1} "
                   f"in {delay:.1f}s")
         timer = self.env.timeout(delay)
@@ -323,20 +315,18 @@ class RequestManager:
         """
         fr.started_at = self.env.now
         obs = self.obs
-        if obs is not None:
-            obs.event("rm.request", prog="request-manager",
-                      ticket=ticket.id, file=fr.logical_file,
-                      collection=fr.collection)
+        obs.event("rm.request", prog="request-manager",
+                  ticket=ticket.id, file=fr.logical_file,
+                  collection=fr.collection)
         try:
             yield from self._file_body(ticket, fr)
         finally:
-            if obs is not None:
-                outcome = fr.state.value
-                obs.count("rm.files_total", outcome=outcome)
-                if fr.finished_at is not None:
-                    obs.observe("rm.file_seconds",
-                                fr.finished_at - fr.started_at,
-                                outcome=outcome)
+            outcome = fr.state.value
+            obs.count("rm.files_total", outcome=outcome)
+            if fr.finished_at is not None:
+                obs.observe("rm.file_seconds",
+                            fr.finished_at - fr.started_at,
+                            outcome=outcome)
 
     def _file_body(self, ticket: RequestTicket, fr: FileRequest):
         env = self.env
@@ -380,8 +370,7 @@ class RequestManager:
                     return
                 if lookup_meta is not None and lookup_meta.stale:
                     fr.stale_lookups += 1
-                    if self.obs is not None:
-                        self.obs.count("rm.stale_lookups_total")
+                    self.obs.count("rm.stale_lookups_total")
             if not replicas:
                 if lookup_meta is not None and (lookup_meta.partial
                                                 or lookup_meta.stale):
@@ -415,7 +404,7 @@ class RequestManager:
                              c.location.name) not in self.quarantined]
                 quar = [c for c in candidates if c not in fresh]
                 candidates = fresh + quar
-            if self.obs is not None and candidates:
+            if candidates:
                 self.obs.event("rm.select", prog="request-manager",
                                ticket=ticket.id, file=fr.logical_file,
                                host=candidates[0].location.hostname,
@@ -515,11 +504,10 @@ class RequestManager:
                 stage_wait=stage_wait, stale=stale))
         if degraded:
             fr.degraded_rankings += 1
-            if self.obs is not None:
-                self.obs.count("rm.degraded_ranks_total")
-                self.obs.event("rm.rank.degraded", prog="request-manager",
-                               file=fr.logical_file,
-                               candidates=len(candidates))
+            self.obs.count("rm.degraded_ranks_total")
+            self.obs.event("rm.rank.degraded", prog="request-manager",
+                           file=fr.logical_file,
+                           candidates=len(candidates))
             self._say(ticket, f"{fr.logical_file}: MDS unreachable, "
                       "ranking from cached forecasts (round-robin)")
             ordered = sorted(candidates, key=lambda c: c.location.name)
@@ -557,13 +545,11 @@ class RequestManager:
         else:
             self.quarantined[(fr.collection, fr.logical_file,
                               loc.name)] = self.env.now
-            if self.obs is not None:
-                self.obs.event("catalog.demote", prog="request-manager",
-                               collection=fr.collection,
-                               file=fr.logical_file, location=loc.name)
-                self.obs.count("catalog.demotes_total")
-        if self.obs is not None:
-            self.obs.count("rm.stale_demotes_total")
+            self.obs.event("catalog.demote", prog="request-manager",
+                           collection=fr.collection,
+                           file=fr.logical_file, location=loc.name)
+            self.obs.count("catalog.demotes_total")
+        self.obs.count("rm.stale_demotes_total")
         self._say(ticket, f"{fr.logical_file}: stale catalog entry at "
                   f"{loc.name} demoted")
 
@@ -599,9 +585,8 @@ class RequestManager:
     def _emit(self, event: str, ticket: RequestTicket, fr: FileRequest,
               loc: LocationInfo, **fields) -> None:
         """One ULM record about ``fr``'s attempt at ``loc``."""
-        if self.obs is not None:
-            self.obs.event(event, prog="request-manager", host=loc.hostname,
-                           ticket=ticket.id, file=fr.logical_file, **fields)
+        self.obs.event(event, prog="request-manager", host=loc.hostname,
+                       ticket=ticket.id, file=fr.logical_file, **fields)
 
     def _attempt(self, fr: FileRequest, loc: LocationInfo,
                  ticket: RequestTicket):
@@ -643,9 +628,8 @@ class RequestManager:
         if grant is not None:
             self._emit("rm.granted", ticket, fr, loc,
                        waited=f"{grant.waited:.3f}")
-            if self.obs is not None:
-                self.obs.observe("rm.queue_seconds", grant.waited,
-                                 tenant=self.tenant)
+            self.obs.observe("rm.queue_seconds", grant.waited,
+                             tenant=self.tenant)
         # Admitted: the grant's stream budget replaces the configured
         # maximum, so the server's parallel-stream budget is split
         # across admitted transfers instead of multiplied by them.
@@ -663,10 +647,9 @@ class RequestManager:
                 return (False, f"connect failed ({exc.reply.code})",
                         FailureClass.CONNECT)
             connected_at = env.now
-            if self.obs is not None:
-                self.obs.event(
-                    "gridftp.connect", prog="gridftp", host=loc.hostname,
-                    file=fr.logical_file, ticket=ticket.id)
+            self.obs.event(
+                "gridftp.connect", prog="gridftp", host=loc.hostname,
+                file=fr.logical_file, ticket=ticket.id)
             # Verify-on-open: the catalog entry may be stale (cached or
             # lagging-shard answer). Probe before committing streams;
             # a server that cannot produce the file fails the attempt as
@@ -730,18 +713,17 @@ class RequestManager:
                                  self.client.transport.network.topology.rtt(
                                      server.host.node,
                                      self.dest_host.node) / 2)
-            if self.obs is not None:
-                self.obs.count("rm.transfers_total", host=loc.hostname)
-                self.obs.count("rm.transfer_bytes_total",
-                               stats.transferred_bytes, host=loc.hostname)
-                self.obs.count("rm.tenant_bytes_total",
-                               stats.transferred_bytes, tenant=self.tenant)
-                self.obs.observe("rm.transfer_seconds", elapsed)
-                if handle.first_byte_at is not None:
-                    ttfb = handle.first_byte_at - connected_at
-                    self.obs.observe("rm.ttfb_seconds", ttfb)
-                    self.obs.observe("rm.tenant_ttfb_seconds", ttfb,
-                                     tenant=self.tenant)
+            self.obs.count("rm.transfers_total", host=loc.hostname)
+            self.obs.count("rm.transfer_bytes_total",
+                           stats.transferred_bytes, host=loc.hostname)
+            self.obs.count("rm.tenant_bytes_total",
+                           stats.transferred_bytes, tenant=self.tenant)
+            self.obs.observe("rm.transfer_seconds", elapsed)
+            if handle.first_byte_at is not None:
+                ttfb = handle.first_byte_at - connected_at
+                self.obs.observe("rm.ttfb_seconds", ttfb)
+                self.obs.observe("rm.tenant_ttfb_seconds", ttfb,
+                                 tenant=self.tenant)
             self._hook("delivered", fr, host=loc.hostname,
                        location=loc.name, bytes=stats.transferred_bytes)
             # Milestone: closes the stream stage, so checksum time is
@@ -798,11 +780,10 @@ class RequestManager:
         actual = file_digest(delivered)
         if actual == expected:
             fr.verified = True
-            if self.obs is not None:
-                self.obs.count("rm.verifies_total", outcome="ok")
-                self.obs.observe("rm.verify_seconds", scan)
-                self.obs.observe("rm.tenant_verify_seconds", scan,
-                                 tenant=self.tenant)
+            self.obs.count("rm.verifies_total", outcome="ok")
+            self.obs.observe("rm.verify_seconds", scan)
+            self.obs.observe("rm.tenant_verify_seconds", scan,
+                             tenant=self.tenant)
             self._hook("verified", fr, host=loc.hostname,
                        location=loc.name, seconds=scan,
                        bytes=stats.transferred_bytes)
@@ -817,10 +798,9 @@ class RequestManager:
                   f"{loc.hostname} — replica quarantined")
         self._emit("rm.integrity.mismatch", ticket, fr, loc,
                    location=loc.name, expected=expected, actual=actual)
-        if self.obs is not None:
-            self.obs.count("rm.verifies_total", outcome="mismatch")
-            self.obs.count("rm.integrity_failures_total",
-                           host=loc.hostname)
+        self.obs.count("rm.verifies_total", outcome="mismatch")
+        self.obs.count("rm.integrity_failures_total",
+                       host=loc.hostname)
         self._hook("integrity_failed", fr, host=loc.hostname,
                    location=loc.name)
         return False, f"digest mismatch from {loc.hostname}"
@@ -831,9 +811,8 @@ class RequestManager:
         fr.state = FileState.CANCELLED
         fr.finished_at = self.env.now
         self._say(ticket, f"{fr.logical_file}: cancelled")
-        if self.obs is not None:
-            self.obs.event("rm.cancelled", prog="request-manager",
-                           ticket=ticket.id, file=fr.logical_file)
+        self.obs.event("rm.cancelled", prog="request-manager",
+                       ticket=ticket.id, file=fr.logical_file)
 
     def _fail(self, ticket: RequestTicket, fr: FileRequest, reason: str,
               failure_class: Optional[FailureClass] = None) -> None:
@@ -845,11 +824,10 @@ class RequestManager:
         fr.finished_at = self.env.now
         label = failure_class.value if failure_class is not None else "?"
         self._say(ticket, f"{fr.logical_file}: FAILED [{label}] ({reason})")
-        if self.obs is not None:
-            self.obs.event("rm.failure", prog="request-manager",
-                           file=fr.logical_file, cls=label,
-                           ticket=ticket.id, reason=reason)
-            self.obs.count("rm.failures_total", cls=label)
+        self.obs.event("rm.failure", prog="request-manager",
+                       file=fr.logical_file, cls=label,
+                       ticket=ticket.id, reason=reason)
+        self.obs.count("rm.failures_total", cls=label)
         self._hook("failed", fr, reason=reason,
                    cls=label)
 

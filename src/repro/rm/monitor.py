@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.obs import Observability
 from repro.rm.manager import RequestManager
 from repro.rm.request import FileState, RequestTicket
 from repro.sim.core import Environment
@@ -44,16 +45,16 @@ class TransferMonitor:
         self.manager = manager
         self.ticket = ticket
         self.period = period
-        self.obs = obs
+        self.obs = obs or Observability()
         self.snapshots: List[Tuple[float, float]] = []  # (t, total bytes)
 
     def _ticket_events(self, limit: int) -> List:
         """The newest ULM records carrying this ticket's id."""
-        obs = self.manager.obs
-        if obs is None or obs.logger is None:
+        logger = self.manager.obs.logger
+        if logger is None:
             return []
         tid = str(self.ticket.id)
-        out = [r for r in obs.logger if r.fields.get("ticket") == tid]
+        out = [r for r in logger if r.fields.get("ticket") == tid]
         return out[-limit:]
 
     # -- rendering --------------------------------------------------------
@@ -102,9 +103,8 @@ class TransferMonitor:
     def _sample(self) -> None:
         done = self.ticket.bytes_done
         self.snapshots.append((self.env.now, done))
-        if self.obs is not None:
-            self.obs.gauge("monitor.sample", done,
-                           ticket=str(self.ticket.id))
+        self.obs.gauge("monitor.sample", done,
+                       ticket=str(self.ticket.id))
 
     def aggregate_rate_series(self) -> List[Tuple[float, float]]:
         """(t, bytes/s) estimated from consecutive snapshots."""

@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.obs import Observability
+
 
 class FailureClass(enum.Enum):
     """Why a file request failed (stage of the pipeline that gave up)."""
@@ -114,7 +116,7 @@ class CircuitBreaker:
         self.host = host
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.state = BreakerState.CLOSED
         self.failures = 0
         self.opened_at: Optional[float] = None
@@ -128,9 +130,8 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             if now - self.opened_at >= self.reset_timeout:
                 self.state = BreakerState.HALF_OPEN
-                if self.obs is not None:
-                    self.obs.event("rm.breaker.half_open",
-                                   prog="request-manager", host=self.host)
+                self.obs.event("rm.breaker.half_open",
+                               prog="request-manager", host=self.host)
                 return True
             self._record_skip()
             return False
@@ -140,8 +141,7 @@ class CircuitBreaker:
 
     def _record_skip(self) -> None:
         self.skips += 1
-        if self.obs is not None:
-            self.obs.count("rm.breaker_skips_total", host=self.host)
+        self.obs.count("rm.breaker_skips_total", host=self.host)
 
     def record_failure(self, now: float) -> None:
         """Feed one failed attempt; may open the circuit."""
@@ -152,10 +152,9 @@ class CircuitBreaker:
             self.opened_at = now
             self.trips += 1
             self.failures = 0
-            if self.obs is not None:
-                self.obs.event("rm.breaker.open", prog="request-manager",
-                               host=self.host, trips=self.trips)
-                self.obs.count("rm.breaker_trips_total", host=self.host)
+            self.obs.event("rm.breaker.open", prog="request-manager",
+                           host=self.host, trips=self.trips)
+            self.obs.count("rm.breaker_trips_total", host=self.host)
 
     def record_success(self) -> None:
         """A successful attempt closes the circuit and clears history."""
@@ -163,7 +162,7 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.failures = 0
         self.opened_at = None
-        if was_open and self.obs is not None:
+        if was_open:
             self.obs.event("rm.breaker.close", prog="request-manager",
                            host=self.host)
 
@@ -184,7 +183,7 @@ class BreakerBoard:
                  reset_timeout: float = 120.0, obs=None):
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.obs = obs
+        self.obs = obs or Observability()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def for_host(self, host: str) -> CircuitBreaker:

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -214,7 +215,8 @@ class TransferScheduler:
     config:
         :class:`SchedulerConfig`; defaults apply when omitted.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle. Emits
+        :class:`~repro.obs.Observability` bundle (unwired when omitted).
+        Emits
         ``rm.sched.queue_depth`` / ``rm.sched.active`` gauges,
         ``rm.sched.wait_seconds`` histograms, and per-ticket
         ``rm.sched.ticket_bytes_total`` goodput counters.
@@ -229,7 +231,7 @@ class TransferScheduler:
                  obs=None, audit: bool = False):
         self.env = env
         self.config = config or SchedulerConfig()
-        self.obs = obs
+        self.obs = obs or Observability()
         self._servers: Dict[str, _ServerState] = {}
         self._link_active: Dict[str, int] = {}
         self._seq = 0
@@ -283,7 +285,7 @@ class TransferScheduler:
             ss = self._servers[server] = _ServerState(server)
         if ss.waiting >= self.config.max_queue_depth:
             self.rejected += 1
-            self._count("rm.sched.rejected_total", server=server)
+            self.obs.count("rm.sched.rejected_total", server=server)
             self._audit("reject", ss, flow, -1)
             raise QueueFull(server, ss.waiting)
         self._seq += 1
@@ -296,7 +298,7 @@ class TransferScheduler:
             ss.order.append(flow)
         fl.slots.append(slot)
         self.admitted += 1
-        self._count("rm.sched.enqueued_total", server=server)
+        self.obs.count("rm.sched.enqueued_total", server=server)
         self._gauges(ss)
         self._audit("enqueue", ss, flow, slot.seq)
         self._dispatch(ss)
@@ -323,8 +325,8 @@ class TransferScheduler:
             self.ticket_bytes.get(grant.flow, 0.0) + moved
         self.total_bytes += moved
         if moved > 0:
-            self._count("rm.sched.ticket_bytes_total", moved,
-                        ticket=grant.flow)
+            self.obs.count("rm.sched.ticket_bytes_total", moved,
+                           ticket=grant.flow)
         self._gauges(ss)
         self._audit("release", ss, grant.flow, grant.seq)
         # The freed capacity may unblock this server — and, when link
@@ -449,10 +451,9 @@ class TransferScheduler:
             streams = max(1, min(streams, budget // ss.active))
         grant = TransferGrant(slot, streams, self.env.now)
         self.granted += 1
-        if self.obs is not None:
-            self.obs.observe("rm.sched.wait_seconds", grant.waited,
-                             server=ss.name)
-            self.obs.count("rm.sched.granted_total", server=ss.name)
+        self.obs.observe("rm.sched.wait_seconds", grant.waited,
+                         server=ss.name)
+        self.obs.count("rm.sched.granted_total", server=ss.name)
         self._gauges(ss)
         self._audit("grant", ss, slot.flow, slot.seq)
         slot.event.succeed(grant)
@@ -466,7 +467,7 @@ class TransferScheduler:
         if not fl.slots:
             self._drop_flow(ss, slot.flow)
         self.withdrawn += 1
-        self._count("rm.sched.withdrawn_total", server=ss.name)
+        self.obs.count("rm.sched.withdrawn_total", server=ss.name)
         self._gauges(ss)
         self._audit("withdraw", ss, slot.flow, slot.seq)
         # The head it may have been blocking changes nothing capacity-
@@ -486,15 +487,10 @@ class TransferScheduler:
             ss.rr = 0
 
     # -- instrumentation --------------------------------------------------
-    def _count(self, name: str, amount: float = 1.0, **labels) -> None:
-        if self.obs is not None:
-            self.obs.count(name, amount, **labels)
-
     def _gauges(self, ss: _ServerState) -> None:
-        if self.obs is not None:
-            self.obs.gauge("rm.sched.queue_depth", ss.waiting,
-                           server=ss.name)
-            self.obs.gauge("rm.sched.active", ss.active, server=ss.name)
+        self.obs.gauge("rm.sched.queue_depth", ss.waiting,
+                       server=ss.name)
+        self.obs.gauge("rm.sched.active", ss.active, server=ss.name)
 
     def _audit(self, op: str, ss: _ServerState, flow: str,
                seq: int) -> None:

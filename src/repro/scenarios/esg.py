@@ -106,28 +106,20 @@ class EsgTestbed:
         Years of synthetic model output in the archive.
     grid:
         Resolution of the synthetic output (sets file sizes).
-    nws_period:
-        NWS probe period in seconds.
     with_tape:
         Whether LBNL-PDSF data is tape-resident behind the HRM.
     materialize:
         When True, files carry real SDBF bytes (analysis/visualization
         experiments); when False they are size-only (bulk transfer
         experiments at any scale without the RAM).
-    replicated_catalog:
-        Back the replica catalog with a primary + two read replicas
-        (§6.2's "distribution and replication of the catalog"), with a
-        30 s sync period.
     catalog_sites:
         When set, replace the single replica catalog with a
         :class:`~repro.replica.federation.FederatedReplicaCatalog`
         sharded across the first ``catalog_sites`` testbed sites
-        (mutually exclusive with ``replicated_catalog``). Collections
-        are consistent-hash-placed; lookups fan out and tolerate shard
-        outages with partial answers.
-    catalog_replication:
-        Shards holding each collection in the federated catalog
-        (home + ``catalog_replication - 1`` async replicas).
+        (§6.2's "distribution and replication of the catalog").
+        Collections are consistent-hash-placed on two shards (home +
+        one async replica); lookups fan out and tolerate shard outages
+        with partial answers.
     catalog_sync_interval:
         Async replication period between federation shards, seconds
         (the bounded staleness window).
@@ -182,11 +174,8 @@ class EsgTestbed:
 
     def __init__(self, seed: int = 0, years: int = 1,
                  grid: Optional[GridSpec] = None,
-                 nws_period: float = 30.0, with_tape: bool = True,
-                 materialize: bool = False,
-                 replicated_catalog: bool = False,
+                 with_tape: bool = True, materialize: bool = False,
                  catalog_sites: Optional[int] = None,
-                 catalog_replication: int = 2,
                  catalog_sync_interval: float = 30.0,
                  catalog_cache_ttl: float = 0.0,
                  file_size_override: Optional[float] = None,
@@ -282,25 +271,8 @@ class EsgTestbed:
         self.client_fs = FileSystem(env, "client-fs")
 
         # -- grid services
-        if replicated_catalog and catalog_sites is not None:
-            raise ValueError("replicated_catalog and catalog_sites "
-                             "conflict: pick one catalog architecture")
         self.federation = None
-        if replicated_catalog:
-            from repro.ldap.directory import DirectoryServer
-            from repro.ldap.replicated import ReplicatedDirectory
-            primary = DirectoryServer(env, "rc-esg-primary",
-                                      base_latency=0.005)
-            read_replicas = [
-                DirectoryServer(env, f"rc-esg-replica{i}",
-                                base_latency=0.002)
-                for i in range(2)]
-            self.catalog_directory = ReplicatedDirectory(
-                env, primary, read_replicas, sync_interval=30.0)
-            self.catalog_directory.start()
-            self.replica_catalog = ReplicaCatalog(
-                env, directory=self.catalog_directory, name="esg")
-        elif catalog_sites is not None:
+        if catalog_sites is not None:
             from repro.replica.federation import FederatedReplicaCatalog
             if not 1 <= catalog_sites <= len(_SITES):
                 raise ValueError(f"catalog_sites must be in "
@@ -308,14 +280,11 @@ class EsgTestbed:
             shard_sites = [name for name, _, _ in _SITES][:catalog_sites]
             self.federation = FederatedReplicaCatalog(
                 env, shard_sites, name="esg",
-                replication=catalog_replication,
                 sync_interval=catalog_sync_interval,
                 cache_ttl=catalog_cache_ttl, obs=self.obs)
             self.federation.start()
-            self.catalog_directory = None
             self.replica_catalog = self.federation
         else:
-            self.catalog_directory = None
             self.replica_catalog = ReplicaCatalog(env, name="esg")
         self.metadata_catalog = MetadataCatalog(env, name="pcmdi")
         self.mds = MdsService(env, name="esg")
@@ -362,8 +331,7 @@ class EsgTestbed:
         self.file_size_override = file_size_override
         self._populate(years)
         for site in self.sites.values():
-            self.nws.monitor(site.host.node, self.client_host.node,
-                             period=nws_period)
+            self.nws.monitor(site.host.node, self.client_host.node)
 
     # -- archive population ---------------------------------------------------
     def _populate(self, years: int) -> None:
@@ -647,9 +615,7 @@ class EsgTestbed:
                 directories[f"catalog:{sname}"] = shard.directory
         else:
             directories = {"mds": self.mds.directory,
-                           "catalog": (self.catalog_directory
-                                       if self.catalog_directory is not None
-                                       else self.replica_catalog.directory)}
+                           "catalog": self.replica_catalog.directory}
         hrms = {site.hrm.name: site.hrm
                 for site in self.sites.values() if site.hrm is not None}
         return FaultInjector(self.env, self.network, self.dns,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.storage.cache import DiskCache
 from repro.storage.filesystem import FileObject
@@ -30,9 +31,10 @@ class MassStorageSystem:
                  prefetch_share: float = 0.5, obs=None):
         self.env = env
         self.name = name
+        self.obs = obs or Observability()
         self.tape = TapeLibrary(env, drives=drives, spec=tape_spec,
                                 name=f"{name}-tape", policy=tape_policy,
-                                obs=obs)
+                                obs=self.obs)
         self.cache = DiskCache(env, cache_capacity, name=f"{name}-cache",
                                prefetch_share=prefetch_share)
         self.stage_count = 0

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.data.digest import add_mark
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileSystem
@@ -77,7 +78,7 @@ class HierarchicalResourceManager:
         self.mss = mss
         self.serve_fs = serve_fs
         self.name = name
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.prefetch_enabled = prefetch
         self._inflight: Dict[str, StageRequest] = {}
         self._hinted: Dict[str, bool] = {}  # insertion-ordered name set
@@ -92,8 +93,7 @@ class HierarchicalResourceManager:
         self.prefetch_skipped = 0
 
     def _event(self, name: str, **fields) -> None:
-        if self.obs is not None:
-            self.obs.event(name, host=self.name, prog="hrm", **fields)
+        self.obs.event(name, host=self.name, prog="hrm", **fields)
 
     # -- fault injection -----------------------------------------------------
     def fail_staging(self) -> None:
@@ -112,8 +112,7 @@ class HierarchicalResourceManager:
             self.stage_failures += 1
             self._event("hrm.stage.failed", file=req.name,
                         reason="hrm outage")
-            if self.obs is not None:
-                self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.count("hrm.stages_total", outcome="failed")
             if not req.ready.triggered:
                 req.ready.fail(StagingError(
                     f"{self.name}: staging failed for {req.name!r}"))
@@ -159,8 +158,7 @@ class HierarchicalResourceManager:
         if self.down:
             self.stage_failures += 1
             self._event("hrm.stage.failed", file=name, reason="hrm down")
-            if self.obs is not None:
-                self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.count("hrm.stages_total", outcome="failed")
             req.ready.fail(StagingError(
                 f"{self.name}: HRM is down, cannot stage {name!r}"))
             return req
@@ -202,8 +200,7 @@ class HierarchicalResourceManager:
                 return
             self._event("hrm.stage.failed", file=req.name,
                         reason=str(exc))
-            if self.obs is not None:
-                self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.count("hrm.stages_total", outcome="failed")
             if not req.ready.triggered:
                 req.ready.fail(exc)
             return
@@ -219,8 +216,7 @@ class HierarchicalResourceManager:
             add_mark(file, f"truncated@{self.env.now:.0f}")
             self.truncated_stages += 1
             self._event("hrm.stage.truncated", file=req.name)
-            if self.obs is not None:
-                self.obs.count("hrm.truncated_stages_total")
+            self.obs.count("hrm.truncated_stages_total")
         # One pin per waiter: N concurrent transfers of this file each
         # release() once, and the last release leaves it evictable.
         # A pure prefetch (waiters == 0) lands unpinned.
@@ -243,23 +239,21 @@ class HierarchicalResourceManager:
                     seconds=f"{seconds:.3f}",
                     cached="1" if cached else "0",
                     prefetch="1" if req.prefetch else "0")
-        if self.obs is not None:
-            if cached:
-                outcome = "cached"
-            elif req.prefetch:
-                outcome = "prefetched"
-            else:
-                outcome = "staged"
-            self.obs.count("hrm.stages_total", outcome=outcome)
-            self.obs.observe("hrm.stage_seconds", seconds)
+        if cached:
+            outcome = "cached"
+        elif req.prefetch:
+            outcome = "prefetched"
+        else:
+            outcome = "staged"
+        self.obs.count("hrm.stages_total", outcome=outcome)
+        self.obs.observe("hrm.stage_seconds", seconds)
 
     def _count_prefetch_hit(self, name: str, inflight: bool) -> None:
         self.prefetch_hits += 1
         self._event("hrm.prefetch.hit", file=name,
                     inflight="1" if inflight else "0")
-        if self.obs is not None:
-            self.obs.count("hrm.prefetch_hits_total",
-                           kind="inflight" if inflight else "staged")
+        self.obs.count("hrm.prefetch_hits_total",
+                       kind="inflight" if inflight else "staged")
 
     def release(self, name: str) -> None:
         """Signal that a transfer referencing ``name`` has finished.
@@ -330,8 +324,7 @@ class HierarchicalResourceManager:
             self._inflight[name] = req
             self.prefetch_issued += 1
             self._event("hrm.prefetch.start", file=name)
-            if self.obs is not None:
-                self.obs.count("hrm.prefetches_total")
+            self.obs.count("hrm.prefetches_total")
             self.env.process(self._stage(req))
 
     def _pick_prefetch(self) -> Optional[str]:

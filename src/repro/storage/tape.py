@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileObject
@@ -204,7 +205,7 @@ class TapeLibrary:
         self.spec = spec or TapeSpec()
         self.policy = policy
         self.aging_rounds = aging_rounds
-        self.obs = obs          # optional repro.obs.Observability bundle
+        self.obs = obs or Observability()
         self.drives = [TapeDrive(f"{name}-drive{i}") for i in range(drives)]
         self._catalog: Dict[str, Tuple[str, float, FileObject]] = {}
         self._idle: List[TapeDrive] = list(self.drives)
@@ -398,19 +399,18 @@ class TapeLibrary:
                 drive.loaded_tape = job.tape
                 drive.head = 0.0
                 drive.mounts += 1
-                if self.obs is not None:
-                    self.obs.count("tape.mounts_total", library=self.name,
-                                   drive=drive.name)
-                    self.obs.event("tape.mount", prog="tape",
-                                   host=self.name, drive=drive.name,
-                                   tape=job.tape, file=job.name)
+                self.obs.count("tape.mounts_total", library=self.name,
+                               drive=drive.name)
+                self.obs.event("tape.mount", prog="tape",
+                               host=self.name, drive=drive.name,
+                               tape=job.tape, file=job.name)
             else:
                 self.mount_reuses += 1
             seek = spec.seek_time(abs(job.position - drive.head))
             if seek > 0.0:
                 yield self.env.timeout(seek)
             drive.head = job.position
-            if self.obs is not None and job.op == "read":
+            if job.op == "read":
                 # Milestone: mount/seek overhead ends here; lifeline
                 # analysis blames the time after this on streaming.
                 self.obs.event("tape.read.begin", prog="tape",

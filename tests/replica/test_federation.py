@@ -298,6 +298,4 @@ def test_facade_matches_plain_catalog_surface():
 
 def test_conflicting_catalog_architectures_rejected():
     with pytest.raises(ValueError):
-        EsgTestbed(seed=0, replicated_catalog=True, catalog_sites=2)
-    with pytest.raises(ValueError):
         EsgTestbed(seed=0, catalog_sites=99)

@@ -291,7 +291,7 @@ def test_ticket_cancellation_stops_inflight_and_pending():
     assert FileState.DONE not in states  # 200 MiB needs >5 s at 100 Mb/s
     # Cancellation takes effect promptly for transfers; a file that was
     # mid-tape-staging finishes its (non-interruptible) stage first.
-    assert tb.env.now < tb.request_manager.tickets[-1].submitted_at + 120
+    assert tb.env.now < ticket.submitted_at + 120
 
 
 def test_cancel_before_start_skips_everything():

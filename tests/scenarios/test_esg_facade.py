@@ -120,23 +120,6 @@ def test_layer_registry_unregistered_dependency():
     assert "unregistered" in arch.check_dependencies()[0]
 
 
-def test_replicated_catalog_option():
-    """§6.2: the testbed can run its replica catalog on a replicated
-    directory; catalog reads survive losing the primary."""
-    tb = small_esg(replicated_catalog=True)
-    tb.warm_nws(60.0)
-    rd = tb.catalog_directory
-    assert rd is not None
-    assert rd.syncs >= 1
-    ds = tb.dataset_ids()[0]
-    name = tb.metadata_catalog.resolve(ds, "tas")[0]
-    # Reads keep working with the primary marked down.
-    rd.health = lambda server: server is not rd.primary
-    ticket = tb.request_manager.submit([(ds, name)])
-    tb.env.run(until=ticket.done)
-    assert ticket.complete and not ticket.failed_files
-
-
 def test_add_client_attaches_independent_user_site():
     tb = small_esg(file_size_override=4 * 2**20)
     tb.warm_nws(60.0)
