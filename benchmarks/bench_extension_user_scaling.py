@@ -17,7 +17,8 @@ heap-kernel/exact-flow baseline at the same n anchors the speedup
 claim (>= 10x events/sec at n >= 10³), and
 ``test_fleet_aggregation_differential`` proves the aggregate fluid
 model agrees with the exact per-flow model (per-user makespans within
-1% at n = 48) and that both kernel backends replay bit-identically.
+1% at n = 48) and that the calendar kernel and the ``HeapEnvironment``
+test oracle replay bit-identically.
 
 Env knobs for CI smoke: ``REPRO_USER_SCALING_COUNTS=100,1000``
 (comma-separated sweep), ``REPRO_USER_SCALING_WALL_GATE=240`` (seconds
@@ -28,12 +29,14 @@ import json
 import os
 import resource
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.scenarios import EsgTestbed
 from repro.scenarios.esg import fleet_config
 
 from benchmarks.conftest import record, run_once
+from tests.sim.heap_kernel import heap_kernel
 
 FILES_PER_USER = 3
 SIZE = 24 * 2**20
@@ -126,10 +129,15 @@ def _rss_mib():
 def pop_fleet_run(n_users: int, kernel: str = "calendar",
                   aggregation=AGG_THRESHOLD, seed: int = 31,
                   size: int = FLEET_SIZE):
-    """One PoP-grouped fleet request wave; every user pulls one file."""
-    tb = EsgTestbed(seed=seed, file_size_override=size, with_tape=False,
-                    kernel_queue=kernel, aggregation_threshold=aggregation,
-                    log_capacity=4096)
+    """One PoP-grouped fleet request wave; every user pulls one file.
+
+    ``kernel="heap"`` builds the testbed on the ``HeapEnvironment``
+    oracle instead of the calendar queue.
+    """
+    with heap_kernel() if kernel == "heap" else nullcontext():
+        tb = EsgTestbed(seed=seed, file_size_override=size,
+                        with_tape=False, aggregation_threshold=aggregation,
+                        log_capacity=4096)
     tb.warm_nws(90.0)
     rms = tb.add_fleet(n_users, users_per_pop=USERS_PER_POP,
                        config=fleet_config())

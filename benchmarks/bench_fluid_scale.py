@@ -1,7 +1,8 @@
 """Infrastructure bench — allocator scaling curve (not a paper figure).
 
 Wall-time to simulate the same cap-churn workload under the incremental
-allocator versus ``mode="reference"`` (full recompute on every change),
+allocator versus the ``ReferenceFluidNetwork`` test oracle (full
+recompute on every change),
 across growing flow counts. The workload is many disjoint site
 components, so the incremental allocator touches only the disturbed
 component per change while the reference allocator refills the world —
@@ -21,6 +22,7 @@ from repro.net import FluidNetwork, Topology, mbps
 from repro.sim import Environment
 
 from benchmarks.conftest import record, run_once
+from tests.net.reference_fluid import ReferenceFluidNetwork
 
 N_COMPONENTS = 16          # disjoint site stars (>= 8 per the guard)
 HORIZON = 4.0              # simulated seconds per run
@@ -36,7 +38,7 @@ def _counts():
     return FLOW_COUNTS
 
 
-def build_and_run(n_flows: int, mode: str):
+def build_and_run(n_flows: int, network_cls):
     """One churny workload; returns (wall_seconds, final_rates, net)."""
     env = Environment(seed=7)
     topo = Topology()
@@ -44,7 +46,7 @@ def build_and_run(n_flows: int, mode: str):
         for h in range(4):
             topo.duplex_link(f"c{c}h{h}", f"c{c}core",
                              mbps(800 + 40 * c), 0.001)
-    net = FluidNetwork(env, topo, mode=mode)
+    net = network_cls(env, topo)
     flows = []
     for i in range(n_flows):
         c = i % N_COMPONENTS
@@ -93,8 +95,8 @@ def test_fluid_scale_curve(benchmark, show):
     def run():
         rows = []
         for n in counts:
-            wall_inc, rates_inc, net_inc = build_and_run(n, "incremental")
-            wall_ref, rates_ref, _ = build_and_run(n, "reference")
+            wall_inc, rates_inc, net_inc = build_and_run(n, FluidNetwork)
+            wall_ref, rates_ref, _ = build_and_run(n, ReferenceFluidNetwork)
             # Differential check rides along: same workload, same rates.
             for name, r_inc in rates_inc.items():
                 r_ref = rates_ref[name]

@@ -36,7 +36,6 @@ def test_kernel_event_throughput(benchmark):
     # The kernel's own accounting must agree with the workload: every
     # timeout plus the 10 process bootstraps, nothing cancelled, and no
     # compaction sweeps on a cancel-free run.
-    assert stats["queue"] == "calendar"
     assert stats["events_dispatched"] == stats["events_scheduled"]
     assert stats["events_dispatched"] >= 50_000
     assert stats["events_cancelled"] == 0

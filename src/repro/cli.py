@@ -196,11 +196,8 @@ def _cmd_metrics(args) -> int:
         print(f"# netlogger_events_dropped {tb.logger.dropped}")
         # simulator substrate health: dispatch volume and cancellation
         # hygiene of the event kernel behind everything above.
-        print(f"# kernel_queue {kernel['queue']}")
-        print(f"# kernel_events_scheduled {kernel['events_scheduled']}")
-        print(f"# kernel_events_dispatched {kernel['events_dispatched']}")
-        print(f"# kernel_events_cancelled {kernel['events_cancelled']}")
-        print(f"# kernel_queue_compactions {kernel['queue_compactions']}")
+        for key, value in kernel.items():
+            print(f"# kernel_{key} {value}")
     return 0
 
 

@@ -27,11 +27,6 @@ the disturbance, not the network.
   earliest completion instant actually changes. Cap churn therefore no
   longer piles superseded timers into the event queue.
 
-``FluidNetwork(mode="reference")`` keeps the original semantics — a
-full-network synchronous recompute on every mutation — as the trusted
-baseline; the differential tests assert both modes agree on randomized
-workloads.
-
 **Flow aggregation** (``aggregation_threshold=k``): once ``k`` or more
 eligible transfers share one exact path, new arrivals on that path
 collapse into a single :class:`AggregateFlow` — one flow in the
@@ -337,12 +332,6 @@ class FluidNetwork:
         Simulation environment.
     topology:
         The link graph; capacities are read live at each reallocation.
-    mode:
-        ``"incremental"`` (default) recomputes only the connected
-        component disturbed by a change and coalesces same-instant
-        changes; ``"reference"`` recomputes the whole network
-        synchronously on every mutation (the original behaviour, kept
-        as a differential-testing baseline and escape hatch).
     aggregation_threshold:
         When set, a path already carrying this many eligible exact
         flows aggregates new same-path transfers into one
@@ -352,15 +341,11 @@ class FluidNetwork:
     """
 
     def __init__(self, env: Environment, topology,
-                 mode: str = "incremental",
                  aggregation_threshold: Optional[int] = None) -> None:
-        if mode not in ("incremental", "reference"):
-            raise ValueError(f"unknown allocator mode {mode!r}")
         if aggregation_threshold is not None and aggregation_threshold < 1:
             raise ValueError("aggregation_threshold must be >= 1")
         self.env = env
         self.topology = topology
-        self.mode = mode
         self.aggregation_threshold = aggregation_threshold
         self._aggregates: Dict[tuple, AggregateFlow] = {}  # path key -> agg
         self._path_flows: Dict[tuple, int] = {}  # eligible exact flows/path
@@ -486,9 +471,6 @@ class FluidNetwork:
         change on a link carrying no flows cannot move any allocation
         and is skipped outright (idle floor-load ticks are free).
         """
-        if self.mode == "reference":
-            self.reallocate()
-            return
         if link._flows:
             self._dirty_links.add(link)
             self._request_flush()
@@ -623,10 +605,6 @@ class FluidNetwork:
 
     # -- dirty tracking and coalescing ----------------------------------
     def _mark_flow(self, flow: Flow) -> None:
-        if self.mode == "reference":
-            self._dirty_all = True
-            self._flush_now()
-            return
         self._dirty_flows.add(flow)
         self._request_flush()
 
@@ -634,10 +612,6 @@ class FluidNetwork:
         """Arm one zero-delay LOW-priority event to recompute at the end
         of the current instant (after every same-time NORMAL event has
         made its changes)."""
-        if self.mode == "reference":
-            self._dirty_all = True
-            self._flush_now()
-            return
         if self._flush_scheduled:
             return
         self._flush_scheduled = True
@@ -714,7 +688,7 @@ class FluidNetwork:
         every dirty flow and every flow on a dirty link, in start order
         (finish order must be deterministic — waiter processes resume in
         the order their flows' ``done`` events were triggered)."""
-        if self._dirty_all or self.mode == "reference":
+        if self._dirty_all:
             return list(self._flow_map.values())
         scope: Set[Flow] = set()
         stack = [f for f in self._dirty_flows if f.active]

@@ -22,7 +22,6 @@ from repro.data.synth import ClimateModelRun, monthly_files
 from repro.data.grids import GridSpec
 from repro.gridftp.client import GridFtpClient
 from repro.gridftp.protocol import GridFtpConfig
-from repro.gridftp.restart import ReliabilityPolicy
 from repro.gridftp.plugins import install_standard_plugins
 from repro.gridftp.server import GridFtpServer
 from repro.gsi.auth import GsiContext, SecurityPolicy
@@ -152,9 +151,6 @@ class EsgTestbed:
         idle drive time.
     tape_drives:
         Number of tape drives in the PDSF library (default 2).
-    kernel_queue:
-        Event-queue backend for the simulation kernel: ``"calendar"``
-        (default) or ``"heap"`` (the differential-testing baseline).
     aggregation_threshold:
         Passed to :class:`~repro.net.fluid.FluidNetwork`: paths already
         carrying this many flows aggregate further same-path transfers
@@ -165,8 +161,6 @@ class EsgTestbed:
         files in the chunked SDBF layout — dim name → chunk length, or
         one int for every dim — so ERET subsets decode only the
         touched chunks.
-    derived_cache_bytes:
-        Per-server derived-product cache budget (0 disables).
     eret_range_staging:
         Whether tape-resident ERET requests start once the needed byte
         prefix is staged (see :class:`~repro.gridftp.server.GridFtpServer`).
@@ -179,7 +173,6 @@ class EsgTestbed:
                  catalog_sync_interval: float = 30.0,
                  catalog_cache_ttl: float = 0.0,
                  file_size_override: Optional[float] = None,
-                 reliability: Optional[ReliabilityPolicy] = None,
                  config: Optional[GridFtpConfig] = None,
                  resilience: Optional["ResiliencePolicy"] = None,
                  log_capacity: Optional[int] = None,
@@ -188,12 +181,10 @@ class EsgTestbed:
                  tape_policy: str = "batch",
                  hrm_prefetch: bool = True,
                  tape_drives: int = 2,
-                 kernel_queue: str = "calendar",
                  aggregation_threshold: Optional[int] = None,
                  sdbf_chunks=None,
-                 derived_cache_bytes: float = 64 * 2**20,
                  eret_range_staging: bool = True):
-        self.env = Environment(seed=seed, queue=kernel_queue)
+        self.env = Environment(seed=seed)
         env = self.env
         self.grid = grid or GridSpec(nlat=32, nlon=64, months=12)
         self.topology = Topology("esg")
@@ -252,7 +243,6 @@ class EsgTestbed:
                                    hrm=hrm, hostname=hostname,
                                    obs=self.obs,
                                    max_connections=max_server_connections,
-                                   derived_cache_bytes=derived_cache_bytes,
                                    eret_range_staging=eret_range_staging)
             install_standard_plugins(server)
             self.registry[hostname] = server
@@ -263,11 +253,8 @@ class EsgTestbed:
         client_spec = HostSpec(
             nic_rate=mbps(100), bus_rate=None, cpu=CpuModel(coalesce=4),
             disk=DiskArray(DiskSpec(rate=20 * 2**20), count=1))
-        self.client_host = Host(self.topology, "client", site="client",
-                                spec=client_spec)
-        self.client_host.uplink("r-client")
-        self.topology.duplex_link("r-client", "backbone", mbps(100),
-                                  0.010, name="wan-client")
+        self.client_host = self._attach_host("client", client_spec,
+                                             mbps(100), 0.010)
         self.client_fs = FileSystem(env, "client-fs")
 
         # -- grid services
@@ -303,7 +290,7 @@ class EsgTestbed:
         self.request_manager = RequestManager(
             env, self.replica_catalog, self.mds, self.gridftp,
             self.registry, self.client_host, self.client_fs,
-            reliability=reliability, nws=self.nws,
+            nws=self.nws,
             config=config or GridFtpConfig(parallelism=4),
             resilience=resilience, obs=self.obs,
             scheduler=self.scheduler, tenant="client")
@@ -409,6 +396,16 @@ class EsgTestbed:
                         files=placements[site.name])
 
     # -- additional user sites ----------------------------------------------------
+    def _attach_host(self, name: str, spec: HostSpec, downlink: float,
+                     latency: float) -> Host:
+        """A user-side host behind its own router ``r-<name>``, wired to
+        the backbone by the duplex link ``wan-<name>``."""
+        host = Host(self.topology, name, site=name, spec=spec)
+        host.uplink(f"r-{name}")
+        self.topology.duplex_link(f"r-{name}", "backbone", downlink,
+                                  latency, name=f"wan-{name}")
+        return host
+
     def add_client(self, name: str, downlink: float = mbps(100),
                    latency: float = 0.010,
                    resilience: Optional["ResiliencePolicy"] = None,
@@ -428,10 +425,7 @@ class EsgTestbed:
                         cpu=CpuModel(coalesce=4),
                         disk=DiskArray(DiskSpec(rate=20 * 2**20),
                                        count=1))
-        host = Host(self.topology, name, site=name, spec=spec)
-        host.uplink(f"r-{name}")
-        self.topology.duplex_link(f"r-{name}", "backbone", downlink,
-                                  latency, name=f"wan-{name}")
+        host = self._attach_host(name, spec, downlink, latency)
         fs = FileSystem(self.env, f"{name}-fs")
         cfg = config or self.gridftp.config
         client = GridFtpClient(
@@ -480,10 +474,7 @@ class EsgTestbed:
         n_pops = (n_users + users_per_pop - 1) // users_per_pop
         for p in range(n_pops):
             pop = f"{name_prefix}{p}"
-            host = Host(self.topology, pop, site=pop, spec=spec)
-            host.uplink(f"r-{pop}")
-            self.topology.duplex_link(f"r-{pop}", "backbone", downlink,
-                                      latency, name=f"wan-{pop}")
+            host = self._attach_host(pop, spec, downlink, latency)
             client = GridFtpClient(
                 self.env, self.transport, self.registry,
                 credential_chain=proxy, config=cfg,

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A small, deterministic, SimPy-flavoured kernel: an :class:`Environment`
-drives a heap-ordered event queue; :class:`Process` objects are generator
+drives a calendar event queue; :class:`Process` objects are generator
 coroutines that ``yield`` events (timeouts, resource requests, other
 processes) and are resumed when those events fire.
 

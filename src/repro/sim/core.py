@@ -1,24 +1,17 @@
 """The simulation environment: clock + event queue + scheduler.
 
-Two queue backends share the ``schedule`` / ``cancel`` / ``step`` /
-``run`` API and produce *identical* dispatch order (time, then
-priority, then schedule sequence):
-
-- ``queue="calendar"`` (default) — a slotted calendar queue: events are
-  binned into fixed-width time buckets held in a dict, with a small heap
-  of populated bucket indices. The current bucket is filtered of
-  cancelled entries and sorted *once*, then consumed by a position
-  pointer (batched same-instant dispatch); arrivals landing in the
-  already-open bucket (typically zero-delay wakeups) go to a small
-  overflow heap that is merged at the head by exact key comparison.
-  Scheduling into a future bucket allocates no per-event tuple — the
-  sort key lives in ``Event.__slots__`` — and cancellation is O(1): the
-  entry is skipped when it reaches the head, never compacted.
-- ``queue="heap"`` — the original binary heap of
-  ``(time, priority, seq, event)`` tuples, retained for differential
-  testing. Cancellation marks the event and compacts only when
-  cancelled entries outnumber live ones 2:1, so a mass cancellation of
-  n events triggers at most O(log n) heapify passes.
+Events dispatch in (time, priority, schedule sequence) order from a
+slotted calendar queue: events are binned into fixed-width time buckets
+held in a dict, with a small heap of populated bucket indices. The
+current bucket is filtered of cancelled entries and sorted *once*, then
+consumed by a position pointer (batched same-instant dispatch);
+arrivals landing in the already-open bucket (typically zero-delay
+wakeups) go to a small overflow heap that is merged at the head by
+exact key comparison. Scheduling into a future bucket allocates no
+per-event tuple — the sort key lives in ``Event.__slots__`` — and
+cancellation is O(1): the entry is marked and skipped when it reaches
+the head, with an amortized sweep bounding how many dead entries stay
+resident (see :meth:`Environment.cancel`).
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from repro.sim.rng import RandomStreams
 
 _SORT_KEY = attrgetter("_t", "_prio", "_seq")
 
-#: Default calendar-bucket width (simulated seconds). Wide enough that
+#: Calendar-bucket width (simulated seconds). Wide enough that
 #: bursty same-instant traffic lands in one bucket (one sort, pointer
 #: consumption), narrow enough that a bucket rarely mixes events from
 #: far-apart instants.
@@ -79,12 +72,6 @@ class Environment:
         Starting value of the simulated clock (seconds).
     seed:
         Seed for the environment's named random streams (``env.rng``).
-    queue:
-        Event-queue backend: ``"calendar"`` (default) or ``"heap"``.
-        Both dispatch in exactly the same order; the heap is kept for
-        differential testing.
-    bucket_width:
-        Calendar-bucket width in simulated seconds (calendar mode only).
 
     Example
     -------
@@ -98,16 +85,8 @@ class Environment:
     5
     """
 
-    def __init__(self, initial_time: float = 0.0, seed: int = 0,
-                 queue: str = "calendar",
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH):
-        if queue not in ("calendar", "heap"):
-            raise ValueError(f"unknown queue backend {queue!r}")
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width!r}")
+    def __init__(self, initial_time: float = 0.0, seed: int = 0):
         self._now = float(initial_time)
-        self.queue_kind = queue
-        self._use_heap = queue == "heap"
         self._seq = 0
         # Cancelled entries still resident in the queue structures.
         self._n_cancelled = 0
@@ -118,18 +97,15 @@ class Environment:
         self._n_dispatched = 0
         self._n_cancel_calls = 0
         self._n_compactions = 0
-        if self._use_heap:
-            self._queue: list = []  # (time, priority, seq, event)
-        else:
-            self._t0 = self._now
-            self._inv_width = 1.0 / float(bucket_width)
-            self._slots: dict = {}      # bucket index -> unsorted [Event]
-            self._slot_heap: list = []  # populated bucket indices
-            self._cur_slot = -1         # index of the bucket open in _ready
-            self._ready: list = []      # current bucket, sorted, live prefix
-            self._ready_pos = 0
-            self._overflow: list = []   # (time, prio, seq, event) in cur slot
-            self._head_in_overflow = False
+        self._t0 = self._now
+        self._inv_width = 1.0 / DEFAULT_BUCKET_WIDTH
+        self._slots: dict = {}      # bucket index -> unsorted [Event]
+        self._slot_heap: list = []  # populated bucket indices
+        self._cur_slot = -1         # index of the bucket open in _ready
+        self._ready: list = []      # current bucket, sorted, live prefix
+        self._ready_pos = 0
+        self._overflow: list = []   # (time, prio, seq, event) in cur slot
+        self._head_in_overflow = False
         self.rng = RandomStreams(seed)
         self._active_process: Optional[Process] = None
         self._id_counters: dict = {}
@@ -189,9 +165,6 @@ class Environment:
         event._t = t
         event._prio = int(priority)
         event._seq = self._seq
-        if self._use_heap:
-            heapq.heappush(self._queue, (t, event._prio, self._seq, event))
-            return
         slot = int((t - self._t0) * self._inv_width)
         if slot <= self._cur_slot:
             # Lands in (or before) the bucket already open for dispatch:
@@ -214,12 +187,11 @@ class Environment:
 
         Cancellation is O(1): the entry is marked and skipped when it
         reaches the queue head. To bound memory (not correctness), the
-        backing store is swept of dead entries only once cancelled
-        entries outnumber live ones 2:1 past a 64-entry watermark —
-        each sweep removes at least two thirds of the residents, so a
-        mass cancellation of n events triggers at most O(log n) sweeps
-        (heapify passes in heap mode, plain bucket filters in calendar
-        mode).
+        queue is swept of dead entries (:meth:`_compact`) only once
+        cancelled entries outnumber live ones 2:1 past a 64-entry
+        watermark — each sweep removes at least two thirds of the
+        residents, so a mass cancellation of n events triggers at most
+        O(log n) sweeps.
         """
         if event._processed or event._cancelled:
             return
@@ -230,16 +202,11 @@ class Environment:
         self._n_cancelled += 1
         self._n_live -= 1
         if self._n_cancelled > 64 and self._n_cancelled > 2 * self._n_live:
-            if self._use_heap:
-                self._queue = [entry for entry in self._queue
-                               if not entry[3]._cancelled]
-                heapq.heapify(self._queue)
-            else:
-                self._compact_calendar()
+            self._compact()
             self._n_cancelled = 0
             self._n_compactions += 1
 
-    def _compact_calendar(self) -> None:
+    def _compact(self) -> None:
         """Sweep cancelled entries out of the calendar structures.
 
         No heapify over events is ever needed: buckets are unsorted
@@ -263,16 +230,9 @@ class Environment:
     def _settle_head(self) -> Optional[Event]:
         """Return the next live event without consuming it, or None.
 
-        Discards cancelled entries on the way and, in calendar mode,
-        advances to the next populated bucket when the current one is
-        drained.
+        Discards cancelled entries on the way and advances to the next
+        populated bucket when the current one is drained.
         """
-        if self._use_heap:
-            q = self._queue
-            while q and q[0][3]._cancelled:
-                heapq.heappop(q)
-                self._n_cancelled -= 1
-            return q[0][3] if q else None
         while True:
             ready = self._ready
             pos = self._ready_pos
@@ -309,9 +269,7 @@ class Environment:
             self._cur_slot = slot
 
     def _consume_head(self) -> None:
-        if self._use_heap:
-            heapq.heappop(self._queue)
-        elif self._head_in_overflow:
+        if self._head_in_overflow:
             heapq.heappop(self._overflow)
         else:
             self._ready_pos += 1
@@ -332,12 +290,11 @@ class Environment:
     def kernel_stats(self) -> dict:
         """Lifetime kernel counters for the stats surface.
 
-        ``queue_compactions`` counts heap-mode compaction (heapify)
-        passes; it stays 0 in calendar mode, where cancellation never
-        compacts.
+        ``queue_compactions`` counts the sweeps :meth:`cancel` runs to
+        drop cancelled entries from the queue; it stays 0 on a run that
+        never cancels more than 64 events.
         """
         return {
-            "queue": self.queue_kind,
             "events_scheduled": self._n_scheduled,
             "events_dispatched": self._n_dispatched,
             "events_cancelled": self._n_cancel_calls,
@@ -352,11 +309,9 @@ class Environment:
     def queue_depth(self) -> int:
         """Entries physically resident in the queue (live + cancelled).
 
-        O(#populated buckets) in calendar mode; for tests asserting that
-        cancelled timers cannot pile up over long runs.
+        O(#populated buckets); for tests asserting that cancelled timers
+        cannot pile up over long runs.
         """
-        if self._use_heap:
-            return len(self._queue)
         return (len(self._ready) - self._ready_pos
                 + len(self._overflow)
                 + sum(len(b) for b in self._slots.values()))

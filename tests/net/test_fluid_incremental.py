@@ -2,11 +2,12 @@
 
 The incremental allocator (component-scoped recompute, same-instant
 coalescing, completion heap) must be *observationally equivalent* to the
-``mode="reference"`` full recompute: identical rates (to 1e-6), identical
-completion times, identical snapshots. These tests replay randomized
-workload scripts against both modes and compare, assert the max-min
-optimality certificate on the incremental results, and pin down the
-event-queue hygiene properties (no superseded-timer pile-up).
+``ReferenceFluidNetwork`` full-recompute oracle: identical rates (to
+1e-6), identical completion times, identical snapshots. These tests
+replay randomized workload scripts against both allocators and compare,
+assert the max-min optimality certificate on the incremental results,
+and pin down the event-queue hygiene properties (no superseded-timer
+pile-up).
 """
 
 import math
@@ -16,8 +17,16 @@ import pytest
 
 from repro.net import FluidNetwork, Topology, mbps
 from repro.sim import Environment
+from tests.net.reference_fluid import ReferenceFluidNetwork
 
 SEEDS = [3, 17, 29, 101, 4242, 90210]
+
+# (flushes, flows_recomputed) of the full-recompute allocator replaying
+# each seed's script to its horizon, recorded when it was still
+# ``FluidNetwork(mode="reference")`` inside the library.
+_REFERENCE_COUNTERS = {3: (162, 242), 17: (154, 283), 29: (151, 268),
+                       101: (145, 224), 4242: (142, 243),
+                       90210: (135, 136)}
 
 
 def clustered_topology():
@@ -33,7 +42,7 @@ def clustered_topology():
 
 
 def script_workload(seed, n_actions=120, horizon=120.0):
-    """A deterministic action trace both modes replay identically."""
+    """A deterministic action trace both allocators replay identically."""
     rng = np.random.default_rng(seed)
     actions = []
     t = 0.0
@@ -68,11 +77,11 @@ def script_workload(seed, n_actions=120, horizon=120.0):
     return actions
 
 
-def replay(mode, seed, actions):
+def replay(network_cls, seed, actions):
     """Run one scripted workload; returns (net, flows-by-name)."""
     env = Environment(seed=seed)
     topo = clustered_topology()
-    net = FluidNetwork(env, topo, mode=mode)
+    net = network_cls(env, topo)
     flows = {}
     order = []
 
@@ -127,10 +136,10 @@ def assert_max_min(net, topo):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_differential_incremental_vs_reference(seed):
-    """Both modes replay the same script and agree at every checkpoint."""
+    """Both allocators replay the same script and agree at every checkpoint."""
     actions = script_workload(seed)
-    env_i, net_i, flows_i = replay("incremental", seed, actions)
-    env_r, net_r, flows_r = replay("reference", seed, actions)
+    env_i, net_i, flows_i = replay(FluidNetwork, seed, actions)
+    env_r, net_r, flows_r = replay(ReferenceFluidNetwork, seed, actions)
     horizon = max(t for t, _k, _a in actions) + 60.0
     for frac in (0.25, 0.5, 0.75, 1.0):
         t = horizon * frac
@@ -152,11 +161,26 @@ def test_differential_incremental_vs_reference(seed):
     assert net_i.reallocations <= net_r.reallocations
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_oracle_reproduces_library_counters(seed):
+    """The oracle must still refill the *whole* network on every flush.
+
+    Rates alone cannot tell: an oracle that recomputes only the dirty
+    components (say, one missing the ``_scope`` override) matches every
+    differential above with the same flush count, but recomputes fewer
+    flows than the full-recompute allocator it stands in for.
+    """
+    actions = script_workload(seed)
+    env, net, _ = replay(ReferenceFluidNetwork, seed, actions)
+    env.run(until=max(t for t, _k, _a in actions) + 60.0)
+    assert (net.flushes, net.flows_recomputed) == _REFERENCE_COUNTERS[seed]
+
+
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_differential_snapshot_and_bottlenecks_agree(seed):
     actions = script_workload(seed, n_actions=60, horizon=60.0)
-    env_i, net_i, _ = replay("incremental", seed, actions)
-    env_r, net_r, _ = replay("reference", seed, actions)
+    env_i, net_i, _ = replay(FluidNetwork, seed, actions)
+    env_r, net_r, _ = replay(ReferenceFluidNetwork, seed, actions)
     for t in (20.0, 45.0):
         env_i.run(until=t)
         env_r.run(until=t)
@@ -175,7 +199,7 @@ def test_incremental_allocation_is_max_min(seed):
     """Property: mid-run incremental allocations satisfy the max-min
     certificate on seeded random workloads."""
     actions = script_workload(seed, n_actions=80, horizon=80.0)
-    env, net, _ = replay("incremental", seed, actions)
+    env, net, _ = replay(FluidNetwork, seed, actions)
     topo = net.topology
     for t in (15.0, 40.0, 70.0):
         env.run(until=t)
@@ -305,13 +329,6 @@ def test_idle_link_update_is_free():
         net.link_updated(idle)
     env.run(until=2.0)
     assert net.reallocations == before
-
-
-def test_reference_mode_rejected_unknown():
-    env = Environment()
-    topo = Topology()
-    with pytest.raises(ValueError):
-        FluidNetwork(env, topo, mode="magic")
 
 
 def test_abort_vs_completion_knife_edge():

@@ -125,10 +125,9 @@ def test_replica_switch_on_site_outage():
 
 def test_reliability_policy_triggers_switch():
     """Degrade the chosen path to a trickle: the §7 plug-in fires."""
-    tb = EsgTestbed(seed=11, file_size_override=400 * 2**20,
-                    reliability=ReliabilityPolicy(
-                        min_rate=mbps(5), grace_period=10.0,
-                        consecutive_samples=3))
+    tb = EsgTestbed(seed=11, file_size_override=400 * 2**20)
+    tb.request_manager.reliability = ReliabilityPolicy(
+        min_rate=mbps(5), grace_period=10.0, consecutive_samples=3)
     tb.warm_nws(90.0)
     ds, names = first_files(tb, 1)
     # Throttle every fast site to a crawl mid-transfer.

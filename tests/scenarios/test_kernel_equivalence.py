@@ -1,11 +1,11 @@
 """Kernel-backend equivalence on the full stack.
 
 The calendar queue must be observationally identical to the binary
-heap: a seeded chaos run (faults, retries, scheduler, tape) through
-``kernel_queue="calendar"`` must emit the *same* NetLogger ULM lifeline
-— timestamps, fields, ordering — as the same run through
-``kernel_queue="heap"``. This is the strongest cross-backend check we
-have: any divergence in dispatch order anywhere in a ~10³-event run
+heap: a seeded chaos run (faults, retries, scheduler, tape) on the
+calendar kernel must emit the *same* NetLogger ULM lifeline —
+timestamps, fields, ordering — as the same run on the
+``HeapEnvironment`` oracle. This is the strongest cross-backend check
+we have: any divergence in dispatch order anywhere in a ~10³-event run
 shows up as a lifeline diff.
 """
 
@@ -14,20 +14,20 @@ from repro.rm.request import FileState
 from repro.rm.resilience import ResiliencePolicy, RetryPolicy
 from repro.rm.scheduler import SchedulerConfig
 from repro.scenarios.esg import EsgTestbed
+from tests.sim.heap_kernel import HeapEnvironment, heap_kernel
 
 MB = 2**20
 _TERMINAL = (FileState.DONE, FileState.FAILED, FileState.CANCELLED)
 
 
-def chaos_run(kernel_queue: str, seed: int = 29):
+def chaos_run(seed: int = 29):
     resilience = ResiliencePolicy(
         retry=RetryPolicy(max_rounds=2, base_delay=10.0, multiplier=2.0,
                           max_delay=30.0, jitter=0.25),
         breaker_failure_threshold=2, file_deadline=150.0)
     tb = EsgTestbed(seed=seed, with_tape=True,
                     file_size_override=8 * MB, resilience=resilience,
-                    scheduler=SchedulerConfig(per_server_cap=2),
-                    kernel_queue=kernel_queue)
+                    scheduler=SchedulerConfig(per_server_cap=2))
     tb.warm_nws(60.0)
     rng = tb.env.rng.stream("chaos.schedule")
     sites = sorted(tb.sites)
@@ -51,8 +51,10 @@ def chaos_run(kernel_queue: str, seed: int = 29):
 
 
 def test_calendar_and_heap_chaos_lifelines_identical():
-    tb_cal, ticket_cal = chaos_run("calendar")
-    tb_heap, ticket_heap = chaos_run("heap")
+    tb_cal, ticket_cal = chaos_run()
+    with heap_kernel():
+        tb_heap, ticket_heap = chaos_run()
+    assert isinstance(tb_heap.env, HeapEnvironment)
     seq_cal = [r.to_ulm() for r in tb_cal.logger.records]
     seq_heap = [r.to_ulm() for r in tb_heap.logger.records]
     assert len(seq_cal) > 50      # the run actually did something

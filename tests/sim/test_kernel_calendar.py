@@ -1,12 +1,13 @@
 """Calendar-queue kernel vs binary heap: equivalence and cancellation.
 
-The calendar queue is a drop-in replacement for the heap behind
-``Environment.schedule``/``cancel`` — same dispatch order, same
-timestamps, same counters — so every test here drives both backends
-through identical workloads and compares observable behaviour, plus
-directed regressions for the amortized cancellation sweep (which must
-stay O(log n) sweeps under mass cancellation instead of degenerating
-into repeated O(n) heapify passes).
+The calendar queue behind ``Environment.schedule``/``cancel`` must be
+indistinguishable from the binary-heap oracle ``HeapEnvironment`` —
+same dispatch order, same timestamps, same counters — so every test
+here drives both kernels through identical workloads and compares
+observable behaviour, plus directed regressions for the amortized
+cancellation sweep (which must stay O(log n) sweeps under mass
+cancellation instead of degenerating into repeated O(n) heapify
+passes).
 """
 
 import math
@@ -15,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
+from tests.sim.heap_kernel import HeapEnvironment
+
+_KERNELS = (Environment, HeapEnvironment)
 
 # Delays draw from a grid straddling the calendar bucket width (0.25 s)
 # so runs exercise same-bucket collisions, same-instant batches, bucket
@@ -31,9 +35,9 @@ _ops = st.lists(
     min_size=1, max_size=60)
 
 
-def drive(queue: str, ops):
+def drive(env_cls, ops):
     """Run one schedule/cancel/run interleaving; return the dispatch log."""
-    env = Environment(queue=queue)
+    env = env_cls()
     log = []
     scheduled = []
 
@@ -61,14 +65,26 @@ def drive(queue: str, ops):
 @settings(max_examples=120, deadline=None)
 def test_calendar_matches_heap_on_random_interleavings(ops):
     """Identical dispatch order, timestamps, clock, and counters."""
-    cal = drive("calendar", ops)
-    heap = drive("heap", ops)
+    cal = drive(Environment, ops)
+    heap = drive(HeapEnvironment, ops)
     assert cal == heap
 
 
+def test_heap_oracle_bypasses_the_calendar():
+    """The oracle must replace every calendar path, not share one."""
+    env = HeapEnvironment()
+    for delay in _DELAYS:
+        env.timeout(delay)
+    env.run(until=0.3)
+    for delay in _DELAYS:  # would land in the calendar's open bucket
+        env.timeout(delay)
+    assert not env._slots and not env._overflow
+    env.run()
+
+
 def test_same_instant_events_dispatch_in_schedule_order():
-    for queue in ("calendar", "heap"):
-        env = Environment(queue=queue)
+    for env_cls in _KERNELS:
+        env = env_cls()
         order = []
         for i in range(50):
             env.timeout(1.0).add_callback(
@@ -79,8 +95,8 @@ def test_same_instant_events_dispatch_in_schedule_order():
 
 
 def test_cancelled_events_never_fire():
-    for queue in ("calendar", "heap"):
-        env = Environment(queue=queue)
+    for env_cls in _KERNELS:
+        env = env_cls()
         fired = []
         evs = [env.timeout(t) for t in (0.1, 0.2, 0.3, 5.0)]
         for ev in evs:
@@ -99,11 +115,11 @@ def test_mass_cancellation_uses_logarithmically_many_sweeps():
     """The O(n)-compaction regression (satellite of the fast-path work):
     cancelling almost everything must trigger at most O(log n) backing
     -store sweeps — each one removes >= 2/3 of residents — never a
-    sweep per cancel. ``queue_compactions`` counts heapify passes in
-    heap mode and bucket-filter sweeps in calendar mode."""
+    sweep per cancel. ``queue_compactions`` counts bucket-filter sweeps
+    in the calendar kernel and heapify passes in the heap oracle."""
     n = 20_000
-    for queue in ("heap", "calendar"):
-        env = Environment(queue=queue)
+    for env_cls in (HeapEnvironment, Environment):
+        env = env_cls()
         evs = [env.timeout(1000.0 + i * 1e-3) for i in range(n)]
         for ev in evs[: n - 1000]:
             env.cancel(ev)
@@ -120,8 +136,8 @@ def test_mass_cancellation_uses_logarithmically_many_sweeps():
 def test_cancel_heavy_churn_keeps_queue_bounded():
     """Steady schedule-then-cancel churn (the superseded-timer pattern)
     must not accumulate dead entries without bound."""
-    for queue in ("heap", "calendar"):
-        env = Environment(queue=queue)
+    for env_cls in (HeapEnvironment, Environment):
+        env = env_cls()
         live = None
         for k in range(30_000):
             if live is not None:
@@ -133,22 +149,15 @@ def test_cancel_heavy_churn_keeps_queue_bounded():
 
 
 def test_kernel_stats_counters_reconcile():
-    for queue in ("calendar", "heap"):
-        env = Environment(queue=queue)
+    for env_cls in _KERNELS:
+        env = env_cls()
         evs = [env.timeout(float(i % 7) * 0.1) for i in range(100)]
         for ev in evs[::3]:
             env.cancel(ev)
         env.run()
         stats = env.kernel_stats
-        assert stats["queue"] == queue
         assert stats["events_scheduled"] == 100
         assert stats["events_cancelled"] == 34
         assert stats["events_dispatched"] == 66
         assert env.pending_count == 0
         assert env.queue_depth() == 0
-
-
-def test_heap_mode_rejects_unknown_backend():
-    import pytest
-    with pytest.raises(ValueError):
-        Environment(queue="splay")
