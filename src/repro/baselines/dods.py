@@ -114,8 +114,8 @@ class DodsClient:
         last_progress, last_change = 0.0, self.env.now
         try:
             while flow.active:
-                tick = self.env.timeout(min(timeout / 4.0, 5.0))
-                yield self.env.any_of([flow.done, tick])
+                yield self.env.wait_for(flow.done,
+                                        min(timeout / 4.0, 5.0))
                 if flow.done.processed:
                     break
                 progress = flow.progress()
@@ -124,6 +124,7 @@ class DodsClient:
                 elif self.env.now - last_change >= timeout:
                     flow.abort(f"TCP timeout after {timeout:.0f}s")
                     break
+            flow.done.defuse()  # consumed here, as DodsError
             _ = flow.done.value
         except FlowError as exc:
             conn.close()

@@ -314,8 +314,7 @@ class ClientSession:
         last_progress = flow.transferred
         last_change = env.now
         while flow.active:
-            tick = env.timeout(poll)
-            yield env.any_of([flow.done, tick])
+            yield env.wait_for(flow.done, poll)
             if flow.done.processed:
                 break
             progress = flow.progress()
@@ -325,6 +324,9 @@ class ClientSession:
             elif env.now - last_change >= timeout:
                 flow.abort(f"stalled for {timeout:.0f}s")
                 break
+        # The watchdog consumes the failure itself (it raises to the
+        # block pump), so defuse it: nothing else is left on flow.done.
+        flow.done.defuse()
         _ = flow.done.value  # raises FlowError on abort
 
     def put(self, path: str, source_fs: FileSystem, source_host,

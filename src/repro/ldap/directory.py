@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.ldap.dn import DN
@@ -192,16 +193,21 @@ class DirectoryServer:
         if dn not in self._entries:
             raise DirectoryError(f"{self.name}: no entry {dn}")
         return [self._entries[c] for c in sorted(
-            self._children[dn], key=lambda d: str(d))]
+            self._children[dn], key=attrgetter("_str"))]
 
     def search(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
                filter_text: str = "(objectclass=*)") -> List[Entry]:
         """Scoped, filtered search (immediate form)."""
         base = DN.of(base)
+        candidates = (self._candidates(base, scope)
+                      if base in self._entries else [])
+        return self._filter(base, candidates, filter_text)
+
+    def _filter(self, base: DN, candidates: List[Entry],
+                filter_text: str) -> List[Entry]:
         if base not in self._entries:
             raise DirectoryError(f"{self.name}: search base {base} absent")
         predicate = parse_filter(filter_text)
-        candidates = self._candidates(base, scope)
         self.entries_scanned += len(candidates)
         return [e for e in candidates if predicate(e.attributes)]
 
@@ -225,11 +231,13 @@ class DirectoryServer:
         self.operations += 1
         yield from self._outage_gate()
         base = DN.of(base)
-        n_candidates = (len(self._candidates(base, scope))
-                        if base in self._entries else 0)
+        # One scan, charged before and filtered after the latency: the
+        # answer is the subtree as the query found it on arrival.
+        candidates = (self._candidates(base, scope)
+                      if base in self._entries else [])
         yield self.env.timeout(self.base_latency
-                               + self.scan_cost * n_candidates)
-        return self.search(base, scope, filter_text)
+                               + self.scan_cost * len(candidates))
+        return self._filter(base, candidates, filter_text)
 
     def read(self, dn: Union[str, DN]):
         """Simulation process: a single-entry lookup costing latency."""

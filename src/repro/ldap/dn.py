@@ -18,7 +18,7 @@ class DnError(ValueError):
 class DN:
     """An immutable, normalized distinguished name."""
 
-    __slots__ = ("rdns", "_norm")
+    __slots__ = ("rdns", "_norm", "_str")
 
     def __init__(self, rdns: Iterable[Tuple[str, str]]):
         rdns = tuple((str(a), str(v)) for a, v in rdns)
@@ -31,6 +31,7 @@ class DN:
                 raise DnError(f"unescaped special character in {value!r}")
         self.rdns = tuple((a.strip().lower(), v.strip()) for a, v in rdns)
         self._norm = ",".join(f"{a}={v.lower()}" for a, v in self.rdns)
+        self._str = ",".join(f"{a}={v}" for a, v in self.rdns)
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -98,7 +99,7 @@ class DN:
         return len(self.rdns)
 
     def __str__(self) -> str:
-        return ",".join(f"{a}={v}" for a, v in self.rdns)
+        return self._str
 
     def __repr__(self) -> str:
         return f"DN({str(self)!r})"

@@ -687,12 +687,17 @@ class FluidNetwork:
         """Flows whose rates must be recomputed: the connected closure of
         every dirty flow and every flow on a dirty link, in start order
         (finish order must be deterministic — waiter processes resume in
-        the order their flows' ``done`` events were triggered)."""
+        the order their flows' ``done`` events were triggered).
+
+        O(flows + links) in the closure: a link's flows are pushed only
+        the first time the DFS reaches the link, so a link carrying k
+        flows costs O(k), not O(k²), per flush."""
         if self._dirty_all:
             return list(self._flow_map.values())
         scope: Set[Flow] = set()
+        seen: Set[Link] = set(self._dirty_links)
         stack = [f for f in self._dirty_flows if f.active]
-        for link in self._dirty_links:
+        for link in seen:
             stack.extend(link._flows)
         while stack:
             f = stack.pop()
@@ -700,9 +705,9 @@ class FluidNetwork:
                 continue
             scope.add(f)
             for link in f.path:
-                for g in link._flows:
-                    if g not in scope:
-                        stack.append(g)
+                if link not in seen:
+                    seen.add(link)
+                    stack.extend(link._flows)
         return sorted(scope, key=lambda f: f.id)
 
     def _flush_now(self) -> None:

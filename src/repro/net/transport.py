@@ -69,8 +69,7 @@ class Connection:
         last_progress = flow.transferred
         last_change = env.now
         while flow.active:
-            tick = env.timeout(poll)
-            yield env.any_of([flow.done, tick])
+            yield env.wait_for(flow.done, poll)
             if flow.done.processed:
                 break
             progress = flow.progress()
@@ -80,7 +79,9 @@ class Connection:
             elif env.now - last_change >= timeout:
                 flow.abort(f"stalled for {timeout:.0f}s")
                 break
-        # Surface the outcome (value raises FlowError if aborted).
+        # Surface the outcome (value raises FlowError if aborted); the
+        # caller handles that failure, so the kernel must not re-raise it.
+        flow.done.defuse()
         result = flow.done.value
         self.bytes_sent += flow.transferred
         self.transfers += 1

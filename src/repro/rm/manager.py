@@ -665,14 +665,13 @@ class RequestManager:
                 fr.logical_file, self.dest_fs, self.dest_host,
                 handle=handle, config=cfg, record=cfg.record_series))
             # (5) monitor progress "every few seconds". A failing transfer
-            # raises at the any_of yield (AnyOf propagates child failures),
+            # raises at the wait_for yield (it propagates the failure),
             # so the whole monitoring loop sits inside the try.
             poll = cfg.progress_poll
             last_bytes = 0.0
             try:
                 while not transfer.triggered:
-                    tick = env.timeout(poll)
-                    yield env.any_of([transfer, tick])
+                    yield env.wait_for(transfer, poll)
                     if transfer.triggered:
                         break
                     done_now = handle.bytes_done()
@@ -696,6 +695,9 @@ class RequestManager:
                             env.now - started, rate):
                         handle.abort(
                             "reliability plug-in: rate below threshold")
+                # A failure landing in the instant a tick won is read
+                # here, not at the yield, so it is ours to defuse.
+                transfer.defuse()
                 stats = transfer.value
             except GridFtpError as exc:
                 fr.bytes_done = handle.bytes_done()

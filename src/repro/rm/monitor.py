@@ -96,8 +96,7 @@ class TransferMonitor:
         """Simulation process: sample until the ticket completes."""
         while not self.ticket.done.triggered:
             self._sample()
-            tick = self.env.timeout(self.period)
-            yield self.env.any_of([self.ticket.done, tick])
+            yield self.env.wait_for(self.ticket.done, self.period)
         self._sample()
 
     def _sample(self) -> None:

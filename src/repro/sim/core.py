@@ -63,6 +63,49 @@ class _CallbackEvent(Event):
         self._fn(self._orig)
 
 
+class _WaitFor(Event):
+    """Internal: fires with ``event``'s outcome, or with None once
+    ``timeout`` elapses (see :meth:`Environment.wait_for`).
+
+    Whichever side wins detaches from the other and drops its reference
+    to it: a finished wait leaves no reference cycle for the garbage
+    collector, and a cancelled timer still queued holds nothing.
+    """
+
+    __slots__ = ("_event", "_timer")
+
+    def __init__(self, env: "Environment", event: Event, timeout: float):
+        super().__init__(env)
+        self._event: Optional[Event] = event
+        self._timer: Optional[Timeout] = Timeout(env, timeout)
+        event.add_callback(self._on_event)
+        self._timer.add_callback(self._on_timer)
+
+    def _on_event(self, ev: Event) -> None:
+        if self._triggered:
+            # An already-processed event is re-delivered a moment later;
+            # a zero timeout can win that race.
+            return
+        timer, self._timer = self._timer, None
+        self.env.cancel(timer)
+        timer.remove_callback(self._on_timer)
+        if ev._exc is not None:
+            ev.defuse()
+            self.fail(ev._exc)
+        else:
+            self.succeed(ev._value)
+
+    def _on_timer(self, _ev: Event) -> None:
+        event, self._event = self._event, None
+        event.remove_callback(self._on_event)
+        if event._exc is not None:
+            # Failed this instant but not yet processed: it is processed
+            # before the waiter resumes, with no callback left, so defuse
+            # it here; the waiter reads the failure itself.
+            event.defuse()
+        self.succeed(None)
+
+
 class Environment:
     """Discrete-event simulation environment.
 
@@ -153,6 +196,21 @@ class Environment:
     def any_of(self, events) -> AnyOf:
         """Event firing when at least one event in ``events`` has fired."""
         return AnyOf(self, events)
+
+    def wait_for(self, event: Event, timeout: float) -> Event:
+        """Event firing when ``event`` does, or ``timeout`` seconds from
+        now with value None, whichever comes first.
+
+        Unlike ``any_of([event, timeout(t)])`` the loser is cleaned up:
+        if ``event`` wins, the timer is cancelled (never dispatched); if
+        the timer wins, the callback is removed from ``event``. A poll
+        loop therefore leaves neither dead ticks in the queue nor dead
+        callbacks on the event it watches. A failure of ``event`` is
+        defused and propagated, as :class:`AnyOf` does. Once the timer
+        has won, nothing here handles a later failure of ``event``: a
+        caller that reads that failure itself must defuse it.
+        """
+        return _WaitFor(self, event, timeout)
 
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,

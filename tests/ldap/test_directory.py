@@ -53,6 +53,20 @@ def test_children_sorted():
     assert [e.dn.rdn[1] for e in kids] == ["feb.nc", "jan.nc"]
 
 
+def test_children_order_is_display_string_order():
+    env, d = server()
+    names = ["x", "x+", "x-", "Xy", "x+y", "a-b", "A+c", "a", "B", "b-"]
+    for name in names:
+        d.add(f"lf={name},lc=CO2 1999,o=esg", {"objectclass": "f"})
+    base = "lc=CO2 1999,o=esg"
+    kids = [e.dn for e in d.children(base)]
+    assert kids == sorted(kids, key=str)
+    # Not the RDN-tuple order: "lf=x+,..." sorts before "lf=x,..." as a
+    # string ("+" < ","), after it as a tuple ("x" is a prefix of "x+").
+    assert kids != sorted(kids, key=lambda dn: dn.rdns)
+    assert [e.dn for e in d.search(base, Scope.ONELEVEL)] == kids
+
+
 def test_scopes():
     env, d = server()
     base = d.search("o=esg", Scope.BASE)
@@ -120,6 +134,40 @@ def test_timed_query_costs_latency_plus_scan():
     assert t == pytest.approx(0.005 + 5e-6)
     assert d.operations == 1
     assert d.entries_scanned == 5
+
+
+def test_timed_query_answers_from_its_arrival_scan():
+    """One scan per query: it is charged on arrival and filtered after
+    the latency, so an entry added in between is not in the answer."""
+    env, d = server()
+
+    def main(env, d):
+        return (yield from d.query("lc=CO2 1998,o=esg", Scope.ONELEVEL))
+
+    def writer(env, d):
+        yield env.timeout(0.001)
+        d.add("lf=mar.nc,lc=CO2 1998,o=esg", {"objectclass": "logicalfile"})
+
+    p = env.process(main(env, d))
+    env.process(writer(env, d))
+    env.run()
+    assert [e.dn.rdn[1] for e in p.value] == ["feb.nc", "jan.nc"]
+    assert d.entries_scanned == 2
+
+
+def test_timed_query_on_absent_base_raises_after_latency():
+    env, d = server()
+
+    def main(env, d):
+        with pytest.raises(DirectoryError, match="absent"):
+            yield from d.query("o=ghost")
+        return env.now
+
+    p = env.process(main(env, d))
+    env.run()
+    assert p.value == pytest.approx(0.005)
+    assert d.operations == 1
+    assert d.entries_scanned == 0
 
 
 def test_timed_read():

@@ -1,0 +1,113 @@
+"""The recompute scope of the incremental fluid allocator.
+
+``FluidNetwork._scope`` returns the connected closure of the dirty flows
+and of every flow on a dirty link, in flow-id order. These tests check
+that set against a brute-force union-find over the whole network, and
+bound the work: each link's flow set is expanded at most once per flush,
+so a link carrying k flows costs O(k), not O(k²).
+"""
+
+import math
+import random
+
+import pytest
+
+from repro.net import FluidNetwork, Topology, mbps
+from repro.sim import Environment
+
+
+def _brute_force_scope(net, dirty_flows, dirty_links):
+    """Union-find over every active flow: the components touched by the
+    active dirty flows and by the flows on the dirty links."""
+    parent = {f: f for f in net.flows}
+
+    def find(f):
+        while parent[f] is not f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    first_on_link = {}
+    for f in net.flows:
+        for link in f.path:
+            g = first_on_link.setdefault(link, f)
+            parent[find(f)] = find(g)
+    seeds = [f for f in dirty_flows if f.active]
+    for link in dirty_links:
+        seeds.extend(link._flows)
+    roots = {find(f) for f in seeds}
+    return sorted((f for f in net.flows if find(f) in roots),
+                  key=lambda f: f.id)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scope_equals_union_find_components(seed):
+    rng = random.Random(seed)
+    env = Environment(seed=seed)
+    topo = Topology()
+    links = [topo.add_link(f"n{i}", f"n{i + 1}", mbps(100), 0.001)
+             for i in range(40)]
+    net = FluidNetwork(env, topo)
+    flows = []
+    for i in range(rng.randint(20, 80)):
+        path = rng.sample(links, rng.randint(1, 3))
+        flow = net.transfer("n0", "n1", 1e12, cap=mbps(rng.uniform(1, 50)),
+                            name=f"f{i}", path=path)
+        flow.done.defuse()
+        flows.append(flow)
+    env.run(until=1.0)
+    for flow in rng.sample(flows, 5):
+        flow.abort("gone")
+    env.run(until=2.0)
+
+    for _ in range(10):
+        dirty_flows = set(rng.sample(flows, rng.randint(0, 4)))
+        # Links with and without flows, most of them carrying no
+        # dirty flow.
+        dirty_links = set(rng.sample(links, rng.randint(0, 4)))
+        net._dirty_flows = set(dirty_flows)
+        net._dirty_links = set(dirty_links)
+        got = net._scope(env.now)
+        want = _brute_force_scope(net, dirty_flows, dirty_links)
+        assert [f.id for f in got] == [f.id for f in want]
+        assert got == want
+
+
+class _CountingSet(set):
+    """A link's flow set that counts full iterations over it."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_flush_expands_each_link_once():
+    """One set_cap on a 500-flow uplink star: every link's flows are
+    iterated at most once, so the closure is linear, not quadratic."""
+    env = Environment()
+    topo = Topology()
+    topo.duplex_link("server", "hub", mbps(1000), 0.001, name="uplink")
+    for leaf in range(50):
+        topo.duplex_link("hub", f"leaf{leaf}", mbps(100), 0.002)
+    net = FluidNetwork(env, topo)
+    flows = []
+    for i in range(500):
+        flow = net.transfer("server", f"leaf{i % 50}", 1e15,
+                            cap=(math.inf if i % 3 else mbps(1 + i % 7)))
+        flow.done.defuse()
+        flows.append(flow)
+    env.run(until=1.0)
+    for link in topo.links.values():
+        link._flows = _CountingSet(link._flows)
+    before = net.flows_recomputed
+    flows[7].set_cap(mbps(3))
+    env.run(until=2.0)
+    assert net.flows_recomputed - before == 500
+    iterations = {name: link._flows.iterations
+                  for name, link in topo.links.items()}
+    assert iterations["uplink:fwd"] == 1
+    assert max(iterations.values()) <= 1

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.gridftp import ReliabilityPolicy
+from repro.gridftp import (ClientSession, FtpReply, GridFtpError,
+                           ReliabilityPolicy)
 from repro.net import FaultInjector, FaultSchedule, mbps
 from repro.replica import RandomPolicy
 from repro.rm import CorbaChannel, FileState, TransferMonitor
@@ -302,3 +303,25 @@ def test_cancel_before_start_skips_everything():
     tb.env.run(until=ticket.done)
     assert all(fr.state is FileState.CANCELLED for fr in ticket.files)
     assert ticket.bytes_done == 0
+
+
+def test_transfer_failing_at_a_progress_tick_is_consumed(monkeypatch):
+    """Every transfer fails in the instant the RM's progress tick wins,
+    so no wait is left on the transfer when its failure is processed:
+    the RM reads that failure itself and must defuse it, or the kernel
+    re-raises it as unhandled."""
+    tb = make_testbed()
+    ds, names = first_files(tb, 1)
+    poll = tb.request_manager.config.progress_poll
+    failed_at = []
+
+    def get_failing_at_first_tick(self, path, *args, **kwargs):
+        yield self.env.timeout(poll)
+        failed_at.append(self.env.now)
+        raise GridFtpError(FtpReply(426, "aborted at a progress tick"))
+
+    monkeypatch.setattr(ClientSession, "get", get_failing_at_first_tick)
+    ticket = tb.request_manager.submit([(ds, names[0])])
+    tb.env.run(until=ticket.done)
+    assert failed_at
+    assert [fr.logical_file for fr in ticket.failed_files] == [names[0]]
