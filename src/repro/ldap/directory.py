@@ -7,7 +7,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.ldap.dn import DN
-from repro.ldap.filters import parse_filter
+from repro.ldap.filters import compile_filter, fold
 from repro.sim.core import Environment
 
 
@@ -28,16 +28,52 @@ class Scope(enum.Enum):
 
 
 class Entry:
-    """One directory entry: a DN plus multi-valued attributes."""
+    """One directory entry: a DN plus multi-valued attributes.
 
-    __slots__ = ("dn", "attributes")
+    ``folded`` is the case-folded view of ``attributes`` that search
+    filters read: the same list object for an attribute whose values are
+    already lowercase, so the view costs no per-value memory. Both are
+    written only by :meth:`_set` and dropped only by :meth:`_delete`.
+    """
+
+    __slots__ = ("dn", "attributes", "folded")
 
     def __init__(self, dn: DN, attributes: Dict[str, Iterable[str]]):
         self.dn = dn
-        self.attributes: Dict[str, List[str]] = {
-            k.lower(): [str(v) for v in vs] if isinstance(vs, (list, tuple, set))
-            else [str(vs)]
-            for k, vs in attributes.items()}
+        self.attributes: Dict[str, List[str]] = {}
+        self.folded: Dict[str, List[str]] = {}
+        for k, vs in attributes.items():
+            self._set(k.lower(), vs)
+
+    def _set(self, attr: str, vs) -> None:
+        """Store ``vs`` (one value or a list/tuple/set) under ``attr``.
+
+        str values are copied as they are, in C; only when some value is
+        not a str does every value go through ``str()``.
+        """
+        values = list(vs) if isinstance(vs, (list, tuple, set)) else [vs]
+        try:
+            folded = fold(values)
+        except TypeError:
+            values = [str(v) for v in values]
+            folded = fold(values)
+        self.attributes[attr] = values
+        self.folded[attr] = folded
+
+    def _add(self, attr: str, vs) -> None:
+        """Append the values of ``vs`` that ``attr`` does not yet match."""
+        seen = set(self.folded.get(attr, ()))
+        merged = list(self.attributes.get(attr, ()))
+        for v in vs if isinstance(vs, (list, tuple, set)) else [vs]:
+            v = str(v)
+            if v.lower() not in seen:
+                seen.add(v.lower())
+                merged.append(v)
+        self._set(attr, merged)
+
+    def _delete(self, attr: str) -> None:
+        self.attributes.pop(attr, None)
+        self.folded.pop(attr, None)
 
     def get(self, attr: str) -> List[str]:
         """All values of ``attr`` (empty list if absent)."""
@@ -148,15 +184,14 @@ class DirectoryServer:
         """Replace / extend / delete attributes on an entry."""
         entry = self.lookup(dn)
         if replace:
-            for k, vs in Entry(entry.dn, replace).attributes.items():
-                entry.attributes[k] = vs
+            for k, vs in replace.items():
+                entry._set(k.lower(), vs)
         if add_values:
-            for k, vs in Entry(entry.dn, add_values).attributes.items():
-                entry.attributes.setdefault(k, []).extend(
-                    v for v in vs if v not in entry.attributes.get(k, []))
+            for k, vs in add_values.items():
+                entry._add(k.lower(), vs)
         if delete_attrs:
             for attr in delete_attrs:
-                entry.attributes.pop(attr.lower(), None)
+                entry._delete(attr.lower())
         return entry
 
     def delete(self, dn: Union[str, DN], recursive: bool = False) -> None:
@@ -207,9 +242,9 @@ class DirectoryServer:
                 filter_text: str) -> List[Entry]:
         if base not in self._entries:
             raise DirectoryError(f"{self.name}: search base {base} absent")
-        predicate = parse_filter(filter_text)
+        predicate = compile_filter(filter_text)
         self.entries_scanned += len(candidates)
-        return [e for e in candidates if predicate(e.attributes)]
+        return [e for e in candidates if predicate(e.folded)]
 
     def _candidates(self, base: DN, scope: Scope) -> List[Entry]:
         if scope is Scope.BASE:

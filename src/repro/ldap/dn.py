@@ -15,23 +15,41 @@ class DnError(ValueError):
     """Malformed distinguished name."""
 
 
+def _rdn(attr, value) -> Tuple[str, str]:
+    """One validated, normalized RDN: attribute lowercased, both stripped."""
+    attr, value = str(attr), str(value)
+    if not attr or not attr.strip():
+        raise DnError("empty attribute in RDN")
+    if not value or not value.strip():
+        raise DnError(f"empty value for attribute {attr!r}")
+    for text in (attr, value):
+        if "," in text or "=" in text:
+            raise DnError(f"unescaped special character in {text!r}")
+    return attr.strip().lower(), value.strip()
+
+
 class DN:
-    """An immutable, normalized distinguished name."""
+    """An immutable, normalized distinguished name.
+
+    No attribute or value holds ``,`` or ``=``, so ``_norm`` and ``_str``
+    split at their commas exactly where the RDNs do: :attr:`parent` and
+    :meth:`child` build from them without re-validating known parts.
+    """
 
     __slots__ = ("rdns", "_norm", "_str")
 
     def __init__(self, rdns: Iterable[Tuple[str, str]]):
-        rdns = tuple((str(a), str(v)) for a, v in rdns)
-        for attr, value in rdns:
-            if not attr or not attr.strip():
-                raise DnError("empty attribute in RDN")
-            if not value or not value.strip():
-                raise DnError(f"empty value for attribute {attr!r}")
-            if "," in value or "=" in value:
-                raise DnError(f"unescaped special character in {value!r}")
-        self.rdns = tuple((a.strip().lower(), v.strip()) for a, v in rdns)
+        self.rdns = tuple(_rdn(a, v) for a, v in rdns)
         self._norm = ",".join(f"{a}={v.lower()}" for a, v in self.rdns)
         self._str = ",".join(f"{a}={v}" for a, v in self.rdns)
+
+    @classmethod
+    def _build(cls, rdns: Tuple[Tuple[str, str], ...], norm: str,
+               text: str) -> "DN":
+        """A DN from parts that are already validated and joined."""
+        dn = cls.__new__(cls)
+        dn.rdns, dn._norm, dn._str = rdns, norm, text
+        return dn
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -58,7 +76,11 @@ class DN:
 
     def child(self, attr: str, value: str) -> "DN":
         """A DN one level below this one."""
-        return DN(((attr, value),) + self.rdns)
+        attr, value = _rdn(attr, value)
+        sep = "," if self.rdns else ""
+        return DN._build(((attr, value),) + self.rdns,
+                         f"{attr}={value.lower()}{sep}{self._norm}",
+                         f"{attr}={value}{sep}{self._str}")
 
     # -- hierarchy -------------------------------------------------------------
     @property
@@ -66,7 +88,8 @@ class DN:
         """The immediate ancestor, or None at the root."""
         if len(self.rdns) <= 1:
             return None
-        return DN(self.rdns[1:])
+        return DN._build(self.rdns[1:], self._norm.partition(",")[2],
+                         self._str.partition(",")[2])
 
     @property
     def rdn(self) -> Tuple[str, str]:
@@ -75,10 +98,9 @@ class DN:
 
     def is_under(self, ancestor: "DN") -> bool:
         """True if ``ancestor`` is a proper prefix (from the right)."""
-        n = len(ancestor.rdns)
-        if n >= len(self.rdns):
+        if len(ancestor.rdns) >= len(self.rdns):
             return False
-        return DN(self.rdns[-n:])._norm == ancestor._norm
+        return self._norm.endswith("," + ancestor._norm)
 
     def depth_below(self, ancestor: "DN") -> int:
         """Levels between self and ancestor (0 = same entry)."""

@@ -12,9 +12,18 @@ Supported grammar::
                | attr ">=" value       ; ordering (numeric if both parse)
                | attr "<=" value
 
-:func:`parse_filter` compiles the text into a predicate over attribute
-dictionaries (attr → list of string values), which the directory server
-applies per entry.
+:func:`compile_filter` compiles the text into a predicate over *folded*
+attribute dictionaries: attr → list of lowercased string values, as
+:func:`fold` builds them. The directory server keeps that view on every
+entry (``Entry.folded``), so equality is one list-membership test in C
+and no value is lowercased at query time. Presence, substring (still
+case-insensitive) and ordering (numeric when both sides parse, else the
+lowercased strings) read the same folded values.
+
+:func:`parse_filter` is the entry point for raw attribute dictionaries
+(attr → list of values in their stored case): it folds its argument and
+calls the same compiled predicate, so there is one predicate
+implementation.
 """
 
 from __future__ import annotations
@@ -30,8 +39,21 @@ class FilterError(ValueError):
     """Malformed search filter."""
 
 
-def parse_filter(text: str) -> Predicate:
-    """Compile a filter string into a predicate over entry attributes."""
+def fold(values: List[str]) -> List[str]:
+    """``values`` lowercased: the same list object when that changes nothing.
+
+    The check is one pass in C over the joined values, so an attribute
+    whose values are already lowercase costs no copy and no per-value
+    Python call. A non-str value raises ``TypeError`` (from the join).
+    """
+    joined = "\x00".join(values)
+    if joined.lower() == joined:
+        return values
+    return [v.lower() for v in values]
+
+
+def compile_filter(text: str) -> Predicate:
+    """Compile a filter string into a predicate over folded attributes."""
     if not text or not text.strip():
         raise FilterError("empty filter")
     text = text.strip()
@@ -39,6 +61,12 @@ def parse_filter(text: str) -> Predicate:
     if rest.strip():
         raise FilterError(f"trailing garbage after filter: {rest!r}")
     return pred
+
+
+def parse_filter(text: str) -> Predicate:
+    """Compile a filter string into a predicate over raw entry attributes."""
+    pred = compile_filter(text)
+    return lambda attrs: pred({k: fold(vs) for k, vs in attrs.items()})
 
 
 def _parse(text: str):
@@ -96,11 +124,7 @@ def _parse_item(body: str):
     return _make_ordering(attr, op, value), rest
 
 
-# -- predicate builders ---------------------------------------------------------
-
-def _values(attrs: Attrs, attr: str) -> List[str]:
-    return attrs.get(attr, [])
-
+# -- predicate builders (over folded attributes) ------------------------------
 
 def _make_and(preds):
     def pred(attrs: Attrs) -> bool:
@@ -116,7 +140,7 @@ def _make_or(preds):
 
 def _make_presence(attr: str) -> Predicate:
     def pred(attrs: Attrs) -> bool:
-        return bool(_values(attrs, attr))
+        return bool(attrs.get(attr))
     return pred
 
 
@@ -124,7 +148,7 @@ def _make_equality(attr: str, value: str) -> Predicate:
     target = value.lower()
 
     def pred(attrs: Attrs) -> bool:
-        return any(v.lower() == target for v in _values(attrs, attr))
+        return target in attrs.get(attr, ())
     return pred
 
 
@@ -134,7 +158,7 @@ def _make_substring(attr: str, pattern: str) -> Predicate:
         re.IGNORECASE)
 
     def pred(attrs: Attrs) -> bool:
-        return any(regex.match(v) for v in _values(attrs, attr))
+        return any(regex.match(v) for v in attrs.get(attr, ()))
     return pred
 
 
@@ -143,9 +167,9 @@ def _make_ordering(attr: str, op: str, value: str) -> Predicate:
         try:
             left, right = float(v), float(value)
         except ValueError:
-            left, right = v.lower(), value.lower()  # lexicographic fallback
+            left, right = v, value.lower()  # lexicographic fallback
         return left >= right if op == ">=" else left <= right
 
     def pred(attrs: Attrs) -> bool:
-        return any(compare(v) for v in _values(attrs, attr))
+        return any(compare(v) for v in attrs.get(attr, ()))
     return pred

@@ -109,7 +109,7 @@ class ReplicaCatalog:
             "objectclass": "location",
             "protocol": protocol, "hostname": hostname,
             "port": str(port), "path": path,
-            "filename": list(files)})
+            "filename": files})
 
     def register_logical_file(self, collection: str, logical_file: str,
                               size: float,

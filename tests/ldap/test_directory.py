@@ -104,6 +104,18 @@ def test_modify_replace_add_delete():
     assert d.lookup(dn).get("location") == []
 
 
+def test_add_values_dedups_case_insensitively():
+    """Equality matching ignores case, so a case variant of a held value
+    is the same value and is not stored twice."""
+    env, d = server()
+    dn = "lc=CO2 1998,o=esg"
+    d.modify(dn, add_values={"filename": "a.nc"})
+    d.modify(dn, add_values={"filename": ["A.nc", "b.NC", "B.nc"]})
+    assert d.lookup(dn).get("filename") == ["a.nc", "b.NC"]
+    assert [e.dn for e in d.search(dn, Scope.BASE, "(filename=A.NC)")] \
+        == [d.lookup(dn).dn]
+
+
 def test_delete_leaf_and_refuse_nonleaf():
     env, d = server()
     with pytest.raises(DirectoryError):

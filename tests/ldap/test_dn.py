@@ -31,6 +31,14 @@ def test_value_with_special_chars_rejected():
         DN([("a", "x=y")])
 
 
+def test_attribute_with_special_chars_rejected():
+    """An attribute holding ',' or '=' would not round-trip through
+    str(): parsing the text splits it into different RDNs."""
+    for attr in ("a,b", "a=b"):
+        with pytest.raises(DnError):
+            DN([(attr, "x"), ("rc", "esg")])
+
+
 def test_parent_chain():
     dn = DN.parse("a=1,b=2,c=3")
     assert str(dn.parent) == "b=2,c=3"
