@@ -11,10 +11,16 @@ The allocator is *incremental*: the cost of a change is proportional to
 the disturbance, not the network.
 
 - **Component scoping** — flows partition into connected components
-  (flows transitively sharing links, discovered by BFS over the
+  (flows transitively sharing links, discovered by DFS over the
   ``Link._flows`` index). Any flow start/finish/abort/cap change or
-  link-capacity change recomputes rates only for the affected component;
-  disjoint transfers never pay for each other.
+  link-capacity change recomputes rates only for the affected
+  component, and each dirty component is filled on its own; disjoint
+  transfers never pay for each other.
+- **No-op cap changes** — a cap change that cannot move a rate
+  schedules nothing: the cap is unchanged, or the flow froze on a
+  saturated link in its last fill and the new cap is still >= its rate
+  (max-min then leaves every rate where it is). TCP window steps on
+  link-bound streams are mostly of this kind.
 - **Same-instant coalescing** — mutations at one simulation timestamp
   (32 slow-start streams stepping at an RTT boundary, a site fault
   touching several links) mark their components dirty and collapse into
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.recorder import RateRecorder
@@ -64,6 +71,26 @@ from repro.sim.events import Event, EventPriority
 
 _EPS_BYTES = 1e-3
 _EPS_RATE = 1e-9
+
+
+def _closure(comp: List["Flow"], seen: Set[Link],
+             visited: Set["Flow"]) -> List["Flow"]:
+    """Grow ``comp`` (unvisited flows) into its connected component by
+    DFS over the ``Link._flows`` index, in place. Each link is scanned
+    once and each flow pushed once across every call sharing ``seen``
+    and ``visited``."""
+    visited.update(comp)
+    stack = list(comp)
+    while stack:
+        for link in stack.pop().path:
+            if link not in seen:
+                seen.add(link)
+                for g in link._flows:
+                    if g not in visited:
+                        visited.add(g)
+                        comp.append(g)
+                        stack.append(g)
+    return comp
 
 
 class FlowError(Exception):
@@ -84,7 +111,8 @@ class Flow:
 
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "rate",
                  "done", "recorder", "started_at", "finished_at",
-                 "_network", "_remaining", "_advanced_at", "_pred_version")
+                 "_network", "_remaining", "_advanced_at", "_pred_version",
+                 "_link_bound")
 
     # Overridden by AggregateFlow; plain flows take one max-min share.
     _is_agg = False
@@ -112,6 +140,9 @@ class Flow:
         self._remaining = float(size)
         self._advanced_at = network.env.now
         self._pred_version = 0  # bumps when rate changes; stales heap entries
+        # Set by the last fill: the flow froze on a saturated link, so a
+        # cap that stays >= its rate cannot move any rate.
+        self._link_bound = False
 
     @property
     def remaining(self) -> float:
@@ -423,10 +454,18 @@ class FluidNetwork:
 
     def set_cap(self, flow: Flow, cap: float) -> None:
         """Change ``flow``'s ceiling (clamped to ``flow.limit``) and
-        schedule a reallocation."""
+        schedule a reallocation — unless the change cannot move a rate.
+
+        That is the case when the cap is unchanged, or when the flow
+        froze on a saturated link in its last fill and the new cap is
+        still >= its rate: the current rates then remain the max-min
+        allocation, so nothing is recomputed."""
         if not flow.active:
             return
-        flow.cap = min(float(cap), flow.limit)
+        cap = min(float(cap), flow.limit)
+        old, flow.cap = flow.cap, cap
+        if cap == old or (flow._link_bound and cap >= flow.rate):
+            return
         self._mark_flow(flow)
 
     def abort(self, flow: Flow, reason: str = "aborted") -> None:
@@ -683,58 +722,69 @@ class FluidNetwork:
             heapq.heappop(heap)
             self._dirty_flows.add(flow)
 
-    def _scope(self, now: float) -> List[Flow]:
-        """Flows whose rates must be recomputed: the connected closure of
-        every dirty flow and every flow on a dirty link, in start order
-        (finish order must be deterministic — waiter processes resume in
-        the order their flows' ``done`` events were triggered).
+    def _scope(self, now: float) -> List[List[Flow]]:
+        """Flows whose rates must be recomputed, one list per connected
+        component: the closure of every dirty flow and every flow on a
+        dirty link (the whole network after :meth:`reallocate`).
 
-        O(flows + links) in the closure: a link's flows are pushed only
-        the first time the DFS reaches the link, so a link carrying k
-        flows costs O(k), not O(k²), per flush."""
+        O(flows + links) in the closure: a link's flows are scanned only
+        the first time the DFS reaches the link, and a flow is pushed
+        only the first time it is reached."""
         if self._dirty_all:
-            return list(self._flow_map.values())
-        scope: Set[Flow] = set()
-        seen: Set[Link] = set(self._dirty_links)
-        stack = [f for f in self._dirty_flows if f.active]
-        for link in seen:
-            stack.extend(link._flows)
-        while stack:
-            f = stack.pop()
-            if f in scope:
-                continue
-            scope.add(f)
-            for link in f.path:
-                if link not in seen:
-                    seen.add(link)
-                    stack.extend(link._flows)
-        return sorted(scope, key=lambda f: f.id)
+            seeds = list(self._flow_map.values())
+            links: Iterable[Link] = ()
+        else:
+            seeds = [f for f in self._dirty_flows if f.active]
+            links = self._dirty_links
+        seen: Set[Link] = set()
+        visited: Set[Flow] = set()
+        components: List[List[Flow]] = []
+        # A dirty link the DFS has not reached yet carries no visited
+        # flow, so its flows open a new component together.
+        for link in links:
+            if link not in seen and link._flows:
+                seen.add(link)
+                components.append(_closure(list(link._flows), seen, visited))
+        for f in seeds:
+            if f not in visited:
+                components.append(_closure([f], seen, visited))
+        return components
 
     def _flush_now(self) -> None:
         """Apply due completions and recompute every dirty component."""
         now = self.env.now
         self._pop_due_completions(now)
         if self._dirty_all or self._dirty_flows or self._dirty_links:
-            scope = self._scope(now)
+            components = self._scope(now)
             # Settle byte counts at the old rates before assigning new
-            # ones; flows that crossed their last byte retire here (and
-            # shrink the scope). Retirement marks links dirty again, but
-            # only with flows already in the closure — so the dirty sets
-            # are cleared after this loop, not before.
-            live: List[Flow] = []
+            # ones; flows that crossed their last byte retire here, in
+            # start order across all components (finish order must be
+            # deterministic — waiter processes resume in the order their
+            # flows' ``done`` events were triggered). Retirement marks
+            # links dirty again, but only with flows already in the
+            # closure — so the dirty sets are cleared after this loop.
+            scope = [f for comp in components for f in comp]
+            scope.sort(key=attrgetter("id"))
+            retired = False
             for f in scope:
                 self._advance(f, now)
                 if f._remaining <= _EPS_BYTES:
                     self._finish(f, now)
-                else:
-                    live.append(f)
+                    retired = True
             self._dirty_all = False
             self._dirty_flows.clear()
             self._dirty_links.clear()
             self.flushes += 1
-            self.flows_recomputed += len(live)
+            live = 0
+            for comp in components:
+                if retired:
+                    comp = [f for f in comp if f.finished_at is None]
+                if comp:
+                    live += len(comp)
+                    self._fill(comp, now)
+            self.flows_recomputed += live
             if live:
-                self._fill(live, now)
+                self.reallocations += 1
         self._reschedule_timer(now)
 
     def _fill(self, flows: List[Flow], now: float) -> None:
@@ -744,71 +794,138 @@ class FluidNetwork:
         components); links outside it carry none of its traffic, so each
         involved link's full capacity belongs to this subproblem.
         """
-        self.reallocations += 1
-        rates: Dict[Flow, float] = dict.fromkeys(flows, 0.0)
-        residual: Dict[Link, float] = {}
-        link_unfrozen: Dict[Link, Set[Flow]] = {}
-        # An aggregate occupies one share per member so mixed
-        # exact/aggregate links converge to the exact allocation; for
-        # plain flows (_nshares == 1) the arithmetic below is
-        # bit-identical to the unweighted original.
-        link_shares: Dict[Link, int] = {}
+        # Streams of one transfer share one cached path list, so the
+        # set-up below runs per distinct path, not per flow. A flow with
+        # a zero cap stays at 0.
+        by_path: Dict[int, List[Flow]] = {}
         for f in flows:
-            for link in f.path:
+            f.rate = 0.0
+            f._link_bound = False
+            if f.cap > _EPS_RATE:
+                group = by_path.get(id(f.path))
+                if group is None:
+                    by_path[id(f.path)] = [f]
+                else:
+                    group.append(f)
+        residual: Dict[Link, float] = {}
+        for group in by_path.values():
+            for link in group[0].path:
                 if link not in residual:
                     residual[link] = link.capacity
-                    link_unfrozen[link] = set()
-                    link_shares[link] = 0
-        unfrozen: Set[Flow] = set()
-        for f in flows:
-            # A flow through a dead link, or with a zero cap, stays at 0.
-            if f.cap <= _EPS_RATE or any(
-                    residual[l] <= _EPS_RATE for l in f.path):
+        dead = {link for link, c in residual.items() if c <= _EPS_RATE}
+        users: Dict[Link, List[Flow]] = {}
+        plain: List[Flow] = []
+        aggs: List[Flow] = []
+        for group in by_path.values():
+            path = group[0].path
+            # A flow through a dead link stays at 0.
+            if not dead.isdisjoint(path):
                 continue
-            unfrozen.add(f)
-            for link in f.path:
-                link_unfrozen[link].add(f)
-                link_shares[link] += f._nshares
-        guard = 0
+            for f in group:
+                if f._is_agg:
+                    aggs.append(f)
+                else:
+                    plain.append(f)
+            for link in path:
+                if link in users:
+                    users[link].extend(group)
+                else:
+                    users[link] = group.copy()
+        unfrozen: Set[Flow] = {*plain, *aggs}
+        # Links with the same users hold the same shares all fill long;
+        # float subtraction is monotonic, so the one with the least
+        # capacity stays the tightest and the rest never bind first.
+        # ``shares`` keeps that one link per user set, with the max-min
+        # shares its unfrozen users hold (an aggregate holds one per
+        # member, so mixed exact/aggregate links converge to the exact
+        # allocation); a link leaves it when its last user freezes.
+        tightest: Dict[tuple, Link] = {}
+        for link, flows_on in users.items():
+            key = tuple(flows_on)
+            other = tightest.get(key)
+            if other is None or residual[link] < residual[other]:
+                tightest[key] = link
+        if aggs:
+            shares = {link: sum(f._nshares for f in key)
+                      for key, link in tightest.items()}
+        else:
+            shares = {link: len(key) for key, link in tightest.items()}
+        # Every unfrozen plain flow has added the same deltas to 0.0, so
+        # they share one rate, ``level``; taking them in cap order finds
+        # the next cap to bind without scanning them all. Aggregates add
+        # ``delta * shares`` and keep their own rates.
+        plain.sort(key=attrgetter("cap"))
+        nplain = len(plain)
+        head = 0
+        level = 0.0
+        guard = 10 * len(flows) + 10
         while unfrozen:
-            guard += 1
-            if guard > 10 * len(flows) + 10:  # pragma: no cover
+            guard -= 1
+            if guard < 0:  # pragma: no cover
                 raise RuntimeError("progressive filling failed to converge")
             # Largest uniform per-share increment every unfrozen flow
             # can take.
             delta = math.inf
-            for link, users in link_unfrozen.items():
-                if users:
-                    delta = min(delta, residual[link] / link_shares[link])
-            for f in unfrozen:
-                delta = min(delta, (f.cap - rates[f]) / f._nshares)
+            for link, n in shares.items():
+                d = residual[link] / n
+                if d < delta:
+                    delta = d
+            while head < nplain and plain[head] not in unfrozen:
+                head += 1
+            if head < nplain:
+                d = plain[head].cap - level
+                if d < delta:
+                    delta = d
+            for f in aggs:
+                if f in unfrozen:
+                    d = (f.cap - f.rate) / f._nshares
+                    if d < delta:
+                        delta = d
             if not math.isfinite(delta):
                 break  # only cap-unbounded flows on unconstrained links
-            delta = max(delta, 0.0)
-            for f in unfrozen:
-                rates[f] += delta * f._nshares
-            for link, users in link_unfrozen.items():
-                if users:
-                    residual[link] -= delta * link_shares[link]
-            # Freeze flows at their cap or on a saturated link.
-            newly_frozen: Set[Flow] = set()
-            for link, users in link_unfrozen.items():
-                if users and residual[link] <= _EPS_RATE:
-                    newly_frozen |= users
-            for f in unfrozen:
-                if rates[f] >= f.cap - _EPS_RATE:
-                    newly_frozen.add(f)
+            if delta < 0.0:
+                delta = 0.0
+            # Raise every unfrozen rate by delta, then freeze the flows
+            # at their cap or on a saturated link.
+            level += delta
+            newly_frozen: List[Flow] = []
+            i = head
+            while i < nplain and level >= plain[i].cap - _EPS_RATE:
+                newly_frozen.append(plain[i])
+                i += 1
+            for f in aggs:
+                if f in unfrozen:
+                    f.rate += delta * f._nshares
+                    if f.rate >= f.cap - _EPS_RATE:
+                        newly_frozen.append(f)
+            for link, n in shares.items():
+                residual[link] -= delta * n
+                if residual[link] <= _EPS_RATE:
+                    for f in users[link]:
+                        if f in unfrozen:
+                            f._link_bound = True
+                            newly_frozen.append(f)
             if not newly_frozen and delta <= _EPS_RATE:
                 # No progress possible (degenerate); freeze everything.
-                newly_frozen = set(unfrozen)
+                newly_frozen = list(unfrozen)
             for f in newly_frozen:
-                unfrozen.discard(f)
-                for link in f.path:
-                    link_unfrozen[link].discard(f)
-                    link_shares[link] -= f._nshares
+                if f in unfrozen:
+                    unfrozen.remove(f)
+                    if not f._is_agg:
+                        f.rate = level
+                    n = f._nshares
+                    for link in f.path:
+                        if link in shares:
+                            left = shares[link] - n
+                            if left:
+                                shares[link] = left
+                            else:
+                                del shares[link]
+        for f in unfrozen:  # left rising when the fill stopped
+            if not f._is_agg:
+                f.rate = level
         heap = self._completion_heap
         for f in flows:
-            f.rate = rates[f]
             f._pred_version += 1
             if f.recorder is not None:
                 f.recorder.record(now, f.rate)
@@ -826,6 +943,14 @@ class FluidNetwork:
         predicted completion — and leave it alone if that instant is
         unchanged (event-queue hygiene: cap churn schedules nothing)."""
         heap = self._completion_heap
+        if len(heap) > 4 * len(self._flow_map) + 256:
+            # Stale entries only leave from the top, so long-lived flows
+            # under cap churn would grow the heap without bound. Each
+            # flow has at most one valid entry (retiring a flow bumps its
+            # version too); dropping the rest keeps the heap O(active
+            # flows) at O(1) amortized per push.
+            heap[:] = [e for e in heap if e[1] == e[3]._pred_version]
+            heapq.heapify(heap)
         while heap:
             t, version, _fid, flow, _made_at, _rel = heap[0]
             if not flow.active or version != flow._pred_version:

@@ -34,8 +34,9 @@ class Link:
     """A unidirectional link with capacity (bytes/s) and latency (s).
 
     ``capacity`` may be changed at runtime (fault injection, bonding);
-    users must call :meth:`FluidNetwork.reallocate` afterwards — the
-    :class:`~repro.net.faults.FaultInjector` does this automatically.
+    users must call :meth:`FluidNetwork.link_updated` with the link
+    afterwards — the :class:`~repro.net.faults.FaultInjector` does this
+    automatically. Until then, rates may still reflect the old capacity.
 
     Outage and degradation state is *reference-counted* so that
     overlapping faults compose: each :meth:`set_down` stacks one outage

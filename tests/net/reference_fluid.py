@@ -1,8 +1,9 @@
 """Full-recompute fluid allocator: the test-side oracle for FluidNetwork.
 
 :class:`ReferenceFluidNetwork` keeps the allocator's original semantics
-— a synchronous recompute of the whole network on every mutation —
-as the trusted baseline. The incremental allocator (component scoping,
+— a synchronous recompute of the whole network, as one fill, on every
+mutation (cap changes that cannot move a rate included) — as the
+trusted baseline. The incremental allocator (component scoping,
 same-instant coalescing) must agree with it on randomized workloads;
 the differential tests replay identical scripts against both.
 """
@@ -29,5 +30,12 @@ class ReferenceFluidNetwork(FluidNetwork):
         self._dirty_all = True
         self._flush_now()
 
-    def _scope(self, now: float) -> List[Flow]:
-        return list(self._flow_map.values())
+    def set_cap(self, flow: Flow, cap: float) -> None:
+        # Refill even when the change cannot move a rate.
+        if flow.active:
+            flow.cap = min(float(cap), flow.limit)
+            self._mark_flow(flow)
+
+    def _scope(self, now: float) -> List[List[Flow]]:
+        # The whole network as one component: one fill over every flow.
+        return [list(self._flow_map.values())]

@@ -1,0 +1,123 @@
+"""``FluidNetwork._fill`` against plain progressive filling, bit for bit.
+
+The allocator's fill keeps lean bookkeeping: one link per set of links
+with the same users, set-up per distinct path, and one shared rate for
+every unfrozen plain flow taken in cap order. None of that may change a
+float: each rate must equal, exactly, what the straightforward
+algorithm below computes — every unfrozen flow rising by the same
+per-share increment until a link saturates or its cap binds.
+"""
+
+import math
+import random
+
+import pytest
+
+from repro.net import FluidNetwork, Topology, mbps
+from repro.sim import Environment
+
+_EPS = 1e-9
+
+
+def progressive_filling(flows):
+    """Rates and link-bound flags by scanning every link and flow on
+    every iteration (the allocator's original arithmetic)."""
+    rates = dict.fromkeys(flows, 0.0)
+    residual = {}
+    for f in flows:
+        for link in f.path:
+            residual.setdefault(link, link.capacity)
+    users = {link: set() for link in residual}
+    shares = dict.fromkeys(residual, 0)
+    unfrozen = set()
+    for f in flows:
+        if f.cap <= _EPS or any(residual[l] <= _EPS for l in f.path):
+            continue
+        unfrozen.add(f)
+        for link in f.path:
+            users[link].add(f)
+            shares[link] += f._nshares
+    link_bound = set()
+    while unfrozen:
+        delta = math.inf
+        for link, on in users.items():
+            if on:
+                delta = min(delta, residual[link] / shares[link])
+        for f in unfrozen:
+            delta = min(delta, (f.cap - rates[f]) / f._nshares)
+        if not math.isfinite(delta):
+            break
+        delta = max(delta, 0.0)
+        for f in unfrozen:
+            rates[f] += delta * f._nshares
+        for link, on in users.items():
+            if on:
+                residual[link] -= delta * shares[link]
+        frozen = set()
+        for link, on in users.items():
+            if on and residual[link] <= _EPS:
+                frozen |= on
+                link_bound |= on
+        for f in unfrozen:
+            if rates[f] >= f.cap - _EPS:
+                frozen.add(f)
+        if not frozen and delta <= _EPS:
+            frozen = set(unfrozen)
+        for f in frozen:
+            unfrozen.discard(f)
+            for link in f.path:
+                users[link].discard(f)
+                shares[link] -= f._nshares
+    return rates, link_bound
+
+
+def _random_component(rng, aggregate):
+    """One connected group of flows over a small random topology with
+    dead, infinite and duplicate-capacity links, tied and zero caps."""
+    env = Environment(seed=rng.randrange(1 << 30))
+    topo = Topology()
+    capacities = [0.0, math.inf, mbps(30), mbps(30), mbps(100),
+                  mbps(rng.uniform(5, 500)), mbps(rng.uniform(5, 500))]
+    links = [topo.add_link(f"n{i}", f"n{i + 1}", rng.choice(capacities),
+                           0.001) for i in range(rng.randint(2, 7))]
+    net = FluidNetwork(env, topo,
+                       aggregation_threshold=2 if aggregate else None)
+    paths = [rng.sample(links, rng.randint(1, len(links)))
+             for _ in range(rng.randint(1, 4))]
+    tied = mbps(rng.uniform(1, 80))
+    for i in range(rng.randint(1, 14)):
+        cap = rng.choice([math.inf, 0.0, tied, mbps(rng.uniform(1, 80)),
+                          mbps(rng.uniform(1, 80))])
+        if aggregate and math.isinf(cap):
+            cap = tied
+        flow = net.transfer("n0", "n1", 1e12, cap=cap, name=f"f{i}",
+                            path=rng.choice(paths))
+        flow.done.defuse()
+    return net
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_fill_matches_progressive_filling_bit_for_bit(seed, aggregate):
+    rng = random.Random(seed)
+    net = _random_component(rng, aggregate)
+    flows = net.flows
+    want, bound = progressive_filling(flows)
+    net._fill(flows, net.env.now)
+    for f in flows:
+        assert f.rate == want[f], f"{f.name}: {f.rate!r} != {want[f]!r}"
+        assert f._link_bound == (f in bound), f.name
+
+
+def test_uncapped_flow_keeps_the_level_reached_before_the_fill_stops():
+    """A capped and an uncapped flow on an infinite-capacity link: the
+    fill raises both to the cap, freezes the capped one, then stops on a
+    non-finite increment. The uncapped flow keeps the rate reached."""
+    env = Environment()
+    topo = Topology()
+    topo.add_link("a", "b", math.inf, 0.001)
+    net = FluidNetwork(env, topo)
+    capped = net.transfer("a", "b", 1e12, cap=mbps(10))
+    free = net.transfer("a", "b", 1e12)
+    env.run(until=1.0)
+    assert capped.rate == free.rate == mbps(10)

@@ -286,6 +286,38 @@ def test_event_queue_stays_bounded_under_cap_churn():
     assert peak < 150, f"event queue grew to {peak} entries"
 
 
+def test_completion_heap_stays_bounded_under_cap_churn():
+    """Every fill pushes one predicted completion per flow, and stale
+    ones only leave from the top of the heap: long-lived flows under
+    cap churn would grow it without bound. It is compacted once it
+    exceeds 4 entries per active flow plus 256."""
+    env = Environment()
+    topo = Topology()
+    topo.duplex_link("A", "B", mbps(1000), 0.001)
+    net = FluidNetwork(env, topo)
+    flows = [net.transfer("A", "B", 1e15, cap=mbps(10 + i))
+             for i in range(16)]
+    for f in flows:
+        f.done.defuse()
+
+    def churner(env, flow, lo):
+        k = 0
+        while True:
+            yield env.timeout(0.0146)
+            k += 1
+            flow.set_cap(mbps(lo + (k % 2) * 40))
+
+    for i, f in enumerate(flows):
+        env.process(churner(env, f, 10 + i))
+    peak = 0
+    for step in range(1, 41):
+        env.run(until=step * 0.5)
+        peak = max(peak, len(net._completion_heap))
+    assert net.flows_recomputed > 20_000
+    assert peak <= 4 * len(flows) + 256, f"heap grew to {peak} entries"
+    assert [f.rate for f in flows] == pytest.approx([f.cap for f in flows])
+
+
 def test_steady_state_reschedules_nothing():
     """Recomputes that do not move the next completion instant must not
     create new simulator timers (hygiene for modulator/idle ticks)."""

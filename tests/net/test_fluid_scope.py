@@ -1,10 +1,11 @@
 """The recompute scope of the incremental fluid allocator.
 
 ``FluidNetwork._scope`` returns the connected closure of the dirty flows
-and of every flow on a dirty link, in flow-id order. These tests check
-that set against a brute-force union-find over the whole network, and
-bound the work: each link's flow set is expanded at most once per flush,
-so a link carrying k flows costs O(k), not O(k²).
+and of every flow on a dirty link, one list per connected component.
+These tests check that partition against a brute-force union-find over
+the whole network, and bound the work: each link's flow set is expanded
+at most once per flush, so a link carrying k flows costs O(k), not
+O(k²).
 """
 
 import math
@@ -18,7 +19,8 @@ from repro.sim import Environment
 
 def _brute_force_scope(net, dirty_flows, dirty_links):
     """Union-find over every active flow: the components touched by the
-    active dirty flows and by the flows on the dirty links."""
+    active dirty flows and by the flows on the dirty links, each as a
+    sorted list of flow ids, in sorted order."""
     parent = {f: f for f in net.flows}
 
     def find(f):
@@ -35,9 +37,11 @@ def _brute_force_scope(net, dirty_flows, dirty_links):
     seeds = [f for f in dirty_flows if f.active]
     for link in dirty_links:
         seeds.extend(link._flows)
-    roots = {find(f) for f in seeds}
-    return sorted((f for f in net.flows if find(f) in roots),
-                  key=lambda f: f.id)
+    components = {find(f): [] for f in seeds}
+    for f in net.flows:
+        if find(f) in components:
+            components[find(f)].append(f.id)
+    return sorted(sorted(ids) for ids in components.values())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -69,8 +73,7 @@ def test_scope_equals_union_find_components(seed):
         net._dirty_links = set(dirty_links)
         got = net._scope(env.now)
         want = _brute_force_scope(net, dirty_flows, dirty_links)
-        assert [f.id for f in got] == [f.id for f in want]
-        assert got == want
+        assert sorted(sorted(f.id for f in comp) for comp in got) == want
 
 
 class _CountingSet(set):
@@ -87,7 +90,11 @@ class _CountingSet(set):
 
 def test_flush_expands_each_link_once():
     """One set_cap on a 500-flow uplink star: every link's flows are
-    iterated at most once, so the closure is linear, not quadratic."""
+    iterated at most once, so the closure is linear, not quadratic.
+
+    The new cap (1 Mb/s) is below the flow's 2 Mb/s fair share, so it
+    must move rates; a cap at or above that share would be skipped as
+    unable to move any rate."""
     env = Environment()
     topo = Topology()
     topo.duplex_link("server", "hub", mbps(1000), 0.001, name="uplink")
@@ -104,7 +111,7 @@ def test_flush_expands_each_link_once():
     for link in topo.links.values():
         link._flows = _CountingSet(link._flows)
     before = net.flows_recomputed
-    flows[7].set_cap(mbps(3))
+    flows[7].set_cap(mbps(1))
     env.run(until=2.0)
     assert net.flows_recomputed - before == 500
     iterations = {name: link._flows.iterations
