@@ -70,6 +70,17 @@ def is_pristine(file) -> bool:
 
 
 def file_digest(file) -> str:
-    """Digest of a stored :class:`FileObject` as it currently is."""
-    return content_digest(file.name, file.size, file.content,
-                          marks_of(file))
+    """Digest of a stored :class:`FileObject` as it currently is.
+
+    The answer is remembered on the file and reused while its content is
+    the same immutable ``bytes`` (or ``None``) object and its name, size
+    and marks are equal, so a reused answer is exact.
+    """
+    content, key = file.content, (file.name, file.size, marks_of(file))
+    memo = file._digest_memo
+    if memo is not None and memo[0] is content and memo[1] == key:
+        return memo[2]
+    digest = content_digest(*key[:2], content, key[2])
+    if content is None or type(content) is bytes:
+        file._digest_memo = (content, key, digest)
+    return digest

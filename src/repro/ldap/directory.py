@@ -105,6 +105,15 @@ class DirectoryServer:
     All mutation requires the parent entry to exist (except for roots),
     mirroring real directory semantics; deletion refuses non-leaf entries
     unless ``recursive=True``.
+
+    Each parent lazily keeps its children in DN order and an index from
+    each folded ``objectclass`` value to them, dropped when a child is
+    added, deleted or has its ``objectclass`` modified. A one-level
+    search with a tagged filter (see :mod:`repro.ldap.filters`) filters
+    only that index slot. The cost model is unchanged: :meth:`query`
+    charges ``scan_cost`` for, and ``entries_scanned`` counts, every
+    child in scope; a timed query answers from the scope it captured on
+    arrival and reads the index only while that scope is still current.
     """
 
     def __init__(self, env: Environment, name: str = "ldap",
@@ -115,6 +124,7 @@ class DirectoryServer:
         self.scan_cost = scan_cost
         self._entries: Dict[DN, Entry] = {}
         self._children: Dict[DN, set] = {}
+        self._indexes: Dict[DN, tuple] = {}  # parent -> (sorted, by class)
         self.operations = 0  # instrumentation
         self.entries_scanned = 0
         self._outages: List[tuple] = []  # (start, end, mode)
@@ -176,6 +186,7 @@ class DirectoryServer:
         self._children.setdefault(dn, set())
         if parent is not None:
             self._children[parent].add(dn)
+            self._indexes.pop(parent, None)
         return entry
 
     def modify(self, dn: Union[str, DN], replace: Optional[Dict] = None,
@@ -183,15 +194,18 @@ class DirectoryServer:
                delete_attrs: Optional[Iterable[str]] = None) -> Entry:
         """Replace / extend / delete attributes on an entry."""
         entry = self.lookup(dn)
+        delete_attrs = [a.lower() for a in delete_attrs or ()]
+        touched = [*(replace or ()), *(add_values or ()), *delete_attrs]
+        if any(k.lower() == "objectclass" for k in touched):
+            self._indexes.pop(entry.dn.parent, None)
         if replace:
             for k, vs in replace.items():
                 entry._set(k.lower(), vs)
         if add_values:
             for k, vs in add_values.items():
                 entry._add(k.lower(), vs)
-        if delete_attrs:
-            for attr in delete_attrs:
-                entry._delete(attr.lower())
+        for attr in delete_attrs:
+            entry._delete(attr)
         return entry
 
     def delete(self, dn: Union[str, DN], recursive: bool = False) -> None:
@@ -206,9 +220,11 @@ class DirectoryServer:
             self.delete(kid, recursive=True)
         del self._entries[dn]
         del self._children[dn]
+        self._indexes.pop(dn, None)
         parent = dn.parent
         if parent is not None and parent in self._children:
             self._children[parent].discard(dn)
+            self._indexes.pop(parent, None)
 
     def lookup(self, dn: Union[str, DN]) -> Entry:
         """Fetch one entry by DN."""
@@ -227,8 +243,20 @@ class DirectoryServer:
         dn = DN.of(dn)
         if dn not in self._entries:
             raise DirectoryError(f"{self.name}: no entry {dn}")
-        return [self._entries[c] for c in sorted(
-            self._children[dn], key=attrgetter("_str"))]
+        return list(self._index(dn)[0])
+
+    def _index(self, dn: DN) -> tuple:
+        """(children in DN order, folded objectclass -> those children)."""
+        index = self._indexes.get(dn)
+        if index is None:
+            kids = [self._entries[c] for c in sorted(
+                self._children[dn], key=attrgetter("_str"))]
+            by_class: Dict[str, List[Entry]] = {}
+            for e in kids:
+                for oc in dict.fromkeys(e.folded.get("objectclass", ())):
+                    by_class.setdefault(oc, []).append(e)
+            index = self._indexes[dn] = (kids, by_class)
+        return index
 
     def search(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
                filter_text: str = "(objectclass=*)") -> List[Entry]:
@@ -244,13 +272,17 @@ class DirectoryServer:
             raise DirectoryError(f"{self.name}: search base {base} absent")
         predicate = compile_filter(filter_text)
         self.entries_scanned += len(candidates)
+        tag = getattr(predicate, "objectclass", None)
+        index = self._indexes.get(base)
+        if tag is not None and index is not None and index[0] is candidates:
+            candidates = index[1].get(tag, ())
         return [e for e in candidates if predicate(e.folded)]
 
     def _candidates(self, base: DN, scope: Scope) -> List[Entry]:
         if scope is Scope.BASE:
             return [self._entries[base]]
         if scope is Scope.ONELEVEL:
-            return self.children(base)
+            return self._index(base)[0]
         out = [self._entries[base]]
         stack = list(self._children[base])
         while stack:

@@ -20,6 +20,11 @@ and no value is lowercased at query time. Presence, substring (still
 case-insensitive) and ordering (numeric when both sides parse, else the
 lowercased strings) read the same folded values.
 
+A predicate's ``objectclass`` tag, when set, is a folded value every
+match must carry: only ``(objectclass=x)`` and an ``&`` with such a
+conjunct are tagged. The directory server takes one-level candidates
+from its per-parent ``objectclass`` index by it.
+
 :func:`parse_filter` is the entry point for raw attribute dictionaries
 (attr → list of values in their stored case): it folds its argument and
 calls the same compiled predicate, so there is one predicate
@@ -129,6 +134,8 @@ def _parse_item(body: str):
 def _make_and(preds):
     def pred(attrs: Attrs) -> bool:
         return all(p(attrs) for p in preds)
+    tags = [getattr(p, "objectclass", None) for p in preds]
+    pred.objectclass = next((t for t in tags if t is not None), None)
     return pred
 
 
@@ -149,6 +156,8 @@ def _make_equality(attr: str, value: str) -> Predicate:
 
     def pred(attrs: Attrs) -> bool:
         return target in attrs.get(attr, ())
+    if attr == "objectclass":
+        pred.objectclass = target
     return pred
 
 

@@ -93,21 +93,23 @@ class MetadataCatalog:
         """All datasets, optionally restricted to one model."""
         flt = ("(objectclass=dataset)" if model is None
                else f"(&(objectclass=dataset)(model={model}))")
-        out = []
-        for entry in self.directory.search(self.root, Scope.ONELEVEL, flt):
-            dn = entry.dn
-            vars_ = tuple(sorted(
-                e.dn.rdn[1] for e in self.directory.search(
-                    dn, Scope.ONELEVEL, "(objectclass=variable)")))
-            n_files = len(self.directory.search(
-                dn, Scope.ONELEVEL, "(objectclass=datafile)"))
-            out.append(DatasetRecord(
-                dataset_id=dn.rdn[1],
-                model=entry.first("model", ""),
-                run=entry.first("run", ""),
-                description=entry.first("description", ""),
-                variables=vars_, file_count=n_files))
-        return sorted(out, key=lambda d: d.dataset_id)
+        entries = self.directory.search(self.root, Scope.ONELEVEL, flt)
+        return sorted(map(self._record, entries), key=lambda d: d.dataset_id)
+
+    def _record(self, entry) -> DatasetRecord:
+        """The summary of one dataset entry."""
+        dn = entry.dn
+        vars_ = tuple(sorted(
+            e.dn.rdn[1] for e in self.directory.search(
+                dn, Scope.ONELEVEL, "(objectclass=variable)")))
+        n_files = len(self.directory.search(
+            dn, Scope.ONELEVEL, "(objectclass=datafile)"))
+        return DatasetRecord(
+            dataset_id=dn.rdn[1],
+            model=entry.first("model", ""),
+            run=entry.first("run", ""),
+            description=entry.first("description", ""),
+            variables=vars_, file_count=n_files)
 
     def variables(self, dataset_id: str) -> List[VariableRecord]:
         """Variable descriptions for one dataset."""
@@ -169,10 +171,11 @@ class MetadataCatalog:
         dn = self._dataset_dn(dataset_id)
         yield from self.directory.query(dn, Scope.ONELEVEL,
                                         "(objectclass=*)")
-        for record in self.datasets():
-            if record.dataset_id == dataset_id:
-                return record
-        raise MetadataError(f"no dataset {dataset_id!r}")
+        hits = (self.directory.search(dn, Scope.BASE, "(objectclass=dataset)")
+                if self.directory.exists(dn) else [])
+        if not hits or hits[0].dn.rdn[1] != dataset_id:
+            raise MetadataError(f"no dataset {dataset_id!r}")
+        return self._record(hits[0])
 
     def file_size(self, dataset_id: str, logical_name: str) -> float:
         """Registered size of one logical file."""

@@ -105,8 +105,9 @@ class Flow:
     """One fluid data stream crossing a fixed path.
 
     Created via :meth:`FluidNetwork.transfer`; the ``done`` event fires
-    with the flow itself when the last byte is delivered, or fails with
-    :class:`FlowError` when aborted.
+    with ``None`` when the last byte is delivered, or fails with
+    :class:`FlowError` when aborted. Every waiter already holds the
+    flow; firing with it would make a flow → event → flow cycle.
     """
 
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "rate",
@@ -190,6 +191,7 @@ class _AggregateMember:
     generalized-processor-sharing schedule is its rate cap; delivered
     bytes are recovered as ``weight · (V − V_settled)`` against the
     aggregate's virtual clock — nothing is stored per member per event.
+    Like a flow's, its ``done`` fires with ``None``.
     """
 
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "done",
@@ -349,7 +351,7 @@ class AggregateFlow(Flow):
         member._v0 = self._v
         if completed:
             member._served0 = member.size
-            member.done.succeed(member)
+            member.done.succeed()
         else:
             member.done.fail(FlowError(reason, member))
 
@@ -416,9 +418,9 @@ class FluidNetwork:
                  limit: float = math.inf) -> Flow:
         """Start a flow of ``nbytes`` from node ``src`` to node ``dst``.
 
-        Returns the :class:`Flow`; wait on ``flow.done`` for completion.
-        A zero-byte transfer completes immediately. ``limit`` is a hard
-        rate ceiling that survives later :meth:`set_cap` calls.
+        Returns the :class:`Flow`; ``flow.done`` fires with ``None`` on
+        completion, at once for zero bytes. ``limit`` is a hard rate
+        ceiling that survives later :meth:`set_cap` calls.
 
         With :attr:`aggregation_threshold` set, an eligible transfer on
         a path already at the threshold returns an
@@ -444,7 +446,7 @@ class FluidNetwork:
             flow = Flow(self, name, path, nbytes, cap, recorder, limit=limit)
         if nbytes == 0:
             flow.finished_at = self.env.now
-            flow.done.succeed(flow)
+            flow.done.succeed()
             return flow
         self._flow_map[flow.id] = flow
         for link in path:
@@ -705,7 +707,7 @@ class FluidNetwork:
         flow._pred_version += 1
         if flow.recorder is not None:
             flow.recorder.record(now, 0.0)
-        flow.done.succeed(flow)
+        flow.done.succeed()
 
     def _pop_due_completions(self, now: float) -> None:
         """Mark flows whose predicted completion instant has arrived as

@@ -82,10 +82,10 @@ class Connection:
         # Surface the outcome (value raises FlowError if aborted); the
         # caller handles that failure, so the kernel must not re-raise it.
         flow.done.defuse()
-        result = flow.done.value
+        _ = flow.done.value
         self.bytes_sent += flow.transferred
         self.transfers += 1
-        return result
+        return flow
 
     # -- control messages ----------------------------------------------------
     def request(self, request_bytes: float = 256.0,

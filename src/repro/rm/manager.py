@@ -224,7 +224,7 @@ class RequestManager:
         # "After all the files of a request transfer successfully, the RM
         # notifies CDAT." (The deadline watchdog may have beaten us to it.)
         if not ticket.done.triggered:
-            ticket.done.succeed(ticket)
+            ticket.done.succeed()
 
     def _deadline_watchdog(self, ticket: RequestTicket):
         """Enforce per-file and per-ticket deadlines.
@@ -265,7 +265,7 @@ class RequestManager:
                     self._fail(ticket, fr, "deadline exceeded",
                                FailureClass.DEADLINE)
             if ticket.complete and not ticket.done.triggered:
-                ticket.done.succeed(ticket)
+                ticket.done.succeed()
                 return
 
     def _say(self, ticket: RequestTicket, text: str) -> None:

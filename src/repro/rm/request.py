@@ -66,7 +66,7 @@ class FileRequest:
 
 
 class RequestTicket:
-    """Handle for a submitted multi-file request."""
+    """Handle for a submitted multi-file request; ``done`` fires with None."""
 
     def __init__(self, env: Environment, files: List[FileRequest],
                  deadline_at: Optional[float] = None):

@@ -44,6 +44,9 @@ class FileObject:
     created_at: float = 0.0
     metadata: Dict[str, object] = field(default_factory=dict)
     _serial: int = field(default_factory=itertools.count(1).__next__)
+    # (content, (name, size, marks), digest): file_digest's last answer.
+    _digest_memo: Optional[tuple] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -1,8 +1,10 @@
 """Tests for the deterministic content-digest model."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import digest
 from repro.data.digest import (
     MARKS_KEY,
     add_mark,
@@ -77,3 +79,69 @@ def test_property_digest_pure_function(name, size, marks):
     assert a == b
     if marks:
         assert a != content_digest(name, size)
+
+
+# -- file_digest remembers its last answer ---------------------------------
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Every content_digest call file_digest makes, by its arguments."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return content_digest(*args)
+    monkeypatch.setattr(digest, "content_digest", counted)
+    return calls
+
+
+def current(f):
+    return content_digest(f.name, f.size, f.content, marks_of(f))
+
+
+def test_file_digest_memo_follows_every_input(hashes):
+    f = FileObject("f.nc", 4, content=b"abcd")
+
+    def grow():
+        f.size, f.content = 5, b"wxyz!"
+    steps = [
+        lambda: None,
+        lambda: add_mark(f, "at-rest@1"),
+        lambda: setattr(f, "content", b"wxyz"),
+        lambda: setattr(f, "name", "g.nc"),
+        grow,
+    ]
+    for n, step in enumerate(steps, 1):
+        step()
+        assert file_digest(f) == current(f)
+        assert file_digest(f) == current(f)  # the repeat does not hash
+        assert len(hashes) == n
+
+
+def test_synthetic_size_change_rehashes(hashes):
+    f = FileObject("s.nc", 100)
+    assert file_digest(f) == file_digest(f) == current(f)
+    f.size = 200
+    assert file_digest(f) == current(f)
+    assert len(hashes) == 2
+
+
+def test_with_name_copy_does_not_inherit_the_memo(hashes):
+    f = FileObject("f.nc", 4, content=b"abcd")
+    add_mark(f, "xfer@2")
+    file_digest(f)
+    for name in ("h.nc", "f.nc"):
+        g = f.with_name(name)
+        assert file_digest(g) == current(g)
+    assert len(hashes) == 3
+    assert file_digest(f.with_name("h.nc")) != file_digest(f)
+
+
+def test_mutable_content_is_never_remembered(hashes):
+    buf = bytearray(b"abcd")
+    f = FileObject("b.nc", 4, content=buf)
+    before = file_digest(f)
+    buf[0] = ord("z")
+    assert file_digest(f) == current(f) != before
+    assert len(hashes) == 2
