@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.ldap.dn import DN
 from repro.ldap.filters import compile_filter, fold
@@ -30,54 +30,55 @@ class Scope(enum.Enum):
 class Entry:
     """One directory entry: a DN plus multi-valued attributes.
 
-    ``folded`` is the case-folded view of ``attributes`` that search
-    filters read: the same list object for an attribute whose values are
-    already lowercase, so the view costs no per-value memory. Both are
-    written only by :meth:`_set` and dropped only by :meth:`_delete`.
+    Each attribute's values are one immutable tuple, shared, not copied:
+    a tuple given to :meth:`_set` is stored as that object. ``folded`` is
+    the case-folded view of ``attributes`` that search filters read: the
+    same tuple for an attribute whose values are already lowercase. Both
+    are written only by :meth:`_set` and dropped only by :meth:`_delete`.
     """
 
     __slots__ = ("dn", "attributes", "folded")
 
     def __init__(self, dn: DN, attributes: Dict[str, Iterable[str]]):
         self.dn = dn
-        self.attributes: Dict[str, List[str]] = {}
-        self.folded: Dict[str, List[str]] = {}
+        self.attributes: Dict[str, Tuple[str, ...]] = {}
+        self.folded: Dict[str, Tuple[str, ...]] = {}
         for k, vs in attributes.items():
             self._set(k.lower(), vs)
 
     def _set(self, attr: str, vs) -> None:
         """Store ``vs`` (one value or a list/tuple/set) under ``attr``.
 
-        str values are copied as they are, in C; only when some value is
-        not a str does every value go through ``str()``.
+        ``tuple()`` keeps a tuple as that object and copies a list or set
+        into one; a non-str value sends every value through ``str()``.
         """
-        values = list(vs) if isinstance(vs, (list, tuple, set)) else [vs]
+        vs = tuple(vs) if isinstance(vs, (list, tuple, set)) else (vs,)
         try:
-            folded = fold(values)
+            folded = fold(vs)
         except TypeError:
-            values = [str(v) for v in values]
-            folded = fold(values)
-        self.attributes[attr] = values
+            vs = tuple([str(v) for v in vs])
+            folded = fold(vs)
+        self.attributes[attr] = vs
         self.folded[attr] = folded
 
     def _add(self, attr: str, vs) -> None:
         """Append the values of ``vs`` that ``attr`` does not yet match."""
         seen = set(self.folded.get(attr, ()))
-        merged = list(self.attributes.get(attr, ()))
+        added = []
         for v in vs if isinstance(vs, (list, tuple, set)) else [vs]:
             v = str(v)
             if v.lower() not in seen:
                 seen.add(v.lower())
-                merged.append(v)
-        self._set(attr, merged)
+                added.append(v)
+        self._set(attr, self.attributes.get(attr, ()) + tuple(added))
 
     def _delete(self, attr: str) -> None:
         self.attributes.pop(attr, None)
         self.folded.pop(attr, None)
 
-    def get(self, attr: str) -> List[str]:
-        """All values of ``attr`` (empty list if absent)."""
-        return self.attributes.get(attr.lower(), [])
+    def get(self, attr: str) -> Tuple[str, ...]:
+        """All values of ``attr``: the stored tuple (``()`` if absent)."""
+        return self.attributes.get(attr.lower(), ())
 
     def first(self, attr: str, default: Optional[str] = None) -> Optional[str]:
         """First value of ``attr`` or ``default``."""

@@ -13,9 +13,9 @@ Supported grammar::
                | attr "<=" value
 
 :func:`compile_filter` compiles the text into a predicate over *folded*
-attribute dictionaries: attr → list of lowercased string values, as
+attribute dictionaries: attr → tuple of lowercased string values, as
 :func:`fold` builds them. The directory server keeps that view on every
-entry (``Entry.folded``), so equality is one list-membership test in C
+entry (``Entry.folded``), so equality is one tuple-membership test in C
 and no value is lowercased at query time. Presence, substring (still
 case-insensitive) and ordering (numeric when both sides parse, else the
 lowercased strings) read the same folded values.
@@ -26,7 +26,7 @@ conjunct are tagged. The directory server takes one-level candidates
 from its per-parent ``objectclass`` index by it.
 
 :func:`parse_filter` is the entry point for raw attribute dictionaries
-(attr → list of values in their stored case): it folds its argument and
+(attr → values in their stored case): it folds its argument and
 calls the same compiled predicate, so there is one predicate
 implementation.
 """
@@ -34,9 +34,9 @@ implementation.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Tuple
 
-Attrs = Dict[str, List[str]]
+Attrs = Dict[str, Tuple[str, ...]]
 Predicate = Callable[[Attrs], bool]
 
 
@@ -44,8 +44,8 @@ class FilterError(ValueError):
     """Malformed search filter."""
 
 
-def fold(values: List[str]) -> List[str]:
-    """``values`` lowercased: the same list object when that changes nothing.
+def fold(values: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``values`` lowercased: the same tuple when that changes nothing.
 
     The check is one pass in C over the joined values, so an attribute
     whose values are already lowercase costs no copy and no per-value
@@ -54,7 +54,7 @@ def fold(values: List[str]) -> List[str]:
     joined = "\x00".join(values)
     if joined.lower() == joined:
         return values
-    return [v.lower() for v in values]
+    return tuple([v.lower() for v in values])
 
 
 def compile_filter(text: str) -> Predicate:

@@ -81,7 +81,8 @@ class MdsService:
                  float(e.first("latency", "0"))) for e in entries]
 
     def host_info(self, hostname: str):
-        """Simulation process: host attributes dict or None."""
+        """Simulation process: host attributes dict or None (one value
+        per single-valued attribute, the entry's tuple for the rest)."""
         dn = self.root.child("host", hostname)
         if not self.directory.exists(dn):
             yield self.env.timeout(self.directory.base_latency)

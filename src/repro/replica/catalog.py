@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ldap.directory import DirectoryServer, Scope
+from repro.ldap.directory import DirectoryServer, Entry, Scope
 from repro.ldap.dn import DN
 from repro.sim.core import Environment
 
@@ -27,7 +27,8 @@ class LocationInfo:
     """One physical copy of (part of) a collection.
 
     Attributes mirror the paper: "protocol, hostname, port, path —
-    required to map from logical names for files to URLs".
+    required to map from logical names for files to URLs". ``files`` is
+    the location entry's own ``filename`` tuple, shared, not copied.
     """
 
     name: str
@@ -47,6 +48,17 @@ class LocationInfo:
 
     def holds(self, logical_file: str) -> bool:
         return logical_file in self.files
+
+
+def _location_info(entry: Entry) -> LocationInfo:
+    """The :class:`LocationInfo` a ``loc=`` entry describes."""
+    return LocationInfo(
+        name=entry.dn.rdn[1],
+        protocol=entry.first("protocol", "gsiftp"),
+        hostname=entry.first("hostname", ""),
+        port=int(entry.first("port", "2811")),
+        path=entry.first("path", "/"),
+        files=entry.get("filename"))
 
 
 @dataclass(frozen=True)
@@ -158,17 +170,8 @@ class ReplicaCatalog:
     def locations(self, collection: str) -> List[LocationInfo]:
         """Every physical copy of a collection."""
         cdn = self._collection_dn(collection)
-        out = []
-        for entry in self.directory.search(cdn, Scope.ONELEVEL,
-                                           "(objectclass=location)"):
-            out.append(LocationInfo(
-                name=entry.dn.rdn[1],
-                protocol=entry.first("protocol", "gsiftp"),
-                hostname=entry.first("hostname", ""),
-                port=int(entry.first("port", "2811")),
-                path=entry.first("path", "/"),
-                files=tuple(entry.get("filename"))))
-        return out
+        return [_location_info(e) for e in self.directory.search(
+            cdn, Scope.ONELEVEL, "(objectclass=location)")]
 
     def logical_file_size(self, collection: str,
                           logical_file: str) -> Optional[float]:
@@ -201,13 +204,7 @@ class ReplicaCatalog:
         entries = yield from self.directory.query(
             cdn, Scope.ONELEVEL,
             f"(&(objectclass=location)(filename={logical_file}))")
-        return [LocationInfo(
-            name=e.dn.rdn[1],
-            protocol=e.first("protocol", "gsiftp"),
-            hostname=e.first("hostname", ""),
-            port=int(e.first("port", "2811")),
-            path=e.first("path", "/"),
-            files=tuple(e.get("filename"))) for e in entries]
+        return [_location_info(e) for e in entries]
 
     # -- internals ------------------------------------------------------------------
     def _collection_dn(self, collection: str) -> DN:

@@ -99,9 +99,9 @@ def test_modify_replace_add_delete():
     assert d.lookup(dn).first("year") == "2000"
     d.modify(dn, add_values={"location": ["lbnl", "anl"]})
     d.modify(dn, add_values={"location": "lbnl"})  # dedup
-    assert d.lookup(dn).get("location") == ["lbnl", "anl"]
+    assert d.lookup(dn).get("location") == ("lbnl", "anl")
     d.modify(dn, delete_attrs=["location"])
-    assert d.lookup(dn).get("location") == []
+    assert d.lookup(dn).get("location") == ()
 
 
 def test_add_values_dedups_case_insensitively():
@@ -111,7 +111,7 @@ def test_add_values_dedups_case_insensitively():
     dn = "lc=CO2 1998,o=esg"
     d.modify(dn, add_values={"filename": "a.nc"})
     d.modify(dn, add_values={"filename": ["A.nc", "b.NC", "B.nc"]})
-    assert d.lookup(dn).get("filename") == ["a.nc", "b.NC"]
+    assert d.lookup(dn).get("filename") == ("a.nc", "b.NC")
     assert [e.dn for e in d.search(dn, Scope.BASE, "(filename=A.NC)")] \
         == [d.lookup(dn).dn]
 
@@ -198,7 +198,7 @@ def test_entry_attribute_normalization():
     env, d = server()
     d.add("cn=x,o=esg", {"Single": "v", "Multi": ["a", "b"], "Num": 7})
     e = d.lookup("cn=x,o=esg")
-    assert e.get("single") == ["v"]
-    assert e.get("multi") == ["a", "b"]
-    assert e.get("num") == ["7"]
+    assert e.get("single") == ("v",)
+    assert e.get("multi") == ("a", "b")
+    assert e.get("num") == ("7",)
     assert e.first("nothing", "dflt") == "dflt"

@@ -135,10 +135,10 @@ def test_lowercase_values_share_the_raw_list():
                       "Model": ["NCAR_CSM", "pcm"], "port": 2811})
     assert e.folded["filename"] is e.attributes["filename"]
     assert e.folded["hostname"] is e.attributes["hostname"]
-    assert e.folded["port"] is e.attributes["port"] == ["2811"]
+    assert e.folded["port"] is e.attributes["port"] == ("2811",)
     assert e.folded["model"] is not e.attributes["model"]
-    assert e.folded["model"] == ["ncar_csm", "pcm"]
-    assert e.get("model") == ["NCAR_CSM", "pcm"]
+    assert e.folded["model"] == ("ncar_csm", "pcm")
+    assert e.get("model") == ("NCAR_CSM", "pcm")
     assert e.first("Model") == "NCAR_CSM"
 
 
@@ -147,8 +147,8 @@ def test_entry_copies_the_callers_list():
     d = DirectoryServer(Environment(), "t")
     e = d.add("o=t", {"filename": names})
     names.append("B.nc")
-    assert e.get("filename") == ["a.nc"]
-    assert e.folded["filename"] == ["a.nc"]
+    assert e.get("filename") == ("a.nc",)
+    assert e.folded["filename"] == ("a.nc",)
 
 
 # -- the view tracks every mutation -------------------------------------------
@@ -175,7 +175,7 @@ def test_view_follows_replace_add_and_delete():
 
     d.modify("loc=a,o=t", add_values={"filename": "Mixed.NC"})
     assert timed_query(d, "(filename=mixed.nc)") == ["loc=a,o=t"]
-    assert d.lookup("loc=a,o=t").get("filename") == ["y.nc", "Mixed.NC"]
+    assert d.lookup("loc=a,o=t").get("filename") == ("y.nc", "Mixed.NC")
 
     d.modify("loc=a,o=t", replace={"host": "beta"})
     assert timed_query(d, "(host=ALPHA)") == []
