@@ -107,7 +107,7 @@ class DodsClient:
             server.host.store_node, client_host.store_node, nbytes,
             cap=conn.stream.window_cap, name=f"dods:{path}",
             recorder=rec)
-        self.env.process(conn.stream.drive(flow))
+        conn.stream.drive(flow)
         # Plain-TCP stall watchdog: a dead connection times out; HTTP has
         # no restart markers, so that is the end of the request.
         timeout = conn.params.stall_timeout

@@ -276,7 +276,7 @@ class ClientSession:
                     self.client.obs.event(
                         "gridftp.first_byte", prog="gridftp",
                         host=self.server.hostname, file=path)
-                self.env.process(conn.stream.drive(flow))
+                conn.stream.drive(flow)
                 yield from self._watch(conn, flow)
                 moved += block
                 conn.bytes_sent += block
@@ -555,13 +555,13 @@ class GridFtpClient:
                            loss_rate=cfg.loss_rate)
         while len(channels) < needed:
             try:
-                # A unique stream counter keeps loss processes on
-                # successive connections independent.
+                # A unique stream counter (advanced even with no loss
+                # modelled) keeps successive connections' losses independent.
                 self._stream_serial += 1
-                conn = yield from self.transport.connect(
-                    src, dst, params,
-                    rng=self.env.rng.spawn("gridftp.loss",
-                                           self._stream_serial))
+                rng = (self.env.rng.spawn("gridftp.loss", self._stream_serial)
+                       if params.loss_rate > 0 else None)
+                conn = yield from self.transport.connect(src, dst, params,
+                                                         rng=rng)
             except ConnectionRefused as exc:
                 if channels:
                     break  # work with what we have

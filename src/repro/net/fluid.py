@@ -305,8 +305,8 @@ class AggregateFlow(Flow):
         heap = self._mheap
         while heap:
             entry = heap[0]
-            member = entry[3]
-            if not member.active or entry[1] != member._pred_version:
+            # _retire bumps the version, so this also drops retired members.
+            if entry[1] != entry[3]._pred_version:
                 heapq.heappop(heap)
                 continue
             return entry
@@ -327,7 +327,7 @@ class AggregateFlow(Flow):
         heap = self._mheap
         while heap:
             v_star, version, _mid, member = heap[0]
-            if not member.active or version != member._pred_version:
+            if version != member._pred_version:
                 heapq.heappop(heap)
                 continue
             if (v_star - self._v) * member.cap > _EPS_BYTES:

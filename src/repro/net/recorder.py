@@ -32,7 +32,9 @@ class RateSeries:
     rates:
         Rate (bytes/s) on each segment ``[times[i], times[i+1])``.
     t_end:
-        End of the domain (the last segment runs to here).
+        End of the domain (the last segment runs to here). Construction
+        validates and builds the arrays; a series from
+        :meth:`RateRecorder.close` builds them on its first query.
     """
 
     def __init__(self, times: Sequence[float], rates: Sequence[float],
@@ -49,14 +51,33 @@ class RateSeries:
             raise ValueError("t_end precedes the last breakpoint")
         if np.any(r < 0):
             raise ValueError("negative rates")
+        self.t_end = float(t_end)
+        self._build(t, r)
+
+    @classmethod
+    def _deferred(cls, times: list, rates: list, t_end: float) -> "RateSeries":
+        """Series over breakpoints a recorder validated as it took them."""
+        series = cls.__new__(cls)
+        series.t_end = float(t_end)
+        series._pending = (times, rates)
+        return series
+
+    def _build(self, t: np.ndarray, r: np.ndarray) -> None:
         self.times = t
         self.rates = r
-        self.t_end = float(t_end)
         # Cumulative bytes at each breakpoint plus at t_end: piecewise
         # linear; np.interp evaluates it anywhere.
-        seg = np.diff(np.append(t, t_end))
-        self._cum_t = np.append(t, t_end)
+        seg = np.diff(np.append(t, self.t_end))
+        self._cum_t = np.append(t, self.t_end)
         self._cum_b = np.concatenate(([0.0], np.cumsum(seg * r)))
+
+    def __getattr__(self, name: str):
+        # Reached only for unset attributes: a deferred series' arrays.
+        pending = self.__dict__.pop("_pending", None)
+        if pending is None:
+            raise AttributeError(name)
+        self._build(*(np.asarray(v, dtype=float) for v in pending))
+        return getattr(self, name)
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -180,13 +201,15 @@ class RateRecorder:
         self._rates.append(float(rate))
 
     def close(self, t_end: float) -> RateSeries:
-        """Freeze and return the series, ending at ``t_end``."""
+        """Freeze and return the series, ending at ``t_end``; it takes
+        over the recorder's lists and builds its arrays on first query."""
         if self._closed_at is not None:
             raise RuntimeError(f"recorder {self.name!r} already closed")
         if not self._times:
             raise RuntimeError(f"recorder {self.name!r} has no samples")
         self._closed_at = t_end
-        return RateSeries(self._times, self._rates, max(t_end, self._times[-1]))
+        return RateSeries._deferred(self._times, self._rates,
+                                    max(t_end, self._times[-1]))
 
     @property
     def is_empty(self) -> bool:

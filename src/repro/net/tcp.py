@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.net.fluid import Flow
-from repro.sim.core import Environment
+from repro.sim.core import Environment, EventPriority
 
 
 def bdp_buffer_size(bandwidth: float, rtt: float) -> float:
@@ -153,58 +153,15 @@ class TcpStream:
         self.cwnd = max(self.cwnd / 2.0, self.params.mss)
 
     # -- cap driver ------------------------------------------------------------
-    def drive(self, flow: Flow):
-        """Simulation process: steer ``flow.cap`` while the flow lives.
+    def drive(self, flow: Flow) -> None:
+        """Steer ``flow.cap`` on kernel callbacks while the flow lives.
 
-        Start with ``env.process(stream.drive(flow))``. The process exits
-        when the flow completes or is aborted. The window state it leaves
-        behind is reused by the next transfer on this stream (channel
-        caching); a fresh connection should call :meth:`reset` first.
-        """
-        env = self.env
-        p = self.params
-        flow.set_cap(self.window_cap)
-        next_loss = self._sample_loss_gap()
-        while flow.active:
-            in_slow_start = self.cwnd < self.max_window - 1e-9
-            if in_slow_start:
-                step = self.rtt
-            elif next_loss is not None:
-                step = next_loss
-            else:
-                return  # steady state, nothing left to schedule
-            wait = step if next_loss is None else min(step, next_loss)
-            yield env.timeout(wait)
-            if not flow.active:
-                return
-            if next_loss is not None:
-                next_loss -= wait
-            if next_loss is not None and next_loss <= 1e-12:
-                self._on_loss()
-                flow.set_cap(self.window_cap)
-                yield from self._recover(flow)
-                next_loss = self._sample_loss_gap()
-                continue
-            if in_slow_start:
-                self._grow_slow_start()
-                flow.set_cap(self.window_cap)
-
-    def _recover(self, flow: Flow):
-        """Coarse linear regrowth of cwnd back to the buffer ceiling."""
-        p = self.params
-        deficit = self.max_window - self.cwnd
-        if deficit <= 0:
-            return
-        # Linear growth: one MSS per RTT → total time to recover:
-        total_time = deficit / p.mss * self.rtt
-        step_time = total_time / p.recovery_steps
-        step_gain = deficit / p.recovery_steps
-        for _ in range(p.recovery_steps):
-            yield self.env.timeout(step_time)
-            if not flow.active:
-                return
-            self.cwnd = min(self.cwnd + step_gain, self.max_window)
-            flow.set_cap(self.window_cap)
+        The first cap and loss-gap draw land at this instant (urgent
+        priority). The window left behind is reused by the next transfer
+        on this stream (channel caching); a fresh connection should
+        call :meth:`reset` first."""
+        self.env.call_later(0.0, _WindowDriver(self, flow).start,
+                            EventPriority.URGENT)
 
     def _sample_loss_gap(self) -> Optional[float]:
         if self.params.loss_rate <= 0:
@@ -215,3 +172,72 @@ class TcpStream:
         return (f"TcpStream(rtt={self.rtt * 1e3:.1f}ms, "
                 f"cwnd={self.cwnd / 1024:.0f}KB, "
                 f"cap={self.window_cap * 8 / 1e6:.1f}Mb/s)")
+
+
+class _WindowDriver:
+    """Steers one flow's cap for :meth:`TcpStream.drive`: one event per
+    slow-start round, loss gap or coarse recovery step. A loss gap is
+    drawn after every recovery, even one cut short by the flow's end;
+    the driver stops once the flow is gone, or in steady state with no
+    loss to model."""
+
+    __slots__ = ("stream", "flow", "next_loss", "slow", "wait", "steps",
+                 "step_time", "step_gain")
+
+    def __init__(self, stream: TcpStream, flow: Flow):
+        self.stream = stream
+        self.flow = flow
+
+    def start(self) -> None:
+        self.flow.set_cap(self.stream.window_cap)
+        self._draw_gap()
+
+    def _draw_gap(self) -> None:
+        self.next_loss = self.stream._sample_loss_gap()
+        self._arm()
+
+    def _arm(self) -> None:
+        s = self.stream
+        if not self.flow.active:
+            return
+        self.slow = s.cwnd < s.max_window - 1e-9
+        gap = self.next_loss
+        if gap is None and not self.slow:
+            return  # steady state, nothing left to schedule
+        self.wait = (s.rtt if gap is None
+                     else min(s.rtt, gap) if self.slow else gap)
+        s.env.call_later(self.wait, self._tick)
+
+    def _tick(self) -> None:
+        s, flow = self.stream, self.flow
+        if not flow.active:
+            return
+        if self.next_loss is not None:
+            self.next_loss -= self.wait
+            if self.next_loss <= 1e-12:
+                s._on_loss()
+                flow.set_cap(s.window_cap)
+                deficit = s.max_window - s.cwnd
+                if deficit <= 0:
+                    self._draw_gap()
+                    return
+                self.steps = steps = s.params.recovery_steps
+                self.step_time = deficit / s.params.mss * s.rtt / steps
+                self.step_gain = deficit / steps
+                s.env.call_later(self.step_time, self._recover_step)
+                return
+        if self.slow:
+            s._grow_slow_start()
+            flow.set_cap(s.window_cap)
+        self._arm()
+
+    def _recover_step(self) -> None:
+        s = self.stream
+        if self.flow.active:
+            s.cwnd = min(s.cwnd + self.step_gain, s.max_window)
+            self.flow.set_cap(s.window_cap)
+            self.steps -= 1
+            if self.steps:
+                s.env.call_later(self.step_time, self._recover_step)
+                return
+        self._draw_gap()

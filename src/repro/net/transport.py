@@ -62,7 +62,7 @@ class Connection:
                                 recorder=recorder)
         if not flow.active:  # zero-byte send
             return flow
-        env.process(self.stream.drive(flow))
+        self.stream.drive(flow)
         # Watchdog: abort on sustained zero progress.
         timeout = self.params.stall_timeout
         poll = self.params.poll_interval(timeout)

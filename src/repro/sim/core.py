@@ -45,22 +45,23 @@ class StopSimulation(Exception):
         self.value = value
 
 
-class _CallbackEvent(Event):
-    """Internal: re-delivers a callback for an already-processed event."""
+class _Call(Event):
+    """Internal: runs ``fn(*args)`` when dispatched. Born triggered and
+    never waited on, so it holds no callback list."""
 
-    __slots__ = ("_fn", "_orig")
+    __slots__ = ("_fn", "_args")
 
-    def __init__(self, env: "Environment", fn: Callable, orig: Event):
-        super().__init__(env)
-        self._fn = fn
-        self._orig = orig
+    def __init__(self, env: "Environment", fn: Callable, args: tuple):
+        self.env = env
+        self.callbacks = self._value = self._exc = None
         self._triggered = True
-        env.schedule(self)
+        self._processed = self._defused = self._cancelled = False
+        self._fn = fn
+        self._args = args
 
     def _process(self) -> None:
         self._processed = True
-        self.callbacks = None
-        self._fn(self._orig)
+        self._fn(*self._args)
 
 
 class _WaitFor(Event):
@@ -236,9 +237,18 @@ class Environment:
         else:
             bucket.append(event)
 
+    def call_later(self, delay: float, fn: Callable[[], None],
+                   priority: int = EventPriority.NORMAL) -> None:
+        """Run ``fn()`` ``delay`` seconds from now: one queue entry,
+        ordered like any event scheduled here with ``priority``, and no
+        process (callback state machines such as the TCP window driver)."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self.schedule(_Call(self, fn, ()), delay, priority)
+
     def schedule_callback(self, fn: Callable[[Event], None], event: Event) -> None:
-        """Schedule ``fn(event)`` to run at the current time."""
-        _CallbackEvent(self, fn, event)
+        """Schedule ``fn(event)`` to run now, like :meth:`call_later`."""
+        self.schedule(_Call(self, fn, (event,)))
 
     def cancel(self, event: Event) -> None:
         """Remove a scheduled event; its callbacks will never run.

@@ -185,3 +185,72 @@ def test_property_aggregate_preserves_total_bytes(seg_a, seg_b):
     agg = aggregate_series([a, b])
     assert agg.total_bytes == pytest.approx(
         a.total_bytes + b.total_bytes, rel=1e-9, abs=1e-6)
+
+
+# -- series built by a recorder: arrays deferred to the first query ----------
+
+def record(segments):
+    """The recorder-built twin of :func:`build`, and the eager series on
+    the breakpoints the recorder keeps (it drops repeated rates)."""
+    rec = RateRecorder("r")
+    times, rates, t = [], [], 0.0
+    for dur, rate in segments:
+        rec.record(t, rate)
+        if not rates or rate != rates[-1]:
+            times.append(t)
+            rates.append(rate)
+        t += dur
+    return rec.close(t), RateSeries(times, rates, t)
+
+
+def queries(s):
+    span = s.t_end - s.t_start
+    probes = np.linspace(s.t_start - 1.0, s.t_end + 1.0, 17)
+    out = [s.t_start, s.t_end, s.total_bytes, s.average(),
+           s.average(s.t_start + span / 3, s.t_end),
+           s.bytes_between(s.t_start + span / 4, s.t_end - span / 4),
+           s.peak_instantaneous(), list(s.times), list(s.rates),
+           list(s.rate_at(probes)), list(s.cumulative_bytes(probes))]
+    for w in (span / 7, span / 2, span, 2 * span):
+        out.append(s.peak_windowed(w))
+    for dt in (span / 5, span / 2.5):
+        edges, means = s.sample(dt)
+        out += [list(edges), list(means)]
+    return out
+
+
+@given(rate_lists)
+@settings(max_examples=80, deadline=None)
+def test_property_recorded_series_equals_eager(segments):
+    """Every query of a recorder-built series equals (==) the eager
+    series on the same breakpoints, so the properties above hold for it."""
+    recorded, eager = record(segments)
+    assert queries(recorded) == queries(eager)
+
+
+@given(rate_lists, rate_lists)
+@settings(max_examples=60, deadline=None)
+def test_property_recorded_aggregate_equals_eager(seg_a, seg_b):
+    (ra, ea), (rb, eb) = record(seg_a), record(seg_b)
+    assert queries(aggregate_series([ra, rb])) == queries(
+        aggregate_series([ea, eb]))
+    assert queries(aggregate_series([ra, eb])) == queries(
+        aggregate_series([ea, rb]))
+
+
+def test_close_does_no_numpy_work(monkeypatch):
+    import repro.net.recorder as recorder_mod
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy used at close: np.{name}")
+
+    rec = RateRecorder("r")
+    rec.record(0.0, 5.0)
+    rec.record(2.0, 7.0)
+    monkeypatch.setattr(recorder_mod, "np", NoNumpy())
+    series = rec.close(10.0)
+    assert series.t_end == 10.0
+    monkeypatch.undo()
+    assert list(series.times) == [0.0, 2.0]
+    assert series.total_bytes == 5.0 * 2 + 7.0 * 8

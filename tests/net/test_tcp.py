@@ -28,7 +28,7 @@ def run_transfer(env, net, nbytes, params, rng=None):
     stream = TcpStream(env, rtt, params, rng=rng)
     flow = net.transfer("A", "B", nbytes, cap=stream.window_cap,
                         recorder=rec)
-    env.process(stream.drive(flow))
+    stream.drive(flow)
     env.run(until=flow.done)
     return rec.close(env.now), stream
 
@@ -95,13 +95,13 @@ def test_warm_stream_skips_slow_start():
     stream = TcpStream(env, rtt, params)
     # First transfer warms the window.
     f1 = net.transfer("A", "B", 64 * 2**20, cap=stream.window_cap)
-    env.process(stream.drive(f1))
+    stream.drive(f1)
     env.run(until=f1.done)
     assert stream.cwnd == pytest.approx(params.buffer_bytes)
     rec = RateRecorder("warm")
     f2 = net.transfer("A", "B", 16 * 2**20, cap=stream.window_cap,
                       recorder=rec)
-    env.process(stream.drive(f2))
+    stream.drive(f2)
     env.run(until=f2.done)
     series = rec.close(env.now)
     assert series.rates[0] == pytest.approx(params.buffer_bytes / 0.050)
@@ -170,7 +170,7 @@ def test_parallel_streams_beat_single_under_loss():
             rec = RateRecorder(f"s{i}")
             flow = net.transfer("A", "B", total / n_streams,
                                 cap=stream.window_cap, recorder=rec)
-            env.process(stream.drive(flow))
+            stream.drive(flow)
             recs.append(rec)
             flows.append(flow)
         env.run()

@@ -237,3 +237,19 @@ def test_condition_rejects_mixed_environments():
     env_a, env_b = Environment(), Environment()
     with pytest.raises(ValueError):
         AllOf(env_a, [env_a.timeout(1), env_b.timeout(1)])
+
+
+def test_call_later_orders_like_events_and_needs_no_process():
+    from repro.sim import EventPriority
+    env = Environment()
+    order = []
+    env.timeout(1.0).add_callback(lambda ev: order.append("timeout"))
+    env.call_later(1.0, lambda: order.append(("normal", env.now)))
+    env.call_later(1.0, lambda: order.append(("urgent", env.now)),
+                   EventPriority.URGENT)
+    env.call_later(0.5, lambda: order.append(("early", env.now)))
+    env.run()
+    assert order == [("early", 0.5), ("urgent", 1.0), "timeout",
+                     ("normal", 1.0)]
+    with pytest.raises(ValueError):
+        env.call_later(-1.0, lambda: None)
