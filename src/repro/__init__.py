@@ -20,7 +20,7 @@ al., SC 2001):
 - ``repro.rm`` — the LBNL Request Manager and transfer monitor.
 - ``repro.cdat`` — CDAT-style analysis and VCDAT-style visualization.
 - ``repro.netlogger`` — NetLogger-style event logging and analysis.
-- ``repro.baselines`` — DODS-, SRB-, and layered-gateway-style comparators.
+- ``repro.baselines`` — DODS- and layered-gateway-style comparators.
 - ``repro.scenarios`` — prebuilt testbeds (SciNET SC'2000, ESG multi-site).
 - ``repro.esg`` — the end-to-end EarthSystemGrid facade.
 

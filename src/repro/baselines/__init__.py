@@ -6,10 +6,6 @@
   no restart. "While this approach facilitates easy deployment, it is
   not well-suited to HPC applications or very large data movement over
   high-bandwidth wide-area networks."
-- :class:`SrbBroker` — SRB-style integrated middleware: one broker
-  mediates every access through its MCAT metadata catalog and its own
-  protocol; replication is broker-controlled, clients never talk to
-  storage directly (contrast with Globus's layered architecture).
 - :class:`GatewayClient` — the *layered gateway* design GridFTP
   replaced (§6.1): a translation layer in front of heterogeneous
   storage protocols, paying per-block translation overhead — "first,
@@ -18,7 +14,6 @@
 """
 
 from repro.baselines.dods import DodsClient, DodsError, DodsServer
-from repro.baselines.srb import SrbBroker, SrbError
 from repro.baselines.gateway import GatewayClient, StorageAdapter
 
 __all__ = [
@@ -26,7 +21,5 @@ __all__ = [
     "DodsError",
     "DodsServer",
     "GatewayClient",
-    "SrbBroker",
-    "SrbError",
     "StorageAdapter",
 ]

@@ -83,7 +83,7 @@ class DodsClient:
         """Simulation process: GET the (possibly constrained) dataset.
 
         Returns (nbytes, seconds, series). No retry: a broken transfer
-        raises :class:`DodsError` (HTTP has no restart markers).
+        raises :class:`DodsError` (HTTP has no restart).
         """
         server: DodsServer = self.registry.get(hostname)
         if server is None:
@@ -109,23 +109,9 @@ class DodsClient:
             recorder=rec)
         conn.stream.drive(flow)
         # Plain-TCP stall watchdog: a dead connection times out; HTTP has
-        # no restart markers, so that is the end of the request.
-        timeout = conn.params.stall_timeout
-        last_progress, last_change = 0.0, self.env.now
+        # no restart, so that is the end of the request.
         try:
-            while flow.active:
-                yield self.env.wait_for(flow.done,
-                                        min(timeout / 4.0, 5.0))
-                if flow.done.processed:
-                    break
-                progress = flow.progress()
-                if progress > last_progress + 1e-9:
-                    last_progress, last_change = progress, self.env.now
-                elif self.env.now - last_change >= timeout:
-                    flow.abort(f"TCP timeout after {timeout:.0f}s")
-                    break
-            flow.done.defuse()  # consumed here, as DodsError
-            _ = flow.done.value
+            yield from conn.watch(flow)
         except FlowError as exc:
             conn.close()
             raise DodsError(f"connection reset: {exc}") from exc

@@ -21,7 +21,6 @@ from repro.cdat.analysis import (
     zonal_mean,
 )
 from repro.cdat.client import AnalysisResult, CdatClient
-from repro.cdat.images import decode_pnm_header, field_to_pgm, field_to_ppm
 from repro.cdat.portal import PortalClient, PortalResponse
 from repro.cdat.viz import render_field, render_profile, render_timeseries
 
@@ -30,9 +29,6 @@ __all__ = [
     "CdatClient",
     "PortalClient",
     "PortalResponse",
-    "decode_pnm_header",
-    "field_to_pgm",
-    "field_to_ppm",
     "anomaly",
     "concat_time",
     "global_mean_series",

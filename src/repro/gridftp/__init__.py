@@ -17,8 +17,8 @@ simulated transport:
   transmission; partial-file retrieval is built in.
 - **TCP buffer negotiation** — SBUF, with automatic sizing from the
   bandwidth–delay product when not set manually.
-- **Reliable, restartable transfers** — stalled/broken streams are
-  retried from restart markers; user-written fault-recovery policies
+- **Reliable, restartable transfers** — stalled/broken streams resend
+  only their undelivered byte ranges; user-written fault-recovery policies
   (e.g. the SC'2000 reliability plug-in that switches replicas when the
   rate drops) hook in via :class:`repro.gridftp.restart.ReliabilityPolicy`.
 - **Data channel caching** — post-SC'2000 feature: idle data channels
@@ -37,11 +37,7 @@ from repro.gridftp.derived_cache import DerivedProductCache
 from repro.gridftp.server import GridFtpServer
 from repro.gridftp.client import ClientSession, GridFtpClient, TransferHandle
 from repro.gridftp.striped import StripedServer, StripedTransferResult
-from repro.gridftp.restart import (
-    ReliabilityPolicy,
-    RestartLog,
-    RestartMarkers,
-)
+from repro.gridftp.restart import ReliabilityPolicy
 
 __all__ = [
     "ClientSession",
@@ -53,8 +49,6 @@ __all__ = [
     "GridFtpError",
     "GridFtpServer",
     "ReliabilityPolicy",
-    "RestartLog",
-    "RestartMarkers",
     "StripedServer",
     "StripedTransferResult",
     "TransferHandle",

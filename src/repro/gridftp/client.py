@@ -24,7 +24,6 @@ from repro.gridftp.protocol import (
     TRANSFER_ABORTED,
     TransferStats,
 )
-from repro.gridftp.restart import RestartMarkers
 from repro.gridftp.server import GridFtpServer
 from repro.gsi.auth import AuthenticationError
 from repro.net.fluid import FlowError
@@ -241,15 +240,14 @@ class ClientSession:
                         failed: List[Tuple[float, float]],
                         series_out: Optional[list],
                         handle: TransferHandle, path: str,
-                        markers: RestartMarkers,
                         rate_cap: Optional[float] = None):
         """One data channel pulling blocks until the queue drains.
 
-        ``queue`` holds ``(offset, length)`` blocks; every byte range
-        fully delivered is recorded in ``markers`` (GridFTP restart
-        markers), and a failed block's undelivered tail goes back to
-        ``failed`` for the next restart round. ``rate_cap`` (cut-through)
-        is a hard per-channel ceiling the TCP window cannot exceed.
+        ``queue`` holds ``(offset, length)`` blocks; a failed block's
+        undelivered tail goes back to ``failed`` for the next restart
+        round, so a restart resends only bytes not yet delivered.
+        ``rate_cap`` (cut-through) is a hard per-channel ceiling the TCP
+        window cannot exceed.
         """
         moved = 0.0
         # Corrupt-transfer windows: the fluid model has no per-byte
@@ -277,13 +275,12 @@ class ClientSession:
                         "gridftp.first_byte", prog="gridftp",
                         host=self.server.hostname, file=path)
                 conn.stream.drive(flow)
-                yield from self._watch(conn, flow)
+                yield from conn.watch(flow)
                 moved += block
                 conn.bytes_sent += block
                 conn.transfers += 1
                 handle._active_flows.remove(flow)
                 handle._completed += block
-                markers.add(offset, offset + block)
                 if suspect or any(l.corrupting for l in path_links):
                     handle.taints.append(
                         f"xfer@{self.env.now:.3f}+{offset:.0f}")
@@ -295,8 +292,6 @@ class ClientSession:
                 delivered = exc.flow.transferred if exc.flow else 0.0
                 moved += delivered
                 handle._completed += delivered
-                if delivered > 0:
-                    markers.add(offset, offset + delivered)
                 if exc.flow in handle._active_flows:
                     handle._active_flows.remove(exc.flow)
                 if rec is not None and not rec.is_empty:
@@ -306,29 +301,6 @@ class ClientSession:
                 return moved
         return moved
 
-    def _watch(self, conn: Connection, flow):
-        """Stall watchdog for one block (mirrors Connection.send)."""
-        env = self.env
-        timeout = conn.params.stall_timeout
-        poll = conn.params.poll_interval(timeout)
-        last_progress = flow.transferred
-        last_change = env.now
-        while flow.active:
-            yield env.wait_for(flow.done, poll)
-            if flow.done.processed:
-                break
-            progress = flow.progress()
-            if progress > last_progress + 1e-9:
-                last_progress = progress
-                last_change = env.now
-            elif env.now - last_change >= timeout:
-                flow.abort(f"stalled for {timeout:.0f}s")
-                break
-        # The watchdog consumes the failure itself (it raises to the
-        # block pump), so defuse it: nothing else is left on flow.done.
-        flow.done.defuse()
-        _ = flow.done.value  # raises FlowError on abort
-
     def put(self, path: str, source_fs: FileSystem, source_host,
             dest_name: Optional[str] = None,
             record: bool = False,
@@ -337,7 +309,7 @@ class ClientSession:
         """Simulation process: STOR a local file onto the server.
 
         Uploads are as restartable as downloads — interrupted blocks
-        are retried from restart markers, up to ``retry_limit``.
+        resend their undelivered tails, up to ``retry_limit`` times.
         """
         cfg = config or self.client.config
         file = source_fs.stat(path)
@@ -377,8 +349,6 @@ class ClientSession:
         env = self.env
         buffer_bytes = self.client.negotiate_buffer(src, dst, cfg)
         blocks = _make_blocks(nbytes, cfg.parallelism)
-        markers = RestartMarkers()
-        stats.restart_markers = markers
         completed = 0.0
         attempts = 0
         while blocks:
@@ -416,7 +386,7 @@ class ClientSession:
                            if rate_cap is not None else None)
             workers = [env.process(self._channel_worker(
                 conn, queue, failed, stats.series if record else None,
-                handle, path, markers, rate_cap=per_channel))
+                handle, path, rate_cap=per_channel))
                 for conn in channels]
             results = yield env.all_of(workers)
             moved = sum(results.values())
@@ -610,7 +580,7 @@ def _make_blocks(nbytes: float, parallelism: int
 
     More blocks than channels (×4) so channels that finish early keep
     pulling work — a fluid-scale stand-in for extended-block mode. The
-    offsets let the pump keep GridFTP restart markers per byte range.
+    offsets let a failed block requeue just its undelivered tail.
     """
     if nbytes <= 0:
         return []

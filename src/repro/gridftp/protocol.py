@@ -197,9 +197,6 @@ class TransferStats:
     # open on the path (the delivered file carries integrity marks).
     tainted_blocks: int = 0
     faults: list = field(default_factory=list)
-    # RestartMarkers recorded by the block pump (byte ranges delivered);
-    # None for transfers that never entered the pump.
-    restart_markers: Optional[object] = None
     # Source bytes the server's ERET plug-in decoded to produce this
     # product (0 for plain transfers and derived-cache hits).
     eret_decoded_bytes: float = 0.0

@@ -149,10 +149,6 @@ class Host:
             link.nominal_capacity = cap
             link.capacity = cap
 
-    def cpu_utilization(self, current_rate: float) -> float:
-        """CPU fraction consumed by I/O at ``current_rate`` bytes/s."""
-        return self.spec.cpu.utilization(current_rate)
-
     def __repr__(self) -> str:
         return (f"Host({self.name!r}, line={self.spec.line_rate * 8 / 1e9:.2f}"
                 f"Gb/s, cpu_cap={self.spec.cpu.throughput_cap * 8 / 1e9:.2f}"

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.ldap.directory import DirectoryServer, Scope
+from repro.ldap.directory import DirectoryServer
 from repro.ldap.dn import DN
 from repro.sim.core import Environment
 
@@ -17,7 +17,6 @@ class MdsService:
         mds=<grid>
           service=nws
             pair=<src>--<dst>        bandwidth/latency forecast attrs
-          host=<name>                host resource attributes
     """
 
     def __init__(self, env: Environment,
@@ -50,17 +49,6 @@ class MdsService:
             self.directory.add(dn, attrs)
         self.publishes += 1
 
-    def publish_host(self, hostname: str, attrs: Dict[str, str]) -> None:
-        """Record host resource attributes (CPU availability etc.)."""
-        dn = self.root.child("host", hostname)
-        record = {"objectclass": "hostinfo"}
-        record.update(attrs)
-        if self.directory.exists(dn):
-            self.directory.modify(dn, replace=record)
-        else:
-            self.directory.add(dn, record)
-        self.publishes += 1
-
     # -- timed queries (consumers pay LDAP costs) -----------------------------
     def nws_forecast(self, src: str, dst: str):
         """Simulation process: (bandwidth, latency) or None."""
@@ -71,25 +59,6 @@ class MdsService:
         entry = yield from self.directory.read(dn)
         return (float(entry.first("bandwidth", "0")),
                 float(entry.first("latency", "0")))
-
-    def all_forecasts(self):
-        """Simulation process: every published forecast entry."""
-        entries = yield from self.directory.query(
-            self._nws_root, Scope.ONELEVEL, "(objectclass=nwsforecast)")
-        return [(e.first("src"), e.first("dst"),
-                 float(e.first("bandwidth", "0")),
-                 float(e.first("latency", "0"))) for e in entries]
-
-    def host_info(self, hostname: str):
-        """Simulation process: host attributes dict or None (one value
-        per single-valued attribute, the entry's tuple for the rest)."""
-        dn = self.root.child("host", hostname)
-        if not self.directory.exists(dn):
-            yield self.env.timeout(self.directory.base_latency)
-            return None
-        entry = yield from self.directory.read(dn)
-        return {k: v[0] if len(v) == 1 else v
-                for k, v in entry.attributes.items()}
 
     def __repr__(self) -> str:
         return f"MdsService({len(self.directory)} entries)"

@@ -35,7 +35,7 @@ from repro.net.recorder import RateRecorder, RateSeries, aggregate_series
 from repro.net.fluid import Flow, FlowError, FluidNetwork
 from repro.net.tcp import TcpParams, TcpStream, bdp_buffer_size
 from repro.net.transport import Connection, ConnectionRefused, Transport
-from repro.net.background import BackgroundTraffic, LinkLoadModulator
+from repro.net.background import LinkLoadModulator
 from repro.net.dns import DnsError, NameService
 from repro.net.faults import Fault, FaultInjector, FaultSchedule
 
@@ -44,7 +44,7 @@ __all__ = [
     "bits", "bytes_per_sec", "gbps", "mbps", "to_gbps", "to_mbps",
     "Link", "Node", "Topology",
     "RateRecorder", "RateSeries", "aggregate_series",
-    "BackgroundTraffic", "LinkLoadModulator",
+    "LinkLoadModulator",
     "Flow", "FlowError", "FluidNetwork",
     "TcpParams", "TcpStream", "bdp_buffer_size",
     "Connection", "ConnectionRefused", "Transport",

@@ -1,4 +1,4 @@
-"""Background (cross) traffic generation.
+"""Background (cross) traffic as link-load modulation.
 
 The SC'2000 measurements were taken on shared infrastructure — the
 SciNET floor network and the HSCC/NTON backbone carried every other
@@ -6,94 +6,16 @@ demo's traffic too ("we were only supposed to use 1.5 Gb/s" of the
 OC-48). Cross traffic is what separates the *peak* rates (quiet floor)
 from the *sustained* rate (busy floor) in Table 1.
 
-:class:`BackgroundTraffic` offers an M/G/∞-style load: flows arrive as a
-Poisson process, carry heavy-tailed (lognormal) volumes, are individually
-rate-capped (other demos' hosts had NICs too), and share links with
-foreground traffic through the same max-min allocator.
+:class:`LinkLoadModulator` models that load as a time-varying share of a
+link's capacity taken by others, rather than as individual cross flows.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.net.fluid import FluidNetwork
 from repro.sim.core import Environment
-
-
-class BackgroundTraffic:
-    """Poisson cross-traffic between two topology nodes.
-
-    Parameters
-    ----------
-    env, network:
-        Simulation environment and fluid network.
-    src, dst:
-        Endpoints of the cross traffic (typically router nodes so no
-        host model throttles it).
-    arrival_rate:
-        Flow arrivals per second.
-    mean_bytes:
-        Mean flow volume (lognormal; sigma controls burstiness).
-    sigma:
-        Lognormal shape; 1.0 ≈ moderately heavy-tailed.
-    flow_cap:
-        Per-flow rate ceiling, bytes/s.
-    rng:
-        Random source (required).
-
-    Offered load ≈ ``arrival_rate × mean_bytes`` bytes/s; whether it is
-    *carried* depends on contention.
-    """
-
-    def __init__(self, env: Environment, network: FluidNetwork,
-                 src: str, dst: str, arrival_rate: float,
-                 mean_bytes: float, flow_cap: float,
-                 rng: np.random.Generator, sigma: float = 1.0):
-        if arrival_rate <= 0 or mean_bytes <= 0 or flow_cap <= 0:
-            raise ValueError("rates, sizes, caps must be positive")
-        self.env = env
-        self.network = network
-        self.src = src
-        self.dst = dst
-        self.arrival_rate = arrival_rate
-        self.mean_bytes = mean_bytes
-        self.sigma = sigma
-        self.flow_cap = flow_cap
-        self.rng = rng
-        self.flows_started = 0
-        self.bytes_offered = 0.0
-        self._running = False
-
-    @property
-    def offered_load(self) -> float:
-        """Long-run offered load, bytes/s."""
-        return self.arrival_rate * self.mean_bytes
-
-    def start(self) -> None:
-        """Begin generating (idempotent)."""
-        if not self._running:
-            self._running = True
-            self.env.process(self._generator())
-
-    def _sample_size(self) -> float:
-        # Lognormal with the requested mean: mean = exp(mu + sigma^2/2).
-        mu = np.log(self.mean_bytes) - self.sigma ** 2 / 2.0
-        return float(self.rng.lognormal(mu, self.sigma))
-
-    def _generator(self):
-        env = self.env
-        while True:
-            gap = float(self.rng.exponential(1.0 / self.arrival_rate))
-            yield env.timeout(gap)
-            size = self._sample_size()
-            self.flows_started += 1
-            self.bytes_offered += size
-            flow = self.network.transfer(
-                self.src, self.dst, size, cap=self.flow_cap,
-                name=f"bg-{self.flows_started}")
-            flow.done.defuse()  # nobody waits on background flows
 
 
 class LinkLoadModulator:

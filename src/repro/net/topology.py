@@ -2,8 +2,7 @@
 
 A :class:`Topology` is a directed multigraph. :meth:`Topology.duplex_link`
 creates the common case of a symmetric pair. Paths are computed by
-Dijkstra over link latency and cached; static routes may override the
-computation (SciNET used fixed provisioned paths).
+Dijkstra over link latency and cached; there is no other routing path.
 
 Links carry *live* capacity that fault injection can change; the fluid
 allocator reads ``Link.capacity`` at every reallocation, so a link taken
@@ -13,7 +12,7 @@ down mid-transfer immediately stalls the flows crossing it.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Node:
@@ -158,7 +157,6 @@ class Topology:
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
         self._adj: Dict[str, List[Link]] = {}
-        self._static_routes: Dict[Tuple[str, str], List[Link]] = {}
         self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
 
     # -- construction -------------------------------------------------------
@@ -193,16 +191,9 @@ class Topology:
         rev = self.add_link(b, a, capacity, latency, name=f"{base}:rev")
         return fwd, rev
 
-    def set_static_route(self, src: str, dst: str,
-                         links: Iterable[Link]) -> None:
-        """Pin the path used from ``src`` to ``dst``."""
-        links = list(links)
-        self._validate_path(src, dst, links)
-        self._static_routes[(src, dst)] = links
-
     # -- queries -------------------------------------------------------------
     def path(self, src: str, dst: str) -> List[Link]:
-        """Links from ``src`` to ``dst`` (static route or min-latency).
+        """Links from ``src`` to ``dst`` along the min-latency route.
 
         Routing ignores *current* capacity on purpose: real IP routing
         does not reroute around a congested or dead link at this
@@ -211,9 +202,6 @@ class Topology:
         """
         if src == dst:
             return []
-        route = self._static_routes.get((src, dst))
-        if route is not None:
-            return route
         cached = self._path_cache.get((src, dst))
         if cached is not None:
             return cached
@@ -270,33 +258,6 @@ class Topology:
             cur = link.src.name
         path.reverse()
         return path
-
-    def _validate_path(self, src: str, dst: str, links: List[Link]) -> None:
-        if not links:
-            raise ValueError("static route needs at least one link")
-        if links[0].src.name != src or links[-1].dst.name != dst:
-            raise ValueError("static route endpoints do not match")
-        for a, b in zip(links, links[1:]):
-            if a.dst.name != b.src.name:
-                raise ValueError(
-                    f"static route discontinuous at {a.name!r} -> {b.name!r}")
-
-    def to_networkx(self):
-        """Export as a ``networkx.MultiDiGraph`` for offline analysis.
-
-        Nodes carry ``site``/``kind``; edges carry ``capacity``/
-        ``latency``/``name``. Requires networkx (an optional dev
-        dependency); the simulator itself never uses it.
-        """
-        import networkx as nx
-        g = nx.MultiDiGraph(name=self.name)
-        for node in self.nodes.values():
-            g.add_node(node.name, site=node.site, kind=node.kind)
-        for link in self.links.values():
-            g.add_edge(link.src.name, link.dst.name, key=link.name,
-                       name=link.name, capacity=link.capacity,
-                       latency=link.latency)
-        return g
 
     def __repr__(self) -> str:
         return (f"Topology({self.name!r}, {len(self.nodes)} nodes, "

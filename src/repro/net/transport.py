@@ -5,20 +5,18 @@ state), and small-message RPC semantics for control channels. Bulk sends
 become fluid flows capped by the TCP window; control exchanges cost a
 round trip plus serialization.
 
-Stall detection: a bulk send that makes no progress for
-``TcpParams.stall_timeout`` seconds (e.g. a link on the path went down)
-is aborted with :class:`~repro.net.fluid.FlowError` — this is the hook
-GridFTP's restartable transfers build on.
+Stall detection: :meth:`Connection.watch` aborts a bulk flow that makes
+no progress for ``TcpParams.stall_timeout`` seconds (e.g. a link on the
+path went down) with :class:`~repro.net.fluid.FlowError` — this is the
+hook GridFTP's restartable transfers build on.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.net.dns import NameService
-from repro.net.fluid import Flow, FlowError, FluidNetwork
-from repro.net.recorder import RateRecorder
+from repro.net.fluid import Flow, FluidNetwork
 from repro.net.tcp import TcpParams, TcpStream
 from repro.sim.core import Environment
 
@@ -44,26 +42,14 @@ class Connection:
         self.transfers = 0
 
     # -- bulk data -------------------------------------------------------------
-    def send(self, nbytes: float, recorder: Optional[RateRecorder] = None,
-             name: str = ""):
-        """Simulation process: push ``nbytes`` to the peer.
+    def watch(self, flow: Flow):
+        """Simulation process: stall watchdog for one flow on this connection.
 
-        Returns the completed :class:`Flow`. Raises
-        :class:`~repro.net.fluid.FlowError` if the transfer stalls for
-        longer than ``params.stall_timeout`` or is aborted.
+        Waits for ``flow`` to finish, aborting it once it makes no
+        progress for ``params.stall_timeout`` seconds. Raises
+        :class:`~repro.net.fluid.FlowError` if the flow was aborted.
         """
-        if not self.open:
-            raise RuntimeError("connection is closed")
         env = self.transport.env
-        network = self.transport.network
-        flow = network.transfer(self.src, self.dst, nbytes,
-                                cap=self.stream.window_cap,
-                                name=name or f"conn{self.id}",
-                                recorder=recorder)
-        if not flow.active:  # zero-byte send
-            return flow
-        self.stream.drive(flow)
-        # Watchdog: abort on sustained zero progress.
         timeout = self.params.stall_timeout
         poll = self.params.poll_interval(timeout)
         last_progress = flow.transferred
@@ -79,13 +65,10 @@ class Connection:
             elif env.now - last_change >= timeout:
                 flow.abort(f"stalled for {timeout:.0f}s")
                 break
-        # Surface the outcome (value raises FlowError if aborted); the
-        # caller handles that failure, so the kernel must not re-raise it.
+        # The watchdog consumes the failure itself (it raises to its
+        # caller), so defuse it: nothing else is left on flow.done.
         flow.done.defuse()
-        _ = flow.done.value
-        self.bytes_sent += flow.transferred
-        self.transfers += 1
-        return flow
+        _ = flow.done.value  # raises FlowError on abort
 
     # -- control messages ----------------------------------------------------
     def request(self, request_bytes: float = 256.0,

@@ -4,8 +4,8 @@
 bandwidth-vs-time plot assembled from distributed event logs. This
 package provides:
 
-- :class:`NetLogger` — ULM-format event records
-  (``DATE=... HOST=... PROG=... NL.EVNT=... ...``) with simulated
+- :class:`NetLogger` — ULM-shaped event records (the DATE, HOST, PROG
+  and NL.EVNT fields plus free key/value fields) with simulated
   timestamps;
 - ``repro.netlogger.analysis`` — turning per-flow rate series and
   transfer events into the binned bandwidth timeline and the summary
@@ -13,8 +13,7 @@ package provides:
   Table 1 and Figure 8 report.
 """
 
-from repro.netlogger.log import (LogRecord, NetLogger, parse_ulm,
-                                 parse_ulm_log)
+from repro.netlogger.log import LogRecord, NetLogger
 from repro.netlogger.analysis import (
     BandwidthSummary,
     FaultWindow,
@@ -44,8 +43,6 @@ __all__ = [
     "bandwidth_timeline",
     "extract_fault_windows",
     "failure_breakdown",
-    "parse_ulm",
-    "parse_ulm_log",
     "reconstruct_lifelines",
     "reconstruction_report",
     "stage_breakdown",

@@ -1,10 +1,10 @@
-"""ULM-format event logging."""
+"""ULM-shaped event logging."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.sim.core import Environment
 
@@ -18,106 +18,6 @@ class LogRecord:
     prog: str
     event: str
     fields: Dict[str, str] = field(default_factory=dict)
-
-    def to_ulm(self) -> str:
-        """Render in NetLogger's Universal Logger Message format.
-
-        Values containing whitespace, quotes, or backslashes are
-        double-quoted with backslash escapes so that free-text fields
-        (e.g. failure reasons) survive the round trip through
-        :func:`parse_ulm`.
-        """
-        parts = [f"DATE={_stamp(self.t)}", f"HOST={_quote(self.host)}",
-                 f"PROG={_quote(self.prog)}",
-                 f"NL.EVNT={_quote(self.event)}"]
-        parts.extend(f"{k.upper()}={_quote(v)}" for k, v in
-                     sorted(self.fields.items()))
-        return " ".join(parts)
-
-
-def _stamp(t: float) -> str:
-    """Simulated seconds → a sortable pseudo-timestamp."""
-    return f"{t:014.3f}"
-
-
-def _quote(value: str) -> str:
-    """Quote a field value if it would break space-delimited parsing."""
-    value = str(value)
-    if value and not any(c in value for c in ' \t"\\'):
-        return value
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def _tokenize(line: str) -> Iterator[Tuple[str, str]]:
-    """Yield (KEY, value) pairs, honouring double-quoted values."""
-    i, n = 0, len(line)
-    while i < n:
-        while i < n and line[i] in " \t":
-            i += 1
-        if i >= n:
-            return
-        eq = line.find("=", i)
-        if eq < 0:
-            raise ValueError(f"malformed ULM token {line[i:].split()[0]!r}")
-        key = line[i:eq]
-        if not key or any(c in key for c in ' \t"'):
-            raise ValueError(f"malformed ULM token {line[i:eq + 1]!r}")
-        i = eq + 1
-        if i < n and line[i] == '"':
-            i += 1
-            buf: List[str] = []
-            closed = False
-            while i < n:
-                c = line[i]
-                if c == "\\" and i + 1 < n:
-                    buf.append(line[i + 1])
-                    i += 2
-                    continue
-                if c == '"':
-                    closed = True
-                    i += 1
-                    break
-                buf.append(c)
-                i += 1
-            if not closed:
-                raise ValueError(
-                    f"unterminated quoted value for {key!r}")
-            if i < n and line[i] not in " \t":
-                raise ValueError(
-                    f"malformed ULM token after quoted {key!r}")
-            yield key, "".join(buf)
-        else:
-            end = i
-            while end < n and line[end] not in " \t":
-                end += 1
-            yield key, line[i:end]
-            i = end
-
-
-def parse_ulm(line: str) -> LogRecord:
-    """Parse one ULM line back into a :class:`LogRecord`.
-
-    Real NetLogger pipelines write logs on many hosts and analyze them
-    centrally; round-tripping through text is the interchange format.
-    """
-    fields = {}
-    for key, value in _tokenize(line):
-        fields[key] = value
-    try:
-        t = float(fields.pop("DATE"))
-        host = fields.pop("HOST")
-        prog = fields.pop("PROG")
-        event = fields.pop("NL.EVNT")
-    except KeyError as exc:
-        raise ValueError(f"missing required ULM field {exc}") from exc
-    return LogRecord(t, host, prog, event,
-                     {k.lower(): v for k, v in fields.items()})
-
-
-def parse_ulm_log(text: str) -> List[LogRecord]:
-    """Parse a whole ULM log (one record per non-empty line)."""
-    return [parse_ulm(line) for line in text.splitlines() if line.strip()]
 
 
 class NetLogger:
@@ -170,10 +70,6 @@ class NetLogger:
         if host is not None:
             out = [r for r in out if r.host == host]
         return out
-
-    def dump_ulm(self) -> str:
-        """The whole log as ULM text."""
-        return "\n".join(r.to_ulm() for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)

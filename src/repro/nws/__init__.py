@@ -4,7 +4,9 @@
 dynamically forecasts the performance that various network and
 computational resources can deliver over a given time interval; it
 forecasts process-to-process network performance (latency and bandwidth)
-and available CPU percentage for each machine that it monitors."
+and available CPU percentage for each machine that it monitors." The
+request manager ranks replicas by network forecasts only, so this
+package models the network half.
 
 - ``repro.nws.forecasters`` — the forecaster suite: last-value, running
   mean, sliding-window mean, median, exponential smoothing, and the
@@ -12,8 +14,7 @@ and available CPU percentage for each machine that it monitors."
   with the current best (Wolski's NWS design).
 - ``repro.nws.sensors`` — periodic active probes over the simulated
   network (small transfers timed end-to-end, so probes see outages,
-  congestion, and share bandwidth like any other traffic) plus a CPU
-  availability sensor.
+  congestion, and share bandwidth like any other traffic).
 - ``repro.nws.service`` — wires sensors to per-series forecasters and
   publishes forecasts into the MDS information service, which is where
   the request manager reads them ("NWS information is accessed by the
@@ -29,12 +30,11 @@ from repro.nws.forecasters import (
     RunningMeanForecaster,
     SlidingMeanForecaster,
 )
-from repro.nws.sensors import CpuSensor, NetworkSensor, ProbeResult
+from repro.nws.sensors import NetworkSensor, ProbeResult
 from repro.nws.service import Forecast, NetworkWeatherService
 
 __all__ = [
     "AdaptiveForecaster",
-    "CpuSensor",
     "ExpSmoothingForecaster",
     "Forecast",
     "Forecaster",

@@ -4,7 +4,7 @@ The bandwidth sensor times a real (small) transfer through the fluid
 network, so its measurements automatically reflect congestion, host
 bottlenecks, and outages — and, like real NWS probes, consume a little
 bandwidth themselves. The latency sensor reads the path RTT with
-measurement noise. The CPU sensor reports available CPU fraction.
+measurement noise.
 """
 
 from __future__ import annotations
@@ -110,43 +110,4 @@ class NetworkSensor:
         while True:
             result = yield from self.probe_once()
             sink((self.src, self.dst), result)
-            yield self.env.timeout(self.period)
-
-
-class CpuSensor:
-    """Periodic available-CPU measurement for one host.
-
-    Availability is the complement of I/O utilization (driven by the
-    host's current network rate) perturbed by measurement noise.
-    """
-
-    def __init__(self, env: Environment, host, period: float = 30.0,
-                 rng: Optional[np.random.Generator] = None):
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.env = env
-        self.host = host
-        self.period = period
-        self.rng = rng
-        self.readings = 0
-
-    def read_once(self) -> float:
-        """Available CPU fraction right now, in [0, 1]."""
-        cpu_links = [self.host.links.get("cpu:out"),
-                     self.host.links.get("cpu:in")]
-        rate = 0.0
-        for link in cpu_links:
-            if link is not None:
-                rate += sum(f.rate for f in link._flows)
-        used = self.host.cpu_utilization(rate)
-        avail = 1.0 - used
-        if self.rng is not None:
-            avail = float(np.clip(avail + self.rng.normal(0, 0.02), 0, 1))
-        self.readings += 1
-        return avail
-
-    def run(self, sink):
-        """Simulation process: measure forever, reporting to ``sink``."""
-        while True:
-            sink(self.host.name, self.read_once())
             yield self.env.timeout(self.period)

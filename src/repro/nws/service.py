@@ -52,7 +52,6 @@ class NetworkWeatherService:
         self._lat: Dict[Tuple[str, str], AdaptiveForecaster] = {}
         self._last: Dict[Tuple[str, str], ProbeResult] = {}
         self._counts: Dict[Tuple[str, str], int] = {}
-        self._cpu: Dict[str, AdaptiveForecaster] = {}
 
     # -- monitoring -------------------------------------------------------
     def monitor(self, src: str, dst: str, period: float = 30.0,
@@ -99,34 +98,6 @@ class NetworkWeatherService:
         if key not in self._bw:
             self.monitor(src, dst, start=False)
         self._ingest(key, ProbeResult(self.env.now, bandwidth, latency))
-
-    # -- CPU monitoring -------------------------------------------------------
-    def monitor_host(self, host, period: float = 30.0) -> None:
-        """Track a host's available CPU (§5: NWS forecasts "available
-        CPU percentage for each machine that it monitors").
-
-        Forecasts are published to MDS host entries as ``cpuavail``.
-        """
-        from repro.nws.sensors import CpuSensor
-        name = host.name
-        if name in self._cpu:
-            return
-        self._cpu[name] = AdaptiveForecaster()
-        sensor = CpuSensor(self.env, host, period=period, rng=self.rng)
-
-        def sink(host_name, availability):
-            self._cpu[host_name].update(availability)
-            if self.mds is not None:
-                pred = self._cpu[host_name].predict()
-                self.mds.publish_host(host_name,
-                                      {"cpuavail": f"{pred:.4f}"})
-
-        self.env.process(sensor.run(sink))
-
-    def forecast_cpu(self, host_name: str) -> Optional[float]:
-        """Forecast available CPU fraction for a monitored host."""
-        fc = self._cpu.get(host_name)
-        return None if fc is None else fc.predict()
 
     # -- queries ------------------------------------------------------------
     def forecast(self, src: str, dst: str) -> Optional[Forecast]:

@@ -31,7 +31,6 @@ from repro.replica.federation import (
     SiteCatalog,
 )
 from repro.replica.manager import ReplicaManager
-from repro.replica.mapping import MappingRule, MappingTable
 from repro.replica.selection import (
     NwsBestPolicy,
     NwsSpreadPolicy,
@@ -45,8 +44,6 @@ __all__ = [
     "CollectionInfo",
     "FederatedReplicaCatalog",
     "LocationInfo",
-    "MappingRule",
-    "MappingTable",
     "NwsBestPolicy",
     "NwsSpreadPolicy",
     "QueryMeta",

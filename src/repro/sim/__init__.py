@@ -2,8 +2,8 @@
 
 A small, deterministic, SimPy-flavoured kernel: an :class:`Environment`
 drives a calendar event queue; :class:`Process` objects are generator
-coroutines that ``yield`` events (timeouts, resource requests, other
-processes) and are resumed when those events fire.
+coroutines that ``yield`` events (timeouts, other processes, any-of and
+all-of conditions) and are resumed when those events fire.
 
 The kernel is the substrate for every simulated component in ``repro``:
 network flows, GridFTP servers, tape robots, NWS sensors, and the request
@@ -25,23 +25,18 @@ from repro.sim.events import (
 )
 from repro.sim.core import Environment, SimulationError, StopSimulation
 from repro.sim.process import Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "EventPriority",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the DODS / SRB / gateway comparators."""
+"""Tests for the DODS / gateway comparators."""
 
 import pytest
 
@@ -7,13 +7,12 @@ from repro.baselines import (
     DodsError,
     DodsServer,
     GatewayClient,
-    SrbBroker,
-    SrbError,
     StorageAdapter,
 )
 from repro.data import ClimateModelRun, GridSpec
 from repro.hosts import Host
-from repro.net import FluidNetwork, NameService, Topology, Transport, mbps
+from repro.net import (FluidNetwork, NameService, TcpParams, Topology,
+                       Transport, mbps)
 from repro.sim import Environment
 from repro.storage import FileSystem
 
@@ -21,18 +20,16 @@ MB = 2 ** 20
 
 
 class World:
-    """Two sites plus a broker host."""
+    """Two sites joined by a WAN core."""
 
     def __init__(self, seed=1, wan=mbps(155), latency=0.015):
         self.env = Environment(seed=seed)
         self.topo = Topology()
         self.server_host = Host(self.topo, "srv", site="lbnl")
         self.client_host = Host(self.topo, "cli", site="anl")
-        self.broker_host = Host(self.topo, "broker", site="sdsc")
-        for h, r in ((self.server_host, "r1"), (self.client_host, "r2"),
-                     (self.broker_host, "r3")):
+        for h, r in ((self.server_host, "r1"), (self.client_host, "r2")):
             h.uplink(r)
-        for r in ("r1", "r2", "r3"):
+        for r in ("r1", "r2"):
             self.topo.duplex_link(r, "core", wan, latency, name=f"wan-{r}")
         self.net = FluidNetwork(self.env, self.topo)
         self.ns = NameService(self.env)
@@ -146,105 +143,13 @@ def test_dods_no_restart_on_outage():
                                        "big.nc", w.client_fs)
         return w.env.now
 
-    w.run(main())
-
-
-# -- SRB ------------------------------------------------------------------------
-
-def srb_world():
-    w = World()
-    broker = SrbBroker(w.env, w.transport, w.broker_host,
-                       auto_replicate_after=2)
-    return w, broker
-
-
-def test_srb_mediated_read():
-    w, broker = srb_world()
-    w.server_fs.create("obj1", 5 * MB)
-    broker.register("obj1", w.server_host, w.server_fs,
-                    attributes={"model": "NCAR_CSM"})
-
-    def main():
-        return (yield from broker.sget(w.client_host, w.client_fs,
-                                       "obj1"))
-
-    nbytes, secs = w.run(main())
-    assert nbytes == 5 * MB
-    assert w.client_fs.exists("obj1")
-
-
-def test_srb_register_requires_presence():
-    w, broker = srb_world()
-    with pytest.raises(SrbError):
-        broker.register("ghost", w.server_host, w.server_fs)
-
-
-def test_srb_unknown_object():
-    w, broker = srb_world()
-
-    def main():
-        with pytest.raises(SrbError, match="no such object"):
-            yield from broker.sget(w.client_host, w.client_fs, "nope")
-
-    w.run(main())
-
-
-def test_srb_mcat_attribute_query():
-    w, broker = srb_world()
-    w.server_fs.create("a", MB)
-    w.server_fs.create("b", MB)
-    broker.register("a", w.server_host, w.server_fs,
-                    attributes={"model": "PCM"})
-    broker.register("b", w.server_host, w.server_fs,
-                    attributes={"model": "NCAR_CSM"})
-
-    def main():
-        return (yield from broker.query_mcat(model="PCM"))
-
-    assert w.run(main()) == ["a"]
-
-
-def test_srb_automatic_replication():
-    """The broker, not the user, replicates after repeated reads."""
-    w, broker = srb_world()
-    w.server_fs.create("hot", 2 * MB)
-    broker.register("hot", w.server_host, w.server_fs)
-    client_resource = FileSystem(w.env, "anl-resource")
-
-    def main():
-        for _ in range(2):
-            yield from broker.sget(w.client_host, w.client_fs, "hot",
-                                   client_resource=client_resource)
-
-    w.run(main())
-    assert broker.replications == 1
-    assert client_resource.exists("hot")
-    assert broker.replica_count("hot") == 2
-
-
-def test_srb_two_hop_slower_than_direct():
-    """Broker mediation costs an extra WAN traversal."""
-    w, broker = srb_world()
-    w.server_fs.create("obj", 50 * MB)
-    broker.register("obj", w.server_host, w.server_fs)
-
-    def via_broker():
-        return (yield from broker.sget(w.client_host, w.client_fs, "obj"))
-
-    _, broker_secs = w.run(via_broker())
-    # Direct single-stream path for comparison.
-    from repro.net import TcpParams
-
-    def direct():
-        conn = yield from w.transport.connect("srv", "cli",
-                                              TcpParams(
-                                                  buffer_bytes=4 * MB))
-        t0 = w.env.now
-        yield from conn.send(50 * MB)
-        return w.env.now - t0
-
-    direct_secs = w.run(direct())
-    assert broker_secs > 1.5 * direct_secs
+    aborted_at = w.run(main())
+    # The stall watchdog fires within one poll after stall_timeout of
+    # zero progress past the outage.
+    params = TcpParams()
+    timeout = params.stall_timeout
+    assert 3.0 + timeout < aborted_at <= (3.0 + timeout
+                                          + params.poll_interval(timeout))
 
 
 # -- gateway -----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.gridftp import (
     GridFtpError,
     GridFtpServer,
     ReliabilityPolicy,
-    RestartLog,
     StripedServer,
 )
 from repro.hosts import CpuModel, DiskArray, DiskSpec, Host, HostSpec
@@ -247,12 +246,12 @@ def test_restart_resumes_not_resends():
         return stats
 
     stats = grid.run_process(main())
-    # Total wire bytes equal the file size (restart markers, no resend).
+    # Total wire bytes equal the file size (only undelivered tails resent).
     agg = aggregate_series(stats.series)
     assert agg.total_bytes == pytest.approx(size, rel=0.01)
 
 
-# -- reliability policy / restart log ----------------------------------------------
+# -- reliability policy ------------------------------------------------------
 
 def test_reliability_policy_fires_after_consecutive_lows():
     policy = ReliabilityPolicy(min_rate=mbps(10), grace_period=10.0,
@@ -278,15 +277,6 @@ def test_reliability_policy_validation():
         ReliabilityPolicy(min_rate=0)
     with pytest.raises(ValueError):
         ReliabilityPolicy(min_rate=1, consecutive_samples=0)
-
-
-def test_restart_log():
-    log = RestartLog("f.nc")
-    assert log.resume_offset() == 0.0
-    log.mark(10.0, 5 * MB, "stall")
-    log.mark(30.0, 12 * MB, "link down")
-    assert log.restarts == 2
-    assert log.resume_offset() == 12 * MB
 
 
 def test_put_survives_wan_outage():

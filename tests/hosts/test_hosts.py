@@ -192,7 +192,7 @@ def test_two_flows_share_host_disk():
 
 def test_cpu_utilization_reporting():
     env, topo, net, a, b = two_hosts()
-    assert a.cpu_utilization(0) == 0.0
+    assert a.spec.cpu.utilization(0) == 0.0
     cap = a.spec.cpu.throughput_cap
-    assert a.cpu_utilization(cap) == pytest.approx(1.0)
-    assert 0.4 < a.cpu_utilization(cap / 2) < 0.6
+    assert a.spec.cpu.utilization(cap) == pytest.approx(1.0)
+    assert 0.4 < a.spec.cpu.utilization(cap / 2) < 0.6

@@ -67,9 +67,8 @@ def test_monitoring_and_logging_during_demo(esg):
     assert ticket.complete and not ticket.failed_files
     rendering = monitor.render()
     assert all(n in rendering for n in names)
-    # NetLogger has a ULM line per completed transfer.
-    ulm = tb.logger.dump_ulm()
-    assert "NL.EVNT=rm.transfer.done" in ulm
+    # NetLogger has a record per completed transfer.
+    assert tb.logger.select(event="rm.transfer.done")
 
 
 def test_second_fetch_benefits_from_warm_forecasts(esg):

@@ -1,9 +1,8 @@
-"""Tests for cross-traffic generation and link-load modulation."""
+"""Tests for link-load modulation (cross traffic as residual capacity)."""
 
 import pytest
 
 from repro.net import (
-    BackgroundTraffic,
     FluidNetwork,
     LinkLoadModulator,
     Topology,
@@ -17,45 +16,6 @@ def fixture(capacity=mbps(100)):
     topo = Topology()
     topo.duplex_link("A", "B", capacity, 0.005)
     return env, topo, FluidNetwork(env, topo)
-
-
-def test_background_traffic_offered_load():
-    env, topo, net = fixture()
-    bg = BackgroundTraffic(env, net, "A", "B", arrival_rate=2.0,
-                           mean_bytes=mbps(10), flow_cap=mbps(50),
-                           rng=env.rng.stream("bg"))
-    assert bg.offered_load == pytest.approx(mbps(20))
-    bg.start()
-    bg.start()  # idempotent
-    env.run(until=120.0)
-    assert bg.flows_started > 100
-    # Empirical offered load within 50% of nominal over 2 minutes.
-    empirical = bg.bytes_offered / 120.0
-    assert empirical == pytest.approx(bg.offered_load, rel=0.5)
-
-
-def test_background_traffic_contends_with_foreground():
-    env, topo, net = fixture()
-    bg = BackgroundTraffic(env, net, "A", "B", arrival_rate=5.0,
-                           mean_bytes=mbps(100) * 2, flow_cap=mbps(100),
-                           rng=env.rng.stream("bg"))
-    bg.start()
-    env.run(until=30.0)  # let background build up
-    fg = net.transfer("A", "B", mbps(100) * 30)
-    net.reallocate()
-    # Foreground gets far less than the full link.
-    assert fg.rate < mbps(60)
-    fg.abort()
-    fg.done.defuse()
-    env.run(until=35.0)
-
-
-def test_background_traffic_validation():
-    env, topo, net = fixture()
-    with pytest.raises(ValueError):
-        BackgroundTraffic(env, net, "A", "B", arrival_rate=0,
-                          mean_bytes=1, flow_cap=1,
-                          rng=env.rng.stream("x"))
 
 
 def test_modulator_varies_capacity_around_mean():

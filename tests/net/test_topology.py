@@ -84,28 +84,6 @@ def test_bottleneck_capacity():
     assert t.bottleneck_capacity("A", "A") == float("inf")
 
 
-def test_static_route_overrides_dijkstra():
-    t = Topology()
-    fast1 = t.add_link("A", "C", mbps(10), 0.010, name="f1")
-    fast2 = t.add_link("C", "B", mbps(10), 0.010, name="f2")
-    slow = t.add_link("A", "B", mbps(10), 0.100, name="slow")
-    assert [l.name for l in t.path("A", "B")] == ["f1", "f2"]
-    t.set_static_route("A", "B", [slow])
-    assert [l.name for l in t.path("A", "B")] == ["slow"]
-
-
-def test_static_route_validation():
-    t = Topology()
-    l1 = t.add_link("A", "B", mbps(10), 0.01)
-    l2 = t.add_link("C", "D", mbps(10), 0.01)
-    with pytest.raises(ValueError):
-        t.set_static_route("A", "D", [l1, l2])  # discontinuous
-    with pytest.raises(ValueError):
-        t.set_static_route("A", "D", [])
-    with pytest.raises(ValueError):
-        t.set_static_route("B", "A", [l1])  # wrong endpoints
-
-
 def test_link_down_and_restore():
     t = star()
     link = next(iter(t.links.values()))
@@ -128,20 +106,3 @@ def test_routing_ignores_capacity_changes():
     direct.set_down()
     # The IP layer does not reroute at this timescale.
     assert [l.name for l in t.path("A", "B")] == ["direct"]
-
-
-def test_to_networkx_export():
-    import networkx as nx
-    t = star()
-    g = t.to_networkx()
-    assert isinstance(g, nx.MultiDiGraph)
-    assert set(g.nodes) == {"A", "B", "C", "hub"}
-    assert g.number_of_edges() == 6  # 3 duplex pairs
-    # Edge attributes round-trip.
-    data = g.get_edge_data("A", "hub")
-    (key, attrs), = data.items()
-    assert attrs["capacity"] == mbps(100)
-    assert attrs["latency"] == 0.005
-    # Graph algorithms agree with our Dijkstra on hop structure.
-    path = nx.shortest_path(g, "A", "B", weight="latency")
-    assert path == ["A", "hub", "B"]

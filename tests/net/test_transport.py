@@ -83,14 +83,23 @@ def test_handshake_cost_added():
     assert p.value == pytest.approx(1.03)
 
 
-def test_send_delivers_all_bytes():
+def start_flow(net, conn, nbytes):
+    """A bulk flow on ``conn``, its window driven by the connection's TCP."""
+    flow = net.transfer(conn.src, conn.dst, nbytes,
+                        cap=conn.stream.window_cap)
+    conn.stream.drive(flow)
+    return flow
+
+
+def test_watch_delivers_all_bytes():
     env, topo, net, ns, tr = fixture()
     size = mbps(100) * 5
 
     def main(env):
         conn = yield from tr.connect(
             "A", "B", TcpParams(buffer_bytes=2 * 2**20))
-        flow = yield from conn.send(size)
+        flow = start_flow(net, conn, size)
+        yield from conn.watch(flow)
         return flow.transferred
 
     p = env.process(main(env))
@@ -98,14 +107,12 @@ def test_send_delivers_all_bytes():
     assert p.value == pytest.approx(size)
 
 
-def test_send_on_closed_connection_rejected():
+def test_request_on_closed_connection_rejected():
     env, topo, net, ns, tr = fixture()
 
     def main(env):
         conn = yield from tr.connect("A", "B")
         conn.close()
-        with pytest.raises(RuntimeError):
-            yield from conn.send(1000)
         with pytest.raises(RuntimeError):
             yield from conn.request()
 
@@ -140,8 +147,9 @@ def test_stall_watchdog_aborts_dead_transfer():
     def main(env):
         conn = yield from tr.connect(
             "A", "B", TcpParams(buffer_bytes=2**20, stall_timeout=10.0))
+        flow = start_flow(net, conn, mbps(100) * 60)
         with pytest.raises(FlowError, match="stalled"):
-            yield from conn.send(mbps(100) * 60)
+            yield from conn.watch(flow)
         return env.now
 
     env.process(outage(env))

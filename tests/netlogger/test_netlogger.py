@@ -33,26 +33,6 @@ def test_event_recording_and_filtering():
     assert ends[0].fields["bytes"] == "100"
 
 
-def test_ulm_format():
-    env = Environment()
-    log = NetLogger(env, host="h", prog="p")
-    log.event("x.y", value=7)
-    line = log.dump_ulm()
-    assert "HOST=h" in line
-    assert "PROG=p" in line
-    assert "NL.EVNT=x.y" in line
-    assert "VALUE=7" in line
-    assert line.startswith("DATE=")
-
-
-def test_ulm_dump_is_line_per_record():
-    env = Environment()
-    log = NetLogger(env)
-    for i in range(4):
-        log.event("e", i=i)
-    assert len(log.dump_ulm().splitlines()) == 4
-
-
 def flat_series(rate, t0, t1):
     return RateSeries([t0], [rate], t1)
 

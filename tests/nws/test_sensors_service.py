@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.hosts import Host
 from repro.mds import MdsService
 from repro.net import FluidNetwork, Topology, mbps
-from repro.nws import CpuSensor, NetworkSensor, NetworkWeatherService
+from repro.nws import NetworkSensor, NetworkWeatherService
 from repro.sim import Environment
 
 
@@ -135,83 +134,10 @@ def test_nws_publishes_into_mds():
     def main():
         result = yield from mds.nws_forecast("A", "B")
         missing = yield from mds.nws_forecast("A", "Z")
-        listing = yield from mds.all_forecasts()
-        return result, missing, listing
+        return result, missing
 
     p = env.process(main())
     env.run(until=p)
-    (bw, lat), missing, listing = p.value
+    (bw, lat), missing = p.value
     assert bw == pytest.approx(mbps(100), rel=0.1)
     assert missing is None
-    assert len(listing) == 1
-    assert listing[0][0] == "A"
-
-
-def test_mds_host_info():
-    env = Environment()
-    mds = MdsService(env)
-    mds.publish_host("jupiter.isi.edu", {"cpuavail": "0.85", "os": "linux"})
-    mds.publish_host("jupiter.isi.edu", {"cpuavail": "0.42", "os": "linux"})
-
-    def main():
-        info = yield from mds.host_info("jupiter.isi.edu")
-        nothing = yield from mds.host_info("ghost")
-        return info, nothing
-
-    p = env.process(main())
-    env.run()
-    info, nothing = p.value
-    assert info["cpuavail"] == "0.42"  # latest wins
-    assert nothing is None
-
-
-def test_cpu_sensor_reads_io_load():
-    env = Environment()
-    topo = Topology()
-    host = Host(topo, "w1")
-    other = Host(topo, "w2")
-    host.uplink("r")
-    other.uplink("r")
-    net = FluidNetwork(env, topo)
-    sensor = CpuSensor(env, host)
-    assert sensor.read_once() == pytest.approx(1.0)
-    # Saturate the host's CPU link.
-    net.transfer(host.app_node, other.app_node, 1e12)
-    net.reallocate()
-    assert sensor.read_once() < 0.2
-    with pytest.raises(ValueError):
-        CpuSensor(env, host, period=0)
-
-
-def test_cpu_forecasting_via_service_and_mds():
-    """§5: NWS forecasts available CPU; the RM reads it from MDS."""
-    env = Environment(seed=8)
-    topo = Topology()
-    host = Host(topo, "w1")
-    other = Host(topo, "w2")
-    host.uplink("r")
-    other.uplink("r")
-    net = FluidNetwork(env, topo)
-    mds = MdsService(env)
-    nws = NetworkWeatherService(env, net, mds=mds,
-                                rng=env.rng.stream("nws"))
-    nws.monitor_host(host, period=10.0)
-    nws.monitor_host(host, period=10.0)  # idempotent
-    env.run(until=35.0)
-    idle = nws.forecast_cpu("w1")
-    assert idle is not None and idle > 0.9
-    # Load the host, keep measuring: the forecast drops.
-    net.transfer(host.app_node, other.app_node, 1e12)
-    net.reallocate()
-    env.run(until=200.0)
-    busy = nws.forecast_cpu("w1")
-    assert busy < idle - 0.3
-
-    def read_mds():
-        info = yield from mds.host_info("w1")
-        return info
-
-    p = env.process(read_mds())
-    env.run(until=p)
-    assert float(p.value["cpuavail"]) == pytest.approx(busy, abs=0.1)
-    assert nws.forecast_cpu("ghost") is None

@@ -56,7 +56,7 @@ def small_chaos_run(seed: int):
 
 
 def ulm_sequence(tb) -> list:
-    return [r.to_ulm() for r in tb.logger.records]
+    return list(tb.logger.records)
 
 
 def test_same_seed_identical_ulm_lifelines():
