@@ -30,12 +30,20 @@ from repro.net.fluid import FlowError
 from repro.net.recorder import RateRecorder
 from repro.net.tcp import TcpParams, bdp_buffer_size
 from repro.net.transport import Connection, ConnectionRefused, Transport
-from repro.obs import Observability
+from repro.obs import Counter, Family, Histogram, Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileSystem
 
 _MIN_BLOCK = 256 * 1024.0
+
+# Per-transfer and per-connect metric families (obs.children).
+_TRANSFERS = Family(Counter, "gridftp.transfers_total", "op", "host")
+_BYTES = Family(Counter, "gridftp.bytes_total", "op")
+_TRANSFER_SECONDS = Family(Histogram, "gridftp.transfer_seconds", "op")
+_TTFB = Family(Histogram, "gridftp.ttfb_seconds", "op")
+_CUTTHROUGH_TTFB = Family(Histogram, "hrm.cutthrough_ttfb_seconds")
+_CONNECTS = Family(Counter, "gridftp.connects_total", "host", "outcome")
 _BLOCKS_PER_CHANNEL = 4
 
 
@@ -222,18 +230,16 @@ class ClientSession:
     def _record_transfer(self, op: str, stats: TransferStats,
                          handle: TransferHandle) -> None:
         """Per-transfer metrics."""
-        obs = self.client.obs
-        host = self.server.hostname
-        obs.count("gridftp.transfers_total", op=op, host=host)
-        obs.count("gridftp.bytes_total", stats.transferred_bytes, op=op)
-        obs.observe("gridftp.transfer_seconds",
-                    stats.finished_at - stats.started_at, op=op)
+        children = self.client.obs.children
+        children[_TRANSFERS, op, self.server.hostname].inc()
+        children[_BYTES, op].inc(stats.transferred_bytes)
+        children[_TRANSFER_SECONDS, op].observe(
+            stats.finished_at - stats.started_at)
         if handle.first_byte_at is not None:
-            obs.observe("gridftp.ttfb_seconds",
-                        handle.first_byte_at - stats.started_at, op=op)
+            ttfb = handle.first_byte_at - stats.started_at
+            children[_TTFB, op].observe(ttfb)
             if handle.cutthrough:
-                obs.observe("hrm.cutthrough_ttfb_seconds",
-                            handle.first_byte_at - stats.started_at)
+                children[_CUTTHROUGH_TTFB].observe(ttfb)
 
     def _channel_worker(self, conn: Connection,
                         queue: List[Tuple[float, float]],
@@ -452,21 +458,18 @@ class GridFtpClient:
         """Simulation process: open an authenticated control session."""
         server = self.registry.get(hostname)
         if server is None:
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome="unknown")
+            self.obs.children[_CONNECTS, hostname, "unknown"].inc()
             raise GridFtpError(FtpReply(CANT_OPEN_DATA,
                                         f"unknown server {hostname!r}"))
         if not server.up:
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome="down")
+            self.obs.children[_CONNECTS, hostname, "down"].inc()
             raise GridFtpError(FtpReply(
                 CANT_OPEN_DATA, f"server {hostname} refused connection "
                 "(down)"))
         if not server.try_accept():
             # At its connection limit the daemon rejects outright (421)
             # instead of queueing silently — visible backpressure.
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome="busy")
+            self.obs.children[_CONNECTS, hostname, "busy"].inc()
             raise GridFtpError(FtpReply(
                 SERVICE_UNAVAILABLE,
                 f"server {hostname} refused connection (busy: "
@@ -479,8 +482,7 @@ class GridFtpClient:
                           stall_poll=cfg.stall_poll))
         except ConnectionRefused as exc:
             server.release_connection()
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome="refused")
+            self.obs.children[_CONNECTS, hostname, "refused"].inc()
             raise GridFtpError(FtpReply(CANT_OPEN_DATA, str(exc))) from exc
         rtt = self.transport.network.topology.rtt(
             client_host.node, server.control_node)
@@ -490,11 +492,9 @@ class GridFtpClient:
         except AuthenticationError as exc:
             control.close()
             server.release_connection()
-            self.obs.count("gridftp.connects_total", host=hostname,
-                           outcome="auth")
+            self.obs.children[_CONNECTS, hostname, "auth"].inc()
             raise GridFtpError(FtpReply(530, str(exc))) from exc
-        self.obs.count("gridftp.connects_total", host=hostname,
-                       outcome="ok")
+        self.obs.children[_CONNECTS, hostname, "ok"].inc()
         return ClientSession(self, server, control, subjects)
 
     # -- data channel pool --------------------------------------------------------

@@ -22,10 +22,18 @@ from repro.gridftp.protocol import (
 )
 from repro.gsi.auth import AuthenticationError, GsiContext
 from repro.hosts.host import Host
-from repro.obs import Observability
+from repro.obs import Counter, Family, Gauge, Observability
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileObject, FileSystem
 from repro.storage.hrm import HierarchicalResourceManager, StagingError
+
+# Per-session and per-RETR metric families (obs.children).
+_REJECTS = Family(Counter, "gridftp.server_rejects_total", "host")
+_CONNECTIONS = Family(Gauge, "gridftp.server_connections", "host")
+_CHECKSUMS = Family(Counter, "gridftp.checksums_total", "host")
+_ERET_DECODED = Family(Counter, "gridftp.eret_decoded_bytes_total", "host")
+_SERVED = Family(Counter, "gridftp.served_total", "host")
+_SERVED_BYTES = Family(Counter, "gridftp.served_bytes_total", "host")
 
 # An ERET plugin: (file, args) -> (derived_size, derived_content|None)
 # or (derived_size, derived_content|None, bytes_decoded). The optional
@@ -146,21 +154,19 @@ class GridFtpServer:
         if (self.max_connections is not None
                 and self.active_connections >= self.max_connections):
             self.rejected_connections += 1
-            self.obs.count("gridftp.server_rejects_total",
-                           host=self.hostname)
+            self.obs.children[_REJECTS, self.hostname].inc()
             return False
         self.active_connections += 1
-        self.obs.gauge("gridftp.server_connections",
-                       self.active_connections, host=self.hostname)
+        self.obs.children[_CONNECTIONS, self.hostname].set(
+            self.active_connections)
         return True
 
     def release_connection(self) -> None:
         """Give back a control-session slot (idempotent at zero)."""
         if self.active_connections > 0:
             self.active_connections -= 1
-            self.obs.gauge("gridftp.server_connections",
-                           self.active_connections,
-                           host=self.hostname)
+            self.obs.children[_CONNECTIONS, self.hostname].set(
+                self.active_connections)
 
     # -- fault injection ---------------------------------------------------
     def register_handle(self, handle) -> None:
@@ -266,7 +272,7 @@ class GridFtpServer:
             file = self.fs.stat(path)
             yield self.env.timeout(file.size / self.checksum_rate)
         self.checksums_served += 1
-        self.obs.count("gridftp.checksums_total", host=self.hostname)
+        self.obs.children[_CHECKSUMS, self.hostname].inc()
         return file_digest(file)
 
     def integrity_marks(self, path: str) -> tuple:
@@ -405,8 +411,7 @@ class GridFtpServer:
         # not to file size — the whole point of the chunked layout.
         yield self.env.timeout(decoded / self.eret_rate)
         self.eret_decoded_bytes += decoded
-        self.obs.count("gridftp.eret_decoded_bytes_total", decoded,
-                       host=self.hostname)
+        self.obs.children[_ERET_DECODED, self.hostname].inc(decoded)
         if key is not None:
             self.derived_cache.put(key, size, content, file=path, op=eret)
         return size, content, action, {"decoded": decoded, "cache": False}
@@ -447,9 +452,9 @@ class GridFtpServer:
         stage pin this RETR took (no-op for non-MSS files)."""
         self.bytes_served += nbytes
         self.transfers_served += 1
-        self.obs.count("gridftp.served_total", host=self.hostname)
-        self.obs.count("gridftp.served_bytes_total", nbytes,
-                       host=self.hostname)
+        children = self.obs.children
+        children[_SERVED, self.hostname].inc()
+        children[_SERVED_BYTES, self.hostname].inc(nbytes)
         self._settle_retrieve(path, self._pop_action(path))
 
     def abandon_retrieve(self, path: str) -> None:

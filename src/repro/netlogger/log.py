@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.sim.core import Environment
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One ULM event."""
+class LogRecord(NamedTuple):
+    """One ULM event: an immutable ``(t, host, prog, event, fields)``
+    tuple. :meth:`NetLogger.event` is the one place records are built."""
 
     t: float
     host: str
     prog: str
     event: str
-    fields: Dict[str, str] = field(default_factory=dict)
+    fields: Dict[str, str]
+
+
+# Builds a record from one packed tuple, skipping the Python-level
+# ``__new__`` that NamedTuple generates for keyword construction.
+_new_record = tuple.__new__
 
 
 class NetLogger:
@@ -45,18 +49,24 @@ class NetLogger:
         self.capacity = capacity
         self.records = (deque(maxlen=capacity) if capacity is not None
                         else [])
-        self.dropped = 0        # records evicted by the ring buffer
         self.emitted = 0        # records ever appended
+
+    @property
+    def dropped(self) -> int:
+        """Records evicted by the ring buffer."""
+        return self.emitted - len(self.records)
 
     def event(self, name: str, host: Optional[str] = None,
               prog: Optional[str] = None, **fields) -> LogRecord:
-        """Append one event at the current simulated time."""
-        record = LogRecord(self.env.now, host or self.default_host,
-                           prog or self.default_prog, name,
-                           {k: str(v) for k, v in fields.items()})
-        if (self.capacity is not None
-                and len(self.records) == self.capacity):
-            self.dropped += 1
+        """Append one event at the current simulated time; field values
+        are stored as ``str``."""
+        # ``fields`` is this call's own packed dict: convert it in place.
+        for key, value in fields.items():
+            if value.__class__ is not str:
+                fields[key] = str(value)
+        record = _new_record(LogRecord, (
+            self.env.now, host or self.default_host,
+            prog or self.default_prog, name, fields))
         self.records.append(record)
         self.emitted += 1
         return record

@@ -10,8 +10,13 @@ import numpy as np
 from repro.nws.forecasters import AdaptiveForecaster
 from repro.nws.sensors import NetworkSensor, ProbeResult
 from repro.net.fluid import FluidNetwork
-from repro.obs import Observability
+from repro.obs import Counter, Family, Gauge, Observability
 from repro.sim.core import Environment
+
+# Per-probe metric families (obs.children).
+_MEASUREMENTS = Family(Counter, "nws.measurements_total", "src", "dst")
+_FORECAST_BW = Family(Gauge, "nws.forecast_bandwidth_bytes", "src", "dst")
+_FORECAST_LAT = Family(Gauge, "nws.forecast_latency_seconds", "src", "dst")
 
 
 @dataclass(frozen=True)
@@ -78,12 +83,11 @@ class NetworkWeatherService:
         self._last[key] = result
         self._counts[key] += 1
         forecast = self.forecast(*key)
-        self.obs.count("nws.measurements_total", src=key[0], dst=key[1])
+        children = self.obs.children
+        children[_MEASUREMENTS, key[0], key[1]].inc()
         if forecast is not None:
-            self.obs.gauge("nws.forecast_bandwidth_bytes",
-                           forecast.bandwidth, src=key[0], dst=key[1])
-            self.obs.gauge("nws.forecast_latency_seconds",
-                           forecast.latency, src=key[0], dst=key[1])
+            children[_FORECAST_BW, key[0], key[1]].set(forecast.bandwidth)
+            children[_FORECAST_LAT, key[0], key[1]].set(forecast.latency)
         if self.mds is not None:
             self.mds.publish_nws(key[0], key[1], forecast)
 

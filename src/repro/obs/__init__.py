@@ -15,30 +15,56 @@ optional reference to get all of them:
 
 Every instrumented component holds a bundle: one built without ``obs``
 defaults to ``Observability()``, the unwired bundle whose legs are all
-``None``. The emit helpers below are the only place that checks a leg,
-so an unwired component emits through the same calls as a wired one
-and each call is a no-op.
+``None``. Both kinds of bundle take the same calls:
+
+- ``obs.event(name, host=..., prog=..., **fields)`` is bound to the
+  logger's :meth:`~repro.netlogger.log.NetLogger.event` when a logger
+  is wired, so an event costs one call: the keyword fields are packed
+  once and the :class:`~repro.netlogger.log.LogRecord` tuple is built
+  in that one place. Unwired, it is a function that returns at once.
+- ``obs.children[family, *label values]`` is the metric child for one
+  label set, bound on first use and cached on the bundle (see
+  :class:`~repro.obs.metrics.Children`); a hot call site emits with
+  one dict lookup and one bound-method call, e.g.
+  ``obs.children[FILES, outcome].inc()``. Unwired, every child is the
+  shared no-op child.
+- ``count`` / ``gauge`` / ``observe`` take the metric name and keyword
+  labels and go through the registry on every call; cold paths use
+  them.
+
+Setting a leg (``obs.logger = None``) rebinds ``event`` and
+``children``, so clearing the legs of a shared bundle unwires every
+component holding it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.netlogger.log import NetLogger
 from repro.obs.metrics import (
+    Children,
     Counter,
     DEFAULT_BUCKETS,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
+    NoChildren,
 )
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.trace import Span, Tracer
 from repro.sim.core import Environment
 
 
-@dataclass
+def _no_event(name: str, host: Optional[str] = None,
+              prog: Optional[str] = None, **fields) -> None:
+    """``event`` of a bundle without a logger."""
+
+
+_NO_CHILDREN = NoChildren()
+
+
 class Observability:
     """The bundle instrumented components carry.
 
@@ -47,12 +73,35 @@ class Observability:
     tier (``repro.obs.timeseries`` / ``critical_path`` / ``slo``) reads
     this bundle; ``timeseries`` is attached by scenario helpers (e.g.
     ``EsgTestbed.start_timeseries``) when windowed recording is on.
+    ``event`` and ``children`` follow the ``logger`` and ``metrics``
+    legs; see the module docstring.
     """
 
-    logger: Optional[NetLogger] = None
-    metrics: Optional[MetricsRegistry] = None
-    tracer: Optional[Tracer] = None
-    timeseries: Optional[TimeSeriesRecorder] = None
+    __slots__ = ("logger", "metrics", "tracer", "timeseries",
+                 "event", "children")
+
+    def __init__(self, logger: Optional[NetLogger] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 tracer: Optional[Tracer] = None,
+                 timeseries: Optional[TimeSeriesRecorder] = None):
+        self.logger = logger
+        self.metrics = metrics
+        self.tracer = tracer
+        self.timeseries = timeseries
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "logger":
+            object.__setattr__(self, "event", value.event
+                               if value is not None else _no_event)
+        elif name == "metrics":
+            object.__setattr__(self, "children", Children(value)
+                               if value is not None else _NO_CHILDREN)
+
+    def __repr__(self) -> str:
+        return (f"Observability(logger={self.logger!r}, "
+                f"metrics={self.metrics!r}, tracer={self.tracer!r}, "
+                f"timeseries={self.timeseries!r})")
 
     @classmethod
     def create(cls, env: Environment, host: str = "localhost",
@@ -67,13 +116,7 @@ class Observability:
                    metrics=MetricsRegistry(env, logger=logger),
                    tracer=Tracer(logger))
 
-    # -- emit helpers (the only leg checks on the emit path) -----------
-    def event(self, name: str, host: Optional[str] = None,
-              prog: Optional[str] = None, **fields) -> None:
-        """Append a ULM event (no-op without a logger)."""
-        if self.logger is not None:
-            self.logger.event(name, host=host, prog=prog, **fields)
-
+    # -- keyword helpers (cold paths; the registry is looked up per call)
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
         """Increment a counter (no-op without metrics)."""
         if self.metrics is not None:
@@ -91,8 +134,10 @@ class Observability:
 
 
 __all__ = [
+    "Children",
     "Counter",
     "DEFAULT_BUCKETS",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

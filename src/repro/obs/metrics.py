@@ -12,10 +12,20 @@ Metrics are deliberately allocation-light: a metric is a dict from a
 sorted label tuple to a float (or bucket array), and the registry
 get-or-creates by name so instrumented components never hold more than
 an :class:`~repro.obs.Observability` reference.
+
+The hot emit path skips all of that per sample. A call site declares a
+:class:`Family` once (kind, name, label names); the bundle's
+:class:`Children` map binds a family plus its label values to a
+*child* on first use, Prometheus ``labels()``-style, and caches it.
+A child holds its metric and its admitted :data:`LabelKey` and writes
+the sample straight into the metric's dicts. The keyword methods
+(``Counter.inc(amount, **labels)`` and the like) bind a one-off child
+and write through it, so each kind has one write body.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.core import Environment
@@ -122,18 +132,25 @@ class Metric:
     def labelsets(self) -> List[LabelKey]:
         return list(self._samples)
 
-    def _admit(self, key: LabelKey) -> LabelKey:
-        """Apply the label-cardinality bound: returns ``key`` or the
-        shared overflow key when the budget is exhausted."""
-        if (self.max_labelsets is None or key in self._samples
-                or key == OVERFLOW_KEY):
-            return key
-        if len(self._samples) < self.max_labelsets:
-            return key
+    def _fits(self, key: LabelKey) -> bool:
+        """Whether ``key`` keeps its own series under the label budget."""
+        return (self.max_labelsets is None or key in self._samples
+                or key == OVERFLOW_KEY
+                or len(self._samples) < self.max_labelsets)
+
+    def _spill(self) -> None:
+        """Account one sample folded into the overflow series."""
         self.overflowed += 1
         if self._on_overflow is not None:
             self._on_overflow(self)
-        return OVERFLOW_KEY
+
+    def bind(self, key: LabelKey):
+        """A child for one label set: its own series while ``key`` fits
+        the label budget, else a spill child that folds every sample
+        into :data:`OVERFLOW_KEY` and counts it as overflowed."""
+        if self._fits(key):
+            return self.child(self, key)
+        return _Spill(self.child(self, OVERFLOW_KEY))
 
     def value(self, **labels) -> float:
         """The current value for one label set (0.0 if never touched)."""
@@ -143,9 +160,6 @@ class Metric:
     def total(self) -> float:
         """Sum across every label set."""
         return sum(self._samples.values())
-
-    def _touch(self, key: LabelKey) -> None:
-        self._updated[key] = self.env.now
 
     # -- export -----------------------------------------------------------
     def render(self) -> List[str]:
@@ -169,39 +183,125 @@ class Metric:
         }
 
 
+class _Child:
+    """One metric's series for one admitted label set."""
+
+    __slots__ = ("metric", "key", "samples", "updated", "env")
+
+    def __init__(self, metric: Metric, key: LabelKey):
+        self.metric = metric
+        self.key = key
+        self.samples = metric._samples
+        self.updated = metric._updated
+        self.env = metric.env
+
+
+class CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        key = self.key
+        samples = self.samples
+        samples[key] = samples.get(key, 0.0) + amount
+        self.updated[key] = self.env.now
+
+
+class GaugeChild(_Child):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        key = self.key
+        self.samples[key] = float(value)
+        self.updated[key] = self.env.now
+
+    def add(self, amount: float) -> None:
+        key = self.key
+        samples = self.samples
+        samples[key] = samples.get(key, 0.0) + amount
+        self.updated[key] = self.env.now
+
+
+class HistogramChild(_Child):
+    __slots__ = ("bounds", "counts", "row")
+
+    def __init__(self, metric: "Histogram", key: LabelKey):
+        super().__init__(metric, key)
+        self.bounds = metric.bounds
+        self.counts = metric._counts
+        self.row = metric._buckets.get(key)
+
+    def observe(self, value: float) -> None:
+        key = self.key
+        row = self.row
+        if row is None:
+            row = self.row = self.metric._new_row(key)
+        # bisect_left finds the first bound >= value (a value equal to
+        # a bound counts in that bound's bucket); NaN lands in overflow.
+        row[bisect_left(self.bounds, value) if value == value else -1] += 1
+        self.samples[key] += value
+        self.counts[key] += 1
+        self.updated[key] = self.env.now
+
+
+class _Spill:
+    """A child bound past the label budget: each sample is counted as
+    overflowed (``Metric.overflowed``, ``obs.labelsets_dropped_total``
+    and the one-time warning) before it lands in the overflow series."""
+
+    __slots__ = ("child",)
+
+    def __init__(self, child: _Child):
+        self.child = child
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self.child.metric._spill()
+        self.child.inc(amount)
+
+    def set(self, value: float) -> None:
+        self.child.metric._spill()
+        self.child.set(value)
+
+    def add(self, amount: float) -> None:
+        self.child.metric._spill()
+        self.child.add(amount)
+
+    def observe(self, value: float) -> None:
+        self.child.metric._spill()
+        self.child.observe(value)
+
+
 class Counter(Metric):
     """Monotonically increasing count (events, bytes, failures)."""
 
     kind = "counter"
+    child = CounterChild
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = self._admit(_label_key(labels))
-        self._samples[key] = self._samples.get(key, 0.0) + amount
-        self._touch(key)
+        self.bind(_label_key(labels)).inc(amount)
 
 
 class Gauge(Metric):
     """A value that can go up and down (queue depth, bytes in flight)."""
 
     kind = "gauge"
+    child = GaugeChild
 
     def set(self, value: float, **labels) -> None:
-        key = self._admit(_label_key(labels))
-        self._samples[key] = float(value)
-        self._touch(key)
+        self.bind(_label_key(labels)).set(value)
 
     def add(self, amount: float, **labels) -> None:
-        key = self._admit(_label_key(labels))
-        self._samples[key] = self._samples.get(key, 0.0) + amount
-        self._touch(key)
+        self.bind(_label_key(labels)).add(amount)
 
 
 class Histogram(Metric):
     """Cumulative-bucket histogram (latency, transfer-time breakdowns)."""
 
     kind = "histogram"
+    child = HistogramChild
 
     def __init__(self, env: Environment, name: str, help: str = "",
                  buckets: Iterable[float] = DEFAULT_BUCKETS):
@@ -214,23 +314,18 @@ class Histogram(Metric):
         self._buckets: Dict[LabelKey, List[int]] = {}
         self._counts: Dict[LabelKey, int] = {}
 
-    def observe(self, value: float, **labels) -> None:
-        key = self._admit(_label_key(labels))
+    def _new_row(self, key: LabelKey) -> List[int]:
+        """The bucket row for ``key``, created empty on first use."""
         row = self._buckets.get(key)
         if row is None:
             row = [0] * (len(self.bounds) + 1)
             self._buckets[key] = row
             self._counts[key] = 0
             self._samples[key] = 0.0
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                row[i] += 1
-                break
-        else:
-            row[-1] += 1
-        self._samples[key] += value          # running sum
-        self._counts[key] += 1
-        self._touch(key)
+        return row
+
+    def observe(self, value: float, **labels) -> None:
+        self.bind(_label_key(labels)).observe(value)
 
     def count(self, **labels) -> int:
         """Number of observations for one label set."""
@@ -388,3 +483,88 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._metrics)} metrics)"
+
+
+class Family:
+    """A metric family as one call site emits it: the metric class, its
+    name, and its label names in the order the site passes values.
+
+    Declared once per module; ``obs.children[family, *values]`` is the
+    child for those label values (``obs.children[family]`` when the
+    family has no labels). Label values should be strings, or values
+    whose ``str`` is determined by their equality: the child cache is
+    keyed by the values as passed.
+    """
+
+    __slots__ = ("cls", "name", "labels")
+
+    def __init__(self, cls, name: str, *labels: str):
+        self.cls = cls
+        self.name = name
+        self.labels = labels
+
+    def __repr__(self) -> str:
+        return f"Family({self.cls.kind}, {self.name!r}, {self.labels})"
+
+
+class Children(dict):
+    """The bound children of one registry, keyed by a :class:`Family`
+    or ``(family, *label values)``.
+
+    A miss binds the child on first use, creating the metric then as
+    the keyword path does (a kind clash raises ``TypeError``) and
+    applying the label budget at that moment. A child that keeps its own
+    series is cached; a spill child is not, so per-file label values
+    past the budget cannot grow the cache.
+    """
+
+    __slots__ = ("registry",)
+
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        if key.__class__ is tuple:
+            family, values = key[0], key[1:]
+        else:
+            family, values = key, ()
+        if len(values) != len(family.labels):
+            raise ValueError(f"{family!r} takes {len(family.labels)} "
+                             f"label values, got {len(values)}")
+        metric = self.registry._get(family.cls, family.name, "")
+        child = metric.bind(_label_key(dict(zip(family.labels, values))))
+        if child.__class__ is not _Spill:
+            self[key] = child
+        return child
+
+
+class _NoopChild:
+    """The child of every family on an unwired bundle."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def add(self, amount: float) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+NOOP_CHILD = _NoopChild()
+
+
+class NoChildren:
+    """The unwired bundle's children map: every key gives
+    :data:`NOOP_CHILD`, and nothing is stored."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key) -> _NoopChild:
+        return NOOP_CHILD

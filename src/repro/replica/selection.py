@@ -14,7 +14,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from repro.obs import Observability
+from repro.obs import Counter, Family, Gauge, Observability
 from repro.replica.catalog import LocationInfo
 
 
@@ -43,14 +43,20 @@ class SelectionPolicy(Protocol):
         ...  # pragma: no cover
 
 
+_RANKS = Family(Counter, "replica.ranks_total", "policy")
+_CANDIDATES = Family(Gauge, "replica.candidates", "policy")
+_STALE = Family(Counter, "replica.stale_candidates_total", "policy")
+
+
 def _record_rank(obs: Observability, policy: str,
                  candidates: List[ReplicaCandidate]) -> None:
     """Selection metrics shared by all policies."""
-    obs.count("replica.ranks_total", policy=policy)
-    obs.gauge("replica.candidates", len(candidates), policy=policy)
+    children = obs.children
+    children[_RANKS, policy].inc()
+    children[_CANDIDATES, policy].set(len(candidates))
     n_stale = sum(1 for c in candidates if c.stale)
     if n_stale:
-        obs.count("replica.stale_candidates_total", n_stale, policy=policy)
+        children[_STALE, policy].inc(n_stale)
 
 
 class NwsBestPolicy:

@@ -36,7 +36,7 @@ from repro.gridftp.restart import ReliabilityPolicy
 from repro.gridftp.server import GridFtpServer
 from repro.mds.service import MdsService
 from repro.nws.service import NetworkWeatherService
-from repro.obs import Observability
+from repro.obs import Counter, Family, Histogram, Observability
 from repro.replica.catalog import LocationInfo, ReplicaCatalog
 from repro.replica.selection import (
     NwsBestPolicy,
@@ -50,6 +50,22 @@ from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
 _TERMINAL = (FileState.DONE, FileState.FAILED, FileState.CANCELLED)
+
+# Metric families of the per-file path (obs.children); failure paths
+# use the keyword helpers.
+_TICKETS = Family(Counter, "rm.tickets_total")
+_FILES = Family(Counter, "rm.files_total", "outcome")
+_FILE_SECONDS = Family(Histogram, "rm.file_seconds", "outcome")
+_QUEUE_SECONDS = Family(Histogram, "rm.queue_seconds", "tenant")
+_TRANSFERS = Family(Counter, "rm.transfers_total", "host")
+_TRANSFER_BYTES = Family(Counter, "rm.transfer_bytes_total", "host")
+_TENANT_BYTES = Family(Counter, "rm.tenant_bytes_total", "tenant")
+_TRANSFER_SECONDS = Family(Histogram, "rm.transfer_seconds")
+_TTFB = Family(Histogram, "rm.ttfb_seconds")
+_TENANT_TTFB = Family(Histogram, "rm.tenant_ttfb_seconds", "tenant")
+_VERIFIES = Family(Counter, "rm.verifies_total", "outcome")
+_VERIFY_SECONDS = Family(Histogram, "rm.verify_seconds")
+_TENANT_VERIFY = Family(Histogram, "rm.tenant_verify_seconds", "tenant")
 
 
 class RequestManager:
@@ -135,7 +151,8 @@ class RequestManager:
         self.quarantined: Dict[Tuple[str, str, str], float] = {}
         # Lifecycle hooks: fn(stage, file_request, info_dict), called at
         # "attempt" / "delivered" / "verified" / "integrity_failed" /
-        # "failed". Used by the campaign engine's journal.
+        # "failed". Used by the campaign engine's journal; call sites
+        # test ``self.hooks`` first so no info dict is built without one.
         self.hooks: List = []
         # degraded-mode state: last known forecast per (src, dst) path,
         # and a rotation counter for round-robin over stale candidates.
@@ -200,7 +217,7 @@ class RequestManager:
                          if ticket_deadline is not None else None))
         if res is not None:
             ticket.breakers = res.board(obs=self.obs)
-        self.obs.count("rm.tickets_total")
+        self.obs.children[_TICKETS].inc()
         workers = [self.env.process(self._file_thread(ticket, fr))
                    for fr in files]
         self.env.process(self._completion_watcher(ticket, workers))
@@ -271,7 +288,7 @@ class RequestManager:
     def _say(self, ticket: RequestTicket, text: str) -> None:
         """One Figure 4 monitor line, as an ``rm.message`` record."""
         self.obs.event("rm.message", prog="request-manager",
-                       ticket=ticket.id, text=text)
+                       ticket=ticket.id_text, text=text)
 
     def _should_stop(self, ticket: RequestTicket, fr: FileRequest) -> bool:
         """Checkpoint between yields: True = stop, ``fr`` is finalized."""
@@ -299,7 +316,7 @@ class RequestManager:
         delay = self.resilience.retry.delay(attempt, rng=self._jitter_rng)
         self.obs.event("rm.retry", prog="request-manager",
                        file=fr.logical_file, round=attempt,
-                       ticket=ticket.id, backoff=f"{delay:.2f}")
+                       ticket=ticket.id_text, backoff=f"{delay:.2f}")
         self.obs.count("rm.retries_total")
         self._say(ticket, f"{fr.logical_file}: retry round {attempt + 1} "
                   f"in {delay:.1f}s")
@@ -316,17 +333,16 @@ class RequestManager:
         fr.started_at = self.env.now
         obs = self.obs
         obs.event("rm.request", prog="request-manager",
-                  ticket=ticket.id, file=fr.logical_file,
+                  ticket=ticket.id_text, file=fr.logical_file,
                   collection=fr.collection)
         try:
             yield from self._file_body(ticket, fr)
         finally:
             outcome = fr.state.value
-            obs.count("rm.files_total", outcome=outcome)
+            obs.children[_FILES, outcome].inc()
             if fr.finished_at is not None:
-                obs.observe("rm.file_seconds",
-                            fr.finished_at - fr.started_at,
-                            outcome=outcome)
+                obs.children[_FILE_SECONDS, outcome].observe(
+                    fr.finished_at - fr.started_at)
 
     def _file_body(self, ticket: RequestTicket, fr: FileRequest):
         env = self.env
@@ -406,7 +422,7 @@ class RequestManager:
                 candidates = fresh + quar
             if candidates:
                 self.obs.event("rm.select", prog="request-manager",
-                               ticket=ticket.id, file=fr.logical_file,
+                               ticket=ticket.id_text, file=fr.logical_file,
                                host=candidates[0].location.hostname,
                                candidates=len(candidates))
             self._say(ticket, f"selecting replica for {fr.logical_file}: "
@@ -582,12 +598,6 @@ class RequestManager:
                     FailureClass.TRANSFER)
         return grant, None, None
 
-    def _emit(self, event: str, ticket: RequestTicket, fr: FileRequest,
-              loc: LocationInfo, **fields) -> None:
-        """One ULM record about ``fr``'s attempt at ``loc``."""
-        self.obs.event(event, prog="request-manager", host=loc.hostname,
-                       ticket=ticket.id, file=fr.logical_file, **fields)
-
     def _attempt(self, fr: FileRequest, loc: LocationInfo,
                  ticket: RequestTicket):
         """One replica attempt; returns (ok, error_text, failure_class).
@@ -612,24 +622,31 @@ class RequestManager:
             fr.state = FileState.STAGING
             self._say(ticket, f"{fr.logical_file}: staging from MSS at "
                       f"{loc.hostname}")
-        self._emit("rm.attempt", ticket, fr, loc)
-        self._hook("attempt", fr, host=loc.hostname, location=loc.name)
+        self.obs.event("rm.attempt", prog="request-manager",
+                       host=loc.hostname, ticket=ticket.id_text,
+                       file=fr.logical_file)
+        if self.hooks:
+            self._hook("attempt", fr, host=loc.hostname, location=loc.name)
         if self.scheduler is not None:
             # Lifeline milestone: admission-queue wait starts here and
             # ends at rm.granted, so queue time is blamed on the
             # scheduler rather than folded into connect time.
-            self._emit("rm.queue", ticket, fr, loc)
+            self.obs.event("rm.queue", prog="request-manager",
+                           host=loc.hostname, ticket=ticket.id_text,
+                           file=fr.logical_file)
         grant, err, fclass = yield from self._acquire_slot(
             fr, loc, ticket, handle)
         if err is not None:
-            self._emit("rm.attempt.failed", ticket, fr, loc,
-                       error="admission")
+            self.obs.event("rm.attempt.failed", prog="request-manager",
+                           host=loc.hostname, ticket=ticket.id_text,
+                           file=fr.logical_file, error="admission")
             return False, err, fclass
         if grant is not None:
-            self._emit("rm.granted", ticket, fr, loc,
-                       waited=f"{grant.waited:.3f}")
-            self.obs.observe("rm.queue_seconds", grant.waited,
-                             tenant=self.tenant)
+            self.obs.event("rm.granted", prog="request-manager",
+                           host=loc.hostname, ticket=ticket.id_text,
+                           file=fr.logical_file, waited=f"{grant.waited:.3f}")
+            self.obs.children[_QUEUE_SECONDS, self.tenant].observe(
+                grant.waited)
         # Admitted: the grant's stream budget replaces the configured
         # maximum, so the server's parallel-stream budget is split
         # across admitted transfers instead of multiplied by them.
@@ -642,14 +659,15 @@ class RequestManager:
                 session = yield from self.client.connect(
                     self.dest_host, loc.hostname, cfg)
             except GridFtpError as exc:
-                self._emit("rm.attempt.failed", ticket, fr, loc,
-                           error="connect")
+                self.obs.event("rm.attempt.failed", prog="request-manager",
+                               host=loc.hostname, ticket=ticket.id_text,
+                               file=fr.logical_file, error="connect")
                 return (False, f"connect failed ({exc.reply.code})",
                         FailureClass.CONNECT)
             connected_at = env.now
             self.obs.event(
                 "gridftp.connect", prog="gridftp", host=loc.hostname,
-                file=fr.logical_file, ticket=ticket.id)
+                file=fr.logical_file, ticket=ticket.id_text)
             # Verify-on-open: the catalog entry may be stale (cached or
             # lagging-shard answer). Probe before committing streams;
             # a server that cannot produce the file fails the attempt as
@@ -657,8 +675,9 @@ class RequestManager:
             probe = getattr(server, "exists", None)
             if probe is not None and not probe(fr.logical_file):
                 session.close()
-                self._emit("rm.attempt.failed", ticket, fr, loc,
-                           error="stale")
+                self.obs.event("rm.attempt.failed", prog="request-manager",
+                               host=loc.hostname, ticket=ticket.id_text,
+                               file=fr.logical_file, error="stale")
                 return (False, f"{loc.hostname}: no such file "
                         "(stale catalog entry)", FailureClass.STALE)
             transfer = env.process(session.get(
@@ -702,8 +721,9 @@ class RequestManager:
             except GridFtpError as exc:
                 fr.bytes_done = handle.bytes_done()
                 session.close()
-                self._emit("rm.attempt.failed", ticket, fr, loc,
-                           error=exc.reply)
+                self.obs.event("rm.attempt.failed", prog="request-manager",
+                               host=loc.hostname, ticket=ticket.id_text,
+                               file=fr.logical_file, error=exc.reply)
                 return False, str(exc.reply), self._classify(exc)
             fr.bytes_done = stats.transferred_bytes
             fr.size = stats.transferred_bytes
@@ -715,38 +735,45 @@ class RequestManager:
                                  self.client.transport.network.topology.rtt(
                                      server.host.node,
                                      self.dest_host.node) / 2)
-            self.obs.count("rm.transfers_total", host=loc.hostname)
-            self.obs.count("rm.transfer_bytes_total",
-                           stats.transferred_bytes, host=loc.hostname)
-            self.obs.count("rm.tenant_bytes_total",
-                           stats.transferred_bytes, tenant=self.tenant)
-            self.obs.observe("rm.transfer_seconds", elapsed)
+            children = self.obs.children
+            children[_TRANSFERS, loc.hostname].inc()
+            children[_TRANSFER_BYTES, loc.hostname].inc(
+                stats.transferred_bytes)
+            children[_TENANT_BYTES, self.tenant].inc(
+                stats.transferred_bytes)
+            children[_TRANSFER_SECONDS].observe(elapsed)
             if handle.first_byte_at is not None:
                 ttfb = handle.first_byte_at - connected_at
-                self.obs.observe("rm.ttfb_seconds", ttfb)
-                self.obs.observe("rm.tenant_ttfb_seconds", ttfb,
-                                 tenant=self.tenant)
-            self._hook("delivered", fr, host=loc.hostname,
-                       location=loc.name, bytes=stats.transferred_bytes)
+                children[_TTFB].observe(ttfb)
+                children[_TENANT_TTFB, self.tenant].observe(ttfb)
+            if self.hooks:
+                self._hook("delivered", fr, host=loc.hostname,
+                           location=loc.name,
+                           bytes=stats.transferred_bytes)
             # Milestone: closes the stream stage, so checksum time is
             # blamed on verify rather than on the WAN.
-            self._emit("rm.verify", ticket, fr, loc)
+            self.obs.event("rm.verify", prog="request-manager",
+                           host=loc.hostname, ticket=ticket.id_text,
+                           file=fr.logical_file)
             ok, verr = yield from self._verify_arrival(ticket, fr, loc, cfg,
                                                        stats)
             if not ok:
                 # Quarantine + delete happened inside _verify_arrival;
                 # the grant release in the finally below stays the one
                 # and only release for this attempt.
-                self._emit("rm.attempt.failed", ticket, fr, loc,
-                           error="integrity")
+                self.obs.event("rm.attempt.failed", prog="request-manager",
+                               host=loc.hostname, ticket=ticket.id_text,
+                               file=fr.logical_file, error="integrity")
                 session.close()
                 return False, verr, FailureClass.INTEGRITY
             # Terminal event only once the delivered bytes passed (or
             # skipped) verification — an integrity-failed attempt must
             # not leave a "done" lifeline behind.
-            self._emit("rm.transfer.done", ticket, fr, loc,
-                       bytes=f"{stats.transferred_bytes:.0f}",
-                       seconds=f"{elapsed:.3f}")
+            self.obs.event("rm.transfer.done", prog="request-manager",
+                           host=loc.hostname, ticket=ticket.id_text,
+                           file=fr.logical_file,
+                           bytes=f"{stats.transferred_bytes:.0f}",
+                           seconds=f"{elapsed:.3f}")
             session.close()
             return True, "", None
         finally:
@@ -782,13 +809,14 @@ class RequestManager:
         actual = file_digest(delivered)
         if actual == expected:
             fr.verified = True
-            self.obs.count("rm.verifies_total", outcome="ok")
-            self.obs.observe("rm.verify_seconds", scan)
-            self.obs.observe("rm.tenant_verify_seconds", scan,
-                             tenant=self.tenant)
-            self._hook("verified", fr, host=loc.hostname,
-                       location=loc.name, seconds=scan,
-                       bytes=stats.transferred_bytes)
+            children = self.obs.children
+            children[_VERIFIES, "ok"].inc()
+            children[_VERIFY_SECONDS].observe(scan)
+            children[_TENANT_VERIFY, self.tenant].observe(scan)
+            if self.hooks:
+                self._hook("verified", fr, host=loc.hostname,
+                           location=loc.name, seconds=scan,
+                           bytes=stats.transferred_bytes)
             return True, ""
         fr.integrity_failures += 1
         fr.verified = False
@@ -798,13 +826,16 @@ class RequestManager:
             self.dest_fs.delete(fr.logical_file)
         self._say(ticket, f"{fr.logical_file}: digest mismatch from "
                   f"{loc.hostname} — replica quarantined")
-        self._emit("rm.integrity.mismatch", ticket, fr, loc,
-                   location=loc.name, expected=expected, actual=actual)
-        self.obs.count("rm.verifies_total", outcome="mismatch")
+        self.obs.event("rm.integrity.mismatch", prog="request-manager",
+                       host=loc.hostname, ticket=ticket.id_text,
+                       file=fr.logical_file, location=loc.name,
+                       expected=expected, actual=actual)
+        self.obs.children[_VERIFIES, "mismatch"].inc()
         self.obs.count("rm.integrity_failures_total",
                        host=loc.hostname)
-        self._hook("integrity_failed", fr, host=loc.hostname,
-                   location=loc.name)
+        if self.hooks:
+            self._hook("integrity_failed", fr, host=loc.hostname,
+                       location=loc.name)
         return False, f"digest mismatch from {loc.hostname}"
 
     def _cancel(self, ticket: RequestTicket, fr: FileRequest) -> None:
@@ -814,7 +845,7 @@ class RequestManager:
         fr.finished_at = self.env.now
         self._say(ticket, f"{fr.logical_file}: cancelled")
         self.obs.event("rm.cancelled", prog="request-manager",
-                       ticket=ticket.id, file=fr.logical_file)
+                       ticket=ticket.id_text, file=fr.logical_file)
 
     def _fail(self, ticket: RequestTicket, fr: FileRequest, reason: str,
               failure_class: Optional[FailureClass] = None) -> None:
@@ -828,10 +859,10 @@ class RequestManager:
         self._say(ticket, f"{fr.logical_file}: FAILED [{label}] ({reason})")
         self.obs.event("rm.failure", prog="request-manager",
                        file=fr.logical_file, cls=label,
-                       ticket=ticket.id, reason=reason)
+                       ticket=ticket.id_text, reason=reason)
         self.obs.count("rm.failures_total", cls=label)
-        self._hook("failed", fr, reason=reason,
-                   cls=label)
+        if self.hooks:
+            self._hook("failed", fr, reason=reason, cls=label)
 
 
 def mbps_str(bandwidth: float) -> str:

@@ -53,7 +53,7 @@ class TransferMonitor:
         logger = self.manager.obs.logger
         if logger is None:
             return []
-        tid = str(self.ticket.id)
+        tid = self.ticket.id_text
         out = [r for r in logger if r.fields.get("ticket") == tid]
         return out[-limit:]
 
@@ -103,7 +103,7 @@ class TransferMonitor:
         done = self.ticket.bytes_done
         self.snapshots.append((self.env.now, done))
         self.obs.gauge("monitor.sample", done,
-                       ticket=str(self.ticket.id))
+                       ticket=self.ticket.id_text)
 
     def aggregate_rate_series(self) -> List[Tuple[float, float]]:
         """(t, bytes/s) estimated from consecutive snapshots."""

@@ -71,6 +71,9 @@ class RequestTicket:
     def __init__(self, env: Environment, files: List[FileRequest],
                  deadline_at: Optional[float] = None):
         self.id = env.next_id("ticket")
+        # The id as every ULM record about this ticket carries it: one
+        # str shared by all of them.
+        self.id_text = str(self.id)
         self.env = env
         self.files = files
         self.done: Event = Event(env)

@@ -44,9 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs import Observability
+from repro.obs import Counter, Family, Gauge, Histogram, Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
+
+# Per-request metric families (obs.children).
+_REJECTED = Family(Counter, "rm.sched.rejected_total", "server")
+_ENQUEUED = Family(Counter, "rm.sched.enqueued_total", "server")
+_TICKET_BYTES = Family(Counter, "rm.sched.ticket_bytes_total", "ticket")
+_WAIT_SECONDS = Family(Histogram, "rm.sched.wait_seconds", "server")
+_GRANTED = Family(Counter, "rm.sched.granted_total", "server")
+_WITHDRAWN = Family(Counter, "rm.sched.withdrawn_total", "server")
+_QUEUE_DEPTH = Family(Gauge, "rm.sched.queue_depth", "server")
+_ACTIVE = Family(Gauge, "rm.sched.active", "server")
 
 
 class QueueFull(Exception):
@@ -285,7 +295,7 @@ class TransferScheduler:
             ss = self._servers[server] = _ServerState(server)
         if ss.waiting >= self.config.max_queue_depth:
             self.rejected += 1
-            self.obs.count("rm.sched.rejected_total", server=server)
+            self.obs.children[_REJECTED, server].inc()
             self._audit("reject", ss, flow, -1)
             raise QueueFull(server, ss.waiting)
         self._seq += 1
@@ -298,7 +308,7 @@ class TransferScheduler:
             ss.order.append(flow)
         fl.slots.append(slot)
         self.admitted += 1
-        self.obs.count("rm.sched.enqueued_total", server=server)
+        self.obs.children[_ENQUEUED, server].inc()
         self._gauges(ss)
         self._audit("enqueue", ss, flow, slot.seq)
         self._dispatch(ss)
@@ -325,8 +335,7 @@ class TransferScheduler:
             self.ticket_bytes.get(grant.flow, 0.0) + moved
         self.total_bytes += moved
         if moved > 0:
-            self.obs.count("rm.sched.ticket_bytes_total", moved,
-                           ticket=grant.flow)
+            self.obs.children[_TICKET_BYTES, grant.flow].inc(moved)
         self._gauges(ss)
         self._audit("release", ss, grant.flow, grant.seq)
         # The freed capacity may unblock this server — and, when link
@@ -451,9 +460,9 @@ class TransferScheduler:
             streams = max(1, min(streams, budget // ss.active))
         grant = TransferGrant(slot, streams, self.env.now)
         self.granted += 1
-        self.obs.observe("rm.sched.wait_seconds", grant.waited,
-                         server=ss.name)
-        self.obs.count("rm.sched.granted_total", server=ss.name)
+        children = self.obs.children
+        children[_WAIT_SECONDS, ss.name].observe(grant.waited)
+        children[_GRANTED, ss.name].inc()
         self._gauges(ss)
         self._audit("grant", ss, slot.flow, slot.seq)
         slot.event.succeed(grant)
@@ -467,7 +476,7 @@ class TransferScheduler:
         if not fl.slots:
             self._drop_flow(ss, slot.flow)
         self.withdrawn += 1
-        self.obs.count("rm.sched.withdrawn_total", server=ss.name)
+        self.obs.children[_WITHDRAWN, ss.name].inc()
         self._gauges(ss)
         self._audit("withdraw", ss, slot.flow, slot.seq)
         # The head it may have been blocking changes nothing capacity-
@@ -488,9 +497,9 @@ class TransferScheduler:
 
     # -- instrumentation --------------------------------------------------
     def _gauges(self, ss: _ServerState) -> None:
-        self.obs.gauge("rm.sched.queue_depth", ss.waiting,
-                       server=ss.name)
-        self.obs.gauge("rm.sched.active", ss.active, server=ss.name)
+        children = self.obs.children
+        children[_QUEUE_DEPTH, ss.name].set(ss.waiting)
+        children[_ACTIVE, ss.name].set(ss.active)
 
     def _audit(self, op: str, ss: _ServerState, flow: str,
                seq: int) -> None:
