@@ -28,7 +28,7 @@ from repro.gridftp.server import GridFtpServer
 from repro.gsi.auth import AuthenticationError
 from repro.net.fluid import FlowError
 from repro.net.recorder import RateRecorder
-from repro.net.tcp import TcpParams, bdp_buffer_size
+from repro.net.tcp import bdp_buffer_size
 from repro.net.transport import Connection, ConnectionRefused, Transport
 from repro.obs import Counter, Family, Histogram, Observability
 from repro.sim.core import Environment
@@ -49,6 +49,10 @@ _BLOCKS_PER_CHANNEL = 4
 
 class TransferHandle:
     """Live view of an in-progress transfer (what the RM monitor polls)."""
+
+    __slots__ = ("env", "path", "total", "done", "_completed", "_active_flows",
+                 "aborted", "abort_reason", "abort_event", "first_byte_at",
+                 "cutthrough", "taints")
 
     def __init__(self, env: Environment, path: str, total: float):
         self.env = env
@@ -109,6 +113,9 @@ class TransferHandle:
 
 class ClientSession:
     """An authenticated control connection to one GridFTP server."""
+
+    __slots__ = ("client", "server", "control", "subjects", "env",
+                 "commands_sent", "_closed")
 
     def __init__(self, client: "GridFtpClient", server: GridFtpServer,
                  control: Connection, subjects: Tuple[str, str]):
@@ -307,6 +314,19 @@ class ClientSession:
                 return moved
         return moved
 
+    def _start_workers(self, channels: List[Connection],
+                       queue: List[Tuple[float, float]],
+                       failed: List[Tuple[float, float]],
+                       series_out: Optional[list],
+                       handle: TransferHandle, path: str,
+                       rate_cap: Optional[float]) -> List:
+        """One :meth:`_channel_worker` process per channel. (A method of
+        its own, so the comprehension puts no closure cells in the
+        block pump's long-lived frame.)"""
+        return [self.env.process(self._channel_worker(
+            conn, queue, failed, series_out, handle, path,
+            rate_cap=rate_cap)) for conn in channels]
+
     def put(self, path: str, source_fs: FileSystem, source_host,
             dest_name: Optional[str] = None,
             record: bool = False,
@@ -386,21 +406,19 @@ class ClientSession:
                 continue
             stats.channel_reused = stats.channel_reused or any(
                 c.transfers > 0 for c in channels)
-            queue = list(blocks)
             failed: List[Tuple[float, float]] = []
             per_channel = (rate_cap / len(channels)
                            if rate_cap is not None else None)
-            workers = [env.process(self._channel_worker(
-                conn, queue, failed, stats.series if record else None,
-                handle, path, rate_cap=per_channel))
-                for conn in channels]
-            results = yield env.all_of(workers)
+            # The workers pop from ``blocks`` itself.
+            results = yield env.all_of(self._start_workers(
+                channels, blocks, failed, stats.series if record else None,
+                handle, path, per_channel))
             moved = sum(results.values())
             completed += moved
             stats.transferred_bytes += moved
             # Unfinished work: blocks whose channel died, plus blocks no
             # channel ever pulled (every channel died).
-            blocks = failed + queue
+            blocks = failed + blocks
             for conn in channels:
                 if conn.open:
                     self.client._release_channel(conn, cfg)
@@ -478,8 +496,8 @@ class GridFtpClient:
         try:
             control = yield from self.transport.connect(
                 client_host.node, hostname,
-                TcpParams(stall_timeout=cfg.stall_timeout,
-                          stall_poll=cfg.stall_poll))
+                self.transport.params(stall_timeout=cfg.stall_timeout,
+                                      stall_poll=cfg.stall_poll))
         except ConnectionRefused as exc:
             server.release_connection()
             self.obs.children[_CONNECTS, hostname, "refused"].inc()
@@ -519,10 +537,10 @@ class GridFtpClient:
                 if cached is None:
                     break
                 channels.append(cached)
-        params = TcpParams(buffer_bytes=buffer_bytes,
-                           stall_timeout=cfg.stall_timeout,
-                           stall_poll=cfg.stall_poll,
-                           loss_rate=cfg.loss_rate)
+        params = self.transport.params(buffer_bytes=buffer_bytes,
+                                       stall_timeout=cfg.stall_timeout,
+                                       stall_poll=cfg.stall_poll,
+                                       loss_rate=cfg.loss_rate)
         while len(channels) < needed:
             try:
                 # A unique stream counter (advanced even with no loss

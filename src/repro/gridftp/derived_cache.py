@@ -23,7 +23,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs import Observability
+from repro.obs import Counter, Family, Gauge, Observability
+
+# Cache metric families (obs.children).
+_HITS = Family(Counter, "gridftp.derived_cache_hits_total", "host")
+_MISSES = Family(Counter, "gridftp.derived_cache_misses_total", "host")
+_EVICTIONS = Family(Counter, "gridftp.derived_cache_evictions_total", "host")
+_BYTES = Family(Gauge, "gridftp.derived_cache_bytes", "host")
 
 
 @dataclass
@@ -61,15 +67,13 @@ class DerivedProductCache:
         hit = self._entries.get(key)
         if hit is None:
             self.misses += 1
-            self.obs.count("gridftp.derived_cache_misses_total",
-                           host=self.hostname)
+            self.obs.children[_MISSES, self.hostname].inc()
             self.obs.event("gridftp.derived.miss", prog="gridftp",
                            host=self.hostname, file=file, op=op)
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self.obs.count("gridftp.derived_cache_hits_total",
-                       host=self.hostname)
+        self.obs.children[_HITS, self.hostname].inc()
         self.obs.event("gridftp.derived.hit", prog="gridftp",
                        host=self.hostname, file=file, op=op)
         return hit
@@ -86,14 +90,12 @@ class DerivedProductCache:
             victim_key, victim = self._entries.popitem(last=False)
             self.bytes_used -= victim.size
             self.evictions += 1
-            self.obs.count("gridftp.derived_cache_evictions_total",
-                           host=self.hostname)
+            self.obs.children[_EVICTIONS, self.hostname].inc()
             self.obs.event("gridftp.derived.evict", prog="gridftp",
                            host=self.hostname, key=victim_key)
         self._entries[key] = DerivedProduct(float(size), content)
         self.bytes_used += float(size)
-        self.obs.gauge("gridftp.derived_cache_bytes", self.bytes_used,
-                       host=self.hostname)
+        self.obs.children[_BYTES, self.hostname].set(self.bytes_used)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -179,7 +179,7 @@ class GridFtpConfig:
             raise ValueError("checksum_rate must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferStats:
     """Outcome of one logical transfer."""
 

@@ -312,6 +312,25 @@ class AggregateFlow(Flow):
             return entry
         return None
 
+    def _push(self, member: _AggregateMember, v_star: float) -> None:
+        """Predict ``member``'s completion at virtual time ``v_star``.
+
+        Stale entries (an older version of a member's prediction, or a
+        retired member's) only leave from the top, so cap churn on
+        long-lived members would grow the heap without bound. Each
+        member has at most one valid entry; dropping the rest once the
+        heap passes twice the member count keeps it O(members) at O(1)
+        amortized per push, as :meth:`FluidNetwork._reschedule_timer`
+        does for the completion heap. Entries order by (v_star, version,
+        member id), so re-heapifying never changes the pop order.
+        """
+        heap = self._mheap
+        if len(heap) > 2 * len(self._members) + 8:
+            heap[:] = [e for e in heap if e[1] == e[3]._pred_version]
+            heapq.heapify(heap)
+        heapq.heappush(heap, (v_star, member._pred_version, member.id,
+                              member))
+
     def _refresh_remaining(self) -> None:
         head = self._head_entry()
         if head is None:
@@ -537,9 +556,7 @@ class FluidNetwork:
         agg._nshares = len(agg._members)
         agg.cap = agg._W
         if member.cap > _EPS_RATE:
-            v_star = agg._v + member.size / member.cap
-            heapq.heappush(agg._mheap,
-                           (v_star, member._pred_version, member.id, member))
+            agg._push(member, agg._v + member.size / member.cap)
         agg._refresh_remaining()
         self.aggregate_joins += 1
         self._mark_flow(agg)
@@ -564,10 +581,7 @@ class FluidNetwork:
         agg.cap = agg._W
         member._pred_version += 1
         if member.cap > _EPS_RATE:
-            rem = member.size - member._served0
-            heapq.heappush(agg._mheap, (v + rem / member.cap,
-                                        member._pred_version,
-                                        member.id, member))
+            agg._push(member, v + (member.size - member._served0) / member.cap)
         agg._refresh_remaining()
         self._mark_flow(agg)
 

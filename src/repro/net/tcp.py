@@ -41,9 +41,10 @@ def bdp_buffer_size(bandwidth: float, rtt: float) -> float:
     return bandwidth * rtt
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpParams:
-    """Tunables for a TCP stream.
+    """Tunables for a TCP stream (immutable, so connections with the
+    same settings may share one object).
 
     Attributes
     ----------
@@ -115,6 +116,8 @@ class TcpStream:
     rng:
         Numpy generator for loss sampling (required if loss_rate > 0).
     """
+
+    __slots__ = ("env", "rtt", "params", "rng", "cwnd", "losses")
 
     def __init__(self, env: Environment, rtt: float, params: TcpParams,
                  rng: Optional[np.random.Generator] = None):

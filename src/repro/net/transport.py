@@ -28,6 +28,9 @@ class ConnectionRefused(Exception):
 class Connection:
     """An established transport connection between two topology nodes."""
 
+    __slots__ = ("id", "transport", "src", "dst", "params", "stream", "rtt",
+                 "open", "bytes_sent", "transfers")
+
     def __init__(self, transport: "Transport", src: str, dst: str,
                  params: TcpParams, stream: TcpStream):
         self.id = transport.env.next_id("connection")
@@ -115,6 +118,17 @@ class Transport:
         self.network = network
         self.name_service = name_service
         self.connections_opened = 0  # instrumentation
+        self._params: dict = {}
+
+    def params(self, **settings) -> TcpParams:
+        """The :class:`TcpParams` for ``settings``, one frozen object per
+        distinct setting: every connection that asks for equal settings
+        holds the same one (a fleet opens thousands)."""
+        key = tuple(sorted(settings.items()))
+        params = self._params.get(key)
+        if params is None:
+            params = self._params[key] = TcpParams(**settings)
+        return params
 
     def connect(self, src: str, dst: str,
                 params: Optional[TcpParams] = None,

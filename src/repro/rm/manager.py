@@ -220,7 +220,7 @@ class RequestManager:
         self.obs.children[_TICKETS].inc()
         workers = [self.env.process(self._file_thread(ticket, fr))
                    for fr in files]
-        self.env.process(self._completion_watcher(ticket, workers))
+        self.env.all_of(workers).add_callback(ticket._on_files_ended)
         if file_deadline is not None or ticket_deadline is not None:
             self.env.process(self._deadline_watchdog(ticket))
         return ticket
@@ -236,13 +236,6 @@ class RequestManager:
         return ticket
 
     # -- pipeline ------------------------------------------------------------
-    def _completion_watcher(self, ticket: RequestTicket, workers):
-        yield self.env.all_of(workers)
-        # "After all the files of a request transfer successfully, the RM
-        # notifies CDAT." (The deadline watchdog may have beaten us to it.)
-        if not ticket.done.triggered:
-            ticket.done.succeed()
-
     def _deadline_watchdog(self, ticket: RequestTicket):
         """Enforce per-file and per-ticket deadlines.
 
@@ -325,155 +318,151 @@ class RequestManager:
         yield self.env.any_of([timer, ticket.aborted])
 
     def _file_thread(self, ticket: RequestTicket, fr: FileRequest):
-        """Event/metrics wrapper around :meth:`_file_body`.
+        """One file's thread: lookup, rank, then replicas best-first.
 
         Emits the ``rm.request`` lifeline milestone and guarantees the
-        outcome metrics fire no matter how the body exits.
+        outcome metrics fire no matter how the thread exits. (One
+        generator, not a wrapper around a body generator: every
+        in-flight file holds this frame for its whole transfer.)
         """
-        fr.started_at = self.env.now
+        env = self.env
+        fr.started_at = env.now
         obs = self.obs
         obs.event("rm.request", prog="request-manager",
                   ticket=ticket.id_text, file=fr.logical_file,
                   collection=fr.collection)
         try:
-            yield from self._file_body(ticket, fr)
+            if self._should_stop(ticket, fr):
+                return
+            rounds = (self.resilience.retry.max_rounds
+                      if self.resilience is not None else 1)
+            last_error = "no candidate attempted"
+            last_class: Optional[FailureClass] = None
+            for round_no in range(1, rounds + 1):
+                if round_no > 1:
+                    yield from self._backoff(ticket, fr, round_no - 1)
+                    if self._should_stop(ticket, fr):
+                        return
+                fr.state = FileState.SELECTING
+                # (1) replica lookup — skipped for pre-resolved (campaign)
+                # files, whose locations came from one batched catalog sweep.
+                # A federated catalog returns (locations, QueryMeta): the
+                # answer may be stale (cached / lagging shard) or partial
+                # (a shard was down), and selection proceeds anyway —
+                # verify-on-open catches entries that outlived the replica.
+                lookup_meta = None
+                if fr.pinned_replicas is not None:
+                    replicas = list(fr.pinned_replicas)
+                else:
+                    finder = getattr(self.catalog, "find_replicas_meta", None)
+                    try:
+                        if finder is not None:
+                            replicas, lookup_meta = yield from finder(
+                                fr.collection, fr.logical_file)
+                        else:
+                            replicas = yield from self.catalog.find_replicas(
+                                fr.collection, fr.logical_file)
+                    except Exception as exc:
+                        if self._should_stop(ticket, fr):
+                            return
+                        last_error = f"replica lookup failed: {exc}"
+                        last_class = FailureClass.LOOKUP
+                        continue
+                    if self._should_stop(ticket, fr):
+                        return
+                    if lookup_meta is not None and lookup_meta.stale:
+                        fr.stale_lookups += 1
+                        self.obs.count("rm.stale_lookups_total")
+                if not replicas:
+                    if lookup_meta is not None and (lookup_meta.partial
+                                                    or lookup_meta.stale):
+                        # A degraded answer may simply be missing the entry;
+                        # retry rounds can see a healthier federation.
+                        last_error = "no replicas in partial/stale answer"
+                        last_class = FailureClass.LOOKUP
+                        continue
+                    # Permanent: no amount of retrying invents a replica.
+                    self._fail(ticket, fr, "no replicas registered",
+                               FailureClass.LOOKUP)
+                    return
+                size = self.catalog.logical_file_size(fr.collection,
+                                                      fr.logical_file)
+                if size is not None:
+                    fr.size = size
+                # (2)+(3) forecast and rank; then try candidates best-first,
+                # with the reliability plug-in able to force a switch
+                # mid-transfer.
+                candidates = yield from self._rank(
+                    ticket, replicas, fr,
+                    stale=lookup_meta is not None and lookup_meta.stale)
+                if self._should_stop(ticket, fr):
+                    return
+                if self.quarantined:
+                    candidates = self._quarantined_last(fr, candidates)
+                if candidates:
+                    self.obs.event("rm.select", prog="request-manager",
+                                   ticket=ticket.id_text, file=fr.logical_file,
+                                   host=candidates[0].location.hostname,
+                                   candidates=len(candidates))
+                self._say(ticket, f"selecting replica for {fr.logical_file}: "
+                          + ", ".join(f"{c.location.hostname}"
+                                      f"@{mbps_str(c.bandwidth)}"
+                                      for c in candidates))
+                # Only the locations are used from here on: the ranked
+                # candidates and the lookup answer are not held through the
+                # transfers.
+                locations = [c.location for c in candidates]
+                del replicas, candidates
+                board = ticket.breakers
+                for loc in locations:
+                    if self._should_stop(ticket, fr):
+                        return
+                    if loc.hostname not in self.registry:
+                        last_error = f"no server for {loc.hostname}"
+                        last_class = FailureClass.CONNECT
+                        continue
+                    breaker = (board.for_host(loc.hostname)
+                               if board is not None else None)
+                    if breaker is not None and not breaker.allow(env.now):
+                        fr.breaker_skips += 1
+                        last_error = (f"{loc.hostname}: circuit open, "
+                                      "skipped")
+                        last_class = FailureClass.CONNECT
+                        continue
+                    fr.chosen_location = loc.name
+                    fr.tried_locations.append(loc.name)
+                    self._say(ticket, f"transfer of {fr.logical_file} from "
+                              f"{loc.hostname} initiated")
+                    ok, err, fclass = yield from self._attempt(fr, loc, ticket)
+                    if ok:
+                        if breaker is not None:
+                            breaker.record_success()
+                        fr.state = FileState.DONE
+                        fr.finished_at = env.now
+                        self._say(ticket, f"{fr.logical_file}: complete from "
+                                  f"{loc.hostname}")
+                        return
+                    if fclass is FailureClass.STALE:
+                        # The host is healthy; the *catalog entry* outlived
+                        # the replica. Demote the entry (not the host) so
+                        # re-selection and future lookups skip it until the
+                        # collection is refreshed.
+                        self._demote_stale(ticket, fr, loc)
+                    elif breaker is not None:
+                        breaker.record_failure(env.now)
+                    if self._should_stop(ticket, fr):
+                        return
+                    last_error, last_class = err, fclass
+                    fr.replica_switches += 1
+                    self._say(ticket, f"{fr.logical_file}: switching replica "
+                              f"after {err}")
+            self._fail(ticket, fr, last_error, last_class)
         finally:
             outcome = fr.state.value
             obs.children[_FILES, outcome].inc()
             if fr.finished_at is not None:
                 obs.children[_FILE_SECONDS, outcome].observe(
                     fr.finished_at - fr.started_at)
-
-    def _file_body(self, ticket: RequestTicket, fr: FileRequest):
-        env = self.env
-        if self._should_stop(ticket, fr):
-            return
-        rounds = (self.resilience.retry.max_rounds
-                  if self.resilience is not None else 1)
-        last_error = "no candidate attempted"
-        last_class: Optional[FailureClass] = None
-        for round_no in range(1, rounds + 1):
-            if round_no > 1:
-                yield from self._backoff(ticket, fr, round_no - 1)
-                if self._should_stop(ticket, fr):
-                    return
-            fr.state = FileState.SELECTING
-            # (1) replica lookup — skipped for pre-resolved (campaign)
-            # files, whose locations came from one batched catalog sweep.
-            # A federated catalog returns (locations, QueryMeta): the
-            # answer may be stale (cached / lagging shard) or partial
-            # (a shard was down), and selection proceeds anyway —
-            # verify-on-open catches entries that outlived the replica.
-            lookup_meta = None
-            if fr.pinned_replicas is not None:
-                replicas = list(fr.pinned_replicas)
-            else:
-                finder = getattr(self.catalog, "find_replicas_meta", None)
-                try:
-                    if finder is not None:
-                        replicas, lookup_meta = yield from finder(
-                            fr.collection, fr.logical_file)
-                    else:
-                        replicas = yield from self.catalog.find_replicas(
-                            fr.collection, fr.logical_file)
-                except Exception as exc:
-                    if self._should_stop(ticket, fr):
-                        return
-                    last_error = f"replica lookup failed: {exc}"
-                    last_class = FailureClass.LOOKUP
-                    continue
-                if self._should_stop(ticket, fr):
-                    return
-                if lookup_meta is not None and lookup_meta.stale:
-                    fr.stale_lookups += 1
-                    self.obs.count("rm.stale_lookups_total")
-            if not replicas:
-                if lookup_meta is not None and (lookup_meta.partial
-                                                or lookup_meta.stale):
-                    # A degraded answer may simply be missing the entry;
-                    # retry rounds can see a healthier federation.
-                    last_error = "no replicas in partial/stale answer"
-                    last_class = FailureClass.LOOKUP
-                    continue
-                # Permanent: no amount of retrying invents a replica.
-                self._fail(ticket, fr, "no replicas registered",
-                           FailureClass.LOOKUP)
-                return
-            size = self.catalog.logical_file_size(fr.collection,
-                                                  fr.logical_file)
-            if size is not None:
-                fr.size = size
-            # (2)+(3) forecast and rank; then try candidates best-first,
-            # with the reliability plug-in able to force a switch
-            # mid-transfer.
-            candidates = yield from self._rank(
-                ticket, replicas, fr,
-                stale=lookup_meta is not None and lookup_meta.stale)
-            if self._should_stop(ticket, fr):
-                return
-            if self.quarantined:
-                # Quarantined copies (past digest mismatches) go to the
-                # back of the line: still reachable as a last resort,
-                # never preferred over an untainted replica.
-                fresh = [c for c in candidates
-                         if (fr.collection, fr.logical_file,
-                             c.location.name) not in self.quarantined]
-                quar = [c for c in candidates if c not in fresh]
-                candidates = fresh + quar
-            if candidates:
-                self.obs.event("rm.select", prog="request-manager",
-                               ticket=ticket.id_text, file=fr.logical_file,
-                               host=candidates[0].location.hostname,
-                               candidates=len(candidates))
-            self._say(ticket, f"selecting replica for {fr.logical_file}: "
-                      + ", ".join(f"{c.location.hostname}"
-                                  f"@{mbps_str(c.bandwidth)}"
-                                  for c in candidates))
-            board = ticket.breakers
-            for candidate in candidates:
-                if self._should_stop(ticket, fr):
-                    return
-                loc = candidate.location
-                if loc.hostname not in self.registry:
-                    last_error = f"no server for {loc.hostname}"
-                    last_class = FailureClass.CONNECT
-                    continue
-                breaker = (board.for_host(loc.hostname)
-                           if board is not None else None)
-                if breaker is not None and not breaker.allow(env.now):
-                    fr.breaker_skips += 1
-                    last_error = (f"{loc.hostname}: circuit open, "
-                                  "skipped")
-                    last_class = FailureClass.CONNECT
-                    continue
-                fr.chosen_location = loc.name
-                fr.tried_locations.append(loc.name)
-                self._say(ticket, f"transfer of {fr.logical_file} from "
-                          f"{loc.hostname} initiated")
-                ok, err, fclass = yield from self._attempt(fr, loc, ticket)
-                if ok:
-                    if breaker is not None:
-                        breaker.record_success()
-                    fr.state = FileState.DONE
-                    fr.finished_at = env.now
-                    self._say(ticket, f"{fr.logical_file}: complete from "
-                              f"{loc.hostname}")
-                    return
-                if fclass is FailureClass.STALE:
-                    # The host is healthy; the *catalog entry* outlived
-                    # the replica. Demote the entry (not the host) so
-                    # re-selection and future lookups skip it until the
-                    # collection is refreshed.
-                    self._demote_stale(ticket, fr, loc)
-                elif breaker is not None:
-                    breaker.record_failure(env.now)
-                if self._should_stop(ticket, fr):
-                    return
-                last_error, last_class = err, fclass
-                fr.replica_switches += 1
-                self._say(ticket, f"{fr.logical_file}: switching replica "
-                          f"after {err}")
-        self._fail(ticket, fr, last_error, last_class)
 
     def _rank(self, ticket: RequestTicket, replicas: List[LocationInfo],
               fr: FileRequest, stale: bool = False):
@@ -531,6 +520,19 @@ class RequestManager:
             self._degraded_counter += 1
             return ordered[k:] + ordered[:k]
         return self.policy.rank(candidates, fr.size)
+
+    def _quarantined_last(self, fr: FileRequest,
+                          candidates: List[ReplicaCandidate]
+                          ) -> List[ReplicaCandidate]:
+        """Quarantined copies (past digest mismatches) go to the back of
+        the line: still reachable as a last resort, never preferred over
+        an untainted replica. (A method of its own, so the comprehensions
+        put no closure cells in the long-lived per-file frame.)"""
+        fresh = [c for c in candidates
+                 if (fr.collection, fr.logical_file,
+                     c.location.name) not in self.quarantined]
+        quar = [c for c in candidates if c not in fresh]
+        return fresh + quar
 
     def _classify(self, exc: GridFtpError) -> FailureClass:
         """Map a transfer-layer error onto the failure taxonomy."""
@@ -672,8 +674,8 @@ class RequestManager:
             # lagging-shard answer). Probe before committing streams;
             # a server that cannot produce the file fails the attempt as
             # STALE so the caller demotes the entry, not the host.
-            probe = getattr(server, "exists", None)
-            if probe is not None and not probe(fr.logical_file):
+            if hasattr(server, "exists") \
+                    and not server.exists(fr.logical_file):
                 session.close()
                 self.obs.event("rm.attempt.failed", prog="request-manager",
                                host=loc.hostname, ticket=ticket.id_text,

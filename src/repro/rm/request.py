@@ -22,7 +22,7 @@ class FileState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(slots=True)
 class FileRequest:
     """One logical file within a multi-file request."""
 
@@ -68,6 +68,9 @@ class FileRequest:
 class RequestTicket:
     """Handle for a submitted multi-file request; ``done`` fires with None."""
 
+    __slots__ = ("id", "id_text", "env", "files", "done", "submitted_at",
+                 "cancelled", "deadline_at", "aborted", "breakers", "_handles")
+
     def __init__(self, env: Environment, files: List[FileRequest],
                  deadline_at: Optional[float] = None):
         self.id = env.next_id("ticket")
@@ -87,6 +90,19 @@ class RequestTicket:
         self.breakers = None
         # transient per-file transfer handles, maintained by the RM
         self._handles: dict = {}
+
+    def _on_files_ended(self, ev: Event) -> None:
+        """Callback of the condition over the ticket's file threads.
+
+        "After all the files of a request transfer successfully, the RM
+        notifies CDAT." (The deadline watchdog may have got there
+        first.) A file thread that raised fails the condition, and the
+        error leaves the simulation run here.
+        """
+        if not ev.ok:
+            raise ev.exception
+        if not self.done.triggered:
+            self.done.succeed()
 
     def cancel(self, reason: str = "user cancel") -> None:
         """Stop the request: in-flight transfers abort, pending files

@@ -68,9 +68,11 @@ class _WaitFor(Event):
     """Internal: fires with ``event``'s outcome, or with None once
     ``timeout`` elapses (see :meth:`Environment.wait_for`).
 
-    Whichever side wins detaches from the other and drops its reference
-    to it: a finished wait leaves no reference cycle for the garbage
-    collector, and a cancelled timer still queued holds nothing.
+    The wait is its own callback on both sides and tells them apart by
+    identity with its timer. Whichever side wins detaches from the
+    other and drops its reference to it: a finished wait leaves no
+    reference cycle for the garbage collector, and a cancelled timer
+    still queued holds nothing.
     """
 
     __slots__ = ("_event", "_timer")
@@ -79,32 +81,33 @@ class _WaitFor(Event):
         super().__init__(env)
         self._event: Optional[Event] = event
         self._timer: Optional[Timeout] = Timeout(env, timeout)
-        event.add_callback(self._on_event)
-        self._timer.add_callback(self._on_timer)
+        event.add_callback(self)
+        self._timer.add_callback(self)
 
-    def _on_event(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
+        if ev is self._timer:
+            event, self._event = self._event, None
+            event.remove_callback(self)
+            if event._exc is not None:
+                # Failed this instant but not yet processed: it is
+                # processed before the waiter resumes, with no callback
+                # left, so defuse it here; the waiter reads the failure
+                # itself.
+                event.defuse()
+            self.succeed(None)
+            return
         if self._triggered:
             # An already-processed event is re-delivered a moment later;
             # a zero timeout can win that race.
             return
         timer, self._timer = self._timer, None
         self.env.cancel(timer)
-        timer.remove_callback(self._on_timer)
+        timer.remove_callback(self)
         if ev._exc is not None:
             ev.defuse()
             self.fail(ev._exc)
         else:
             self.succeed(ev._value)
-
-    def _on_timer(self, _ev: Event) -> None:
-        event, self._event = self._event, None
-        event.remove_callback(self._on_event)
-        if event._exc is not None:
-            # Failed this instant but not yet processed: it is processed
-            # before the waiter resumes, with no callback left, so defuse
-            # it here; the waiter reads the failure itself.
-            event.defuse()
-        self.succeed(None)
 
 
 class Environment:

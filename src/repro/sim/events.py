@@ -10,6 +10,12 @@ An :class:`Event` moves through three states:
 Processes wait on events by ``yield``-ing them; the kernel registers the
 process as a callback. Yielding an already-processed event resumes the
 process immediately (at the current simulated time).
+
+``Event.callbacks`` holds nothing (``None``), one callable, or a list
+once a second callable is added: most events have at most one waiter,
+so most hold no list. Kernel waiters (:class:`Condition`, the process,
+the ``wait_for`` event) are callables themselves, so waiting on an
+event registers the waiter object, not a bound method made per yield.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ class Event:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self.callbacks: Optional[list] = []
+        # None, one callable, or a list of two or more (see module doc).
+        self.callbacks: Any = None
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._triggered = False
@@ -145,32 +152,53 @@ class Event:
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` when the event is processed.
 
-        If the event has already been processed the callback is scheduled
-        to run immediately (same simulated time, normal priority).
+        Callbacks run in the order they were added. If the event has
+        already been processed the callback is scheduled to run
+        immediately (same simulated time, normal priority).
         """
         if self._processed:
             self.env.schedule_callback(fn, self)
+            return
+        cbs = self.callbacks
+        if cbs is None:
+            self.callbacks = fn
+        elif type(cbs) is list:
+            cbs.append(fn)
         else:
-            assert self.callbacks is not None
-            self.callbacks.append(fn)
+            self.callbacks = [cbs, fn]
 
     def remove_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Unsubscribe ``fn`` if still registered (no-op otherwise)."""
-        if self.callbacks is not None:
+        """Unsubscribe the first callback equal to ``fn`` if still
+        registered (no-op otherwise)."""
+        cbs = self.callbacks
+        if cbs is None:
+            return
+        if type(cbs) is list:
             try:
-                self.callbacks.remove(fn)
+                cbs.remove(fn)
             except ValueError:
                 pass
+        elif cbs is fn or cbs == fn:
+            self.callbacks = None
 
     def _process(self) -> None:
-        """Kernel hook: run callbacks exactly once."""
+        """Kernel hook: run callbacks exactly once.
+
+        A failed event with no callback and no :meth:`defuse` re-raises
+        its exception here.
+        """
         self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        handled = bool(callbacks) or self._defused
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-        if self._exc is not None and not handled and not self._defused:
+        cbs = self.callbacks
+        if cbs is not None:
+            self.callbacks = None
+            if type(cbs) is not list:
+                cbs(self)
+                return
+            if cbs:
+                for fn in cbs:
+                    fn(self)
+                return
+        if self._exc is not None and not self._defused:
             raise self._exc
 
     def __repr__(self) -> str:
@@ -216,9 +244,10 @@ class Condition(Event):
             self.succeed({})
             return
         for ev in self.events:
-            ev.add_callback(self._on_child)
+            ev.add_callback(self)
 
-    def _on_child(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
+        """Callback of each child event."""
         if self._triggered:
             return
         if ev._exc is not None:
@@ -232,13 +261,21 @@ class Condition(Event):
             self.succeed({e: e._value for e in self.events if e._processed})
 
 
+def _all_fired(fired: int, total: int) -> bool:
+    return fired == total
+
+
+def _any_fired(fired: int, total: int) -> bool:
+    return fired >= 1
+
+
 class AllOf(Condition):
     """Fires when *all* child events have fired."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda fired, total: fired == total)
+        super().__init__(env, events, _all_fired)
 
 
 class AnyOf(Condition):
@@ -247,4 +284,4 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda fired, total: fired >= 1)
+        super().__init__(env, events, _any_fired)

@@ -23,6 +23,9 @@ class Process(Event):
     Yielding a failed event re-raises the failure inside the generator,
     where it can be caught. ``process.interrupt(cause)`` raises
     :class:`Interrupt` at the process's current yield point.
+
+    The process is itself the callback it registers on the event it
+    waits for (:meth:`__call__`), so a yield allocates no bound method.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -37,10 +40,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume once at the current time.
-        boot = Event(env)
-        boot._triggered = True
-        boot.add_callback(self._resume)
-        env.schedule(boot, priority=EventPriority.URGENT)
+        env.schedule(_Resume(env, self, None), priority=EventPriority.URGENT)
 
     # -- public API -------------------------------------------------------
     @property
@@ -65,14 +65,10 @@ class Process(Event):
             raise RuntimeError("a process cannot interrupt itself")
         # Detach from the current target so the stale wake-up never lands.
         if self._target is not None:
-            self._target.remove_callback(self._wake)
+            self._target.remove_callback(self)
             self._target = None
-        wake = Event(self.env)
-        wake._triggered = True
-        wake._exc = Interrupt(cause)
-        wake._defused = True
-        wake.add_callback(self._resume)
-        self.env.schedule(wake, priority=EventPriority.URGENT)
+        self.env.schedule(_Resume(self.env, self, Interrupt(cause)),
+                          priority=EventPriority.URGENT)
 
     # -- kernel plumbing ----------------------------------------------------
     def _resume(self, trigger: Event) -> None:
@@ -113,15 +109,38 @@ class Process(Event):
                     trigger = next_target
                     continue
                 self._target = next_target
-                next_target.add_callback(self._wake)
+                next_target.add_callback(self)
                 return
         finally:
             env._active_process = None
 
-    def _wake(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
+        """Callback of the awaited event: resume with its outcome."""
         self._target = None
         self._resume(ev)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"
         return f"<Process {self.name!r} {state}>"
+
+
+class _Resume(Event):
+    """Internal: a born-triggered event that resumes ``proc`` when
+    dispatched, with value None or, for an interrupt, the defused
+    ``exc`` raised at the process's yield point. It holds no callback."""
+
+    __slots__ = ("_proc",)
+
+    def __init__(self, env: "Environment", proc: Process,
+                 exc: Optional[BaseException]):
+        self.env = env
+        self.callbacks = self._value = None
+        self._exc = exc
+        self._triggered = self._defused = True
+        self._processed = self._cancelled = False
+        self._proc = proc
+
+    def _process(self) -> None:
+        self._processed = True
+        proc, self._proc = self._proc, None
+        proc._resume(self)

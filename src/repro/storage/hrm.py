@@ -28,13 +28,20 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.data.digest import add_mark
-from repro.obs import Observability
+from repro.obs import Counter, Family, Histogram, Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileSystem
 from repro.storage.hpss import MassStorageSystem
 from repro.storage.tape import PRIORITY_DEMAND, PRIORITY_PREFETCH, \
     StageProgress
+
+# Staging metric families (obs.children).
+_STAGES = Family(Counter, "hrm.stages_total", "outcome")
+_STAGE_SECONDS = Family(Histogram, "hrm.stage_seconds")
+_TRUNCATED = Family(Counter, "hrm.truncated_stages_total")
+_PREFETCHES = Family(Counter, "hrm.prefetches_total")
+_PREFETCH_HITS = Family(Counter, "hrm.prefetch_hits_total", "kind")
 
 
 class StagingError(Exception):
@@ -112,7 +119,7 @@ class HierarchicalResourceManager:
             self.stage_failures += 1
             self._event("hrm.stage.failed", file=req.name,
                         reason="hrm outage")
-            self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.children[_STAGES, "failed"].inc()
             if not req.ready.triggered:
                 req.ready.fail(StagingError(
                     f"{self.name}: staging failed for {req.name!r}"))
@@ -158,7 +165,7 @@ class HierarchicalResourceManager:
         if self.down:
             self.stage_failures += 1
             self._event("hrm.stage.failed", file=name, reason="hrm down")
-            self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.children[_STAGES, "failed"].inc()
             req.ready.fail(StagingError(
                 f"{self.name}: HRM is down, cannot stage {name!r}"))
             return req
@@ -200,7 +207,7 @@ class HierarchicalResourceManager:
                 return
             self._event("hrm.stage.failed", file=req.name,
                         reason=str(exc))
-            self.obs.count("hrm.stages_total", outcome="failed")
+            self.obs.children[_STAGES, "failed"].inc()
             if not req.ready.triggered:
                 req.ready.fail(exc)
             return
@@ -216,7 +223,7 @@ class HierarchicalResourceManager:
             add_mark(file, f"truncated@{self.env.now:.0f}")
             self.truncated_stages += 1
             self._event("hrm.stage.truncated", file=req.name)
-            self.obs.count("hrm.truncated_stages_total")
+            self.obs.children[_TRUNCATED].inc()
         # One pin per waiter: N concurrent transfers of this file each
         # release() once, and the last release leaves it evictable.
         # A pure prefetch (waiters == 0) lands unpinned.
@@ -245,15 +252,16 @@ class HierarchicalResourceManager:
             outcome = "prefetched"
         else:
             outcome = "staged"
-        self.obs.count("hrm.stages_total", outcome=outcome)
-        self.obs.observe("hrm.stage_seconds", seconds)
+        children = self.obs.children
+        children[_STAGES, outcome].inc()
+        children[_STAGE_SECONDS].observe(seconds)
 
     def _count_prefetch_hit(self, name: str, inflight: bool) -> None:
         self.prefetch_hits += 1
         self._event("hrm.prefetch.hit", file=name,
                     inflight="1" if inflight else "0")
-        self.obs.count("hrm.prefetch_hits_total",
-                       kind="inflight" if inflight else "staged")
+        self.obs.children[_PREFETCH_HITS,
+                          "inflight" if inflight else "staged"].inc()
 
     def release(self, name: str) -> None:
         """Signal that a transfer referencing ``name`` has finished.
@@ -324,7 +332,7 @@ class HierarchicalResourceManager:
             self._inflight[name] = req
             self.prefetch_issued += 1
             self._event("hrm.prefetch.start", file=name)
-            self.obs.count("hrm.prefetches_total")
+            self.obs.children[_PREFETCHES].inc()
             self.env.process(self._stage(req))
 
     def _pick_prefetch(self) -> Optional[str]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import Observability
+from repro.obs import Counter, Family, Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.filesystem import FileObject
@@ -46,6 +46,8 @@ from repro.storage.filesystem import FileObject
 #: Job priorities: demand staging outranks speculative prefetch.
 PRIORITY_DEMAND = 0
 PRIORITY_PREFETCH = 1
+
+_MOUNTS = Family(Counter, "tape.mounts_total", "library", "drive")
 
 
 @dataclass(frozen=True)
@@ -399,8 +401,7 @@ class TapeLibrary:
                 drive.loaded_tape = job.tape
                 drive.head = 0.0
                 drive.mounts += 1
-                self.obs.count("tape.mounts_total", library=self.name,
-                               drive=drive.name)
+                self.obs.children[_MOUNTS, self.name, drive.name].inc()
                 self.obs.event("tape.mount", prog="tape",
                                host=self.name, drive=drive.name,
                                tape=job.tape, file=job.name)

@@ -7,11 +7,12 @@ differential contract: for members with equal caps the aggregate model
 reproduces the exact per-flow model to float precision.
 """
 
+import heapq
 import math
 
 import pytest
 
-from repro.net.fluid import FlowError, FluidNetwork
+from repro.net.fluid import AggregateFlow, FlowError, FluidNetwork
 from repro.net.recorder import RateRecorder
 from repro.net.topology import Topology
 from repro.sim.core import Environment
@@ -221,3 +222,50 @@ def test_infinite_cap_member_is_rejected_from_aggregation():
     assert net.aggregate_joins == 1       # u did not join
     env.run()
     assert not m.active and not u.active
+
+
+def _cap_churn():
+    """Twenty members of one aggregate, every live member re-capped each
+    0.05 s until all finish. Returns (completion instants, largest
+    member heap seen)."""
+    env, net = make_net(threshold=1)
+    members = [net.transfer("a", "b", (4 + i) * MB, cap=MB, name=f"u{i}")
+               for i in range(20)]
+    agg = members[0]._agg
+    assert all(m._agg is agg for m in members)
+    done = {}
+    for i, m in enumerate(members):
+        m.done.add_callback(lambda _ev, i=i: done.setdefault(i, env.now))
+    peak = [0]
+
+    def churn():
+        k = 0
+        while any(m.active for m in members):
+            yield env.timeout(0.05)
+            for i, m in enumerate(members):
+                if m.active:
+                    k += 1
+                    m.set_cap((1 + (k + i) % 3) * 0.5 * MB)
+            peak[0] = max(peak[0], len(agg._mheap))
+
+    env.process(churn())
+    env.run()
+    return done, peak[0]
+
+
+def test_member_heap_stays_bounded_under_cap_churn(monkeypatch):
+    """Every cap change pushes a fresh prediction and stale ones leave
+    only from the top; compaction keeps the heap O(members) and changes
+    no completion instant against an uncompacted heap."""
+    bounded, bounded_peak = _cap_churn()
+
+    def unbounded_push(self, member, v_star):
+        heapq.heappush(self._mheap, (v_star, member._pred_version,
+                                     member.id, member))
+
+    monkeypatch.setattr(AggregateFlow, "_push", unbounded_push)
+    reference, reference_peak = _cap_churn()
+    assert len(bounded) == 20
+    assert bounded == reference
+    assert reference_peak > 1000         # the churn does pile entries up
+    assert bounded_peak <= 2 * 20 + 9

@@ -253,3 +253,15 @@ def test_unknown_fault_target_raises():
     # Targets are validated eagerly at install time.
     with pytest.raises(KeyError):
         inj.install(FaultSchedule().link_outage("nope", 1.0, 1.0))
+
+
+def test_equal_tcp_settings_share_one_frozen_params_object():
+    env, topo, net, ns, tr = fixture()
+    a = tr.params(buffer_bytes=2**20, stall_timeout=30.0)
+    b = tr.params(stall_timeout=30.0, buffer_bytes=2**20)
+    assert a is b and a == TcpParams(buffer_bytes=2**20, stall_timeout=30.0)
+    assert tr.params(buffer_bytes=2**20, stall_timeout=10.0) is not a
+    with pytest.raises(AttributeError):
+        a.stall_timeout = 5.0            # frozen: sharing is safe
+    with pytest.raises(ValueError):
+        tr.params(mss=0)

@@ -33,7 +33,7 @@ def test_event_wins_and_losing_timer_is_never_dispatched():
     env.run()
     assert got == ["payload"]
     # Detached both ways: the cancelled timer holds no callback.
-    assert wait._timer is None and timer.callbacks == []
+    assert wait._timer is None and not timer.callbacks
     # The queue drained at t=1: the 5 s timer was cancelled, not run.
     assert env.now == 1.0
     stats = env.kernel_stats
@@ -53,7 +53,7 @@ def test_timer_wins_with_none_and_detaches_from_event():
     env.process(waiter())
     env.run()
     assert got == [None, 2.0]
-    assert ev.callbacks == []
+    assert not ev.callbacks
     assert not ev.triggered
 
 
@@ -138,7 +138,7 @@ def test_polls_of_a_long_flow_leave_nothing_behind():
     env.run(until=env.process(watchdog()))
     assert len(polls) == 1000 and flow.active
     # No watchdog leftovers on the flow, and no dead ticks queued.
-    assert flow.done.callbacks == []
+    assert not flow.done.callbacks
     assert env.kernel_stats["events_cancelled"] <= 1
     flow.abort("done polling")
     flow.done.defuse()
