@@ -56,21 +56,17 @@ def _chunk_shape_for(shape: Sequence[int],
     """Per-axis chunk lengths for one variable (full extent if unset)."""
     out = []
     for dim, size in zip(dims, shape):
-        c = int(chunks.get(dim, size))
+        c = int(chunks.get(dim, size or 1))
         if c < 1:
             raise FormatError(f"chunk length for {dim!r} must be >= 1")
         out.append(min(c, size) if size else 1)
     return tuple(out)
 
 
-def _iter_chunks(shape: Sequence[int], chunk_shape: Sequence[int]):
-    """Yield ``(starts, extents)`` per chunk, row-major over the grid."""
-    counts = [max(1, -(-s // c)) for s, c in zip(shape, chunk_shape)]
-    for grid in itertools.product(*(range(n) for n in counts)):
-        starts = tuple(g * c for g, c in zip(grid, chunk_shape))
-        extents = tuple(min(c, s - st)
-                        for c, s, st in zip(chunk_shape, shape, starts))
-        yield starts, extents
+def _axis_tiles(size: int, chunk: int) -> List[slice]:
+    """The chunk slices along one axis (one empty tile if ``size`` is 0)."""
+    return [slice(start, start + chunk)
+            for start in range(0, max(size, 1), chunk)]
 
 
 def encode(dataset: Dataset,
@@ -87,40 +83,37 @@ def encode(dataset: Dataset,
         chunks = {dim: chunks for dim in dataset.coords}
     payload_parts: List[bytes] = []
     offset = 0
-
-    def _append(arr: np.ndarray) -> Tuple[int, int]:
-        nonlocal offset
-        raw = np.ascontiguousarray(arr).astype("<f8").tobytes()
-        payload_parts.append(raw)
-        start = offset
-        offset += len(raw)
-        return start, len(raw)
-
     coords_hdr = {}
     for name, coord in dataset.coords.items():
-        start, _ = _append(coord)
+        raw = np.asarray(coord, dtype="<f8").tobytes()
         coords_hdr[name] = {"length": int(len(coord)), "dtype": "<f8",
-                            "offset": start}
+                            "offset": offset}
+        payload_parts.append(raw)
+        offset += len(raw)
     vars_hdr = {}
     for name, var in dataset.variables.items():
+        data = np.asarray(var.data, dtype="<f8")
         meta = {"dims": list(var.dims),
                 "shape": [int(s) for s in var.shape],
                 "dtype": "<f8"}
         if chunks is None:
-            start, _ = _append(var.data)
-            meta["offset"] = start
-            meta["attrs"] = dict(var.attrs)
+            raw = data.tobytes()
+            meta["offset"] = offset
+            payload_parts.append(raw)
+            offset += len(raw)
         else:
             chunk_shape = _chunk_shape_for(var.shape, chunks, var.dims)
             index = []
-            for starts, extents in _iter_chunks(var.shape, chunk_shape):
-                block = var.data[tuple(slice(s, s + e)
-                                       for s, e in zip(starts, extents))]
-                start, nbytes = _append(block)
-                index.append([start, nbytes])
+            # One tile list per axis; their product is the row-major grid.
+            for box in itertools.product(*map(_axis_tiles, var.shape,
+                                              chunk_shape)):
+                raw = data[box].tobytes()
+                index.append([offset, len(raw)])
+                payload_parts.append(raw)
+                offset += len(raw)
             meta["chunks"] = list(chunk_shape)
             meta["chunk_index"] = index
-            meta["attrs"] = dict(var.attrs)
+        meta["attrs"] = dict(var.attrs)
         vars_hdr[name] = meta
     version = VERSION if chunks is None else CHUNKED_VERSION
     header = json.dumps({
@@ -242,23 +235,16 @@ class SdbfReader:
             count = int(np.prod(shape)) if shape else 1
             whole = self._array_at(meta["offset"], count).reshape(shape)
             return np.ascontiguousarray(whole[box])
-        chunk_shape = tuple(meta["chunks"])
         index = meta["chunk_index"]
         out = np.empty(tuple(hi - lo + 1 for lo, hi in lo_hi),
                        dtype=np.float64)
-        for i, (starts, extents) in enumerate(
-                _iter_chunks(shape, chunk_shape)):
-            if not self._touches(starts, extents, lo_hi):
-                continue
-            offset, nbytes = index[i]
+        for tiles in itertools.product(*self._plan(meta, lo_hi)):
+            # A 0-D variable is one chunk with no axes.
+            at, extents, src, dst = zip(*tiles) if tiles else ((),) * 4
+            offset, nbytes = index[sum(at)]
             chunk = self._array_at(int(offset),
                                    int(nbytes) // 8).reshape(extents)
-            src, dst = [], []
-            for (cs, ce), (lo, hi) in zip(zip(starts, extents), lo_hi):
-                a, b = max(cs, lo), min(cs + ce - 1, hi)
-                src.append(slice(a - cs, b - cs + 1))
-                dst.append(slice(a - lo, b - lo + 1))
-            out[tuple(dst)] = chunk[tuple(src)]
+            out[dst] = chunk[src]
         return out
 
     def touched_chunk_bytes(self, name: str, bounds: IndexBounds) -> float:
@@ -269,10 +255,8 @@ class SdbfReader:
         if "chunk_index" not in meta:
             return float(int(np.prod(shape)) * 8) if shape else 8.0
         total = 0.0
-        for i, (starts, extents) in enumerate(
-                _iter_chunks(shape, tuple(meta["chunks"]))):
-            if self._touches(starts, extents, lo_hi):
-                total += float(meta["chunk_index"][i][1])
+        for i in self._touched(meta, lo_hi):
+            total += float(meta["chunk_index"][i][1])
         return total
 
     def needed_prefix(self, name: str, bounds: IndexBounds
@@ -293,11 +277,9 @@ class SdbfReader:
         end = 0.0
         for cmeta in self.header.get("coords", {}).values():
             end = max(end, cmeta["offset"] + cmeta["length"] * 8)
-        for i, (starts, extents) in enumerate(
-                _iter_chunks(shape, tuple(meta["chunks"]))):
-            if self._touches(starts, extents, lo_hi):
-                offset, nbytes = meta["chunk_index"][i]
-                end = max(end, float(offset) + float(nbytes))
+        for i in self._touched(meta, lo_hi):
+            offset, nbytes = meta["chunk_index"][i]
+            end = max(end, float(offset) + float(nbytes))
         return self.data_offset + end
 
     # -- internals -----------------------------------------------------------
@@ -317,10 +299,31 @@ class SdbfReader:
         return out
 
     @staticmethod
-    def _touches(starts: Tuple[int, ...], extents: Tuple[int, ...],
-                 lo_hi: List[Tuple[int, int]]) -> bool:
-        return all(cs <= hi and cs + ce - 1 >= lo
-                   for cs, ce, (lo, hi) in zip(starts, extents, lo_hi))
+    def _plan(meta: Dict, lo_hi: List[Tuple[int, int]]) -> List[List]:
+        """Per axis, the chunks an index slab touches (grid indices
+        ``lo // c .. hi // c``) as ``(row-major index term, extent,
+        source slice, destination slice)``."""
+        axes = []
+        stride = 1
+        for size, c, (lo, hi) in reversed(list(zip(meta["shape"],
+                                                    meta["chunks"], lo_hi))):
+            tiles = []
+            for g in range(lo // c, hi // c + 1):
+                cs = g * c
+                a, b = max(cs, lo), min(cs + c - 1, hi)
+                tiles.append((g * stride, min(c, size - cs),
+                              slice(a - cs, b - cs + 1),
+                              slice(a - lo, b - lo + 1)))
+            axes.append(tiles)
+            stride *= -(-size // c)
+        axes.reverse()
+        return axes
+
+    @classmethod
+    def _touched(cls, meta: Dict, lo_hi: List[Tuple[int, int]]):
+        """Row-major ``chunk_index`` positions of the touched chunks."""
+        terms = [[t[0] for t in tiles] for tiles in cls._plan(meta, lo_hi)]
+        return map(sum, itertools.product(*terms))
 
     def __repr__(self) -> str:
         kind = "chunked" if self.is_chunked else "flat"

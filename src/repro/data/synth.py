@@ -141,29 +141,26 @@ class ClimateModelRun:
         deterministic yearly field, so per-month files agree with the
         yearly dataset.
         """
-        if not (1 <= month_lo <= month_hi <= self.grid.months):
-            raise ValueError(f"bad month range ({month_lo}, {month_hi})")
-        full = self.generate_year(year, variables)
-        sliced = Dataset(f"{self.dataset_id}.{year}."
-                         f"m{month_lo:02d}-m{month_hi:02d}",
-                         dict(full.attrs))
-        lo, hi = month_lo - 1, month_hi  # to 0-based half-open
-        sliced.add_coord("time", full.coords["time"][lo:hi])
-        sliced.add_coord("lat", full.coords["lat"])
-        sliced.add_coord("lon", full.coords["lon"])
-        for name in variables:
-            var = full[name]
-            sliced.add_variable(Variable(name, var.dims,
-                                         var.data[lo:hi], dict(var.attrs)))
-        return sliced
+        return slice_months(self.generate_year(year, variables),
+                            month_lo, month_hi)
 
-    def encode_months(self, year: int, month_lo: int, month_hi: int,
-                      variables: Tuple[str, ...] = ("tas", "pr", "clt"),
-                      chunks=None) -> bytes:
-        """One monthly-range file as SDBF bytes (``chunks`` as in
-        :meth:`encode_year`)."""
-        return encode(self.generate_months(year, month_lo, month_hi,
-                                           variables), chunks=chunks)
+
+def slice_months(year_ds: Dataset, month_lo: int, month_hi: int) -> Dataset:
+    """Months [month_lo, month_hi] (1-based inclusive) of a
+    :meth:`ClimateModelRun.generate_year` dataset, so one synthesized
+    year can be cut into all of its files."""
+    if not (1 <= month_lo <= month_hi <= len(year_ds.coords["time"])):
+        raise ValueError(f"bad month range ({month_lo}, {month_hi})")
+    sliced = Dataset(f"{year_ds.name}.m{month_lo:02d}-m{month_hi:02d}",
+                     dict(year_ds.attrs))
+    lo, hi = month_lo - 1, month_hi  # to 0-based half-open
+    sliced.add_coord("time", year_ds.coords["time"][lo:hi])
+    sliced.add_coord("lat", year_ds.coords["lat"])
+    sliced.add_coord("lon", year_ds.coords["lon"])
+    for name, var in year_ds.variables.items():
+        sliced.add_variable(Variable(name, var.dims, var.data[lo:hi],
+                                     dict(var.attrs)))
+    return sliced
 
 
 def monthly_files(run: ClimateModelRun, years: int,

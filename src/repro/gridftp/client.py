@@ -11,7 +11,7 @@ transfer" / Figure 8).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.digest import MARKS_KEY
 from repro.gridftp.channels import DataChannelCache
@@ -73,8 +73,9 @@ class TransferHandle:
         self.cutthrough = False
         # Integrity marks picked up in flight: one entry per block that
         # completed while a corrupt-transfer fault window was open on
-        # the path. A non-empty list means the delivered file is bad.
-        self.taints: List[str] = []
+        # the path. A non-empty list means the delivered file is bad;
+        # () until the first mark, so a clean transfer holds no list.
+        self.taints: Sequence[str] = ()
 
     def begin_attempt(self, total: float) -> None:
         """Reset per-attempt progress for a new get/put on this handle.
@@ -88,7 +89,7 @@ class TransferHandle:
         self.total = total
         self._completed = 0.0
         self._active_flows = []
-        self.taints = []
+        self.taints = ()
 
     def bytes_done(self) -> float:
         """Bytes delivered so far (live flows included)."""
@@ -295,6 +296,8 @@ class ClientSession:
                 handle._active_flows.remove(flow)
                 handle._completed += block
                 if suspect or any(l.corrupting for l in path_links):
+                    if not handle.taints:
+                        handle.taints = []
                     handle.taints.append(
                         f"xfer@{self.env.now:.3f}+{offset:.0f}")
                     self.client.obs.count("gridftp.tainted_blocks_total",
@@ -377,6 +380,8 @@ class ClientSession:
         blocks = _make_blocks(nbytes, cfg.parallelism)
         completed = 0.0
         attempts = 0
+        if record:
+            stats.series = []
         while blocks:
             if handle.aborted:
                 raise GridFtpError(FtpReply(TRANSFER_ABORTED,
@@ -396,7 +401,7 @@ class ClientSession:
                 stats.restarts += 1
                 self.client.obs.count("gridftp.restarts_total",
                                       reason="no_channels")
-                stats.faults.append((env.now, "no data channels"))
+                stats.faults = [*stats.faults, (env.now, "no data channels")]
                 if attempts > cfg.retry_limit:
                     raise GridFtpError(FtpReply(
                         TRANSFER_ABORTED,
@@ -427,7 +432,8 @@ class ClientSession:
                 stats.restarts += 1
                 self.client.obs.count("gridftp.restarts_total",
                                       reason="blocks_lost")
-                stats.faults.append((env.now, f"{len(blocks)} blocks lost"))
+                stats.faults = [*stats.faults,
+                                (env.now, f"{len(blocks)} blocks lost")]
                 if handle.aborted:
                     raise GridFtpError(FtpReply(TRANSFER_ABORTED,
                                                 handle.abort_reason))

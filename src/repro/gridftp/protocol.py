@@ -8,8 +8,8 @@ implementation does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,9 @@ class TransferStats:
     # Blocks that completed while a corrupt-transfer fault window was
     # open on the path (the delivered file carries integrity marks).
     tainted_blocks: int = 0
-    faults: list = field(default_factory=list)
+    # (time, reason) per restart; () until the first, so a clean
+    # transfer holds no list (likewise ``series`` unless recorded).
+    faults: Sequence[Tuple[float, str]] = ()
     # Source bytes the server's ERET plug-in decoded to produce this
     # product (0 for plain transfers and derived-cache hits).
     eret_decoded_bytes: float = 0.0
@@ -204,7 +206,7 @@ class TransferStats:
     eret_cache_hit: bool = False
     # Closed per-flow RateSeries (one per block actually moved); aggregate
     # with repro.net.aggregate_series for the wire-bandwidth timeline.
-    series: list = field(default_factory=list)
+    series: Sequence = ()
 
     @property
     def duration(self) -> float:

@@ -15,11 +15,13 @@ Sites and roles, as drawn in the architecture figure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.digest import content_digest
-from repro.data.synth import ClimateModelRun, monthly_files
+from repro.data.synth import ClimateModelRun, monthly_files, slice_months
 from repro.data.grids import GridSpec
+from repro.data.ncformat import encode
 from repro.gridftp.client import GridFtpClient
 from repro.gridftp.protocol import GridFtpConfig
 from repro.gridftp.plugins import install_standard_plugins
@@ -336,14 +338,17 @@ class EsgTestbed:
             files = monthly_files(run, years,
                                   size_override=self.file_size_override)
             if self.materialize:
-                # Real SDBF bytes; sizes become the encoded lengths.
-                for f in files:
-                    m0, m1 = f["month_range"]
-                    blob = run.encode_months(int(f["year"]), m0, m1,
-                                             tuple(f["variables"]),
-                                             chunks=self.sdbf_chunks)
-                    f["content"] = blob
-                    f["size"] = float(len(blob))
+                # Real SDBF bytes; sizes become the encoded lengths. Each
+                # year is synthesized once and cut into all its files.
+                for year, group in groupby(files, lambda f: f["year"]):
+                    year_ds = run.generate_year(int(year))
+                    for f in group:
+                        blob = encode(slice_months(year_ds,
+                                                   *f["month_range"]),
+                                      chunks=self.sdbf_chunks)
+                        f["content"] = blob
+                        f["size"] = float(len(blob))
+                    del year_ds
             self.datasets[run.dataset_id] = files
             self.metadata_catalog.register_dataset(
                 run.dataset_id, run.model, run.run,

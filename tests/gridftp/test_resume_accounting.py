@@ -80,7 +80,7 @@ def test_reused_handle_does_not_double_count_or_carry_taints():
     assert handle.fraction == pytest.approx(1.0)
     # The retry ran on a clean link, so the delivered copy must be
     # clean — stale taints no longer condemn it.
-    assert handle.taints == []
+    assert not handle.taints
     assert stats.tainted_blocks == 0
     assert stats.transferred_bytes == pytest.approx(600 * MB)
 
