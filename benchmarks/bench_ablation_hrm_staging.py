@@ -31,7 +31,8 @@ def test_a7_hrm_staging_behaviour(benchmark, show):
         ticket = tb.request_manager.submit([(ds, name)])
         tb.env.run(until=ticket.done)
         cold = tb.env.now - t0
-        stage_time = pdsf.hrm.completed[0].stage_time
+        stage_time = float(
+            tb.logger.select("hrm.stage.done")[0].fields["seconds"])
         # Warm fetch: cache hit, WAN only.
         t0 = tb.env.now
         ticket2 = tb.request_manager.submit([(ds, name)])

@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.net.faults import FaultSchedule
+from repro.netlogger import extract_fault_windows
 from repro.rm.request import FileState
 from repro.rm.resilience import ResiliencePolicy, RetryPolicy
 from repro.scenarios.esg import EsgTestbed
@@ -133,8 +134,9 @@ def test_chaos_survival(benchmark, show, seed):
     show()
     show(f"=== chaos seed {seed}: {len(sched)} faults, "
          f"{len(ticket.files)} files ===")
-    for t, action, what in inj.log:
-        show(f"  {t:7.1f}s {action}: {what}")
+    for w in extract_fault_windows(tb.logger):
+        show(f"  {w.start:7.1f}-{w.end:7.1f}s {w.kind} {w.target}: "
+             f"{w.description}")
     show(f"  states {states}; failure classes {classes or '{}'}; "
          f"breaker trips {board.total_trips}, skips {board.total_skips}; "
          f"degraded rankings "

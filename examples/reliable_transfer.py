@@ -50,8 +50,9 @@ def main() -> None:
     print(f"total moved: {result.total_bytes / 2**30:.1f} GiB")
 
     print("\n=== Incident log ===")
-    for t, action, desc in result.fault_log:
-        print(f"  {t / HOURS:5.2f} h  {action:<14} {desc}")
+    for w in result.faults:
+        print(f"  {w.start / HOURS:5.2f}-{w.end / HOURS:5.2f} h  "
+              f"{w.kind:<8} {w.description or w.target}")
 
     print("\n=== Bandwidth timeline (Figure 8) ===")
     peak = result.bin_rates.max() or 1.0

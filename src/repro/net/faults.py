@@ -45,6 +45,7 @@ from typing import Dict, List, Literal, Optional
 
 from repro.net.dns import NameService
 from repro.net.fluid import FluidNetwork
+from repro.net.topology import Link
 from repro.sim.core import Environment
 
 FaultKind = Literal["link", "site", "dns", "degrade", "corrupt",
@@ -224,6 +225,10 @@ class FaultInjector:
     ``crash()``/``restart()`` (the "rm" kind — e.g. a
     :class:`~repro.campaign.engine.ReplicationCampaign`). Only the maps
     a schedule actually targets need to be supplied.
+
+    Every window is recorded once, as a ``fault.begin``/``fault.end``
+    ULM pair (:func:`~repro.netlogger.analysis.extract_fault_windows`
+    rebuilds the incident list from them).
     """
 
     def __init__(self, env: Environment, network: FluidNetwork,
@@ -243,97 +248,111 @@ class FaultInjector:
         # Imported here: repro.obs reaches back into repro.net.
         from repro.obs import Observability
         self.obs = obs or Observability()
-        self.log: List[tuple] = []  # (time, action, description)
 
-    # -- observability -----------------------------------------------------
-    def _fault_begin(self, fault: Fault) -> int:
-        """Emit ``fault.begin``; returns the id its ``fault.end`` carries
-        so overlapping windows on one target pair correctly."""
+    def install(self, schedule: FaultSchedule) -> None:
+        """Arm every fault in ``schedule`` as a simulation process.
+
+        Targets are resolved here, so a typo raises at install time,
+        not mid-simulation.
+        """
+        for fault in schedule.faults:
+            apply, undo = self._actions(fault)
+            self.env.process(self._window(fault, apply, undo))
+
+    def _window(self, fault: Fault, apply, undo):
+        if fault.start > 0:
+            yield self.env.timeout(fault.start)
+        # The id pairs fault.end with its begin, so overlapping windows
+        # on one target stay distinct.
         fid = self.env.next_id("fault")
         self.obs.event("fault.begin", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
         self.obs.count("faults.injected_total", kind=fault.kind)
-        return fid
-
-    def _fault_end(self, fault: Fault, fid: int) -> None:
+        if apply is not None:
+            apply()
+        yield self.env.timeout(fault.duration)
+        if undo is not None:
+            undo()
         self.obs.event("fault.end", prog="fault-injector", fault=fid,
                        kind=fault.kind, target=fault.target,
                        description=fault.description)
 
-    def _observe_window(self, fault: Fault):
-        """Begin/end events for windows executed elsewhere
-        (NameService / directory outages install their own timers)."""
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        yield self.env.timeout(fault.duration)
-        self._fault_end(fault, fid)
+    def _actions(self, fault: Fault):
+        """The ``(apply, undo)`` pair that opens and closes ``fault``."""
+        kind = fault.kind
+        if kind == "dns":
+            if self.name_service is None:
+                raise ValueError("dns fault needs a name service")
+            # The outage windows below are absolute (a hung lookup needs
+            # the window end); faults are relative to install time.
+            self.name_service.add_outage(self.env.now + fault.start,
+                                         fault.duration)
+            return None, None
+        if kind == "directory":
+            directory = _target(self.directories, "directory service",
+                                fault)
+            directory.add_outage(self.env.now + fault.start,
+                                 fault.duration, mode=fault.mode)
+            return None, None
+        if kind == "server":
+            server = _target(self.servers, "server", fault)
+            return server.crash, server.restart
+        if kind == "corrupt_replica":
+            server = _target(self.servers, "server", fault)
+            # Persistent: the bytes go bad at the window start and stay
+            # bad (disks do not heal); the duration only scopes the window.
+            return (lambda: self._corrupt_replica(server, fault)), None
+        if kind == "hrm":
+            hrm = _target(self.hrms, "hrm", fault)
+            return hrm.fail_staging, hrm.restore
+        if kind == "truncate_stage":
+            hrm = _target(self.hrms, "hrm", fault)
+            return hrm.begin_truncating, hrm.end_truncating
+        if kind == "rm":
+            target = _target(self.crashables, "crashable", fault)
+            return target.crash, target.restart
+        if kind == "corrupt":
+            # Capacity is untouched, so no reallocation: the corruption
+            # is silent at the network layer and only visible to the
+            # integrity pipeline sampling Link.corrupting per block.
+            link = _target(self.network.topology.links, "link", fault)
+            return link.corrupt_hold, link.release_corrupt
+        links = self._links_for(fault)
+        if kind == "degrade":
+            def hold(link):
+                link.degrade_hold(fault.fraction)
 
-    def install(self, schedule: FaultSchedule) -> None:
-        """Arm every fault in ``schedule`` as a simulation process."""
-        for fault in schedule.faults:
-            if fault.kind == "dns":
-                if self.name_service is None:
-                    raise ValueError("dns fault needs a name service")
-                # NameService windows are absolute; faults are relative
-                # to install time.
-                self.name_service.add_outage(self.env.now + fault.start,
-                                             fault.duration)
-                self.env.process(self._observe_window(fault))
-                continue
-            if fault.kind == "directory":
-                directory = self.directories.get(fault.target)
-                if directory is None:
-                    raise KeyError(
-                        f"unknown directory service {fault.target!r}")
-                directory.add_outage(self.env.now + fault.start,
-                                     fault.duration, mode=fault.mode)
-                self.log.append((self.env.now, "directory scheduled",
-                                 fault.description or fault.target))
-                self.env.process(self._observe_window(fault))
-                continue
-            if fault.kind == "server":
-                if fault.target not in self.servers:
-                    raise KeyError(f"unknown server {fault.target!r}")
-                self.env.process(self._run_server_fault(fault))
-                continue
-            if fault.kind == "hrm":
-                if fault.target not in self.hrms:
-                    raise KeyError(f"unknown hrm {fault.target!r}")
-                self.env.process(self._run_hrm_fault(fault))
-                continue
-            if fault.kind == "truncate_stage":
-                if fault.target not in self.hrms:
-                    raise KeyError(f"unknown hrm {fault.target!r}")
-                self.env.process(self._run_truncate_fault(fault))
-                continue
-            if fault.kind == "rm":
-                if fault.target not in self.crashables:
-                    raise KeyError(f"unknown crashable {fault.target!r}")
-                self.env.process(self._run_rm_fault(fault))
-                continue
-            if fault.kind == "corrupt_replica":
-                if fault.target not in self.servers:
-                    raise KeyError(f"unknown server {fault.target!r}")
-                self.env.process(self._run_corrupt_replica_fault(fault))
-                continue
-            if fault.kind == "corrupt":
-                if fault.target not in self.network.topology.links:
-                    raise KeyError(f"unknown link {fault.target!r}")
-                self.env.process(self._run_corrupt_fault(fault))
-                continue
-            # link/site/degrade: validate the target eagerly so a typo
-            # raises at install time, not mid-simulation.
-            self._links_for(fault)
-            self.env.process(self._run_fault(fault))
+            def release(link):
+                link.release_degrade(fault.fraction)
+        else:
+            hold, release = Link.set_down, Link.restore
+
+        def change(step):
+            # Every link changes first, then each gets a scoped
+            # reallocation (a site outage coalesces into one recompute).
+            for link in links:
+                step(link)
+            for link in links:
+                self.network.link_updated(link)
+
+        return (lambda: change(hold)), (lambda: change(release))
+
+    def _corrupt_replica(self, server, fault: Fault) -> None:
+        tag = f"at-rest@{self.env.now:.0f}"
+        try:
+            server.corrupt_file(fault.path, tag=tag)
+        except Exception as exc:
+            # The file may have been deleted/moved since the schedule
+            # was written; a miss must not kill the simulation.
+            self.obs.event("fault.skipped", prog="fault-injector",
+                           kind=fault.kind, target=fault.target,
+                           error=str(exc))
 
     def _links_for(self, fault: Fault):
         topo = self.network.topology
         if fault.kind in ("link", "degrade"):
-            if fault.target not in topo.links:
-                raise KeyError(f"unknown link {fault.target!r}")
-            return [topo.links[fault.target]]
+            return [_target(topo.links, "link", fault)]
         # site outage: all links touching the site
         links = [l for l in topo.links.values()
                  if l.site == fault.target or l.src.site == fault.target
@@ -342,125 +361,10 @@ class FaultInjector:
             raise KeyError(f"no links at site {fault.target!r}")
         return links
 
-    def _run_fault(self, fault: Fault):
-        links = self._links_for(fault)
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        for link in links:
-            if fault.kind == "degrade":
-                link.degrade_hold(fault.fraction)
-            else:
-                link.set_down()
-        self.log.append((self.env.now, f"{fault.kind} down",
-                         fault.description or fault.target))
-        fid = self._fault_begin(fault)
-        # Scoped reallocation: only the components crossing the faulted
-        # links pay for the recompute (site outages coalesce into one).
-        for link in links:
-            self.network.link_updated(link)
-        yield self.env.timeout(fault.duration)
-        for link in links:
-            if fault.kind == "degrade":
-                link.release_degrade(fault.fraction)
-            else:
-                link.restore()
-        self.log.append((self.env.now, f"{fault.kind} restored",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
-        for link in links:
-            self.network.link_updated(link)
 
-    def _run_server_fault(self, fault: Fault):
-        server = self.servers[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        server.crash()
-        self.log.append((self.env.now, "server down",
-                         fault.description or fault.target))
-        yield self.env.timeout(fault.duration)
-        server.restart()
-        self.log.append((self.env.now, "server restored",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
-
-    def _run_hrm_fault(self, fault: Fault):
-        hrm = self.hrms[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        hrm.fail_staging()
-        self.log.append((self.env.now, "hrm down",
-                         fault.description or fault.target))
-        yield self.env.timeout(fault.duration)
-        hrm.restore()
-        self.log.append((self.env.now, "hrm restored",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
-
-    def _run_corrupt_fault(self, fault: Fault):
-        # Capacity is untouched, so no link_updated/reallocation: the
-        # corruption is silent at the network layer and only visible to
-        # the integrity pipeline sampling Link.corrupting per block.
-        link = self.network.topology.links[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        link.corrupt_hold()
-        self.log.append((self.env.now, "corrupt window open",
-                         fault.description or fault.target))
-        fid = self._fault_begin(fault)
-        yield self.env.timeout(fault.duration)
-        link.release_corrupt()
-        self.log.append((self.env.now, "corrupt window closed",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
-
-    def _run_corrupt_replica_fault(self, fault: Fault):
-        server = self.servers[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        # Persistent: the bytes go bad at the window start and stay bad
-        # (disks do not heal); the duration only scopes the window.
-        tag = f"at-rest@{self.env.now:.0f}"
-        try:
-            server.corrupt_file(fault.path, tag=tag)
-        except Exception as exc:
-            # The file may have been deleted/moved since the schedule
-            # was written; a miss must not kill the simulation.
-            self.log.append((self.env.now, "replica corrupt skipped",
-                             f"{fault.target}:{fault.path}: {exc}"))
-        else:
-            self.log.append((self.env.now, "replica corrupted",
-                             fault.description
-                             or f"{fault.target}:{fault.path}"))
-        yield self.env.timeout(fault.duration)
-        self._fault_end(fault, fid)
-
-    def _run_truncate_fault(self, fault: Fault):
-        hrm = self.hrms[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        hrm.begin_truncating()
-        self.log.append((self.env.now, "hrm truncating",
-                         fault.description or fault.target))
-        yield self.env.timeout(fault.duration)
-        hrm.end_truncating()
-        self.log.append((self.env.now, "hrm truncation ended",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
-
-    def _run_rm_fault(self, fault: Fault):
-        target = self.crashables[fault.target]
-        if fault.start > 0:
-            yield self.env.timeout(fault.start)
-        fid = self._fault_begin(fault)
-        target.crash()
-        self.log.append((self.env.now, "rm down",
-                         fault.description or fault.target))
-        yield self.env.timeout(fault.duration)
-        target.restart()
-        self.log.append((self.env.now, "rm restored",
-                         fault.description or fault.target))
-        self._fault_end(fault, fid)
+def _target(table: Dict[str, object], what: str, fault: Fault):
+    """``table[fault.target]``, or a KeyError naming the missing target."""
+    try:
+        return table[fault.target]
+    except KeyError:
+        raise KeyError(f"unknown {what} {fault.target!r}") from None

@@ -144,7 +144,8 @@ class SloEngine:
         self._snaps: Dict[str, List[Tuple[float, object]]] = {}
         # window baseline before any snapshot exists: engine creation
         self._started_at: float = float(env.now)
-        self.evaluations: List[SloEvaluation] = []
+        # newest evaluation per spec name
+        self._latest: Dict[str, SloEvaluation] = {}
         self.alerts: List[SloAlert] = []
         self._open: Dict[str, SloAlert] = {}
         self.started = False
@@ -187,8 +188,7 @@ class SloEngine:
         now = self.env.now
         snaps = self._snaps.get(spec.name, [])
         baseline = None
-        baseline_t = (self._started_at if self._started_at is not None
-                      else now)
+        baseline_t = self._started_at
         for t, state in snaps:
             if t <= now - window + 1e-9:
                 baseline, baseline_t = state, t
@@ -238,7 +238,7 @@ class SloEngine:
             ev = SloEvaluation(now, spec.name, value_long, value_short,
                               burn_long, burn_short, breaching)
             out.append(ev)
-            self.evaluations.append(ev)
+            self._latest[spec.name] = ev
             self._transition(spec, ev)
             # snapshot *after* evaluating, so windows never see their
             # own snapshot as a zero-delta baseline.
@@ -286,8 +286,7 @@ class SloEngine:
         """Last evaluation + alert history per spec (CLI table rows)."""
         rows = []
         for spec in self.specs:
-            last = next((ev for ev in reversed(self.evaluations)
-                         if ev.spec == spec.name), None)
+            last = self._latest.get(spec.name)
             episodes = [a for a in self.alerts if a.spec == spec.name]
             rows.append({
                 "slo": spec.name,

@@ -41,7 +41,9 @@ from repro.net.recorder import RateSeries, aggregate_series
 from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.net.units import GB, MB, mbps
+from repro.netlogger.analysis import FaultWindow, extract_fault_windows
 from repro.netlogger.log import NetLogger
+from repro.obs import Observability
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
@@ -85,7 +87,7 @@ class Figure8Result:
     transfers_failed: int
     total_bytes: float
     restarts: int
-    fault_log: List[tuple]
+    faults: List[FaultWindow]
     series: List[RateSeries] = field(default_factory=list)
 
     @property
@@ -165,8 +167,9 @@ class CommodityTestbed:
             env, self.transport, self.registry,
             credential_chain=user.make_proxy(env.now))
         self.dst_fs = FileSystem(env, "anl-fs")
-        self.injector = FaultInjector(env, self.network, self.dns)
         self.logger = NetLogger(env, host="anl-ws", prog="gridftp")
+        self.injector = FaultInjector(env, self.network, self.dns,
+                                      obs=Observability(logger=self.logger))
 
 
 def run_figure8_schedule(testbed: CommodityTestbed,
@@ -256,5 +259,5 @@ def run_figure8_schedule(testbed: CommodityTestbed,
         transfers_failed=counts["failed"],
         total_bytes=counts["bytes"],
         restarts=counts["restarts"],
-        fault_log=list(testbed.injector.log),
+        faults=extract_fault_windows(testbed.logger),
         series=all_series)

@@ -89,7 +89,6 @@ class HierarchicalResourceManager:
         self.prefetch_enabled = prefetch
         self._inflight: Dict[str, StageRequest] = {}
         self._hinted: Dict[str, bool] = {}  # insertion-ordered name set
-        self.completed: list = []  # history of StageRequest
         self.down = False
         self.truncating = False
         self.truncated_stages = 0
@@ -178,7 +177,6 @@ class HierarchicalResourceManager:
             if was_prefetched:
                 self._count_prefetch_hit(name, inflight=False)
             req.ready.succeed(self.serve_fs.stat(name))
-            self.completed.append(req)
             self._record_done(req, cached=True)
             return req
         if self.mss.tape.has(name) and not self.mss.is_staged(name):
@@ -233,7 +231,6 @@ class HierarchicalResourceManager:
             self.serve_fs.store(file)
         req.completed_at = self.env.now
         self._inflight.pop(req.name, None)
-        self.completed.append(req)
         self._record_done(req)
         req.ready.succeed(file)
         # The tape drive just freed up: speculate if there is slack.
@@ -396,4 +393,4 @@ class HierarchicalResourceManager:
 
     def __repr__(self) -> str:
         return (f"HierarchicalResourceManager({self.name!r}, "
-                f"{self.inflight} staging, {len(self.completed)} done)")
+                f"{self.inflight} staging)")

@@ -10,6 +10,8 @@ staged watermark.
 import pytest
 
 from repro.gridftp import GridFtpConfig
+from repro.netlogger import NetLogger
+from repro.obs import Observability
 from repro.storage import (
     FileObject,
     HierarchicalResourceManager,
@@ -46,6 +48,8 @@ def fetch(grid, config=None, path="cold.nc"):
 
 def test_cutthrough_starts_before_stage_completes():
     grid, mss = tape_grid()
+    logger = NetLogger(grid.env)
+    grid.server.hrm.obs = Observability(logger=logger)
     cfg = GridFtpConfig(stage_watermark=0.25)
     stats, t0, t_end = fetch(grid, cfg)
     assert grid.server.cutthrough_served == 1
@@ -53,7 +57,7 @@ def test_cutthrough_starts_before_stage_completes():
     assert grid.client_fs.exists("cold.nc")
     # The stage alone takes mount 40 + 140 MB / 14 MBps = 50 s; the data
     # channel must open well before that.
-    stage_done = grid.server.hrm.completed[0].completed_at
+    stage_done = logger.select("hrm.stage.done")[0].t
     assert t0 < stage_done
     assert t_end > stage_done        # capped stream cannot finish earlier
     # The stage pin was taken and balanced exactly.

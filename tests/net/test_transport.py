@@ -16,6 +16,8 @@ from repro.net import (
     Transport,
     mbps,
 )
+from repro.netlogger import FaultWindow, NetLogger, extract_fault_windows
+from repro.obs import Observability
 from repro.sim import Environment
 
 
@@ -219,15 +221,16 @@ def test_site_outage_takes_all_site_links_down():
     topo.duplex_link("dallas-r", "wan", mbps(100), 0.01)
     topo.duplex_link("wan", "lbl", mbps(100), 0.01)
     net = FluidNetwork(env, topo)
-    inj = FaultInjector(env, net)
+    logger = NetLogger(env)
+    inj = FaultInjector(env, net, obs=Observability(logger=logger))
     sched = FaultSchedule().site_outage("dallas", start=2.0, duration=3.0,
                                         description="power failure")
     inj.install(sched)
     flow = net.transfer("dallas-r", "lbl", mbps(100) * 4)
     env.run()
     assert flow.finished_at == pytest.approx(7.0)
-    actions = [a for _, a, _ in inj.log]
-    assert actions == ["site down", "site restored"]
+    assert extract_fault_windows(logger) == [
+        FaultWindow("site", "dallas", 2.0, 5.0, "power failure")]
 
 
 def test_degrade_halves_throughput():

@@ -128,7 +128,7 @@ def _outage_get(wired):
     stats = grid.run_process(main())
     outcome = (stats.transferred_bytes, stats.restarts, stats.faults,
                stats.finished_at, grid.client_fs.stat("data.nc").size,
-               injector.log, grid.env.now)
+               grid.env.now)
     return outcome, injector.obs
 
 

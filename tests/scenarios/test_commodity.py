@@ -52,7 +52,9 @@ def test_power_failure_zeroes_bandwidth_then_recovers():
     # Recovery afterwards.
     assert rates[25:].max() > mbps(60)
     assert res.restarts >= 1
-    assert any("power failure" in d for _, _, d in res.fault_log)
+    site = [w for w in res.faults if w.kind == "site"]
+    assert [(w.start, w.end, w.description) for w in site] == [
+        (600.0, 1200.0, "power failure")]
 
 
 def test_degraded_backbone_reduces_but_does_not_kill():

@@ -1,5 +1,8 @@
 """Tests for tape library, HPSS-like MSS, and the HRM."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Environment
@@ -222,6 +225,21 @@ def test_hrm_stage_failure_propagates():
     req = hrm.request_stage("ghost")
     with pytest.raises(KeyError):
         env.run(until=req.ready)
+
+
+def test_hrm_keeps_no_stage_history():
+    """A finished, released stage leaves nothing behind in the HRM: its
+    ``hrm.stage.done`` record is the only trace."""
+    env, mss, serve_fs, hrm = hrm_fixture()
+    mss.archive(FileObject("f", 140 * MB), tape="T1", position=0.0)
+    req = hrm.request_stage("f")
+    env.run()
+    assert req.ready.triggered and req.stage_time > 0
+    hrm.release("f")
+    ref = weakref.ref(req)
+    del req
+    gc.collect()
+    assert ref() is None
 
 
 def test_hrm_estimate_wait():
