@@ -134,8 +134,7 @@ def _cmd_trace(args) -> int:
                                  reconstruction_report, stage_breakdown,
                                  ttfb_values)
     tb = _demo_fetch(args.seed)
-    lifelines = reconstruct_lifelines(tb.logger.records)
-    lives = sorted(lifelines.values(),
+    lives = sorted(reconstruct_lifelines(tb.logger.records),
                    key=lambda life: (life.requested_at or 0.0, life.file))
     print(reconstruction_report(lives, dropped=tb.logger.dropped).render())
     print(f"=== lifelines ({len(lives)} files, seed {args.seed}) ===")
@@ -171,9 +170,11 @@ def _cmd_trace(args) -> int:
             print(f"{kind:<10} {target:<24} "
                   f"[{start:.1f}s .. {end:.1f}s]")
     if args.spans:
+        from repro.obs.trace import render_trace, trace_ids
         print("\n=== spans ===")
-        for trace_id in tb.obs.tracer.traces():
-            print(tb.obs.tracer.render_tree(trace_id))
+        spans = tb.obs.tracer.spans
+        for trace_id in trace_ids(spans):
+            print(render_trace(spans, trace_id))
     return 0
 
 

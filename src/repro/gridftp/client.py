@@ -52,7 +52,7 @@ class TransferHandle:
 
     __slots__ = ("env", "path", "total", "done", "_completed", "_active_flows",
                  "aborted", "abort_reason", "abort_event", "first_byte_at",
-                 "cutthrough", "taints")
+                 "cutthrough", "taints", "ticket")
 
     def __init__(self, env: Environment, path: str, total: float):
         self.env = env
@@ -76,6 +76,8 @@ class TransferHandle:
         # the path. A non-empty list means the delivered file is bad;
         # () until the first mark, so a clean transfer holds no list.
         self.taints: Sequence[str] = ()
+        # The RM ticket served, stamped on the gridftp.first_byte record.
+        self.ticket: Optional[str] = None
 
     def begin_attempt(self, total: float) -> None:
         """Reset per-attempt progress for a new get/put on this handle.
@@ -287,7 +289,9 @@ class ClientSession:
                     handle.first_byte_at = self.env.now
                     self.client.obs.event(
                         "gridftp.first_byte", prog="gridftp",
-                        host=self.server.hostname, file=path)
+                        host=self.server.hostname, file=path,
+                        **({} if handle.ticket is None
+                           else {"ticket": handle.ticket}))
                 conn.stream.drive(flow)
                 yield from conn.watch(flow)
                 moved += block

@@ -5,13 +5,21 @@ Two halves:
 - the **bandwidth half** (:func:`summarize`, :func:`bandwidth_timeline`)
   turns per-flow rate series into the Table 1 block and the Figure 8
   timeline;
-- the **lifeline half** (:func:`reconstruct_lifelines`,
-  :func:`stage_breakdown`, :func:`ttfb_values`,
-  :func:`failure_breakdown`) replays a ULM event log into per-file
-  *lifelines* — the NetLogger methodology: every file's path through
-  request → select → connect → first byte → done/failed, with per-stage
-  latency, time-to-first-byte, failure-class attribution, and the fault
-  windows that overlapped it.
+- the **lifeline half** (:func:`reconstruct`,
+  :func:`reconstruct_lifelines`, :func:`stage_breakdown`,
+  :func:`ttfb_values`, :func:`failure_breakdown`) replays a ULM event
+  log into *lifelines* — the NetLogger methodology: each request's path
+  for one file through request → select → connect → first byte →
+  done/failed, with per-stage latency, time-to-first-byte,
+  failure-class attribution, and the fault windows that overlapped it.
+
+A lifeline is keyed by ``(ticket, file)``: two tickets that move one
+logical file get two lifelines. Records that name a file but no ticket
+(``hrm.stage.*``, ``tape.read.begin``: one stage serves every requester
+of a file) join every lifeline of that file that is not yet terminal,
+else the most recently opened one; before any exists they are held for
+the first. The same reconstruction extracts the fault windows and SLO
+breaches, so the span trees of :mod:`repro.obs.trace` come from it.
 """
 
 from __future__ import annotations
@@ -116,7 +124,7 @@ def summarize(series: Iterable[RateSeries],
 
 
 # ---------------------------------------------------------------------------
-# Lifelines: per-file event timelines reconstructed from the ULM log.
+# Lifelines: per-(ticket, file) event timelines reconstructed from the log.
 # ---------------------------------------------------------------------------
 
 #: Milestone event → name of the pipeline stage that *begins* at it.
@@ -178,7 +186,7 @@ class FaultWindow:
 
 @dataclass
 class Lifeline:
-    """Everything one logical file went through, reconstructed."""
+    """Everything one ticket's request for one file went through."""
 
     file: str
     ticket: Optional[str] = None
@@ -190,6 +198,7 @@ class Lifeline:
     requested_at: Optional[float] = None
     finished_at: Optional[float] = None
     faults: List[FaultWindow] = field(default_factory=list)
+    seq: List[int] = field(default_factory=list)  # events' log positions
 
     @property
     def duration(self) -> Optional[float]:
@@ -283,40 +292,70 @@ def extract_fault_windows(records: Iterable[LogRecord]
     return windows
 
 
-def reconstruct_lifelines(records: Iterable[LogRecord],
-                          attach_faults: bool = True
-                          ) -> Dict[str, Lifeline]:
-    """Group a ULM log into per-file lifelines with stage breakdowns.
-
-    Any record carrying a ``file`` field joins that file's lifeline;
-    records are processed in time order. With ``attach_faults`` (the
-    default), fault windows overlapping a lifeline's active period are
-    attached to it — the injected cause lands on the same timeline as
-    its symptom.
-    """
+def reconstruct(records: Iterable[LogRecord]
+                ) -> Tuple[List[Lifeline], List[FaultWindow], List[list]]:
+    """Group a ULM log in one time-ordered pass into its lifelines (keyed
+    by ``(ticket, file)`` under the rule in the module docstring, each
+    with the fault windows overlapping its active period attached), its
+    fault windows, and its SLO breaches as ``[log position,
+    slo.breach.begin, its slo.breach.end or None]`` in begin order."""
     ordered = sorted(records, key=lambda r: r.t)
-    lifelines: Dict[str, Lifeline] = {}
-    for rec in ordered:
-        name = rec.fields.get("file")
+    lifelines: List[Lifeline] = []
+    keyed: Dict[Tuple[str, str], Lifeline] = {}
+    by_file: Dict[str, List[Lifeline]] = {}    # in opening order
+    breaches: List[list] = []
+    open_breaches: Dict[str, list] = {}        # slo -> its open breach
+
+    def opened(name: str, ticket: Optional[str]) -> Lifeline:
+        life = Lifeline(file=name, ticket=ticket)
+        lifelines.append(life)
+        by_file[name].append(life)
+        return life
+
+    for pos, rec in enumerate(ordered):
+        f = rec.fields
+        if rec.event == "slo.breach.begin":
+            breaches.append([pos, rec, None])
+            open_breaches[f.get("slo")] = breaches[-1]
+        elif rec.event == "slo.breach.end" and f.get("slo") in open_breaches:
+            open_breaches.pop(f["slo"])[2] = rec
+        name = f.get("file")
         if name is None:
             continue
-        life = lifelines.get(name)
-        if life is None:
-            life = lifelines[name] = Lifeline(file=name)
-        life.events.append(rec)
-        if life.ticket is None and "ticket" in rec.fields:
-            life.ticket = rec.fields["ticket"]
-    for life in lifelines.values():
+        ticket = f.get("ticket")
+        lives = by_file.setdefault(name, [])
+        if ticket is None:
+            joined = ([life for life in lives if life.outcome is None]
+                      or lives[-1:] or [opened(name, None)])
+        else:
+            life = keyed.get((ticket, name))
+            if life is None:
+                if lives and lives[0].ticket is None:
+                    life = lives[0]     # takes over the records held for it
+                    life.ticket = ticket
+                else:
+                    life = opened(name, ticket)
+                keyed[ticket, name] = life
+            joined = [life]
+        for life in joined:
+            life.events.append(rec)
+            life.seq.append(pos)
+            if rec.event in TERMINAL_EVENTS:
+                life.outcome = TERMINAL_EVENTS[rec.event]
+    windows = extract_fault_windows(ordered)
+    for life in lifelines:
         _build_stages(life)
-    if attach_faults:
-        for window in extract_fault_windows(ordered):
-            for life in lifelines.values():
-                t0 = life.requested_at
-                t1 = (life.finished_at if life.finished_at is not None
-                      else float("inf"))
-                if t0 is not None and window.overlaps(t0, t1):
-                    life.faults.append(window)
-    return lifelines
+        t0 = life.requested_at
+        t1 = (life.finished_at if life.finished_at is not None
+              else float("inf"))
+        if t0 is not None:
+            life.faults = [w for w in windows if w.overlaps(t0, t1)]
+    return lifelines, windows, breaches
+
+
+def reconstruct_lifelines(records: Iterable[LogRecord]) -> List[Lifeline]:
+    """The log's lifelines, in the order of their first records."""
+    return reconstruct(records)[0]
 
 
 def _build_stages(life: Lifeline) -> None:
@@ -402,8 +441,6 @@ def reconstruction_report(lifelines: Iterable[Lifeline],
     ``logger.dropped``), reported alongside so a nonzero incomplete
     count can be traced to its cause.
     """
-    if isinstance(lifelines, dict):
-        lifelines = lifelines.values()
     lives = list(lifelines)
     report = ReconstructionReport(total=len(lives), complete=0,
                                   dropped=dropped)

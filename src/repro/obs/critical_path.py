@@ -151,8 +151,6 @@ def extract_critical_paths(lifelines: Iterable[Lifeline]
                            ) -> List[CriticalPath]:
     """Critical paths for every terminal lifeline (others skipped —
     run a reconstruction report to count them)."""
-    if isinstance(lifelines, dict):
-        lifelines = lifelines.values()
     out = []
     for life in lifelines:
         path = extract_critical_path(life)
@@ -225,8 +223,6 @@ def attribute_bottleneck(
     report's window is named as the saturated resource.
     """
     paths: List[CriticalPath] = []
-    if isinstance(source, dict):
-        source = source.values()
     for item in source:
         if isinstance(item, Lifeline):
             path = extract_critical_path(item)

@@ -12,24 +12,27 @@ The :class:`Tracer` records nothing: it is a read-only view that
 rebuilds spans from the records a :class:`~repro.netlogger.log.NetLogger`
 still holds. Every span is backed by a record in the log, so a bounded
 (ring-buffer) log bounds the spans too; a span whose closing record has
-not been logged yet is open. Where each span comes from:
+not been logged yet is open. Every span derives from the log's one
+reconstruction, :func:`~repro.netlogger.analysis.reconstruct`, with a
+lifeline per ``(ticket, file)``; nothing here walks the raw records:
 
-- ``rm.ticket`` / ``rm.file`` — ``rm.request`` records grouped by
-  (ticket, file); a file span ends at the file's
-  :data:`~repro.netlogger.analysis.TERMINAL_EVENTS` record, the ticket
-  span when its last file does;
-- ``rm.attempt`` — opened by ``rm.attempt``, closed by the file's next
-  ``rm.transfer.done`` (ok) or ``rm.attempt.failed`` (error);
-- ``fault.<kind>`` — :func:`~repro.netlogger.analysis.extract_fault_windows`;
-- ``slo.breach`` — ``slo.breach.begin`` / ``slo.breach.end``.
+- ``rm.file`` — a lifeline with an ``rm.request``, from its first
+  request to its terminal event, with the lifeline's outcome as status;
+- ``rm.ticket`` — the file spans of one ticket, ending when its last
+  file does;
+- ``rm.attempt`` — the lifeline's ``rm.attempt`` records, each closed by
+  the next ``rm.transfer.done`` (ok) or ``rm.attempt.failed`` (error);
+- ``fault.<kind>`` — the reconstruction's fault windows;
+- ``slo.breach`` — its paired ``slo.breach.begin`` / ``slo.breach.end``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.netlogger.analysis import TERMINAL_EVENTS, extract_fault_windows
+from repro.netlogger.analysis import reconstruct
 from repro.netlogger.log import LogRecord, NetLogger
 
 
@@ -69,65 +72,99 @@ class Span:
 
 def build_spans(records: Iterable[LogRecord]) -> List[Span]:
     """Rebuild every span the records describe, in start order."""
-    records = list(records)
-    spans: List[Span] = []
-    tickets: Dict[str, Tuple[Span, List[Span]]] = {}
-    files: Dict[Tuple[str, str], Span] = {}
-    attempts: Dict[Tuple[str, str], Span] = {}   # the open one per file
-    tries: Dict[Tuple[str, str], int] = {}
-    breaches: Dict[str, Span] = {}
-    for rec in records:
-        event, f = rec.event, rec.fields
-        key = (f.get("ticket", "?"), f.get("file", "?"))
-        trace = f"ticket-{key[0]}"
-        file_id = f"{trace}/{key[1]}"
-        if event == "rm.request":
-            if key[0] not in tickets:
-                ticket = Span("rm.ticket", trace, trace, None, rec.t,
-                              fields={"ticket": key[0]})
-                tickets[key[0]] = (ticket, [])
-                spans.append(ticket)
-            ticket, members = tickets[key[0]]
-            span = files[key] = Span("rm.file", trace, file_id, trace, rec.t,
-                                     fields={"ticket": key[0],
-                                             "file": key[1]})
-            members.append(span)
-            ticket.fields["files"] = str(len(members))
-            spans.append(span)
-        elif event == "rm.attempt":
-            tries[key] = tries.get(key, 0) + 1
-            span = attempts[key] = Span(
-                "rm.attempt", trace, f"{file_id}#{tries[key]}", file_id,
-                rec.t, fields={"file": key[1], "host": rec.host})
-            spans.append(span)
-        elif event == "rm.attempt.failed" and key in attempts:
-            attempts.pop(key)._close(rec.t, "error", error=f["error"])
-        elif event == "rm.transfer.done" and key in attempts:
-            attempts.pop(key)._close(rec.t, "ok", bytes=f["bytes"])
-        elif event == "slo.breach.begin":
-            span = breaches[f["slo"]] = Span(
-                "slo.breach", "faults", f"slo-{f['slo']}@{rec.t}", None,
-                rec.t, fields={k: f[k] for k in ("slo", "tenant",
-                                                 "objective")})
-            spans.append(span)
-        elif event == "slo.breach.end" and f.get("slo") in breaches:
-            breaches.pop(f["slo"])._close(rec.t, "recovered",
-                                          peak_burn=f["peak_burn"])
-        if event in TERMINAL_EVENTS and key in files:
-            files.pop(key)._close(rec.t, TERMINAL_EVENTS[event])
-            ticket, members = tickets[key[0]]
-            if all(not m.open for m in members):
-                ticket._close(rec.t, "ok")
-    for n, window in enumerate(extract_fault_windows(records), 1):
+    lifelines, faults, breaches = reconstruct(records)
+    # Keyed (start, log position of the opening record): spans opened
+    # together keep the log's order, a ticket just before its first file
+    # and fault windows after the rest.
+    keyed: List[Tuple[Tuple[float, float], Span]] = []
+    tickets: Dict[str, List[Tuple[Tuple[float, float], Span]]] = {}
+    for life in lifelines:
+        ticket = life.ticket or "?"
+        trace = f"ticket-{ticket}"
+        file_id = f"{trace}/{life.file}"
+        file_span = attempt = None
+        tries = 0
+        for pos, rec in zip(life.seq, life.events):
+            if rec.event == "rm.request" and file_span is None:
+                file_span = Span("rm.file", trace, file_id, trace, rec.t,
+                                 fields={"ticket": ticket,
+                                         "file": life.file})
+                keyed.append(((rec.t, pos), file_span))
+                tickets.setdefault(ticket, []).append(keyed[-1])
+            elif rec.event == "rm.attempt":
+                tries += 1
+                attempt = Span("rm.attempt", trace, f"{file_id}#{tries}",
+                               file_id, rec.t,
+                               fields={"file": life.file, "host": rec.host})
+                keyed.append(((rec.t, pos), attempt))
+            elif rec.event == "rm.attempt.failed" and attempt is not None:
+                attempt._close(rec.t, "error", error=rec.fields["error"])
+                attempt = None
+            elif rec.event == "rm.transfer.done" and attempt is not None:
+                attempt._close(rec.t, "ok", bytes=rec.fields["bytes"])
+                attempt = None
+        if file_span is not None and life.outcome is not None:
+            file_span._close(life.finished_at, life.outcome)
+    for ticket, members in tickets.items():
+        (t0, pos), _ = min(members, key=itemgetter(0))
+        trace = f"ticket-{ticket}"
+        span = Span("rm.ticket", trace, trace, None, t0,
+                    fields={"ticket": ticket, "files": str(len(members))})
+        if not any(m.open for _, m in members):
+            span._close(max(m.ended_at for _, m in members), "ok")
+        keyed.append(((t0, pos - 0.5), span))
+    for n, window in enumerate(faults, 1):
         done = window.end != float("inf")
-        spans.append(Span(f"fault.{window.kind}", "faults", f"fault-{n}",
-                          None, window.start,
-                          window.end if done else None,
-                          "ok" if done else "open",
-                          {"target": window.target,
-                           "description": window.description}))
-    spans.sort(key=lambda s: s.started_at)
-    return spans
+        keyed.append(((window.start, float("inf")), Span(
+            f"fault.{window.kind}", "faults", f"fault-{n}", None,
+            window.start, window.end if done else None,
+            "ok" if done else "open",
+            {"target": window.target, "description": window.description})))
+    for pos, begin, end in breaches:
+        f = begin.fields
+        span = Span("slo.breach", "faults", f"slo-{f['slo']}@{begin.t}",
+                    None, begin.t, fields={k: f[k] for k in
+                                           ("slo", "tenant", "objective")})
+        if end is not None:
+            span._close(end.t, "recovered", peak_burn=end.fields["peak_burn"])
+        keyed.append(((begin.t, pos), span))
+    keyed.sort(key=itemgetter(0))
+    return [span for _, span in keyed]
+
+
+def trace_ids(spans: Iterable[Span]) -> List[str]:
+    """Distinct trace ids, in first-seen order."""
+    seen: Dict[str, None] = {}
+    for s in spans:
+        seen.setdefault(s.trace_id, None)
+    return list(seen)
+
+
+def render_trace(spans: Iterable[Span], trace_id: str) -> str:
+    """An indented text rendering of one trace's span tree."""
+    spans = [s for s in spans if s.trace_id == trace_id]
+    children: Dict[Optional[str], List[Span]] = {}
+    for s in spans:
+        children.setdefault(s.parent_id, []).append(s)
+    by_id = {s.span_id: s for s in spans}
+    roots = [s for s in spans
+             if s.parent_id is None or s.parent_id not in by_id]
+    lines = [f"trace {trace_id}"]
+
+    def walk(span: Span, depth: int) -> None:
+        dur = (f"{span.duration:.3f}s" if span.duration is not None
+               else "open")
+        extra = " ".join(f"{k}={v}" for k, v in
+                         sorted(span.fields.items()))
+        lines.append(f"{'  ' * depth}- {span.name} "
+                     f"[{span.started_at:.3f}s +{dur}] "
+                     f"{span.status}" + (f" {extra}" if extra else ""))
+        for child in children.get(span.span_id, []):
+            walk(child, depth + 1)
+
+    for root in roots:
+        walk(root, 1)
+    return "\n".join(lines)
 
 
 class Tracer:
@@ -152,37 +189,11 @@ class Tracer:
 
     def traces(self) -> List[str]:
         """Distinct trace ids, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.trace_id, None)
-        return list(seen)
+        return trace_ids(self.spans)
 
-    # -- rendering --------------------------------------------------------
     def render_tree(self, trace_id: str) -> str:
         """An indented text rendering of one trace's span tree."""
-        spans = self.for_trace(trace_id)
-        children: Dict[Optional[str], List[Span]] = {}
-        for s in spans:
-            children.setdefault(s.parent_id, []).append(s)
-        by_id = {s.span_id: s for s in spans}
-        roots = [s for s in spans
-                 if s.parent_id is None or s.parent_id not in by_id]
-        lines = [f"trace {trace_id}"]
-
-        def walk(span: Span, depth: int) -> None:
-            dur = (f"{span.duration:.3f}s" if span.duration is not None
-                   else "open")
-            extra = " ".join(f"{k}={v}" for k, v in
-                             sorted(span.fields.items()))
-            lines.append(f"{'  ' * depth}- {span.name} "
-                         f"[{span.started_at:.3f}s +{dur}] "
-                         f"{span.status}" + (f" {extra}" if extra else ""))
-            for child in children.get(span.span_id, []):
-                walk(child, depth + 1)
-
-        for root in roots:
-            walk(root, 1)
-        return "\n".join(lines)
+        return render_trace(self.spans, trace_id)
 
     def __len__(self) -> int:
         return len(self.spans)

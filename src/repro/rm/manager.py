@@ -610,6 +610,7 @@ class RequestManager:
         env = self.env
         server = self.registry[loc.hostname]
         handle = TransferHandle(env, fr.logical_file, fr.size)
+        handle.ticket = ticket.id_text
         ticket._handles[fr.logical_file] = handle
         policy = (self.reliability.clone()
                   if self.reliability is not None else None)

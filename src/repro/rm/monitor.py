@@ -60,7 +60,7 @@ class TransferMonitor:
     # -- rendering --------------------------------------------------------
     def render(self, bar_width: int = 30, max_messages: int = 24) -> str:
         """A Figure 4-style text snapshot (``max_messages`` newest
-        records: about nine per file of a finished ticket)."""
+        records: about ten per file of a finished ticket)."""
         t = self.env.now
         lines = [f"=== Request #{self.ticket.id} at t={t:.1f}s ==="]
         lines.append("--- File Transfer Progress ---")

@@ -24,7 +24,7 @@ def run():
 
 def test_every_file_has_a_complete_telescoping_lifeline(run):
     tb, result = run
-    lifelines = reconstruct_lifelines(tb.logger.records)
+    lifelines = {life.file: life for life in reconstruct_lifelines(tb.logger.records)}
     assert result.logical_files
     for name in result.logical_files:
         life = lifelines[name]

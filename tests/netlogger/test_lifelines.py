@@ -26,7 +26,7 @@ def test_happy_path_stages_telescope():
         rec(3.0, "gridftp.first_byte", file="f1", host="anl"),
         rec(10.0, "rm.transfer.done", file="f1", ticket=1),
     ]
-    life = reconstruct_lifelines(records)["f1"]
+    life = reconstruct_lifelines(records)[0]
     assert life.outcome == "done"
     assert life.complete
     assert life.ticket == "1"
@@ -49,7 +49,7 @@ def test_tape_staging_interleaves_first_byte():
         rec(61.0, "gridftp.first_byte", file="f2"),
         rec(70.0, "rm.transfer.done", file="f2"),
     ]
-    life = reconstruct_lifelines(records)["f2"]
+    life = reconstruct_lifelines(records)[0]
     totals = life.stage_totals()
     assert totals["stage"] == pytest.approx(57.5)
     # first_byte accrues both before staging and after it finishes
@@ -67,7 +67,7 @@ def test_retry_backoff_and_failure_attribution():
         rec(20.0, "rm.failure", file="f3", cls="host_down",
             reason="connect failed (425)"),
     ]
-    life = reconstruct_lifelines(records)["f3"]
+    life = reconstruct_lifelines(records)[0]
     assert life.outcome == "failed"
     assert life.complete  # failures are terminal, hence complete
     assert life.failure_class == "host_down"
@@ -83,7 +83,7 @@ def test_unterminated_lifeline_is_incomplete():
         rec(0.0, "rm.request", file="f4"),
         rec(1.0, "rm.select", file="f4"),
     ]
-    life = reconstruct_lifelines(records)["f4"]
+    life = reconstruct_lifelines(records)[0]
     assert life.outcome is None
     assert not life.complete
     assert life.duration is None
@@ -94,7 +94,7 @@ def test_unterminated_lifeline_is_incomplete():
 def test_records_without_file_field_are_ignored():
     records = [rec(0.0, "nws.forecast", src="a", dst="b"),
                rec(1.0, "rm.request", file="f5")]
-    assert list(reconstruct_lifelines(records)) == ["f5"]
+    assert [life.file for life in reconstruct_lifelines(records)] == ["f5"]
 
 
 def test_fault_window_extraction_pairs_and_unmatched():
@@ -144,7 +144,7 @@ def test_faults_attach_only_to_overlapping_lifelines():
         rec(20.0, "fault.begin", kind="server", target="anl"),
         rec(23.0, "fault.end", kind="server", target="anl"),
     ]
-    lifelines = reconstruct_lifelines(records)
+    lifelines = {life.file: life for life in reconstruct_lifelines(records)}
     assert [w.kind for w in lifelines["early"].faults] == ["degrade"]
     assert [w.kind for w in lifelines["late"].faults] == ["server"]
 
@@ -162,7 +162,7 @@ def test_stage_breakdown_aggregates():
         rec(6.0, "gridftp.first_byte", file="b"),
         rec(9.0, "rm.transfer.done", file="b"),
     ]
-    lives = list(reconstruct_lifelines(records).values())
+    lives = reconstruct_lifelines(records)
     stats = stage_breakdown(lives)
     assert stats["select"].count == 2
     assert stats["select"].mean == pytest.approx(3.0)
@@ -190,7 +190,7 @@ def test_chaos_schedule_attributes_each_fault_to_one_lifeline():
         tb.env.run(until=ticket.done)
         tb.env.run(until=tb.env.now + 5.0)  # gap between lifelines
 
-    lifelines = reconstruct_lifelines(tb.logger.records)
+    lifelines = {life.file: life for life in reconstruct_lifelines(tb.logger.records)}
     assert set(names) <= set(lifelines)
     windows = extract_fault_windows(tb.logger.records)
     chaos = [w for w in windows if w.description.startswith("chaos-")]
@@ -255,3 +255,77 @@ def test_ring_buffer_eviction_surfaces_as_incomplete_lifelines():
     assert "no-request-event" in report.reasons()
     assert report.complete + report.incomplete_count == report.total
     assert report.complete_fraction < 1.0
+
+
+# ---------------------------------------------------------------------------
+# One lifeline per (ticket, file)
+# ---------------------------------------------------------------------------
+
+def two_tickets_one_file():
+    """Tickets 1 and 2 each move file "shared", at t=0 and t=5, 10 s each."""
+    records = []
+    for ticket, t0 in (("1", 0.0), ("2", 5.0)):
+        records += [
+            rec(t0 + 0.0, "rm.request", file="shared", ticket=ticket),
+            rec(t0 + 1.0, "rm.select", file="shared", ticket=ticket),
+            rec(t0 + 2.0, "gridftp.connect", file="shared", ticket=ticket),
+            rec(t0 + 4.0, "gridftp.first_byte", file="shared",
+                ticket=ticket),
+            rec(t0 + 10.0, "rm.transfer.done", file="shared",
+                ticket=ticket),
+        ]
+    return sorted(records, key=lambda r: r.t)
+
+
+def test_two_tickets_for_one_file_give_two_lifelines():
+    first, second = reconstruct_lifelines(two_tickets_one_file())
+    assert (first.ticket, second.ticket) == ("1", "2")
+    for life, t0 in ((first, 0.0), (second, 5.0)):
+        assert life.file == "shared"
+        assert (life.requested_at, life.finished_at) == (t0, t0 + 10.0)
+        assert life.complete
+        assert sum(life.stage_totals().values()) == \
+            pytest.approx(life.duration) == 10.0
+        assert {r.fields["ticket"] for r in life.events} == {life.ticket}
+
+
+def test_shared_stage_joins_every_open_lifeline_of_the_file():
+    records = [
+        rec(0.0, "rm.request", file="f", ticket=1),
+        rec(1.0, "rm.request", file="f", ticket=2),
+        rec(2.0, "gridftp.connect", file="f", ticket=1),
+        rec(2.0, "gridftp.connect", file="f", ticket=2),
+        rec(3.0, "hrm.stage.request", file="f"),
+        rec(8.0, "hrm.stage.done", file="f"),
+        rec(9.0, "rm.transfer.done", file="f", ticket=1),
+        rec(9.5, "hrm.stage.request", file="f"),
+        rec(12.0, "rm.transfer.done", file="f", ticket=2),
+    ]
+    first, second = reconstruct_lifelines(records)
+    shared = records[4:6]
+    assert [r for r in first.events if "ticket" not in r.fields] == shared
+    # the later stage request finds ticket 1 terminal: it joins only 2
+    assert [r for r in second.events if "ticket" not in r.fields] == \
+        shared + [records[7]]
+    assert first.stage_totals()["stage"] == pytest.approx(5.0)
+    assert second.stage_totals()["stage"] == pytest.approx(5.0 + 2.5)
+
+
+def test_forty_users_pulling_one_file_give_forty_lifelines():
+    from repro.scenarios.esg import fleet_config
+    tb = EsgTestbed(seed=31, with_tape=False, file_size_override=8 * 2**20)
+    tb.warm_nws(90.0)
+    rms = tb.add_fleet(40, config=fleet_config())
+    ds = tb.dataset_ids()[0]
+    name = tb.metadata_catalog.resolve(ds, "tas")[0]
+    tickets = [rm.submit([(ds, name)]) for rm in rms]
+    tb.env.run(until=tb.env.all_of([t.done for t in tickets]))
+
+    lifelines = reconstruct_lifelines(tb.logger.records)
+    assert len(lifelines) == 40 == len(tb.obs.tracer.find("rm.file"))
+    assert {life.ticket for life in lifelines} == \
+        {t.id_text for t in tickets}
+    for life in lifelines:
+        assert life.file == name and life.outcome == "done"
+        assert [r.event for r in life.events].count(
+            "gridftp.first_byte") == 1

@@ -8,7 +8,7 @@ latency — to 1e-6 across fault injection, retries, and replica swaps.
 
 import pytest
 
-from repro.netlogger import LogRecord, reconstruct_lifelines
+from repro.netlogger import LifeStage, LogRecord, reconstruct_lifelines
 from repro.obs.critical_path import (BLAME_STAGES, attribute_bottleneck,
                                      extract_critical_path,
                                      extract_critical_paths)
@@ -36,7 +36,7 @@ def tape_bound_log(name, ticket, t0=0.0):
 
 
 def test_blame_mapping_splits_mount_from_streaming():
-    life = reconstruct_lifelines(tape_bound_log("f1", 1))["f1"]
+    life = reconstruct_lifelines(tape_bound_log("f1", 1))[0]
     path = extract_critical_path(life)
     assert path is not None
     assert path.ticket == "1"
@@ -56,25 +56,57 @@ def test_pre_request_prefetch_is_clipped_off_the_path():
     # staging that ran before the request (speculative prefetch) is not
     # on this request's critical path — the window clips it out.
     records = [
+        rec(-5.0, "hrm.stage.request", file="warm"),
+        rec(-1.0, "hrm.stage.done", file="warm"),
         rec(0.0, "rm.request", file="warm", ticket=2),
         rec(1.0, "rm.select", file="warm", ticket=2),
         rec(2.0, "gridftp.connect", file="warm", ticket=2),
         rec(3.0, "gridftp.first_byte", file="warm"),
         rec(10.0, "rm.transfer.done", file="warm", ticket=2),
     ]
-    life = reconstruct_lifelines(records)["warm"]
-    # simulate a stage span recorded before the request window
+    (life,) = reconstruct_lifelines(records)
+    # the stage recorded before the request window is held for the
+    # file's first lifeline
+    assert life.ticket == "2"
+    assert life.stages[0] == LifeStage("stage", -5.0, -1.0)
     path = extract_critical_path(life)
     assert path.start == 0.0 and path.end == 10.0
+    assert path.stages[0].start == 0.0
     assert all(s.start >= 0.0 and s.end <= 10.0 for s in path.stages)
+    assert "mount" not in path.self_times()
     assert path.telescopes()
+
+
+def test_two_tickets_for_one_file_are_blamed_apart():
+    """Tickets 1 and 2 each move one file, at t=0 and t=5, 10 s each."""
+    records = []
+    for ticket, t0 in (("1", 0.0), ("2", 5.0)):
+        records += [
+            rec(t0 + 0.0, "rm.request", file="shared", ticket=ticket),
+            rec(t0 + 1.0, "rm.select", file="shared", ticket=ticket),
+            rec(t0 + 2.0, "gridftp.connect", file="shared", ticket=ticket),
+            rec(t0 + 4.0, "gridftp.first_byte", file="shared",
+                ticket=ticket),
+            rec(t0 + 10.0, "rm.transfer.done", file="shared",
+                ticket=ticket),
+        ]
+    records.sort(key=lambda r: r.t)
+    paths = extract_critical_paths(reconstruct_lifelines(records))
+    assert [(p.ticket, p.start, p.end) for p in paths] == \
+        [("1", 0.0, 10.0), ("2", 5.0, 15.0)]
+    assert all(p.telescopes() for p in paths)
+    report = attribute_bottleneck(paths)
+    assert sorted(report.per_ticket) == ["1", "2"]
+    for ticket in ("1", "2"):
+        assert sum(report.per_ticket[ticket].values()) == \
+            pytest.approx(10.0)
 
 
 def test_nonterminal_lifelines_yield_no_path():
     records = [rec(0.0, "rm.request", file="open"),
                rec(1.0, "rm.select", file="open")]
     lives = reconstruct_lifelines(records)
-    assert extract_critical_path(lives["open"]) is None
+    assert extract_critical_path(lives[0]) is None
     assert extract_critical_paths(lives) == []
 
 
