@@ -89,18 +89,15 @@ class GridFtpConfig:
     retry_backoff:
         Seconds between restart attempts.
     progress_poll:
-        How often monitoring samples transferred bytes ("checking the
-        file size ... every few seconds", §4).
-    progress_poll_max:
-        When set, the request manager's progress monitor backs off
-        exponentially from ``progress_poll`` up to this ceiling while a
-        transfer keeps making progress — large fleets use it so monitor
-        ticks don't dominate the event budget. ``None`` (default) keeps
-        the fixed-interval behaviour.
+        How often the request manager samples a transfer's delivered
+        bytes ("checking the file size ... every few seconds", §4) while
+        something reads them mid-transfer: a transfer monitor, a
+        lifecycle hook or the reliability plug-in. Other transfers
+        schedule no sample.
     stall_poll:
-        Explicit watchdog tick for the transport/data-channel stall
-        detectors; ``None`` (default) polls at
-        ``min(stall_timeout / 4, 5)`` seconds.
+        Tick grid of the data-channel stall watchdog; ``None`` (default)
+        means ``min(stall_timeout / 4, 5)`` seconds (see
+        :attr:`repro.net.tcp.TcpParams.stall_poll`).
     loss_rate:
         Random-loss events per second per data stream (models shared /
         congested paths; 0 = clean path).
@@ -142,7 +139,6 @@ class GridFtpConfig:
     retry_limit: int = 10
     retry_backoff: float = 5.0
     progress_poll: float = 2.0
-    progress_poll_max: Optional[float] = None
     stall_poll: Optional[float] = None
     loss_rate: float = 0.0
     fallback_bandwidth: float = 125000.0  # 1 Mb/s
@@ -163,9 +159,6 @@ class GridFtpConfig:
             raise ValueError("bad timeout configuration")
         if self.progress_poll <= 0:
             raise ValueError("progress_poll must be positive")
-        if (self.progress_poll_max is not None
-                and self.progress_poll_max < self.progress_poll):
-            raise ValueError("progress_poll_max must be >= progress_poll")
         if self.stall_poll is not None and self.stall_poll <= 0:
             raise ValueError("stall_poll must be positive")
         if self.loss_rate < 0:

@@ -32,6 +32,9 @@ the disturbance, not the network.
   simulator timer is kept pending, and it is only rescheduled when the
   earliest completion instant actually changes. Cap churn therefore no
   longer piles superseded timers into the event queue.
+- **Stall signals** — a watched flow is told when its rate reaches or
+  leaves zero (:meth:`FluidNetwork.watch_rate`), so a stall watchdog
+  needs no polling while bytes move.
 
 **Flow aggregation** (``aggregation_threshold=k``): once ``k`` or more
 eligible transfers share one exact path, new arrivals on that path
@@ -101,6 +104,52 @@ class FlowError(Exception):
         self.flow = flow
 
 
+def _close_stall(flow) -> None:
+    """``flow`` left the network: its stall watcher (if any) stops."""
+    stall = flow._stall
+    if stall is not None:
+        flow._stall = None
+        stall.close()
+
+
+class _MemberStalls:
+    """An aggregate's stall slot: passes its rate reaching or leaving
+    zero on to its watched members. A member moves while its aggregate
+    does and its weight is positive. Members that joined since the last
+    fill wait in ``fresh`` for the next one, which settles them even if
+    the aggregate's rate stays on its side of zero."""
+
+    __slots__ = ("agg", "moving", "was", "fresh")
+
+    def __init__(self, agg: "AggregateFlow"):
+        self.agg = agg
+        self.was = agg.rate > 0.0
+        self.moving = self.was  # None while members are fresh
+        self.fresh: List[_AggregateMember] = []
+
+    def add(self, member: "_AggregateMember") -> None:
+        """Settle ``member`` at the aggregate's next fill."""
+        self.fresh.append(member)
+        self.moving = None
+
+    def settle(self, moving: bool, now: float) -> None:
+        fresh, self.fresh = self.fresh, []
+        if moving is self.was:
+            members: Iterable[_AggregateMember] = fresh
+        else:
+            members = self.agg._members.values()
+        self.moving = self.was = moving
+        for member in members:
+            stall = member._stall
+            if stall is not None:
+                on = moving and member.cap > 0.0
+                if stall.moving is not on:
+                    stall.settle(on, now)
+
+    def close(self) -> None:
+        """Nothing to stop: every member was retired first."""
+
+
 class Flow:
     """One fluid data stream crossing a fixed path.
 
@@ -113,7 +162,7 @@ class Flow:
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "rate",
                  "done", "recorder", "started_at", "finished_at",
                  "_network", "_remaining", "_advanced_at", "_pred_version",
-                 "_link_bound")
+                 "_link_bound", "_stall")
 
     # Overridden by AggregateFlow; plain flows take one max-min share.
     _is_agg = False
@@ -144,6 +193,8 @@ class Flow:
         # Set by the last fill: the flow froze on a saturated link, so a
         # cap that stays >= its rate cannot move any rate.
         self._link_bound = False
+        # Told when the rate reaches or leaves zero (see watch_rate).
+        self._stall = None
 
     @property
     def remaining(self) -> float:
@@ -196,7 +247,7 @@ class _AggregateMember:
 
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "done",
                  "recorder", "started_at", "finished_at",
-                 "_agg", "_served0", "_v0", "_pred_version")
+                 "_agg", "_served0", "_v0", "_pred_version", "_stall")
 
     _is_agg = False
 
@@ -217,6 +268,7 @@ class _AggregateMember:
         self._served0 = 0.0     # bytes delivered at the last settle
         self._v0 = agg._v       # aggregate virtual time at the last settle
         self._pred_version = 0
+        self._stall = None
 
     def _served_at(self, v: float) -> float:
         return self._served0 + self.cap * (v - self._v0)
@@ -368,6 +420,7 @@ class AggregateFlow(Flow):
         member.finished_at = now
         member._pred_version += 1
         member._v0 = self._v
+        _close_stall(member)
         if completed:
             member._served0 = member.size
             member.done.succeed()
@@ -509,6 +562,7 @@ class FluidNetwork:
         flow.finished_at = now
         flow.rate = 0.0
         flow._pred_version += 1
+        _close_stall(flow)
         if flow.recorder is not None:
             flow.recorder.record(now, 0.0)
         flow.done.fail(FlowError(reason, flow))
@@ -523,6 +577,34 @@ class FluidNetwork:
         """
         self._dirty_all = True
         self._flush_now()
+
+    def watch_rate(self, flow: Flow, watcher) -> None:
+        """Tell ``watcher`` whenever ``flow``'s rate reaches or leaves
+        zero, so a stall watchdog needs no polling.
+
+        ``watcher.moving`` holds what it was last told (None: nothing
+        yet); the allocator calls ``watcher.settle(moving, now)`` where
+        it settles a rate that changed side of zero (a fill, a member's
+        weight change, its aggregate's fill) and ``watcher.close()``
+        when the flow leaves the network. A flow moves no bytes from its
+        creation until its first positive rate: one still waiting for
+        its first fill is settled by it (this instant's flush), anything
+        else at once. An aggregate member moves while its aggregate
+        does and its weight is positive.
+        """
+        flow._stall = watcher
+        now = self.env.now
+        if isinstance(flow, _AggregateMember):
+            agg = flow._agg
+            members = agg._stall
+            if members is None:
+                members = agg._stall = _MemberStalls(agg)
+            if agg in self._dirty_flows:
+                members.add(flow)
+            else:
+                watcher.settle(agg.rate > 0.0 and flow.cap > 0.0, now)
+        elif flow.rate > 0.0 or flow not in self._dirty_flows:
+            watcher.settle(flow.rate > 0.0, now)
 
     def link_updated(self, link: Link) -> None:
         """Note that ``link``'s capacity changed; reallocate its component.
@@ -583,6 +665,11 @@ class FluidNetwork:
         if member.cap > _EPS_RATE:
             agg._push(member, v + (member.size - member._served0) / member.cap)
         agg._refresh_remaining()
+        stall = member._stall
+        if stall is not None and stall.moving is not None:
+            moving = agg.rate > 0.0 and member.cap > 0.0
+            if stall.moving is not moving:
+                stall.settle(moving, now)
         self._mark_flow(agg)
 
     def member_abort(self, member: _AggregateMember,
@@ -719,6 +806,7 @@ class FluidNetwork:
         flow.finished_at = now
         flow.rate = 0.0
         flow._pred_version += 1
+        _close_stall(flow)
         if flow.recorder is not None:
             flow.recorder.record(now, 0.0)
         flow.done.succeed()
@@ -953,6 +1041,9 @@ class FluidNetwork:
                 rel = f._remaining / f.rate
                 heapq.heappush(heap, (now + rel, f._pred_version, f.id,
                                       f, now, rel))
+            stall = f._stall
+            if stall is not None and stall.moving is not (f.rate > 0.0):
+                stall.settle(f.rate > 0.0, now)
 
     def _reschedule_timer(self, now: float) -> None:
         """Keep exactly one simulator timer pending, at the earliest valid

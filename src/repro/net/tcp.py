@@ -64,10 +64,13 @@ class TcpParams:
         Seconds of zero progress after which the transport declares the
         connection dead (network outage → restart logic upstream).
     stall_poll:
-        Interval between progress checks of the stall watchdogs. The
-        default (``None``) polls at ``min(stall_timeout / 4, 5)`` s;
-        large fleets raise it so watchdog ticks don't dominate the
-        event budget.
+        Tick grid of the stall watchdog (:meth:`Connection.watch
+        <repro.net.transport.Connection.watch>`): a stalled flow is
+        aborted on the first tick, every ``stall_poll`` seconds from the
+        watch's start, at least ``stall_timeout`` after the last tick
+        that saw progress. No tick is scheduled; the grid only places
+        that instant. The default (``None``) is
+        ``min(stall_timeout / 4, 5)`` s.
     """
 
     mss: float = 1460.0
@@ -79,7 +82,8 @@ class TcpParams:
     stall_poll: Optional[float] = None
 
     def poll_interval(self, timeout: float) -> float:
-        """Watchdog tick for a stall budget of ``timeout`` seconds."""
+        """Spacing of the stall watchdog's tick grid for a stall budget
+        of ``timeout`` seconds."""
         if self.stall_poll is not None:
             return self.stall_poll
         return min(timeout / 4.0, 5.0)

@@ -168,15 +168,27 @@ def render_trace(spans: Iterable[Span], trace_id: str) -> str:
 
 
 class Tracer:
-    """A read-only span view over one run's event log."""
+    """A read-only span view over one run's event log.
+
+    The spans are built once per state of the log: queries reuse them
+    until the logger emits another record (or the tracer is pointed at
+    another logger).
+    """
 
     def __init__(self, logger: NetLogger):
         self.logger = logger
+        self._built: Optional[Tuple[NetLogger, int, List[Span]]] = None
 
     @property
     def spans(self) -> List[Span]:
         """Every span the log's surviving records describe."""
-        return build_spans(self.logger.records)
+        logger = self.logger
+        built = self._built
+        if (built is None or built[0] is not logger
+                or built[1] != logger.emitted):
+            built = self._built = (logger, logger.emitted,
+                                   build_spans(logger.records))
+        return list(built[2])
 
     # -- queries ----------------------------------------------------------
     def for_trace(self, trace_id: str) -> List[Span]:

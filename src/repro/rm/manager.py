@@ -686,42 +686,21 @@ class RequestManager:
             transfer = env.process(session.get(
                 fr.logical_file, self.dest_fs, self.dest_host,
                 handle=handle, config=cfg, record=cfg.record_series))
-            # (5) monitor progress "every few seconds". A failing transfer
-            # raises at the wait_for yield (it propagates the failure),
-            # so the whole monitoring loop sits inside the try.
-            poll = cfg.progress_poll
-            last_bytes = 0.0
+            sampled = self._sampled(ticket, policy)
             try:
-                while not transfer.triggered:
-                    yield env.wait_for(transfer, poll)
-                    if transfer.triggered:
-                        break
-                    done_now = handle.bytes_done()
-                    if done_now > 0 \
-                            and fr.state is not FileState.TRANSFERRING:
-                        fr.state = FileState.TRANSFERRING
-                    fr.bytes_done = done_now
-                    fr.size = max(fr.size, handle.total)
-                    rate = (done_now - last_bytes) / poll
-                    last_bytes = done_now
-                    if cfg.progress_poll_max is not None:
-                        # Fleet mode: a healthy transfer earns longer
-                        # gaps between samples; a stalling one drops
-                        # back to the base cadence for the reliability
-                        # plug-in's benefit.
-                        if rate > 0.0:
-                            poll = min(poll * 2.0, cfg.progress_poll_max)
-                        else:
-                            poll = cfg.progress_poll
-                    if policy is not None and policy.observe(
-                            env.now - started, rate):
-                        handle.abort(
-                            "reliability plug-in: rate below threshold")
-                # A failure landing in the instant a tick won is read
-                # here, not at the yield, so it is ours to defuse.
-                transfer.defuse()
-                stats = transfer.value
+                if sampled:
+                    stats = yield from self._sample_progress(
+                        transfer, handle, fr, cfg.progress_poll, policy,
+                        started)
+                else:
+                    # Nothing reads this file's progress before the
+                    # attempt ends, so no tick is scheduled; a failure
+                    # raises here.
+                    stats = yield transfer
             except GridFtpError as exc:
+                if not sampled and env.now > connected_at + cfg.progress_poll:
+                    # What the first progress sample would have left.
+                    fr.size = max(fr.size, handle.total)
                 fr.bytes_done = handle.bytes_done()
                 session.close()
                 self.obs.event("rm.attempt.failed", prog="request-manager",
@@ -783,6 +762,48 @@ class RequestManager:
             if grant is not None:
                 self.scheduler.release(grant,
                                        bytes_done=handle.bytes_done())
+
+    def _sampled(self, ticket: RequestTicket,
+                 policy: Optional[ReliabilityPolicy]) -> bool:
+        """Whether anything reads an attempt's progress before it ends:
+        the reliability plug-in (its rate samples), a lifecycle hook or
+        a :class:`~repro.rm.monitor.TransferMonitor` on the ticket
+        (``fr.bytes_done`` and ``fr.state``). Decided when the attempt
+        starts; only such an attempt samples its progress."""
+        return policy is not None or bool(self.hooks) or ticket.monitored
+
+    def _sample_progress(self, transfer, handle: TransferHandle,
+                         fr: FileRequest, poll: float,
+                         policy: Optional[ReliabilityPolicy],
+                         started: float):
+        """Simulation process: (5) monitor progress "every few seconds".
+
+        Every ``poll`` seconds ``fr`` takes the handle's delivered bytes
+        (and the transferring state once bytes flow) and the reliability
+        plug-in gets a rate sample; returns the transfer's stats. A
+        failing transfer raises at the wait_for yield (it propagates the
+        failure).
+        """
+        env = self.env
+        last_bytes = 0.0
+        while not transfer.triggered:
+            yield env.wait_for(transfer, poll)
+            if transfer.triggered:
+                break
+            done_now = handle.bytes_done()
+            if done_now > 0 and fr.state is not FileState.TRANSFERRING:
+                fr.state = FileState.TRANSFERRING
+            fr.bytes_done = done_now
+            fr.size = max(fr.size, handle.total)
+            rate = (done_now - last_bytes) / poll
+            last_bytes = done_now
+            if policy is not None and policy.observe(env.now - started,
+                                                     rate):
+                handle.abort("reliability plug-in: rate below threshold")
+        # A failure landing in the instant a tick won is read here, not
+        # at the yield, so it is ours to defuse.
+        transfer.defuse()
+        return transfer.value
 
     def _verify_arrival(self, ticket: RequestTicket, fr: FileRequest,
                         loc: LocationInfo, cfg: GridFtpConfig, stats):

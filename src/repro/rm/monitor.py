@@ -44,6 +44,7 @@ class TransferMonitor:
         self.env = env
         self.manager = manager
         self.ticket = ticket
+        ticket.monitored = True  # attempts sample progress for the display
         self.period = period
         self.obs = obs or Observability()
         self.snapshots: List[Tuple[float, float]] = []  # (t, total bytes)

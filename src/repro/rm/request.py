@@ -69,7 +69,8 @@ class RequestTicket:
     """Handle for a submitted multi-file request; ``done`` fires with None."""
 
     __slots__ = ("id", "id_text", "env", "files", "done", "submitted_at",
-                 "cancelled", "deadline_at", "aborted", "breakers", "_handles")
+                 "cancelled", "deadline_at", "aborted", "breakers", "_handles",
+                 "monitored")
 
     def __init__(self, env: Environment, files: List[FileRequest],
                  deadline_at: Optional[float] = None):
@@ -90,6 +91,10 @@ class RequestTicket:
         self.breakers = None
         # transient per-file transfer handles, maintained by the RM
         self._handles: dict = {}
+        # Set by a TransferMonitor: the RM then samples each attempt's
+        # progress into the files' bytes_done/state while it runs, not
+        # only at its end.
+        self.monitored = False
 
     def _on_files_ended(self, ev: Event) -> None:
         """Callback of the condition over the ticket's file threads.

@@ -73,15 +73,15 @@ class EsgSite:
 def fleet_config() -> GridFtpConfig:
     """GridFTP tuning for large simulated fleets.
 
-    Single-stream transfers over cached channels, with coarse (and
-    backed-off) monitor/watchdog cadences so each user contributes a
-    near-constant number of kernel events per file rather than a steady
-    polling load. Use with :meth:`EsgTestbed.add_fleet`.
+    Single-stream transfers over cached channels without per-block rate
+    series, so flows of one PoP can aggregate. A stalled stream is
+    aborted after 120 s, placed on a 30 s grid; a transfer monitor on a
+    fleet ticket samples every 5 s. An unmonitored transfer schedules
+    no tick either way. Use with :meth:`EsgTestbed.add_fleet`.
     """
     return GridFtpConfig(parallelism=1, channel_caching=True,
-                         progress_poll=5.0, progress_poll_max=60.0,
-                         stall_poll=30.0, stall_timeout=120.0,
-                         record_series=False)
+                         progress_poll=5.0, stall_poll=30.0,
+                         stall_timeout=120.0, record_series=False)
 
 
 # (site, wan latency to the backbone in s, wan capacity)

@@ -218,12 +218,14 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = EventPriority.NORMAL) -> None:
-        """Put a triggered event on the queue ``delay`` seconds from now."""
+                 priority: int = EventPriority.NORMAL,
+                 at: Optional[float] = None) -> None:
+        """Put a triggered event on the queue ``delay`` seconds from now,
+        or at the absolute instant ``at`` when given."""
         self._seq += 1
         self._n_scheduled += 1
         self._n_live += 1
-        t = self._now + delay
+        t = self._now + delay if at is None else at
         event._t = t
         event._prio = int(priority)
         event._seq = self._seq
@@ -248,6 +250,18 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.schedule(_Call(self, fn, ()), delay, priority)
+
+    def call_at(self, t: float, fn: Callable[[], None]) -> Event:
+        """Run ``fn()`` at the absolute instant ``t`` (not before now),
+        ordered like a NORMAL event scheduled here; returns the queue
+        entry, which :meth:`cancel` revokes. An instant computed by
+        repeated additions (a poll grid) is hit exactly, where
+        ``now + (t - now)`` may round off it."""
+        if t < self._now:
+            raise ValueError(f"instant {t!r} is in the past")
+        entry = _Call(self, fn, ())
+        self.schedule(entry, at=t)
+        return entry
 
     def schedule_callback(self, fn: Callable[[Event], None], event: Event) -> None:
         """Schedule ``fn(event)`` to run now, like :meth:`call_later`."""

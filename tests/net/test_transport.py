@@ -268,3 +268,62 @@ def test_equal_tcp_settings_share_one_frozen_params_object():
         a.stall_timeout = 5.0            # frozen: sharing is safe
     with pytest.raises(ValueError):
         tr.params(mss=0)
+
+
+# -- the stall watchdog's edge cases, each against the polling oracle --------
+# Every case runs on Connection.watch and on the polling loop it replaced
+# (tests/net/reference_watchdog.py); both must give the expected outcome.
+# Flows A->B at 25 B/s over the 60 B/s link R->B; a 6 s stall timeout on
+# a 2 s tick grid from each watch's start.
+
+def _watchdog_case(flows, actions, aggregate=False):
+    from tests.net.test_watchdog_differential import twins
+    ours, ref = twins(flows, actions, 6.0, 2.0, aggregate)
+    assert ours == ref
+    return ours["outcome"]
+
+
+def test_watchdog_rate_hits_zero_exactly_on_a_tick():
+    # The tick at 4 saw the bytes moved before the outage: last change
+    # is 4, so the abort falls on the tick at 10.
+    outcome = _watchdog_case([("A", "B", 2000.0, 25.0, 0.0)],
+                             [("down", "R<->B:fwd", 4.0)])
+    assert outcome == {0: ("aborted", 10.0, "stalled for 6s")}
+
+
+def test_watchdog_rate_turns_positive_exactly_at_the_abort_instant():
+    # Stalled from 1 (last change: the tick at 2, abort due at 8); the
+    # link returns at 8 itself, too late for any byte to count.
+    outcome = _watchdog_case([("A", "B", 2000.0, 25.0, 0.0)],
+                             [("down", "R<->B:fwd", 1.0),
+                              ("up", "R<->B:fwd", 8.0)])
+    assert outcome == {0: ("aborted", 8.0, "stalled for 6s")}
+
+
+def test_watchdog_flow_created_on_a_down_link():
+    # Never moves: aborted on the first tick (3, 5, 7) 6 s past its start.
+    outcome = _watchdog_case([("A", "B", 2000.0, 25.0, 1.0)],
+                             [("down", "R<->B:fwd", 0.0)])
+    assert outcome == {0: ("aborted", 7.0, "stalled for 6s")}
+
+
+def test_watchdog_outage_shorter_than_the_stall_timeout():
+    # A 4 s outage: no abort, and the flow ends 4 s late (80 s of data).
+    outcome = _watchdog_case([("A", "B", 2000.0, 25.0, 0.0)],
+                             [("down", "R<->B:fwd", 3.0),
+                              ("up", "R<->B:fwd", 7.0)])
+    assert outcome == {0: ("done", 84.0)}
+
+
+def test_watchdog_aggregate_stalls_with_members_inside():
+    # Flow 0 runs exact; flows 1 and 2 join one aggregate. The outage at
+    # 5 stalls all three; each is aborted on its own grid (start 0.5 ->
+    # last change 6.5, start 1 -> 5), so flow 2 leaves the aggregate at
+    # 11 while flow 1 is still inside it.
+    flows = [("A", "B", 2000.0, 25.0, 0.0), ("A", "B", 2000.0, 25.0, 0.5),
+             ("A", "B", 2000.0, 25.0, 1.0)]
+    outcome = _watchdog_case(flows, [("down", "R<->B:fwd", 5.0)],
+                             aggregate=True)
+    assert outcome == {2: ("aborted", 11.0, "stalled for 6s"),
+                       0: ("aborted", 12.0, "stalled for 6s"),
+                       1: ("aborted", 12.5, "stalled for 6s")}

@@ -153,3 +153,33 @@ def test_spans_come_only_from_records_in_the_ring():
     assert len(log.tracer) == 8
     assert {s.fields["ticket"] for s in log.tracer.find("rm.ticket")} == \
         {"6", "7", "8", "9"}
+
+
+def test_queries_on_an_unchanged_log_build_the_spans_once(monkeypatch):
+    import repro.obs.trace as trace
+    builds = []
+
+    def counting(records):
+        builds.append(len(records))
+        return build(records)
+
+    build = trace.build_spans
+    monkeypatch.setattr(trace, "build_spans", counting)
+    log = request(Log(), 0.0, "f1")
+    log.at(0.5, "rm.attempt", host="anl", ticket=1, file="f1")
+    tracer = log.tracer
+    spans = tracer.spans
+    assert tracer.spans == spans
+    assert tracer.for_trace("ticket-1") == spans
+    assert [s.name for s in tracer.find("rm.attempt")] == ["rm.attempt"]
+    assert tracer.traces() == ["ticket-1"]
+    assert "rm.attempt" in tracer.render_tree("ticket-1")
+    assert len(tracer) == 3
+    assert builds == [2]
+    # A new record invalidates the spans; the caller's list is its own.
+    spans.clear()
+    log.at(2.5, "rm.transfer.done", host="anl", ticket=1, file="f1",
+           bytes=42)
+    assert len(tracer) == 3
+    assert tracer.find("rm.attempt")[0].status == "ok"
+    assert builds == [2, 3]

@@ -34,11 +34,12 @@ class HeapEnvironment(Environment):
         self._queue: list = []  # (time, priority, seq, event)
 
     def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = EventPriority.NORMAL) -> None:
+                 priority: int = EventPriority.NORMAL,
+                 at: Optional[float] = None) -> None:
         self._seq += 1
         self._n_scheduled += 1
         self._n_live += 1
-        t = self._now + delay
+        t = self._now + delay if at is None else at
         event._t = t
         event._prio = int(priority)
         event._seq = self._seq
