@@ -20,7 +20,7 @@ def test_figure7_scinet_connectivity(benchmark, show):
         # no floor traffic — what the provisioned path could carry.
         flows = [tb.network.transfer(tb.dallas_hosts[i].app_node,
                                      tb.lbl_hosts[i].app_node, 1e12)
-                 for i in range(tb.n_hosts)]
+                 for i in range(len(tb.dallas_hosts))]
         tb.network.reallocate()
         aggregate = sum(f.rate for f in flows)
         for f in flows:

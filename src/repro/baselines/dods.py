@@ -21,6 +21,9 @@ from repro.net.transport import ConnectionRefused, Transport
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
+# CPU seconds a server-side constraint costs per MiB of the file scanned.
+FILTER_COST_PER_MB = 0.02
+
 
 class DodsError(Exception):
     """Request failed (missing file, bad constraint, dead connection)."""
@@ -35,12 +38,11 @@ class DodsServer:
     """
 
     def __init__(self, env: Environment, host: Host, fs: FileSystem,
-                 hostname: str, filter_cost_per_mb: float = 0.02):
+                 hostname: str):
         self.env = env
         self.host = host
         self.fs = fs
         self.hostname = hostname
-        self.filter_cost_per_mb = filter_cost_per_mb
         self.requests_served = 0
 
     def evaluate(self, path: str, variable: Optional[str] = None,
@@ -58,8 +60,7 @@ class DodsServer:
             return file.size, file.content
         if file.content is None:
             raise DodsError(f"422 {path}: no content to subset")
-        yield self.env.timeout(
-            self.filter_cost_per_mb * file.size / 2**20)
+        yield self.env.timeout(FILTER_COST_PER_MB * file.size / 2**20)
         ds = decode(file.content)
         sub = ds.subset(variable, **ranges)
         body = encode(sub)

@@ -24,6 +24,9 @@ from repro.net.transport import ConnectionRefused, Transport
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
+# Control round trips needed per block request.
+REQUEST_RTTS = 1.0
+
 
 @dataclass(frozen=True)
 class StorageAdapter:
@@ -37,14 +40,11 @@ class StorageAdapter:
         Transfer granularity of the system's client library.
     translate_cost:
         CPU seconds to marshal one block between protocol stacks.
-    request_rtts:
-        Control round trips needed per block request.
     """
 
     protocol: str
     block_bytes: float = 4 * 2**20
     translate_cost: float = 0.02
-    request_rtts: float = 1.0
 
     def __post_init__(self) -> None:
         if self.block_bytes <= 0 or self.translate_cost < 0:
@@ -88,7 +88,7 @@ class GatewayClient:
         rtt = conn.rtt
         while remaining > 0:
             block = min(adapter.block_bytes, remaining)
-            yield env.timeout(adapter.request_rtts * rtt)
+            yield env.timeout(REQUEST_RTTS * rtt)
             yield env.timeout(adapter.translate_cost)
             self.blocks_translated += 1
             # The data leg rides the reverse direction of the connection

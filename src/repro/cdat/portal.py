@@ -7,10 +7,10 @@ local to the data ...; (3) access to data and analysis capabilities
 from lightweight clients such as browsers, and portals".
 
 The :class:`PortalClient` is that lightweight client: it never pulls
-whole files. Every request names a server-side operation (subset /
-extract / time-mean) executed by the GridFTP ERET plug-ins at the best
-replica, so only derived products cross the WAN — a browser-scale
-client on top of the heavyweight grid.
+whole files. Every request names a server-side operation (subset or
+time-mean; a subset without ranges extracts one variable) executed by
+the GridFTP ERET plug-ins at the best replica, so only derived products
+cross the WAN — a browser-scale client on top of the heavyweight grid.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ class PortalClient:
                 **ranges: Tuple[float, float]):
         """Simulation process: one lightweight request.
 
-        ``operation`` is an ERET plug-in name ("subset", "extract",
-        "time_mean"). Spatiotemporal ``ranges`` apply to "subset".
+        ``operation`` is an ERET plug-in name ("subset" or "time_mean").
+        Spatiotemporal ``ranges`` apply to "subset"; without them it
+        ships the whole variable.
         Returns a :class:`PortalResponse` whose dataset merges the
         per-file products along time (except "time_mean", which returns
         the first product).
@@ -242,10 +243,6 @@ class DatasetSeries:
     @property
     def dataset_id(self) -> str:
         return self.record.dataset_id
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self.record.variables
 
     def fetch(self, variable: str, operation: str = "subset",
               years: Optional[Tuple[int, int]] = None,

@@ -32,7 +32,6 @@ from repro.data.digest import (
     add_mark,
     content_digest,
     file_digest,
-    is_pristine,
     marks_of,
 )
 from repro.data.synth import (
@@ -57,7 +56,6 @@ __all__ = [
     "decode_header",
     "encode",
     "file_digest",
-    "is_pristine",
     "marks_of",
     "monthly_files",
 ]

@@ -64,10 +64,6 @@ def add_mark(file, mark: str) -> None:
     file.metadata[MARKS_KEY] = marks_of(file) + (str(mark),)
 
 
-def is_pristine(file) -> bool:
-    """True if the file carries no corruption marks."""
-    return not marks_of(file)
-
 
 def file_digest(file) -> str:
     """Digest of a stored :class:`FileObject` as it currently is.

@@ -42,11 +42,6 @@ class GridSpec:
         return np.arange(self.nlon) * step + step / 2
 
     @property
-    def times(self) -> np.ndarray:
-        """Fractional-year time axis (months since start / 12)."""
-        return np.arange(self.months) / 12.0
-
-    @property
     def points_per_field(self) -> int:
         """Grid points in one 2-D field."""
         return self.nlat * self.nlon

@@ -132,18 +132,6 @@ class ClimateModelRun:
         """
         return encode(self.generate_year(year, variables), chunks=chunks)
 
-    def generate_months(self, year: int, month_lo: int, month_hi: int,
-                        variables: Tuple[str, ...] = ("tas", "pr", "clt")
-                        ) -> Dataset:
-        """One file's worth: months [month_lo, month_hi] of a year.
-
-        Months are 1-based inclusive; the slice is cut from the same
-        deterministic yearly field, so per-month files agree with the
-        yearly dataset.
-        """
-        return slice_months(self.generate_year(year, variables),
-                            month_lo, month_hi)
-
 
 def slice_months(year_ds: Dataset, month_lo: int, month_hi: int) -> Dataset:
     """Months [month_lo, month_hi] (1-based inclusive) of a

@@ -19,6 +19,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.transport import Connection
 from repro.sim.core import Environment
 
+# Seconds an idle channel stays alive before being torn down (checked
+# lazily at acquire time).
+IDLE_TTL = 60.0
+
 
 class DataChannelCache:
     """Pool of idle data channels keyed by (src node, dst node).
@@ -27,14 +31,10 @@ class DataChannelCache:
     ----------
     env:
         Simulation environment.
-    idle_ttl:
-        Seconds an idle channel stays alive before being torn down
-        (checked lazily at acquire time).
     """
 
-    def __init__(self, env: Environment, idle_ttl: float = 60.0):
+    def __init__(self, env: Environment):
         self.env = env
-        self.idle_ttl = idle_ttl
         self._idle: Dict[Tuple[str, str], List[Tuple[float, Connection]]] = \
             defaultdict(list)
         self.reuses = 0  # instrumentation
@@ -45,7 +45,7 @@ class DataChannelCache:
         pool = self._idle.get((src, dst))
         while pool:
             stored_at, conn = pool.pop()
-            if self.env.now - stored_at > self.idle_ttl:
+            if self.env.now - stored_at > IDLE_TTL:
                 conn.close()
                 self.expirations += 1
                 continue

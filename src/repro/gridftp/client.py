@@ -135,28 +135,6 @@ class ClientSession:
         self.commands_sent += 1
         yield from self.control.request(server_time=server_time)
 
-    def feat(self):
-        """Simulation process: FEAT — the server's extension list."""
-        yield from self._command()
-        return self.server.features
-
-    def size(self, path: str):
-        """Simulation process: SIZE — byte count or 550."""
-        yield from self._command()
-        return self.server.size(path)
-
-    def exists(self, path: str):
-        """Simulation process: probe for a file (SIZE that may 550)."""
-        yield from self._command()
-        return self.server.exists(path)
-
-    def cksm(self, path: str):
-        """Simulation process: CKSM — the server scans the file (disk
-        read + hash CPU, cost-modeled) and returns its content digest."""
-        yield from self._command()
-        digest = yield from self.server.cksm(path)
-        return digest
-
     def close(self) -> None:
         """Tear down the control connection and free the server slot."""
         if self._closed:
@@ -185,19 +163,18 @@ class ClientSession:
         env = self.env
         # SBUF + OPTS + RETR setup commands.
         yield from self._command()
-        nbytes, content = yield from self.server.prepare_retrieve(
+        retr = yield from self.server.prepare_retrieve(
             path, offset, length, eret, eret_args,
             watermark=cfg.stage_watermark)
-        # Claimed synchronously (no yield since prepare returned): a
-        # non-None cap means the file is still growing on the staging
-        # disk and the transfer must not outrun the tape readahead.
-        rate_cap = self.server.claim_retrieve_rate_cap(path)
-        eret_info = self.server.claim_retrieve_eret_info(path)
+        nbytes = retr.nbytes
+        # A rate cap means the file is still growing on the staging disk
+        # and the transfer must not outrun the tape readahead.
+        rate_cap = retr.rate_cap
         stats = TransferStats(path=path, requested_bytes=nbytes,
                               started_at=env.now, streams=cfg.parallelism)
-        if eret_info is not None:
-            stats.eret_decoded_bytes = eret_info["decoded"]
-            stats.eret_cache_hit = eret_info["cache"]
+        if retr.decoded is not None:
+            stats.eret_decoded_bytes = retr.decoded
+            stats.eret_cache_hit = retr.cache_hit
         if handle is None:
             handle = TransferHandle(env, path, nbytes)
         else:
@@ -213,14 +190,14 @@ class ClientSession:
         except BaseException:
             # The RETR dies here without reaching finish_retrieve: give
             # back the stage pin (or pending waiter slot) it holds.
-            self.server.abandon_retrieve(path)
+            self.server.abandon_retrieve(retr)
             raise
         finally:
             self.server.unregister_handle(handle)
         # 226 closing data connection.
         yield from self._command()
         name = dest_name or path
-        delivered = dest_fs.create(name, nbytes, content=content,
+        delivered = dest_fs.create(name, nbytes, content=retr.content,
                                    overwrite=True)
         # Integrity propagation: the delivered copy inherits the source
         # replica's at-rest marks plus any in-flight taints. The marks
@@ -230,7 +207,7 @@ class ClientSession:
         if marks:
             delivered.metadata[MARKS_KEY] = marks
         stats.tainted_blocks = len(handle.taints)
-        self.server.finish_retrieve(path, nbytes)
+        self.server.finish_retrieve(retr)
         stats.finished_at = env.now
         handle._completed = nbytes
         handle.done.succeed(stats)

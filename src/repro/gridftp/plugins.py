@@ -10,8 +10,9 @@ and subsetting, similar to those available with DODS) can be performed
 local to the data before it is transferred over the network."
 
 These plug-ins give GridFTP servers exactly that: SDBF-aware
-extraction, subsetting, and time reduction executed at the data, so
-only the derived product crosses the WAN.
+subsetting and time reduction executed at the data, so only the
+derived product crosses the WAN. Extraction is a subset with no
+coordinate ranges: it ships one variable with all its coordinates.
 
 Each standard plug-in returns ``(derived_size, derived_content,
 bytes_decoded)`` — the third element is how many source bytes it had
@@ -34,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.digest import file_digest
 from repro.data.ncformat import FormatError, SdbfReader, decode, encode
 from repro.data.variables import DataError, Dataset, Variable
 from repro.storage.filesystem import FileObject
@@ -134,38 +134,6 @@ def subset_plugin(file: FileObject,
     return float(len(blob)), blob, float(reader.bytes_decoded)
 
 
-def extract_variable_plugin(file: FileObject,
-                            args: dict) -> Tuple[float, bytes, float]:
-    """Ship one variable (with its coordinates), dropping the rest."""
-    variable = args.get("variable")
-    if not variable:
-        raise PluginError("extract: 'variable' argument required")
-    reader = _require_reader(file)
-    try:
-        meta = reader.variable_meta(variable)
-    except FormatError:
-        raise PluginError(f"extract: no variable {variable!r}") from None
-    if not reader.is_chunked:
-        ds = _require_dataset(file)
-        out = Dataset(f"{ds.name}:{variable}", dict(ds.attrs))
-        var = ds[variable]
-        for dim in var.dims:
-            out.add_coord(dim, ds.coords[dim])
-        out.add_variable(Variable(var.name, var.dims, var.data,
-                                  dict(var.attrs)))
-        blob = encode(out)
-        return float(len(blob)), blob, float(len(file.content))
-    dims = tuple(meta["dims"])
-    data = reader.read_variable(variable)
-    out = Dataset(f"{reader.name}:{variable}", dict(reader.attrs))
-    for dim in dims:
-        out.add_coord(dim, reader.coord(dim))
-    out.add_variable(Variable(variable, dims, data,
-                              dict(meta.get("attrs", {}))))
-    blob = encode(out)
-    return float(len(blob)), blob, float(reader.bytes_decoded)
-
-
 def time_mean_plugin(file: FileObject,
                      args: dict) -> Tuple[float, bytes, float]:
     """Reduce over time at the server: ship a single mean field.
@@ -209,19 +177,6 @@ def time_mean_plugin(file: FileObject,
     return float(len(blob)), blob, decoded
 
 
-def checksum_plugin(file: FileObject,
-                    args: dict) -> Tuple[float, bytes, float]:
-    """Ship a tiny integrity digest instead of the data (ESTO-style).
-
-    Uses :func:`repro.data.digest.file_digest` — the same blake2s
-    digest the replica catalog records at publish time and replication
-    campaigns verify on arrival — so an ERET checksum is directly
-    comparable to both. Costs a whole-file scan, like CKSM.
-    """
-    blob = file_digest(file).encode()
-    return float(len(blob)), blob, float(file.size)
-
-
 # -- staging planners ----------------------------------------------------------
 def _planned_bounds(reader: SdbfReader, variable: str,
                     ranges: Dict) -> Optional[list]:
@@ -243,7 +198,7 @@ def _subset_stage_prefix(file: FileObject, args: dict) -> Optional[float]:
 
 def _variable_stage_prefix(file: FileObject,
                            args: dict) -> Optional[float]:
-    """Byte prefix covering one whole variable (extract / time_mean)."""
+    """Byte prefix covering one whole variable (time_mean)."""
     try:
         reader = SdbfReader(file.content)
         variable = args.get("variable")
@@ -255,15 +210,12 @@ def _variable_stage_prefix(file: FileObject,
 
 
 subset_plugin.stage_prefix = _subset_stage_prefix
-extract_variable_plugin.stage_prefix = _variable_stage_prefix
 time_mean_plugin.stage_prefix = _variable_stage_prefix
 
 
 STANDARD_PLUGINS = {
     "subset": subset_plugin,
-    "extract": extract_variable_plugin,
     "time_mean": time_mean_plugin,
-    "checksum": checksum_plugin,
 }
 
 

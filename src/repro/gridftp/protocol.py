@@ -20,20 +20,8 @@ class FtpReply:
     text: str = ""
 
     @property
-    def is_preliminary(self) -> bool:
-        return 100 <= self.code < 200
-
-    @property
-    def is_success(self) -> bool:
-        return 200 <= self.code < 300
-
-    @property
     def is_transient_error(self) -> bool:
         return 400 <= self.code < 500
-
-    @property
-    def is_permanent_error(self) -> bool:
-        return self.code >= 500
 
     def __str__(self) -> str:
         return f"{self.code} {self.text}"
@@ -101,12 +89,6 @@ class GridFtpConfig:
     loss_rate:
         Random-loss events per second per data stream (models shared /
         congested paths; 0 = clean path).
-    fallback_bandwidth:
-        Bytes/s assumed for a replica whose path has no NWS forecast
-        (degraded-mode ranking); pessimistic by design so measured paths
-        win.
-    fallback_latency:
-        One-way seconds assumed for an unmeasured path.
     stage_watermark:
         Fraction of a tape-resident file that must be staged before the
         transfer starts (stage/transfer cut-through). ``None`` (default)
@@ -128,8 +110,7 @@ class GridFtpConfig:
         the trusting pre-integrity behaviour.
     checksum_rate:
         Bytes/s a checksum scan processes (the disk-read + CPU-hash
-        pipeline); used by both the client-side verify-on-arrival scan
-        and the server's CKSM command.
+        pipeline) in the client-side verify-on-arrival scan.
     """
 
     parallelism: int = 1
@@ -141,8 +122,6 @@ class GridFtpConfig:
     progress_poll: float = 2.0
     stall_poll: Optional[float] = None
     loss_rate: float = 0.0
-    fallback_bandwidth: float = 125000.0  # 1 Mb/s
-    fallback_latency: float = 0.1
     stage_watermark: Optional[float] = None
     record_series: bool = True
     verify_checksum: bool = False
@@ -163,8 +142,6 @@ class GridFtpConfig:
             raise ValueError("stall_poll must be positive")
         if self.loss_rate < 0:
             raise ValueError("loss_rate must be >= 0")
-        if self.fallback_bandwidth <= 0 or self.fallback_latency < 0:
-            raise ValueError("bad fallback path configuration")
         if self.stage_watermark is not None \
                 and not (0.0 < self.stage_watermark <= 1.0):
             raise ValueError("stage_watermark must be in (0, 1]")

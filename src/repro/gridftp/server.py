@@ -9,7 +9,7 @@ disk or must first be staged from HPSS.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.data.digest import add_mark, file_digest, marks_of
 from repro.gridftp.derived_cache import DerivedProductCache
@@ -30,7 +30,6 @@ from repro.storage.hrm import HierarchicalResourceManager, StagingError
 # Per-session and per-RETR metric families (obs.children).
 _REJECTS = Family(Counter, "gridftp.server_rejects_total", "host")
 _CONNECTIONS = Family(Gauge, "gridftp.server_connections", "host")
-_CHECKSUMS = Family(Counter, "gridftp.checksums_total", "host")
 _ERET_DECODED = Family(Counter, "gridftp.eret_decoded_bytes_total", "host")
 _SERVED = Family(Counter, "gridftp.served_total", "host")
 _SERVED_BYTES = Family(Counter, "gridftp.served_bytes_total", "host")
@@ -43,6 +42,42 @@ _SERVED_BYTES = Family(Counter, "gridftp.served_bytes_total", "host")
 # byte prefix that suffices to serve the request (used for tape
 # staging cut-through).
 EretPlugin = Callable[[FileObject, dict], tuple]
+
+# Bytes/s an ERET plug-in decodes source data at (server CPU). The charge
+# is proportional to *bytes decoded*, so chunked SDBF files — where a
+# subset decodes only the touched chunks — cost less to serve than flat
+# ones.
+ERET_RATE = 150 * 2**20
+# Byte budget of each server's LRU cache of derived products.
+DERIVED_CACHE_BYTES = 64 * 2**20
+
+
+class Retrieval:
+    """One RETR that passed :meth:`GridFtpServer.prepare_retrieve`.
+
+    The client holds it for the transfer and hands it back to
+    ``finish_retrieve`` or ``abandon_retrieve``, so each RETR settles
+    its own stage pin however many RETRs of the same path overlap.
+    ``action`` is how the pin is balanced: "release" (full stage
+    waited, pin held), "shared" (returned before the stage completed —
+    still a waiter, maybe pinned later) or "none" (no HRM touch: disk
+    file or cache hit). ``rate_cap`` is the tape readahead rate when a
+    whole-file RETR cut through a still-staging file; ``decoded`` and
+    ``cache_hit`` are the ERET accounting (``decoded`` is None for a
+    plain RETR).
+    """
+
+    __slots__ = ("path", "nbytes", "content", "action", "rate_cap",
+                 "decoded", "cache_hit")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.nbytes = 0.0
+        self.content: Optional[bytes] = None
+        self.action = "none"
+        self.rate_cap: Optional[float] = None
+        self.decoded: Optional[float] = None
+        self.cache_hit = False
 
 
 class GridFtpServer:
@@ -69,18 +104,6 @@ class GridFtpServer:
         queued, so client-side admission control (the transfer
         scheduler) is observable against a hard server limit. ``None``
         (the default) accepts everything.
-    checksum_rate:
-        Bytes/s the CKSM command scans at (disk read + hash CPU).
-    eret_rate:
-        Bytes/s an ERET plug-in decodes source data at (server CPU).
-        The charge is proportional to *bytes decoded*, so chunked SDBF
-        files — where a subset decodes only the touched chunks — cost
-        less to serve than flat ones.
-    derived_cache_bytes:
-        Byte budget for the per-server LRU cache of derived products,
-        keyed by source content digest + operation + args. A repeat of
-        the same reduction is answered from the cache with zero bytes
-        decoded and no stage pin. ``0`` disables the cache.
     eret_range_staging:
         When True (default), an ERET request against a tape-resident
         chunked file starts as soon as the byte prefix covering its
@@ -94,18 +117,9 @@ class GridFtpServer:
                  hrm: Optional[HierarchicalResourceManager] = None,
                  hostname: Optional[str] = None, obs=None,
                  max_connections: Optional[int] = None,
-                 checksum_rate: float = 150 * 2**20,
-                 eret_rate: float = 150 * 2**20,
-                 derived_cache_bytes: float = 64 * 2**20,
                  eret_range_staging: bool = True):
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be >= 1 when set")
-        if checksum_rate <= 0:
-            raise ValueError("checksum_rate must be positive")
-        if eret_rate <= 0:
-            raise ValueError("eret_rate must be positive")
-        if derived_cache_bytes < 0:
-            raise ValueError("derived_cache_bytes must be >= 0")
         self.env = env
         self.host = host
         self.fs = filesystem
@@ -124,29 +138,15 @@ class GridFtpServer:
         self.up = True
         self.crashes = 0
         self._active_handles: set = set()
-        # Cut-through hand-off: per-path stack of tape readahead rate
-        # caps, pushed by _materialize when a transfer starts against a
-        # still-growing file and claimed synchronously by the client.
-        self._pending_rate_caps: Dict[str, list] = {}
         self.cutthrough_served = 0
-        self.checksum_rate = float(checksum_rate)
-        self.checksums_served = 0
-        self.eret_rate = float(eret_rate)
         self.eret_range_staging = eret_range_staging
         self.eret_decoded_bytes = 0.0
         self.eret_range_staged = 0
-        self.derived_cache: Optional[DerivedProductCache] = (
-            DerivedProductCache(derived_cache_bytes, self.hostname, self.obs)
-            if derived_cache_bytes > 0 else None)
-        # Per-path stack of how each in-flight RETR must balance its
-        # stage pin: "release" (full stage waited, pin held), "shared"
-        # (returned before stage completion — still a waiter, maybe
-        # pinned later), "none" (no HRM touch: disk file or cache hit).
-        self._retrieve_actions: Dict[str, list] = {}
-        # ERET accounting hand-off: per-path stack of
-        # {"decoded": bytes, "cache": bool}, claimed synchronously by
-        # the client after prepare_retrieve (like the rate cap).
-        self._pending_eret_info: Dict[str, list] = {}
+        # Keyed by source content digest + operation + args: a repeat of
+        # the same reduction is answered with zero bytes decoded and no
+        # stage pin. Set to None to disable.
+        self.derived_cache: Optional[DerivedProductCache] = \
+            DerivedProductCache(DERIVED_CACHE_BYTES, self.hostname, self.obs)
 
     # -- connection limiting ----------------------------------------------
     def try_accept(self) -> bool:
@@ -216,14 +216,6 @@ class GridFtpServer:
         """Install a server-side processing plug-in (ERET module)."""
         self._plugins[name] = plugin
 
-    @property
-    def features(self) -> Tuple[str, ...]:
-        """FEAT response: supported extensions."""
-        feats = ["GSI", "PARALLEL", "SBUF", "REST STREAM", "ERET", "SPAS",
-                 "SIZE", "64BIT"]
-        feats.extend(f"ERET:{n}" for n in sorted(self._plugins))
-        return tuple(feats)
-
     # -- command handlers (invoked by ClientSession) --------------------------
     def authenticate(self, client_chain: tuple, rtt: float):
         """Simulation process: GSI mutual authentication (or no-op)."""
@@ -241,39 +233,6 @@ class GridFtpServer:
         """SIZE: the file's byte count (64-bit — no 2 GB ceiling)."""
         file = self._find(path)
         return file.size
-
-    def cksm(self, path: str):
-        """CKSM: the file's content digest (simulation process).
-
-        Cost-modeled as a full disk+CPU scan at ``checksum_rate``.
-        MSS-resident files stage through the HRM first, and the stage's
-        cache pin is held for the entire scan so cache churn cannot
-        evict the bytes mid-checksum.
-        """
-        if not self.up:
-            raise GridFtpError(FtpReply(
-                ACTION_NOT_TAKEN, f"server {self.hostname} is down"))
-        if self.hrm is not None and self.hrm.mss.has(path):
-            try:
-                req = self.hrm.request_stage(path)
-                file = yield req.ready
-            except StagingError as exc:
-                raise GridFtpError(FtpReply(
-                    ACTION_NOT_TAKEN, f"{path}: staging failed: {exc}")) \
-                    from exc
-            try:
-                yield self.env.timeout(file.size / self.checksum_rate)
-            finally:
-                self.hrm.release(path)
-        else:
-            if not self.fs.exists(path):
-                raise GridFtpError(FtpReply(
-                    FILE_UNAVAILABLE, f"{path}: no such file"))
-            file = self.fs.stat(path)
-            yield self.env.timeout(file.size / self.checksum_rate)
-        self.checksums_served += 1
-        self.obs.children[_CHECKSUMS, self.hostname].inc()
-        return file_digest(file)
 
     def integrity_marks(self, path: str) -> tuple:
         """Corruption marks on the served copy of ``path`` (() = pristine
@@ -312,21 +271,22 @@ class GridFtpServer:
 
         Stages tape-resident files through the HRM if needed, applies any
         ERET plug-in, validates the partial-retrieval window, and returns
-        ``(bytes_to_send, content_or_None)``.
+        the :class:`Retrieval` the client passes back to
+        :meth:`finish_retrieve` or :meth:`abandon_retrieve`.
 
         With ``watermark`` set (a fraction in (0, 1]), a whole-file RETR
         of a file that is still staging returns as soon as that fraction
-        is disk-resident (stage/transfer cut-through): the server pushes
-        the tape readahead rate for the client to claim, so the
-        transfer can never overtake the staged prefix. Partial reads
-        address arbitrary byte ranges and always wait for the full file.
+        is disk-resident (stage/transfer cut-through): the record carries
+        the tape readahead rate as ``rate_cap``, so the transfer can
+        never overtake the staged prefix. Partial reads address
+        arbitrary byte ranges and always wait for the full file.
 
         ERET requests take their own reduced-data fast path: a hit in
         the derived-product cache answers with zero bytes decoded and
         no stage pin; otherwise, if the plug-in publishes a
         ``stage_prefix`` planner and the file is tape-resident, the
         plug-in runs as soon as that prefix is disk-resident (range
-        staging cut-through). Decode CPU is charged at ``eret_rate``
+        staging cut-through). Decode CPU is charged at ``ERET_RATE``
         proportional to the bytes the plug-in actually decoded.
         """
         if not self.up:
@@ -337,42 +297,35 @@ class GridFtpServer:
                                         "negative offset/length"))
         if eret is not None or offset != 0.0 or length is not None:
             watermark = None
+        retr = Retrieval(path)
         if eret is not None:
             plugin = self._plugins.get(eret)
             if plugin is None:
                 raise GridFtpError(FtpReply(
                     SYNTAX_ERROR, f"no ERET plugin {eret!r}"))
-            size, content, action, info = yield from self._serve_eret(
-                path, eret, plugin, eret_args or {})
+            size, content = yield from self._serve_eret(
+                retr, eret, plugin, eret_args or {})
         else:
-            file, action = yield from self._materialize(path, watermark)
-            size, content, info = file.size, file.content, None
-        try:
-            if offset > size:
-                raise GridFtpError(FtpReply(
-                    SYNTAX_ERROR,
-                    f"offset {offset:.0f} beyond size {size:.0f}"))
-        except GridFtpError:
-            self._settle_retrieve(path, action, abandon=True)
-            raise
+            file = yield from self._materialize(retr, watermark)
+            size, content = file.size, file.content
+        if offset > size:
+            self._settle_retrieve(retr, abandon=True)
+            raise GridFtpError(FtpReply(
+                SYNTAX_ERROR, f"offset {offset:.0f} beyond size {size:.0f}"))
         nbytes = (size - offset) if length is None else min(length,
                                                             size - offset)
         if content is not None:
             lo = int(offset)
             content = content[lo:lo + int(nbytes)]
-        self._retrieve_actions.setdefault(path, []).append(action)
-        if info is not None:
-            self._pending_eret_info.setdefault(path, []).append(info)
-        return nbytes, content
+        retr.nbytes, retr.content = nbytes, content
+        return retr
 
-    def _serve_eret(self, path: str, eret: str, plugin: EretPlugin,
+    def _serve_eret(self, retr: Retrieval, eret: str, plugin: EretPlugin,
                     args: dict):
-        """Simulation process: produce a derived product for ``path``.
-
-        Returns ``(size, content, action, info)`` where ``action`` is
-        the stage-pin balance this RETR owes and ``info`` is the
-        accounting dict the client claims.
-        """
+        """Simulation process: produce a derived product for
+        ``retr.path``; returns ``(size, content)`` and fills in the
+        record's stage-pin action and ERET accounting."""
+        path = retr.path
         try:
             src = self._find(path)
         except GridFtpError:
@@ -382,16 +335,15 @@ class GridFtpServer:
             key = DerivedProductCache.make_key(file_digest(src), eret, args)
             hit = self.derived_cache.get(key, file=path, op=eret)
             if hit is not None:
-                return (hit.size, hit.content, "none",
-                        {"decoded": 0.0, "cache": True})
+                retr.decoded, retr.cache_hit = 0.0, True
+                return hit.size, hit.content
         prefix = None
         if (self.eret_range_staging and src is not None
                 and self.hrm is not None and self.hrm.mss.has(path)):
             planner = getattr(plugin, "stage_prefix", None)
             if planner is not None:
                 prefix = planner(src, args)
-        file, action = yield from self._materialize(path, None,
-                                                    prefix_bytes=prefix)
+        file = yield from self._materialize(retr, None, prefix_bytes=prefix)
         try:
             result = plugin(file, args)
             if len(result) >= 3:
@@ -405,77 +357,36 @@ class GridFtpServer:
         except Exception:
             # Balance the stage pin this RETR took before surfacing the
             # failure, or the file stays pinned forever.
-            self._settle_retrieve(path, action, abandon=True)
+            self._settle_retrieve(retr, abandon=True)
             raise
         # Decode CPU: proportional to source bytes turned into arrays,
         # not to file size — the whole point of the chunked layout.
-        yield self.env.timeout(decoded / self.eret_rate)
+        yield self.env.timeout(decoded / ERET_RATE)
         self.eret_decoded_bytes += decoded
         self.obs.children[_ERET_DECODED, self.hostname].inc(decoded)
         if key is not None:
             self.derived_cache.put(key, size, content, file=path, op=eret)
-        return size, content, action, {"decoded": decoded, "cache": False}
+        retr.decoded = decoded
+        return size, content
 
-    def claim_retrieve_rate_cap(self, path: str) -> Optional[float]:
-        """Pop the cut-through rate cap pushed by the last
-        ``prepare_retrieve`` of ``path``, if any.
-
-        Called by the client synchronously after ``prepare_retrieve``
-        returns (no simulation yield in between, so hand-offs cannot
-        interleave across sessions).
-        """
-        caps = self._pending_rate_caps.get(path)
-        if not caps:
-            return None
-        cap = caps.pop()
-        if not caps:
-            del self._pending_rate_caps[path]
-        return cap
-
-    def claim_retrieve_eret_info(self, path: str) -> Optional[dict]:
-        """Pop the ERET accounting dict (``{"decoded": bytes, "cache":
-        bool}``) pushed by the last ``prepare_retrieve`` of ``path``.
-
-        Called by the client synchronously after ``prepare_retrieve``
-        returns, like :meth:`claim_retrieve_rate_cap`.
-        """
-        infos = self._pending_eret_info.get(path)
-        if not infos:
-            return None
-        info = infos.pop()
-        if not infos:
-            del self._pending_eret_info[path]
-        return info
-
-    def finish_retrieve(self, path: str, nbytes: float) -> None:
+    def finish_retrieve(self, retr: Retrieval) -> None:
         """Account a completed (possibly partial) send and balance the
         stage pin this RETR took (no-op for non-MSS files)."""
+        nbytes = retr.nbytes
         self.bytes_served += nbytes
         self.transfers_served += 1
         children = self.obs.children
         children[_SERVED, self.hostname].inc()
         children[_SERVED_BYTES, self.hostname].inc(nbytes)
-        self._settle_retrieve(path, self._pop_action(path))
+        self._settle_retrieve(retr)
 
-    def abandon_retrieve(self, path: str) -> None:
+    def abandon_retrieve(self, retr: Retrieval) -> None:
         """A RETR that passed ``prepare_retrieve`` failed mid-transfer:
         balance its stage pin (or pending waiter slot) so the file does
         not stay pinned forever."""
-        self._settle_retrieve(path, self._pop_action(path), abandon=True)
+        self._settle_retrieve(retr, abandon=True)
 
-    def _pop_action(self, path: str) -> str:
-        """Pop this RETR's pin-balance action ("release" when untracked,
-        matching the pre-action-stack behavior)."""
-        stack = self._retrieve_actions.get(path)
-        if not stack:
-            return "release"
-        action = stack.pop()
-        if not stack:
-            del self._retrieve_actions[path]
-        return action
-
-    def _settle_retrieve(self, path: str, action: str,
-                         abandon: bool = False) -> None:
+    def _settle_retrieve(self, retr: Retrieval, abandon: bool = False) -> None:
         """Balance one RETR's stage pin according to its action.
 
         "none" never touched the HRM. "shared" returned before its
@@ -483,12 +394,13 @@ class GridFtpServer:
         ``hrm.abandon`` handles both. "release" holds a pin; a failed
         transfer still abandons so a mid-stage crash cannot double-free.
         """
+        action = retr.action
         if self.hrm is None or action == "none":
             return
         if action == "shared" or abandon:
-            self.hrm.abandon(path)
+            self.hrm.abandon(retr.path)
         else:
-            self.hrm.release(path)
+            self.hrm.release(retr.path)
 
     def store(self, path: str, size: float,
               content: Optional[bytes] = None,
@@ -507,11 +419,12 @@ class GridFtpServer:
         raise GridFtpError(FtpReply(FILE_UNAVAILABLE,
                                     f"{path}: no such file"))
 
-    def _materialize(self, path: str, watermark: Optional[float] = None,
+    def _materialize(self, retr: Retrieval,
+                     watermark: Optional[float] = None,
                      prefix_bytes: Optional[float] = None):
-        """Ensure enough of the file is disk-resident; returns
-        ``(FileObject, action)`` where ``action`` names how the RETR
-        must later balance its stage pin (see ``_settle_retrieve``).
+        """Ensure enough of ``retr.path`` is disk-resident; returns the
+        FileObject and sets ``retr.action`` to how the RETR must later
+        balance its stage pin (see ``_settle_retrieve``).
 
         MSS-resident files always go through the HRM — even when already
         published to the serving disk — so every RETR takes exactly one
@@ -525,7 +438,9 @@ class GridFtpServer:
         rate cap is needed; the rest of the stage finishes in the
         background.
         """
+        path = retr.path
         if self.hrm is not None and self.hrm.mss.has(path):
+            retr.action = "shared"
             try:
                 req = self.hrm.request_stage(path)
                 streaming = (not req.ready.triggered
@@ -536,7 +451,7 @@ class GridFtpServer:
                     # stage (a failed stage raises here via AnyOf).
                     yield self.env.any_of([gate, req.ready])
                     if not req.ready.triggered:
-                        return self._begin_cutthrough(path, req), "shared"
+                        return self._begin_cutthrough(retr, req)
                     file = req.ready.value
                 elif streaming and prefix_bytes is not None:
                     gate = req.progress.at_bytes(
@@ -551,7 +466,7 @@ class GridFtpServer:
                             host=self.hostname, file=path,
                             prefix=f"{prefix_bytes:.0f}",
                             total=f"{req.size:.0f}")
-                        return self.hrm.mss.tape.lookup(path), "shared"
+                        return self.hrm.mss.tape.lookup(path)
                     file = req.ready.value
                 else:
                     file = yield req.ready
@@ -561,18 +476,19 @@ class GridFtpServer:
                 raise GridFtpError(FtpReply(
                     ACTION_NOT_TAKEN, f"{path}: staging failed: {exc}")) \
                     from exc
-            return file, "release"
+            retr.action = "release"
+            return file
         if self.fs.exists(path):
-            return self.fs.stat(path), "none"
+            return self.fs.stat(path)
         raise GridFtpError(FtpReply(FILE_UNAVAILABLE,
                                     f"{path}: no such file"))
         yield  # pragma: no cover - makes this a generator in all paths
 
-    def _begin_cutthrough(self, path: str, req) -> FileObject:
-        """Serve a growing file: push the readahead rate cap for the
-        client and account the overlap."""
-        rate = self.hrm.mss.tape.spec.read_rate
-        self._pending_rate_caps.setdefault(path, []).append(rate)
+    def _begin_cutthrough(self, retr: Retrieval, req) -> FileObject:
+        """Serve a growing file: cap the RETR at the tape readahead rate
+        and account the overlap."""
+        path = retr.path
+        retr.rate_cap = self.hrm.mss.tape.spec.read_rate
         self.cutthrough_served += 1
         self.obs.count("gridftp.cutthrough_total", host=self.hostname)
         self.obs.event(

@@ -39,19 +39,6 @@ class StripedTransferResult:
     finished_at: float
     per_stripe: List[TransferStats] = field(default_factory=list)
 
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def mean_rate(self) -> float:
-        """Aggregate goodput, bytes/s."""
-        return self.total_bytes / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def stripes(self) -> int:
-        return len(self.per_stripe)
-
 
 class StripedServer:
     """A striped GridFTP endpoint (SPAS/SPOR).

@@ -12,6 +12,9 @@ from repro.gsi.credentials import (
 )
 from repro.sim.core import Environment
 
+# Extra round trips for the SSL/GSI exchange.
+HANDSHAKE_RTTS = 2.0
+
 
 class AuthenticationError(Exception):
     """Mutual authentication failed."""
@@ -27,18 +30,15 @@ class SecurityPolicy:
 
     Attributes
     ----------
-    handshake_rtts:
-        Extra round trips for the SSL/GSI exchange.
     crypto_time:
         CPU seconds spent on signature/key operations per endpoint.
     """
 
-    handshake_rtts: float = 2.0
     crypto_time: float = 0.05
 
     def handshake_cost(self, rtt: float) -> float:
         """Seconds added to connection establishment."""
-        return self.handshake_rtts * rtt + 2 * self.crypto_time
+        return HANDSHAKE_RTTS * rtt + 2 * self.crypto_time
 
 
 class GsiContext:

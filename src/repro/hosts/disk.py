@@ -15,19 +15,13 @@ class DiskSpec:
         Sustained sequential transfer rate, bytes/s. Era-typical values:
         ~10 MB/s for a commodity IDE disk (the Figure 8 bottleneck),
         ~30 MB/s for a good SCSI disk.
-    seek_time:
-        Average positioning time per open/seek, seconds (used by the
-        storage layer for per-file setup, not by the fluid model).
     """
 
     rate: float = 30 * 2**20
-    seek_time: float = 0.008
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError("disk rate must be positive")
-        if self.seek_time < 0:
-            raise ValueError("seek_time must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,3 @@ class DiskArray:
         """Aggregate sequential rate of the array, bytes/s."""
         scale = 1.0 if self.count == 1 else (1.0 - self.raid_overhead)
         return self.spec.rate * self.count * scale
-
-    @property
-    def seek_time(self) -> float:
-        """Positioning time (parallel seeks: same as one spindle)."""
-        return self.spec.seek_time

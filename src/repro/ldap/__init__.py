@@ -9,8 +9,8 @@ likewise LDAP-backed, Figure 1).
 This substrate provides the semantics those catalogs need:
 
 - :class:`DN` — distinguished names (``lf=file1,lc=CO2 1998,rc=esg``);
-- RFC 2254-style search filters (:func:`parse_filter`) with ``&``, ``|``,
-  ``!``, equality, presence, substring wildcards, and ordering;
+- RFC 2254-style search filters (:mod:`repro.ldap.filters`) with ``&``,
+  ``|``, ``!``, equality, presence, substring wildcards, and ordering;
 - :class:`DirectoryServer` — a DN-keyed tree with base/one/subtree
   search scopes and a simulated cost model (per-operation base latency
   plus per-entry-scanned cost), so catalog lookups take simulated time
@@ -18,7 +18,7 @@ This substrate provides the semantics those catalogs need:
 """
 
 from repro.ldap.dn import DN, DnError
-from repro.ldap.filters import FilterError, parse_filter
+from repro.ldap.filters import FilterError
 from repro.ldap.directory import (
     DirectoryError,
     DirectoryServer,
@@ -34,5 +34,4 @@ __all__ = [
     "Entry",
     "FilterError",
     "Scope",
-    "parse_filter",
 ]

@@ -24,11 +24,6 @@ A predicate's ``objectclass`` tag, when set, is a folded value every
 match must carry: only ``(objectclass=x)`` and an ``&`` with such a
 conjunct are tagged. The directory server takes one-level candidates
 from its per-parent ``objectclass`` index by it.
-
-:func:`parse_filter` is the entry point for raw attribute dictionaries
-(attr → values in their stored case): it folds its argument and
-calls the same compiled predicate, so there is one predicate
-implementation.
 """
 
 from __future__ import annotations
@@ -66,12 +61,6 @@ def compile_filter(text: str) -> Predicate:
     if rest.strip():
         raise FilterError(f"trailing garbage after filter: {rest!r}")
     return pred
-
-
-def parse_filter(text: str) -> Predicate:
-    """Compile a filter string into a predicate over raw entry attributes."""
-    pred = compile_filter(text)
-    return lambda attrs: pred({k: fold(vs) for k, vs in attrs.items()})
 
 
 def _parse(text: str):

@@ -23,8 +23,6 @@ from repro.net.units import (
     MB,
     MEGABIT,
     TB,
-    bits,
-    bytes_per_sec,
     gbps,
     mbps,
     to_gbps,
@@ -41,7 +39,7 @@ from repro.net.faults import Fault, FaultInjector, FaultSchedule
 
 __all__ = [
     "GB", "GIGABIT", "KB", "KILOBIT", "MB", "MEGABIT", "TB",
-    "bits", "bytes_per_sec", "gbps", "mbps", "to_gbps", "to_mbps",
+    "gbps", "mbps", "to_gbps", "to_mbps",
     "Link", "Node", "Topology",
     "RateRecorder", "RateSeries", "aggregate_series",
     "LinkLoadModulator",

@@ -12,6 +12,9 @@ from typing import Dict, List, Tuple
 
 from repro.sim.core import Environment
 
+# Seconds per successful (or failed) resolution.
+LOOKUP_LATENCY = 0.01
+
 
 class DnsError(Exception):
     """Hostname resolution failed (unknown name or outage)."""
@@ -24,13 +27,10 @@ class NameService:
     ----------
     env:
         Simulation environment.
-    lookup_latency:
-        Seconds per successful (or failed) resolution.
     """
 
-    def __init__(self, env: Environment, lookup_latency: float = 0.01):
+    def __init__(self, env: Environment):
         self.env = env
-        self.lookup_latency = lookup_latency
         self._records: Dict[str, str] = {}
         self._outages: List[Tuple[float, float]] = []
         self.lookups = 0  # instrumentation
@@ -57,7 +57,7 @@ class NameService:
         :class:`DnsError` on unknown names or during an outage window.
         """
         self.lookups += 1
-        yield self.env.timeout(self.lookup_latency)
+        yield self.env.timeout(LOOKUP_LATENCY)
         if self.is_down(self.env.now):
             self.failures += 1
             raise DnsError(f"DNS outage at t={self.env.now:.1f}s "
@@ -65,13 +65,6 @@ class NameService:
         node = self._records.get(hostname)
         if node is None:
             self.failures += 1
-            raise DnsError(f"unknown host {hostname!r}")
-        return node
-
-    def resolve_now(self, hostname: str) -> str:
-        """Zero-latency resolution for setup code (not a process)."""
-        node = self._records.get(hostname)
-        if node is None:
             raise DnsError(f"unknown host {hostname!r}")
         return node
 

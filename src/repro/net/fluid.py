@@ -478,11 +478,6 @@ class FluidNetwork:
         self.aggregate_joins = 0    # transfers routed into an aggregate
 
     # -- public API ------------------------------------------------------
-    @property
-    def flows(self) -> List[Flow]:
-        """Active flows, in start order."""
-        return list(self._flow_map.values())
-
     def transfer(self, src: str, dst: str, nbytes: float,
                  cap: float = math.inf, name: str = "",
                  recorder: Optional[RateRecorder] = None,
@@ -694,56 +689,19 @@ class FluidNetwork:
         self._flush_now()
         return tuple(link._flows)
 
-    @property
-    def aggregate_rate(self) -> float:
-        """Sum of all current flow rates (bytes/s)."""
-        self._flush_now()
-        return sum(f.rate for f in self._flow_map.values())
-
     def link_load(self) -> Dict[str, float]:
         """Per-link carried load (bytes/s) — the cheap probe form.
 
         Flow rates only change at allocation events, so the current
-        rates are exact between events; unlike :meth:`snapshot` this
-        does not force a flush (no progress bookkeeping is advanced),
-        making it safe to call from a periodic gauge sampler without
-        taxing the hot path.
+        rates are exact between events; this does not force a flush (no
+        progress bookkeeping is advanced), making it safe to call from a
+        periodic gauge sampler without taxing the hot path.
         """
         links: Dict[str, float] = {}
         for flow in self._flow_map.values():
             for link in flow.path:
                 links[link.name] = links.get(link.name, 0.0) + flow.rate
         return links
-
-    def snapshot(self) -> dict:
-        """Diagnostic view: per-link utilization and flow placement.
-
-        Returns ``{"t", "flows", "links"}`` where links maps link name →
-        (used_bytes_per_s, capacity, n_flows) for links carrying traffic.
-        The transfer monitor and debugging sessions use this to see where
-        the bottleneck currently sits.
-        """
-        self._flush_now()
-        links = {}
-        for flow in self._flow_map.values():
-            for link in flow.path:
-                used, cap, n = links.get(link.name,
-                                         (0.0, link.capacity, 0))
-                links[link.name] = (used + flow.rate, link.capacity,
-                                    n + 1)
-        return {
-            "t": self.env.now,
-            "flows": [(f.name, f.rate, f.remaining)
-                      for f in self._flow_map.values()],
-            "links": links,
-        }
-
-    def bottlenecks(self, threshold: float = 0.98) -> list:
-        """Names of links whose carried load ≥ threshold × capacity."""
-        snap = self.snapshot()
-        return sorted(name for name, (used, cap, _n)
-                      in snap["links"].items()
-                      if cap > 0 and used >= threshold * cap)
 
     # -- dirty tracking and coalescing ----------------------------------
     def _mark_flow(self, flow: Flow) -> None:

@@ -28,6 +28,9 @@ import numpy as np
 from repro.net.fluid import Flow
 from repro.sim.core import Environment, EventPriority
 
+INIT_CWND_SEGMENTS = 2   # initial congestion window, in segments
+RECOVERY_STEPS = 6       # coarse steps approximating linear regrowth
+
 
 def bdp_buffer_size(bandwidth: float, rtt: float) -> float:
     """Bandwidth–delay product: ideal TCP buffer in bytes.
@@ -50,16 +53,12 @@ class TcpParams:
     ----------
     mss:
         Maximum segment size in bytes.
-    init_cwnd_segments:
-        Initial congestion window, in segments.
     buffer_bytes:
         Negotiated send/receive buffer: hard ceiling on ``cwnd``. The
         64 KB default mirrors the untuned-stack default the paper warns
         about; SC'2000 runs used 1 MB.
     loss_rate:
         Mean random-loss events per second on this stream (Poisson).
-    recovery_steps:
-        Number of coarse steps used to approximate linear regrowth.
     stall_timeout:
         Seconds of zero progress after which the transport declares the
         connection dead (network outage → restart logic upstream).
@@ -74,10 +73,8 @@ class TcpParams:
     """
 
     mss: float = 1460.0
-    init_cwnd_segments: int = 2
     buffer_bytes: float = 64 * 1024.0
     loss_rate: float = 0.0
-    recovery_steps: int = 6
     stall_timeout: float = 30.0
     stall_poll: Optional[float] = None
 
@@ -97,13 +94,11 @@ class TcpParams:
             raise ValueError("buffer must hold at least one segment")
         if self.loss_rate < 0:
             raise ValueError("loss_rate must be >= 0")
-        if self.recovery_steps < 1:
-            raise ValueError("recovery_steps must be >= 1")
 
     @property
     def init_cwnd(self) -> float:
         """Initial congestion window in bytes."""
-        return self.init_cwnd_segments * self.mss
+        return INIT_CWND_SEGMENTS * self.mss
 
 
 class TcpStream:
@@ -228,7 +223,7 @@ class _WindowDriver:
                 if deficit <= 0:
                     self._draw_gap()
                     return
-                self.steps = steps = s.params.recovery_steps
+                self.steps = steps = RECOVERY_STEPS
                 self.step_time = deficit / s.params.mss * s.rtt / steps
                 self.step_gain = deficit / steps
                 s.env.call_later(self.step_time, self._recover_step)

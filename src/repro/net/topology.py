@@ -139,11 +139,6 @@ class Link:
         self._down_holds = max(0, self._down_holds - 1)
         self._recompute()
 
-    @property
-    def utilization_flows(self) -> int:
-        """Number of flows currently crossing this link."""
-        return len(self._flows)
-
     def __repr__(self) -> str:
         return (f"Link({self.name!r} {self.src.name}->{self.dst.name} "
                 f"{self.capacity * 8 / 1e6:.0f}Mb/s {self.latency * 1e3:.1f}ms)")

@@ -42,13 +42,3 @@ def to_mbps(bytes_per_second: float) -> float:
 def to_gbps(bytes_per_second: float) -> float:
     """Bytes/second → gigabits/second."""
     return bytes_per_second / GIGABIT
-
-
-def bits(nbytes: float) -> float:
-    """Bytes → bits."""
-    return nbytes * 8.0
-
-
-def bytes_per_sec(bits_per_second: float) -> float:
-    """Bits/second → bytes/second."""
-    return bits_per_second / 8.0

@@ -17,6 +17,9 @@ import numpy as np
 from repro.net.fluid import FluidNetwork
 from repro.sim.core import Environment
 
+# Standard deviation of the relative latency jitter a probe reports.
+JITTER_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -52,8 +55,7 @@ class NetworkSensor:
     def __init__(self, env: Environment, network: FluidNetwork,
                  src: str, dst: str, period: float = 30.0,
                  probe_bytes: float = 64 * 1024.0, timeout: float = 10.0,
-                 rng: Optional[np.random.Generator] = None,
-                 jitter_fraction: float = 0.05):
+                 rng: Optional[np.random.Generator] = None):
         if period <= 0 or probe_bytes <= 0 or timeout <= 0:
             raise ValueError("period, probe_bytes, timeout must be positive")
         self.env = env
@@ -64,7 +66,6 @@ class NetworkSensor:
         self.probe_bytes = probe_bytes
         self.timeout = timeout
         self.rng = rng
-        self.jitter_fraction = jitter_fraction
         self.probes_sent = 0
         self.probes_timed_out = 0
 
@@ -79,8 +80,8 @@ class NetworkSensor:
         yield env.any_of([flow.done, deadline])
         rtt = self.network.topology.rtt(self.src, self.dst)
         latency = rtt / 2.0
-        if self.rng is not None and self.jitter_fraction > 0:
-            latency *= 1.0 + abs(self.rng.normal(0, self.jitter_fraction))
+        if self.rng is not None:
+            latency *= 1.0 + abs(self.rng.normal(0, JITTER_FRACTION))
         if not flow.done.processed:
             flow.abort("probe timeout")
             flow.done.defuse()

@@ -88,10 +88,6 @@ class CriticalPath:
     end: float
     stages: List[BlameStage] = field(default_factory=list)
 
-    @property
-    def total(self) -> float:
-        return self.end - self.start
-
     def self_times(self) -> Dict[str, float]:
         """Seconds of end-to-end latency attributed to each blame."""
         out: Dict[str, float] = {}
@@ -114,13 +110,13 @@ class CriticalPath:
         eviction) and its blame decomposition is untrustworthy.
         """
         covered = sum(stage.duration for stage in self.stages)
-        return abs(covered - self.total) <= tol
+        return abs(covered - (self.end - self.start)) <= tol
 
     def __repr__(self) -> str:
         dom = self.dominant()
         label = f"{dom[0]}={dom[1]:.2f}s" if dom else "empty"
         return (f"CriticalPath({self.file!r}, {self.outcome}, "
-                f"{self.total:.2f}s, dominant {label})")
+                f"{self.end - self.start:.2f}s, dominant {label})")
 
 
 def extract_critical_path(life: Lifeline) -> Optional[CriticalPath]:
@@ -168,10 +164,6 @@ class ResourceFinding:
     peak: float
     busy_fraction: float   # fraction of windows at >= the threshold
 
-    def render(self) -> str:
-        return (f"{self.series} (mean {self.mean:.2f}, peak "
-                f"{self.peak:.2f}, busy {self.busy_fraction:.0%})")
-
 
 @dataclass
 class BottleneckReport:
@@ -184,30 +176,6 @@ class BottleneckReport:
     dominant_stage: Optional[str] = None
     resource: Optional[ResourceFinding] = None
     per_ticket: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def dominant_share(self) -> float:
-        """Fraction of files whose own dominant stage is the global one."""
-        if not self.files or self.dominant_stage is None:
-            return 0.0
-        return self.dominant_counts.get(self.dominant_stage, 0) / self.files
-
-    def render(self) -> str:
-        total = sum(self.blame_totals.values()) or 1.0
-        lines = [f"bottleneck report: {self.files} files over "
-                 f"[{self.window[0]:.1f}s .. {self.window[1]:.1f}s]"]
-        for blame in sorted(self.blame_totals,
-                            key=lambda b: -self.blame_totals[b]):
-            secs = self.blame_totals[blame]
-            n = self.dominant_counts.get(blame, 0)
-            lines.append(f"  {blame:<11} {secs:10.1f}s "
-                         f"({secs / total:5.1%})  dominant for {n} files")
-        if self.dominant_stage is not None:
-            lines.append(f"dominant stage: {self.dominant_stage} "
-                         f"({self.dominant_share:.0%} of files)")
-        if self.resource is not None:
-            lines.append(f"saturated resource: {self.resource.render()}")
-        return "\n".join(lines)
 
 
 def attribute_bottleneck(

@@ -18,8 +18,8 @@ Probes come in two shapes:
 
 - :meth:`add_probe` — one named series from one ``fn() -> float``;
 - :meth:`add_multi_probe` — one ``fn() -> {name: value}`` feeding many
-  series from a single evaluation (e.g. one ``network.snapshot()`` call
-  fans into every per-link utilization series instead of N snapshots).
+  series from a single evaluation (e.g. one ``network.link_load()`` call
+  fans into every per-link utilization series instead of N probes).
 
 Series with holes (a multi-probe stopped reporting a key) stay aligned:
 missing ticks read as ``None`` and the aggregation helpers either skip
@@ -132,13 +132,6 @@ class TimeSeriesRecorder:
         return [(t, data.get(i + self._dropped_ticks))
                 for i, t in enumerate(self._ticks)]
 
-    def value_at(self, name: str, t: float) -> Optional[float]:
-        """The sample of the window containing ``t`` (None if absent)."""
-        for tick_t, value in reversed(self.series(name)):
-            if tick_t <= t + 1e-12:
-                return value
-        return None
-
     def _window(self, name: str, t0: float, t1: float,
                 fill: Optional[float]) -> List[float]:
         out = []
@@ -171,16 +164,6 @@ class TimeSeriesRecorder:
         if not vals:
             return None
         return sum(1 for v in vals if v >= threshold) / len(vals)
-
-    def to_json(self) -> dict:
-        """Aligned-window export: one tick axis, one row per series."""
-        return {
-            "interval": self.interval,
-            "ticks": list(self._ticks),
-            "dropped_ticks": self._dropped_ticks,
-            "series": {name: [v for _t, v in self.series(name)]
-                       for name in self.names()},
-        }
 
     def __repr__(self) -> str:
         return (f"TimeSeriesRecorder({len(self._series)} series, "

@@ -190,23 +190,6 @@ class Tracer:
                                    build_spans(logger.records))
         return list(built[2])
 
-    # -- queries ----------------------------------------------------------
-    def for_trace(self, trace_id: str) -> List[Span]:
-        """Every span of one trace, in start order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def find(self, name: str) -> List[Span]:
-        """Every span with a given operation name."""
-        return [s for s in self.spans if s.name == name]
-
-    def traces(self) -> List[str]:
-        """Distinct trace ids, in first-seen order."""
-        return trace_ids(self.spans)
-
-    def render_tree(self, trace_id: str) -> str:
-        """An indented text rendering of one trace's span tree."""
-        return render_trace(self.spans, trace_id)
-
     def __len__(self) -> int:
         return len(self.spans)
 

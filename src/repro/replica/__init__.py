@@ -13,7 +13,7 @@ Three entry types, exactly as the paper describes:
   catalog scalability for large collections").
 
 :class:`ReplicaCatalog` stores these in an LDAP directory;
-:class:`ReplicaManager` layers registration/publication/copy operations;
+:class:`ReplicaManager` layers copy and verification operations;
 ``repro.replica.selection`` provides the selection policies the request
 manager chooses among (NWS-best, random, round-robin).
 """

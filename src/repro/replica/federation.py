@@ -69,9 +69,7 @@ class ShardRouter:
     collection's hash, and its *preference list* is the home plus the
     next ``replicas - 1`` distinct sites clockwise. Routing is total
     (every name maps) and stable (removing a site only moves the
-    collections whose points it owned). ``pin`` overrides the home for
-    one collection — explicit site affinity for e.g. "the collection
-    lives where the instrument is".
+    collections whose points it owned).
     """
 
     def __init__(self, sites: Iterable[str], replicas: int = 2,
@@ -87,19 +85,12 @@ class ShardRouter:
             raise ValueError("vnodes must be >= 1")
         self.replicas = min(replicas, len(self.sites))
         self.vnodes = vnodes
-        self._pins: Dict[str, str] = {}
         ring = []
         for site in self.sites:
             for v in range(vnodes):
                 ring.append((_h(f"{site}#{v}"), site))
         # hash ties broken by site name: deterministic everywhere
         self._ring = sorted(ring)
-
-    def pin(self, collection: str, site: str) -> None:
-        """Pin ``collection``'s home to ``site`` (explicit affinity)."""
-        if site not in self.sites:
-            raise ValueError(f"unknown site {site!r}")
-        self._pins[collection] = site
 
     def _successors(self, key: int) -> List[str]:
         """Distinct sites clockwise from ``key`` on the ring."""
@@ -125,11 +116,7 @@ class ShardRouter:
 
     def preference(self, collection: str) -> List[str]:
         """Home + successor shards holding ``collection``'s subtree."""
-        order = self._successors(_h(collection))
-        pinned = self._pins.get(collection)
-        if pinned is not None:
-            order = [pinned] + [s for s in order if s != pinned]
-        return order[:self.replicas]
+        return self._successors(_h(collection))[:self.replicas]
 
     def __repr__(self) -> str:
         return (f"ShardRouter({len(self.sites)} sites, "
@@ -298,10 +285,6 @@ class FederatedReplicaCatalog:
     def lag(self) -> int:
         """Writes not yet propagated to some peer shard."""
         return sum(len(q) for q in self._pending.values())
-
-    def version(self, collection: str) -> int:
-        """Current (home-side) version of a collection (0 = never written)."""
-        return self._version.get(collection, 0)
 
     def _write(self, collection: str, opname: str, *args) -> None:
         """Apply a write at the home shard and log it for the peers."""

@@ -1,4 +1,4 @@
-"""Replica management: publish, copy, verify.
+"""Replica management: copy and verify.
 
 "These two services [GridFTP + replica catalog] are used to construct a
 range of higher-level data management services, such as reliable
@@ -7,7 +7,7 @@ creation of a copy of a large data collection at a new location" (§6).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.gridftp.client import GridFtpClient
 from repro.gridftp.server import GridFtpServer
@@ -16,7 +16,7 @@ from repro.sim.core import Environment
 
 
 class ReplicaManager:
-    """Registration and copy operations over a :class:`ReplicaCatalog`."""
+    """Copy and verification operations over a :class:`ReplicaCatalog`."""
 
     def __init__(self, env: Environment, catalog: ReplicaCatalog,
                  client: Optional[GridFtpClient] = None):
@@ -24,36 +24,6 @@ class ReplicaManager:
         self.catalog = catalog
         self.client = client
         self.copies_made = 0
-
-    # -- publication ---------------------------------------------------------
-    def publish_server(self, collection: str, location: str,
-                       server: GridFtpServer,
-                       files: Optional[Iterable[str]] = None,
-                       path: str = "/data",
-                       register_sizes: bool = False) -> List[str]:
-        """Register files already on a GridFTP server as a location.
-
-        ``files`` defaults to everything in the server's filesystem.
-        With ``register_sizes`` each file also gets an optional logical
-        file entry (the Figure 6 catalog registers sizes this way).
-        """
-        if files is None:
-            names = [f.name for f in server.fs]
-        else:
-            names = [f for f in files if server.fs.exists(f)]
-            missing = set(files) - set(names)
-            if missing:
-                raise ReplicaError(
-                    f"{server.hostname}: missing files {sorted(missing)}")
-        self.catalog.register_location(
-            collection, location, protocol="gsiftp",
-            hostname=server.hostname, port=2811, path=path, files=names)
-        if register_sizes:
-            for name in names:
-                if self.catalog.logical_file_size(collection, name) is None:
-                    self.catalog.register_logical_file(
-                        collection, name, server.fs.stat(name).size)
-        return names
 
     # -- replication -----------------------------------------------------------
     def replicate_file(self, control_host, collection: str,

@@ -51,6 +51,11 @@ from repro.storage.filesystem import FileSystem
 
 _TERMINAL = (FileState.DONE, FileState.FAILED, FileState.CANCELLED)
 
+# The path assumed for a replica with no NWS forecast (degraded-mode
+# ranking): pessimistic by design so measured paths win.
+FALLBACK_BANDWIDTH = 125000.0  # bytes/s: 1 Mb/s
+FALLBACK_LATENCY = 0.1         # one-way seconds
+
 # Metric families of the per-file path (obs.children); failure paths
 # use the keyword helpers.
 _TICKETS = Family(Counter, "rm.tickets_total")
@@ -321,7 +326,8 @@ class RequestManager:
         """One file's thread: lookup, rank, then replicas best-first.
 
         Emits the ``rm.request`` lifeline milestone and guarantees the
-        outcome metrics fire no matter how the thread exits. (One
+        outcome metrics fire however the thread exits, unless it is
+        closed unfinished with its simulation. (One
         generator, not a wrapper around a body generator: every
         in-flight file holds this frame for its whole transfer.)
         """
@@ -331,6 +337,7 @@ class RequestManager:
         obs.event("rm.request", prog="request-manager",
                   ticket=ticket.id_text, file=fr.logical_file,
                   collection=fr.collection)
+        closed = False
         try:
             if self._should_stop(ticket, fr):
                 return
@@ -457,12 +464,20 @@ class RequestManager:
                     self._say(ticket, f"{fr.logical_file}: switching replica "
                               f"after {err}")
             self._fail(ticket, fr, last_error, last_class)
+        except GeneratorExit:
+            # Closed unfinished because its simulation was dropped: there
+            # is no outcome to count, and a metric child made here would
+            # be a new object referring to the dropped environment, which
+            # keeps the whole simulation alive for one more collection.
+            closed = True
+            raise
         finally:
-            outcome = fr.state.value
-            obs.children[_FILES, outcome].inc()
-            if fr.finished_at is not None:
-                obs.children[_FILE_SECONDS, outcome].observe(
-                    fr.finished_at - fr.started_at)
+            if not closed:
+                outcome = fr.state.value
+                obs.children[_FILES, outcome].inc()
+                if fr.finished_at is not None:
+                    obs.children[_FILE_SECONDS, outcome].observe(
+                        fr.finished_at - fr.started_at)
 
     def _rank(self, ticket: RequestTicket, replicas: List[LocationInfo],
               fr: FileRequest, stale: bool = False):
@@ -471,7 +486,7 @@ class RequestManager:
         Healthy path: live NWS forecasts via MDS, ranked by the
         selection policy (and every forecast refreshes the cache). If
         any lookup raises (directory outage), the ranking is rebuilt
-        from cached last-known forecasts — or the config's fallback
+        from cached last-known forecasts — or the module's fallback
         constants where no history exists — and rotated round-robin so
         blind retries spread across replicas instead of hammering one.
         """
@@ -498,8 +513,8 @@ class RequestManager:
             else:
                 # Unmeasured path: fall back to a conservative constant
                 # so measured paths are preferred.
-                bandwidth = self.config.fallback_bandwidth
-                latency = self.config.fallback_latency
+                bandwidth = FALLBACK_BANDWIDTH
+                latency = FALLBACK_LATENCY
             stage_wait = 0.0
             if server is not None and server.hrm is not None \
                     and not server.hrm.is_staged(fr.logical_file):
@@ -511,7 +526,7 @@ class RequestManager:
             fr.degraded_rankings += 1
             self.obs.count("rm.degraded_ranks_total")
             self.obs.event("rm.rank.degraded", prog="request-manager",
-                           file=fr.logical_file,
+                           ticket=ticket.id_text, file=fr.logical_file,
                            candidates=len(candidates))
             self._say(ticket, f"{fr.logical_file}: MDS unreachable, "
                       "ranking from cached forecasts (round-robin)")
@@ -564,7 +579,7 @@ class RequestManager:
             self.quarantined[(fr.collection, fr.logical_file,
                               loc.name)] = self.env.now
             self.obs.event("catalog.demote", prog="request-manager",
-                           collection=fr.collection,
+                           ticket=ticket.id_text, collection=fr.collection,
                            file=fr.logical_file, location=loc.name)
             self.obs.count("catalog.demotes_total")
         self.obs.count("rm.stale_demotes_total")
@@ -587,7 +602,6 @@ class RequestManager:
             # starvation-bounded.
             grant = yield from self.scheduler.acquire(
                 loc.hostname, flow=f"ticket-{ticket.id}", size=fr.size,
-                link=getattr(self.dest_host, "site", None),
                 streams=self.config.parallelism,
                 priority=len(ticket.files),
                 abort=handle.abort_event)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from repro.sim.core import Environment
 
+# Round trip of one ORB call, and marshalling seconds per argument item.
+RPC_RTT = 0.002
+MARSHAL_COST_PER_ITEM = 1e-4
+
 
 class CorbaChannel:
     """Models the marshalling + round-trip cost of an ORB call.
@@ -14,13 +18,8 @@ class CorbaChannel:
     hop did.
     """
 
-    def __init__(self, env: Environment, rtt: float = 0.002,
-                 marshal_cost_per_item: float = 1e-4):
-        if rtt < 0 or marshal_cost_per_item < 0:
-            raise ValueError("costs must be >= 0")
+    def __init__(self, env: Environment):
         self.env = env
-        self.rtt = rtt
-        self.marshal_cost_per_item = marshal_cost_per_item
         self.calls = 0
 
     def call(self, method, *args, n_items: int = 1):
@@ -31,7 +30,6 @@ class CorbaChannel:
         file names in the request).
         """
         self.calls += 1
-        yield self.env.timeout(self.rtt
-                               + self.marshal_cost_per_item * n_items)
+        yield self.env.timeout(RPC_RTT + MARSHAL_COST_PER_ITEM * n_items)
         result = yield from method(*args)
         return result

@@ -8,22 +8,22 @@ replication campaigns get their sustained throughput from *disciplined
 scheduling* of concurrent transfers, not unbounded fan-out. This module
 is that discipline:
 
-- **Admission control** — per-server and per-link concurrency caps with
-  *bounded* wait queues. A full queue rejects immediately
+- **Admission control** — per-server concurrency caps with *bounded*
+  wait queues. A full queue rejects immediately
   (:class:`QueueFull`) instead of queueing silently, so backpressure is
   visible to the caller (the RM treats it like any other transient
   candidate failure and backs off).
 - **Fair queueing** — a deficit-round-robin (DRR) variant across flows
-  (one flow per ticket/user): each flow's deficit grows by ``quantum``
-  bytes per scheduling visit and a flow's head request is granted once
-  the deficit covers its size. Small interactive requests therefore
+  (one flow per ticket/user): each flow's deficit grows by
+  :data:`QUANTUM` bytes per scheduling visit and a flow's head request
+  is granted once the deficit covers its size. Small interactive requests therefore
   overtake bulk replication without starving it.
 - **Priority classes** — each request carries an integer priority
   (lower = more interactive; the RM passes the ticket's file count, so
   one-file interactive tickets outrank bulk replication). DRR runs
   within the best eligible class only.
 - **Priority aging** — a head-of-queue request bypassed while it was
-  *eligible* (its caps had room) ages by one per bypass; once its age
+  *eligible* (its server had room) ages by one per bypass; once its age
   reaches ``aging_rounds`` it is granted ahead of both priority and
   DRR order (oldest first). This yields a hard starvation bound,
   checked by the property suite: a granted request's bypass count never
@@ -58,6 +58,11 @@ _WITHDRAWN = Family(Counter, "rm.sched.withdrawn_total", "server")
 _QUEUE_DEPTH = Family(Gauge, "rm.sched.queue_depth", "server")
 _ACTIVE = Family(Gauge, "rm.sched.active", "server")
 
+# DRR deficit added per scheduling visit, in bytes. Requests no larger
+# than the quantum are admitted on their flow's first visit; bulk
+# requests wait for their deficit to accumulate.
+QUANTUM = 8 * 2**20
+
 
 class QueueFull(Exception):
     """Admission rejected: the server's wait queue is at capacity.
@@ -80,18 +85,10 @@ class SchedulerConfig:
     ----------
     per_server_cap:
         Concurrent admitted transfers per GridFTP server.
-    per_link_cap:
-        Concurrent admitted transfers per link key (the RM passes the
-        destination site, capping fan-in to one user's downlink).
-        ``None`` disables link caps.
     max_queue_depth:
         Waiting requests a server will hold before admission is
         rejected with :class:`QueueFull` (bounded queues, not silent
         buildup).
-    quantum:
-        DRR deficit added per scheduling visit, in bytes. Requests no
-        larger than the quantum are admitted on their flow's first
-        visit; bulk requests wait for their deficit to accumulate.
     aging_rounds:
         Eligible bypasses a head-of-flow request tolerates before it is
         force-granted ahead of DRR order (the starvation bound).
@@ -102,21 +99,15 @@ class SchedulerConfig:
     """
 
     per_server_cap: int = 4
-    per_link_cap: Optional[int] = None
     max_queue_depth: int = 128
-    quantum: float = 8 * 2**20
     aging_rounds: int = 4
     stream_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.per_server_cap < 1:
             raise ValueError("per_server_cap must be >= 1")
-        if self.per_link_cap is not None and self.per_link_cap < 1:
-            raise ValueError("per_link_cap must be >= 1 when set")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
         if self.aging_rounds < 0:
             raise ValueError("aging_rounds must be >= 0")
         if self.stream_budget is not None and self.stream_budget < 1:
@@ -130,14 +121,13 @@ class TransferGrant:
     to :meth:`TransferScheduler.release` exactly once.
     """
 
-    __slots__ = ("server", "flow", "link", "size", "streams", "seq",
-                 "priority", "enqueued_at", "granted_at", "bypasses",
-                 "backlog", "released")
+    __slots__ = ("server", "flow", "size", "streams", "seq", "priority",
+                 "enqueued_at", "granted_at", "bypasses", "backlog",
+                 "released")
 
     def __init__(self, slot: "_Slot", streams: int, granted_at: float):
         self.server = slot.server
         self.flow = slot.flow
-        self.link = slot.link
         self.size = slot.size
         self.streams = streams
         self.priority = slot.priority
@@ -161,17 +151,15 @@ class TransferGrant:
 class _Slot:
     """One waiting admission request."""
 
-    __slots__ = ("seq", "flow", "server", "link", "size", "streams",
-                 "priority", "event", "enqueued_at", "age", "backlog")
+    __slots__ = ("seq", "flow", "server", "size", "streams", "priority",
+                 "event", "enqueued_at", "age", "backlog")
 
-    def __init__(self, seq: int, flow: str, server: str,
-                 link: Optional[str], size: float, streams: int,
-                 priority: int, event: Event, enqueued_at: float,
-                 backlog: int):
+    def __init__(self, seq: int, flow: str, server: str, size: float,
+                 streams: int, priority: int, event: Event,
+                 enqueued_at: float, backlog: int):
         self.seq = seq
         self.flow = flow
         self.server = server
-        self.link = link
         self.size = size
         self.streams = streams
         self.priority = priority
@@ -232,8 +220,8 @@ class TransferScheduler:
         ``rm.sched.ticket_bytes_total`` goodput counters.
     audit:
         Record every transition in :attr:`audit_log` as
-        ``(time, op, server, flow, seq, active, waiting, link_active)``
-        tuples — the property suite's ground truth.
+        ``(time, op, server, flow, seq, active, waiting)`` tuples — the
+        property suite's ground truth.
     """
 
     def __init__(self, env: Environment,
@@ -243,7 +231,6 @@ class TransferScheduler:
         self.config = config or SchedulerConfig()
         self.obs = obs or Observability()
         self._servers: Dict[str, _ServerState] = {}
-        self._link_active: Dict[str, int] = {}
         self._seq = 0
         # instrumentation
         self.admitted = 0       # acquire() calls that were queued/granted
@@ -256,8 +243,8 @@ class TransferScheduler:
 
     # -- public API -------------------------------------------------------
     def acquire(self, server: str, flow: str, size: float,
-                link: Optional[str] = None, streams: int = 1,
-                priority: int = 0, abort: Optional[Event] = None):
+                streams: int = 1, priority: int = 0,
+                abort: Optional[Event] = None):
         """Simulation process: wait for an admission slot on ``server``.
 
         Parameters
@@ -270,9 +257,6 @@ class TransferScheduler:
         size:
             Bytes the transfer intends to move (drives DRR accounting;
             0 is fine for unknown sizes and schedules first).
-        link:
-            Optional link key also capped by ``per_link_cap`` (the RM
-            passes the destination site).
         streams:
             Parallel TCP streams the caller would like; the grant's
             ``streams`` is this value, clipped by the stream budget.
@@ -299,7 +283,7 @@ class TransferScheduler:
             self._audit("reject", ss, flow, -1)
             raise QueueFull(server, ss.waiting)
         self._seq += 1
-        slot = _Slot(self._seq, flow, server, link, max(0.0, size),
+        slot = _Slot(self._seq, flow, server, max(0.0, size),
                      max(1, streams), priority, Event(self.env),
                      self.env.now, backlog=ss.waiting)
         fl = ss.flows.get(flow)
@@ -328,8 +312,6 @@ class TransferScheduler:
         grant.released = True
         ss = self._servers[grant.server]
         ss.active -= 1
-        if grant.link is not None:
-            self._link_active[grant.link] -= 1
         moved = max(0.0, bytes_done)
         self.ticket_bytes[grant.flow] = \
             self.ticket_bytes.get(grant.flow, 0.0) + moved
@@ -338,13 +320,8 @@ class TransferScheduler:
             self.obs.children[_TICKET_BYTES, grant.flow].inc(moved)
         self._gauges(ss)
         self._audit("release", ss, grant.flow, grant.seq)
-        # The freed capacity may unblock this server — and, when link
-        # caps are on, waiters on *other* servers sharing the link.
+        # The freed capacity may unblock this server.
         self._dispatch(ss)
-        if grant.link is not None and self.config.per_link_cap is not None:
-            for other in self._servers.values():
-                if other is not ss:
-                    self._dispatch(other)
 
     def queue_depth(self, server: str) -> int:
         """Waiting requests for one server (0 for unknown servers)."""
@@ -384,8 +361,6 @@ class TransferScheduler:
         """Grant as many waiting slots as the caps allow right now."""
         while ss.order and ss.active < self.config.per_server_cap:
             picked, eligible = self._pick(ss)
-            if picked is None:
-                return  # every head is blocked on its link cap
             # Bypassed-but-eligible heads age; that is the starvation
             # clock the aged fast-path below consumes.
             for head in eligible:
@@ -398,19 +373,9 @@ class TransferScheduler:
         """Choose the next head slot to admit.
 
         Returns ``(winner, eligible_heads)`` where ``eligible_heads``
-        are the flow heads whose caps had room at this instant (the
-        winner included); ``(None, [])`` when nothing is eligible.
+        are the flow heads at this instant (the winner included).
         """
-        cap = self.config.per_link_cap
-        eligible: List[_Slot] = []
-        for key in ss.order:
-            head = ss.flows[key].slots[0]
-            if (cap is not None and head.link is not None
-                    and self._link_active.get(head.link, 0) >= cap):
-                continue
-            eligible.append(head)
-        if not eligible:
-            return None, []
+        eligible = [ss.flows[key].slots[0] for key in ss.order]
         # Aged fast-path: the oldest admitted-first among starved heads.
         aged = [h for h in eligible if h.age >= self.config.aging_rounds]
         if aged:
@@ -422,23 +387,22 @@ class TransferScheduler:
         # DRR: credit one quantum per visited flow, admit the first head
         # its deficit covers. Deficits persist across dispatches, so a
         # bulk head is admitted after ~size/quantum visits.
-        quantum = self.config.quantum
         blocked = {h.seq for h in contenders}
         max_size = max(h.size for h in contenders)
-        cycles = int(max_size / quantum) + 2
+        cycles = int(max_size / QUANTUM) + 2
         for _ in range(cycles * len(ss.order)):
             key = ss.order[self.rr_index(ss)]
             fl = ss.flows[key]
             head = fl.slots[0]
             ss.rr += 1
             if head.seq not in blocked:
-                continue  # link-capped / out-of-class flows earn no deficit
-            fl.deficit += quantum
+                continue  # out-of-class flows earn no deficit
+            fl.deficit += QUANTUM
             if fl.deficit >= head.size:
                 fl.deficit -= head.size
                 return head, eligible
-        # Unreachable when ``eligible`` is non-empty: each full cycle
-        # adds a quantum to every eligible flow's deficit.
+        # Unreachable: each full cycle adds a quantum to every eligible
+        # flow's deficit.
         return None, []  # pragma: no cover - defensive
 
     @staticmethod
@@ -451,9 +415,6 @@ class TransferScheduler:
         if not fl.slots:
             self._drop_flow(ss, slot.flow)
         ss.active += 1
-        if slot.link is not None:
-            self._link_active[slot.link] = \
-                self._link_active.get(slot.link, 0) + 1
         streams = slot.streams
         budget = self.config.stream_budget
         if budget is not None:
@@ -504,6 +465,5 @@ class TransferScheduler:
     def _audit(self, op: str, ss: _ServerState, flow: str,
                seq: int) -> None:
         if self.audit_log is not None:
-            links = tuple(sorted(self._link_active.items()))
             self.audit_log.append((self.env.now, op, ss.name, flow, seq,
-                                   ss.active, ss.waiting, links))
+                                   ss.active, ss.waiting))

@@ -48,6 +48,7 @@ from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
 HOURS = 3600.0
+COMMODITY_CAPACITY = mbps(155)     # the shared Dallas→Chicago path
 
 
 def default_fault_schedule() -> FaultSchedule:
@@ -127,7 +128,6 @@ class CommodityTestbed:
 
     def __init__(self, seed: int = 0, disk_rate: float = 10 * 2**20,
                  one_way_latency: float = 0.012,
-                 commodity_capacity: float = mbps(155),
                  loss_rate: float = 0.05):
         self.env = Environment(seed=seed)
         env = self.env
@@ -143,7 +143,7 @@ class CommodityTestbed:
         self.src_host.uplink("r-dallas")
         self.dst_host.uplink("r-anl")
         self.topology.duplex_link("r-dallas", "r-anl",
-                                  commodity_capacity, one_way_latency,
+                                  COMMODITY_CAPACITY, one_way_latency,
                                   name="commodity")
         self.network = FluidNetwork(env, self.topology)
         self.dns = NameService(env)

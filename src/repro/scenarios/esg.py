@@ -446,8 +446,7 @@ class EsgTestbed:
 
     def add_fleet(self, n_users: int, users_per_pop: int = 32,
                   downlink: float = mbps(622), latency: float = 0.010,
-                  config: Optional[GridFtpConfig] = None,
-                  name_prefix: str = "pop"):
+                  config: Optional[GridFtpConfig] = None):
         """Attach ``n_users`` user desktops grouped behind shared
         points of presence — the fleet-construction fast path.
 
@@ -478,7 +477,7 @@ class EsgTestbed:
         rms = []
         n_pops = (n_users + users_per_pop - 1) // users_per_pop
         for p in range(n_pops):
-            pop = f"{name_prefix}{p}"
+            pop = f"pop{p}"
             host = self._attach_host(pop, spec, downlink, latency)
             client = GridFtpClient(
                 self.env, self.transport, self.registry,
@@ -486,7 +485,7 @@ class EsgTestbed:
                 client_name=pop, obs=self.obs)
             for u in range(p * users_per_pop,
                            min((p + 1) * users_per_pop, n_users)):
-                fs = FileSystem(self.env, f"{name_prefix}-user{u}-fs")
+                fs = FileSystem(self.env, f"pop-user{u}-fs")
                 rm = RequestManager(
                     self.env, self.replica_catalog, self.mds, client,
                     self.registry, host, fs, nws=self.nws,

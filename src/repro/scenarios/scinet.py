@@ -43,6 +43,24 @@ from repro.netlogger.analysis import BandwidthSummary, summarize
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileSystem
 
+# The SC'2000 configuration.
+N_HOSTS = 8                   # workstations per cluster
+# Nominal OC-48 capacity (the 1.5 Gb/s "allowance" was an agreement,
+# not an enforced clamp — peaks reached 1.55 Gb/s).
+OC48_CAPACITY = gbps(2.5)
+# Mean fraction of the OC-48 consumed by the rest of the exhibition
+# floor (cross traffic), modulated stochastically by
+# :class:`repro.net.LinkLoadModulator`. This is what separates the peak
+# numbers (quiet moments) from the sustained average.
+FLOOR_LOAD = 0.82
+ONE_WAY_LATENCY = 0.007       # WAN propagation: 10–20 ms RTT
+# Interrupt coalescing factor ("we were, in fact, using interrupt
+# coalescing at SC"; jumbo frames were unavailable, so the CPU still
+# topped out well below GbE line rate).
+COALESCING = 2
+PARTITION_BYTES = 2 * GB / N_HOSTS    # each server's share of the file
+COPIES_PER_SERVER = 4         # concurrent partition copies per server
+
 
 @dataclass
 class Table1Result:
@@ -77,49 +95,23 @@ class ScinetTestbed:
     ----------
     seed:
         Random seed (loss events).
-    n_hosts:
-        Workstations per cluster (8 at SC'2000).
-    oc48_capacity:
-        Nominal OC-48 capacity (2.5 Gb/s; the 1.5 Gb/s "allowance" was
-        an agreement, not an enforced clamp — peaks reached 1.55 Gb/s).
-    floor_load:
-        Mean fraction of the OC-48 consumed by the rest of the
-        exhibition floor (cross traffic), modulated stochastically by
-        :class:`repro.net.LinkLoadModulator`. This is what separates
-        the peak numbers (quiet moments) from the sustained average.
-    one_way_latency:
-        WAN propagation, seconds (10–20 ms RTT → ~7 ms one-way).
     loss_rate:
         Random-loss events per second per stream on the shared path.
-    coalescing:
-        Interrupt coalescing factor ("we were, in fact, using interrupt
-        coalescing at SC"; jumbo frames were unavailable, so the CPU
-        still topped out well below GbE line rate).
     """
 
-    def __init__(self, seed: int = 0, n_hosts: int = 8,
-                 oc48_capacity: float = gbps(2.5),
-                 floor_load: float = 0.82,
-                 one_way_latency: float = 0.007,
-                 loss_rate: float = 0.15,
-                 coalescing: int = 2,
-                 partition_bytes: float = 2 * GB / 8,
-                 copies_per_server: int = 4):
+    def __init__(self, seed: int = 0, loss_rate: float = 0.15):
         self.env = Environment(seed=seed)
         env = self.env
-        self.n_hosts = n_hosts
         self.loss_rate = loss_rate
-        self.partition_bytes = partition_bytes
-        self.copies_per_server = copies_per_server
         self.topology = Topology("scinet")
         ws_spec = HostSpec(
             nic_rate=gbps(1), bus_rate=None,
             cpu=CpuModel(copy_cost_per_byte=3.3e-8, interrupt_cost=25e-6,
-                         coalesce=coalescing),
+                         coalesce=COALESCING),
             disk=DiskArray(DiskSpec(rate=30 * 2**20), count=4))
         self.dallas_hosts: List[Host] = []
         self.lbl_hosts: List[Host] = []
-        for i in range(n_hosts):
+        for i in range(N_HOSTS):
             d = Host(self.topology, f"dallas-ws{i}", site="dallas",
                      spec=ws_spec)
             d.uplink("sw-dallas", latency=5e-5)
@@ -134,12 +126,12 @@ class ScinetTestbed:
         self.topology.duplex_link("sw-lbl", "r-lbl", gbps(2), 1e-4,
                                   name="bond-lbl")
         # HSCC/NTON OC-48 path, shared with the rest of the floor.
-        self.topology.duplex_link("r-dallas", "r-lbl", oc48_capacity,
-                                  one_way_latency, name="oc48")
+        self.topology.duplex_link("r-dallas", "r-lbl", OC48_CAPACITY,
+                                  ONE_WAY_LATENCY, name="oc48")
         self.network = FluidNetwork(env, self.topology)
         self.floor_traffic = LinkLoadModulator(
             env, self.network, self.topology.links["oc48:fwd"],
-            mean_load=floor_load, rng=env.rng.stream("scinet.floor"),
+            mean_load=FLOOR_LOAD, rng=env.rng.stream("scinet.floor"),
             volatility=0.16, correlation=0.45, interval=1.0)
         self.dns = NameService(env)
         self.transport = Transport(env, self.network, self.dns)
@@ -158,7 +150,7 @@ class ScinetTestbed:
             hostname = f"dallas-ws{i}.scinet"
             self.dns.register(hostname, host.node)
             fs = FileSystem(env, f"dallas{i}-fs")
-            fs.create("partition.dat", partition_bytes)
+            fs.create("partition.dat", PARTITION_BYTES)
             sid = Identity(f"/CN=gridftp/{hostname}", ca, trust)
             server = GridFtpServer(env, host, fs, gsi=self.gsi,
                                    credential_chain=sid.chain,
@@ -173,7 +165,7 @@ class ScinetTestbed:
             credential_chain=user.make_proxy(env.now),
             config=self.transfer_config)
         self.dest_fs = [FileSystem(env, f"lbl{i}-fs")
-                        for i in range(n_hosts)]
+                        for i in range(N_HOSTS)]
 
 
 def run_table1_schedule(testbed: ScinetTestbed,
@@ -182,14 +174,13 @@ def run_table1_schedule(testbed: ScinetTestbed,
 
     Per source workstation: keep launching partition-copy transfers, a
     new one whenever the youngest in flight reaches 25% completion,
-    capped at ``copies_per_server`` concurrent; stop launching at
+    capped at :data:`COPIES_PER_SERVER` concurrent; stop launching at
     ``duration`` and let in-flight copies drain. The Table 1 summary
     measures exactly the [0, duration] window.
     """
     env = testbed.env
     all_series: List[RateSeries] = []
     copies_done = [0]
-    max_concurrent = testbed.copies_per_server
     cfg = testbed.transfer_config
 
     def copy_body(i: int, session, handle: TransferHandle):
@@ -211,7 +202,7 @@ def run_table1_schedule(testbed: ScinetTestbed,
         active: List = []
         while env.now < duration:
             active = [(p, h) for p, h in active if not p.triggered]
-            if len(active) >= max_concurrent:
+            if len(active) >= COPIES_PER_SERVER:
                 yield env.timeout(0.25)
                 continue
             handle = TransferHandle(env, "partition.dat", 0.0)
@@ -226,17 +217,16 @@ def run_table1_schedule(testbed: ScinetTestbed,
                 yield p
 
     testbed.floor_traffic.start()
-    drivers = [env.process(server_schedule(i))
-               for i in range(testbed.n_hosts)]
+    drivers = [env.process(server_schedule(i)) for i in range(N_HOSTS)]
     done = env.all_of(drivers)
     env.run(until=done)
     summary = summarize(all_series, sustained_window=duration,
                         t0=0.0, t1=duration)
     return Table1Result(
-        striped_servers_src=testbed.n_hosts,
-        striped_servers_dst=testbed.n_hosts,
-        max_streams_per_server=max_concurrent,
-        max_streams_total=max_concurrent * testbed.n_hosts,
+        striped_servers_src=N_HOSTS,
+        striped_servers_dst=N_HOSTS,
+        max_streams_per_server=COPIES_PER_SERVER,
+        max_streams_total=COPIES_PER_SERVER * N_HOSTS,
         summary=summary,
         copies_completed=copies_done[0],
         series=all_series)

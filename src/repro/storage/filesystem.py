@@ -138,11 +138,6 @@ class FileSystem:
     def __len__(self) -> int:
         return len(self._files)
 
-    @property
-    def free(self) -> float:
-        """Unused capacity in bytes."""
-        return self.capacity - self.used
-
     def __repr__(self) -> str:
         return (f"FileSystem({self.name!r}, {len(self)} files, "
                 f"{self.used / 2**30:.2f} GiB used)")

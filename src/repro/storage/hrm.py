@@ -386,11 +386,6 @@ class HierarchicalResourceManager:
         per_item = spec.mount_time + spec.max_seek_time / 2
         return self.mss.estimate_retrieve_time(name) + queued * per_item
 
-    @property
-    def inflight(self) -> int:
-        """Number of distinct files currently being staged."""
-        return len(self._inflight)
-
     def __repr__(self) -> str:
         return (f"HierarchicalResourceManager({self.name!r}, "
                 f"{self.inflight} staging)")

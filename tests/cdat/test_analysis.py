@@ -12,6 +12,7 @@ from repro.cdat import (
     zonal_mean,
 )
 from repro.cdat.analysis import area_weights
+from repro.data.synth import slice_months
 from repro.data import ClimateModelRun, DataError, Dataset, GridSpec, Variable
 
 
@@ -94,11 +95,11 @@ def test_seasonal_cycle_recovers_synthetic_cycle():
 
 def test_concat_time_stacks():
     r = run()
-    ds95 = r.generate_months(1995, 1, 6, variables=("tas",))
-    ds95b = r.generate_months(1995, 7, 12, variables=("tas",))
+    full = r.generate_year(1995, variables=("tas",))
+    ds95 = slice_months(full, 1, 6)
+    ds95b = slice_months(full, 7, 12)
     merged = concat_time([ds95, ds95b], "tas")
     assert merged["tas"].shape[0] == 12
-    full = r.generate_year(1995, variables=("tas",))
     np.testing.assert_array_equal(merged["tas"].data, full["tas"].data)
 
 
@@ -113,10 +114,10 @@ def test_concat_time_grid_mismatch_rejected():
 
 
 def test_generate_months_validation():
-    r = run()
+    year = run().generate_year(1995)
     with pytest.raises(ValueError):
-        r.generate_months(1995, 0, 3)
+        slice_months(year, 0, 3)
     with pytest.raises(ValueError):
-        r.generate_months(1995, 5, 3)
+        slice_months(year, 5, 3)
     with pytest.raises(ValueError):
-        r.generate_months(1995, 1, 13)
+        slice_months(year, 1, 13)

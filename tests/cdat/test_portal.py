@@ -43,11 +43,12 @@ def test_portal_merges_multiple_months():
 
 
 def test_portal_extract_variable():
+    """A subset without coordinate ranges extracts one variable."""
     tb = make_testbed()
 
     def main():
         return (yield from tb.portal.request(
-            "pcmdi.ncar_csm.run1", "pr", operation="extract",
+            "pcmdi.ncar_csm.run1", "pr", operation="subset",
             months=(6, 6)))
 
     resp = tb.run_process(main())
@@ -87,7 +88,7 @@ def test_portal_counts_requests():
         yield from tb.portal.request("pcmdi.ncar_csm.run1", "tas",
                                      operation="time_mean", months=(1, 1))
         yield from tb.portal.request("pcmdi.ncar_csm.run1", "clt",
-                                     operation="extract", months=(2, 2))
+                                     operation="subset", months=(2, 2))
 
     tb.run_process(main())
     assert tb.portal.requests_served == 2

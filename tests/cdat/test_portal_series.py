@@ -33,7 +33,7 @@ def test_open_series_resolves_the_record():
     tb = make_testbed()
     series = open_series(tb)
     assert series.dataset_id == DATASET
-    assert "tas" in series.variables
+    assert "tas" in series.record.variables
     lo, hi = series.time_extent
     assert lo <= hi
 

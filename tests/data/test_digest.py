@@ -10,7 +10,6 @@ from repro.data.digest import (
     add_mark,
     content_digest,
     file_digest,
-    is_pristine,
     marks_of,
 )
 from repro.storage import FileObject
@@ -49,10 +48,9 @@ def test_file_digest_matches_content_digest():
 
 def test_add_mark_and_pristine():
     f = FileObject("f.nc", 2048)
-    assert is_pristine(f)
+    assert marks_of(f) == ()
     clean = file_digest(f)
     add_mark(f, "at-rest@12")
-    assert not is_pristine(f)
     assert marks_of(f) == ("at-rest@12",)
     assert file_digest(f) != clean
 

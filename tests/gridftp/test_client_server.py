@@ -29,33 +29,11 @@ def test_connect_unknown_server(grid):
     grid.run_process(main())
 
 
-def test_feat_lists_extensions(grid):
-    grid.server.register_plugin("subset", lambda f, a: (f.size, f.content))
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov")
-        return (yield from session.feat())
-
-    feats = grid.run_process(main())
-    assert "GSI" in feats
-    assert "SPAS" in feats
-    assert "64BIT" in feats
-    assert "ERET:subset" in feats
-
-
 def test_size_and_missing_file(grid):
     grid.server_fs.create("data.nc", 123456)
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov")
-        size = yield from session.size("data.nc")
-        with pytest.raises(GridFtpError, match="no such file"):
-            yield from session.size("ghost.nc")
-        return size
-
-    assert grid.run_process(main()) == 123456
+    assert grid.server.size("data.nc") == 123456
+    with pytest.raises(GridFtpError, match="no such file"):
+        grid.server.size("ghost.nc")
 
 
 def test_get_transfers_file(grid):

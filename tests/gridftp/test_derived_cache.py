@@ -5,6 +5,7 @@ import pytest
 from repro.data import ClimateModelRun, GridSpec
 from repro.gridftp import DerivedProductCache
 from repro.gridftp.plugins import install_standard_plugins
+from repro.net import mbps
 from repro.storage import (
     FileObject,
     HierarchicalResourceManager,
@@ -133,4 +134,36 @@ def test_cache_hit_takes_no_stage_pin(grid):
     warm = eret_get(grid, "b.nc")
     assert warm.eret_cache_hit
     assert mss.stage_count == stages_before
+    assert not mss.cache.is_pinned("year.nc")
+
+
+def test_overlapping_retrs_of_one_path_each_settle_their_own_pin():
+    """A warm ERET (cache hit, no pin) and a whole-file RETR (pinned) of
+    the same file overlap; the ERET ends first and must not give back
+    the pin the whole-file RETR still holds."""
+    from .conftest import Grid
+    grid = Grid(wan=mbps(0.1))
+    install_standard_plugins(grid.server)
+    mss = MassStorageSystem(grid.env, cache_capacity=2**30, drives=1)
+    grid.server.hrm = HierarchicalResourceManager(grid.env, mss,
+                                                  grid.server_fs)
+    mss.archive(chunked_file(), tape="T1", position=0.0)
+    eret_get(grid, "cold.nc")                   # fills the derived cache
+    grid.env.run(until=grid.env.now + 300.0)
+    assert not mss.cache.is_pinned("year.nc")
+
+    def fetch(dest, **eret):
+        session = yield from grid.client.connect(grid.client_host,
+                                                 "srv.lbl.gov")
+        return (yield from session.get("year.nc", grid.client_fs,
+                                       grid.client_host, dest_name=dest,
+                                       **eret))
+
+    warm = grid.env.process(fetch("warm.nc", eret="subset", eret_args=ARGS))
+    whole = grid.env.process(fetch("whole.nc"))
+    grid.env.run(until=warm)
+    assert warm.value.eret_cache_hit
+    assert not whole.triggered
+    assert mss.cache.is_pinned("year.nc")       # the whole-file RETR's pin
+    grid.env.run(until=whole)
     assert not mss.cache.is_pinned("year.nc")

@@ -1,68 +1,12 @@
-"""Integrity tests: CKSM, taint marking, and restart + verify."""
+"""Integrity tests: taint marking and restart + verify."""
 
 import pytest
 
 from repro.data.digest import content_digest, file_digest, marks_of
-from repro.gridftp import GridFtpConfig, GridFtpError, GridFtpServer
+from repro.gridftp import GridFtpConfig
 from repro.net import MB, FaultInjector, FaultSchedule
-from repro.storage import (
-    FileObject,
-    HierarchicalResourceManager,
-    MassStorageSystem,
-)
 
 from tests.gridftp.conftest import Grid
-
-
-# -- CKSM command -----------------------------------------------------------
-
-def test_cksm_returns_catalog_grade_digest():
-    grid = Grid()
-    grid.server_fs.create("data.nc", 10 * MB)
-    cfg = GridFtpConfig()
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov", cfg)
-        digest = yield from session.cksm("data.nc")
-        return digest
-
-    digest = grid.run_process(main())
-    assert digest == content_digest("data.nc", 10 * MB)
-    assert digest == file_digest(grid.server_fs.stat("data.nc"))
-    assert grid.server.checksums_served == 1
-
-
-def test_cksm_costs_a_disk_scan():
-    """CKSM is not free: the server charges size / checksum_rate."""
-    grid = Grid()
-    size = 150 * MB
-    grid.server_fs.create("big.nc", size)
-    cfg = GridFtpConfig()
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov", cfg)
-        t0 = grid.env.now
-        yield from session.cksm("big.nc")
-        return grid.env.now - t0
-
-    elapsed = grid.run_process(main())
-    assert elapsed >= size / grid.server.checksum_rate
-
-
-def test_cksm_missing_file_raises():
-    grid = Grid()
-    cfg = GridFtpConfig()
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov", cfg)
-        with pytest.raises(GridFtpError):
-            yield from session.cksm("ghost.nc")
-        return True
-
-    assert grid.run_process(main())
 
 
 # -- taint propagation ------------------------------------------------------
@@ -98,12 +42,11 @@ def test_corrupt_window_taints_delivered_file():
     def main():
         session = yield from grid.client.connect(grid.client_host,
                                                  "srv.lbl.gov", cfg)
-        stats = yield from session.get("data.nc", grid.client_fs,
-                                       grid.client_host, config=cfg)
-        digest = yield from session.cksm("data.nc")
-        return stats, digest
+        return (yield from session.get("data.nc", grid.client_fs,
+                                       grid.client_host, config=cfg))
 
-    stats, source_digest = grid.run_process(main())
+    stats = grid.run_process(main())
+    source_digest = file_digest(grid.server_fs.stat("data.nc"))
     delivered = grid.client_fs.stat("data.nc")
     assert stats.tainted_blocks >= 1
     assert marks_of(delivered)
@@ -117,14 +60,8 @@ def test_at_rest_corruption_changes_cksm():
     grid.server_fs.create("data.nc", 10 * MB)
     clean = content_digest("data.nc", 10 * MB)
     grid.server.corrupt_file("data.nc", tag="at-rest@test")
-    cfg = GridFtpConfig()
-
-    def main():
-        session = yield from grid.client.connect(grid.client_host,
-                                                 "srv.lbl.gov", cfg)
-        return (yield from session.cksm("data.nc"))
-
-    assert grid.run_process(main()) != clean
+    assert file_digest(grid.server_fs.stat("data.nc")) != clean
+    assert grid.server.integrity_marks("data.nc") == ("at-rest@test",)
 
 
 # -- restart markers compose with verification (satellite) ------------------
@@ -147,12 +84,11 @@ def test_restart_resume_then_digest_verifies():
     def main():
         session = yield from grid.client.connect(grid.client_host,
                                                  "srv.lbl.gov", cfg)
-        stats = yield from session.get("data.nc", grid.client_fs,
-                                       grid.client_host, config=cfg)
-        digest = yield from session.cksm("data.nc")
-        return stats, digest
+        return (yield from session.get("data.nc", grid.client_fs,
+                                       grid.client_host, config=cfg))
 
-    stats, source_digest = grid.run_process(main())
+    stats = grid.run_process(main())
+    source_digest = file_digest(grid.server_fs.stat("data.nc"))
     assert stats.restarts >= 1                      # it really crashed
     delivered = grid.client_fs.stat("data.nc")
     assert delivered.size == pytest.approx(size)
@@ -185,40 +121,3 @@ def test_restart_through_corrupt_window_still_detected():
     else:  # corruption window may close before the resumed blocks
         assert file_digest(delivered) == content_digest("data.nc",
                                                         100 * MB)
-
-
-# -- HRM-backed CKSM holds the cache pin (satellite) ------------------------
-
-def test_cksm_on_hrm_backed_server_pins_for_whole_scan():
-    """The checksum scan reads the staged copy — eviction mid-scan would
-    be a use-after-free. The pin must be held until the scan finishes."""
-    grid = Grid(secure=False)
-    env = grid.env
-    mss = MassStorageSystem(env, cache_capacity=500 * MB, drives=1)
-    hrm = HierarchicalResourceManager(env, mss, grid.server_fs)
-    srv = GridFtpServer(env, grid.server_host, grid.server_fs,
-                        gsi=None, credential_chain=(),
-                        hostname="hrm.lbl.gov", hrm=hrm,
-                        checksum_rate=10 * MB)
-    size = 140 * MB
-    mss.archive(FileObject("f.nc", size), tape="T1", position=0.0)
-
-    p = env.process(srv.cksm("f.nc"))
-    samples = []
-
-    def sampler():
-        while not p.triggered:
-            samples.append((env.now, mss.cache.is_pinned("f.nc")))
-            yield env.timeout(0.25)
-
-    env.process(sampler())
-    env.run(until=p)
-    digest = p.value
-    finished = env.now
-    scan = size / srv.checksum_rate  # 14 s at 10 MB/s
-
-    assert digest == content_digest("f.nc", size)
-    assert not mss.cache.is_pinned("f.nc")  # balanced release at the end
-    in_scan = [pinned for t, pinned in samples
-               if finished - scan + 0.5 <= t < finished]
-    assert in_scan and all(in_scan)  # pinned for the entire scan window

@@ -13,7 +13,6 @@ from repro.data import encode
 from repro.data.variables import Dataset, Variable
 from repro.gridftp.plugins import (
     PluginError,
-    extract_variable_plugin,
     subset_plugin,
     time_mean_plugin,
 )
@@ -54,7 +53,7 @@ def test_chunked_equals_flat_bit_identical(case):
 
     for plugin, args in [
         (subset_plugin, {"variable": "tas", **ranges}),
-        (extract_variable_plugin, {"variable": "tas"}),
+        (subset_plugin, {"variable": "tas"}),
         (time_mean_plugin, {"variable": "tas"}),
     ]:
         try:

@@ -6,8 +6,6 @@ import pytest
 from repro.data import ClimateModelRun, GridSpec, decode
 from repro.gridftp.plugins import (
     PluginError,
-    checksum_plugin,
-    extract_variable_plugin,
     install_standard_plugins,
     subset_plugin,
     time_mean_plugin,
@@ -51,15 +49,16 @@ def test_subset_plugin_validation():
 
 
 def test_extract_variable_plugin():
+    """A subset without coordinate ranges extracts one variable."""
     file, _ = sdbf_file()
-    size, blob, _ = extract_variable_plugin(file, {"variable": "pr"})
+    size, blob, _ = subset_plugin(file, {"variable": "pr"})
     ds = decode(blob)
     assert set(ds.variables) == {"pr"}
     assert size < file.size / 2  # dropped 2 of 3 variables
     with pytest.raises(PluginError):
-        extract_variable_plugin(file, {"variable": "nope"})
+        subset_plugin(file, {"variable": "nope"})
     with pytest.raises(PluginError):
-        extract_variable_plugin(file, {})
+        subset_plugin(file, {})
 
 
 def test_time_mean_plugin_reduces_by_months():
@@ -87,23 +86,9 @@ def test_time_mean_plugin_requires_time_axis():
         time_mean_plugin(f, {})
 
 
-def test_checksum_plugin_tiny_and_stable():
-    file, _ = sdbf_file()
-    size, blob, decoded = checksum_plugin(file, {})
-    assert size == 16  # hex blake2s, same digest the catalogs record
-    assert decoded == file.size  # whole-file scan, like CKSM
-    size2, blob2, _ = checksum_plugin(file, {})
-    assert blob == blob2
-    # Size-only files get a name/size digest.
-    s3, b3, _ = checksum_plugin(FileObject("big", 1e9), {})
-    assert s3 == 16
-
-
 def test_install_standard_plugins(grid):
     install_standard_plugins(grid.server)
-    feats = grid.server.features
-    for name in ("subset", "extract", "time_mean", "checksum"):
-        assert f"ERET:{name}" in feats
+    assert sorted(grid.server._plugins) == ["subset", "time_mean"]
 
 
 def test_plugins_over_the_wire(grid):

@@ -6,8 +6,6 @@ gates the plugin on that prefix watermark instead of the full stage, so
 time-to-first-byte scales with bytes *touched*, not bytes *stored*.
 """
 
-import pytest
-
 from repro.data import ClimateModelRun, GridSpec
 from repro.gridftp.plugins import install_standard_plugins
 from repro.storage import (
@@ -135,7 +133,3 @@ def test_eret_range_staging_flag_validated():
     fs = FileSystem(env, "fs")
     srv = GridFtpServer(env, host, fs, eret_range_staging=False)
     assert srv.eret_range_staging is False
-    with pytest.raises(ValueError):
-        GridFtpServer(env, host, fs, eret_rate=0.0)
-    with pytest.raises(ValueError):
-        GridFtpServer(env, host, fs, derived_cache_bytes=-1.0)

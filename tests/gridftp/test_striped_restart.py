@@ -9,6 +9,7 @@ from repro.gridftp import (
     ReliabilityPolicy,
     StripedServer,
 )
+from repro.gridftp.channels import IDLE_TTL
 from repro.hosts import CpuModel, DiskArray, DiskSpec, Host, HostSpec
 from repro.net import (
     FaultInjector,
@@ -163,7 +164,6 @@ def test_channel_cache_reuse_counter():
 def test_channel_cache_ttl_expires():
     grid = Grid()
     cfg = GridFtpConfig(channel_caching=True, buffer_bytes=MB)
-    grid.client.channel_cache.idle_ttl = 10.0
     grid.server_fs.create("a.nc", MB)
     grid.server_fs.create("b.nc", MB)
 
@@ -172,7 +172,7 @@ def test_channel_cache_ttl_expires():
                                                  "srv.lbl.gov", cfg)
         yield from session.get("a.nc", grid.client_fs, grid.client_host,
                                config=cfg)
-        yield grid.env.timeout(60.0)  # longer than the ttl
+        yield grid.env.timeout(2 * IDLE_TTL)  # longer than the ttl
         s = yield from session.get("b.nc", grid.client_fs, grid.client_host,
                                    config=cfg)
         return s

@@ -92,7 +92,7 @@ def test_mutual_auth_succeeds_and_costs_time():
     env = Environment()
     client = Identity("/CN=user", ca, trust)
     server = Identity("/CN=gridftp/host", ca, trust)
-    ctx = GsiContext(trust, SecurityPolicy(handshake_rtts=2, crypto_time=0.05))
+    ctx = GsiContext(trust, SecurityPolicy(crypto_time=0.05))
 
     def main(env):
         subjects = yield from ctx.authenticate(
@@ -131,6 +131,6 @@ def test_mutual_auth_failure_still_costs_time():
 
 
 def test_handshake_cost_scales_with_rtt():
-    policy = SecurityPolicy(handshake_rtts=2, crypto_time=0.01)
+    policy = SecurityPolicy(crypto_time=0.01)
     assert policy.handshake_cost(0.1) > policy.handshake_cost(0.01)
     assert policy.handshake_cost(0.1) == pytest.approx(0.2 + 0.02)

@@ -65,8 +65,6 @@ def test_disk_validation():
     with pytest.raises(ValueError):
         DiskSpec(rate=0)
     with pytest.raises(ValueError):
-        DiskSpec(seek_time=-1)
-    with pytest.raises(ValueError):
         DiskArray(count=0)
     with pytest.raises(ValueError):
         DiskArray(raid_overhead=1.0)

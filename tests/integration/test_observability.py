@@ -10,6 +10,7 @@ import pytest
 
 from repro.esg import EarthSystemGrid
 from repro.netlogger import NetLogger, reconstruct_lifelines
+from repro.obs.trace import render_trace
 from repro.rm import TransferMonitor
 from repro.scenarios.esg import EsgTestbed
 
@@ -53,13 +54,13 @@ def test_metrics_registry_saw_the_transfers(run):
 def test_ticket_span_tree_covers_the_pipeline(run):
     tb, result = run
     trace_id = f"ticket-{result.ticket.id}"
-    spans = tb.obs.tracer.for_trace(trace_id)
+    spans = [s for s in tb.obs.tracer.spans if s.trace_id == trace_id]
     names = [s.name for s in spans]
     assert "rm.ticket" in names[0:1] or names[0].startswith("rm")
     assert names.count("rm.file") == len(result.logical_files)
     assert "rm.attempt" in names
     assert all(not s.open for s in spans)
-    tree = tb.obs.tracer.render_tree(trace_id)
+    tree = render_trace(tb.obs.tracer.spans, trace_id)
     assert tree.startswith(f"trace {trace_id}")
     assert "rm.file" in tree
 

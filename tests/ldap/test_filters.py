@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ldap import FilterError, parse_filter
+from repro.ldap import FilterError
+from repro.ldap.filters import compile_filter, fold
 
 ENTRY = {
     "objectclass": ["collection"],
@@ -13,6 +14,13 @@ ENTRY = {
     "year": ["1998"],
     "size": ["2048"],
 }
+
+
+def parse_filter(expr):
+    """The compiled predicate over raw attributes (folded here, as the
+    directory folds every entry)."""
+    pred = compile_filter(expr)
+    return lambda attrs: pred({k: fold(tuple(vs)) for k, vs in attrs.items()})
 
 
 def matches(expr, attrs=ENTRY):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ldap import DN, DirectoryServer, DnError, Scope, parse_filter
+from repro.ldap import DN, DirectoryServer, DnError, Scope
 from repro.sim import Environment
 
 # -- oracle: the per-value predicate over raw (stored-case) values ----------
@@ -121,9 +121,6 @@ def test_search_matches_per_value_oracle(entries, mutations, tree):
     want = [str(e.dn) for e in kids if oracle(tree, e.attributes)]
     got = [str(e.dn) for e in d.search("o=t", Scope.ONELEVEL, text)]
     assert sorted(got) == sorted(want)
-    # The raw-dict entry point runs the same compiled predicate.
-    pred = parse_filter(text)
-    assert [str(e.dn) for e in kids if pred(e.attributes)] == want
 
 
 # -- aliasing -----------------------------------------------------------------

@@ -13,6 +13,7 @@ completion event is extra on this side.
 from __future__ import annotations
 
 from repro.net.fluid import Flow
+from repro.net import tcp
 from repro.net.tcp import TcpStream
 
 
@@ -61,9 +62,10 @@ class ReferenceTcpStream(TcpStream):
             return
         # Linear growth: one MSS per RTT → total time to recover:
         total_time = deficit / p.mss * self.rtt
-        step_time = total_time / p.recovery_steps
-        step_gain = deficit / p.recovery_steps
-        for _ in range(p.recovery_steps):
+        steps = tcp.RECOVERY_STEPS
+        step_time = total_time / steps
+        step_gain = deficit / steps
+        for _ in range(steps):
             yield self.env.timeout(step_time)
             if not flow.active:
                 return

@@ -22,7 +22,7 @@ def fixture():
     topo.duplex_link("B", "C", capacity=mbps(50), latency=0.01,
                      name="bc")
     net = FluidNetwork(env, topo)
-    ns = NameService(env, lookup_latency=0.02)
+    ns = NameService(env)
     ns.register("c.host", "C")
     return env, topo, net, ns
 
@@ -371,7 +371,7 @@ def test_overlapping_corrupt_windows_refcount():
 
 
 def test_corrupt_replica_marks_file_at_rest():
-    from repro.data.digest import file_digest, is_pristine
+    from repro.data.digest import file_digest, marks_of
     from repro.storage import FileObject
 
     env, topo, net, ns = fixture()
@@ -393,7 +393,7 @@ def test_corrupt_replica_marks_file_at_rest():
     inj.install(FaultSchedule().corrupt_replica(
         "gridftp.x.gov", "f.nc", 2.0, 1.0))
     env.run(until=5.0)
-    assert not is_pristine(server.file)
+    assert marks_of(server.file)
     assert file_digest(server.file) != clean
 
 

@@ -239,28 +239,3 @@ def test_property_equal_flows_get_equal_rates(n):
     rates = {round(f.rate, 3) for f in flows}
     assert len(rates) == 1
     assert flows[0].rate == pytest.approx(mbps(100) / n)
-
-
-def test_snapshot_and_bottlenecks():
-    env, topo, net = simple_net()
-    f1 = net.transfer("A", "B", mbps(100) * 50)
-    f2 = net.transfer("A", "B", mbps(100) * 50, cap=mbps(10))
-    net.reallocate()
-    snap = net.snapshot()
-    assert snap["t"] == env.now
-    assert len(snap["flows"]) == 2
-    used, cap, n = snap["links"]["A<->B:fwd"]
-    assert n == 2
-    assert used == pytest.approx(mbps(100))
-    assert cap == mbps(100)
-    assert "A<->B:fwd" in net.bottlenecks()
-    # The reverse direction carries nothing.
-    assert "A<->B:rev" not in snap["links"]
-    env.run()
-
-
-def test_bottlenecks_empty_when_capped_flows_dominate():
-    env, topo, net = simple_net()
-    net.transfer("A", "B", 1e12, cap=mbps(10))
-    net.reallocate()
-    assert net.bottlenecks() == []

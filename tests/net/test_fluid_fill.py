@@ -101,7 +101,7 @@ def _random_component(rng, aggregate):
 def test_fill_matches_progressive_filling_bit_for_bit(seed, aggregate):
     rng = random.Random(seed)
     net = _random_component(rng, aggregate)
-    flows = net.flows
+    flows = list(net._flow_map.values())
     want, bound = progressive_filling(flows)
     net._fill(flows, net.env.now)
     for f in flows:

@@ -67,7 +67,7 @@ def test_skipped_cap_changes_leave_max_min_rates(seed):
         cap, noop = _new_cap(rng, flow)
         flushes = net.flushes
         flow.set_cap(cap)
-        net.snapshot()  # runs the flush the change scheduled, if any
+        net._flush_now()  # runs the flush the change scheduled, if any
         if noop:
             assert net.flushes == flushes, "a no-op cap scheduled a flush"
             skipped += 1

@@ -21,7 +21,7 @@ def _brute_force_scope(net, dirty_flows, dirty_links):
     """Union-find over every active flow: the components touched by the
     active dirty flows and by the flows on the dirty links, each as a
     sorted list of flow ids, in sorted order."""
-    parent = {f: f for f in net.flows}
+    parent = {f: f for f in net._flow_map.values()}
 
     def find(f):
         while parent[f] is not f:
@@ -30,7 +30,7 @@ def _brute_force_scope(net, dirty_flows, dirty_links):
         return f
 
     first_on_link = {}
-    for f in net.flows:
+    for f in net._flow_map.values():
         for link in f.path:
             g = first_on_link.setdefault(link, f)
             parent[find(f)] = find(g)
@@ -38,7 +38,7 @@ def _brute_force_scope(net, dirty_flows, dirty_links):
     for link in dirty_links:
         seeds.extend(link._flows)
     components = {find(f): [] for f in seeds}
-    for f in net.flows:
+    for f in net._flow_map.values():
         if find(f) in components:
             components[find(f)].append(f.id)
     return sorted(sorted(ids) for ids in components.values())

@@ -147,8 +147,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TcpParams(loss_rate=-1)
     with pytest.raises(ValueError):
-        TcpParams(recovery_steps=0)
-    with pytest.raises(ValueError):
         TcpStream(Environment(), 0.0, TcpParams())
 
 

@@ -12,10 +12,13 @@ those left out, both dispatch the same sequence of (time, priority).
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowError, FluidNetwork, TcpParams, TcpStream, Topology, mbps
+from repro.net import tcp
 from repro.sim import Environment, Process
 from tests.net.reference_tcp import ReferenceTcpStream
 
@@ -92,19 +95,21 @@ def run_script(stream_cls, case):
         yield env.timeout(delay)
         flow.abort()
 
-    for i, spec in enumerate(case["streams"]):
-        params = TcpParams(mss=MSS, buffer_bytes=case["buffer"],
-                           init_cwnd_segments=case["init_segments"],
-                           loss_rate=spec["loss_rate"],
-                           recovery_steps=case["recovery_steps"])
-        rng = (CountingRng(env.rng.spawn("loss", i))
-               if spec["loss_rate"] > 0 else None)
-        stream = stream_cls(env, case["rtt"], params, rng=rng)
-        if spec["warm"] is not None:
-            stream.cwnd = MSS + spec["warm"] * (case["buffer"] - MSS)
-        streams.append(stream)
-        env.process(user(i, stream, spec["transfers"]))
-    env.run()
+    # The initial window and the recovery step count are module
+    # constants; the twins run at the case's values of both.
+    with mock.patch.object(tcp, "INIT_CWND_SEGMENTS", case["init_segments"]), \
+            mock.patch.object(tcp, "RECOVERY_STEPS", case["recovery_steps"]):
+        for i, spec in enumerate(case["streams"]):
+            params = TcpParams(mss=MSS, buffer_bytes=case["buffer"],
+                               loss_rate=spec["loss_rate"])
+            rng = (CountingRng(env.rng.spawn("loss", i))
+                   if spec["loss_rate"] > 0 else None)
+            stream = stream_cls(env, case["rtt"], params, rng=rng)
+            if spec["warm"] is not None:
+                stream.cwnd = MSS + spec["warm"] * (case["buffer"] - MSS)
+            streams.append(stream)
+            env.process(user(i, stream, spec["transfers"]))
+        env.run()
     return {
         "caps": caps,
         "windows": [(s.cwnd, s.losses, s.rng.draws if s.rng else 0)

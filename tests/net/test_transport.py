@@ -26,7 +26,7 @@ def fixture(capacity=mbps(100), latency=0.01):
     topo = Topology()
     topo.duplex_link("A", "B", capacity=capacity, latency=latency)
     net = FluidNetwork(env, topo)
-    ns = NameService(env, lookup_latency=0.02)
+    ns = NameService(env)
     ns.register("b.host", "B")
     tr = Transport(env, net, ns)
     return env, topo, net, ns, tr
@@ -43,8 +43,8 @@ def test_connect_resolves_hostname_and_costs_handshake():
     env.run()
     t, dst = p.value
     assert dst == "B"
-    # DNS lookup (0.02) + 1.5 RTT (0.03)
-    assert t == pytest.approx(0.05)
+    # DNS lookup (0.01) + 1.5 RTT (0.03)
+    assert t == pytest.approx(0.04)
     assert ns.lookups == 1
 
 

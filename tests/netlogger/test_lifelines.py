@@ -129,7 +129,7 @@ def test_overlapping_fault_windows_on_one_target_pair_by_id():
         [(pytest.approx(10.0), pytest.approx(30.0)),
          (pytest.approx(15.0), pytest.approx(20.0))]
     assert [(s.started_at - t0, s.ended_at - t0)
-            for s in tb.obs.tracer.for_trace("faults")] == \
+            for s in tb.obs.tracer.spans if s.trace_id == "faults"] == \
         [(w.start - t0, w.end - t0) for w in windows]
 
 
@@ -322,7 +322,8 @@ def test_forty_users_pulling_one_file_give_forty_lifelines():
     tb.env.run(until=tb.env.all_of([t.done for t in tickets]))
 
     lifelines = reconstruct_lifelines(tb.logger.records)
-    assert len(lifelines) == 40 == len(tb.obs.tracer.find("rm.file"))
+    assert len(lifelines) == 40 == sum(
+        1 for s in tb.obs.tracer.spans if s.name == "rm.file")
     assert {life.ticket for life in lifelines} == \
         {t.id_text for t in tickets}
     for life in lifelines:

@@ -90,8 +90,8 @@ def test_latency_burn_opens_and_closes_an_alert(env, obs):
     assert events[0].fields["slo"] == "ttfb"
     assert obs.metrics.counter("slo.breaches_total") \
         .value(slo="ttfb") == 1.0
-    spans = [s for s in obs.tracer.for_trace("faults")
-             if s.name == "slo.breach"]
+    spans = [s for s in obs.tracer.spans
+             if s.trace_id == "faults" and s.name == "slo.breach"]
     assert len(spans) == 1 and spans[0].open
 
     # now only fast requests; once the bad window ages out of both
@@ -107,7 +107,7 @@ def test_latency_burn_opens_and_closes_an_alert(env, obs):
     ends = [r for r in obs.logger.records if r.event == "slo.breach.end"]
     assert len(ends) == 1
     # spans are a view rebuilt from the log: read it again
-    spans = obs.tracer.find("slo.breach")
+    spans = [s for s in obs.tracer.spans if s.name == "slo.breach"]
     assert len(spans) == 1
     assert not spans[0].open and spans[0].status == "recovered"
     assert float(spans[0].fields["peak_burn"]) == \

@@ -57,8 +57,8 @@ def test_window_aggregates_and_hole_policy(env):
     ts.add_multi_probe(probe)
     ts.start()
     env.run(until=3.5)
-    assert ts.value_at("v", 1.4) == 1.0
-    assert ts.value_at("v", 2.7) is None    # the hole itself
+    assert ts.series("v")[1] == (1.0, 1.0)
+    assert ts.series("v")[2] == (2.0, None)    # the hole itself
     # holes zero-fill by default, or are skipped with fill=None
     assert ts.mean("v", 0.0, 3.0) == pytest.approx((0.2 + 1.0 + 0.0 + 0.95) / 4)
     assert ts.mean("v", 0.0, 3.0, fill=None) == \
@@ -79,20 +79,6 @@ def test_max_samples_ages_out_oldest_ticks(env):
     assert [t for t, _v in series] == [3.0, 4.0, 5.0]
     assert [v for _t, v in series] == [3.0, 4.0, 5.0]
     assert ts.samples_taken == 6
-    assert ts.to_json()["dropped_ticks"] == 3
-
-
-def test_json_export_is_aligned(env):
-    ts = TimeSeriesRecorder(env, interval=2.0)
-    ts.add_probe("x", lambda: 1.0)
-    ts.add_probe("y", lambda: 2.0)
-    ts.start()
-    env.run(until=4.5)
-    doc = ts.to_json()
-    assert doc["interval"] == 2.0
-    assert doc["ticks"] == [0.0, 2.0, 4.0]
-    assert doc["series"]["x"] == [1.0, 1.0, 1.0]
-    assert doc["series"]["y"] == [2.0, 2.0, 2.0]
 
 
 def test_start_is_idempotent(env):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlogger import NetLogger
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, render_trace, trace_ids
 from repro.sim import Environment
 
 
@@ -29,17 +29,17 @@ def request(log, t, file, ticket=1):
 def test_span_lifecycle_and_duration():
     log = request(Log(), 0.0, "f1")
     log.at(0.5, "rm.attempt", host="anl", ticket=1, file="f1")
-    (span,) = log.tracer.find("rm.file")
+    (span,) = [s for s in log.tracer.spans if s.name == "rm.file"]
     assert span.open
     assert span.duration is None
     assert span.status == "open"
     log.at(2.5, "rm.transfer.done", host="anl", ticket=1, file="f1",
            bytes=42)
-    (span,) = log.tracer.find("rm.file")
+    (span,) = [s for s in log.tracer.spans if s.name == "rm.file"]
     assert not span.open
     assert span.status == "done"
     assert span.duration == pytest.approx(2.5)
-    (attempt,) = log.tracer.find("rm.attempt")
+    (attempt,) = [s for s in log.tracer.spans if s.name == "rm.attempt"]
     assert attempt.status == "ok"
     assert attempt.duration == pytest.approx(2.0)
     assert attempt.fields == {"file": "f1", "host": "anl", "bytes": "42"}
@@ -61,7 +61,7 @@ def test_parent_links_and_trace_defaults():
     # an attempt whose rm.request left the log still lands on its
     # ticket's trace, rendered as a root
     assert orphan.trace_id == "ticket-7"
-    assert log.tracer.render_tree("ticket-7").splitlines()[1] \
+    assert render_trace(log.tracer.spans, "ticket-7").splitlines()[1] \
         .startswith("  - rm.attempt")
     assert (fault.name, fault.trace_id, fault.parent_id) == \
         ("fault.link", "faults", None)
@@ -81,7 +81,7 @@ def test_unterminated_spans_stay_open():
     for key in [("rm.ticket", None), ("rm.file", "f1"),
                 ("rm.attempt", "f1"), ("fault.server", None)]:
         assert spans[key].open and spans[key].status == "open", key
-    assert "+open] open" in log.tracer.render_tree("faults")
+    assert "+open] open" in render_trace(log.tracer.spans, "faults")
 
 
 def test_attempt_failed_sets_error_status():
@@ -92,12 +92,12 @@ def test_attempt_failed_sets_error_status():
     log.at(5.0, "rm.attempt", host="isi", ticket=1, file="f1")
     log.at(9.0, "rm.transfer.done", host="isi", ticket=1, file="f1",
            bytes=10)
-    first, second = log.tracer.find("rm.attempt")
+    first, second = [s for s in log.tracer.spans if s.name == "rm.attempt"]
     assert (first.status, first.fields["error"]) == ("error", "connect")
     assert first.duration == pytest.approx(3.0)
     assert (second.status, second.fields["host"]) == ("ok", "isi")
     assert first.span_id != second.span_id
-    (ticket,) = log.tracer.find("rm.ticket")
+    (ticket,) = [s for s in log.tracer.spans if s.name == "rm.ticket"]
     assert ticket.status == "ok" and ticket.ended_at == 9.0
 
 
@@ -112,7 +112,7 @@ def test_fault_and_slo_spans_share_the_faults_trace():
     log.at(30.0, "fault.end", fault=1, kind="link", target="wan")
     log.at(31.0, "slo.breach.end", slo="ttfb", tenant="t", seconds="15.0",
            peak_burn="20.00")
-    spans = log.tracer.for_trace("faults")
+    spans = [s for s in log.tracer.spans if s.trace_id == "faults"]
     assert [(s.name, s.started_at, s.ended_at) for s in spans] == [
         ("fault.link", 10.0, 30.0), ("fault.link", 15.0, 20.0),
         ("slo.breach", 16.0, 31.0)]
@@ -126,17 +126,17 @@ def test_queries_and_trace_order():
     log.at(1.0, "rm.attempt", host="anl", ticket=1, file="f1")
     log.at(2.0, "fault.begin", fault=1, kind="degrade", target="wan")
     tracer = log.tracer
-    assert tracer.traces() == ["ticket-1", "faults"]
-    assert [s.name for s in tracer.for_trace("ticket-1")] == [
+    assert trace_ids(tracer.spans) == ["ticket-1", "faults"]
+    assert [s.name for s in tracer.spans if s.trace_id == "ticket-1"] == [
         "rm.ticket", "rm.file", "rm.attempt"]
-    assert len(tracer.find("rm.file")) == 1
+    assert [s.name for s in tracer.spans].count("rm.file") == 1
     assert len(tracer) == 4
 
 
 def test_render_tree_indents_children():
     log = request(Log(), 0.0, "f1", ticket=9)
     log.at(1.0, "rm.transfer.done", ticket=9, file="f1", bytes=5)
-    text = log.tracer.render_tree("ticket-9")
+    text = render_trace(log.tracer.spans, "ticket-9")
     lines = text.splitlines()
     assert lines[0] == "trace ticket-9"
     assert lines[1].startswith("  - rm.ticket")
@@ -151,7 +151,8 @@ def test_spans_come_only_from_records_in_the_ring():
         request(log, float(i), f"f{i}", ticket=i)
     # four rm.request records survive: one ticket + one file span each
     assert len(log.tracer) == 8
-    assert {s.fields["ticket"] for s in log.tracer.find("rm.ticket")} == \
+    assert {s.fields["ticket"] for s in log.tracer.spans
+            if s.name == "rm.ticket"} == \
         {"6", "7", "8", "9"}
 
 
@@ -170,10 +171,11 @@ def test_queries_on_an_unchanged_log_build_the_spans_once(monkeypatch):
     tracer = log.tracer
     spans = tracer.spans
     assert tracer.spans == spans
-    assert tracer.for_trace("ticket-1") == spans
-    assert [s.name for s in tracer.find("rm.attempt")] == ["rm.attempt"]
-    assert tracer.traces() == ["ticket-1"]
-    assert "rm.attempt" in tracer.render_tree("ticket-1")
+    assert [s for s in tracer.spans if s.trace_id == "ticket-1"] == spans
+    assert [s.name for s in tracer.spans if s.name == "rm.attempt"] == [
+        "rm.attempt"]
+    assert trace_ids(tracer.spans) == ["ticket-1"]
+    assert "rm.attempt" in render_trace(tracer.spans, "ticket-1")
     assert len(tracer) == 3
     assert builds == [2]
     # A new record invalidates the spans; the caller's list is its own.
@@ -181,5 +183,5 @@ def test_queries_on_an_unchanged_log_build_the_spans_once(monkeypatch):
     log.at(2.5, "rm.transfer.done", host="anl", ticket=1, file="f1",
            bytes=42)
     assert len(tracer) == 3
-    assert tracer.find("rm.attempt")[0].status == "ok"
+    assert [s.status for s in tracer.spans if s.name == "rm.attempt"] == ["ok"]
     assert builds == [2, 3]

@@ -262,7 +262,7 @@ def test_write_invalidates_cache():
     replicas, meta = lookup(env, fed, coll, "jan.nc")
     assert meta.queried > 0             # cache was invalidated
     assert fed.cache_hits == 0
-    assert meta.version == fed.version(coll)
+    assert meta.version == fed._version[coll]
 
 
 # -- facade conformance ---------------------------------------------------

@@ -181,12 +181,6 @@ def test_router_total_and_stable(sites, colls, replicas):
         for coll in colls:
             if router.home(coll) != removed:
                 assert shrunk.home(coll) == router.home(coll)
-    # pinning overrides the home but keeps the list duplicate-free
-    router.pin(colls[0], sites[-1])
-    pinned = router.preference(colls[0])
-    assert pinned[0] == sites[-1]
-    assert len(pinned) == want_len
-    assert len(set(pinned)) == len(pinned)
 
 
 def subtree(site, coll):

@@ -1,4 +1,4 @@
-"""Tests for the replica manager (publish / replicate / verify)."""
+"""Tests for the replica manager (replicate / verify)."""
 
 import pytest
 
@@ -17,33 +17,10 @@ def grid_with_manager():
     return g, catalog, manager
 
 
-def test_publish_server_all_files():
-    g, catalog, manager = grid_with_manager()
-    for i in range(4):
-        g.server_fs.create(f"f{i}.nc", 1000 * (i + 1))
-    names = manager.publish_server("coll", "lbl", g.server,
-                                   register_sizes=True)
-    assert sorted(names) == [f"f{i}.nc" for i in range(4)]
-    locs = catalog.locations("coll")
-    assert len(locs) == 1
-    assert set(locs[0].files) == set(names)
-    assert catalog.logical_file_size("coll", "f2.nc") == 3000
-
-
-def test_publish_server_subset_and_missing():
-    g, catalog, manager = grid_with_manager()
-    g.server_fs.create("a.nc", 10)
-    manager.publish_server("coll", "lbl", g.server, files=["a.nc"])
-    with pytest.raises(ReplicaError, match="missing files"):
-        manager.publish_server("coll", "lbl2", g.server,
-                               files=["a.nc", "ghost.nc"])
-
-
 def test_coverage_counts():
     g, catalog, manager = grid_with_manager()
-    g.server_fs.create("a.nc", 10)
-    g.server_fs.create("b.nc", 10)
-    manager.publish_server("coll", "l1", g.server)
+    catalog.register_location("coll", "l1", "gsiftp", "srv.lbl.gov", 2811,
+                              "/data", files=["a.nc", "b.nc"])
     catalog.register_location("coll", "l2", "gsiftp", "x.gov", 2811,
                               "/d", files=["a.nc"])
     cov = manager.coverage("coll")
@@ -53,9 +30,9 @@ def test_coverage_counts():
 def test_verify_location_detects_drift():
     g, catalog, manager = grid_with_manager()
     g.server_fs.create("a.nc", 10)
-    g.server_fs.create("b.nc", 10)
-    manager.publish_server("coll", "lbl", g.server)
-    g.server_fs.delete("b.nc")  # catalog is now stale
+    catalog.register_location("coll", "lbl", "gsiftp", "srv.lbl.gov", 2811,
+                              "/data", files=["a.nc", "b.nc"])
+    # b.nc is not on the server: the catalog is stale
     missing = manager.verify_location("coll", "lbl", g.server)
     assert missing == ["b.nc"]
     with pytest.raises(ReplicaError):

@@ -218,12 +218,6 @@ def test_ticket_find_and_repr():
     tb.env.run(until=ticket.done)
 
 
-def test_corba_channel_validation():
-    from repro.sim import Environment
-    with pytest.raises(ValueError):
-        CorbaChannel(Environment(), rtt=-1)
-
-
 def test_multiple_users_served_concurrently():
     """§4: the RM serves 'multiple file transfers on behalf of multiple
     users concurrently' — three tickets submitted together all complete,

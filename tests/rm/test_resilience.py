@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.faults import FaultSchedule
+from repro.netlogger import reconstruct_lifelines
 from repro.rm import FileState
 from repro.rm.resilience import (
     BreakerBoard,
@@ -236,6 +237,29 @@ def test_mds_outage_degrades_ranking_but_completes():
     assert fr.state is FileState.DONE
     assert fr.degraded_rankings >= 1
     assert fr.failure_class is None
+
+
+def test_degraded_ranking_joins_only_its_own_tickets_lifeline():
+    """Two tickets move one file; only the second ranks during the MDS
+    outage, so only its lifeline carries ``rm.rank.degraded`` although
+    the first is still open when the record is written."""
+    tb = make_testbed(resilience=ResiliencePolicy(),
+                      file_size_override=400 * 2**20)
+    tb.fault_injector().install(
+        FaultSchedule().mds_outage(10.0, 5.0, mode="fail"))
+    ds, name = one_file(tb)
+    healthy = tb.request_manager.submit([(ds, name)])
+    tb.env.run(until=tb.env.now + 12.0)
+    degraded = tb.request_manager.submit([(ds, name)])
+    tb.env.run(until=tb.env.all_of([healthy.done, degraded.done]))
+    assert healthy.files[0].degraded_rankings == 0
+    assert degraded.files[0].degraded_rankings == 1
+    records = {life.ticket: [r for r in life.events
+                             if r.event == "rm.rank.degraded"]
+               for life in reconstruct_lifelines(tb.logger.records)}
+    [rank] = records[degraded.id_text]
+    assert healthy.files[0].finished_at > rank.t
+    assert records[healthy.id_text] == []
 
 
 def test_retry_round_recovers_after_catalog_outage():

@@ -27,13 +27,12 @@ from repro.sim.events import Event
 
 MB = 2**20
 
-# One workload op: which server/flow/link asks, how big, how long it
+# One workload op: which server/flow asks, how big, how long it
 # holds the slot, when it starts, and whether it aborts while queued.
 ops_strategy = st.lists(
     st.tuples(
         st.integers(0, 2),                        # server index
         st.integers(0, 4),                        # flow index
-        st.sampled_from([None, 0, 1]),            # link index
         st.floats(0.0, 64.0),                     # size (MiB)
         st.integers(1, 8),                        # requested streams
         st.integers(0, 3),                        # priority class
@@ -46,9 +45,7 @@ ops_strategy = st.lists(
 config_strategy = st.builds(
     SchedulerConfig,
     per_server_cap=st.integers(1, 4),
-    per_link_cap=st.sampled_from([None, 1, 2, 3]),
     max_queue_depth=st.integers(1, 8),
-    quantum=st.sampled_from([1.0 * MB, 8.0 * MB, 64.0 * MB]),
     aging_rounds=st.integers(0, 5),
     stream_budget=st.sampled_from([None, 1, 4, 8]))
 
@@ -64,8 +61,8 @@ def run_workload(ops, config, audit=True):
     sched = TransferScheduler(env, config, audit=audit)
     outcomes = [None] * len(ops)
 
-    def worker(i, server, flow, link, size, streams, priority, start,
-               hold, abort_after):
+    def worker(i, server, flow, size, streams, priority, start, hold,
+               abort_after):
         yield env.timeout(start)
         abort = None
         if abort_after is not None:
@@ -79,7 +76,6 @@ def run_workload(ops, config, audit=True):
         try:
             grant = yield from sched.acquire(
                 f"srv{server}", flow=f"flow{flow}", size=size * MB,
-                link=(None if link is None else f"link{link}"),
                 streams=streams, priority=priority, abort=abort)
         except QueueFull:
             outcomes[i] = ("rejected", None, 0.0)
@@ -103,15 +99,10 @@ def run_workload(ops, config, audit=True):
 @given(ops_strategy, config_strategy)
 @settings(max_examples=200, deadline=None)
 def test_property_caps_never_exceeded(ops, config):
-    """At every audited instant active <= per_server_cap and every
-    link's admitted count <= per_link_cap."""
+    """At every audited instant active <= per_server_cap."""
     sched, _ = run_workload(ops, config)
-    for _t, _op, _server, _flow, _seq, active, _waiting, links \
-            in sched.audit_log:
+    for _t, _op, _server, _flow, _seq, active, _waiting in sched.audit_log:
         assert 0 <= active <= config.per_server_cap
-        if config.per_link_cap is not None:
-            for _link, count in links:
-                assert 0 <= count <= config.per_link_cap
 
 
 @given(ops_strategy, config_strategy)
@@ -121,8 +112,7 @@ def test_property_queue_depth_bounded(ops, config):
     as a loud QueueFull rejection in the audit log."""
     sched, outcomes = run_workload(ops, config)
     rejects = 0
-    for _t, op, _server, _flow, _seq, _active, waiting, _links \
-            in sched.audit_log:
+    for _t, op, _server, _flow, _seq, _active, waiting in sched.audit_log:
         assert waiting <= config.max_queue_depth
         if op == "reject":
             rejects += 1

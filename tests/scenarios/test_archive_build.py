@@ -2,10 +2,12 @@
 
 ``EsgTestbed._populate`` cuts every monthly file of a year from one
 ``generate_year`` result. The files must still be exactly what
-``generate_months`` plus ``encode`` give for each month range.
+``slice_months`` of a per-file ``generate_year`` plus ``encode`` give
+for each month range.
 """
 
 from repro.data import ClimateModelRun, encode
+from repro.data.synth import slice_months
 from repro.scenarios.esg import EsgTestbed
 
 CHUNKS = {"time": 1, "lat": 8, "lon": 16}
@@ -34,7 +36,8 @@ def test_each_year_is_synthesized_once_and_files_are_unchanged(monkeypatch):
         assert len(files) == 12 * YEARS
         for f in files:
             m0, m1 = f["month_range"]
-            want = encode(runs[dataset_id].generate_months(
-                int(f["year"]), m0, m1), chunks=CHUNKS)
+            want = encode(slice_months(
+                runs[dataset_id].generate_year(int(f["year"])), m0, m1),
+                chunks=CHUNKS)
             assert f["content"] == want
             assert f["size"] == float(len(want))

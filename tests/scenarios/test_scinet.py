@@ -4,12 +4,7 @@ import pytest
 
 from repro.net import gbps, mbps, to_gbps
 from repro.scenarios import ScinetTestbed, run_table1_schedule
-
-
-def small_testbed(**kw):
-    defaults = dict(seed=3, n_hosts=4, copies_per_server=2)
-    defaults.update(kw)
-    return ScinetTestbed(**defaults)
+from repro.scenarios.scinet import PARTITION_BYTES
 
 
 def test_topology_matches_figure7():
@@ -51,28 +46,28 @@ def test_cpu_is_the_host_bottleneck():
 
 
 def test_partitions_on_every_server():
-    tb = small_testbed()
+    tb = ScinetTestbed(seed=3)
     for server in tb.servers:
         assert server.fs.exists("partition.dat")
-        assert server.fs.stat("partition.dat").size == tb.partition_bytes
+        assert server.fs.stat("partition.dat").size == PARTITION_BYTES
 
 
 def test_schedule_produces_expected_stream_counts():
-    tb = small_testbed()
+    tb = ScinetTestbed(seed=3)
     res = run_table1_schedule(tb, duration=60.0)
-    assert res.striped_servers_src == 4
-    assert res.max_streams_per_server == 2
-    assert res.max_streams_total == 8
+    assert res.striped_servers_src == 8
+    assert res.max_streams_per_server == 4
+    assert res.max_streams_total == 32
     assert res.copies_completed > 0
     assert res.summary.total_bytes > 0
 
 
 def test_schedule_aggregate_below_capacity():
-    tb = small_testbed()
+    tb = ScinetTestbed(seed=3)
     res = run_table1_schedule(tb, duration=60.0)
     # Never above the OC-48, nor above the hosts' CPU ceilings.
     ceiling = min(gbps(2.5),
-                  4 * tb.dallas_hosts[0].spec.cpu.throughput_cap)
+                  8 * tb.dallas_hosts[0].spec.cpu.throughput_cap)
     assert res.summary.peak_100ms <= ceiling * 1.01
 
 
@@ -98,8 +93,8 @@ def test_full_config_lands_in_paper_band():
 
 
 def test_determinism_same_seed():
-    a = run_table1_schedule(small_testbed(seed=5), duration=60.0)
-    b = run_table1_schedule(small_testbed(seed=5), duration=60.0)
+    a = run_table1_schedule(ScinetTestbed(seed=5), duration=60.0)
+    b = run_table1_schedule(ScinetTestbed(seed=5), duration=60.0)
     assert a.summary.total_bytes == pytest.approx(b.summary.total_bytes)
-    c = run_table1_schedule(small_testbed(seed=6), duration=60.0)
+    c = run_table1_schedule(ScinetTestbed(seed=6), duration=60.0)
     assert a.summary.total_bytes != pytest.approx(c.summary.total_bytes)

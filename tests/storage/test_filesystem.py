@@ -36,11 +36,11 @@ def test_file_content_size_consistency():
 def test_capacity_accounting():
     env, f = fs(capacity=1000)
     f.create("a", 600)
-    assert f.free == 400
+    assert f.capacity - f.used == 400
     with pytest.raises(NoSpaceError):
         f.create("b", 500)
     f.delete("a")
-    assert f.free == 1000
+    assert f.capacity - f.used == 1000
     f.create("b", 500)
 
 
