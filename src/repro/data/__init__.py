@@ -36,7 +36,6 @@ from repro.data.digest import (
 )
 from repro.data.synth import (
     ClimateModelRun,
-    SyntheticArchive,
     monthly_files,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "FormatError",
     "GridSpec",
     "SdbfReader",
-    "SyntheticArchive",
     "Variable",
     "add_mark",
     "content_digest",

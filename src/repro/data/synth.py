@@ -184,32 +184,3 @@ def monthly_files(run: ClimateModelRun, years: int,
                 "variables": tuple(variables),
             })
     return out
-
-
-@dataclass
-class SyntheticArchive:
-    """A multi-run archive approximating a PCMDI holding.
-
-    ``runs`` default to two well-known early-2000s models. Total volume
-    scales with years/resolution; the intro's "century → ~10 TB" regime
-    is reachable with a fine grid and many years.
-    """
-
-    runs: Tuple[ClimateModelRun, ...] = (
-        ClimateModelRun(model="NCAR_CSM", run="run1"),
-        ClimateModelRun(model="PCM", run="B06.22"),
-    )
-    years: int = 2
-    variables: Tuple[str, ...] = ("tas", "pr", "clt")
-
-    def listing(self) -> Dict[str, List[Dict[str, object]]]:
-        """Map dataset_id → file listing for every run."""
-        return {run.dataset_id: monthly_files(run, self.years,
-                                              self.variables)
-                for run in self.runs}
-
-    @property
-    def total_bytes(self) -> float:
-        """Archive volume across all runs."""
-        return sum(f["size"] for files in self.listing().values()
-                   for f in files)

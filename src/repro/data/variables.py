@@ -47,14 +47,6 @@ class Variable:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
-    def mean(self, dim: Optional[str] = None) -> np.ndarray:
-        """Mean over one named dimension (or all)."""
-        if dim is None:
-            return self.data.mean()
-        if dim not in self.dims:
-            raise DataError(f"{self.name!r} has no dimension {dim!r}")
-        return self.data.mean(axis=self.dims.index(dim))
-
     def __repr__(self) -> str:
         return f"Variable({self.name!r}, dims={self.dims}, shape={self.shape})"
 

@@ -69,7 +69,3 @@ class DataChannelCache:
                 n += 1
             pool.clear()
         return n
-
-    def idle_count(self, src: str, dst: str) -> int:
-        """Idle channels currently pooled for this pair."""
-        return len(self._idle.get((src, dst), []))

@@ -285,12 +285,12 @@ class ClientSession:
                                           host=self.server.hostname)
                 if rec is not None and not rec.is_empty:
                     series_out.append(rec.close(self.env.now))
-            except FlowError as exc:
-                delivered = exc.flow.transferred if exc.flow else 0.0
+            except FlowError:
+                delivered = flow.transferred
                 moved += delivered
                 handle._completed += delivered
-                if exc.flow in handle._active_flows:
-                    handle._active_flows.remove(exc.flow)
+                if flow in handle._active_flows:
+                    handle._active_flows.remove(flow)
                 if rec is not None and not rec.is_empty:
                     series_out.append(rec.close(self.env.now))
                 failed.append((offset + delivered, block - delivered))

@@ -94,10 +94,6 @@ class StripedServer:
                                         f"{path}: not striped here"))
         return entry
 
-    def size(self, path: str) -> float:
-        """Total logical size across stripes."""
-        return sum(s for _, _, s in self.layout(path))
-
     def striped_get(self, client: GridFtpClient, client_host,
                     path: str, dest_fs: FileSystem,
                     dest_name: Optional[str] = None,

@@ -92,16 +92,6 @@ class Host:
         """Disk endpoint (disk-to-disk transfers start/end here)."""
         return f"host:{self.name}:store"
 
-    def endpoint(self, kind: str = "store") -> str:
-        """Endpoint node name by kind: 'store', 'app', or 'net'."""
-        if kind == "store":
-            return self.store_node
-        if kind == "app":
-            return self.app_node
-        if kind == "net":
-            return self.node
-        raise ValueError(f"unknown endpoint kind {kind!r}")
-
     # -- wiring ---------------------------------------------------------------
     def _build(self) -> None:
         t = self.topology

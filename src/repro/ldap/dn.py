@@ -96,20 +96,6 @@ class DN:
         """The most-specific (leftmost) RDN."""
         return self.rdns[0]
 
-    def is_under(self, ancestor: "DN") -> bool:
-        """True if ``ancestor`` is a proper prefix (from the right)."""
-        if len(ancestor.rdns) >= len(self.rdns):
-            return False
-        return self._norm.endswith("," + ancestor._norm)
-
-    def depth_below(self, ancestor: "DN") -> int:
-        """Levels between self and ancestor (0 = same entry)."""
-        if self._norm == ancestor._norm:
-            return 0
-        if not self.is_under(ancestor):
-            raise DnError(f"{self} is not under {ancestor}")
-        return len(self.rdns) - len(ancestor.rdns)
-
     # -- value semantics ----------------------------------------------------------
     def __eq__(self, other) -> bool:
         return isinstance(other, DN) and self._norm == other._norm

@@ -97,11 +97,9 @@ def _closure(comp: List["Flow"], seen: Set[Link],
 
 
 class FlowError(Exception):
-    """A flow was aborted before completing."""
-
-    def __init__(self, message: str, flow: Optional["Flow"] = None):
-        super().__init__(message)
-        self.flow = flow
+    """A flow was aborted before completing. (It names no flow: the
+    flow's own ``done`` event stores it, and a reference back would
+    make a cycle.)"""
 
 
 def _close_stall(flow) -> None:
@@ -425,7 +423,7 @@ class AggregateFlow(Flow):
             member._served0 = member.size
             member.done.succeed()
         else:
-            member.done.fail(FlowError(reason, member))
+            member.done.fail(FlowError(reason))
 
 
 class FluidNetwork:
@@ -560,7 +558,7 @@ class FluidNetwork:
         _close_stall(flow)
         if flow.recorder is not None:
             flow.recorder.record(now, 0.0)
-        flow.done.fail(FlowError(reason, flow))
+        flow.done.fail(FlowError(reason))
         self._request_flush()
 
     def reallocate(self) -> None:

@@ -85,11 +85,6 @@ class RateSeries:
         """Start of the domain."""
         return float(self.times[0])
 
-    @property
-    def total_bytes(self) -> float:
-        """Integral of the rate over the whole domain."""
-        return float(self._cum_b[-1])
-
     def cumulative_bytes(self, t) -> np.ndarray:
         """Bytes delivered from t_start up to time(s) ``t`` (clipped)."""
         return np.interp(t, self._cum_t, self._cum_b)
@@ -129,7 +124,7 @@ class RateSeries:
             raise ValueError("window must be positive")
         span = self.t_end - self.t_start
         if span <= window:
-            return self.total_bytes / window if span > 0 else 0.0
+            return float(self._cum_b[-1]) / window if span > 0 else 0.0
         # Candidate left edges: every breakpoint, plus positions putting
         # the *right* edge on a breakpoint; clip into the valid range.
         candidates = np.concatenate((self.times, self._cum_t - window,
@@ -139,10 +134,6 @@ class RateSeries:
         left = self.cumulative_bytes(candidates)
         right = self.cumulative_bytes(candidates + window)
         return float(np.max(right - left) / window)
-
-    def peak_instantaneous(self) -> float:
-        """Largest segment rate."""
-        return float(np.max(self.rates))
 
     # -- resampling (for report output) -------------------------------------
     def sample(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,7 +155,7 @@ class RateSeries:
     def __repr__(self) -> str:
         return (f"RateSeries({self.times.size} segments, "
                 f"[{self.t_start:.3f}, {self.t_end:.3f}]s, "
-                f"{self.total_bytes / 2**30:.3f} GiB)")
+                f"{self._cum_b[-1] / 2**30:.3f} GiB)")
 
 
 class RateRecorder:

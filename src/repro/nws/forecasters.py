@@ -164,8 +164,3 @@ class AdaptiveForecaster(Forecaster):
         best = min(range(len(self.forecasters)),
                    key=lambda i: self._errors[i])
         return self.forecasters[best].name
-
-    def mse(self) -> List[float]:
-        """Mean squared one-step error per sub-forecaster."""
-        n = max(self._updates, 1)
-        return [e / n for e in self._errors]

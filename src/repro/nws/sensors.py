@@ -76,8 +76,7 @@ class NetworkSensor:
         started = env.now
         flow = self.network.transfer(self.src, self.dst, self.probe_bytes,
                                      name=f"nws:{self.src}->{self.dst}")
-        deadline = env.timeout(self.timeout)
-        yield env.any_of([flow.done, deadline])
+        yield env.wait_for(flow.done, self.timeout)
         rtt = self.network.topology.rtt(self.src, self.dst)
         latency = rtt / 2.0
         if self.rng is not None:

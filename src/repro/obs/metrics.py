@@ -129,9 +129,6 @@ class Metric:
         self.overflowed = 0          # samples folded into OVERFLOW_KEY
         self._on_overflow = None     # registry callback (warning + counter)
 
-    def labelsets(self) -> List[LabelKey]:
-        return list(self._samples)
-
     def _fits(self, key: LabelKey) -> bool:
         """Whether ``key`` keeps its own series under the label budget."""
         return (self.max_labelsets is None or key in self._samples
@@ -334,10 +331,6 @@ class Histogram(Metric):
     def sum(self, **labels) -> float:
         """Sum of observations for one label set."""
         return self._samples.get(_label_key(labels), 0.0)
-
-    @property
-    def total_count(self) -> int:
-        return sum(self._counts.values())
 
     def bucket_row(self, **labels) -> Optional[List[int]]:
         """A copy of one label set's per-bucket counts (+ overflow);

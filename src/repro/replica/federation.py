@@ -376,12 +376,14 @@ class FederatedReplicaCatalog:
 
     # -- stale-tolerant selection support ---------------------------------
     def demote(self, collection: str, logical_file: str,
-               location: str) -> None:
+               location: str, ticket: Optional[str] = None) -> None:
         """Hide one (file, location) entry after a verify-on-open
         mismatch; it is not re-offered until the collection is
         refreshed (any home write bumps the version past the demotion).
         The cached lookup for the file is invalidated so the caller's
-        re-selection sees the demotion immediately.
+        re-selection sees the demotion immediately. ``ticket`` names the
+        request that found the mismatch, so the ``catalog.demote``
+        record joins that ticket's lifeline only.
         """
         self._demoted[(collection, logical_file, location)] = \
             self._version.get(collection, 0)
@@ -390,6 +392,7 @@ class FederatedReplicaCatalog:
             cached.pop(logical_file, None)
         self.demotes += 1
         self.obs.event("catalog.demote", prog="replica-catalog",
+                       **({} if ticket is None else {"ticket": ticket}),
                        collection=collection, file=logical_file,
                        location=location)
         self.obs.count("catalog.demotes_total")

@@ -262,8 +262,7 @@ class RequestManager:
                 return
             target = min(deadlines)
             if target > env.now:
-                timer = env.timeout(target - env.now)
-                yield env.any_of([timer, ticket.done])
+                yield env.wait_for(ticket.done, target - env.now)
                 if ticket.done.triggered:
                     return
             for fr in ticket.files:
@@ -318,9 +317,8 @@ class RequestManager:
         self.obs.count("rm.retries_total")
         self._say(ticket, f"{fr.logical_file}: retry round {attempt + 1} "
                   f"in {delay:.1f}s")
-        timer = self.env.timeout(delay)
         # A cancelled ticket must not sit out the full backoff.
-        yield self.env.any_of([timer, ticket.aborted])
+        yield self.env.wait_for(ticket.aborted, delay)
 
     def _file_thread(self, ticket: RequestTicket, fr: FileRequest):
         """One file's thread: lookup, rank, then replicas best-first.
@@ -574,7 +572,8 @@ class RequestManager:
         fr.stale_demotes += 1
         demote = getattr(self.catalog, "demote", None)
         if demote is not None:
-            demote(fr.collection, fr.logical_file, loc.name)
+            demote(fr.collection, fr.logical_file, loc.name,
+                   ticket=ticket.id_text)
         else:
             self.quarantined[(fr.collection, fr.logical_file,
                               loc.name)] = self.env.now

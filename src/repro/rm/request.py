@@ -142,13 +142,6 @@ class RequestTicket:
     def failed_files(self) -> List[FileRequest]:
         return [f for f in self.files if f.state is FileState.FAILED]
 
-    def find(self, logical_file: str) -> FileRequest:
-        """Look up one file's entry."""
-        for f in self.files:
-            if f.logical_file == logical_file:
-                return f
-        raise KeyError(logical_file)
-
     def __repr__(self) -> str:
         done = sum(1 for f in self.files if f.state is FileState.DONE)
         return (f"RequestTicket(#{self.id}, {done}/{len(self.files)} files, "

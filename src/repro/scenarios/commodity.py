@@ -102,12 +102,6 @@ class Figure8Result:
         return int(np.sum(self.bin_rates
                           < threshold_fraction * self.plateau_rate))
 
-    def timeline_rows(self, every: int = 1) -> List[Tuple[float, float]]:
-        """(hours, Mb/s) rows for printing the Figure 8 curve."""
-        return [(float(t) / HOURS, float(r) * 8 / 1e6)
-                for t, r in zip(self.bin_times[::every],
-                                self.bin_rates[::every])]
-
 
 class CommodityTestbed:
     """One Dallas workstation → one ANL workstation, commodity path.

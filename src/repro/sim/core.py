@@ -203,16 +203,17 @@ class Environment:
 
     def wait_for(self, event: Event, timeout: float) -> Event:
         """Event firing when ``event`` does, or ``timeout`` seconds from
-        now with value None, whichever comes first.
+        now with value None, whichever comes first: the kernel's one
+        timed wait.
 
-        Unlike ``any_of([event, timeout(t)])`` the loser is cleaned up:
-        if ``event`` wins, the timer is cancelled (never dispatched); if
-        the timer wins, the callback is removed from ``event``. A poll
-        loop therefore leaves neither dead ticks in the queue nor dead
-        callbacks on the event it watches. A failure of ``event`` is
-        defused and propagated, as :class:`AnyOf` does. Once the timer
-        has won, nothing here handles a later failure of ``event``: a
-        caller that reads that failure itself must defuse it.
+        The wait owns its timer. If ``event`` wins, the timer is
+        cancelled and never dispatched; if the timer wins, the wait
+        leaves ``event``'s callbacks. A failure of ``event`` is defused
+        and propagated, as a :class:`Condition` does. Unlike a
+        condition's loser, ``event`` is not defused when the timer wins
+        (unless it already failed in that instant): a later failure is
+        its caller's to read, and with no other waiter the caller must
+        defuse it.
         """
         return _WaitFor(self, event, timeout)
 

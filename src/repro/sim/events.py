@@ -227,6 +227,13 @@ class Condition(Event):
 
     The value of a condition is a dict mapping each *fired* child event to
     its value (failed children propagate their exception instead).
+
+    Once it fires, by success or by a child's failure, the condition lets
+    go of its losers: it leaves the callbacks of every child not yet
+    processed, so a child that outlives it holds no reference back to it,
+    and defuses that child, so a later failure with no waiter left is
+    swallowed, as it was while the condition still listened. A loser's
+    other waiters still receive its outcome.
     """
 
     __slots__ = ("events", "_evaluate", "_fired_count")
@@ -253,12 +260,18 @@ class Condition(Event):
         if ev._exc is not None:
             ev.defuse()
             self.fail(ev._exc)
-            return
-        self._fired_count += 1
-        if self._evaluate(self._fired_count, len(self.events)):
+        else:
+            self._fired_count += 1
+            if not self._evaluate(self._fired_count, len(self.events)):
+                return
             # Only children whose callbacks have run (Timeouts are *born*
             # triggered, so `triggered` would wrongly include unfired ones).
             self.succeed({e: e._value for e in self.events if e._processed})
+        if self._fired_count < len(self.events):
+            for loser in self.events:
+                if not loser._processed:
+                    loser.remove_callback(self)
+                    loser.defuse()
 
 
 def _all_fired(fired: int, total: int) -> bool:

@@ -89,14 +89,21 @@ class Process(Event):
                         return
                 else:
                     trigger.defuse()
+                    exc = trigger._exc
                     try:
-                        next_target = self._generator.throw(trigger._exc)
+                        next_target = self._generator.throw(exc)
                     except StopIteration as stop:
                         self.succeed(stop.value)
                         return
-                    except BaseException as exc:
-                        self.fail(exc)
+                    except BaseException as raised:
+                        self.fail(raised)
                         return
+                    finally:
+                        if self._exc is not exc:
+                            # The body handled the failure. Its traceback
+                            # pins the frames it passed through, and they
+                            # often hold the event that stores it: drop it.
+                            exc.__traceback__ = None
                 if not isinstance(next_target, Event):
                     self.fail(TypeError(
                         f"process {self.name!r} yielded non-event "

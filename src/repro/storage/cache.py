@@ -172,16 +172,6 @@ class DiskCache:
             self._kinds[name] = "demand"
             self.prefetch_used -= self._entries[name].size
 
-    def invalidate(self, name: str) -> None:
-        """Drop an entry (pinned entries cannot be invalidated)."""
-        if self._pins.get(name, 0) > 0:
-            raise RuntimeError(f"{name!r} is pinned")
-        entry = self._entries.pop(name, None)
-        if entry is not None:
-            self.used -= entry.size
-            if self._kinds.pop(name, None) == "prefetch":
-                self.prefetch_used -= entry.size
-
     # -- pinning ------------------------------------------------------------------
     def pin(self, name: str) -> None:
         """Protect an entry from eviction (nestable). Pinning promotes
@@ -204,10 +194,6 @@ class DiskCache:
     def is_pinned(self, name: str) -> bool:
         """True while any pin is outstanding."""
         return self._pins.get(name, 0) > 0
-
-    def pin_count(self, name: str) -> int:
-        """Outstanding pins on an entry (0 if absent or unpinned)."""
-        return self._pins.get(name, 0)
 
     def __repr__(self) -> str:
         return (f"DiskCache({self.name!r}, {len(self)} entries, "

@@ -1,9 +1,9 @@
-"""Simulated filesystem: namespace, capacity, seek costs.
+"""Simulated filesystem: namespace and capacity.
 
 Bulk data *movement* time is the fluid network's job (a host's disk link
 rate-limits flows that start or end at its ``store`` endpoint); the
-filesystem accounts for what exists, how big it is, whether it fits, and
-the per-open positioning cost. Files may optionally carry real content
+filesystem accounts for what exists, how big it is and whether it fits.
+Files may optionally carry real content
 bytes — the climate-data analysis path serializes real arrays through the
 same namespace the bulk path uses.
 """
@@ -54,11 +54,6 @@ class FileObject:
         if self.content is not None and self.size != len(self.content):
             raise ValueError("size disagrees with content length")
 
-    def with_name(self, name: str) -> "FileObject":
-        """A copy under a different name (replication keeps bytes equal)."""
-        return FileObject(name, self.size, self.content, self.created_at,
-                          dict(self.metadata))
-
 
 class FileSystem:
     """A flat namespace backed by a host's disk array.
@@ -71,16 +66,13 @@ class FileSystem:
         Label for error messages (usually ``host.name``).
     capacity:
         Total bytes available.
-    seek_time:
-        Positioning cost charged by :meth:`open` (a generator).
     """
 
     def __init__(self, env: Environment, name: str,
-                 capacity: float = float("inf"), seek_time: float = 0.008):
+                 capacity: float = float("inf")):
         self.env = env
         self.name = name
         self.capacity = capacity
-        self.seek_time = seek_time
         self._files: Dict[str, FileObject] = {}
         self.used = 0.0
 
@@ -125,12 +117,6 @@ class FileSystem:
     def exists(self, name: str) -> bool:
         """True if ``name`` is stored here."""
         return name in self._files
-
-    def open(self, name: str):
-        """Simulation process: position the disk and return the file."""
-        f = self.stat(name)
-        yield self.env.timeout(self.seek_time)
-        return f
 
     def __iter__(self) -> Iterator[FileObject]:
         return iter(self._files.values())

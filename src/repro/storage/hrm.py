@@ -31,7 +31,7 @@ from repro.data.digest import add_mark
 from repro.obs import Counter, Family, Histogram, Observability
 from repro.sim.core import Environment
 from repro.sim.events import Event
-from repro.storage.filesystem import FileSystem
+from repro.storage.filesystem import FileObject, FileSystem
 from repro.storage.hpss import MassStorageSystem
 from repro.storage.tape import PRIORITY_DEMAND, PRIORITY_PREFETCH, \
     StageProgress
@@ -217,7 +217,8 @@ class HierarchicalResourceManager:
             # — never mark the retrieved object itself, because the tape
             # archive and the disk cache share that FileObject and the
             # archival copy must stay pristine.
-            file = file.with_name(file.name)
+            file = FileObject(file.name, file.size, file.content,
+                              file.created_at, dict(file.metadata))
             add_mark(file, f"truncated@{self.env.now:.0f}")
             self.truncated_stages += 1
             self._event("hrm.stage.truncated", file=req.name)

@@ -6,7 +6,6 @@ import pytest
 from repro.data import (
     ClimateModelRun,
     GridSpec,
-    SyntheticArchive,
     decode,
     monthly_files,
 )
@@ -121,11 +120,3 @@ def test_monthly_files_grouping_and_override():
         monthly_files(run(), years=1, files_per_year=5)
     with pytest.raises(ValueError):
         monthly_files(run(), years=0)
-
-
-def test_archive_listing_and_volume():
-    arch = SyntheticArchive(years=1)
-    listing = arch.listing()
-    assert set(listing) == {"pcmdi.ncar_csm.run1", "pcmdi.pcm.b06.22"}
-    assert arch.total_bytes == sum(
-        f["size"] for files in listing.values() for f in files)

@@ -27,15 +27,6 @@ def test_variable_casts_to_float():
     assert np.issubdtype(v.data.dtype, np.floating)
 
 
-def test_variable_mean_by_dim():
-    ds = small_ds()
-    v = ds["tas"]
-    assert v.mean("time").shape == (3, 4)
-    assert v.mean() == pytest.approx(np.arange(36).mean())
-    with pytest.raises(DataError):
-        v.mean("depth")
-
-
 def test_add_variable_checks_coords():
     ds = Dataset("d")
     ds.add_coord("time", [0.0, 1.0])

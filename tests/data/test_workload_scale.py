@@ -8,8 +8,7 @@ month to complete and produces about 10 TB of archival output."
 
 import pytest
 
-from repro.data import ClimateModelRun, GridSpec, SyntheticArchive, \
-    monthly_files
+from repro.data import ClimateModelRun, GridSpec, monthly_files
 from repro.net import GB, TB
 
 # An eddy-resolving 0.1° ocean model writing four 3-D prognostic fields
@@ -53,10 +52,3 @@ def test_output_rate_about_two_megabytes_per_second():
     wall_seconds = 40 * 86400.0  # "more than a month to complete"
     rate = total / wall_seconds
     assert 1e6 < rate < 5e6  # "about 2 MB/second"
-
-
-def test_archive_total_matches_listing():
-    arch = SyntheticArchive(years=3)
-    assert arch.total_bytes == sum(
-        f["size"] for files in arch.listing().values() for f in files)
-    assert arch.total_bytes > 0

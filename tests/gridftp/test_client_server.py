@@ -153,7 +153,7 @@ def test_parallel_streams_split_work(grid):
     assert stats.streams == 4
     assert stats.transferred_bytes == pytest.approx(200 * MB)
     agg = aggregate_series(stats.series)
-    assert agg.total_bytes == pytest.approx(200 * MB, rel=1e-6)
+    assert agg.bytes_between(agg.t_start, agg.t_end) == pytest.approx(200 * MB, rel=1e-6)
 
 
 def test_window_limited_single_vs_parallel(grid):

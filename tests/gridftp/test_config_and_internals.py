@@ -88,7 +88,7 @@ def test_channel_cache_roundtrip():
     cache = DataChannelCache(env)
     conn = FakeConn()
     cache.release(conn)
-    assert cache.idle_count("a", "b") == 1
+    assert len(cache._idle[("a", "b")]) == 1
     got = cache.acquire("a", "b")
     assert got is conn
     assert cache.reuses == 1
@@ -169,8 +169,7 @@ def test_channel_cache_drain_reports_stale_channels():
     cache.release(fresh)
     assert cache.drain() == 2
     assert not stale.open and not fresh.open
-    assert cache.idle_count("a", "b") == 0
-    assert cache.idle_count("x", "y") == 0
+    assert not any(cache._idle.values())
 
 
 # -- buffer negotiation ------------------------------------------------------------

@@ -111,11 +111,9 @@ def test_duplicate_host_name_rejected():
 def test_endpoint_names():
     topo = Topology()
     h = Host(topo, "w1")
-    assert h.endpoint("store") == "host:w1:store"
-    assert h.endpoint("app") == "host:w1:app"
-    assert h.endpoint("net") == "w1"
-    with pytest.raises(ValueError):
-        h.endpoint("gpu")
+    assert h.store_node == "host:w1:store"
+    assert h.app_node == "host:w1:app"
+    assert h.node == "w1"
 
 
 def test_store_to_store_path_traverses_all_bottlenecks():

@@ -55,26 +55,6 @@ def test_child():
     assert str(base.child("lc", "CO2 1998")) == "lc=CO2 1998,rc=esg"
 
 
-def test_is_under():
-    root = DN.parse("o=globus")
-    coll = DN.parse("lc=x,o=globus")
-    file_ = DN.parse("lf=f,lc=x,o=globus")
-    assert coll.is_under(root)
-    assert file_.is_under(root)
-    assert file_.is_under(coll)
-    assert not root.is_under(coll)
-    assert not coll.is_under(coll)  # proper ancestor only
-
-
-def test_depth_below():
-    root = DN.parse("o=globus")
-    file_ = DN.parse("lf=f,lc=x,o=globus")
-    assert file_.depth_below(root) == 2
-    assert root.depth_below(root) == 0
-    with pytest.raises(DnError):
-        root.depth_below(file_)
-
-
 def test_of_coercion():
     dn = DN.parse("a=1")
     assert DN.of(dn) is dn

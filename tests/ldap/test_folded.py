@@ -213,7 +213,8 @@ def test_parent_and_child_match_parse(rdns, attr, value):
     while p.parent is not None:
         p = p.parent
         same_dn(p, DN.parse(str(p)))
-        assert dn.is_under(p)
+        assert len(p.rdns) < len(dn.rdns)
+        assert dn.rdns[len(dn.rdns) - len(p.rdns):] == p.rdns
 
 
 @pytest.mark.parametrize("attr,value", [

@@ -71,6 +71,13 @@ OP = st.one_of(
 # -- the differential ---------------------------------------------------------
 
 
+def _within(dn, ancestor):
+    """True if ``dn`` is ``ancestor`` or lies below it."""
+    while dn is not None and dn != ancestor:
+        dn = dn.parent
+    return dn is not None
+
+
 def brute_force(d, live, parent, text):
     """The scan the index replaces: every child, in DN order."""
     kids = sorted((dn for dn in live.values() if dn.parent == parent),
@@ -117,8 +124,7 @@ def test_indexed_one_level_search_matches_brute_force(ops):
                     d.delete(dn)
                 continue
             d.delete(dn, recursive=op[2])
-            for key in [k for k, v in live.items()
-                        if v == dn or v.is_under(dn)]:
+            for key in [k for k, v in live.items() if _within(v, dn)]:
                 del live[key]
         elif kind == "modify":
             _, _, how, attr, values = op

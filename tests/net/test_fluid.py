@@ -191,7 +191,7 @@ def test_recorder_integration_total_bytes_matches_size():
     net.transfer("A", "B", size, recorder=rec)
     env.run()
     series = rec.close(env.now)
-    assert series.total_bytes == pytest.approx(size, rel=1e-9)
+    assert series.bytes_between(series.t_start, series.t_end) == pytest.approx(size, rel=1e-9)
 
 
 def test_many_flows_conservation():

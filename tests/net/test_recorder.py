@@ -13,8 +13,13 @@ def make_series():
     return RateSeries([0.0, 10.0, 20.0], [10.0, 0.0, 30.0], 30.0)
 
 
+def _total(s):
+    """Bytes over the series' whole domain."""
+    return s.bytes_between(s.t_start, s.t_end)
+
+
 def test_total_bytes():
-    assert make_series().total_bytes == pytest.approx(100 + 0 + 300)
+    assert _total(make_series()) == pytest.approx(100 + 0 + 300)
 
 
 def test_bytes_between():
@@ -50,10 +55,6 @@ def test_peak_windowed_finds_best_window():
 def test_peak_windowed_window_larger_than_domain():
     s = make_series()
     assert s.peak_windowed(60.0) == pytest.approx(400 / 60.0)
-
-
-def test_peak_instantaneous():
-    assert make_series().peak_instantaneous() == 30.0
 
 
 def test_sample_bins():
@@ -118,7 +119,7 @@ def test_aggregate_sums_overlapping_series():
     assert agg.rate_at(2.0) == 10.0
     assert agg.rate_at(7.0) == 30.0
     assert agg.rate_at(12.0) == 20.0
-    assert agg.total_bytes == pytest.approx(a.total_bytes + b.total_bytes)
+    assert _total(agg) == pytest.approx(_total(a) + _total(b))
 
 
 def test_aggregate_empty_raises():
@@ -153,7 +154,7 @@ def test_property_windowed_peak_bounds_average(segments):
             continue
         peak = s.peak_windowed(w)
         assert peak >= s.average() - 1e-6
-        assert peak <= s.peak_instantaneous() + 1e-6
+        assert peak <= max(s.rates) + 1e-6
 
 
 @given(rate_lists)
@@ -174,7 +175,7 @@ def test_property_peak_exceeds_any_sampled_window(segments):
 @settings(max_examples=80, deadline=None)
 def test_property_total_bytes_equals_cumulative_end(segments):
     s = build(segments)
-    assert s.total_bytes == pytest.approx(
+    assert _total(s) == pytest.approx(
         float(s.cumulative_bytes(s.t_end)), rel=1e-9, abs=1e-9)
 
 
@@ -183,8 +184,8 @@ def test_property_total_bytes_equals_cumulative_end(segments):
 def test_property_aggregate_preserves_total_bytes(seg_a, seg_b):
     a, b = build(seg_a), build(seg_b)
     agg = aggregate_series([a, b])
-    assert agg.total_bytes == pytest.approx(
-        a.total_bytes + b.total_bytes, rel=1e-9, abs=1e-6)
+    assert _total(agg) == pytest.approx(
+        _total(a) + _total(b), rel=1e-9, abs=1e-6)
 
 
 # -- series built by a recorder: arrays deferred to the first query ----------
@@ -206,10 +207,10 @@ def record(segments):
 def queries(s):
     span = s.t_end - s.t_start
     probes = np.linspace(s.t_start - 1.0, s.t_end + 1.0, 17)
-    out = [s.t_start, s.t_end, s.total_bytes, s.average(),
+    out = [s.t_start, s.t_end, s.average(),
            s.average(s.t_start + span / 3, s.t_end),
            s.bytes_between(s.t_start + span / 4, s.t_end - span / 4),
-           s.peak_instantaneous(), list(s.times), list(s.rates),
+           list(s.times), list(s.rates),
            list(s.rate_at(probes)), list(s.cumulative_bytes(probes))]
     for w in (span / 7, span / 2, span, 2 * span):
         out.append(s.peak_windowed(w))
@@ -253,4 +254,4 @@ def test_close_does_no_numpy_work(monkeypatch):
     assert series.t_end == 10.0
     monkeypatch.undo()
     assert list(series.times) == [0.0, 2.0]
-    assert series.total_bytes == 5.0 * 2 + 7.0 * 8
+    assert _total(series) == 5.0 * 2 + 7.0 * 8

@@ -87,8 +87,8 @@ def test_adaptive_prefers_robust_method_on_spiky_series():
             v = 5000.0
         f.update(v)
     assert f.best_name != "last"
-    mse = dict(zip([s.name for s in f.forecasters], f.mse()))
-    assert mse[f.best_name] == min(mse.values())
+    errors = dict(zip([s.name for s in f.forecasters], f._errors))
+    assert errors[f.best_name] == min(errors.values())
 
 
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
@@ -101,8 +101,8 @@ def test_property_adaptive_never_worse_than_worst(values):
         f.update(v)
     preds = {sub.predict() for sub in f.forecasters}
     assert f.predict() in preds
-    assert min(f.mse()) == pytest.approx(
-        f.mse()[[s.name for s in f.forecasters].index(f.best_name)])
+    assert min(f._errors) == pytest.approx(
+        f._errors[[s.name for s in f.forecasters].index(f.best_name)])
 
 
 @given(st.lists(st.floats(1.0, 100.0), min_size=2, max_size=40))

@@ -55,7 +55,7 @@ def test_child_bound_after_budget_fills_spills_every_sample(obs):
     obs.children[HITS, "d"].inc(5.0)
     metric = obs.metrics.counter("cache.hits_total")
     assert metric.overflowed == 4
-    assert metric.labelsets() == [(("host", "a"),), (("host", "b"),),
+    assert list(metric._samples) == [(("host", "a"),), (("host", "b"),),
                                   OVERFLOW_KEY]
     assert metric.value(overflow="true") == 8.0
     assert metric.value(host="c") == 0.0

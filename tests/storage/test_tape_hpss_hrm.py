@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.data.digest import marks_of
 from repro.sim import Environment
 from repro.storage import (
     FileObject,
@@ -176,6 +177,25 @@ def hrm_fixture():
     serve_fs = FileSystem(env, "hrm-disk")
     hrm = HierarchicalResourceManager(env, mss, serve_fs)
     return env, mss, serve_fs, hrm
+
+
+def test_truncating_stage_serves_a_marked_copy():
+    """A stage that completes inside a truncate_stage window hands its
+    waiters and the serving disk a damaged copy with independent
+    metadata; the archived object, which the cache shares, stays
+    pristine."""
+    env, mss, serve_fs, hrm = hrm_fixture()
+    original = FileObject("f", 14 * MB, content=None,
+                          metadata={"var": "tas"})
+    mss.archive(original, tape="T1", position=0.0)
+    hrm.begin_truncating()
+    served = env.run(until=hrm.request_stage("f").ready)
+    assert served is serve_fs.stat("f") and served is not original
+    assert (served.name, served.size) == ("f", original.size)
+    assert marks_of(served) == (f"truncated@{env.now:.0f}",)
+    assert original.metadata == {"var": "tas"}
+    assert hrm.truncated_stages == 1
+    hrm.end_truncating()
 
 
 def test_hrm_stage_publishes_to_serving_fs():
@@ -550,9 +570,9 @@ def test_hrm_pins_once_per_waiter():
     r2 = hrm.request_stage("f")
     assert r1 is r2 and r1.waiters == 2
     env.run()
-    assert mss.cache.pin_count("f") == 2
+    assert mss.cache._pins.get("f", 0) == 2
     hrm.release("f")
-    assert mss.cache.pin_count("f") == 1   # second transfer still covered
+    assert mss.cache._pins.get("f", 0) == 1   # second transfer still covered
     hrm.release("f")
     assert not mss.cache.is_pinned("f")
     hrm.release("f")                        # over-release is a no-op
@@ -565,7 +585,7 @@ def test_hrm_fast_path_pins_per_caller():
     mss.archive(FileObject("f", 14 * MB), tape="T1", position=0.0)
     env.run(until=hrm.request_stage("f").ready)
     hrm.request_stage("f")
-    assert mss.cache.pin_count("f") == 2
+    assert mss.cache._pins.get("f", 0) == 2
     hrm.release("f")
     hrm.release("f")
     assert not mss.cache.is_pinned("f")
@@ -580,7 +600,7 @@ def test_hrm_abandon_inflight_surrenders_waiter_slot():
     hrm.request_stage("f")
     hrm.abandon("f")           # second caller's transfer died pre-stage
     env.run()
-    assert mss.cache.pin_count("f") == 1
+    assert mss.cache._pins.get("f", 0) == 1
     hrm.abandon("f")           # first caller's transfer died post-stage
     assert not mss.cache.is_pinned("f")
 
@@ -643,7 +663,7 @@ def test_demand_joining_inflight_prefetch_counts_hit():
 
     env.run(until=env.process(later(env, hrm)))
     assert hrm.prefetch_hits == 1
-    assert mss.cache.pin_count("f1") == 1      # the demand caller's pin
+    assert mss.cache._pins.get("f1", 0) == 1      # the demand caller's pin
     env.run()
 
 

@@ -143,7 +143,7 @@ def test_property_prefetch_never_evicts_pinned_or_demand(ops):
             continue
         demand_resident = {n for n in c._entries
                            if c.kind(n) == "demand"}
-        pinned_resident = {n for n in c._entries if c.pin_count(n) > 0}
+        pinned_resident = {n for n in c._entries if c.is_pinned(n)}
         try:
             c.put(FileObject(name, float(size)), kind=op)
         except NoSpaceError:
