@@ -19,8 +19,9 @@ The observability tentpole's acceptance harness. Three legs:
 2. **Analysis-tier overhead** — the same WAN-bound run with the full
    analysis tier attached (5 s time-series recorder + periodic SLO
    engine) must cost < 5% wall time over the instrumented baseline
-   (best-of-N, same seed — the analysis rides the existing
-   instrumentation, it must not tax the hot path).
+   (median over alternating pairs of speed-corrected runs, same seed —
+   the analysis rides the existing instrumentation, it must not tax the
+   hot path).
 
 3. **Campaign reconciliation** — a verified mirror campaign reconciled
    against catalog + destination + scheduler comes back CLEAN; after
@@ -32,8 +33,10 @@ root. Set ``REPRO_ATTRIB_FILES`` to shrink the per-config file count
 (CI smoke uses 6).
 """
 
+import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -50,13 +53,14 @@ from repro.rm.scheduler import SchedulerConfig
 from repro.scenarios import EsgTestbed
 
 from benchmarks.conftest import record, run_once
+from benchmarks.suite import speed
 
 MB = 2**20
 SEED = 13
 FILE_SIZE = 48 * MB
 ATTRIBUTION_GATE = 0.90
 OVERHEAD_GATE = 5.0          # percent
-OVERHEAD_ROUNDS = 5
+OVERHEAD_PAIRS = 20
 OUT_PATH = (Path(__file__).resolve().parents[1]
             / "BENCH_bottleneck_attribution.json")
 
@@ -88,8 +92,12 @@ def _build(kind: str, analysis: bool = True):
     return tb, rm, ts
 
 
-def _run(kind: str, analysis: bool = True, files: int = None):
-    """Drive one configuration; returns (tb, rm, ts, engine, wall)."""
+def _run(kind: str, analysis: bool = True, files: int = None,
+         meter: speed.SpeedMeter = None):
+    """Drive one configuration; returns (tb, rm, ts, engine, wall).
+
+    With a running ``meter``, ``wall`` is the run phase's corrected
+    seconds between two of its marks; else plain wall seconds."""
     tb, rm, ts = _build(kind, analysis=analysis)
     engine = None
     if analysis:
@@ -101,7 +109,7 @@ def _run(kind: str, analysis: bool = True, files: int = None):
                            threshold=mbps(1) / 8, tenant="sink",
                            long_window=120.0, short_window=30.0))
         engine.start()
-    wall0 = time.perf_counter()
+    wall0 = meter.mark() if meter is not None else time.perf_counter()
     tb.warm_nws(60.0)
     ds = tb.dataset_ids()[0]
     names = [str(f["logical_name"]) for f in tb.datasets[ds]]
@@ -116,7 +124,10 @@ def _run(kind: str, analysis: bool = True, files: int = None):
     ticket = rm.submit([(ds, n) for n in names], resolved=resolved)
     tb.env.run(until=ticket.done)
     tb.env.run(until=tb.env.now + 30.0)
-    wall = time.perf_counter() - wall0
+    if meter is not None:
+        wall = meter.corrected(wall0, meter.mark())
+    else:
+        wall = time.perf_counter() - wall0
     return tb, rm, ts, engine, wall
 
 
@@ -183,27 +194,50 @@ def test_analysis_tier_overhead_under_five_percent(benchmark, show):
     # Heavier than the attribution leg on purpose: the recorder's
     # per-sample cost is fixed per sim-second while transfer work
     # scales with flow count, so a trivially small run would measure
-    # the recorder against near-zero baseline work. Bare/full runs are
-    # paired back-to-back and the best *ratio* taken, so ambient CPU
-    # contention (which hits both runs of a pair) cancels instead of
-    # landing on whichever side ran during the noisy window.
+    # the recorder against near-zero baseline work.
+    #
+    # Method (bench_obs_overhead's): one untimed warm-up pair, then
+    # OVERHEAD_PAIRS alternating pairs, the full side first in even
+    # pairs and the bare side first in odd ones, each run after a full
+    # collection. Every run phase is timed between two SpeedMeter marks
+    # and corrected for the speed of the shared core
+    # (benchmarks/suite/speed.py). The overhead is the median over the
+    # pairs of the full time over the bare time, minus one: ambient CPU
+    # contention that hits both runs of a pair cancels, and no single
+    # noisy pair decides the verdict.
     n = max(24, 2 * _files_target())
 
-    def run():
-        pairs = []
-        for _ in range(OVERHEAD_ROUNDS):
-            b = _run("wan", analysis=False, files=n)[4]
-            f = _run("wan", analysis=True, files=n)[4]
-            pairs.append((f / b, b, f))
-        return min(pairs)
+    def timed(meter, analysis):
+        gc.collect()
+        return _run("wan", analysis=analysis, files=n, meter=meter)[4]
 
-    ratio, bare, full = run_once(benchmark, run)
-    overhead_pct = 100.0 * (ratio - 1.0)
+    def run():
+        meter = speed.SpeedMeter()
+        meter.start()
+        try:
+            timed(meter, True)
+            timed(meter, False)
+            times = {True: [], False: []}
+            for i in range(OVERHEAD_PAIRS):
+                for analysis in ((True, False) if i % 2 == 0
+                                 else (False, True)):
+                    times[analysis].append(timed(meter, analysis))
+        finally:
+            meter.stop()
+        return times
+
+    times = run_once(benchmark, run)
+    bare = statistics.median(times[False])
+    full = statistics.median(times[True])
+    overhead_pct = 100.0 * statistics.median(
+        f / b - 1.0 for f, b in zip(times[True], times[False]))
     show()
-    show("=== analysis-tier overhead (WAN-bound run) ===")
-    show(f"  instrumented baseline: {bare:8.3f} s")
-    show(f"  + timeseries + SLO:    {full:8.3f} s")
-    show(f"  overhead:              {overhead_pct:+7.2f} %")
+    show(f"=== analysis-tier overhead (WAN-bound run, {OVERHEAD_PAIRS} "
+         f"pairs, corrected s) ===")
+    show(f"  instrumented baseline: {bare:8.3f} s (median)")
+    show(f"  + timeseries + SLO:    {full:8.3f} s (median)")
+    show(f"  overhead:              {overhead_pct:+7.2f} % "
+         f"(median of pairs)")
     record(benchmark, bare_wall_s=round(bare, 4),
            full_wall_s=round(full, 4),
            overhead_pct=round(overhead_pct, 2))

@@ -113,20 +113,18 @@ class ReconciliationReport:
         return "\n".join(lines)
 
 
-def reconcile(campaign: ReplicationCampaign,
-              scheduler=None) -> ReconciliationReport:
+def reconcile(campaign: ReplicationCampaign) -> ReconciliationReport:
     """Cross-check a finished campaign's four ledgers.
 
-    ``scheduler`` defaults to the campaign RM's transfer scheduler; pass
-    one explicitly (or ``None`` on an RM without admission control) to
-    override. The campaign need not have succeeded — reconciling a
-    half-failed campaign is exactly how its damage is itemized.
+    The scheduler ledger is the campaign RM's transfer scheduler (none
+    on an RM without admission control). The campaign need not have
+    succeeded — reconciling a half-failed campaign is exactly how its
+    damage is itemized.
     """
     rm = campaign.rm
     catalog = rm.catalog
     dest_fs = rm.dest_fs
-    if scheduler is None:
-        scheduler = rm.scheduler
+    scheduler = rm.scheduler
     replay = campaign.journal.replay()
     report = ReconciliationReport(campaign=campaign.name,
                                   files=len(campaign.manifest))

@@ -7,11 +7,11 @@ The point is that the *data pipeline* up to the renderer is identical.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 _RAMP = " .:-=+*#%@"
+# Characters of the longest bar of a profile.
+PROFILE_WIDTH = 48
 
 
 def _normalize(field: np.ndarray) -> np.ndarray:
@@ -53,9 +53,9 @@ def render_field(field: np.ndarray, title: str = "",
 
 
 def render_profile(values: np.ndarray, coords: np.ndarray,
-                   title: str = "", units: str = "",
-                   width: int = 48) -> str:
-    """A horizontal-bar profile (e.g. zonal mean vs latitude)."""
+                   title: str = "") -> str:
+    """A horizontal-bar profile (e.g. zonal mean vs latitude), bars up
+    to ``PROFILE_WIDTH`` characters."""
     values = np.asarray(values, dtype=float)
     coords = np.asarray(coords, dtype=float)
     if values.shape != coords.shape:
@@ -64,22 +64,19 @@ def render_profile(values: np.ndarray, coords: np.ndarray,
     span = hi - lo if hi > lo else 1.0
     lines = [title] if title else []
     for c, v in zip(coords[::-1], values[::-1]):  # north at the top
-        bar = "#" * int(round((v - lo) / span * width))
-        lines.append(f"{c:7.1f} | {bar} {v:.2f}{units}")
+        bar = "#" * int(round((v - lo) / span * PROFILE_WIDTH))
+        lines.append(f"{c:7.1f} | {bar} {v:.2f}")
     return "\n".join(lines)
 
 
 def render_timeseries(values: np.ndarray, title: str = "",
-                      units: str = "", height: int = 10,
-                      width: Optional[int] = None) -> str:
-    """A column plot of a 1-D series (e.g. global-mean timeline)."""
+                      units: str = "", height: int = 10) -> str:
+    """A column plot of a 1-D series (e.g. global-mean timeline), one
+    column per value."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-D series")
-    n = values.size if width is None else min(values.size, width)
-    idx = np.linspace(0, values.size - 1, n).astype(int)
-    sampled = values[idx]
-    norm = _normalize(sampled)
+    norm = _normalize(values)
     levels = np.clip((norm * (height - 1)).round().astype(int), 0,
                      height - 1)
     lines = [title] if title else []

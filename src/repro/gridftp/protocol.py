@@ -79,9 +79,9 @@ class GridFtpConfig:
     progress_poll:
         How often the request manager samples a transfer's delivered
         bytes ("checking the file size ... every few seconds", §4) while
-        something reads them mid-transfer: a transfer monitor, a
-        lifecycle hook or the reliability plug-in. Other transfers
-        schedule no sample.
+        something reads them mid-transfer: a transfer monitor or the
+        reliability plug-in (a lifecycle hook runs only between
+        attempts). Other transfers schedule no sample.
     stall_poll:
         Tick grid of the data-channel stall watchdog; ``None`` (default)
         means ``min(stall_timeout / 4, 5)`` seconds (see
@@ -108,9 +108,6 @@ class GridFtpConfig:
         publish-time digest; a mismatch quarantines the replica and
         re-transfers from another copy. False (the default) preserves
         the trusting pre-integrity behaviour.
-    checksum_rate:
-        Bytes/s a checksum scan processes (the disk-read + CPU-hash
-        pipeline) in the client-side verify-on-arrival scan.
     """
 
     parallelism: int = 1
@@ -125,7 +122,6 @@ class GridFtpConfig:
     stage_watermark: Optional[float] = None
     record_series: bool = True
     verify_checksum: bool = False
-    checksum_rate: float = 150 * 2**20
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -145,8 +141,6 @@ class GridFtpConfig:
         if self.stage_watermark is not None \
                 and not (0.0 < self.stage_watermark <= 1.0):
             raise ValueError("stage_watermark must be in (0, 1]")
-        if self.checksum_rate <= 0:
-            raise ValueError("checksum_rate must be positive")
 
 
 @dataclass(slots=True)

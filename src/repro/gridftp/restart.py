@@ -53,10 +53,6 @@ class ReliabilityPolicy:
             return True
         return False
 
-    def reset(self) -> None:
-        """Forget accumulated low samples (new attempt started)."""
-        self._low_count = 0
-
     def clone(self) -> "ReliabilityPolicy":
         """A pristine copy of this policy (no accumulated samples).
 

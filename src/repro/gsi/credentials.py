@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
+
+# Seconds a delegated proxy stays valid.
+PROXY_LIFETIME = 12 * 3600.0
 
 
 class CredentialError(Exception):
@@ -71,25 +74,19 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ProxyCertificate(Certificate):
-    """A short-lived credential signed by an end-entity (delegation).
-
-    ``delegation_depth`` counts hops from the original identity; GSI
-    restricted proxies would carry policy here.
-    """
-
-    delegation_depth: int = 1
+    """A short-lived credential signed by an end-entity (delegation)."""
 
 
 class CertificateAuthority:
-    """Mints end-entity certificates."""
+    """Mints end-entity certificates (they never expire)."""
 
-    def __init__(self, name: str, seed: Optional[str] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.keys = KeyPair.generate(seed or f"ca:{name}")
+        self.keys = KeyPair.generate(f"ca:{name}")
 
-    def issue(self, subject: str, public_key: str,
-              not_after: float = float("inf")) -> Certificate:
+    def issue(self, subject: str, public_key: str) -> Certificate:
         """Sign a certificate for ``subject``."""
+        not_after = float("inf")
         unsigned = Certificate(subject, public_key, self.name, not_after, "")
         return Certificate(subject, public_key, self.name, not_after,
                            self.keys.sign(unsigned.payload))
@@ -159,25 +156,24 @@ class Identity:
     _serial = itertools.count(1)
 
     def __init__(self, subject: str, ca: CertificateAuthority,
-                 trust: TrustAnchors, not_after: float = float("inf")):
+                 trust: TrustAnchors):
         self.subject = subject
         self.keys = KeyPair.generate(f"id:{subject}:{next(self._serial)}")
-        self.certificate = ca.issue(subject, self.keys.public, not_after)
+        self.certificate = ca.issue(subject, self.keys.public)
         trust.register_entity(subject, self.keys)
         self.chain: Tuple[Certificate, ...] = (self.certificate,)
 
-    def make_proxy(self, now: float, lifetime: float = 12 * 3600.0,
-                   depth: int = 1) -> Tuple[Certificate, ...]:
-        """Mint a delegated proxy chain valid for ``lifetime`` seconds."""
+    def make_proxy(self, now: float) -> Tuple[Certificate, ...]:
+        """Mint a delegated proxy chain valid for ``PROXY_LIFETIME``
+        seconds."""
         proxy_subject = f"{self.subject}/proxy"
         proxy_keys = KeyPair.generate(f"proxy:{proxy_subject}:{now}")
+        not_after = now + PROXY_LIFETIME
         unsigned = ProxyCertificate(proxy_subject, proxy_keys.public,
-                                    self.subject, now + lifetime, "",
-                                    delegation_depth=depth)
+                                    self.subject, not_after, "")
         proxy = ProxyCertificate(proxy_subject, proxy_keys.public,
-                                 self.subject, now + lifetime,
-                                 self.keys.sign(unsigned.payload),
-                                 delegation_depth=depth)
+                                 self.subject, not_after,
+                                 self.keys.sign(unsigned.payload))
         return (proxy,) + self.chain
 
     def __repr__(self) -> str:

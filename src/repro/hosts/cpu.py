@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Packet payload of a jumbo frame, bytes.
+JUMBO_MTU = 9000.0
+
 
 @dataclass(frozen=True)
 class CpuModel:
@@ -67,7 +70,7 @@ class CpuModel:
         return CpuModel(self.copy_cost_per_byte, self.interrupt_cost,
                         self.mtu, coalesce)
 
-    def with_jumbo_frames(self, mtu: float = 9000.0) -> "CpuModel":
-        """A copy of this model using jumbo frames."""
+    def with_jumbo_frames(self) -> "CpuModel":
+        """A copy of this model using jumbo frames (``JUMBO_MTU``)."""
         return CpuModel(self.copy_cost_per_byte, self.interrupt_cost,
-                        mtu, self.coalesce)
+                        JUMBO_MTU, self.coalesce)

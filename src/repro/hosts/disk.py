@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Fractional throughput a multi-spindle array loses to software RAID.
+RAID_OVERHEAD = 0.05
+
 
 @dataclass(frozen=True)
 class DiskSpec:
@@ -36,23 +39,19 @@ class DiskArray:
     spec:
         The per-spindle spec.
     count:
-        Number of spindles striped together.
-    raid_overhead:
-        Fractional throughput loss to the software RAID layer.
+        Number of spindles striped together; more than one loses
+        ``RAID_OVERHEAD`` of the throughput to the software RAID layer.
     """
 
     spec: DiskSpec = DiskSpec()
     count: int = 1
-    raid_overhead: float = 0.05
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("need at least one disk")
-        if not (0.0 <= self.raid_overhead < 1.0):
-            raise ValueError("raid_overhead must be in [0, 1)")
 
     @property
     def rate(self) -> float:
         """Aggregate sequential rate of the array, bytes/s."""
-        scale = 1.0 if self.count == 1 else (1.0 - self.raid_overhead)
+        scale = 1.0 if self.count == 1 else (1.0 - RAID_OVERHEAD)
         return self.spec.rate * self.count * scale

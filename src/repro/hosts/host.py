@@ -118,12 +118,11 @@ class Host:
             self.links[f"{label}:out"] = out
             self.links[f"{label}:in"] = inn
 
-    def uplink(self, router: str, capacity: Optional[float] = None,
-               latency: float = 1e-4) -> None:
-        """Connect the host's external node to a router."""
-        cap = capacity if capacity is not None else self.spec.line_rate
+    def uplink(self, router: str, latency: float = 1e-4) -> None:
+        """Connect the host's external node to a router at line rate."""
         fwd, rev = self.topology.duplex_link(
-            self.node, router, cap, latency, name=f"up:{self.name}:{router}")
+            self.node, router, self.spec.line_rate, latency,
+            name=f"up:{self.name}:{router}")
         fwd.site = self.site
         rev.site = self.site
         self.links["uplink:out"] = fwd

@@ -10,6 +10,9 @@ from repro.ldap.dn import DN
 from repro.ldap.filters import compile_filter, fold
 from repro.sim.core import Environment
 
+# Seconds a search costs per entry it examines.
+SCAN_COST = 2e-6
+
 
 class DirectoryError(Exception):
     """Directory operation failed (missing entry, duplicate, orphan...)."""
@@ -100,8 +103,8 @@ class DirectoryServer:
         Server label.
     base_latency:
         Per-operation round-trip cost, seconds.
-    scan_cost:
-        Additional cost per entry examined during search.
+
+    A search costs ``SCAN_COST`` more per entry examined.
 
     All mutation requires the parent entry to exist (except for roots),
     mirroring real directory semantics; deletion refuses non-leaf entries
@@ -112,17 +115,16 @@ class DirectoryServer:
     added, deleted or has its ``objectclass`` modified. A one-level
     search with a tagged filter (see :mod:`repro.ldap.filters`) filters
     only that index slot. The cost model is unchanged: :meth:`query`
-    charges ``scan_cost`` for, and ``entries_scanned`` counts, every
+    charges ``SCAN_COST`` for, and ``entries_scanned`` counts, every
     child in scope; a timed query answers from the scope it captured on
     arrival and reads the index only while that scope is still current.
     """
 
     def __init__(self, env: Environment, name: str = "ldap",
-                 base_latency: float = 0.005, scan_cost: float = 2e-6):
+                 base_latency: float = 0.005):
         self.env = env
         self.name = name
         self.base_latency = base_latency
-        self.scan_cost = scan_cost
         self._entries: Dict[DN, Entry] = {}
         self._children: Dict[DN, set] = {}
         self._indexes: Dict[DN, tuple] = {}  # parent -> (sorted, by class)
@@ -304,7 +306,7 @@ class DirectoryServer:
         candidates = (self._candidates(base, scope)
                       if base in self._entries else [])
         yield self.env.timeout(self.base_latency
-                               + self.scan_cost * len(candidates))
+                               + SCAN_COST * len(candidates))
         return self._filter(base, candidates, filter_text)
 
     def read(self, dn: Union[str, DN]):

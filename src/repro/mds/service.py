@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ldap.directory import DirectoryServer
 from repro.ldap.dn import DN
 from repro.sim.core import Environment
@@ -19,14 +17,11 @@ class MdsService:
             pair=<src>--<dst>        bandwidth/latency forecast attrs
     """
 
-    def __init__(self, env: Environment,
-                 directory: Optional[DirectoryServer] = None,
-                 name: str = "grid"):
+    def __init__(self, env: Environment, name: str = "grid"):
         self.env = env
-        self.directory = directory or DirectoryServer(env, name=f"mds-{name}")
+        self.directory = DirectoryServer(env, name=f"mds-{name}")
         self.root = DN.parse(f"mds={name}")
-        if not self.directory.exists(self.root):
-            self.directory.add(self.root, {"objectclass": "mds"})
+        self.directory.add(self.root, {"objectclass": "mds"})
         self._nws_root = self.root.child("service", "nws")
         self.directory.add(self._nws_root, {"objectclass": "nwsservice"})
         self.publishes = 0

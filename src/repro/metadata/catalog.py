@@ -46,14 +46,11 @@ class MetadataCatalog:
             file=<logical>      year, monthlo, monthhi, variables
     """
 
-    def __init__(self, env: Environment,
-                 directory: Optional[DirectoryServer] = None,
-                 name: str = "pcmdi"):
+    def __init__(self, env: Environment, name: str = "pcmdi"):
         self.env = env
-        self.directory = directory or DirectoryServer(env, name=f"mc-{name}")
+        self.directory = DirectoryServer(env, name=f"mc-{name}")
         self.root = DN.parse(f"mc={name}")
-        if not self.directory.exists(self.root):
-            self.directory.add(self.root, {"objectclass": "metadatacatalog"})
+        self.directory.add(self.root, {"objectclass": "metadatacatalog"})
 
     # -- registration -----------------------------------------------------
     def register_dataset(self, dataset_id: str, model: str, run: str,

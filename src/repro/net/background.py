@@ -17,6 +17,11 @@ import numpy as np
 from repro.net.fluid import FluidNetwork
 from repro.sim.core import Environment
 
+# Clamp on the load fraction: others never quite vacate or completely
+# saturate the pipe.
+FLOOR = 0.05
+CEILING = 0.97
+
 
 class LinkLoadModulator:
     """Time-varying cross-load on one link, as residual capacity.
@@ -42,24 +47,20 @@ class LinkLoadModulator:
         AR(1) coefficient per step (0 = white noise, →1 = slow drift).
     interval:
         Seconds between load updates.
-    floor / ceiling:
-        Clamp on the load fraction (others never quite vacate or
-        completely saturate the pipe).
+
+    The load fraction is clamped to [:data:`FLOOR`, :data:`CEILING`].
     """
 
     def __init__(self, env: Environment, network: FluidNetwork, link,
                  mean_load: float, rng: np.random.Generator,
                  volatility: float = 0.15, correlation: float = 0.85,
-                 interval: float = 10.0, floor: float = 0.05,
-                 ceiling: float = 0.97):
+                 interval: float = 10.0):
         if not (0.0 <= mean_load <= 1.0):
             raise ValueError("mean_load must be in [0, 1]")
         if not (0.0 <= correlation < 1.0):
             raise ValueError("correlation must be in [0, 1)")
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if not (0.0 <= floor <= ceiling <= 1.0):
-            raise ValueError("need 0 <= floor <= ceiling <= 1")
         self.env = env
         self.network = network
         self.link = link
@@ -67,8 +68,6 @@ class LinkLoadModulator:
         self.volatility = volatility
         self.correlation = correlation
         self.interval = interval
-        self.floor = floor
-        self.ceiling = ceiling
         self.rng = rng
         self.load = mean_load
         self.samples = 0
@@ -84,7 +83,7 @@ class LinkLoadModulator:
         noise = float(self.rng.normal(0.0, self.volatility))
         self.load = (self.correlation * self.load
                      + (1 - self.correlation) * self.mean_load + noise)
-        self.load = float(np.clip(self.load, self.floor, self.ceiling))
+        self.load = float(np.clip(self.load, FLOOR, CEILING))
         self.samples += 1
         # Never resurrect a link held down/degraded by fault injection;
         # the modulator resumes writing once every hold is released.

@@ -19,8 +19,7 @@ object; GridFTP data-channel caching exploits exactly this.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,11 +140,6 @@ class TcpStream:
     def max_window(self) -> float:
         """Negotiated buffer: the ceiling on cwnd."""
         return self.params.buffer_bytes
-
-    def reset(self) -> None:
-        """Return to the post-handshake state (new connection, cold window)."""
-        self.cwnd = self.params.init_cwnd
-        self.losses = 0
 
     def _grow_slow_start(self) -> None:
         self.cwnd = min(self.cwnd * 2.0, self.max_window)

@@ -248,14 +248,13 @@ class Transport:
 
     def connect(self, src: str, dst: str,
                 params: Optional[TcpParams] = None,
-                handshake_cost: float = 0.0,
                 rng=None):
         """Simulation process: open a connection from ``src`` to ``dst``.
 
         ``dst`` may be a hostname (resolved through the name service) or a
         topology node name. Establishment costs one DNS lookup (if any),
-        1.5 RTTs for the TCP handshake, plus ``handshake_cost`` (e.g. GSI
-        authentication, several RTTs + crypto time).
+        1.5 RTTs for the TCP handshake (GSI authentication is charged by
+        the caller, on the open connection).
 
         Raises :class:`ConnectionRefused` if resolution fails or the path
         is down at connect time.
@@ -279,7 +278,7 @@ class Transport:
                 f"path {src}->{dst_node} unreachable at t={env.now:.1f}s")
         params = params or TcpParams()
         rtt = topo.rtt(src, dst_node)
-        yield env.timeout(1.5 * rtt + handshake_cost)
+        yield env.timeout(1.5 * rtt)
         stream = TcpStream(env, rtt, params, rng=rng)
         self.connections_opened += 1
         return Connection(self, src, dst_node, params, stream)

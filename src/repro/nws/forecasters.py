@@ -9,7 +9,7 @@ error is currently lowest — robust across workloads without tuning
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional
 
 
 class Forecaster:
@@ -130,11 +130,8 @@ class AdaptiveForecaster(Forecaster):
 
     name = "adaptive"
 
-    def __init__(self, forecasters: Optional[Sequence[Forecaster]] = None):
-        self.forecasters = (default_suite() if forecasters is None
-                            else list(forecasters))
-        if not self.forecasters:
-            raise ValueError("need at least one forecaster")
+    def __init__(self):
+        self.forecasters = default_suite()
         self._errors = [0.0] * len(self.forecasters)
         self._updates = 0
 

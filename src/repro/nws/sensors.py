@@ -19,6 +19,13 @@ from repro.sim.core import Environment
 
 # Standard deviation of the relative latency jitter a probe reports.
 JITTER_FRACTION = 0.05
+# Seconds between probes (NWS era-typical: tens of seconds to minutes).
+PERIOD = 30.0
+# Probe transfer size (64 KB, like NWS).
+PROBE_BYTES = 64 * 1024.0
+# Probe abandonment threshold; a timed-out probe reports 0 bandwidth
+# (the path is effectively down).
+TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -40,31 +47,20 @@ class NetworkSensor:
         Simulation environment and fluid network.
     src, dst:
         Topology node names the probe runs between.
-    period:
-        Seconds between probes (NWS default era-typical: tens of seconds
-        to minutes).
-    probe_bytes:
-        Probe transfer size (64 KB default, like NWS).
-    timeout:
-        Probe abandonment threshold; a timed-out probe reports 0
-        bandwidth (the path is effectively down).
     rng:
         Noise source for latency jitter.
+
+    A probe moves :data:`PROBE_BYTES` every :data:`PERIOD` seconds and
+    is abandoned after :data:`TIMEOUT` seconds.
     """
 
     def __init__(self, env: Environment, network: FluidNetwork,
-                 src: str, dst: str, period: float = 30.0,
-                 probe_bytes: float = 64 * 1024.0, timeout: float = 10.0,
+                 src: str, dst: str,
                  rng: Optional[np.random.Generator] = None):
-        if period <= 0 or probe_bytes <= 0 or timeout <= 0:
-            raise ValueError("period, probe_bytes, timeout must be positive")
         self.env = env
         self.network = network
         self.src = src
         self.dst = dst
-        self.period = period
-        self.probe_bytes = probe_bytes
-        self.timeout = timeout
         self.rng = rng
         self.probes_sent = 0
         self.probes_timed_out = 0
@@ -74,9 +70,9 @@ class NetworkSensor:
         env = self.env
         self.probes_sent += 1
         started = env.now
-        flow = self.network.transfer(self.src, self.dst, self.probe_bytes,
+        flow = self.network.transfer(self.src, self.dst, PROBE_BYTES,
                                      name=f"nws:{self.src}->{self.dst}")
-        yield env.wait_for(flow.done, self.timeout)
+        yield env.wait_for(flow.done, TIMEOUT)
         rtt = self.network.topology.rtt(self.src, self.dst)
         latency = rtt / 2.0
         if self.rng is not None:
@@ -89,25 +85,23 @@ class NetworkSensor:
         # Fluid flows carry no propagation delay, so elapsed time is pure
         # transfer time and the rate estimate is exact.
         elapsed = max(env.now - started, 1e-9)
-        return ProbeResult(env.now, self.probe_bytes / elapsed, latency)
+        return ProbeResult(env.now, PROBE_BYTES / elapsed, latency)
 
-    def run(self, sink, phase: Optional[float] = None):
+    def run(self, sink):
         """Simulation process: probe forever, reporting to ``sink``.
 
         ``sink(series_key, result)`` is called per measurement. Probes
-        start after ``phase`` seconds (default: a deterministic offset
-        derived from the endpoint names) so that a fleet of sensors
-        sharing a link does not fire in lockstep and measure each other.
+        start after a deterministic phase derived from the endpoint
+        names, so that a fleet of sensors sharing a link does not fire
+        in lockstep and measure each other.
         """
-        if phase is None:
-            # Stable across processes (unlike builtin hash()).
-            import hashlib
-            digest = hashlib.md5(
-                f"{self.src}->{self.dst}".encode()).digest()
-            phase = (digest[0] * 256 + digest[1]) / 65536.0 * self.period
+        # Stable across processes (unlike builtin hash()).
+        import hashlib
+        digest = hashlib.md5(f"{self.src}->{self.dst}".encode()).digest()
+        phase = (digest[0] * 256 + digest[1]) / 65536.0 * PERIOD
         if phase > 0:
             yield self.env.timeout(phase)
         while True:
             result = yield from self.probe_once()
             sink((self.src, self.dst), result)
-            yield self.env.timeout(self.period)
+            yield self.env.timeout(PERIOD)

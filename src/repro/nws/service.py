@@ -59,15 +59,13 @@ class NetworkWeatherService:
         self._counts: Dict[Tuple[str, str], int] = {}
 
     # -- monitoring -------------------------------------------------------
-    def monitor(self, src: str, dst: str, period: float = 30.0,
-                probe_bytes: float = 64 * 1024.0,
+    def monitor(self, src: str, dst: str,
                 start: bool = True) -> NetworkSensor:
         """Begin periodic monitoring of a path."""
         key = (src, dst)
         if key in self.sensors:
             return self.sensors[key]
         sensor = NetworkSensor(self.env, self.network, src, dst,
-                               period=period, probe_bytes=probe_bytes,
                                rng=self.rng)
         self.sensors[key] = sensor
         self._bw[key] = AdaptiveForecaster()

@@ -104,14 +104,12 @@ class Observability:
                 f"timeseries={self.timeseries!r})")
 
     @classmethod
-    def create(cls, env: Environment, host: str = "localhost",
-               prog: str = "repro", logger: Optional[NetLogger] = None,
-               capacity: Optional[int] = None) -> "Observability":
+    def create(cls, env: Environment,
+               logger: Optional[NetLogger] = None) -> "Observability":
         """A fully-wired bundle; pass ``logger`` to share an existing
-        event log (``capacity`` bounds a newly-created one)."""
+        event log (else an unbounded one is created)."""
         if logger is None:
-            logger = NetLogger(env, host=host, prog=prog,
-                               capacity=capacity)
+            logger = NetLogger(env)
         return cls(logger=logger,
                    metrics=MetricsRegistry(env, logger=logger),
                    tracer=Tracer(logger))

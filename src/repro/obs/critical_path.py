@@ -103,15 +103,6 @@ class CriticalPath:
         blame = max(sorted(times), key=lambda b: times[b])
         return blame, times[blame]
 
-    def telescopes(self, tol: float = 1e-6) -> bool:
-        """Do the stage durations sum to the end-to-end latency?
-
-        False means the log lost milestones for this file (ring-buffer
-        eviction) and its blame decomposition is untrustworthy.
-        """
-        covered = sum(stage.duration for stage in self.stages)
-        return abs(covered - (self.end - self.start)) <= tol
-
     def __repr__(self) -> str:
         dom = self.dominant()
         label = f"{dom[0]}={dom[1]:.2f}s" if dom else "empty"
@@ -180,8 +171,7 @@ class BottleneckReport:
 
 def attribute_bottleneck(
         source: Iterable[Union[Lifeline, CriticalPath]],
-        timeseries: Optional[TimeSeriesRecorder] = None,
-        busy_threshold: float = 0.9) -> BottleneckReport:
+        timeseries: Optional[TimeSeriesRecorder] = None) -> BottleneckReport:
     """Fold critical paths into a dominant-bottleneck report.
 
     ``source`` accepts lifelines (extracted on the fly) or pre-built
@@ -221,13 +211,12 @@ def attribute_bottleneck(
             key=lambda b: report.blame_totals[b])
     if timeseries is not None and report.dominant_stage is not None:
         report.resource = _join_resource(
-            report.dominant_stage, timeseries, t0, t1, busy_threshold)
+            report.dominant_stage, timeseries, t0, t1)
     return report
 
 
 def _join_resource(blame: str, ts: TimeSeriesRecorder, t0: float,
-                   t1: float, busy_threshold: float
-                   ) -> Optional[ResourceFinding]:
+                   t1: float) -> Optional[ResourceFinding]:
     """The busiest series of the blame's resource family over the
     window — the named answer to "which resource was saturated"."""
     prefixes = STAGE_RESOURCES.get(blame, ())
@@ -241,8 +230,7 @@ def _join_resource(blame: str, ts: TimeSeriesRecorder, t0: float,
         finding = ResourceFinding(
             series=name, mean=mean,
             peak=ts.peak(name, t0, t1) or 0.0,
-            busy_fraction=ts.busy_fraction(name, t0, t1,
-                                           busy_threshold) or 0.0)
+            busy_fraction=ts.busy_fraction(name, t0, t1) or 0.0)
         if best is None or finding.mean > best.mean:
             best = finding
     return best

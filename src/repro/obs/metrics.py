@@ -26,14 +26,17 @@ and write through it, so each kind has one write body.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.core import Environment
 
-#: Default histogram buckets: spans sim-seconds from RTT scale to the
+#: Histogram bucket bounds: span sim-seconds from RTT scale to the
 #: Figure 8 multi-hour scale (values beyond the last bound land in +Inf).
 DEFAULT_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0,
                    300.0, 1800.0)
+#: Distinct label sets each registry metric may hold before further new
+#: label sets fold into one shared overflow series.
+MAX_LABELSETS = 1024
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -300,13 +303,9 @@ class Histogram(Metric):
     kind = "histogram"
     child = HistogramChild
 
-    def __init__(self, env: Environment, name: str, help: str = "",
-                 buckets: Iterable[float] = DEFAULT_BUCKETS):
+    def __init__(self, env: Environment, name: str, help: str = ""):
         super().__init__(env, name, help)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds = bounds
+        self.bounds = DEFAULT_BUCKETS
         # per labelset: [counts per bound] + overflow; plus sum/count
         self._buckets: Dict[LabelKey, List[int]] = {}
         self._counts: Dict[LabelKey, int] = {}
@@ -339,17 +338,6 @@ class Histogram(Metric):
         engine's sliding-window quantiles."""
         row = self._buckets.get(_label_key(labels))
         return list(row) if row is not None else None
-
-    def quantile(self, q: float, **labels) -> Optional[float]:
-        """Quantile estimate, linearly interpolated within the bucket
-        holding the q-th observation; None if empty, ``inf`` when the
-        quantile lands in the unbounded overflow bucket."""
-        row = self._buckets.get(_label_key(labels))
-        if row is None:
-            if not (0.0 <= q <= 1.0):
-                raise ValueError("q must be in [0, 1]")
-            return None
-        return quantile_from_counts(self.bounds, row, q)
 
     def render(self) -> List[str]:
         name = _sanitize(self.name)
@@ -392,34 +380,26 @@ class Histogram(Metric):
 class MetricsRegistry:
     """Get-or-create home for every metric of a simulation run.
 
-    Parameters
-    ----------
-    max_labelsets:
-        Distinct label sets each metric may hold before further new
-        label sets fold into one shared overflow series (``None``
-        disables the guard). Folded samples are counted in
-        ``obs.labelsets_dropped_total{metric=...}`` and announced once
-        per metric as an ``obs.cardinality.overflow`` ULM warning.
-    logger:
-        Optional :class:`~repro.netlogger.log.NetLogger` the overflow
-        warning is emitted to (wired by ``Observability.create``).
+    Each metric it creates holds at most :data:`MAX_LABELSETS` distinct
+    label sets; further new label sets fold into one shared overflow
+    series. Folded samples are counted in
+    ``obs.labelsets_dropped_total{metric=...}`` and announced once per
+    metric as an ``obs.cardinality.overflow`` ULM warning to ``logger``
+    (an optional :class:`~repro.netlogger.log.NetLogger`, wired by
+    ``Observability.create``).
     """
 
-    def __init__(self, env: Environment,
-                 max_labelsets: Optional[int] = 1024, logger=None):
-        if max_labelsets is not None and max_labelsets < 1:
-            raise ValueError("max_labelsets must be >= 1 when set")
+    def __init__(self, env: Environment, logger=None):
         self.env = env
-        self.max_labelsets = max_labelsets
         self.logger = logger
         self._metrics: Dict[str, Metric] = {}
         self._overflow_warned: set = set()
 
-    def _get(self, cls, name: str, help: str, **kwargs) -> Metric:
+    def _get(self, cls, name: str, help: str) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(self.env, name, help, **kwargs)
-            metric.max_labelsets = self.max_labelsets
+            metric = cls(self.env, name, help)
+            metric.max_labelsets = MAX_LABELSETS
             metric._on_overflow = self._overflow
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
@@ -446,9 +426,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get(Histogram, name, help, buckets=buckets)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get(Histogram, name, help)
 
     def get(self, name: str) -> Optional[Metric]:
         """Look a metric up without creating it."""

@@ -24,7 +24,7 @@ injected faults that caused it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import Observability
@@ -33,6 +33,9 @@ from repro.obs.metrics import (
     count_over_threshold,
     quantile_from_counts,
 )
+
+#: Error-budget burn rate at/above which an SLO window counts as burning.
+BURN_THRESHOLD = 1.0
 
 #: objective keyword → (metric name, evaluation kind). Latency
 #: objectives read a tenant-labelled histogram; throughput objectives
@@ -66,9 +69,9 @@ class SloSpec:
         objectives only) — p95 bounds use the default 0.05.
     long_window / short_window:
         Sliding windows in simulated seconds (sustained vs current).
-    burn_threshold:
-        Error-budget burn rate at/above which a window counts as
-        burning; both windows must burn to open an alert.
+
+    A window burns when its error-budget burn rate reaches
+    :data:`BURN_THRESHOLD`; both windows must burn to open an alert.
     """
 
     name: str
@@ -78,7 +81,6 @@ class SloSpec:
     error_budget: float = 0.05
     long_window: float = 300.0
     short_window: float = 60.0
-    burn_threshold: float = 1.0
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -233,8 +235,8 @@ class SloEngine:
         for spec in self.specs:
             value_long, burn_long = self._burn(spec, spec.long_window)
             value_short, burn_short = self._burn(spec, spec.short_window)
-            breaching = (burn_long >= spec.burn_threshold
-                         and burn_short >= spec.burn_threshold)
+            breaching = (burn_long >= BURN_THRESHOLD
+                         and burn_short >= BURN_THRESHOLD)
             ev = SloEvaluation(now, spec.name, value_long, value_short,
                               burn_long, burn_short, breaching)
             out.append(ev)

@@ -32,6 +32,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Environment
 
+#: Utilization at/above which a window counts as busy (the bottleneck
+#: attribution's "saturated resource" test).
+BUSY_THRESHOLD = 0.9
+
 
 class TimeSeriesRecorder:
     """Aligned-window sampler over live probe callables.
@@ -44,26 +48,18 @@ class TimeSeriesRecorder:
         Window width in simulated seconds; samples are taken at
         multiples of it (the first at the next boundary at/after
         :meth:`start`).
-    max_samples:
-        Optional bound on retained ticks per series (oldest dropped) —
-        long campaigns cannot grow the recorder without limit.
     """
 
-    def __init__(self, env: Environment, interval: float = 5.0,
-                 max_samples: Optional[int] = None):
+    def __init__(self, env: Environment, interval: float = 5.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be >= 1 when set")
         self.env = env
         self.interval = float(interval)
-        self.max_samples = max_samples
         self._single: List[Tuple[str, Callable[[], float]]] = []
         self._multi: List[Callable[[], Dict[str, float]]] = []
         # per series: tick index -> value (dict keeps holes explicit)
         self._series: Dict[str, Dict[int, float]] = {}
         self._ticks: List[float] = []   # sample times, in order
-        self._dropped_ticks = 0         # ticks aged out by max_samples
         self.started = False
         self.samples_taken = 0
 
@@ -102,7 +98,7 @@ class TimeSeriesRecorder:
 
     def sample_now(self) -> None:
         """Evaluate every probe once at the current instant."""
-        tick = len(self._ticks) + self._dropped_ticks
+        tick = len(self._ticks)
         self._ticks.append(self.env.now)
         for name, fn in self._single:
             self._record(name, tick, fn())
@@ -110,14 +106,6 @@ class TimeSeriesRecorder:
             for name, value in fn().items():
                 self._record(name, tick, value)
         self.samples_taken += 1
-        if self.max_samples is not None \
-                and len(self._ticks) > self.max_samples:
-            horizon = tick - self.max_samples + 1
-            self._ticks = self._ticks[-self.max_samples:]
-            self._dropped_ticks = horizon
-            for data in self._series.values():
-                for old in [i for i in data if i < horizon]:
-                    del data[old]
 
     def _record(self, name: str, tick: int, value: float) -> None:
         self._series.setdefault(name, {})[tick] = float(value)
@@ -129,8 +117,7 @@ class TimeSeriesRecorder:
     def series(self, name: str) -> List[Tuple[float, Optional[float]]]:
         """(time, value) per tick; ``None`` where the probe had a hole."""
         data = self._series.get(name, {})
-        return [(t, data.get(i + self._dropped_ticks))
-                for i, t in enumerate(self._ticks)]
+        return [(t, data.get(i)) for i, t in enumerate(self._ticks)]
 
     def _window(self, name: str, t0: float, t1: float,
                 fill: Optional[float]) -> List[float]:
@@ -156,14 +143,15 @@ class TimeSeriesRecorder:
         vals = self._window(name, t0, t1, None)
         return max(vals) if vals else None
 
-    def busy_fraction(self, name: str, t0: float, t1: float,
-                      threshold: float = 0.9) -> Optional[float]:
-        """Fraction of windows in [t0, t1] at/above ``threshold``
-        (holes count as idle — an unreported resource was not busy)."""
+    def busy_fraction(self, name: str, t0: float,
+                      t1: float) -> Optional[float]:
+        """Fraction of windows in [t0, t1] at/above
+        :data:`BUSY_THRESHOLD` (holes count as idle — an unreported
+        resource was not busy)."""
         vals = self._window(name, t0, t1, 0.0)
         if not vals:
             return None
-        return sum(1 for v in vals if v >= threshold) / len(vals)
+        return sum(1 for v in vals if v >= BUSY_THRESHOLD) / len(vals)
 
     def __repr__(self) -> str:
         return (f"TimeSeriesRecorder({len(self._series)} series, "

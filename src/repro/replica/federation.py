@@ -55,6 +55,12 @@ from repro.replica.catalog import (
 from repro.rm.resilience import CircuitBreaker
 from repro.sim.core import Environment
 
+# Points each site contributes to the consistent-hash ring.
+VNODES = 64
+# Each shard's client-side circuit breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_RESET_TIMEOUT = 60.0
+
 
 def _h(text: str) -> int:
     """Deterministic 32-bit hash (no PYTHONHASHSEED dependence)."""
@@ -64,7 +70,7 @@ def _h(text: str) -> int:
 class ShardRouter:
     """Consistent-hash placement of collections onto catalog sites.
 
-    Each site contributes ``vnodes`` points on a 32-bit ring; a
+    Each site contributes ``VNODES`` points on a 32-bit ring; a
     collection's *home* is the owner of the first point at or after the
     collection's hash, and its *preference list* is the home plus the
     next ``replicas - 1`` distinct sites clockwise. Routing is total
@@ -72,8 +78,7 @@ class ShardRouter:
     collections whose points it owned).
     """
 
-    def __init__(self, sites: Iterable[str], replicas: int = 2,
-                 vnodes: int = 64):
+    def __init__(self, sites: Iterable[str], replicas: int = 2):
         self.sites = list(sites)
         if not self.sites:
             raise ValueError("need at least one site")
@@ -81,13 +86,10 @@ class ShardRouter:
             raise ValueError("duplicate site names")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.replicas = min(replicas, len(self.sites))
-        self.vnodes = vnodes
         ring = []
         for site in self.sites:
-            for v in range(vnodes):
+            for v in range(VNODES):
                 ring.append((_h(f"{site}#{v}"), site))
         # hash ties broken by site name: deterministic everywhere
         self._ring = sorted(ring)
@@ -120,7 +122,7 @@ class ShardRouter:
 
     def __repr__(self) -> str:
         return (f"ShardRouter({len(self.sites)} sites, "
-                f"replicas={self.replicas}, vnodes={self.vnodes})")
+                f"replicas={self.replicas})")
 
 
 @dataclass
@@ -168,16 +170,16 @@ class FederatedReplicaCatalog:
         request manager's verify-on-open + :meth:`demote` tolerate.
     obs:
         :class:`~repro.obs.Observability` bundle (unwired when omitted).
-    base_latency:
-        Per-operation cost of each shard's directory server.
+
+    Each shard's client-side breaker opens after
+    ``BREAKER_FAILURE_THRESHOLD`` consecutive failures and half-opens
+    ``BREAKER_RESET_TIMEOUT`` seconds later.
     """
 
     def __init__(self, env: Environment, sites: Iterable[str],
                  name: str = "esg", replication: int = 2,
                  sync_interval: float = 30.0, cache_ttl: float = 0.0,
-                 vnodes: int = 64, base_latency: float = 0.005,
-                 obs=None, breaker_failure_threshold: int = 3,
-                 breaker_reset_timeout: float = 60.0):
+                 obs=None):
         if sync_interval <= 0:
             raise ValueError("sync_interval must be positive")
         if cache_ttl < 0:
@@ -187,20 +189,18 @@ class FederatedReplicaCatalog:
         self.sync_interval = sync_interval
         self.cache_ttl = cache_ttl
         self.obs = obs or Observability()
-        self.router = ShardRouter(sites, replicas=replication,
-                                  vnodes=vnodes)
+        self.router = ShardRouter(sites, replicas=replication)
         self.sites: Dict[str, SiteCatalog] = {}
         for site in self.router.sites:
-            directory = DirectoryServer(env, f"rc-{name}-{site}",
-                                        base_latency=base_latency)
+            directory = DirectoryServer(env, f"rc-{name}-{site}")
             self.sites[site] = SiteCatalog(
                 site, ReplicaCatalog(env, directory=directory, name=name),
                 directory)
         self._site_order = list(self.router.sites)
         self._breakers = {
             site: CircuitBreaker(f"catalog:{site}",
-                                 breaker_failure_threshold,
-                                 breaker_reset_timeout, obs=self.obs)
+                                 BREAKER_FAILURE_THRESHOLD,
+                                 BREAKER_RESET_TIMEOUT, obs=self.obs)
             for site in self._site_order}
         # per-collection monotonic version (bumped by every home write)
         self._version: Dict[str, int] = {}

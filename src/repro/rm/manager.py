@@ -55,6 +55,9 @@ _TERMINAL = (FileState.DONE, FileState.FAILED, FileState.CANCELLED)
 # ranking): pessimistic by design so measured paths win.
 FALLBACK_BANDWIDTH = 125000.0  # bytes/s: 1 Mb/s
 FALLBACK_LATENCY = 0.1         # one-way seconds
+# Bytes/s the verify-on-arrival checksum scan processes (the disk-read
+# + CPU-hash pipeline).
+CHECKSUM_RATE = 150 * 2**20
 
 # Metric families of the per-file path (obs.children); failure paths
 # use the keyword helpers.
@@ -173,7 +176,10 @@ class RequestManager:
         Stages: "attempt" (a replica attempt starts), "delivered"
         (bytes landed), "verified" (digest matched), "integrity_failed"
         (digest mismatch — replica quarantined), "failed" (terminal
-        failure). Hooks must not yield.
+        failure). Hooks must not yield. A hook runs only at these
+        points, never mid-transfer, so it does not make the request
+        manager sample an attempt's progress: ``fr.bytes_done`` is
+        settled when the attempt ends.
         """
         self.hooks.append(fn)
 
@@ -182,17 +188,15 @@ class RequestManager:
             fn(stage, fr, info)
 
     def submit(self, requests: List[tuple],
-               file_deadline: Optional[float] = None,
-               ticket_deadline: Optional[float] = None,
                resolved: Optional[Dict[Tuple[str, str],
                                        List[LocationInfo]]] = None
                ) -> RequestTicket:
         """Accept a multi-file request; returns a live ticket.
 
         ``requests`` is a list of (collection, logical_file). One
-        simulated "thread" (process) runs per file, concurrently.
-        ``file_deadline``/``ticket_deadline`` are budgets in seconds from
-        now; unset, they default to the resilience policy's values.
+        simulated "thread" (process) runs per file, concurrently. The
+        resilience policy's ``file_deadline``/``ticket_deadline``, when
+        set, are budgets in seconds from now.
 
         ``resolved`` optionally maps (collection, logical_file) → the
         pre-resolved :class:`LocationInfo` list for that file. Files
@@ -201,10 +205,8 @@ class RequestManager:
         ``locations()`` sweep instead of 10⁴ timed LDAP searches.
         """
         res = self.resilience
-        if file_deadline is None and res is not None:
-            file_deadline = res.file_deadline
-        if ticket_deadline is None and res is not None:
-            ticket_deadline = res.ticket_deadline
+        file_deadline = res.file_deadline if res is not None else None
+        ticket_deadline = res.ticket_deadline if res is not None else None
         now = self.env.now
         files = [FileRequest(collection=c, logical_file=f)
                  for c, f in requests]
@@ -779,11 +781,13 @@ class RequestManager:
     def _sampled(self, ticket: RequestTicket,
                  policy: Optional[ReliabilityPolicy]) -> bool:
         """Whether anything reads an attempt's progress before it ends:
-        the reliability plug-in (its rate samples), a lifecycle hook or
-        a :class:`~repro.rm.monitor.TransferMonitor` on the ticket
-        (``fr.bytes_done`` and ``fr.state``). Decided when the attempt
-        starts; only such an attempt samples its progress."""
-        return policy is not None or bool(self.hooks) or ticket.monitored
+        the reliability plug-in (its rate samples) or a
+        :class:`~repro.rm.monitor.TransferMonitor` on the ticket
+        (``fr.bytes_done`` and ``fr.state``). A lifecycle hook does not
+        count: it runs when an attempt starts or after it ends, never
+        mid-transfer. Decided when the attempt starts; only such an
+        attempt samples its progress."""
+        return policy is not None or ticket.monitored
 
     def _sample_progress(self, transfer, handle: TransferHandle,
                          fr: FileRequest, poll: float,
@@ -825,7 +829,7 @@ class RequestManager:
         Simulation process returning ``(ok, error_text)``. A no-op when
         verification is disabled or the catalog holds no publish-time
         digest for the file. The checksum scan is cost-modeled at
-        ``cfg.checksum_rate`` and runs while the attempt's scheduler
+        ``CHECKSUM_RATE`` and runs while the attempt's scheduler
         grant is still held, so verification load stays visible to
         admission control. On a mismatch the source replica is
         quarantined (demoted in future selections), the bad local copy
@@ -838,7 +842,7 @@ class RequestManager:
                                                     fr.logical_file)
         if expected is None:
             return True, ""
-        scan = stats.transferred_bytes / cfg.checksum_rate
+        scan = stats.transferred_bytes / CHECKSUM_RATE
         if scan > 0:
             yield self.env.timeout(scan)
         fr.verify_seconds += scan

@@ -14,12 +14,16 @@ samples periodically and keeps history for tests/benchmarks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.obs import Observability
 from repro.rm.manager import RequestManager
-from repro.rm.request import FileState, RequestTicket
+from repro.rm.request import RequestTicket
 from repro.sim.core import Environment
+
+# Width of a file's progress bar, and the newest ticket records shown.
+BAR_WIDTH = 30
+MAX_MESSAGES = 24
 
 
 class TransferMonitor:
@@ -59,8 +63,8 @@ class TransferMonitor:
         return out[-limit:]
 
     # -- rendering --------------------------------------------------------
-    def render(self, bar_width: int = 30, max_messages: int = 24) -> str:
-        """A Figure 4-style text snapshot (``max_messages`` newest
+    def render(self) -> str:
+        """A Figure 4-style text snapshot (the ``MAX_MESSAGES`` newest
         records: about ten per file of a finished ticket)."""
         t = self.env.now
         lines = [f"=== Request #{self.ticket.id} at t={t:.1f}s ==="]
@@ -68,7 +72,7 @@ class TransferMonitor:
         for fr in self.ticket.files:
             pct = 100.0 * fr.fraction
             lines.append(
-                f"{fr.logical_file:<42} {fr.progress_bar(bar_width)} "
+                f"{fr.logical_file:<42} {fr.progress_bar(BAR_WIDTH)} "
                 f"{pct:5.1f}%  {fr.bytes_done / 2**20:8.1f}/"
                 f"{fr.size / 2**20:8.1f} MiB  [{fr.state.value}]")
         total = self.ticket.bytes_done
@@ -82,7 +86,7 @@ class TransferMonitor:
                                 f"{'es' if fr.replica_switches != 1 else ''})"
                                 if fr.replica_switches else ""))
         lines.append("--- Messages ---")
-        for r in self._ticket_events(max_messages):
+        for r in self._ticket_events(MAX_MESSAGES):
             if r.event == "rm.message":
                 text = r.fields["text"]
             else:

@@ -49,6 +49,10 @@ from repro.storage.filesystem import FileSystem
 
 HOURS = 3600.0
 COMMODITY_CAPACITY = mbps(155)     # the shared Dallas→Chicago path
+# Background loss events per second per stream on the commodity path.
+LOSS_RATE = 0.05
+# A bin below this fraction of the plateau counts as an outage bin.
+OUTAGE_FRACTION = 0.1
 
 
 def default_fault_schedule() -> FaultSchedule:
@@ -97,10 +101,10 @@ class Figure8Result:
         number (bytes/s)."""
         return float(np.percentile(self.bin_rates, 90))
 
-    def outage_bins(self, threshold_fraction: float = 0.1) -> int:
-        """Bins below ``threshold_fraction`` of the plateau."""
+    def outage_bins(self) -> int:
+        """Bins below ``OUTAGE_FRACTION`` of the plateau."""
         return int(np.sum(self.bin_rates
-                          < threshold_fraction * self.plateau_rate))
+                          < OUTAGE_FRACTION * self.plateau_rate))
 
 
 class CommodityTestbed:
@@ -115,14 +119,10 @@ class CommodityTestbed:
         bottleneck (~80 Mb/s), as the paper observed.
     one_way_latency:
         Dallas→Chicago commodity latency (~12 ms one-way).
-    loss_rate:
-        Background loss events per second per stream on the shared
-        commodity path.
     """
 
     def __init__(self, seed: int = 0, disk_rate: float = 10 * 2**20,
-                 one_way_latency: float = 0.012,
-                 loss_rate: float = 0.05):
+                 one_way_latency: float = 0.012):
         self.env = Environment(seed=seed)
         env = self.env
         ws_spec = HostSpec(
@@ -156,7 +156,6 @@ class CommodityTestbed:
                                     credential_chain=sid.chain,
                                     hostname="dallas-ws.scinet")
         self.registry = {"dallas-ws.scinet": self.server}
-        self.loss_rate = loss_rate
         self.client = GridFtpClient(
             env, self.transport, self.registry,
             credential_chain=user.make_proxy(env.now))
@@ -171,14 +170,11 @@ def run_figure8_schedule(testbed: CommodityTestbed,
                          faults: Optional[FaultSchedule] = None,
                          parallelism: Optional[List[Tuple[float, int]]]
                          = None,
-                         channel_caching: bool = False,
-                         file_bytes: float = 2 * GB,
                          bin_seconds: float = 120.0) -> Figure8Result:
     """Repeat 2 GB transfers for ``duration`` seconds under faults.
 
-    ``channel_caching=False`` reproduces the SC'2000 behaviour (teardown
-    and re-authentication between consecutive transfers — the frequent
-    dips); True reproduces the post-SC'2000 improvement.
+    Every transfer tears its session and data channels down and the next
+    one re-authenticates, as at SC'2000 (the frequent dips).
     """
     env = testbed.env
     if faults is None:
@@ -201,10 +197,8 @@ def run_figure8_schedule(testbed: CommodityTestbed,
         while env.now < duration:
             n = streams_at(env.now)
             cfg = GridFtpConfig(parallelism=n, buffer_bytes=1 * MB,
-                                channel_caching=channel_caching,
                                 stall_timeout=30.0, retry_backoff=10.0,
-                                retry_limit=1000,
-                                loss_rate=testbed.loss_rate)
+                                retry_limit=1000, loss_rate=LOSS_RATE)
             try:
                 session = yield from testbed.client.connect(
                     testbed.dst_host, "dallas-ws.scinet", cfg)
@@ -226,9 +220,8 @@ def run_figure8_schedule(testbed: CommodityTestbed,
                 testbed.logger.event("transfer.failed", copy=copy)
                 session.close()
                 continue
-            if not channel_caching:
-                session.close()
-                testbed.client.channel_cache.drain()
+            session.close()
+            testbed.client.channel_cache.drain()
             all_series.extend(stats.series)
             counts["done"] += 1
             counts["restarts"] += stats.restarts

@@ -95,6 +95,10 @@ _SITES: List[Tuple[str, float, float]] = [
     ("llnl", 0.019, mbps(155)),
 ]
 
+# Each fleet PoP's downlink and its one-way latency to the backbone.
+FLEET_DOWNLINK = mbps(622)
+FLEET_LATENCY = 0.010
+
 
 class EsgTestbed:
     """The full prototype stack on one simulated WAN.
@@ -280,10 +284,12 @@ class EsgTestbed:
         self.nws = NetworkWeatherService(env, self.network, mds=self.mds,
                                          rng=env.rng.stream("nws"),
                                          obs=self.obs)
+        # One configuration object for the client and the main RM.
+        config = config or GridFtpConfig(parallelism=4)
         self.gridftp = GridFtpClient(
             env, self.transport, self.registry,
             credential_chain=self.user.make_proxy(env.now),
-            config=config or GridFtpConfig(parallelism=4), obs=self.obs)
+            config=config, obs=self.obs)
         self.replica_manager = ReplicaManager(env, self.replica_catalog,
                                               self.gridftp)
         # Shared across every tenant RM so admission control is global.
@@ -292,8 +298,7 @@ class EsgTestbed:
         self.request_manager = RequestManager(
             env, self.replica_catalog, self.mds, self.gridftp,
             self.registry, self.client_host, self.client_fs,
-            nws=self.nws,
-            config=config or GridFtpConfig(parallelism=4),
+            nws=self.nws, config=config,
             resilience=resilience, obs=self.obs,
             scheduler=self.scheduler, tenant="client")
 
@@ -426,7 +431,7 @@ class EsgTestbed:
         """
         from repro.gridftp.client import GridFtpClient
         from repro.rm.manager import RequestManager
-        spec = HostSpec(nic_rate=downlink, bus_rate=None,
+        spec = HostSpec(nic_rate=FLEET_DOWNLINK, bus_rate=None,
                         cpu=CpuModel(coalesce=4),
                         disk=DiskArray(DiskSpec(rate=20 * 2**20),
                                        count=1))
@@ -445,7 +450,6 @@ class EsgTestbed:
         return rm
 
     def add_fleet(self, n_users: int, users_per_pop: int = 32,
-                  downlink: float = mbps(622), latency: float = 0.010,
                   config: Optional[GridFtpConfig] = None):
         """Attach ``n_users`` user desktops grouped behind shared
         points of presence — the fleet-construction fast path.
@@ -453,8 +457,9 @@ class EsgTestbed:
         Where :meth:`add_client` builds a host, WAN link, proxy
         credential, and GridFTP client *per user*, a fleet shares all
         of that per PoP (``users_per_pop`` users each): one proxy
-        delegation for the whole fleet, one PoP host and uplink, and
-        one GridFTP client (so its channel cache pools warm data
+        delegation for the whole fleet, one PoP host and uplink
+        (:data:`FLEET_DOWNLINK`, :data:`FLEET_LATENCY`), and one GridFTP
+        client (so its channel cache pools warm data
         channels across the PoP's users). Each user still gets a
         private filesystem and request manager. Because a PoP's users
         share the host node, their transfers from one server share the
@@ -470,7 +475,7 @@ class EsgTestbed:
             raise ValueError("users_per_pop must be >= 1")
         cfg = config or fleet_config()
         proxy = self.user.make_proxy(self.env.now)
-        spec = HostSpec(nic_rate=downlink, bus_rate=None,
+        spec = HostSpec(nic_rate=FLEET_DOWNLINK, bus_rate=None,
                         cpu=CpuModel(coalesce=8),
                         disk=DiskArray(DiskSpec(rate=80 * 2**20),
                                        count=4))
@@ -478,7 +483,8 @@ class EsgTestbed:
         n_pops = (n_users + users_per_pop - 1) // users_per_pop
         for p in range(n_pops):
             pop = f"pop{p}"
-            host = self._attach_host(pop, spec, downlink, latency)
+            host = self._attach_host(pop, spec, FLEET_DOWNLINK,
+                                     FLEET_LATENCY)
             client = GridFtpClient(
                 self.env, self.transport, self.registry,
                 credential_chain=proxy, config=cfg,

@@ -58,6 +58,8 @@ ONE_WAY_LATENCY = 0.007       # WAN propagation: 10–20 ms RTT
 # coalescing at SC"; jumbo frames were unavailable, so the CPU still
 # topped out well below GbE line rate).
 COALESCING = 2
+# Random-loss events per second per stream on the shared path.
+LOSS_RATE = 0.15
 PARTITION_BYTES = 2 * GB / N_HOSTS    # each server's share of the file
 COPIES_PER_SERVER = 4         # concurrent partition copies per server
 
@@ -95,14 +97,11 @@ class ScinetTestbed:
     ----------
     seed:
         Random seed (loss events).
-    loss_rate:
-        Random-loss events per second per stream on the shared path.
     """
 
-    def __init__(self, seed: int = 0, loss_rate: float = 0.15):
+    def __init__(self, seed: int = 0):
         self.env = Environment(seed=seed)
         env = self.env
-        self.loss_rate = loss_rate
         self.topology = Topology("scinet")
         ws_spec = HostSpec(
             nic_rate=gbps(1), bus_rate=None,
@@ -159,7 +158,7 @@ class ScinetTestbed:
             self.servers.append(server)
         self.transfer_config = GridFtpConfig(
             parallelism=1, buffer_bytes=1 * MB, stall_timeout=30.0,
-            retry_backoff=2.0, loss_rate=loss_rate)
+            retry_backoff=2.0, loss_rate=LOSS_RATE)
         self.client = GridFtpClient(
             env, self.transport, self.registry,
             credential_chain=user.make_proxy(env.now),

@@ -8,6 +8,9 @@ from typing import Dict, Optional
 from repro.sim.core import Environment
 from repro.storage.filesystem import FileObject, NoSpaceError
 
+# Fraction of the cache that prefetched (speculative) entries may hold.
+PREFETCH_SHARE = 0.5
+
 
 class DiskCache:
     """An LRU-evicting byte cache over a staging disk.
@@ -21,7 +24,7 @@ class DiskCache:
     or ``"prefetch"`` (the HRM staged them speculatively). Prefetch is
     admitted under a strict policy so speculation can never hurt demand:
 
-    - prefetch entries may hold at most ``prefetch_share`` of capacity;
+    - prefetch entries may hold at most ``PREFETCH_SHARE`` of capacity;
     - inserting a prefetch entry may evict only *unpinned prefetch*
       entries — never demand data, never pinned data;
     - demand inserts evict unpinned prefetch entries first (speculative
@@ -32,15 +35,13 @@ class DiskCache:
     """
 
     def __init__(self, env: Environment, capacity: float,
-                 name: str = "cache", prefetch_share: float = 0.5):
+                 name: str = "cache"):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if not (0.0 <= prefetch_share <= 1.0):
-            raise ValueError("prefetch_share must be in [0, 1]")
         self.env = env
         self.name = name
         self.capacity = capacity
-        self.prefetch_share = prefetch_share
+        self.prefetch_share = PREFETCH_SHARE
         self._entries: "OrderedDict[str, FileObject]" = OrderedDict()
         self._pins: Dict[str, int] = {}
         self._kinds: Dict[str, str] = {}

@@ -64,15 +64,13 @@ class FileSystem:
         Simulation environment.
     name:
         Label for error messages (usually ``host.name``).
-    capacity:
-        Total bytes available.
+
+    Space is unbounded; ``used`` counts the bytes stored.
     """
 
-    def __init__(self, env: Environment, name: str,
-                 capacity: float = float("inf")):
+    def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.capacity = capacity
         self._files: Dict[str, FileObject] = {}
         self.used = 0.0
 
@@ -82,11 +80,6 @@ class FileSystem:
         existing = self._files.get(file.name)
         if existing is not None and not overwrite:
             raise FileExistsError_(f"{self.name}:{file.name}")
-        freed = existing.size if existing is not None else 0.0
-        if self.used - freed + file.size > self.capacity:
-            raise NoSpaceError(
-                f"{self.name}: need {file.size:.0f}B, "
-                f"free {self.capacity - self.used + freed:.0f}B")
         if existing is not None:
             self.used -= existing.size
         file.created_at = self.env.now

@@ -27,16 +27,14 @@ class MassStorageSystem:
 
     def __init__(self, env: Environment, cache_capacity: float,
                  drives: int = 2, tape_spec: Optional[TapeSpec] = None,
-                 name: str = "hpss", tape_policy: str = "batch",
-                 prefetch_share: float = 0.5, obs=None):
+                 name: str = "hpss", tape_policy: str = "batch", obs=None):
         self.env = env
         self.name = name
         self.obs = obs or Observability()
         self.tape = TapeLibrary(env, drives=drives, spec=tape_spec,
                                 name=f"{name}-tape", policy=tape_policy,
                                 obs=self.obs)
-        self.cache = DiskCache(env, cache_capacity, name=f"{name}-cache",
-                               prefetch_share=prefetch_share)
+        self.cache = DiskCache(env, cache_capacity, name=f"{name}-cache")
         self.stage_count = 0
         self.migrations = 0
 

@@ -15,11 +15,11 @@ instead of serving them strictly FIFO:
 - a job whose cartridge is **already loaded in an idle drive** goes to
   that drive, never paying a spurious rewind+mount;
 - **starvation is bounded by aging**: every grant that bypasses a queued
-  job increments its age, and once ``age >= aging_rounds`` the oldest
+  job increments its age, and once ``age >= AGING_ROUNDS`` the oldest
   aged job (smallest sequence number) is granted next regardless of
   mount cost. A job enqueued with ``backlog`` older jobs waiting is
-  therefore bypassed at most ``aging_rounds + backlog`` times: after
-  ``aging_rounds`` bypasses it is aged, and each further bypass must
+  therefore bypassed at most ``AGING_ROUNDS + backlog`` times: after
+  ``AGING_ROUNDS`` bypasses it is aged, and each further bypass must
   grant an aged job with a smaller sequence number — there are at most
   ``backlog`` of those, and each is granted once. (Same proof shape as
   the transfer scheduler's priority-aging bound.)
@@ -46,6 +46,8 @@ from repro.storage.filesystem import FileObject
 #: Job priorities: demand staging outranks speculative prefetch.
 PRIORITY_DEMAND = 0
 PRIORITY_PREFETCH = 1
+# Bypasses after which a queued job is granted ahead of mount cost.
+AGING_ROUNDS = 8
 
 _MOUNTS = Family(Counter, "tape.mounts_total", "library", "drive")
 
@@ -195,18 +197,16 @@ class TapeLibrary:
 
     def __init__(self, env: Environment, drives: int = 2,
                  spec: Optional[TapeSpec] = None, name: str = "tape",
-                 policy: str = "batch", aging_rounds: int = 8, obs=None):
+                 policy: str = "batch", obs=None):
         if drives < 1:
             raise ValueError("need at least one drive")
         if policy not in ("batch", "fifo"):
             raise ValueError(f"unknown tape policy {policy!r}")
-        if aging_rounds < 1:
-            raise ValueError("aging_rounds must be >= 1")
         self.env = env
         self.name = name
         self.spec = spec or TapeSpec()
         self.policy = policy
-        self.aging_rounds = aging_rounds
+        self.aging_rounds = AGING_ROUNDS
         self.obs = obs or Observability()
         self.drives = [TapeDrive(f"{name}-drive{i}") for i in range(drives)]
         self._catalog: Dict[str, Tuple[str, float, FileObject]] = {}

@@ -43,7 +43,7 @@ def test_render_field_rejects_non_2d():
 def test_render_profile():
     lat = np.array([-45.0, 0.0, 45.0])
     values = np.array([1.0, 3.0, 2.0])
-    out = render_profile(values, lat, title="zonal", units="K")
+    out = render_profile(values, lat, title="zonal")
     lines = out.splitlines()
     assert lines[0] == "zonal"
     # North at the top: 45.0 first.
@@ -73,8 +73,3 @@ def test_render_timeseries_validation():
     with pytest.raises(ValueError):
         render_timeseries(np.array([]))
 
-
-def test_render_timeseries_width_resampling():
-    out = render_timeseries(np.arange(1000.0), height=4, width=20)
-    body = out.splitlines()[:-1]
-    assert all(len(row) <= 20 for row in body)

@@ -1,9 +1,12 @@
 """Tests for the GSI stand-in: certs, proxies, mutual auth."""
 
+import dataclasses
+
 import pytest
 
 from repro.gsi import (
     AuthenticationError,
+    Certificate,
     CertificateAuthority,
     CredentialError,
     GsiContext,
@@ -12,6 +15,7 @@ from repro.gsi import (
     SecurityPolicy,
     TrustAnchors,
 )
+from repro.gsi import credentials
 from repro.sim import Environment
 
 
@@ -49,7 +53,6 @@ def test_untrusted_ca_rejected():
 def test_tampered_cert_rejected():
     ca, trust = pki()
     ident = Identity("/CN=alice", ca, trust)
-    import dataclasses
     forged = dataclasses.replace(ident.certificate, subject="/CN=eve")
     with pytest.raises(CredentialError, match="bad signature"):
         trust.verify(forged, now=0.0)
@@ -57,16 +60,20 @@ def test_tampered_cert_rejected():
 
 def test_expired_cert_rejected():
     ca, trust = pki()
-    ident = Identity("/CN=alice", ca, trust, not_after=100.0)
-    trust.verify(ident.certificate, now=99.0)
+    unsigned = Certificate("/CN=alice", KeyPair.generate("alice").public,
+                           ca.name, 100.0, "")
+    cert = dataclasses.replace(unsigned,
+                               signature=ca.keys.sign(unsigned.payload))
+    trust.verify(cert, now=99.0)
     with pytest.raises(CredentialError, match="expired"):
-        trust.verify(ident.certificate, now=101.0)
+        trust.verify(cert, now=101.0)
 
 
-def test_proxy_chain_verifies_and_expires():
+def test_proxy_chain_verifies_and_expires(monkeypatch):
+    monkeypatch.setattr(credentials, "PROXY_LIFETIME", 3600.0)
     ca, trust = pki()
     ident = Identity("/CN=alice", ca, trust)
-    chain = ident.make_proxy(now=0.0, lifetime=3600.0)
+    chain = ident.make_proxy(now=0.0)
     assert trust.verify_chain(chain, now=100.0) == "/CN=alice"
     with pytest.raises(CredentialError, match="proxy.*expired"):
         trust.verify_chain(chain, now=4000.0)

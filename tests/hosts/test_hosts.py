@@ -57,7 +57,7 @@ def test_single_disk_has_no_raid_overhead():
 
 
 def test_raid_scales_with_overhead():
-    d = DiskArray(DiskSpec(rate=30 * 2**20), count=4, raid_overhead=0.05)
+    d = DiskArray(DiskSpec(rate=30 * 2**20), count=4)
     assert d.rate == pytest.approx(4 * 30 * 2**20 * 0.95)
 
 
@@ -66,8 +66,6 @@ def test_disk_validation():
         DiskSpec(rate=0)
     with pytest.raises(ValueError):
         DiskArray(count=0)
-    with pytest.raises(ValueError):
-        DiskArray(raid_overhead=1.0)
 
 
 # -- HostSpec -----------------------------------------------------------------

@@ -10,20 +10,20 @@ times as many events per user.) It counts events; it times nothing.
 """
 
 from repro.net import mbps
-from repro.scenarios import EsgTestbed
+from repro.scenarios import EsgTestbed, esg
 from repro.scenarios.esg import fleet_config
 
 MiB = 2**20
 USERS = 40
 
 
-def _wave(downlink: float):
+def _wave(downlink: float, monkeypatch):
     """(kernel events dispatched per user, makespan) of one wave."""
+    monkeypatch.setattr(esg, "FLEET_DOWNLINK", downlink)
     tb = EsgTestbed(seed=31, with_tape=False, file_size_override=8 * MiB,
                     aggregation_threshold=2, log_capacity=4096)
     tb.warm_nws(90.0)
-    rms = tb.add_fleet(USERS, users_per_pop=USERS, downlink=downlink,
-                       config=fleet_config())
+    rms = tb.add_fleet(USERS, users_per_pop=USERS, config=fleet_config())
     ds = tb.dataset_ids()[0]
     name = tb.metadata_catalog.resolve(ds, "tas")[0]
     before = tb.env.kernel_stats["events_dispatched"]
@@ -36,9 +36,9 @@ def _wave(downlink: float):
     return events / USERS, makespan
 
 
-def test_events_per_user_do_not_grow_with_the_makespan():
-    fast_events, fast_makespan = _wave(mbps(622))
-    slow_events, slow_makespan = _wave(mbps(20))
+def test_events_per_user_do_not_grow_with_the_makespan(monkeypatch):
+    fast_events, fast_makespan = _wave(mbps(622), monkeypatch)
+    slow_events, slow_makespan = _wave(mbps(20), monkeypatch)
     assert slow_makespan >= 4 * fast_makespan
     ratio = max(fast_events, slow_events) / min(fast_events, slow_events)
     assert ratio <= 1.2, (

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.ldap import DirectoryError, DirectoryServer, Scope
+from repro.ldap import DirectoryError, DirectoryServer, Scope, directory
 from repro.sim import Environment
 
 
 def server():
     env = Environment()
-    d = DirectoryServer(env, "test", base_latency=0.005, scan_cost=1e-6)
+    d = DirectoryServer(env, "test", base_latency=0.005)
     d.add("o=esg", {"objectclass": "organization"})
     d.add("lc=CO2 1998,o=esg", {"objectclass": "collection",
                                 "year": "1998"})
@@ -131,7 +131,8 @@ def test_delete_recursive():
     assert not d.exists("lf=jan.nc,lc=CO2 1998,o=esg")
 
 
-def test_timed_query_costs_latency_plus_scan():
+def test_timed_query_costs_latency_plus_scan(monkeypatch):
+    monkeypatch.setattr(directory, "SCAN_COST", 1e-6)
     env, d = server()
 
     def main(env, d):

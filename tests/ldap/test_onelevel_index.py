@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ldap import DN, DirectoryError, DirectoryServer, Scope
+from repro.ldap import DN, DirectoryError, DirectoryServer, Scope, directory
 from repro.ldap.filters import compile_filter
 from repro.sim import Environment
 
@@ -136,7 +136,7 @@ def test_indexed_one_level_search_matches_brute_force(ops):
             got, start = timed(d, target, op[2])
             assert got == want
             assert d.env.now == start + (d.base_latency
-                                         + d.scan_cost * len(kids))
+                                         + directory.SCAN_COST * len(kids))
             assert d.entries_scanned - scanned == len(kids)
         else:  # search under every entry, so stale slots anywhere show
             for key, dn in list(live.items()):
@@ -174,7 +174,7 @@ def test_only_conjunctive_objectclass_equality_is_tagged(text, tag):
 
 
 def collection(env):
-    d = DirectoryServer(env, "rc", base_latency=0.01, scan_cost=0.001)
+    d = DirectoryServer(env, "rc", base_latency=0.01)
     d.add(ROOT, {"objectclass": "top"})
     for i in range(6):
         d.add(f"lf=f{i},{ROOT}", {"objectclass": "logicalfile"})
@@ -185,7 +185,8 @@ def collection(env):
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
-def test_query_answers_from_its_arrival_snapshot(rebuild):
+def test_query_answers_from_its_arrival_snapshot(rebuild, monkeypatch):
+    monkeypatch.setattr(directory, "SCAN_COST", 0.001)
     env = Environment()
     d = collection(env)
     text = "(&(objectclass=location)(filename=x.nc))"

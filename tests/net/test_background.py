@@ -80,9 +80,6 @@ def test_modulator_validation():
     with pytest.raises(ValueError):
         LinkLoadModulator(env, net, link, mean_load=0.5, rng=rng,
                           interval=0)
-    with pytest.raises(ValueError):
-        LinkLoadModulator(env, net, link, mean_load=0.5, rng=rng,
-                          floor=0.9, ceiling=0.1)
 
 
 def test_modulator_determinism():

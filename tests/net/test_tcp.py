@@ -10,7 +10,6 @@ from repro.net import (
     Topology,
     bdp_buffer_size,
     mbps,
-    to_mbps,
 )
 from repro.sim import Environment
 
@@ -105,16 +104,6 @@ def test_warm_stream_skips_slow_start():
     env.run(until=f2.done)
     series = rec.close(env.now)
     assert series.rates[0] == pytest.approx(params.buffer_bytes / 0.050)
-
-
-def test_reset_cools_window():
-    env, topo, net = net_fixture()
-    stream = TcpStream(env, 0.05, TcpParams(buffer_bytes=1024 * 1024))
-    stream.cwnd = 500000.0
-    stream.losses = 3
-    stream.reset()
-    assert stream.cwnd == stream.params.init_cwnd
-    assert stream.losses == 0
 
 
 def test_losses_reduce_throughput():

@@ -4,13 +4,11 @@ import pytest
 
 from repro.net import (
     ConnectionRefused,
-    DnsError,
     FaultInjector,
     FaultSchedule,
     FlowError,
     FluidNetwork,
     NameService,
-    RateRecorder,
     TcpParams,
     Topology,
     Transport,
@@ -71,18 +69,6 @@ def test_connect_unknown_destination_refused():
 
     env.process(main(env))
     env.run()
-
-
-def test_handshake_cost_added():
-    env, topo, net, ns, tr = fixture()
-
-    def main(env):
-        yield from tr.connect("A", "B", handshake_cost=1.0)
-        return env.now
-
-    p = env.process(main(env))
-    env.run()
-    assert p.value == pytest.approx(1.03)
 
 
 def start_flow(net, conn, nbytes):

@@ -54,11 +54,9 @@ def test_exp_smoothing():
         ExpSmoothingForecaster(alpha=1.5)
 
 
-def test_adaptive_empty_and_validation():
+def test_adaptive_empty():
     assert AdaptiveForecaster().predict() is None
     assert AdaptiveForecaster().best_name is None
-    with pytest.raises(ValueError):
-        AdaptiveForecaster([])
 
 
 def test_adaptive_tracks_constant_series():

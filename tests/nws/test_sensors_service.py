@@ -4,7 +4,7 @@ import pytest
 
 from repro.mds import MdsService
 from repro.net import FluidNetwork, Topology, mbps
-from repro.nws import NetworkSensor, NetworkWeatherService
+from repro.nws import NetworkSensor, NetworkWeatherService, sensors
 from repro.sim import Environment
 
 
@@ -17,7 +17,7 @@ def net_fixture(capacity=mbps(100), latency=0.01):
 
 def test_probe_measures_free_path():
     env, topo, net = net_fixture()
-    sensor = NetworkSensor(env, net, "A", "B", probe_bytes=64 * 1024)
+    sensor = NetworkSensor(env, net, "A", "B")
 
     def main():
         result = yield from sensor.probe_once()
@@ -48,10 +48,11 @@ def test_probe_sees_congestion():
     assert p.value == pytest.approx(mbps(50), rel=0.1)
 
 
-def test_probe_times_out_on_dead_path():
+def test_probe_times_out_on_dead_path(monkeypatch):
+    monkeypatch.setattr(sensors, "TIMEOUT", 5.0)
     env, topo, net = net_fixture()
     topo.links["A<->B:fwd"].set_down()
-    sensor = NetworkSensor(env, net, "A", "B", timeout=5.0)
+    sensor = NetworkSensor(env, net, "A", "B")
 
     def main():
         result = yield from sensor.probe_once()
@@ -64,18 +65,11 @@ def test_probe_times_out_on_dead_path():
     assert sensor.probes_timed_out == 1
 
 
-def test_sensor_validation():
-    env, topo, net = net_fixture()
-    with pytest.raises(ValueError):
-        NetworkSensor(env, net, "A", "B", period=0)
-    with pytest.raises(ValueError):
-        NetworkSensor(env, net, "A", "B", probe_bytes=0)
-
-
-def test_periodic_sensor_feeds_service():
+def test_periodic_sensor_feeds_service(monkeypatch):
+    monkeypatch.setattr(sensors, "PERIOD", 10.0)
     env, topo, net = net_fixture()
     nws = NetworkWeatherService(env, net)
-    nws.monitor("A", "B", period=10.0)
+    nws.monitor("A", "B")
     env.run(until=65.0)
     fc = nws.forecast("A", "B")
     assert fc is not None
@@ -101,10 +95,11 @@ def test_observe_external_measurement():
     assert fc.bandwidth == pytest.approx(mbps(42))
 
 
-def test_forecast_tracks_outage_and_recovery():
+def test_forecast_tracks_outage_and_recovery(monkeypatch):
+    monkeypatch.setattr(sensors, "PERIOD", 5.0)
     env, topo, net = net_fixture()
     nws = NetworkWeatherService(env, net)
-    nws.monitor("A", "B", period=5.0)
+    nws.monitor("A", "B")
     link = topo.links["A<->B:fwd"]
 
     def outage(env):
@@ -124,11 +119,12 @@ def test_forecast_tracks_outage_and_recovery():
     assert fc_after.bandwidth > fc_during.bandwidth
 
 
-def test_nws_publishes_into_mds():
+def test_nws_publishes_into_mds(monkeypatch):
+    monkeypatch.setattr(sensors, "PERIOD", 10.0)
     env, topo, net = net_fixture()
     mds = MdsService(env)
     nws = NetworkWeatherService(env, net, mds=mds)
-    nws.monitor("A", "B", period=10.0)
+    nws.monitor("A", "B")
     env.run(until=35.0)
 
     def main():

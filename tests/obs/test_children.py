@@ -7,6 +7,7 @@ import pytest
 from repro.netlogger import NetLogger
 from repro.obs import (Counter, Family, Gauge, Histogram, MetricsRegistry,
                        Observability)
+from repro.obs import metrics
 from repro.obs.metrics import NOOP_CHILD, OVERFLOW_KEY
 from repro.sim import Environment
 
@@ -19,12 +20,12 @@ TOTAL = Family(Counter, "cache.requests_total")
 
 
 @pytest.fixture
-def obs():
+def obs(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_LABELSETS", 2)
     env = Environment()
     logger = NetLogger(env)
     return Observability(logger=logger,
-                         metrics=MetricsRegistry(env, max_labelsets=2,
-                                                 logger=logger))
+                         metrics=MetricsRegistry(env, logger=logger))
 
 
 def _warnings(obs):

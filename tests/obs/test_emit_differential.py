@@ -21,6 +21,7 @@ import pytest
 from repro.campaign import ReplicationCampaign, plan_campaign
 from repro.gridftp.protocol import GridFtpConfig
 from repro.net import FaultSchedule, mbps
+from repro.obs import metrics
 from repro.rm.scheduler import SchedulerConfig
 from repro.scenarios import EsgTestbed
 from repro.scenarios.esg import fleet_config
@@ -41,13 +42,15 @@ def _observed(tb):
     }
 
 
-def _fleet(reference: bool, max_labelsets):
+def _fleet(reference: bool, max_labelsets, monkeypatch):
+    monkeypatch.undo()
     with reference_emit() if reference else nullcontext():
         tb = EsgTestbed(seed=31, with_tape=False,
                         file_size_override=8 * MiB,
                         aggregation_threshold=2, log_capacity=1024)
     assert isinstance(tb.obs, ReferenceObservability) == reference
-    tb.obs.metrics.max_labelsets = max_labelsets
+    # The budget of every metric the run creates from here on.
+    monkeypatch.setattr(metrics, "MAX_LABELSETS", max_labelsets)
     tb.warm_nws(90.0)
     rms = tb.add_fleet(150, users_per_pop=64, config=fleet_config())
     ds = tb.dataset_ids()[0]
@@ -59,13 +62,14 @@ def _fleet(reference: bool, max_labelsets):
     return tb
 
 
-def _campaign(reference: bool, max_labelsets):
+def _campaign(reference: bool, max_labelsets, monkeypatch):
+    monkeypatch.undo()
     with reference_emit() if reference else nullcontext():
         tb = EsgTestbed(seed=11, years=2, with_tape=False,
                         file_size_override=MiB,
                         scheduler=SchedulerConfig(per_server_cap=4,
                                                   max_queue_depth=2048))
-    tb.obs.metrics.max_labelsets = max_labelsets
+    monkeypatch.setattr(metrics, "MAX_LABELSETS", max_labelsets)
     tb.warm_nws(60.0)
     manifest, replicas = plan_campaign(tb.replica_catalog)
     rm = tb.add_client("mirror", downlink=mbps(622), latency=0.012,
@@ -92,9 +96,9 @@ def _campaign(reference: bool, max_labelsets):
 
 
 @pytest.mark.parametrize("max_labelsets", [1024, 3])
-def test_fleet_matches_keyword_path(max_labelsets):
-    fast = _observed(_fleet(False, max_labelsets))
-    ref = _observed(_fleet(True, max_labelsets))
+def test_fleet_matches_keyword_path(max_labelsets, monkeypatch):
+    fast = _observed(_fleet(False, max_labelsets, monkeypatch))
+    ref = _observed(_fleet(True, max_labelsets, monkeypatch))
     assert fast["records"], "the fleet logged nothing"
     assert fast["dropped"] > 0, "the ring never wrapped"
     for key in ref:
@@ -102,9 +106,9 @@ def test_fleet_matches_keyword_path(max_labelsets):
 
 
 @pytest.mark.parametrize("max_labelsets", [1024, 3])
-def test_campaign_matches_keyword_path(max_labelsets):
-    fast_tb, fast_report = _campaign(False, max_labelsets)
-    ref_tb, ref_report = _campaign(True, max_labelsets)
+def test_campaign_matches_keyword_path(max_labelsets, monkeypatch):
+    fast_tb, fast_report = _campaign(False, max_labelsets, monkeypatch)
+    ref_tb, ref_report = _campaign(True, max_labelsets, monkeypatch)
     assert fast_report == ref_report
     fast, ref = _observed(fast_tb), _observed(ref_tb)
     for key in ref:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
+from repro.obs import metrics
+from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                               quantile_from_counts)
 from repro.sim import Environment
 
 
@@ -40,18 +42,23 @@ def test_gauge_set_and_add(env):
     assert g.value(host="x") == 1.0
 
 
-def test_histogram_buckets_and_quantiles(env):
-    h = Histogram(env, "lat", buckets=(0.1, 1.0, 10.0))
+def quantile(h, q):
+    return quantile_from_counts(h.bounds, h.bucket_row(), q)
+
+
+def test_histogram_buckets_and_quantiles(env, monkeypatch):
+    monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (0.1, 1.0, 10.0))
+    h = Histogram(env, "lat")
     for v in (0.05, 0.5, 0.5, 5.0, 50.0):
         h.observe(v)
     assert h.count() == 5
     assert h.sum() == pytest.approx(56.05)
     # median sits in the (0.1, 1.0] bucket
-    assert 0.1 <= h.quantile(0.5) <= 1.0
-    assert h.quantile(0.8) == pytest.approx(10.0)
+    assert 0.1 <= quantile(h, 0.5) <= 1.0
+    assert quantile(h, 0.8) == pytest.approx(10.0)
     # the top observation overflows every finite bucket
-    assert h.quantile(0.99) == float("inf")
-    assert Histogram(env, "empty").quantile(0.5) is None
+    assert quantile(h, 0.99) == float("inf")
+    assert Histogram(env, "empty").bucket_row() is None
 
 
 def test_registry_get_or_create_and_kind_clash(env):
@@ -63,10 +70,11 @@ def test_registry_get_or_create_and_kind_clash(env):
     assert "a.total" in reg.names()
 
 
-def test_prometheus_rendering_sanitizes_names(env):
+def test_prometheus_rendering_sanitizes_names(env, monkeypatch):
+    monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (1.0,))
     reg = MetricsRegistry(env)
     reg.counter("rm.transfers_total").inc(host="anl")
-    reg.histogram("rm.seconds", buckets=(1.0,)).observe(0.5)
+    reg.histogram("rm.seconds").observe(0.5)
     text = reg.render_prometheus()
     assert "rm_transfers_total{host=\"anl\"} 1" in text
     assert "rm_seconds_bucket{le=\"1\"} 1" in text
@@ -84,21 +92,22 @@ def test_json_export_is_serializable_with_sim_timestamps(env):
     assert sample["t"] == 5.0
 
 
-def test_quantile_interpolates_within_the_bucket(env):
+def test_quantile_interpolates_within_the_bucket(env, monkeypatch):
     """Directed p95: 10 obs in (0,1], 10 in (1,2] puts the 95th
     percentile 9/10 of the way through the second bucket."""
-    h = Histogram(env, "lat", buckets=(1.0, 2.0, 4.0))
+    monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (1.0, 2.0, 4.0))
+    h = Histogram(env, "lat")
     for _ in range(10):
         h.observe(0.5)
     for _ in range(10):
         h.observe(1.5)
-    assert h.quantile(0.95) == pytest.approx(1.9)
-    assert h.quantile(0.5) == pytest.approx(1.0)
-    assert h.quantile(0.25) == pytest.approx(0.5)
+    assert quantile(h, 0.95) == pytest.approx(1.9)
+    assert quantile(h, 0.5) == pytest.approx(1.0)
+    assert quantile(h, 0.25) == pytest.approx(0.5)
 
 
 def test_quantile_helpers_on_raw_rows():
-    from repro.obs.metrics import count_over_threshold, quantile_from_counts
+    from repro.obs.metrics import count_over_threshold
     bounds = (1.0, 2.0, 4.0)
     row = [10, 10, 0, 0]          # one slot per bound + overflow
     assert quantile_from_counts(bounds, row, 0.95) == pytest.approx(1.9)
@@ -108,10 +117,11 @@ def test_quantile_helpers_on_raw_rows():
     assert quantile_from_counts(bounds, [0, 0, 0, 0], 0.5) is None
 
 
-def test_label_cardinality_guard_bounds_labelsets(env):
+def test_label_cardinality_guard_bounds_labelsets(env, monkeypatch):
     from repro.netlogger import NetLogger
+    monkeypatch.setattr(metrics, "MAX_LABELSETS", 2)
     logger = NetLogger(env)
-    reg = MetricsRegistry(env, max_labelsets=2, logger=logger)
+    reg = MetricsRegistry(env, logger=logger)
     c = reg.counter("rm.requests_total")
     for i in range(5):
         c.inc(host=f"site-{i}")   # 3 of these exceed the bound
@@ -130,8 +140,9 @@ def test_label_cardinality_guard_bounds_labelsets(env):
     assert warnings[0].fields["metric"] == "rm.requests_total"
 
 
-def test_cardinality_guard_never_blocks_existing_labelsets(env):
-    reg = MetricsRegistry(env, max_labelsets=1)
+def test_cardinality_guard_never_blocks_existing_labelsets(env, monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_LABELSETS", 1)
+    reg = MetricsRegistry(env)
     g = reg.gauge("depth")
     g.set(1.0, queue="a")         # occupies the single slot
     g.set(9.0, queue="a")         # updates in place, no overflow

@@ -14,8 +14,6 @@ def env():
 def test_rejects_bad_parameters(env):
     with pytest.raises(ValueError):
         TimeSeriesRecorder(env, interval=0.0)
-    with pytest.raises(ValueError):
-        TimeSeriesRecorder(env, interval=5.0, max_samples=0)
 
 
 def test_samples_land_on_aligned_boundaries(env):
@@ -65,20 +63,9 @@ def test_window_aggregates_and_hole_policy(env):
         pytest.approx((0.2 + 1.0 + 0.95) / 3)
     assert ts.peak("v", 0.0, 3.0) == 1.0
     # 2 of 4 windows at >= 0.9; the hole counts as idle
-    assert ts.busy_fraction("v", 0.0, 3.0, threshold=0.9) == 0.5
+    assert ts.busy_fraction("v", 0.0, 3.0) == 0.5
     assert ts.mean("missing", 0.0, 3.0) == 0.0    # all-holes, zero-filled
     assert ts.mean("missing", 0.0, 3.0, fill=None) is None
-
-
-def test_max_samples_ages_out_oldest_ticks(env):
-    ts = TimeSeriesRecorder(env, interval=1.0, max_samples=3)
-    ts.add_probe("clock", lambda: env.now)
-    ts.start()
-    env.run(until=5.5)        # six samples at 0..5
-    series = ts.series("clock")
-    assert [t for t, _v in series] == [3.0, 4.0, 5.0]
-    assert [v for _t, v in series] == [3.0, 4.0, 5.0]
-    assert ts.samples_taken == 6
 
 
 def test_start_is_idempotent(env):

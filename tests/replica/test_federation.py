@@ -12,6 +12,7 @@ import pytest
 from repro.ldap.directory import DirectoryUnavailable
 from repro.net.faults import FaultSchedule
 from repro.replica.catalog import ReplicaCatalog, ReplicaError
+from repro.replica import federation
 from repro.replica.federation import FederatedReplicaCatalog
 from repro.rm.request import FileState
 from repro.scenarios.esg import EsgTestbed
@@ -118,11 +119,11 @@ def test_demoted_entries_not_reoffered_until_refresh():
 
 # -- shard outages: partial answers, staleness, breaker recovery ---------
 
-def test_home_outage_degrades_to_partial_answer():
+def test_home_outage_degrades_to_partial_answer(monkeypatch):
+    monkeypatch.setattr(federation, "BREAKER_RESET_TIMEOUT", 30.0)
     env = Environment(seed=2)
     fed = FederatedReplicaCatalog(env, SITES, replication=2,
-                                  sync_interval=10.0,
-                                  breaker_reset_timeout=30.0)
+                                  sync_interval=10.0)
     coll = publish(fed)
     home = fed.router.home(coll)
     peer = fed.router.preference(coll)[1]
@@ -158,12 +159,12 @@ def test_write_during_home_outage_flags_stale():
     assert meta.stale
 
 
-def test_breaker_opens_on_repeated_shard_failures_then_recovers():
+def test_breaker_opens_on_repeated_shard_failures_then_recovers(monkeypatch):
+    monkeypatch.setattr(federation, "BREAKER_FAILURE_THRESHOLD", 2)
+    monkeypatch.setattr(federation, "BREAKER_RESET_TIMEOUT", 20.0)
     env = Environment(seed=4)
     fed = FederatedReplicaCatalog(env, SITES, replication=2,
-                                  sync_interval=10.0,
-                                  breaker_failure_threshold=2,
-                                  breaker_reset_timeout=20.0)
+                                  sync_interval=10.0)
     coll = publish(fed)
     home = fed.router.home(coll)
     fed.sites[home].directory.add_outage(start=env.now, duration=50.0)

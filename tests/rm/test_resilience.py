@@ -198,9 +198,10 @@ def test_cancel_mid_backoff_exits_promptly():
 
 
 def test_file_deadline_fails_file_as_deadline_class():
-    tb = make_testbed(file_size_override=400 * 2**20)
+    tb = make_testbed(file_size_override=400 * 2**20,
+                      resilience=ResiliencePolicy(file_deadline=5.0))
     ds, name = one_file(tb)
-    ticket = tb.request_manager.submit([(ds, name)], file_deadline=5.0)
+    ticket = tb.request_manager.submit([(ds, name)])
     tb.env.run(until=ticket.done)
     fr = ticket.files[0]
     assert fr.state is FileState.FAILED

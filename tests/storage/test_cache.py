@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.storage.cache as cache_module
 from repro.sim import Environment
 from repro.storage import DiskCache, FileObject, NoSpaceError
 
@@ -117,8 +118,9 @@ def test_property_used_never_exceeds_capacity(ops):
 
 # -- prefetch admission ------------------------------------------------------------
 
-def test_prefetch_budget_cap():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.3)
+def test_prefetch_budget_cap(monkeypatch):
+    monkeypatch.setattr(cache_module, "PREFETCH_SHARE", 0.3)
+    c = DiskCache(Environment(), capacity=100)
     with pytest.raises(NoSpaceError):
         c.put(FileObject("big", 40), kind="prefetch")
     c.put(FileObject("ok", 30), kind="prefetch")
@@ -128,7 +130,7 @@ def test_prefetch_budget_cap():
 def test_prefetch_evicts_only_prefetch():
     """A prefetch insert may evict unpinned prefetch entries but never
     demand data, even unpinned demand data."""
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.5)
+    c = DiskCache(Environment(), capacity=100)
     c.put(FileObject("d1", 40))                      # demand, unpinned
     c.put(FileObject("p1", 40), kind="prefetch")
     c.put(FileObject("p2", 40), kind="prefetch")     # evicts p1, not d1
@@ -144,7 +146,7 @@ def test_prefetch_evicts_only_prefetch():
 
 
 def test_demand_evicts_prefetch_first():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.5)
+    c = DiskCache(Environment(), capacity=100)
     c.put(FileObject("old", 40))
     c.put(FileObject("spec", 40), kind="prefetch")
     c.get("spec")            # prefetch is *more* recent than old
@@ -154,8 +156,9 @@ def test_demand_evicts_prefetch_first():
     assert c.get("old") is not None
 
 
-def test_pin_promotes_prefetch_to_demand():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.3)
+def test_pin_promotes_prefetch_to_demand(monkeypatch):
+    monkeypatch.setattr(cache_module, "PREFETCH_SHARE", 0.3)
+    c = DiskCache(Environment(), capacity=100)
     c.put(FileObject("p", 30), kind="prefetch")
     assert c.prefetch_used == 30
     c.pin("p")
@@ -165,8 +168,9 @@ def test_pin_promotes_prefetch_to_demand():
     c.unpin("p")
 
 
-def test_demand_put_promotes_existing_prefetch():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.3)
+def test_demand_put_promotes_existing_prefetch(monkeypatch):
+    monkeypatch.setattr(cache_module, "PREFETCH_SHARE", 0.3)
+    c = DiskCache(Environment(), capacity=100)
     c.put(FileObject("p", 30), kind="prefetch")
     c.put(FileObject("p", 30))        # same bytes, now demanded
     assert c.kind("p") == "demand"
@@ -175,7 +179,7 @@ def test_demand_put_promotes_existing_prefetch():
 
 
 def test_can_admit_prefetch():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.5)
+    c = DiskCache(Environment(), capacity=100)
     assert c.can_admit_prefetch(50)
     assert not c.can_admit_prefetch(51)          # over budget
     c.put(FileObject("p1", 50), kind="prefetch")
@@ -188,8 +192,9 @@ def test_can_admit_prefetch():
     assert not c.can_admit_prefetch(10)
 
 
-def test_evicted_prefetch_releases_budget():
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.3)
+def test_evicted_prefetch_releases_budget(monkeypatch):
+    monkeypatch.setattr(cache_module, "PREFETCH_SHARE", 0.3)
+    c = DiskCache(Environment(), capacity=100)
     c.put(FileObject("p", 30), kind="prefetch")
     c.put(FileObject("d", 80))                   # evicts p to fit
     assert c.kind("p") is None and c.prefetch_evictions == 1
@@ -203,11 +208,6 @@ def test_put_unknown_kind_rejected():
         c.put(FileObject("a", 10), kind="speculative")
 
 
-def test_prefetch_share_validation():
-    with pytest.raises(ValueError):
-        DiskCache(Environment(), capacity=10, prefetch_share=1.5)
-
-
 # -- accounting under churn --------------------------------------------------------
 
 @given(st.lists(st.tuples(st.sampled_from(["putd", "putp", "pin",
@@ -219,7 +219,9 @@ def test_property_accounting_under_pin_churn(ops):
     """Under arbitrary demand/prefetch insert and pin/unpin churn: byte
     accounting stays exact, the prefetch budget is honoured, and pinned
     entries are never evicted."""
-    c = DiskCache(Environment(), capacity=100, prefetch_share=0.4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache_module, "PREFETCH_SHARE", 0.4)
+        c = DiskCache(Environment(), capacity=100)
     pinned = {}
     for op, key, size in ops:
         name = f"f{key}"

@@ -8,13 +8,12 @@ from repro.storage import (
     FileNotFoundError_,
     FileObject,
     FileSystem,
-    NoSpaceError,
 )
 
 
-def fs(capacity=1000.0):
+def fs():
     env = Environment()
-    return env, FileSystem(env, "disk0", capacity=capacity)
+    return env, FileSystem(env, "disk0")
 
 
 def test_create_stat_roundtrip():
@@ -34,18 +33,18 @@ def test_file_content_size_consistency():
 
 
 def test_capacity_accounting():
-    env, f = fs(capacity=1000)
+    """``used`` counts the bytes stored: a delete gives them back."""
+    env, f = fs()
     f.create("a", 600)
-    assert f.capacity - f.used == 400
-    with pytest.raises(NoSpaceError):
-        f.create("b", 500)
-    f.delete("a")
-    assert f.capacity - f.used == 1000
+    assert f.used == 600
     f.create("b", 500)
+    assert f.used == 1100
+    f.delete("a")
+    assert f.used == 500
 
 
 def test_overwrite_semantics():
-    env, f = fs(capacity=1000)
+    env, f = fs()
     f.create("a", 600)
     with pytest.raises(FileExistsError_):
         f.create("a", 100)

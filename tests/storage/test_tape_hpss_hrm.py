@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import repro.storage.cache as cache_module
 from repro.data.digest import marks_of
 from repro.sim import Environment
 from repro.storage import (
@@ -14,6 +15,7 @@ from repro.storage import (
     MassStorageSystem,
     TapeLibrary,
     TapeSpec,
+    tape,
 )
 
 MB = 2 ** 20
@@ -494,13 +496,14 @@ def test_head_tracking_charges_relative_seek():
     assert env.now - t_mid == pytest.approx(12 + 1)
 
 
-def test_aging_bounds_starvation():
-    """A job on an unpopular cartridge is bypassed at most aging_rounds
+def test_aging_bounds_starvation(monkeypatch):
+    """A job on an unpopular cartridge is bypassed at most AGING_ROUNDS
     times by batching before it is granted outright."""
+    monkeypatch.setattr(tape, "AGING_ROUNDS", 2)
     env = Environment()
     spec = TapeSpec(read_rate=10 * MB, mount_time=40.0,
                     max_seek_time=60.0, rewind_time=20.0)
-    lib = TapeLibrary(env, drives=1, spec=spec, aging_rounds=2)
+    lib = TapeLibrary(env, drives=1, spec=spec)
     lib.register(FileObject("victim", 10 * MB), tape="Tv", position=0.0)
     for i in range(6):
         lib.register(FileObject(f"p{i}", 10 * MB), tape="Tp",
@@ -510,7 +513,7 @@ def test_aging_bounds_starvation():
     rest = [lib.submit_read(f"p{i}") for i in range(1, 6)]
     env.run()
     assert victim.done.triggered
-    # Bypassed exactly aging_rounds times, then granted ahead of the
+    # Bypassed exactly AGING_ROUNDS times, then granted ahead of the
     # remaining popular-cartridge jobs.
     assert victim.age == 2
     later = [j for j in rest if j.granted_at > victim.granted_at]
@@ -667,12 +670,12 @@ def test_demand_joining_inflight_prefetch_counts_hit():
     env.run()
 
 
-def test_prefetch_skipped_when_cache_cannot_admit():
+def test_prefetch_skipped_when_cache_cannot_admit(monkeypatch):
     """Inadmissible prefetches are skipped (candidate stays hinted), and
     demand entries are never evicted to make room for speculation."""
     env = Environment()
-    mss = MassStorageSystem(env, cache_capacity=100 * MB, drives=1,
-                            prefetch_share=0.25)
+    monkeypatch.setattr(cache_module, "PREFETCH_SHARE", 0.25)
+    mss = MassStorageSystem(env, cache_capacity=100 * MB, drives=1)
     serve_fs = FileSystem(env, "hrm-disk")
     hrm = HierarchicalResourceManager(env, mss, serve_fs)
     mss.archive(FileObject("hot", 60 * MB), tape="T1", position=0.0)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.storage import DiskCache, FileObject, NoSpaceError, TapeLibrary, TapeSpec
+from repro.storage import tape
 from repro.storage.tape import PRIORITY_DEMAND, PRIORITY_PREFETCH
 
 MB = 2**20
@@ -48,8 +49,9 @@ def run_workload(ops, drives, aging_rounds):
     env = Environment()
     spec = TapeSpec(read_rate=10 * MB, mount_time=40.0,
                     max_seek_time=60.0, rewind_time=20.0)
-    lib = TapeLibrary(env, drives=drives, spec=spec,
-                      aging_rounds=aging_rounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tape, "AGING_ROUNDS", aging_rounds)
+        lib = TapeLibrary(env, drives=drives, spec=spec)
     jobs = [None] * len(ops)
     for i, (cart, pos, size, _prio, _delay) in enumerate(ops):
         lib.register(FileObject(f"f{i}", size * MB), tape=f"T{cart}",
@@ -127,7 +129,7 @@ cache_ops_strategy = st.lists(
 def test_property_prefetch_never_evicts_pinned_or_demand(ops):
     """No sequence of prefetch admissions may evict a pinned entry or
     any demand entry: speculation only ever displaces speculation."""
-    c = DiskCache(Environment(), capacity=120, prefetch_share=0.5)
+    c = DiskCache(Environment(), capacity=120)
     pins = {}
     for op, key, size in ops:
         name = f"f{key}"
