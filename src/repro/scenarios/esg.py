@@ -431,7 +431,7 @@ class EsgTestbed:
         """
         from repro.gridftp.client import GridFtpClient
         from repro.rm.manager import RequestManager
-        spec = HostSpec(nic_rate=FLEET_DOWNLINK, bus_rate=None,
+        spec = HostSpec(nic_rate=downlink, bus_rate=None,
                         cpu=CpuModel(coalesce=4),
                         disk=DiskArray(DiskSpec(rate=20 * 2**20),
                                        count=1))

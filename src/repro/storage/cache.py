@@ -41,7 +41,6 @@ class DiskCache:
         self.env = env
         self.name = name
         self.capacity = capacity
-        self.prefetch_share = PREFETCH_SHARE
         self._entries: "OrderedDict[str, FileObject]" = OrderedDict()
         self._pins: Dict[str, int] = {}
         self._kinds: Dict[str, str] = {}
@@ -107,7 +106,7 @@ class DiskCache:
                 f"{self.name}: file {file.name!r} ({file.size:.0f}B) "
                 f"exceeds cache capacity")
         if kind == "prefetch":
-            budget = self.prefetch_share * self.capacity
+            budget = PREFETCH_SHARE * self.capacity
             if file.size > budget:
                 raise NoSpaceError(
                     f"{self.name}: prefetch of {file.name!r} "
@@ -134,7 +133,7 @@ class DiskCache:
     def can_admit_prefetch(self, size: float) -> bool:
         """True if a prefetch of ``size`` bytes would be admitted now
         (possibly by evicting other unpinned prefetch entries)."""
-        budget = self.prefetch_share * self.capacity
+        budget = PREFETCH_SHARE * self.capacity
         evictable = sum(
             e.size for n, e in self._entries.items()
             if self._kinds.get(n) == "prefetch"

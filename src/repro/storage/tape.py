@@ -206,7 +206,6 @@ class TapeLibrary:
         self.name = name
         self.spec = spec or TapeSpec()
         self.policy = policy
-        self.aging_rounds = AGING_ROUNDS
         self.obs = obs or Observability()
         self.drives = [TapeDrive(f"{name}-drive{i}") for i in range(drives)]
         self._catalog: Dict[str, Tuple[str, float, FileObject]] = {}
@@ -336,7 +335,7 @@ class TapeLibrary:
         if self.policy == "fifo":
             return self._queue[0], self._drive_for(self._queue[0].tape)
         # Aged jobs preempt batching: grant the oldest one outright.
-        aged = [j for j in self._queue if j.age >= self.aging_rounds]
+        aged = [j for j in self._queue if j.age >= AGING_ROUNDS]
         if aged:
             job = min(aged, key=lambda j: j.seq)
             return job, self._drive_for(job.tape)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data import GridSpec
 from repro.esg import LAYERS, EarthSystemGrid, LayeredArchitecture
+from repro.net.units import mbps
 from repro.scenarios import EsgTestbed
 
 
@@ -135,6 +136,18 @@ def test_add_client_attaches_independent_user_site():
     assert not t1.failed_files and not t2.failed_files
     assert tb.client_fs.exists(name)
     assert rm2.dest_fs.exists(name)
+
+
+@pytest.mark.parametrize("downlink", [mbps(20), mbps(100), mbps(1000)])
+def test_add_client_host_links_follow_downlink(downlink):
+    """A client's NIC, host uplink and WAN link all run at the
+    ``downlink`` it was given, not at the fleet PoP rate."""
+    tb = small_esg()
+    rm = tb.add_client("user-site-2", downlink=downlink)
+    host = rm.dest_host
+    assert host.links["nic:out"].capacity == downlink
+    assert host.links["uplink:out"].capacity == downlink
+    assert tb.topology.links["wan-user-site-2:fwd"].capacity == downlink
 
 
 def test_facade_fetch_with_year_range():

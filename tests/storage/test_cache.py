@@ -222,33 +222,34 @@ def test_property_accounting_under_pin_churn(ops):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cache_module, "PREFETCH_SHARE", 0.4)
         c = DiskCache(Environment(), capacity=100)
-    pinned = {}
-    for op, key, size in ops:
-        name = f"f{key}"
-        if op == "putd" or op == "putp":
-            kind = "demand" if op == "putd" else "prefetch"
-            before = {n for n in pinned if pinned[n] > 0}
-            try:
-                c.put(FileObject(name, float(size)), kind=kind)
-            except NoSpaceError:
-                pass
-            for n in before:           # pins survive any eviction pass
-                assert c._pins.get(n, 0) == pinned[n]
-        elif op == "pin":
-            if c.kind(name) is not None:
-                c.pin(name)
-                pinned[name] = pinned.get(name, 0) + 1
-        elif op == "unpin":
-            if pinned.get(name, 0) > 0:
-                c.unpin(name)
-                pinned[name] -= 1
-    assert c.used == pytest.approx(
-        sum(e.size for e in c._entries.values()))
-    assert c.prefetch_used == pytest.approx(
-        sum(e.size for n, e in c._entries.items()
-            if c.kind(n) == "prefetch"))
-    assert c.prefetch_used <= c.prefetch_share * c.capacity + 1e-9
-    assert c.used <= c.capacity
+        pinned = {}
+        for op, key, size in ops:
+            name = f"f{key}"
+            if op == "putd" or op == "putp":
+                kind = "demand" if op == "putd" else "prefetch"
+                before = {n for n in pinned if pinned[n] > 0}
+                try:
+                    c.put(FileObject(name, float(size)), kind=kind)
+                except NoSpaceError:
+                    pass
+                for n in before:           # pins survive any eviction pass
+                    assert c._pins.get(n, 0) == pinned[n]
+            elif op == "pin":
+                if c.kind(name) is not None:
+                    c.pin(name)
+                    pinned[name] = pinned.get(name, 0) + 1
+            elif op == "unpin":
+                if pinned.get(name, 0) > 0:
+                    c.unpin(name)
+                    pinned[name] -= 1
+        assert c.used == pytest.approx(
+            sum(e.size for e in c._entries.values()))
+        assert c.prefetch_used == pytest.approx(
+            sum(e.size for n, e in c._entries.items()
+                if c.kind(n) == "prefetch"))
+        assert (c.prefetch_used
+                <= cache_module.PREFETCH_SHARE * c.capacity + 1e-9)
+        assert c.used <= c.capacity
 
 
 @given(st.lists(st.tuples(st.sampled_from(["put", "scan"]),

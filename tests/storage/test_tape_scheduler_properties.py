@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.sim import Environment
 from repro.storage import DiskCache, FileObject, NoSpaceError, TapeLibrary, TapeSpec
 from repro.storage import tape
+from repro.storage.cache import PREFETCH_SHARE
 from repro.storage.tape import PRIORITY_DEMAND, PRIORITY_PREFETCH
 
 MB = 2**20
@@ -49,9 +50,7 @@ def run_workload(ops, drives, aging_rounds):
     env = Environment()
     spec = TapeSpec(read_rate=10 * MB, mount_time=40.0,
                     max_seek_time=60.0, rewind_time=20.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tape, "AGING_ROUNDS", aging_rounds)
-        lib = TapeLibrary(env, drives=drives, spec=spec)
+    lib = TapeLibrary(env, drives=drives, spec=spec)
     jobs = [None] * len(ops)
     for i, (cart, pos, size, _prio, _delay) in enumerate(ops):
         lib.register(FileObject(f"f{i}", size * MB), tape=f"T{cart}",
@@ -63,7 +62,9 @@ def run_workload(ops, drives, aging_rounds):
 
     for i, (_cart, _pos, _size, prio, delay) in enumerate(ops):
         env.process(submit(i, prio, delay))
-    env.run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tape, "AGING_ROUNDS", aging_rounds)
+        env.run()
     return lib, jobs
 
 
@@ -155,4 +156,4 @@ def test_property_prefetch_never_evicts_pinned_or_demand(ops):
             assert demand_resident <= survivors
             assert pinned_resident <= survivors
     assert c.used <= c.capacity
-    assert c.prefetch_used <= c.prefetch_share * c.capacity + 1e-9
+    assert c.prefetch_used <= PREFETCH_SHARE * c.capacity + 1e-9
