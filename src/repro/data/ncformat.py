@@ -28,6 +28,7 @@ bytes the file stores.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import struct
@@ -159,16 +160,30 @@ class SdbfReader:
 
     Tracks :attr:`bytes_decoded` — every payload byte actually turned
     into an array — so callers can cost-model partial reads. The JSON
-    header is parsed at construction and not counted.
+    header is parsed at construction and not counted. Each variable's
+    ``chunk_index`` is then held as one ``(n, 2)`` int64 array, a sixth
+    of the parsed lists' size: the ERET plug-ins keep a reader per file.
     """
 
     def __init__(self, blob: bytes):
         self.header = decode_header(blob)
+        for meta in self.header.get("variables", {}).values():
+            if "chunk_index" in meta:
+                meta["chunk_index"] = np.array(
+                    meta["chunk_index"], dtype=np.int64).reshape(-1, 2)
         self.version, hlen = struct.unpack("<II", blob[4:HEADER_FIXED])
         self.data_offset = HEADER_FIXED + hlen
         self._payload = memoryview(blob)[self.data_offset:]
         self.bytes_decoded = 0.0
         self._coord_cache: Dict[str, np.ndarray] = {}
+
+    def reopen(self) -> "SdbfReader":
+        """A reader on the same blob that shares this one's parsed header,
+        with its own :attr:`bytes_decoded` and coordinate cache."""
+        reader = copy.copy(self)
+        reader.bytes_decoded = 0.0
+        reader._coord_cache = {}
+        return reader
 
     # -- structure ---------------------------------------------------------
     @property

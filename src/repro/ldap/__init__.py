@@ -24,6 +24,7 @@ from repro.ldap.directory import (
     DirectoryServer,
     Entry,
     Scope,
+    SharedValues,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "Entry",
     "FilterError",
     "Scope",
+    "SharedValues",
 ]

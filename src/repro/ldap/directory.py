@@ -30,6 +30,33 @@ class Scope(enum.Enum):
     SUBTREE = "sub"      # base and every descendant
 
 
+def _with_fold(vs: tuple) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(vs, fold(vs))``; a non-str value sends every value through
+    ``str()`` first."""
+    try:
+        return vs, fold(vs)
+    except TypeError:
+        vs = tuple([str(v) for v in vs])
+        return vs, fold(vs)
+
+
+class SharedValues:
+    """One value tuple that several directories store, folded once.
+
+    A federation hands the same object to the home shard and, through
+    its replication log, to every peer: the first :meth:`Entry._set`
+    that stores it folds it, and every later one takes that fold. The
+    entries keep ``values`` and ``folded`` themselves, so the object
+    lives only as long as the op that carries it.
+    """
+
+    __slots__ = ("values", "folded")
+
+    def __init__(self, values: Iterable[str]):
+        self.values = tuple(values)
+        self.folded: Optional[Tuple[str, ...]] = None
+
+
 class Entry:
     """One directory entry: a DN plus multi-valued attributes.
 
@@ -38,31 +65,37 @@ class Entry:
     the case-folded view of ``attributes`` that search filters read: the
     same tuple for an attribute whose values are already lowercase. Both
     are written only by :meth:`_set` and dropped only by :meth:`_delete`.
+    ``view`` is one value a layer above derives from the attributes (the
+    replica catalog's ``LocationInfo``); both methods drop it.
     """
 
-    __slots__ = ("dn", "attributes", "folded")
+    __slots__ = ("dn", "attributes", "folded", "view")
 
     def __init__(self, dn: DN, attributes: Dict[str, Iterable[str]]):
         self.dn = dn
         self.attributes: Dict[str, Tuple[str, ...]] = {}
         self.folded: Dict[str, Tuple[str, ...]] = {}
+        self.view = None
         for k, vs in attributes.items():
             self._set(k.lower(), vs)
 
     def _set(self, attr: str, vs) -> None:
-        """Store ``vs`` (one value or a list/tuple/set) under ``attr``.
+        """Store ``vs`` (one value, a list/tuple/set or
+        :class:`SharedValues`) under ``attr``.
 
         ``tuple()`` keeps a tuple as that object and copies a list or set
         into one; a non-str value sends every value through ``str()``.
         """
-        vs = tuple(vs) if isinstance(vs, (list, tuple, set)) else (vs,)
-        try:
-            folded = fold(vs)
-        except TypeError:
-            vs = tuple([str(v) for v in vs])
-            folded = fold(vs)
+        if type(vs) is SharedValues:
+            if vs.folded is None:
+                vs.values, vs.folded = _with_fold(vs.values)
+            vs, folded = vs.values, vs.folded
+        else:
+            vs, folded = _with_fold(
+                tuple(vs) if isinstance(vs, (list, tuple, set)) else (vs,))
         self.attributes[attr] = vs
         self.folded[attr] = folded
+        self.view = None
 
     def _add(self, attr: str, vs) -> None:
         """Append the values of ``vs`` that ``attr`` does not yet match."""
@@ -78,6 +111,7 @@ class Entry:
     def _delete(self, attr: str) -> None:
         self.attributes.pop(attr, None)
         self.folded.pop(attr, None)
+        self.view = None
 
     def get(self, attr: str) -> Tuple[str, ...]:
         """All values of ``attr``: the stored tuple (``()`` if absent)."""

@@ -24,10 +24,21 @@ A predicate's ``objectclass`` tag, when set, is a folded value every
 match must carry: only ``(objectclass=x)`` and an ``&`` with such a
 conjunct are tagged. The directory server takes one-level candidates
 from its per-parent ``objectclass`` index by it.
+
+:func:`compile_filter` remembers the last ``FILTER_MEMO`` texts it
+compiled, as :mod:`re` remembers patterns, so the shard queries of one
+federated lookup, and the lookups a fleet repeats, share one predicate.
+Predicates hold only the filter's own literals, and text that fails to
+parse is not remembered: it raises on every call.
+
+An assertion value escapes ``*``, ``(``, ``)``, ``\\`` and NUL as
+``\\2a``, ``\\28``, ``\\29``, ``\\5c`` and ``\\00`` (RFC 2254); :func:`escape`
+does it for a caller that builds a filter from a name.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Dict, Tuple
 
@@ -52,8 +63,40 @@ def fold(values: Tuple[str, ...]) -> Tuple[str, ...]:
     return tuple([v.lower() for v in values])
 
 
+_ESCAPES = {ord(c): f"\\{ord(c):02x}" for c in "\\*()\x00"}
+_ESCAPED = re.compile(r"(?:\\[0-9a-fA-F]{2})+")
+_BAD_ESCAPE = re.compile(r"\\(?![0-9a-fA-F]{2})")
+
+
+def escape(value: str) -> str:
+    """``value`` as an assertion value that matches it literally."""
+    return value.translate(_ESCAPES)
+
+
+def _unescape(value: str) -> str:
+    """An assertion value with its ``\\XX`` escapes (UTF-8) decoded."""
+    if "\\" not in value:
+        return value
+    if _BAD_ESCAPE.search(value):
+        raise FilterError(f"bad escape in {value!r}")
+    try:
+        return _ESCAPED.sub(
+            lambda m: bytes.fromhex(m.group().replace("\\", "")).decode(),
+            value)
+    except UnicodeDecodeError as exc:
+        raise FilterError(f"bad escape in {value!r}: {exc}") from exc
+
+
+# Filter texts whose compiled predicate is remembered.
+FILTER_MEMO = 64
+
+
+@functools.lru_cache(maxsize=FILTER_MEMO)
 def compile_filter(text: str) -> Predicate:
-    """Compile a filter string into a predicate over folded attributes."""
+    """Compile a filter string into a predicate over folded attributes.
+
+    The predicate is shared by every call with the same text.
+    """
     if not text or not text.strip():
         raise FilterError("empty filter")
     text = text.strip()
@@ -109,13 +152,14 @@ def _parse_item(body: str):
         if value == "*":
             return _make_presence(attr), rest
         if "*" in value:
-            return _make_substring(attr, value), rest
+            parts = [_unescape(p) for p in value.split("*")]
+            return _make_substring(attr, parts), rest
         if not value:
             raise FilterError(f"empty value for {attr!r}")
-        return _make_equality(attr, value), rest
+        return _make_equality(attr, _unescape(value)), rest
     if not value:
         raise FilterError(f"empty value for {attr!r}")
-    return _make_ordering(attr, op, value), rest
+    return _make_ordering(attr, op, _unescape(value)), rest
 
 
 # -- predicate builders (over folded attributes) ------------------------------
@@ -150,10 +194,10 @@ def _make_equality(attr: str, value: str) -> Predicate:
     return pred
 
 
-def _make_substring(attr: str, pattern: str) -> Predicate:
+def _make_substring(attr: str, parts) -> Predicate:
+    """``parts``: the literal pieces between the wildcards."""
     regex = re.compile(
-        "^" + ".*".join(re.escape(p) for p in pattern.split("*")) + "$",
-        re.IGNORECASE)
+        "^" + ".*".join(re.escape(p) for p in parts) + "$", re.IGNORECASE)
 
     def pred(attrs: Attrs) -> bool:
         return any(regex.match(v) for v in attrs.get(attr, ()))

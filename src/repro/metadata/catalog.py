@@ -7,6 +7,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ldap.directory import DirectoryServer, Scope
 from repro.ldap.dn import DN
+from repro.ldap.filters import escape
 from repro.sim.core import Environment
 
 
@@ -89,7 +90,7 @@ class MetadataCatalog:
     def datasets(self, model: Optional[str] = None) -> List[DatasetRecord]:
         """All datasets, optionally restricted to one model."""
         flt = ("(objectclass=dataset)" if model is None
-               else f"(&(objectclass=dataset)(model={model}))")
+               else f"(&(objectclass=dataset)(model={escape(model)}))")
         entries = self.directory.search(self.root, Scope.ONELEVEL, flt)
         return sorted(map(self._record, entries), key=lambda d: d.dataset_id)
 
@@ -141,7 +142,7 @@ class MetadataCatalog:
             raise MetadataError(
                 f"dataset {dataset_id!r} has no variable {variable!r} "
                 f"(has {sorted(known)})")
-        clauses = [f"(objectclass=datafile)", f"(variable={variable})"]
+        clauses = ["(objectclass=datafile)", f"(variable={escape(variable)})"]
         if years is not None:
             clauses.append(f"(year>={years[0]})")
             clauses.append(f"(year<={years[1]})")

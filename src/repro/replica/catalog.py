@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ldap.directory import DirectoryServer, Entry, Scope
+from repro.ldap.directory import DirectoryServer, Entry, Scope, SharedValues
 from repro.ldap.dn import DN
+from repro.ldap.filters import escape
 from repro.sim.core import Environment
 
 
@@ -22,7 +23,7 @@ class ReplicaError(Exception):
     """Catalog inconsistency or missing entry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationInfo:
     """One physical copy of (part of) a collection.
 
@@ -51,14 +52,19 @@ class LocationInfo:
 
 
 def _location_info(entry: Entry) -> LocationInfo:
-    """The :class:`LocationInfo` a ``loc=`` entry describes."""
-    return LocationInfo(
-        name=entry.dn.rdn[1],
-        protocol=entry.first("protocol", "gsiftp"),
-        hostname=entry.first("hostname", ""),
-        port=int(entry.first("port", "2811")),
-        path=entry.first("path", "/"),
-        files=entry.get("filename"))
+    """The :class:`LocationInfo` a ``loc=`` entry describes: one object
+    per version of the entry, kept as its ``view`` until a write drops
+    it."""
+    info = entry.view
+    if info is None:
+        info = entry.view = LocationInfo(
+            name=entry.dn.rdn[1],
+            protocol=entry.first("protocol", "gsiftp"),
+            hostname=entry.first("hostname", ""),
+            port=int(entry.first("port", "2811")),
+            path=entry.first("path", "/"),
+            files=entry.get("filename"))
+    return info
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,8 @@ class ReplicaCatalog:
                           else DirectoryServer(env, name=f"rc-{name}"))
         self.name = name
         self.root = DN.parse(f"rc={name}")
+        # collection -> its entry's DN, for collections that exist
+        self._collection_dns: Dict[str, DN] = {}
         if not self.directory.exists(self.root):
             self.directory.add(self.root, {"objectclass": "replicacatalog"})
 
@@ -110,8 +118,13 @@ class ReplicaCatalog:
     def register_location(self, collection: str, location: str,
                           protocol: str, hostname: str, port: int,
                           path: str, files: Iterable[str]) -> None:
-        """Register a (possibly partial) physical copy of a collection."""
-        files = tuple(files)
+        """Register a (possibly partial) physical copy of a collection.
+
+        ``files`` may be :class:`SharedValues`, stored (and folded) as
+        the one tuple it carries.
+        """
+        if not isinstance(files, SharedValues):
+            files = tuple(files)
         cdn = self._collection_dn(collection)
         dn = cdn.child("loc", location)
         if self.directory.exists(dn):
@@ -203,14 +216,20 @@ class ReplicaCatalog:
         cdn = self._collection_dn(collection)
         entries = yield from self.directory.query(
             cdn, Scope.ONELEVEL,
-            f"(&(objectclass=location)(filename={logical_file}))")
+            f"(&(objectclass=location)(filename={escape(logical_file)}))")
         return [_location_info(e) for e in entries]
 
     # -- internals ------------------------------------------------------------------
     def _collection_dn(self, collection: str) -> DN:
-        dn = self.root.child("lc", collection)
-        if not self.directory.exists(dn):
-            raise ReplicaError(f"no collection {collection!r}")
+        """The collection entry's own DN, built once per collection."""
+        dn = self._collection_dns.get(collection)
+        if dn is None or not self.directory.exists(dn):
+            dn = self.root.child("lc", collection)
+            if not self.directory.exists(dn):
+                self._collection_dns.pop(collection, None)
+                raise ReplicaError(f"no collection {collection!r}")
+            dn = self._collection_dns[collection] = \
+                self.directory.lookup(dn).dn
         return dn
 
     def _location_dn(self, collection: str, location: str) -> DN:

@@ -44,6 +44,7 @@ from repro.ldap.directory import (
     DirectoryError,
     DirectoryServer,
     DirectoryUnavailable,
+    SharedValues,
 )
 from repro.obs import Observability
 from repro.replica.catalog import (
@@ -75,7 +76,8 @@ class ShardRouter:
     collection's hash, and its *preference list* is the home plus the
     next ``replicas - 1`` distinct sites clockwise. Routing is total
     (every name maps) and stable (removing a site only moves the
-    collections whose points it owned).
+    collections whose points it owned). A router's sites are fixed, so
+    each collection's preference tuple is computed once.
     """
 
     def __init__(self, sites: Iterable[str], replicas: int = 2):
@@ -93,6 +95,7 @@ class ShardRouter:
                 ring.append((_h(f"{site}#{v}"), site))
         # hash ties broken by site name: deterministic everywhere
         self._ring = sorted(ring)
+        self._preferences: Dict[str, Tuple[str, ...]] = {}
 
     def _successors(self, key: int) -> List[str]:
         """Distinct sites clockwise from ``key`` on the ring."""
@@ -116,9 +119,13 @@ class ShardRouter:
         """The shard that owns writes for ``collection``."""
         return self.preference(collection)[0]
 
-    def preference(self, collection: str) -> List[str]:
+    def preference(self, collection: str) -> Tuple[str, ...]:
         """Home + successor shards holding ``collection``'s subtree."""
-        return self._successors(_h(collection))[:self.replicas]
+        prefs = self._preferences.get(collection)
+        if prefs is None:
+            prefs = self._preferences[collection] = tuple(
+                self._successors(_h(collection))[:self.replicas])
+        return prefs
 
     def __repr__(self) -> str:
         return (f"ShardRouter({len(self.sites)} sites, "
@@ -310,9 +317,14 @@ class FederatedReplicaCatalog:
     def register_location(self, collection: str, location: str,
                           protocol: str, hostname: str, port: int,
                           path: str, files: Iterable[str]) -> None:
-        """Register a physical copy of a collection."""
+        """Register a physical copy of a collection.
+
+        Every shard stores the one ``files`` tuple, folded once: the
+        home folds it and the op in the replication log carries that
+        fold to the peers.
+        """
         self._write(collection, "register_location", collection, location,
-                    protocol, hostname, port, path, tuple(files))
+                    protocol, hostname, port, path, SharedValues(files))
 
     def register_logical_file(self, collection: str, logical_file: str,
                               size: float,
@@ -554,7 +566,7 @@ class FederatedReplicaCatalog:
             site.directory.add_outage(start, duration, mode=mode)
 
     # -- introspection ----------------------------------------------------
-    def shard_map(self) -> Dict[str, List[str]]:
+    def shard_map(self) -> Dict[str, Tuple[str, ...]]:
         """collection -> preference list (routing snapshot)."""
         return {info.name: self.router.preference(info.name)
                 for info in self.collections()}

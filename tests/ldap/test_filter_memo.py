@@ -1,0 +1,99 @@
+"""compile_filter remembers what it compiled; escaped values match literally.
+
+The memo must be invisible: a remembered predicate answers as a fresh
+compile of the same text does, text that does not parse raises on
+every call, and the memo never holds more than ``FILTER_MEMO`` texts.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ldap import FilterError
+from repro.ldap.filters import FILTER_MEMO, compile_filter, escape, fold
+
+fresh = compile_filter.__wrapped__
+
+ATTRS = ["fn", "host", "size"]
+# Mixed case and every character an assertion value must escape.
+VALUE = st.text(alphabet="aAbB1.*()\\\x00", min_size=1, max_size=4)
+VALUES = st.lists(VALUE, max_size=3)
+LITERAL = VALUE.map(escape)
+PATTERN = st.lists(LITERAL | st.just(""), min_size=2,
+                   max_size=3).map("*".join).filter(lambda p: p != "*")
+
+ITEM = st.one_of(
+    st.builds(lambda a: f"({a}=*)", st.sampled_from(ATTRS)),
+    st.builds(lambda a, v: f"({a}={v})", st.sampled_from(ATTRS), LITERAL),
+    st.builds(lambda a, p: f"({a}={p})", st.sampled_from(ATTRS), PATTERN),
+    st.builds(lambda a, op, v: f"({a}{op}{v})", st.sampled_from(ATTRS),
+              st.sampled_from([">=", "<="]), LITERAL),
+)
+FILTER = st.recursive(
+    ITEM,
+    lambda inner: st.one_of(
+        st.builds(lambda op, fs: f"({op}{''.join(fs)})",
+                  st.sampled_from(["&", "|"]),
+                  st.lists(inner, min_size=1, max_size=3)),
+        st.builds(lambda f: f"(!{f})", inner)),
+    max_leaves=6)
+ENTRY = st.dictionaries(st.sampled_from(ATTRS), VALUES, max_size=3).map(
+    lambda attrs: {k: fold(tuple(vs)) for k, vs in attrs.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=FILTER, entries=st.lists(ENTRY, min_size=1, max_size=4))
+def test_remembered_predicate_agrees_with_a_fresh_compile(text, entries):
+    pred = compile_filter(text)
+    assert compile_filter(text) is pred
+    again = fresh(text)
+    for attrs in entries:
+        assert pred(attrs) == again(attrs)
+    assert getattr(pred, "objectclass", None) == getattr(
+        again, "objectclass", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet="()&|!=*<>\\ab", max_size=12),
+    FILTER.flatmap(lambda f: st.integers(0, len(f) - 1).map(
+        lambda i: f[:i] + f[i + 1:]))))
+def test_malformed_text_raises_on_every_call(text):
+    try:
+        want = fresh(text)
+    except FilterError:
+        for _ in range(3):
+            with pytest.raises(FilterError):
+                compile_filter(text)
+        return
+    assert compile_filter(text) is compile_filter(text)
+    assert compile_filter(text)({}) == want({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=VALUE, stored=VALUES)
+def test_an_escaped_value_matches_exactly_its_own_text(value, stored):
+    pred = compile_filter(f"(fn={escape(value)})")
+    folded = fold(tuple(stored))
+    assert pred({"fn": folded}) == (value.lower() in folded)
+
+
+def test_substring_pieces_are_unescaped():
+    pred = compile_filter(f"(fn={escape('a*(')}*{escape(')')})")
+    assert pred({"fn": ("a*(x)",)})
+    assert not pred({"fn": ("ab(x)",)})
+
+
+@pytest.mark.parametrize("text", ["(fn=a\\zz)", "(fn=a\\5)", "(fn=\\ff)"])
+def test_bad_escapes_are_malformed(text):
+    for _ in range(2):
+        with pytest.raises(FilterError):
+            compile_filter(text)
+
+
+def test_the_memo_is_bounded():
+    for i in range(FILTER_MEMO + 10):
+        compile_filter(f"(fn=bound{i})")
+    info = compile_filter.cache_info()
+    assert info.maxsize == FILTER_MEMO
+    assert info.currsize <= FILTER_MEMO

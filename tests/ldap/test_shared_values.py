@@ -122,3 +122,99 @@ def test_published_tuple_leaves_the_cycle_collector():
     files = loc_entry(rc, "anl").get("filename")
     gc.collect()
     assert not gc.is_tracked(files)
+
+
+# -- one fold per published tuple, across the federation ---------------------
+
+NAMES = ["Jan.NC", "feb.nc", "MAR.nc"]
+
+
+def _lookup(env, catalog, name):
+    proc = env.process(catalog.find_replicas("co2", name))
+    env.run(until=proc)
+    return sorted(loc.name for loc in proc.value)
+
+
+def _agree(env, fed, sites, name):
+    """Each shard's answer for ``name``, after checking that the lower-
+    and upper-case forms of ``name`` get that same answer there."""
+    answers = []
+    for site in sites:
+        catalog = fed.sites[site].catalog
+        got = {tuple(_lookup(env, catalog, v))
+               for v in (name, name.lower(), name.upper())}
+        assert len(got) == 1, (site, got)
+        answers.append(list(got.pop()))
+    return answers
+
+
+def test_published_names_are_folded_once_per_federation(monkeypatch):
+    from repro.ldap import directory
+    folded = []
+    real = directory.fold
+
+    def counting(values):
+        folded.append(values)
+        return real(values)
+    monkeypatch.setattr(directory, "fold", counting)
+
+    env = Environment()
+    fed = FederatedReplicaCatalog(env, ["alpha", "beta", "gamma"],
+                                  replication=3)
+    fed.create_collection("co2")
+    fed.register_location("co2", "anl", "gsiftp", "anl.gov", 2811, "/d",
+                          ("jan.nc",))
+    fed.sync_now()
+    home, *peers = fed.router.preference("co2")
+    # Before sync: the home holds the new location, the peers do not.
+    fed.register_location("co2", "lbnl", "gsiftp", "lbl.gov", 2811, "/d",
+                          NAMES)
+    assert _agree(env, fed, [home] + peers, "MAR.nc") == [
+        ["lbnl"], [], []]
+    # An outage on one peer: it misses the first sync and replays later.
+    late = peers[-1]
+    fed.sites[late].directory.add_outage(env.now, 5.0)
+    assert fed.sync_now() > 0
+    assert _agree(env, fed, [home, peers[0]], "MAR.nc") == [
+        ["lbnl"], ["lbnl"]]
+    assert fed.lag == 1
+    env.run(until=env.now + 10.0)
+    assert fed.sync_now() > 0
+    assert _agree(env, fed, [home] + peers, "MAR.nc") == [["lbnl"]] * 3
+    assert _agree(env, fed, [home] + peers, "jan.nc") == [
+        ["anl", "lbnl"]] * 3
+
+    entries = [fed.sites[s].directory.lookup("loc=lbnl,lc=co2,rc=esg")
+               for s in [home] + peers]
+    raw = entries[0].get("filename")
+    assert raw == tuple(NAMES)
+    assert entries[0].folded["filename"] == tuple(n.lower() for n in NAMES)
+    for peer in entries[1:]:
+        assert peer.get("filename") is raw
+        assert peer.folded["filename"] is entries[0].folded["filename"]
+    assert sum(1 for values in folded if values is raw) == 1
+    # The log let go of the op, and with it the shared tuple's carrier.
+    assert fed.lag == 0
+
+
+class _Name(str):
+    """A file name a weak reference can watch."""
+
+
+def test_no_memo_keeps_a_dropped_federation_alive():
+    import weakref
+    env = Environment()
+    fed = FederatedReplicaCatalog(env, ["alpha", "beta"], replication=2)
+    fed.create_collection("co2")
+    names = [_Name(f"File{i}.NC") for i in range(3)]
+    watched = [weakref.ref(n) for n in names]
+    fed.register_location("co2", "anl", "gsiftp", "anl.gov", 2811, "/d",
+                          names)
+    fed.sync_now()
+    for name in names:
+        proc = env.process(fed.find_replicas("co2", name))
+        env.run(until=proc)
+        assert [loc.files for loc in proc.value] == [tuple(names)]
+    del fed, names, name, proc, env
+    gc.collect()
+    assert all(ref() is None for ref in watched)

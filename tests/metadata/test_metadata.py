@@ -129,3 +129,28 @@ def test_timed_query_costs_time():
     t, names = p.value
     assert t > 0
     assert len(names) == 2  # one per year (2 years)
+
+
+def test_filter_values_match_literally():
+    env, mc, ds_id, files = catalog()
+    mc.register_dataset("pcmdi.odd.run1", "a(b)*", "run1")
+    # Unescaped, "NCAR*" was a wildcard and ")(" rewrote the filter.
+    assert mc.datasets(model="NCAR*") == []
+    assert mc.datasets(model="x)(objectclass=*") == []
+    assert [d.dataset_id for d in mc.datasets(model="a(b)*")] == [
+        "pcmdi.odd.run1"]
+    assert [d.dataset_id for d in mc.datasets(model="NCAR_CSM")] == [ds_id]
+
+
+def test_resolve_variable_matches_literally():
+    env = Environment()
+    mc = MetadataCatalog(env)
+    star = VariableRecord("t*", "K", "a variable named with a star")
+    mc.register_dataset("d", "m", "r", variables=VARS + (star,))
+    mc.register_files("d", [
+        {"logical_name": "tas.nc", "year": 1995, "month_range": (1, 12),
+         "size": 1, "variables": ["tas"]},
+        {"logical_name": "star.nc", "year": 1995, "month_range": (1, 12),
+         "size": 1, "variables": ["t*"]}])
+    assert mc.resolve("d", "t*") == ["star.nc"]
+    assert mc.resolve("d", "tas") == ["tas.nc"]

@@ -234,3 +234,37 @@ def test_spread_policy_validation_and_empty():
     with _pytest.raises(ValueError):
         NwsSpreadPolicy(tolerance=-1)
     assert NwsSpreadPolicy().rank([], 1) == []
+
+
+# -- filter escaping (RFC 2254) ------------------------------------------------
+
+def _find(env, rc, name):
+    proc = env.process(rc.find_replicas("c", name))
+    env.run()
+    return sorted(loc.name for loc in proc.value)
+
+
+def test_find_replicas_matches_a_name_literally():
+    env = Environment()
+    rc = ReplicaCatalog(env)
+    rc.create_collection("c")
+    rc.register_location("c", "siteA", "gsiftp", "a.gov", 2811, "/d",
+                         ["a1.nc", "a2.nc"])
+    # Unescaped, "a*" was a wildcard and found siteA.
+    assert _find(env, rc, "a*") == []
+    assert _find(env, rc, "a1.nc") == ["siteA"]
+
+
+def test_find_replicas_with_filter_syntax_in_the_name():
+    env = Environment()
+    rc = ReplicaCatalog(env)
+    rc.create_collection("c")
+    odd = ["x)(objectclass=*", "b\\5c(1)*.nc", "nul\x00.nc"]
+    rc.register_location("c", "siteA", "gsiftp", "a.gov", 2811, "/d",
+                         ["plain.nc"])
+    rc.register_location("c", "siteB", "gsiftp", "b.gov", 2811, "/d", odd)
+    # A name holding ")(" no longer rewrites the filter into one that
+    # matches every location.
+    for name in odd:
+        assert _find(env, rc, name) == ["siteB"]
+    assert _find(env, rc, "x)(objectclass=location") == []
