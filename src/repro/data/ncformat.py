@@ -28,7 +28,6 @@ bytes the file stores.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import struct
@@ -162,7 +161,7 @@ class SdbfReader:
     into an array — so callers can cost-model partial reads. The JSON
     header is parsed at construction and not counted. Each variable's
     ``chunk_index`` is then held as one ``(n, 2)`` int64 array, a sixth
-    of the parsed lists' size: the ERET plug-ins keep a reader per file.
+    of the parsed lists' size.
     """
 
     def __init__(self, blob: bytes):
@@ -176,14 +175,6 @@ class SdbfReader:
         self._payload = memoryview(blob)[self.data_offset:]
         self.bytes_decoded = 0.0
         self._coord_cache: Dict[str, np.ndarray] = {}
-
-    def reopen(self) -> "SdbfReader":
-        """A reader on the same blob that shares this one's parsed header,
-        with its own :attr:`bytes_decoded` and coordinate cache."""
-        reader = copy.copy(self)
-        reader.bytes_decoded = 0.0
-        reader._coord_cache = {}
-        return reader
 
     # -- structure ---------------------------------------------------------
     @property

@@ -44,29 +44,12 @@ class PluginError(Exception):
     """A server-side processing step failed."""
 
 
-def _reader(file: FileObject) -> SdbfReader:
-    """A fresh reader on ``file``'s content.
-
-    The header is parsed once per content: the parsed reader is kept on
-    the file while its content is the same immutable ``bytes`` object,
-    as :func:`repro.data.digest.file_digest` keeps its digest, and each
-    call reopens it with its own decode count.
-    """
-    content = file.content
-    memo = file._header_memo
-    if memo is None or memo[0] is not content:
-        memo = (content, SdbfReader(content))
-        if type(content) is bytes:
-            file._header_memo = memo
-    return memo[1].reopen()
-
-
 def _require_reader(file: FileObject) -> SdbfReader:
     if file.content is None:
         raise PluginError(f"{file.name}: no content to process "
                           f"(size-only synthetic file)")
     try:
-        return _reader(file)
+        return SdbfReader(file.content)
     except FormatError as exc:
         raise PluginError(f"{file.name}: not an SDBF file: {exc}") from exc
 
@@ -204,7 +187,7 @@ def _planned_bounds(reader: SdbfReader, variable: str,
 def _subset_stage_prefix(file: FileObject, args: dict) -> Optional[float]:
     """Byte prefix that covers a subset request (None = whole file)."""
     try:
-        reader = _reader(file)
+        reader = SdbfReader(file.content)
         variable = args.get("variable")
         ranges = {k: tuple(v) for k, v in args.items() if k != "variable"}
         bounds = _planned_bounds(reader, variable, ranges)
@@ -217,7 +200,7 @@ def _variable_stage_prefix(file: FileObject,
                            args: dict) -> Optional[float]:
     """Byte prefix covering one whole variable (time_mean)."""
     try:
-        reader = _reader(file)
+        reader = SdbfReader(file.content)
         variable = args.get("variable")
         shape = tuple(reader.variable_meta(variable)["shape"])
         bounds = [(0, s - 1) for s in shape]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -60,13 +61,16 @@ class SharedValues:
 class Entry:
     """One directory entry: a DN plus multi-valued attributes.
 
-    Each attribute's values are one immutable tuple, shared, not copied:
-    a tuple given to :meth:`_set` is stored as that object. ``folded`` is
-    the case-folded view of ``attributes`` that search filters read: the
-    same tuple for an attribute whose values are already lowercase. Both
-    are written only by :meth:`_set` and dropped only by :meth:`_delete`.
-    ``view`` is one value a layer above derives from the attributes (the
-    replica catalog's ``LocationInfo``); both methods drop it.
+    Each attribute's values are one immutable tuple in publish order,
+    shared, not copied: a tuple given to :meth:`_set` is stored as that
+    object. ``folded`` is the view of ``attributes`` that search filters
+    read: each attribute's values lowercased and sorted, so that equality
+    can bisect them. It is the same tuple as the stored one when that is
+    already lowercase and sorted, and costs one pointer per value when it
+    is not. Both are written only by :meth:`_set` and :meth:`_add` and
+    dropped only by :meth:`_delete`. ``view`` is one value a layer above
+    derives from the attributes (the replica catalog's ``LocationInfo``);
+    every write drops it.
     """
 
     __slots__ = ("dn", "attributes", "folded", "view")
@@ -98,15 +102,32 @@ class Entry:
         self.view = None
 
     def _add(self, attr: str, vs) -> None:
-        """Append the values of ``vs`` that ``attr`` does not yet match."""
-        seen = set(self.folded.get(attr, ()))
+        """Append the values of ``vs`` that ``attr`` does not yet match.
+
+        Each value is looked up in the sorted fold by bisection and, when
+        new, inserted there, so no stored value is hashed or lowercased
+        again.
+        """
+        values = self.attributes.get(attr, ())
+        folded = self.folded.get(attr, ())
+        merged = list(folded)
         added = []
         for v in vs if isinstance(vs, (list, tuple, set)) else [vs]:
             v = str(v)
-            if v.lower() not in seen:
-                seen.add(v.lower())
+            low = v.lower()
+            i = bisect_left(merged, low)
+            if i == len(merged) or merged[i] != low:
+                merged.insert(i, low)
                 added.append(v)
-        self._set(attr, self.attributes.get(attr, ()) + tuple(added))
+        if added:
+            was_values = folded is values
+            values += tuple(added)
+            folded = tuple(merged)
+            if was_values and folded == values:
+                folded = values
+        self.attributes[attr] = values
+        self.folded[attr] = folded
+        self.view = None
 
     def _delete(self, attr: str) -> None:
         self.attributes.pop(attr, None)

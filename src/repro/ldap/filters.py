@@ -13,12 +13,15 @@ Supported grammar::
                | attr "<=" value
 
 :func:`compile_filter` compiles the text into a predicate over *folded*
-attribute dictionaries: attr → tuple of lowercased string values, as
-:func:`fold` builds them. The directory server keeps that view on every
-entry (``Entry.folded``), so equality is one tuple-membership test in C
-and no value is lowercased at query time. Presence, substring (still
-case-insensitive) and ordering (numeric when both sides parse, else the
-lowercased strings) read the same folded values.
+attribute dictionaries: attr → sorted tuple of lowercased string
+values, as :func:`fold` builds them. The directory server keeps that
+view on every entry (``Entry.folded``), so no value is lowercased at
+query time, and equality is one membership test in C: ``in`` on a
+tuple shorter than ``BISECT_FROM`` values, a binary search
+(``bisect_left``) on a longer one, such as a location's ``filename``
+list. Presence, substring (still case-insensitive) and ordering
+(numeric when both sides parse, else the lowercased strings) read the
+same folded values and do not depend on their order.
 
 A predicate's ``objectclass`` tag, when set, is a folded value every
 match must carry: only ``(objectclass=x)`` and an ``&`` with such a
@@ -33,13 +36,17 @@ parse is not remembered: it raises on every call.
 
 An assertion value escapes ``*``, ``(``, ``)``, ``\\`` and NUL as
 ``\\2a``, ``\\28``, ``\\29``, ``\\5c`` and ``\\00`` (RFC 2254); :func:`escape`
-does it for a caller that builds a filter from a name.
+does it for a caller that builds a filter from a name. The parser strips
+the whitespace around a raw value, so :func:`escape` also encodes the
+whitespace at either end of a name (a space as ``\\20``), which then
+matches literally.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from typing import Callable, Dict, Tuple
 
 Attrs = Dict[str, Tuple[str, ...]]
@@ -51,16 +58,22 @@ class FilterError(ValueError):
 
 
 def fold(values: Tuple[str, ...]) -> Tuple[str, ...]:
-    """``values`` lowercased: the same tuple when that changes nothing.
+    """``values`` lowercased and sorted: the same tuple when that changes
+    nothing.
 
-    The check is one pass in C over the joined values, so an attribute
-    whose values are already lowercase costs no copy and no per-value
-    Python call. A non-str value raises ``TypeError`` (from the join).
+    The lowercase check is one pass in C over the joined values, and
+    sorting a sorted tuple is one pass of comparisons, so an attribute
+    whose values are already lowercase and in order costs no copy and no
+    per-value Python call. A non-str value raises ``TypeError`` (from the
+    join).
     """
     joined = "\x00".join(values)
-    if joined.lower() == joined:
+    if joined.lower() != joined:
+        return tuple(sorted([v.lower() for v in values]))
+    if len(values) < 2:
         return values
-    return tuple([v.lower() for v in values])
+    folded = tuple(sorted(values))
+    return values if folded == values else folded
 
 
 _ESCAPES = {ord(c): f"\\{ord(c):02x}" for c in "\\*()\x00"}
@@ -70,7 +83,17 @@ _BAD_ESCAPE = re.compile(r"\\(?![0-9a-fA-F]{2})")
 
 def escape(value: str) -> str:
     """``value`` as an assertion value that matches it literally."""
-    return value.translate(_ESCAPES)
+    value = value.translate(_ESCAPES)
+    body = value.strip()
+    if body == value:
+        return value
+    head = value[:len(value) - len(value.lstrip())]
+    tail = value[len(head) + len(body):]
+    return _hex(head) + body + _hex(tail)
+
+
+def _hex(text: str) -> str:
+    return "".join(f"\\{b:02x}" for b in text.encode())
 
 
 def _unescape(value: str) -> str:
@@ -184,11 +207,20 @@ def _make_presence(attr: str) -> Predicate:
     return pred
 
 
+# Folded tuples this long or longer are searched by bisection; ``in``
+# is faster on shorter ones.
+BISECT_FROM = 16
+
+
 def _make_equality(attr: str, value: str) -> Predicate:
     target = value.lower()
 
     def pred(attrs: Attrs) -> bool:
-        return target in attrs.get(attr, ())
+        values = attrs.get(attr, ())
+        if len(values) < BISECT_FROM:
+            return target in values
+        i = bisect_left(values, target)
+        return i < len(values) and values[i] == target
     if attr == "objectclass":
         pred.objectclass = target
     return pred

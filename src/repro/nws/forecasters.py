@@ -125,7 +125,8 @@ class AdaptiveForecaster(Forecaster):
     """Tracks each sub-forecaster's squared error; answers with the best.
 
     Before any measurement arrives :meth:`predict` returns None; with one
-    measurement every sub-forecaster agrees anyway.
+    measurement every sub-forecaster agrees anyway. The best one is
+    chosen once per measurement, the only time the errors change.
     """
 
     name = "adaptive"
@@ -133,7 +134,7 @@ class AdaptiveForecaster(Forecaster):
     def __init__(self):
         self.forecasters = default_suite()
         self._errors = [0.0] * len(self.forecasters)
-        self._updates = 0
+        self._best: Optional[Forecaster] = None
 
     def update(self, value: float) -> None:
         # Score everyone's standing prediction against the new truth...
@@ -144,20 +145,16 @@ class AdaptiveForecaster(Forecaster):
         # ...then let them see it.
         for f in self.forecasters:
             f.update(value)
-        self._updates += 1
+        errors = self._errors
+        self._best = self.forecasters[
+            min(range(len(errors)), key=errors.__getitem__)]
 
     def predict(self) -> Optional[float]:
-        if self._updates == 0:
-            return None
-        best = min(range(len(self.forecasters)),
-                   key=lambda i: self._errors[i])
-        return self.forecasters[best].predict()
+        best = self._best
+        return None if best is None else best.predict()
 
     @property
     def best_name(self) -> Optional[str]:
         """Which sub-forecaster currently answers."""
-        if self._updates == 0:
-            return None
-        best = min(range(len(self.forecasters)),
-                   key=lambda i: self._errors[i])
-        return self.forecasters[best].name
+        best = self._best
+        return None if best is None else best.name

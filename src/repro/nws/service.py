@@ -106,10 +106,11 @@ class NetworkWeatherService:
         """Current forecast for a pair, or None if never measured."""
         key = (src, dst)
         bw = self._bw.get(key)
-        if bw is None or bw.predict() is None:
+        bandwidth = None if bw is None else bw.predict()
+        if bandwidth is None:
             return None
         return Forecast(src=src, dst=dst,
-                        bandwidth=float(bw.predict()),
+                        bandwidth=float(bandwidth),
                         latency=float(self._lat[key].predict()),
                         measured_at=self._last[key].t,
                         samples=self._counts[key])

@@ -47,8 +47,6 @@ class FileObject:
     # (content, (name, size, marks), digest): file_digest's last answer.
     _digest_memo: Optional[tuple] = field(default=None, init=False,
                                           repr=False, compare=False)
-    # (content, SdbfReader): the ERET plug-ins' parsed header of content.
-    _header_memo = None
 
     def __post_init__(self) -> None:
         if self.size < 0:

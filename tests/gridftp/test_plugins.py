@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import ClimateModelRun, GridSpec, decode
+from repro.data import (ClimateModelRun, Dataset, GridSpec, Variable,
+                        decode, encode)
 from repro.gridftp.plugins import (
     PluginError,
     install_standard_plugins,
@@ -47,6 +48,32 @@ def test_subset_plugin_validation():
         subset_plugin(FileObject("x", 4, content=b"junk"),
                       {"variable": "tas"})
 
+
+
+def _chunked_file(name="a.nc"):
+    ds = Dataset("d", {})
+    ds.add_coord("time", np.arange(4.0))
+    ds.add_coord("lat", np.arange(8.0))
+    ds.add_variable(Variable(
+        "tas", ("time", "lat"), np.arange(32.0).reshape(4, 8), {}))
+    blob = encode(ds, chunks={"time": 1, "lat": 4})
+    return FileObject(name, float(len(blob)), blob)
+
+
+def test_each_request_gets_its_own_decode_count():
+    f = _chunked_file()
+    args = {"variable": "tas", "lat": (0.0, 3.0)}
+    first = subset_plugin(f, args)
+    assert subset_plugin(f, args) == first
+    assert subset_plugin.stage_prefix(f, args) is not None
+
+
+def test_malformed_content_raises_every_time():
+    f = FileObject("bad.nc", 6.0, b"nosdbf")
+    for _ in range(2):
+        with pytest.raises(PluginError):
+            subset_plugin(f, {"variable": "tas"})
+    assert subset_plugin.stage_prefix(f, {"variable": "tas"}) is None
 
 def test_extract_variable_plugin():
     """A subset without coordinate ranges extracts one variable."""

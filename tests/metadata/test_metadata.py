@@ -154,3 +154,11 @@ def test_resolve_variable_matches_literally():
          "size": 1, "variables": ["t*"]}])
     assert mc.resolve("d", "t*") == ["star.nc"]
     assert mc.resolve("d", "tas") == ["tas.nc"]
+
+
+def test_spaces_at_the_ends_of_a_value_are_kept():
+    env, mc, ds_id, files = catalog()
+    mc.register_dataset("pcmdi.spaced.run1", "NCAR_CSM ", "run1")
+    assert [d.dataset_id for d in mc.datasets(model="NCAR_CSM ")] == [
+        "pcmdi.spaced.run1"]
+    assert [d.dataset_id for d in mc.datasets(model="NCAR_CSM")] == [ds_id]

@@ -255,6 +255,25 @@ def test_find_replicas_matches_a_name_literally():
     assert _find(env, rc, "a1.nc") == ["siteA"]
 
 
+
+def test_find_replicas_keeps_whitespace_at_the_ends_of_a_name():
+    env = Environment()
+    rc = ReplicaCatalog(env)
+    rc.create_collection("c")
+    rc.register_location("c", "siteA", "gsiftp", "a.gov", 2811, "/d",
+                         ["a.nc "])
+    rc.register_location("c", "siteB", "gsiftp", "b.gov", 2811, "/d",
+                         ["a.nc"])
+    rc.register_location("c", "siteC", "gsiftp", "c.gov", 2811, "/d",
+                         [" a.nc", "\ta.nc\u3000"])
+    # Unescaped, the filter parser stripped the spaces and "a.nc "
+    # found siteB's "a.nc".
+    assert _find(env, rc, "a.nc ") == ["siteA"]
+    assert _find(env, rc, "a.nc") == ["siteB"]
+    assert _find(env, rc, " a.nc") == ["siteC"]
+    assert _find(env, rc, "\ta.nc\u3000") == ["siteC"]
+    assert _find(env, rc, "  a.nc") == []
+
 def test_find_replicas_with_filter_syntax_in_the_name():
     env = Environment()
     rc = ReplicaCatalog(env)
