@@ -9,16 +9,14 @@ independent ``add_client`` user sites and shows catalog load scaling
 linearly while per-user makespan degrades sublinearly.
 
 ``test_fleet_scaling_sweep`` pushes the fleet-construction fast path —
-``add_fleet`` PoP grouping, the calendar-queue kernel, and fluid flow
-aggregation — through n = 10² to 10⁴ users (10⁵ with
-``REPRO_USER_SCALING_FULL=1``), recording wall time, events/sec, and
-peak RSS per row to ``BENCH_user_scaling.json`` at the repo root. A
-heap-kernel/exact-flow baseline at the same n anchors the speedup
-claim (>= 10x events/sec at n >= 10³), and
-``test_fleet_aggregation_differential`` proves the aggregate fluid
-model agrees with the exact per-flow model (per-user makespans within
-1% at n = 48) and that the calendar kernel and the ``HeapEnvironment``
-test oracle replay bit-identically.
+``add_fleet`` PoP grouping and fluid flow aggregation — through
+n = 10² to 10⁴ users (10⁵ with ``REPRO_USER_SCALING_FULL=1``),
+recording wall time, events/sec, and peak RSS per row to
+``BENCH_user_scaling.json`` at the repo root. An exact-flow baseline
+at the same n anchors the speedup claim (>= 10x events/sec at
+n >= 10³), and ``test_fleet_aggregation_differential`` proves the
+aggregate fluid model agrees with the exact per-flow model (per-user
+makespans within 1% at n = 48).
 
 Env knobs for CI smoke: ``REPRO_USER_SCALING_COUNTS=100,1000``
 (comma-separated sweep), ``REPRO_USER_SCALING_WALL_GATE=240`` (seconds
@@ -29,21 +27,19 @@ import json
 import os
 import resource
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro.scenarios import EsgTestbed
 from repro.scenarios.esg import fleet_config
 
 from benchmarks.conftest import record, run_once
-from tests.sim.heap_kernel import heap_kernel
 
 FILES_PER_USER = 3
 SIZE = 24 * 2**20
 
 FLEET_SIZE = 8 * 2**20      # bytes per user in the fleet sweep
 FLEET_SWEEP = (100, 1000, 2000, 10000)
-BASELINE_N = 2000           # heap/exact anchor for the speedup gate
+BASELINE_N = 2000           # exact-flow anchor for the speedup gate
 USERS_PER_POP = 64
 AGG_THRESHOLD = 2
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_user_scaling.json"
@@ -105,7 +101,7 @@ def test_user_scaling(benchmark, show):
     assert results[48]["catalog_ops"] >= 3 * results[12]["catalog_ops"]
 
 
-# -- fleet fast path (calendar kernel + flow aggregation) ---------------------
+# -- fleet fast path (flow aggregation) ---------------------------------------
 
 def _sweep():
     env_counts = os.environ.get("REPRO_USER_SCALING_COUNTS")
@@ -126,18 +122,15 @@ def _rss_mib():
     return current, peak
 
 
-def pop_fleet_run(n_users: int, kernel: str = "calendar",
-                  aggregation=AGG_THRESHOLD, seed: int = 31,
+def pop_fleet_run(n_users: int, aggregation=AGG_THRESHOLD, seed: int = 31,
                   size: int = FLEET_SIZE):
     """One PoP-grouped fleet request wave; every user pulls one file.
 
-    ``kernel="heap"`` builds the testbed on the ``HeapEnvironment``
-    oracle instead of the calendar queue.
+    ``aggregation=None`` runs every transfer as an exact fluid flow.
     """
-    with heap_kernel() if kernel == "heap" else nullcontext():
-        tb = EsgTestbed(seed=seed, file_size_override=size,
-                        with_tape=False, aggregation_threshold=aggregation,
-                        log_capacity=4096)
+    tb = EsgTestbed(seed=seed, file_size_override=size,
+                    with_tape=False, aggregation_threshold=aggregation,
+                    log_capacity=4096)
     tb.warm_nws(90.0)
     rms = tb.add_fleet(n_users, users_per_pop=USERS_PER_POP,
                        config=fleet_config())
@@ -155,7 +148,6 @@ def pop_fleet_run(n_users: int, kernel: str = "calendar",
     rss_now, rss_peak = _rss_mib()
     return {
         "users": n_users,
-        "kernel": kernel,
         "aggregation": aggregation,
         "wall_s": round(wall, 2),
         "events": stats["events_dispatched"],
@@ -173,19 +165,15 @@ def pop_fleet_run(n_users: int, kernel: str = "calendar",
 def test_fleet_aggregation_differential(benchmark, show):
     """Aggregate fluid classes must reproduce the exact per-flow model.
 
-    At n = 48 the run is cheap enough to do three times: calendar
-    kernel with aggregation, calendar kernel exact, and heap kernel
-    exact. Per-user makespans must agree within 1% between aggregate
-    and exact, and the two kernel backends must replay the exact run
-    bit-identically.
+    At n = 48 the run is cheap enough to do twice: with aggregation
+    and exact. Per-user makespans must agree within 1%.
     """
     def run():
-        agg = pop_fleet_run(48, kernel="calendar")
-        exact = pop_fleet_run(48, kernel="calendar", aggregation=None)
-        heap = pop_fleet_run(48, kernel="heap", aggregation=None)
-        return agg, exact, heap
+        agg = pop_fleet_run(48)
+        exact = pop_fleet_run(48, aggregation=None)
+        return agg, exact
 
-    agg, exact, heap = run_once(benchmark, run)
+    agg, exact = run_once(benchmark, run)
     assert agg["aggregates"] > 0, "aggregation never engaged at n=48"
     worst = 0.0
     for m_agg, m_exact in zip(agg["makespans"], exact["makespans"]):
@@ -194,14 +182,9 @@ def test_fleet_aggregation_differential(benchmark, show):
         assert delta <= 0.01, (
             f"aggregate makespan {m_agg:.3f}s vs exact {m_exact:.3f}s "
             f"({delta * 100:.2f}% off)")
-    # Kernel backends are interchangeable to the last bit.
-    assert heap["makespans"] == exact["makespans"]
-    assert heap["events"] == exact["events"]
     show()
     show("=== Aggregation differential (n=48) ===")
     show(f"  worst per-user makespan delta: {worst * 100:.4f}%")
-    show(f"  heap vs calendar exact replay: bit-identical "
-         f"({exact['events']} events)")
     record(benchmark, worst_delta_pct=round(worst * 100, 4),
            aggregates=agg["aggregates"])
 
@@ -213,19 +196,17 @@ def test_fleet_scaling_sweep(benchmark, show):
     def run():
         rows = [pop_fleet_run(n) for n in counts]
         baseline_n = min(BASELINE_N, max(counts))
-        baseline = pop_fleet_run(baseline_n, kernel="heap",
-                                 aggregation=None)
+        baseline = pop_fleet_run(baseline_n, aggregation=None)
         return rows, baseline
 
     rows, baseline = run_once(benchmark, run)
     show()
     show(f"=== Fleet scaling: 1 x {FLEET_SIZE // 2**20} MiB per user, "
          f"{USERS_PER_POP} users/PoP ===")
-    show(f"  {'users':>7} {'kernel':>9} {'wall(s)':>8} {'events':>9} "
+    show(f"  {'users':>7} {'flows':>9} {'wall(s)':>8} {'events':>9} "
          f"{'ev/s':>7} {'mean mk(s)':>10} {'RSS MiB':>8}")
     for r in rows + [baseline]:
-        label = (f"{r['kernel'][:4]}"
-                 f"{'+agg' if r['aggregation'] else '/exact'}")
+        label = "aggregate" if r["aggregation"] else "exact"
         show(f"  {r['users']:>7} {label:>9} {r['wall_s']:>8.2f} "
              f"{r['events']:>9} {r['events_per_s']:>7} "
              f"{r['mean_makespan_s']:>10.1f} {r['rss_mib']:>8.1f}")
@@ -248,8 +229,8 @@ def test_fleet_scaling_sweep(benchmark, show):
 
     by_n = {r["users"]: r for r in rows}
     # The fast path must hold >= 10x the baseline's events/sec at fleet
-    # scale (n >= 10^3): the calendar queue keeps dispatch O(1) and
-    # aggregation keeps the allocator out of the O(flows) regime.
+    # scale (n >= 10^3): aggregation keeps the allocator out of the
+    # O(flows) regime.
     # Prefer the row at the baseline's own n (identical workload);
     # fall back to the best comparable row on reduced CI sweeps.
     peer = by_n.get(baseline["users"])

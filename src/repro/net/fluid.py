@@ -463,7 +463,6 @@ class FluidNetwork:
         # lazily invalidated. One pending simulator timer covers the
         # earliest valid entry.
         self._completion_heap: list = []
-        self._timer_version = 0
         self._timer_at = math.inf
         self._timer_pending = False
         self._timer_event = None
@@ -1028,20 +1027,16 @@ class FluidNetwork:
         if self._timer_pending and self._timer_at == t_next:
             return
         if self._timer_pending and self._timer_event is not None:
-            self.env.cancel(self._timer_event)  # real cancellation
-        self._timer_version += 1
+            # A superseded timer is cancelled, so it never fires.
+            self.env.cancel(self._timer_event)
         self._timer_at = t_next
         self._timer_pending = True
         self.timer_reschedules += 1
-        version = self._timer_version
         delay = rel if made_at == now else max(t_next - now, 0.0)
         timer = self.env.timeout(delay)
         self._timer_event = timer
+        timer.add_callback(self._on_timer_event)
 
-        def _fire(_ev, version=version):
-            if version != self._timer_version:
-                return  # superseded by a later reallocation
-            self._timer_pending = False
-            self._flush_now()
-
-        timer.add_callback(_fire)
+    def _on_timer_event(self, _ev: Event) -> None:
+        self._timer_pending = False
+        self._flush_now()

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A small, deterministic, SimPy-flavoured kernel: an :class:`Environment`
-drives a calendar event queue; :class:`Process` objects are generator
+drives a binary-heap event queue; :class:`Process` objects are generator
 coroutines that ``yield`` events (timeouts, other processes, any-of and
 all-of conditions) and are resumed when those events fire.
 

@@ -1,36 +1,20 @@
 """The simulation environment: clock + event queue + scheduler.
 
-Events dispatch in (time, priority, schedule sequence) order from a
-slotted calendar queue: events are binned into fixed-width time buckets
-held in a dict, with a small heap of populated bucket indices. The
-current bucket is filtered of cancelled entries and sorted *once*, then
-consumed by a position pointer (batched same-instant dispatch);
-arrivals landing in the already-open bucket (typically zero-delay
-wakeups) go to a small overflow heap that is merged at the head by
-exact key comparison. Scheduling into a future bucket allocates no
-per-event tuple — the sort key lives in ``Event.__slots__`` — and
-cancellation is O(1): the entry is marked and skipped when it reaches
-the head, with an amortized sweep bounding how many dead entries stay
-resident (see :meth:`Environment.cancel`).
+Events dispatch in (time, priority, schedule sequence) order from one
+binary heap of ``(time, priority, seq, event)`` entries. Cancellation
+is O(1): the entry is marked and skipped when it reaches the head,
+with an amortized sweep bounding how many dead entries stay resident
+(see :meth:`Environment.cancel`).
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.events import AllOf, AnyOf, Event, EventPriority, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-
-_SORT_KEY = attrgetter("_t", "_prio", "_seq")
-
-#: Calendar-bucket width (simulated seconds). Wide enough that
-#: bursty same-instant traffic lands in one bucket (one sort, pointer
-#: consumption), narrow enough that a bucket rarely mixes events from
-#: far-apart instants.
-DEFAULT_BUCKET_WIDTH = 0.25
 
 
 class SimulationError(RuntimeError):
@@ -144,15 +128,7 @@ class Environment:
         self._n_dispatched = 0
         self._n_cancel_calls = 0
         self._n_compactions = 0
-        self._t0 = self._now
-        self._inv_width = 1.0 / DEFAULT_BUCKET_WIDTH
-        self._slots: dict = {}      # bucket index -> unsorted [Event]
-        self._slot_heap: list = []  # populated bucket indices
-        self._cur_slot = -1         # index of the bucket open in _ready
-        self._ready: list = []      # current bucket, sorted, live prefix
-        self._ready_pos = 0
-        self._overflow: list = []   # (time, prio, seq, event) in cur slot
-        self._head_in_overflow = False
+        self._queue: list = []  # heap of (time, priority, seq, event)
         self.rng = RandomStreams(seed)
         self._active_process: Optional[Process] = None
         self._id_counters: dict = {}
@@ -228,20 +204,8 @@ class Environment:
         self._n_live += 1
         t = self._now + delay if at is None else at
         event._t = t
-        event._prio = int(priority)
-        event._seq = self._seq
-        slot = int((t - self._t0) * self._inv_width)
-        if slot <= self._cur_slot:
-            # Lands in (or before) the bucket already open for dispatch:
-            # merge at the head through the overflow heap.
-            heapq.heappush(self._overflow, (t, event._prio, self._seq, event))
-            return
-        bucket = self._slots.get(slot)
-        if bucket is None:
-            self._slots[slot] = [event]
-            heapq.heappush(self._slot_heap, slot)
-        else:
-            bucket.append(event)
+        event._prio = prio = int(priority)
+        heapq.heappush(self._queue, (t, prio, self._seq, event))
 
     def call_later(self, delay: float, fn: Callable[[], None],
                    priority: int = EventPriority.NORMAL) -> None:
@@ -293,72 +257,23 @@ class Environment:
             self._n_compactions += 1
 
     def _compact(self) -> None:
-        """Sweep cancelled entries out of the calendar structures.
-
-        No heapify over events is ever needed: buckets are unsorted
-        lists and the slot-index heap is left untouched — a bucket
-        emptied here leaves a stale index behind, skipped at advance.
-        """
-        self._ready = [e for e in self._ready[self._ready_pos:]
-                       if not e._cancelled]
-        self._ready_pos = 0
-        self._overflow = [entry for entry in self._overflow
-                          if not entry[3]._cancelled]
-        heapq.heapify(self._overflow)
-        for slot in list(self._slots):
-            bucket = [e for e in self._slots[slot] if not e._cancelled]
-            if bucket:
-                self._slots[slot] = bucket
-            else:
-                del self._slots[slot]
+        """Sweep cancelled entries out of the heap."""
+        self._queue = [entry for entry in self._queue
+                       if not entry[3]._cancelled]
+        heapq.heapify(self._queue)
 
     # -- queue head ---------------------------------------------------------
     def _settle_head(self) -> Optional[Event]:
-        """Return the next live event without consuming it, or None.
-
-        Discards cancelled entries on the way and advances to the next
-        populated bucket when the current one is drained.
-        """
-        while True:
-            ready = self._ready
-            pos = self._ready_pos
-            n = len(ready)
-            while pos < n and ready[pos]._cancelled:
-                pos += 1
-                self._n_cancelled -= 1
-            self._ready_pos = pos
-            ov = self._overflow
-            while ov and ov[0][3]._cancelled:
-                heapq.heappop(ov)
-                self._n_cancelled -= 1
-            if pos < n:
-                ev = ready[pos]
-                if ov and ov[0][:3] < (ev._t, ev._prio, ev._seq):
-                    self._head_in_overflow = True
-                    return ov[0][3]
-                self._head_in_overflow = False
-                return ev
-            if ov:
-                self._head_in_overflow = True
-                return ov[0][3]
-            if not self._slot_heap:
-                return None
-            slot = heapq.heappop(self._slot_heap)
-            bucket = self._slots.pop(slot, None)
-            if bucket is None:
-                continue  # stale index left behind by a compaction sweep
-            live = [e for e in bucket if not e._cancelled]
-            self._n_cancelled -= len(bucket) - len(live)
-            live.sort(key=_SORT_KEY)
-            self._ready = live
-            self._ready_pos = 0
-            self._cur_slot = slot
+        """Return the next live event without consuming it, or None,
+        popping cancelled entries on the way."""
+        q = self._queue
+        while q and q[0][3]._cancelled:
+            heapq.heappop(q)
+            self._n_cancelled -= 1
+        return q[0][3] if q else None
 
     def _consume_head(self) -> None:
-        if self._head_in_overflow:
-            heapq.heappop(self._overflow)
-        else:
-            self._ready_pos += 1
+        heapq.heappop(self._queue)
 
     def _dispatch(self, event: Event) -> None:
         self._consume_head()
@@ -393,14 +308,10 @@ class Environment:
         return self._n_live
 
     def queue_depth(self) -> int:
-        """Entries physically resident in the queue (live + cancelled).
-
-        O(#populated buckets); for tests asserting that cancelled timers
-        cannot pile up over long runs.
-        """
-        return (len(self._ready) - self._ready_pos
-                + len(self._overflow)
-                + sum(len(b) for b in self._slots.values()))
+        """Entries physically resident in the queue (live + cancelled),
+        for tests asserting that cancelled timers cannot pile up over
+        long runs."""
+        return len(self._queue)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
@@ -438,7 +349,14 @@ class Environment:
             def _stop(ev: Event) -> None:
                 raise StopSimulation(ev._value if ev._exc is None else ev._exc)
 
-            target.add_callback(_stop)
+            stopper: Optional[Event] = None
+            if target._processed:
+                # The stop runs after the events already due now, from
+                # a queue entry this run can revoke.
+                stopper = _Call(self, _stop, (target,))
+                self.schedule(stopper)
+            else:
+                target.add_callback(_stop)
             try:
                 while True:
                     event = self._settle_head()
@@ -449,6 +367,14 @@ class Environment:
                 if target._exc is not None:
                     raise target._exc
                 return stop.value
+            finally:
+                # A run that ends without its target firing (the queue
+                # drained, or a callback raised) leaves no stop behind
+                # for a later run to hit.
+                if stopper is None:
+                    target.remove_callback(_stop)
+                else:
+                    self.cancel(stopper)
             raise SimulationError(
                 "event queue drained before the target event fired")
         # numeric horizon

@@ -65,10 +65,11 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_exc", "_triggered",
                  "_processed", "_defused", "_cancelled",
-                 # Queue sort key, written by Environment.schedule: the
-                 # calendar backend keys buckets on these slots instead
-                 # of allocating a (t, prio, seq, event) tuple per event.
-                 "_t", "_prio", "_seq")
+                 # Time and priority, written by Environment.schedule
+                 # (the heap entry carries the schedule sequence):
+                 # dispatch reads the time, and dispatch-order tests
+                 # trace both.
+                 "_t", "_prio")
 
     def __init__(self, env: "Environment"):
         self.env = env

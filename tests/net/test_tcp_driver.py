@@ -37,25 +37,27 @@ class CountingRng:
         return self.gen.exponential(scale)
 
 
-class TracingEnvironment(Environment):
-    """Logs (time, priority) of every dispatched event except the
+def record_dispatch(env):
+    """Log (time, priority) of every event ``env`` dispatches except the
     reference driver's process completions."""
+    trace = []
+    dispatch = env._dispatch
 
-    def __init__(self, seed):
-        super().__init__(seed=seed)
-        self.trace = []
-
-    def _dispatch(self, event):
+    def traced(event):
         if not (isinstance(event, Process)
                 and event.name == "_window_process"):
-            self.trace.append((event._t, event._prio))
-        super()._dispatch(event)
+            trace.append((event._t, event._prio))
+        dispatch(event)
+
+    env._dispatch = traced
+    return trace
 
 
 def run_script(stream_cls, case):
     """Run ``case`` with ``stream_cls`` driving every window; return
     everything the twins must agree on."""
-    env = TracingEnvironment(case["seed"])
+    env = Environment(seed=case["seed"])
+    trace = record_dispatch(env)
     topo = Topology()
     topo.duplex_link("A", "B", capacity=case["capacity"],
                      latency=case["rtt"] / 2)
@@ -115,7 +117,7 @@ def run_script(stream_cls, case):
         "windows": [(s.cwnd, s.losses, s.rng.draws if s.rng else 0)
                     for s in streams],
         "finished": [(f.name, f.finished_at) for f in flows],
-        "trace": env.trace,
+        "trace": trace,
         "drives": len(flows),
         "dispatched": env.kernel_stats["events_dispatched"],
     }

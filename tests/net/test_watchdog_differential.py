@@ -69,7 +69,7 @@ def _shared(event, aggregate_done: Set) -> bool:
     if kind == "_Call" and isinstance(event._fn, _AbortBatch):
         return False
     if cbs is not None and getattr(cbs, "__name__", "") in (
-            "_fire", "_on_flush_event"):
+            "_on_timer_event", "_on_flush_event"):
         return False
     return not (isinstance(event, Timeout)
                 and type(cbs).__name__ == "_WaitFor")

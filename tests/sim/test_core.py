@@ -142,6 +142,53 @@ def test_run_until_never_fired_event_raises():
         env.run(until=pending)
 
 
+def test_run_until_drained_target_leaves_no_stop_behind():
+    """A target that fires after its run gave up must not end a later
+    plain run: that run drains the queue and returns None."""
+    env = Environment()
+    target = env.event()
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=target)
+    target.succeed(42)
+    env.timeout(3.0)
+    assert env.run() is None
+    assert env.now == 3.0
+
+
+def test_run_until_interrupted_by_a_raising_callback_leaves_no_stop():
+    """After a callback raises out of ``run(until=target)``, the stale
+    target firing at t=1 must not end ``run(until=other)`` at t=3."""
+    env = Environment()
+    target = env.event()
+
+    def boom(_ev):
+        raise ValueError("callback failed")
+
+    env.timeout(0.5).add_callback(boom)
+    env.timeout(1.0).add_callback(lambda _ev: target.succeed(42))
+    with pytest.raises(ValueError, match="callback failed"):
+        env.run(until=target)
+    other = env.timeout(2.5, value="other")
+    assert env.run(until=other) == "other"
+    assert env.now == 3.0
+
+
+def test_run_until_processed_target_interrupted_leaves_no_stop():
+    """A target already processed stops its run through a queue entry;
+    a callback raising before that entry runs revokes it."""
+    env = Environment()
+    target = env.timeout(0.0, value="done")
+    env.run(until=target)
+    boom = env.event()
+    boom.add_callback(lambda _ev: 1 / 0)
+    boom.succeed()
+    with pytest.raises(ZeroDivisionError):
+        env.run(until=target)
+    env.timeout(2.0)
+    assert env.run() is None
+    assert env.now == 2.0
+
+
 def test_run_until_failed_event_raises_its_exception():
     env = Environment()
     ev = env.event()
