@@ -96,12 +96,6 @@ class GridFtpConfig:
         whole file. Must be in (0, 1]: a strictly positive watermark
         guarantees the stage (and its cache pin) completes before the
         rate-capped transfer can drain the last byte.
-    record_series:
-        When True (default), request-manager transfers keep one closed
-        per-block RateSeries on their :class:`TransferStats` (feeds the
-        bandwidth timeline and critical-path attribution). Fleet-scale
-        runs turn this off: the recorders cost memory per block and pin
-        every flow to the exact (non-aggregated) fluid path.
     verify_checksum:
         When True, the request manager re-computes every delivered
         file's digest and compares it against the catalog's
@@ -120,7 +114,6 @@ class GridFtpConfig:
     stall_poll: Optional[float] = None
     loss_rate: float = 0.0
     stage_watermark: Optional[float] = None
-    record_series: bool = True
     verify_checksum: bool = False
 
     def __post_init__(self) -> None:

@@ -77,12 +77,19 @@ def fold(values: Tuple[str, ...]) -> Tuple[str, ...]:
 
 
 _ESCAPES = {ord(c): f"\\{ord(c):02x}" for c in "\\*()\x00"}
+_SPECIAL = re.compile(r"[\\*()\x00]")
 _ESCAPED = re.compile(r"(?:\\[0-9a-fA-F]{2})+")
 _BAD_ESCAPE = re.compile(r"\\(?![0-9a-fA-F]{2})")
 
 
 def escape(value: str) -> str:
-    """``value`` as an assertion value that matches it literally."""
+    """``value`` as an assertion value that matches it literally.
+
+    A name with no character to escape and no whitespace at either end
+    (nearly every catalog name) is returned as it is after one regex
+    search and one strip, both in C."""
+    if _SPECIAL.search(value) is None and value.strip() == value:
+        return value
     value = value.translate(_ESCAPES)
     body = value.strip()
     if body == value:

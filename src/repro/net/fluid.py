@@ -10,12 +10,22 @@ link's capacity changes.
 The allocator is *incremental*: the cost of a change is proportional to
 the disturbance, not the network.
 
-- **Component scoping** — flows partition into connected components
-  (flows transitively sharing links, discovered by DFS over the
-  ``Link._flows`` index). Any flow start/finish/abort/cap change or
-  link-capacity change recomputes rates only for the affected
-  component, and each dirty component is filled on its own; disjoint
-  transfers never pay for each other.
+- **Path groups** — the active flows that share one route list (the
+  parallel streams of a transfer, or every flow of one cached route)
+  form a :class:`_PathGroup`; each link indexes the groups crossing it
+  (``Link._groups``), kept as flows start, aggregate and leave.
+- **Component scoping** — groups partition into connected components
+  (groups transitively sharing links, discovered by DFS over the
+  ``Link._groups`` index, so a component of 13 streams on 2 routes is
+  2 steps). Any flow start/finish/abort/cap change or link-capacity
+  change recomputes rates only for the affected component, and each
+  dirty component is filled on its own; disjoint transfers never pay
+  for each other.
+- **Fill over link classes** — set-up runs per group: links crossed by
+  the same groups form a class, and only the class's least-capacity
+  link can bind first. A frozen flow gives its share back to its
+  group's classes, not to every link of its path, so per flow a fill
+  costs one reset, one cap sort and one final rate/prediction pass.
 - **No-op cap changes** — a cap change that cannot move a rate
   schedules nothing: the cap is unchanged, or the flow froze on a
   saturated link in its last fill and the new cap is still >= its rate
@@ -28,10 +38,11 @@ the disturbance, not the network.
   the end of the instant. No bytes move while dt = 0, so the collapsed
   recompute is exact.
 - **Event-queue hygiene** — predicted completions live in an internal
-  heap (lazily invalidated by a per-flow version stamp); exactly one
-  simulator timer is kept pending, and it is only rescheduled when the
-  earliest completion instant actually changes. Cap churn therefore no
-  longer piles superseded timers into the event queue.
+  heap (lazily invalidated by a per-flow version stamp, which retiring
+  a flow bumps too); exactly one simulator timer is kept pending, and
+  it is only rescheduled when the earliest completion instant actually
+  changes. Cap churn therefore no longer piles superseded timers into
+  the event queue.
 - **Stall signals** — a watched flow is told when its rate reaches or
   leaves zero (:meth:`FluidNetwork.watch_rate`), so a stall watchdog
   needs no polling while bytes move.
@@ -76,11 +87,25 @@ _EPS_BYTES = 1e-3
 _EPS_RATE = 1e-9
 
 
-def _closure(comp: List["Flow"], seen: Set[Link],
-             visited: Set["Flow"]) -> List["Flow"]:
-    """Grow ``comp`` (unvisited flows) into its connected component by
-    DFS over the ``Link._flows`` index, in place. Each link is scanned
-    once and each flow pushed once across every call sharing ``seen``
+class _PathGroup:
+    """The active flows that share one route list (the parallel streams
+    of one transfer, or the flows of one cached route): the unit the
+    ``Link._groups`` index holds, the scope's DFS walks and the fill's
+    link classes are built from. It holds its ``path``, so the list's
+    ``id`` keys no other group while this one lives."""
+
+    __slots__ = ("path", "flows")
+
+    def __init__(self, path: List[Link]):
+        self.path = path
+        self.flows: Dict[int, "Flow"] = {}  # id -> flow, in start order
+
+
+def _closure(comp: List[_PathGroup], seen: Set[Link],
+             visited: Set[_PathGroup]) -> List[_PathGroup]:
+    """Grow ``comp`` (unvisited groups) into its connected component by
+    DFS over the ``Link._groups`` index, in place. Each link is scanned
+    once and each group pushed once across every call sharing ``seen``
     and ``visited``."""
     visited.update(comp)
     stack = list(comp)
@@ -88,7 +113,7 @@ def _closure(comp: List["Flow"], seen: Set[Link],
         for link in stack.pop().path:
             if link not in seen:
                 seen.add(link)
-                for g in link._flows:
+                for g in link._groups:
                     if g not in visited:
                         visited.add(g)
                         comp.append(g)
@@ -160,7 +185,7 @@ class Flow:
     __slots__ = ("id", "name", "path", "size", "cap", "limit", "rate",
                  "done", "recorder", "started_at", "finished_at",
                  "_network", "_remaining", "_advanced_at", "_pred_version",
-                 "_link_bound", "_stall")
+                 "_link_bound", "_stall", "_group")
 
     # Overridden by AggregateFlow; plain flows take one max-min share.
     _is_agg = False
@@ -193,6 +218,7 @@ class Flow:
         self._link_bound = False
         # Told when the rate reaches or leaves zero (see watch_rate).
         self._stall = None
+        self._group: Optional[_PathGroup] = None  # see _attach
 
     @property
     def remaining(self) -> float:
@@ -454,6 +480,7 @@ class FluidNetwork:
         self._path_flows: Dict[tuple, int] = {}  # eligible exact flows/path
         self._counted: Set[int] = set()          # flow ids in _path_flows
         self._flow_map: Dict[int, Flow] = {}  # id -> active flow, ordered
+        self._groups: Dict[int, _PathGroup] = {}  # id(path) -> its group
         # Dirty bookkeeping for deferred, component-scoped recomputes.
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[Link] = set()
@@ -512,9 +539,7 @@ class FluidNetwork:
             flow.finished_at = self.env.now
             flow.done.succeed()
             return flow
-        self._flow_map[flow.id] = flow
-        for link in path:
-            link._flows.add(flow)
+        self._attach(flow)
         self._mark_flow(flow)
         return flow
 
@@ -605,7 +630,7 @@ class FluidNetwork:
         change on a link carrying no flows cannot move any allocation
         and is skipped outright (idle floor-load ticks are free).
         """
-        if link._flows:
+        if link._groups:
             self._dirty_links.add(link)
             self._request_flush()
 
@@ -613,9 +638,7 @@ class FluidNetwork:
     def _make_aggregate(self, key: tuple) -> AggregateFlow:
         agg = AggregateFlow(self, key)
         self._aggregates[key] = agg
-        self._flow_map[agg.id] = agg
-        for link in agg.path:
-            link._flows.add(agg)
+        self._attach(agg)
         self.aggregates_created += 1
         return agg
 
@@ -684,7 +707,7 @@ class FluidNetwork:
     def flows_on(self, link: Link) -> Iterable[Flow]:
         """Flows currently crossing ``link``."""
         self._flush_now()
-        return tuple(link._flows)
+        return tuple(f for g in link._groups for f in g.flows.values())
 
     def link_load(self) -> Dict[str, float]:
         """Per-link carried load (bytes/s) — the cheap probe form.
@@ -736,6 +759,17 @@ class FluidNetwork:
             flow._complete_due(now)
             flow._refresh_remaining()
 
+    def _attach(self, flow: Flow) -> None:
+        """Enter ``flow`` into the network and into its path group."""
+        self._flow_map[flow.id] = flow
+        group = self._groups.get(id(flow.path))
+        if group is None:
+            group = self._groups[id(flow.path)] = _PathGroup(flow.path)
+            for link in flow.path:
+                link._groups.add(group)
+        group.flows[flow.id] = flow
+        flow._group = group
+
     def _detach(self, flow: Flow) -> None:
         self._flow_map.pop(flow.id, None)
         self._dirty_flows.discard(flow)
@@ -749,10 +783,16 @@ class FluidNetwork:
                 self._path_flows[key] = n
             else:
                 self._path_flows.pop(key, None)
-        for link in flow.path:
-            link._flows.discard(flow)
-            if link._flows:
-                self._dirty_links.add(link)
+        group = flow._group
+        del group.flows[flow.id]
+        if group.flows:
+            self._dirty_links.update(group.path)
+        else:
+            del self._groups[id(group.path)]
+            for link in group.path:
+                link._groups.discard(group)
+                if link._groups:
+                    self._dirty_links.add(link)
 
     def _finish(self, flow: Flow, now: float) -> None:
         """Retire a flow whose last byte has been delivered."""
@@ -773,7 +813,9 @@ class FluidNetwork:
         heap = self._completion_heap
         while heap:
             t, version, _fid, flow, _made_at, _rel = heap[0]
-            if not flow.active or version != flow._pred_version:
+            # Retiring a flow bumps its version, so this also drops
+            # retired flows' entries.
+            if version != flow._pred_version:
                 heapq.heappop(heap)  # stale entry
                 continue
             if t > now:
@@ -781,32 +823,33 @@ class FluidNetwork:
             heapq.heappop(heap)
             self._dirty_flows.add(flow)
 
-    def _scope(self, now: float) -> List[List[Flow]]:
-        """Flows whose rates must be recomputed, one list per connected
-        component: the closure of every dirty flow and every flow on a
-        dirty link (the whole network after :meth:`reallocate`).
+    def _scope(self, now: float) -> List[List[_PathGroup]]:
+        """Path groups whose flows' rates must be recomputed, one list
+        per connected component: the closure of every dirty flow's group
+        and every group on a dirty link (the whole network after
+        :meth:`reallocate`).
 
-        O(flows + links) in the closure: a link's flows are scanned only
-        the first time the DFS reaches the link, and a flow is pushed
-        only the first time it is reached."""
+        O(groups + links) in the closure: a link's groups are scanned
+        only the first time the DFS reaches the link, and a group is
+        pushed only the first time it is reached."""
         if self._dirty_all:
-            seeds = list(self._flow_map.values())
+            seeds = list(self._groups.values())
             links: Iterable[Link] = ()
         else:
-            seeds = [f for f in self._dirty_flows if f.active]
+            seeds = [f._group for f in self._dirty_flows if f.active]
             links = self._dirty_links
         seen: Set[Link] = set()
-        visited: Set[Flow] = set()
-        components: List[List[Flow]] = []
+        visited: Set[_PathGroup] = set()
+        components: List[List[_PathGroup]] = []
         # A dirty link the DFS has not reached yet carries no visited
-        # flow, so its flows open a new component together.
+        # group, so its groups open a new component together.
         for link in links:
-            if link not in seen and link._flows:
+            if link not in seen and link._groups:
                 seen.add(link)
-                components.append(_closure(list(link._flows), seen, visited))
-        for f in seeds:
-            if f not in visited:
-                components.append(_closure([f], seen, visited))
+                components.append(_closure(list(link._groups), seen, visited))
+        for g in seeds:
+            if g not in visited:
+                components.append(_closure([g], seen, visited))
         return components
 
     def _flush_now(self) -> None:
@@ -816,99 +859,118 @@ class FluidNetwork:
         if self._dirty_all or self._dirty_flows or self._dirty_links:
             components = self._scope(now)
             # Settle byte counts at the old rates before assigning new
-            # ones; flows that crossed their last byte retire here, in
-            # start order across all components (finish order must be
+            # ones (inline for plain flows: this is :meth:`_advance`);
+            # flows that crossed their last byte retire here, in start
+            # order across all components (finish order must be
             # deterministic — waiter processes resume in the order their
             # flows' ``done`` events were triggered). Retirement marks
-            # links dirty again, but only with flows already in the
+            # links dirty again, but only with groups already in the
             # closure — so the dirty sets are cleared after this loop.
-            scope = [f for comp in components for f in comp]
+            scope = [f for comp in components for g in comp
+                     for f in g.flows.values()]
             scope.sort(key=attrgetter("id"))
-            retired = False
             for f in scope:
-                self._advance(f, now)
+                if f._is_agg:
+                    self._advance(f, now)
+                else:
+                    if f.rate > 0.0:
+                        dt = now - f._advanced_at
+                        if dt > 0.0:
+                            f._remaining -= f.rate * dt
+                    f._advanced_at = now
                 if f._remaining <= _EPS_BYTES:
                     self._finish(f, now)
-                    retired = True
             self._dirty_all = False
             self._dirty_flows.clear()
             self._dirty_links.clear()
             self.flushes += 1
             live = 0
             for comp in components:
-                if retired:
-                    comp = [f for f in comp if f.finished_at is None]
-                if comp:
-                    live += len(comp)
+                n = sum(len(g.flows) for g in comp)
+                if n:
+                    live += n
                     self._fill(comp, now)
             self.flows_recomputed += live
             if live:
                 self.reallocations += 1
         self._reschedule_timer(now)
 
-    def _fill(self, flows: List[Flow], now: float) -> None:
-        """Progressive-filling max-min fairness with per-flow caps.
+    def _fill(self, groups: List[_PathGroup], now: float) -> None:
+        """Progressive-filling max-min fairness with per-flow caps, over
+        the flows of ``groups``.
 
-        ``flows`` must be closed under link sharing (a union of whole
+        ``groups`` must be closed under link sharing (a union of whole
         components); links outside it carry none of its traffic, so each
-        involved link's full capacity belongs to this subproblem.
+        involved link's full capacity belongs to this subproblem. Groups
+        emptied since the scope was taken are skipped.
         """
-        # Streams of one transfer share one cached path list, so the
-        # set-up below runs per distinct path, not per flow. A flow with
-        # a zero cap stays at 0.
-        by_path: Dict[int, List[Flow]] = {}
-        for f in flows:
-            f.rate = 0.0
-            f._link_bound = False
-            if f.cap > _EPS_RATE:
-                group = by_path.get(id(f.path))
-                if group is None:
-                    by_path[id(f.path)] = [f]
-                else:
-                    group.append(f)
-        residual: Dict[Link, float] = {}
-        for group in by_path.values():
-            for link in group[0].path:
-                if link not in residual:
-                    residual[link] = link.capacity
-        dead = {link for link, c in residual.items() if c <= _EPS_RATE}
-        users: Dict[Link, List[Flow]] = {}
+        # Set-up runs per group, not per flow. A flow with a zero cap
+        # stays at 0, and so does every flow of a group crossing a dead
+        # link; the rest are ``plain`` or ``aggs`` and start unfrozen.
+        # ``users`` maps each link to the bit set of the live groups
+        # (those with an unfrozen flow) crossing it.
         plain: List[Flow] = []
         aggs: List[Flow] = []
-        for group in by_path.values():
-            path = group[0].path
-            # A flow through a dead link stays at 0.
-            if not dead.isdisjoint(path):
-                continue
-            for f in group:
-                if f._is_agg:
-                    aggs.append(f)
-                else:
-                    plain.append(f)
+        live: List[_PathGroup] = []
+        nshares: List[int] = []  # per live group
+        users: Dict[Link, int] = {}
+        nflows = 0
+        for g in groups:
+            flows = g.flows.values()
+            nflows += len(flows)
+            path = g.path
+            dead = False
             for link in path:
-                if link in users:
-                    users[link].extend(group)
-                else:
-                    users[link] = group.copy()
+                if link.capacity <= _EPS_RATE:
+                    dead = True
+                    break
+            n = 0
+            for f in flows:
+                f.rate = 0.0
+                f._link_bound = False
+                if f.cap > _EPS_RATE and not dead:
+                    if f._is_agg:
+                        aggs.append(f)
+                        n += f._nshares
+                    else:
+                        plain.append(f)
+                        n += 1
+            if n:
+                bit = 1 << len(live)
+                live.append(g)
+                nshares.append(n)
+                for link in path:
+                    users[link] = users.get(link, 0) | bit
         unfrozen: Set[Flow] = {*plain, *aggs}
-        # Links with the same users hold the same shares all fill long;
-        # float subtraction is monotonic, so the one with the least
-        # capacity stays the tightest and the rest never bind first.
-        # ``shares`` keeps that one link per user set, with the max-min
-        # shares its unfrozen users hold (an aggregate holds one per
-        # member, so mixed exact/aggregate links converge to the exact
-        # allocation); a link leaves it when its last user freezes.
-        tightest: Dict[tuple, Link] = {}
-        for link, flows_on in users.items():
-            key = tuple(flows_on)
-            other = tightest.get(key)
-            if other is None or residual[link] < residual[other]:
-                tightest[key] = link
-        if aggs:
-            shares = {link: sum(f._nshares for f in key)
-                      for key, link in tightest.items()}
-        else:
-            shares = {link: len(key) for key, link in tightest.items()}
+        # Links crossed by the same groups form a class: they hold the
+        # same shares all fill long, and float subtraction is monotonic,
+        # so the one with the least capacity stays the tightest and the
+        # rest never bind first. A class is kept as ``[residual of that
+        # link, unfrozen max-min shares, its groups]`` (an aggregate holds
+        # one share per member, so mixed exact/aggregate links converge
+        # to the exact allocation); it drops out of the fill when its
+        # last share freezes. ``of_group`` lists each group's classes.
+        tightest: Dict[int, Link] = {}
+        for link, mask in users.items():
+            other = tightest.get(mask)
+            if other is None or link.capacity < other.capacity:
+                tightest[mask] = link
+        classes = []
+        of_group: Dict[_PathGroup, list] = {g: [] for g in live}
+        for mask, link in tightest.items():
+            members = []
+            n = 0
+            i = 0
+            while mask:
+                if mask & 1:
+                    members.append(live[i])
+                    n += nshares[i]
+                mask >>= 1
+                i += 1
+            c = [link.capacity, n, members]
+            classes.append(c)
+            for g in members:
+                of_group[g].append(c)
         # Every unfrozen plain flow has added the same deltas to 0.0, so
         # they share one rate, ``level``; taking them in cap order finds
         # the next cap to bind without scanning them all. Aggregates add
@@ -917,7 +979,7 @@ class FluidNetwork:
         nplain = len(plain)
         head = 0
         level = 0.0
-        guard = 10 * len(flows) + 10
+        guard = 10 * nflows + 10
         while unfrozen:
             guard -= 1
             if guard < 0:  # pragma: no cover
@@ -925,10 +987,12 @@ class FluidNetwork:
             # Largest uniform per-share increment every unfrozen flow
             # can take.
             delta = math.inf
-            for link, n in shares.items():
-                d = residual[link] / n
-                if d < delta:
-                    delta = d
+            for c in classes:
+                n = c[1]
+                if n:
+                    d = c[0] / n
+                    if d < delta:
+                        delta = d
             while head < nplain and plain[head] not in unfrozen:
                 head += 1
             if head < nplain:
@@ -957,48 +1021,53 @@ class FluidNetwork:
                     f.rate += delta * f._nshares
                     if f.rate >= f.cap - _EPS_RATE:
                         newly_frozen.append(f)
-            for link, n in shares.items():
-                residual[link] -= delta * n
-                if residual[link] <= _EPS_RATE:
-                    for f in users[link]:
-                        if f in unfrozen:
-                            f._link_bound = True
-                            newly_frozen.append(f)
+            for c in classes:
+                n = c[1]
+                if n:
+                    c[0] -= delta * n
+                    if c[0] <= _EPS_RATE:
+                        for g in c[2]:
+                            for f in g.flows.values():
+                                if f in unfrozen:
+                                    f._link_bound = True
+                                    newly_frozen.append(f)
             if not newly_frozen and delta <= _EPS_RATE:
                 # No progress possible (degenerate); freeze everything.
                 newly_frozen = list(unfrozen)
+            # Freeze, then give the shares back once per group.
+            freed: Dict[_PathGroup, int] = {}
             for f in newly_frozen:
                 if f in unfrozen:
                     unfrozen.remove(f)
                     if not f._is_agg:
                         f.rate = level
-                    n = f._nshares
-                    for link in f.path:
-                        if link in shares:
-                            left = shares[link] - n
-                            if left:
-                                shares[link] = left
-                            else:
-                                del shares[link]
+                    g = f._group
+                    freed[g] = freed.get(g, 0) + f._nshares
+            for g, n in freed.items():
+                for c in of_group[g]:
+                    c[1] -= n
         for f in unfrozen:  # left rising when the fill stopped
             if not f._is_agg:
                 f.rate = level
         heap = self._completion_heap
-        for f in flows:
-            f._pred_version += 1
-            if f.recorder is not None:
-                f.recorder.record(now, f.rate)
-            if f.rate > _EPS_RATE:
-                # Keep the relative delay alongside the absolute instant:
-                # scheduling ``now + rel`` directly (when the prediction
-                # is fresh) reproduces the original timer arithmetic
-                # bit-for-bit instead of round-tripping through ``t - now``.
-                rel = f._remaining / f.rate
-                heapq.heappush(heap, (now + rel, f._pred_version, f.id,
-                                      f, now, rel))
-            stall = f._stall
-            if stall is not None and stall.moving is not (f.rate > 0.0):
-                stall.settle(f.rate > 0.0, now)
+        for g in groups:
+            for f in g.flows.values():
+                f._pred_version += 1
+                rate = f.rate
+                if f.recorder is not None:
+                    f.recorder.record(now, rate)
+                if rate > _EPS_RATE:
+                    # Keep the relative delay alongside the absolute
+                    # instant: scheduling ``now + rel`` directly (when the
+                    # prediction is fresh) reproduces the original timer
+                    # arithmetic bit-for-bit instead of round-tripping
+                    # through ``t - now``.
+                    rel = f._remaining / rate
+                    heapq.heappush(heap, (now + rel, f._pred_version, f.id,
+                                          f, now, rel))
+                stall = f._stall
+                if stall is not None and stall.moving is not (rate > 0.0):
+                    stall.settle(rate > 0.0, now)
 
     def _reschedule_timer(self, now: float) -> None:
         """Keep exactly one simulator timer pending, at the earliest valid
@@ -1014,8 +1083,7 @@ class FluidNetwork:
             heap[:] = [e for e in heap if e[1] == e[3]._pred_version]
             heapq.heapify(heap)
         while heap:
-            t, version, _fid, flow, _made_at, _rel = heap[0]
-            if not flow.active or version != flow._pred_version:
+            if heap[0][1] != heap[0][3]._pred_version:
                 heapq.heappop(heap)
                 continue
             break

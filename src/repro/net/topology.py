@@ -46,7 +46,7 @@ class Link:
     """
 
     __slots__ = ("name", "src", "dst", "nominal_capacity", "capacity",
-                 "latency", "site", "_flows", "_down_holds",
+                 "latency", "site", "_groups", "_down_holds",
                  "_degrade_holds", "_corrupt_holds")
 
     def __init__(self, name: str, src: Node, dst: Node, capacity: float,
@@ -62,7 +62,8 @@ class Link:
         self.capacity = float(capacity)
         self.latency = float(latency)
         self.site = site or src.site
-        self._flows: set = set()
+        # The fluid allocator's path groups crossing this link.
+        self._groups: set = set()
         self._down_holds = 0
         self._degrade_holds: list = []
         self._corrupt_holds = 0
@@ -152,7 +153,9 @@ class Topology:
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
         self._adj: Dict[str, List[Link]] = {}
-        self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
+        # (src, dst) -> (route, the sum of its link latencies in order)
+        self._path_cache: Dict[Tuple[str, str],
+                               Tuple[List[Link], float]] = {}
 
     # -- construction -------------------------------------------------------
     def add_node(self, name: str, site: str = "", kind: str = "router") -> Node:
@@ -197,18 +200,13 @@ class Topology:
         """
         if src == dst:
             return []
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        path = self._dijkstra(src, dst)
-        if path is None:
-            raise ValueError(f"no path {src!r} -> {dst!r}")
-        self._path_cache[(src, dst)] = path
-        return path
+        return self._route(src, dst)[0]
 
     def latency(self, src: str, dst: str) -> float:
         """One-way propagation latency along :meth:`path`."""
-        return sum(link.latency for link in self.path(src, dst))
+        if src == dst:
+            return 0  # the sum over no links
+        return self._route(src, dst)[1]
 
     def rtt(self, src: str, dst: str) -> float:
         """Round-trip time between two nodes."""
@@ -222,6 +220,16 @@ class Topology:
         return min(link.nominal_capacity for link in path)
 
     # -- internals -------------------------------------------------------------
+    def _route(self, src: str, dst: str) -> Tuple[List[Link], float]:
+        cached = self._path_cache.get((src, dst))
+        if cached is None:
+            path = self._dijkstra(src, dst)
+            if path is None:
+                raise ValueError(f"no path {src!r} -> {dst!r}")
+            cached = (path, sum(link.latency for link in path))
+            self._path_cache[(src, dst)] = cached
+        return cached
+
     def _dijkstra(self, src: str, dst: str) -> Optional[List[Link]]:
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"unknown node in path {src!r} -> {dst!r}")

@@ -698,9 +698,11 @@ class RequestManager:
                                file=fr.logical_file, error="stale")
                 return (False, f"{loc.hostname}: no such file "
                         "(stale catalog entry)", FailureClass.STALE)
+            # The attempt reads only byte counts, so no block keeps a
+            # rate series.
             transfer = env.process(session.get(
                 fr.logical_file, self.dest_fs, self.dest_host,
-                handle=handle, config=cfg, record=cfg.record_series))
+                handle=handle, config=cfg))
             sampled = self._sampled(ticket, policy)
             try:
                 if sampled:

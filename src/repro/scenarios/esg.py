@@ -73,15 +73,14 @@ class EsgSite:
 def fleet_config() -> GridFtpConfig:
     """GridFTP tuning for large simulated fleets.
 
-    Single-stream transfers over cached channels without per-block rate
-    series, so flows of one PoP can aggregate. A stalled stream is
+    Single-stream transfers over cached channels. A stalled stream is
     aborted after 120 s, placed on a 30 s grid; a transfer monitor on a
     fleet ticket samples every 5 s. An unmonitored transfer schedules
     no tick either way. Use with :meth:`EsgTestbed.add_fleet`.
     """
     return GridFtpConfig(parallelism=1, channel_caching=True,
                          progress_poll=5.0, stall_poll=30.0,
-                         stall_timeout=120.0, record_series=False)
+                         stall_timeout=120.0)
 
 
 # (site, wan latency to the backbone in s, wan capacity)

@@ -78,6 +78,43 @@ def test_an_escaped_value_matches_exactly_its_own_text(value, stored):
     assert pred({"fn": folded}) == (value.lower() in folded)
 
 
+def _hex(text):
+    return "".join(f"\\{b:02x}" for b in text.encode())
+
+
+def _translate_escape(value):
+    """The escape without its fast path: translate every name, then
+    hex-encode the whitespace at either end."""
+    value = value.translate(
+        {ord(c): f"\\{ord(c):02x}" for c in "\\*()\x00"})
+    body = value.strip()
+    if body == value:
+        return value
+    head = value[:len(value) - len(value.lstrip())]
+    tail = value[len(head) + len(body):]
+    return _hex(head) + body + _hex(tail)
+
+
+# Plain names, every escaped character, whitespace (ASCII and not) and
+# non-ASCII text, so edges and interiors take each kind.
+NAME = st.text(alphabet=st.one_of(
+    st.sampled_from("aZ09._-\\*()\x00 \t\n\x0b\x1c\xa0\u2003\u3000"),
+    st.characters()), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=NAME)
+def test_escape_matches_the_translating_escape(name):
+    assert escape(name) == _translate_escape(name)
+
+
+def test_a_plain_name_is_returned_as_it_is():
+    name = "tas_Amon_ncar_ccsm_run1_2001.nc"
+    assert escape(name) is name
+    assert escape(" x") == "\\20x"
+    assert escape("é\u3000") == "é\\e3\\80\\80"
+
+
 def test_substring_pieces_are_unescaped():
     pred = compile_filter(f"(fn={escape('a*(')}*{escape(')')})")
     assert pred({"fn": ("a*(x)",)})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.net.fluid import Flow, FluidNetwork
+from repro.net.fluid import Flow, FluidNetwork, _PathGroup
 from repro.net.topology import Link
 
 
@@ -36,6 +36,7 @@ class ReferenceFluidNetwork(FluidNetwork):
             flow.cap = min(float(cap), flow.limit)
             self._mark_flow(flow)
 
-    def _scope(self, now: float) -> List[List[Flow]]:
-        # The whole network as one component: one fill over every flow.
-        return [list(self._flow_map.values())]
+    def _scope(self, now: float) -> List[List[_PathGroup]]:
+        # The whole network as one component: one fill over every flow's
+        # path group.
+        return [list(self._groups.values())]

@@ -1,7 +1,8 @@
 """``FluidNetwork._fill`` against plain progressive filling, bit for bit.
 
-The allocator's fill keeps lean bookkeeping: one link per set of links
-with the same users, set-up per distinct path, and one shared rate for
+The allocator's fill keeps lean bookkeeping: set-up per path group (the
+flows sharing one route list), one link per class of links crossed by
+the same groups, shares given back per group, and one shared rate for
 every unfrozen plain flow taken in cap order. None of that may change a
 float: each rate must equal, exactly, what the straightforward
 algorithm below computes — every unfrozen flow rising by the same
@@ -96,17 +97,59 @@ def _random_component(rng, aggregate):
     return net
 
 
-@pytest.mark.parametrize("aggregate", [False, True])
-@pytest.mark.parametrize("seed", range(40))
-def test_fill_matches_progressive_filling_bit_for_bit(seed, aggregate):
-    rng = random.Random(seed)
-    net = _random_component(rng, aggregate)
+def _campaign_component(rng, aggregate):
+    """The shape of a replication campaign's component: 2-7 routes of
+    8-10 links that all end on one shared downlink, several parallel
+    streams per route (one path group each), many links of one capacity
+    (tied link classes), TCP slow-start caps (a window doubling per
+    round trip, so few distinct values), and sometimes a dead shared
+    link."""
+    env = Environment(seed=rng.randrange(1 << 30))
+    topo = Topology()
+    capacity = mbps(rng.choice([100, 155, 622]))
+    shared = [topo.add_link(f"d{i}", f"d{i + 1}",
+                            rng.choice([capacity, capacity, mbps(45)]),
+                            0.001) for i in range(rng.randint(3, 5))]
+    if rng.random() < 0.2:
+        rng.choice(shared).capacity = 0.0
+    net = FluidNetwork(env, topo,
+                       aggregation_threshold=2 if aggregate else None)
+    rtt = rng.uniform(0.02, 0.08)
+    windows = [8 * 1024 * 2 ** k / rtt for k in range(rng.randint(1, 7))]
+    for r in range(rng.randint(2, 7)):
+        own = [topo.add_link(f"r{r}.{i}", f"r{r}.{i + 1}",
+                             rng.choice([capacity, capacity, mbps(622)]),
+                             0.001)
+               for i in range(rng.randint(8, 10) - len(shared))]
+        route = own + shared
+        for s in range(rng.randint(1, 8)):
+            cap = rng.choice(windows + [0.0] * (not aggregate))
+            flow = net.transfer("d0", "d1", 1e12, cap=cap,
+                                name=f"r{r}s{s}", path=route)
+            flow.done.defuse()
+    return net
+
+
+def _assert_fill_matches(net):
     flows = list(net._flow_map.values())
     want, bound = progressive_filling(flows)
-    net._fill(flows, net.env.now)
+    net._fill(list(net._groups.values()), net.env.now)
     for f in flows:
         assert f.rate == want[f], f"{f.name}: {f.rate!r} != {want[f]!r}"
         assert f._link_bound == (f in bound), f.name
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_fill_matches_progressive_filling_bit_for_bit(seed, aggregate):
+    _assert_fill_matches(_random_component(random.Random(seed), aggregate))
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_campaign_shaped_fill_matches_bit_for_bit(seed, aggregate):
+    _assert_fill_matches(
+        _campaign_component(random.Random(seed), aggregate))
 
 
 def test_uncapped_flow_keeps_the_level_reached_before_the_fill_stops():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.gridftp import (ClientSession, FtpReply, GridFtpError,
                            ReliabilityPolicy)
+from repro.gridftp import client as client_module
 from repro.net import FaultInjector, FaultSchedule, mbps
 from repro.replica import RandomPolicy
 from repro.rm import CorbaChannel, FileState, TransferMonitor
@@ -35,6 +36,27 @@ def test_multi_file_request_completes():
         assert fr.chosen_location is not None
     assert ticket.bytes_done == pytest.approx(
         sum(tb.client_fs.stat(n).size for n in names))
+
+
+def test_rm_transfers_build_no_rate_recorders(monkeypatch):
+    """An attempt reads only byte counts, so its blocks keep no rate
+    series: no per-block recorder is built, and every block flow is
+    eligible for aggregation."""
+    built = []
+
+    class CountingRecorder(client_module.RateRecorder):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(client_module, "RateRecorder", CountingRecorder)
+    tb = make_testbed()
+    ds, names = first_files(tb, 2)
+    ticket = tb.request_manager.submit([(ds, n) for n in names])
+    tb.env.run(until=ticket.done)
+    assert ticket.complete
+    assert tb.network.flushes > 0
+    assert built == []
 
 
 def test_request_via_corba_channel():
