@@ -26,6 +26,7 @@ from repro.gridftp.protocol import (
 )
 from repro.gridftp.server import GridFtpServer
 from repro.gsi.auth import AuthenticationError
+from repro.gsi.credentials import Identity
 from repro.net.fluid import FlowError
 from repro.net.recorder import RateRecorder
 from repro.net.tcp import bdp_buffer_size
@@ -436,21 +437,24 @@ class GridFtpClient:
     registry:
         hostname → :class:`GridFtpServer` (the simulated "network" of
         grid-enabled endpoints).
-    credential_chain:
-        The user's (proxy) credential chain for GSI.
+    identity:
+        The user's :class:`~repro.gsi.credentials.Identity`: a proxy is
+        delegated from it at the first connect and again whenever the
+        held one has expired. ``None`` presents no credentials.
     config:
         Default :class:`GridFtpConfig` for transfers.
     """
 
     def __init__(self, env: Environment, transport: Transport,
                  registry: Dict[str, GridFtpServer],
-                 credential_chain: tuple = (),
+                 identity: Optional[Identity] = None,
                  config: Optional[GridFtpConfig] = None,
                  client_name: str = "client", obs=None):
         self.env = env
         self.transport = transport
         self.registry = registry
-        self.credential_chain = credential_chain
+        self.identity = identity
+        self.credential_chain: tuple = ()  # the proxy chain last delegated
         self.config = config or GridFtpConfig()
         self.client_name = client_name
         self.obs = obs or Observability()
@@ -491,9 +495,13 @@ class GridFtpClient:
             raise GridFtpError(FtpReply(CANT_OPEN_DATA, str(exc))) from exc
         rtt = self.transport.network.topology.rtt(
             client_host.node, server.control_node)
+        chain = self.credential_chain
+        if self.identity is not None and (
+                not chain or chain[0].is_expired(self.env.now)):
+            chain = self.identity.make_proxy(self.env.now)
+            self.credential_chain = chain
         try:
-            subjects = yield from server.authenticate(
-                self.credential_chain, rtt)
+            subjects = yield from server.authenticate(chain, rtt)
         except AuthenticationError as exc:
             control.close()
             server.release_connection()

@@ -237,7 +237,7 @@ class Flow:
     @property
     def active(self) -> bool:
         """True while the flow is in the network."""
-        return self.finished_at is None and not self.done.triggered
+        return self.finished_at is None
 
     def progress(self) -> float:
         """Up-to-the-instant bytes delivered (forces a network flush)."""
@@ -300,7 +300,7 @@ class _AggregateMember:
     @property
     def active(self) -> bool:
         """True while the member is in the aggregate."""
-        return self.finished_at is None and not self.done.triggered
+        return self.finished_at is None
 
     @property
     def remaining(self) -> float:

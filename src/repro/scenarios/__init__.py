@@ -1,5 +1,9 @@
 """Prebuilt testbeds reproducing the paper's experimental setups.
 
+All three subclass :class:`~repro.scenarios.testbed.Testbed`, the
+network, transport and GSI substrate they share, with its servers and
+user clients; each adds its own topology and workload.
+
 - :class:`EsgTestbed` — the Figure 1 multi-site prototype: ANL, LBNL
   (PDSF with HPSS+HRM, and Clipper), LLNL, ISI, NCAR, SDSC, a user site,
   with GridFTP everywhere, LDAP catalogs, NWS/MDS, and a request

@@ -26,25 +26,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.gridftp.client import GridFtpClient
 from repro.gridftp.protocol import GridFtpConfig, GridFtpError
-from repro.gridftp.server import GridFtpServer
-from repro.gsi.auth import GsiContext, SecurityPolicy
-from repro.gsi.credentials import CertificateAuthority, Identity, TrustAnchors
 from repro.hosts.cpu import CpuModel
 from repro.hosts.disk import DiskArray, DiskSpec
 from repro.hosts.host import Host, HostSpec
-from repro.net.dns import NameService
 from repro.net.faults import FaultInjector, FaultSchedule
-from repro.net.fluid import FluidNetwork
 from repro.net.recorder import RateSeries, aggregate_series
-from repro.net.topology import Topology
-from repro.net.transport import Transport
 from repro.net.units import GB, MB, mbps
 from repro.netlogger.analysis import FaultWindow, extract_fault_windows
 from repro.netlogger.log import NetLogger
 from repro.obs import Observability
-from repro.sim.core import Environment
+from repro.scenarios.testbed import Testbed
 from repro.storage.filesystem import FileSystem
 
 HOURS = 3600.0
@@ -107,7 +99,7 @@ class Figure8Result:
                           < OUTAGE_FRACTION * self.plateau_rate))
 
 
-class CommodityTestbed:
+class CommodityTestbed(Testbed):
     """One Dallas workstation → one ANL workstation, commodity path.
 
     Parameters
@@ -123,13 +115,14 @@ class CommodityTestbed:
 
     def __init__(self, seed: int = 0, disk_rate: float = 10 * 2**20,
                  one_way_latency: float = 0.012):
-        self.env = Environment(seed=seed)
+        super().__init__(seed, "commodity", ca_name="Globus CA",
+                         user_subject="/CN=anl-user", crypto_time=0.15,
+                         aggregation_threshold=None)
         env = self.env
         ws_spec = HostSpec(
             nic_rate=mbps(100), bus_rate=None,
             cpu=CpuModel(coalesce=8),
             disk=DiskArray(DiskSpec(rate=disk_rate), count=1))
-        self.topology = Topology("commodity")
         self.src_host = Host(self.topology, "dallas-ws", site="dallas",
                              spec=ws_spec)
         self.dst_host = Host(self.topology, "anl-ws", site="anl",
@@ -139,26 +132,11 @@ class CommodityTestbed:
         self.topology.duplex_link("r-dallas", "r-anl",
                                   COMMODITY_CAPACITY, one_way_latency,
                                   name="commodity")
-        self.network = FluidNetwork(env, self.topology)
-        self.dns = NameService(env)
-        self.dns.register("dallas-ws.scinet", self.src_host.node)
-        self.transport = Transport(env, self.network, self.dns)
-        ca = CertificateAuthority("Globus CA")
-        trust = TrustAnchors()
-        trust.trust_ca(ca)
-        self.gsi = GsiContext(trust, SecurityPolicy(crypto_time=0.15))
-        user = Identity("/CN=anl-user", ca, trust)
         self.src_fs = FileSystem(env, "dallas-fs")
         self.src_fs.create("big-2gb.dat", 2 * GB)
-        sid = Identity("/CN=gridftp/dallas-ws.scinet", ca, trust)
-        self.server = GridFtpServer(env, self.src_host, self.src_fs,
-                                    gsi=self.gsi,
-                                    credential_chain=sid.chain,
-                                    hostname="dallas-ws.scinet")
-        self.registry = {"dallas-ws.scinet": self.server}
-        self.client = GridFtpClient(
-            env, self.transport, self.registry,
-            credential_chain=user.make_proxy(env.now))
+        self.server = self.add_server(self.src_host, self.src_fs,
+                                      "dallas-ws.scinet")
+        self.client = self.user_client()
         self.dst_fs = FileSystem(env, "anl-fs")
         self.logger = NetLogger(env, host="anl-ws", prog="gridftp")
         self.injector = FaultInjector(env, self.network, self.dns,

@@ -22,21 +22,14 @@ from repro.data.digest import content_digest
 from repro.data.synth import ClimateModelRun, monthly_files, slice_months
 from repro.data.grids import GridSpec
 from repro.data.ncformat import encode
-from repro.gridftp.client import GridFtpClient
 from repro.gridftp.protocol import GridFtpConfig
 from repro.gridftp.plugins import install_standard_plugins
 from repro.gridftp.server import GridFtpServer
-from repro.gsi.auth import GsiContext, SecurityPolicy
-from repro.gsi.credentials import CertificateAuthority, Identity, TrustAnchors
 from repro.hosts.cpu import CpuModel
 from repro.hosts.disk import DiskArray, DiskSpec
 from repro.hosts.host import Host, HostSpec
 from repro.mds.service import MdsService
 from repro.metadata.catalog import MetadataCatalog, VariableRecord
-from repro.net.dns import NameService
-from repro.net.fluid import FluidNetwork
-from repro.net.topology import Topology
-from repro.net.transport import Transport
 from repro.net.units import gbps, mbps
 from repro.netlogger.log import NetLogger
 from repro.nws.service import NetworkWeatherService
@@ -46,7 +39,7 @@ from repro.replica.manager import ReplicaManager
 from repro.rm.manager import RequestManager
 from repro.rm.resilience import ResiliencePolicy
 from repro.rm.scheduler import SchedulerConfig, TransferScheduler
-from repro.sim.core import Environment
+from repro.scenarios.testbed import Testbed
 from repro.storage.filesystem import FileSystem
 from repro.storage.hpss import MassStorageSystem
 from repro.storage.hrm import HierarchicalResourceManager
@@ -99,7 +92,7 @@ FLEET_DOWNLINK = mbps(622)
 FLEET_LATENCY = 0.010
 
 
-class EsgTestbed:
+class EsgTestbed(Testbed):
     """The full prototype stack on one simulated WAN.
 
     Parameters
@@ -189,15 +182,12 @@ class EsgTestbed:
                  aggregation_threshold: Optional[int] = None,
                  sdbf_chunks=None,
                  eret_range_staging: bool = True):
-        self.env = Environment(seed=seed)
+        super().__init__(seed, "esg", ca_name="DOE Science Grid CA",
+                         user_subject="/DC=org/DC=doegrids/CN=climate-user",
+                         crypto_time=0.02,
+                         aggregation_threshold=aggregation_threshold)
         env = self.env
         self.grid = grid or GridSpec(nlat=32, nlon=64, months=12)
-        self.topology = Topology("esg")
-        self.network = FluidNetwork(
-            env, self.topology,
-            aggregation_threshold=aggregation_threshold)
-        self.dns = NameService(env)
-        self.transport = Transport(env, self.network, self.dns)
         self.logger = NetLogger(env, host="client", prog="esg",
                                 capacity=log_capacity)
         # One observability bundle for the whole testbed: the shared ULM
@@ -207,20 +197,11 @@ class EsgTestbed:
         # attached by start_timeseries() when windowed recording is on
         self.timeseries = None
 
-        # -- security fabric
-        ca = CertificateAuthority("DOE Science Grid CA")
-        self.trust = TrustAnchors()
-        self.trust.trust_ca(ca)
-        self.gsi = GsiContext(self.trust, SecurityPolicy(crypto_time=0.02))
-        self.user = Identity("/DC=org/DC=doegrids/CN=climate-user", ca,
-                             self.trust)
-
         # -- backbone (ESnet-ish star) and sites
         server_spec = HostSpec(
             nic_rate=gbps(1), bus_rate=None, cpu=CpuModel(coalesce=8),
             disk=DiskArray(DiskSpec(rate=40 * 2**20), count=4))
         self.sites: Dict[str, EsgSite] = {}
-        self.registry: Dict[str, GridFtpServer] = {}
         for name, latency, capacity in _SITES:
             router = f"r-{name}"
             self.topology.duplex_link(router, "backbone", capacity,
@@ -228,10 +209,7 @@ class EsgTestbed:
             host = Host(self.topology, f"{name}-gridftp", site=name,
                         spec=server_spec)
             host.uplink(router)
-            hostname = f"gridftp.{name}.gov"
-            self.dns.register(hostname, host.node)
             fs = FileSystem(env, f"{name}-fs")
-            server_id = Identity(f"/CN=gridftp/{hostname}", ca, self.trust)
             hrm = None
             if name == "lbnl-pdsf" and with_tape:
                 mss = MassStorageSystem(env, cache_capacity=400 * 2**30,
@@ -243,14 +221,12 @@ class EsgTestbed:
                                                   name="hrm-pdsf",
                                                   obs=self.obs,
                                                   prefetch=hrm_prefetch)
-            server = GridFtpServer(env, host, fs, gsi=self.gsi,
-                                   credential_chain=server_id.chain,
-                                   hrm=hrm, hostname=hostname,
-                                   obs=self.obs,
-                                   max_connections=max_server_connections,
-                                   eret_range_staging=eret_range_staging)
+            hostname = f"gridftp.{name}.gov"
+            server = self.add_server(
+                host, fs, hostname, hrm=hrm, obs=self.obs,
+                max_connections=max_server_connections,
+                eret_range_staging=eret_range_staging)
             install_standard_plugins(server)
-            self.registry[hostname] = server
             self.sites[name] = EsgSite(name, hostname, host, server, fs,
                                        hrm)
 
@@ -285,10 +261,7 @@ class EsgTestbed:
                                          obs=self.obs)
         # One configuration object for the client and the main RM.
         config = config or GridFtpConfig(parallelism=4)
-        self.gridftp = GridFtpClient(
-            env, self.transport, self.registry,
-            credential_chain=self.user.make_proxy(env.now),
-            config=config, obs=self.obs)
+        self.gridftp = self.user_client(config=config, obs=self.obs)
         self.replica_manager = ReplicaManager(env, self.replica_catalog,
                                               self.gridftp)
         # Shared across every tenant RM so admission control is global.
@@ -428,8 +401,6 @@ class EsgTestbed:
         has its own host, filesystem, GridFTP client, and RM. Returns
         the new :class:`RequestManager`.
         """
-        from repro.gridftp.client import GridFtpClient
-        from repro.rm.manager import RequestManager
         spec = HostSpec(nic_rate=downlink, bus_rate=None,
                         cpu=CpuModel(coalesce=4),
                         disk=DiskArray(DiskSpec(rate=20 * 2**20),
@@ -437,10 +408,8 @@ class EsgTestbed:
         host = self._attach_host(name, spec, downlink, latency)
         fs = FileSystem(self.env, f"{name}-fs")
         cfg = config or self.gridftp.config
-        client = GridFtpClient(
-            self.env, self.transport, self.registry,
-            credential_chain=self.user.make_proxy(self.env.now),
-            config=cfg, client_name=name, obs=self.obs)
+        client = self.user_client(config=cfg, client_name=name,
+                                  obs=self.obs)
         rm = RequestManager(
             self.env, self.replica_catalog, self.mds, client,
             self.registry, host, fs, nws=self.nws, config=cfg, obs=self.obs,
@@ -453,17 +422,17 @@ class EsgTestbed:
         """Attach ``n_users`` user desktops grouped behind shared
         points of presence — the fleet-construction fast path.
 
-        Where :meth:`add_client` builds a host, WAN link, proxy
-        credential, and GridFTP client *per user*, a fleet shares all
-        of that per PoP (``users_per_pop`` users each): one proxy
-        delegation for the whole fleet, one PoP host and uplink
-        (:data:`FLEET_DOWNLINK`, :data:`FLEET_LATENCY`), and one GridFTP
-        client (so its channel cache pools warm data
-        channels across the PoP's users). Each user still gets a
-        private filesystem and request manager. Because a PoP's users
-        share the host node, their transfers from one server share the
-        *entire* network path — exactly the shape the fluid network's
-        ``aggregation_threshold`` collapses into one aggregate class.
+        Where :meth:`add_client` builds a host, WAN link and GridFTP
+        client *per user*, a fleet shares all of that per PoP
+        (``users_per_pop`` users each): one PoP host and uplink
+        (:data:`FLEET_DOWNLINK`, :data:`FLEET_LATENCY`) and one GridFTP
+        client (so its channel cache pools warm data channels across
+        the PoP's users); each PoP client delegates at its first
+        connect. Each user still gets a private filesystem and request
+        manager. Because a PoP's users share the host node, their
+        transfers from one server share the *entire* network path —
+        exactly the shape the fluid network's ``aggregation_threshold``
+        collapses into one aggregate class.
 
         Returns the per-user :class:`RequestManager` list, in user
         order.
@@ -473,7 +442,6 @@ class EsgTestbed:
         if users_per_pop < 1:
             raise ValueError("users_per_pop must be >= 1")
         cfg = config or fleet_config()
-        proxy = self.user.make_proxy(self.env.now)
         spec = HostSpec(nic_rate=FLEET_DOWNLINK, bus_rate=None,
                         cpu=CpuModel(coalesce=8),
                         disk=DiskArray(DiskSpec(rate=80 * 2**20),
@@ -484,10 +452,8 @@ class EsgTestbed:
             pop = f"pop{p}"
             host = self._attach_host(pop, spec, FLEET_DOWNLINK,
                                      FLEET_LATENCY)
-            client = GridFtpClient(
-                self.env, self.transport, self.registry,
-                credential_chain=proxy, config=cfg,
-                client_name=pop, obs=self.obs)
+            client = self.user_client(config=cfg, client_name=pop,
+                                      obs=self.obs)
             for u in range(p * users_per_pop,
                            min((p + 1) * users_per_pop, n_users)):
                 fs = FileSystem(self.env, f"pop-user{u}-fs")

@@ -24,23 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.gridftp.client import GridFtpClient, TransferHandle
+from repro.gridftp.client import TransferHandle
 from repro.gridftp.protocol import GridFtpConfig, GridFtpError
 from repro.gridftp.server import GridFtpServer
-from repro.gsi.auth import GsiContext, SecurityPolicy
-from repro.gsi.credentials import CertificateAuthority, Identity, TrustAnchors
 from repro.hosts.cpu import CpuModel
 from repro.hosts.disk import DiskArray, DiskSpec
 from repro.hosts.host import Host, HostSpec
 from repro.net.background import LinkLoadModulator
-from repro.net.dns import NameService
-from repro.net.fluid import FluidNetwork
 from repro.net.recorder import RateSeries
-from repro.net.topology import Topology
-from repro.net.transport import Transport
 from repro.net.units import GB, MB, gbps
 from repro.netlogger.analysis import BandwidthSummary, summarize
-from repro.sim.core import Environment
+from repro.scenarios.testbed import Testbed
 from repro.storage.filesystem import FileSystem
 
 # The SC'2000 configuration.
@@ -90,7 +84,7 @@ class Table1Result:
         ] + self.summary.rows()
 
 
-class ScinetTestbed:
+class ScinetTestbed(Testbed):
     """The SC'2000 floor ↔ LBNL configuration.
 
     Parameters
@@ -100,9 +94,11 @@ class ScinetTestbed:
     """
 
     def __init__(self, seed: int = 0):
-        self.env = Environment(seed=seed)
+        # Era public-key crypto on era CPUs was not cheap.
+        super().__init__(seed, "scinet", ca_name="Globus CA",
+                         user_subject="/CN=sc2000-demo", crypto_time=0.15,
+                         aggregation_threshold=None)
         env = self.env
-        self.topology = Topology("scinet")
         ws_spec = HostSpec(
             nic_rate=gbps(1), bus_rate=None,
             cpu=CpuModel(copy_cost_per_byte=3.3e-8, interrupt_cost=25e-6,
@@ -127,42 +123,23 @@ class ScinetTestbed:
         # HSCC/NTON OC-48 path, shared with the rest of the floor.
         self.topology.duplex_link("r-dallas", "r-lbl", OC48_CAPACITY,
                                   ONE_WAY_LATENCY, name="oc48")
-        self.network = FluidNetwork(env, self.topology)
         self.floor_traffic = LinkLoadModulator(
             env, self.network, self.topology.links["oc48:fwd"],
             mean_load=FLOOR_LOAD, rng=env.rng.stream("scinet.floor"),
             volatility=0.16, correlation=0.45, interval=1.0)
-        self.dns = NameService(env)
-        self.transport = Transport(env, self.network, self.dns)
-        # GSI fabric (era public-key crypto on era CPUs was not cheap).
-        ca = CertificateAuthority("Globus CA")
-        trust = TrustAnchors()
-        trust.trust_ca(ca)
-        self.gsi = GsiContext(trust, SecurityPolicy(crypto_time=0.15))
-        user = Identity("/CN=sc2000-demo", ca, trust)
         # One GridFTP server per Dallas workstation, holding its
         # partition of the 2 GB file (the four "copies" are identical
         # bytes; re-serving the partition per copy is equivalent).
-        self.registry = {}
         self.servers: List[GridFtpServer] = []
         for i, host in enumerate(self.dallas_hosts):
-            hostname = f"dallas-ws{i}.scinet"
-            self.dns.register(hostname, host.node)
             fs = FileSystem(env, f"dallas{i}-fs")
             fs.create("partition.dat", PARTITION_BYTES)
-            sid = Identity(f"/CN=gridftp/{hostname}", ca, trust)
-            server = GridFtpServer(env, host, fs, gsi=self.gsi,
-                                   credential_chain=sid.chain,
-                                   hostname=hostname)
-            self.registry[hostname] = server
-            self.servers.append(server)
+            self.servers.append(
+                self.add_server(host, fs, f"dallas-ws{i}.scinet"))
         self.transfer_config = GridFtpConfig(
             parallelism=1, buffer_bytes=1 * MB, stall_timeout=30.0,
             retry_backoff=2.0, loss_rate=LOSS_RATE)
-        self.client = GridFtpClient(
-            env, self.transport, self.registry,
-            credential_chain=user.make_proxy(env.now),
-            config=self.transfer_config)
+        self.client = self.user_client(config=self.transfer_config)
         self.dest_fs = [FileSystem(env, f"lbl{i}-fs")
                         for i in range(N_HOSTS)]
 

@@ -56,18 +56,17 @@ class Grid:
             server_id = Identity("/CN=gridftp/srv.lbl.gov", ca, self.trust)
             user = Identity("/CN=climate-user", ca, self.trust)
             server_chain = server_id.chain
-            user_chain = user.make_proxy(0.0)
         else:
             self.gsi = None
             server_chain = ()
-            user_chain = ()
+            user = None
         self.server = GridFtpServer(self.env, self.server_host,
                                     self.server_fs, gsi=self.gsi,
                                     credential_chain=server_chain,
                                     hostname="srv.lbl.gov")
         self.registry = {"srv.lbl.gov": self.server}
         self.client = GridFtpClient(self.env, self.transport, self.registry,
-                                    credential_chain=user_chain,
+                                    identity=user,
                                     config=GridFtpConfig())
 
     def run_process(self, gen):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gridftp import GridFtpConfig, GridFtpError, TransferHandle
+from repro.gsi.credentials import PROXY_LIFETIME
 from repro.net import MB, mbps, to_mbps
 
 GB = 2 ** 30
@@ -18,6 +19,47 @@ def test_connect_authenticates(grid):
     assert client_subj == "/CN=climate-user"
     assert server_subj == "/CN=gridftp/srv.lbl.gov"
     assert grid.gsi.handshakes == 1
+
+
+def test_client_delegates_once_while_its_proxy_is_valid(grid):
+    def main():
+        chains = []
+        for _ in range(2):
+            session = yield from grid.client.connect(grid.client_host,
+                                                     "srv.lbl.gov")
+            session.close()
+            chains.append(grid.client.credential_chain)
+            yield grid.env.timeout(60.0)
+        return chains
+
+    assert grid.client.credential_chain == ()
+    first, second = grid.run_process(main())
+    assert second is first
+    assert first[0].subject == "/CN=climate-user/proxy"
+    assert first[0].not_after > PROXY_LIFETIME  # delegated at the connect
+    assert grid.gsi.handshakes == 2
+
+
+def test_client_delegates_a_fresh_proxy_after_expiry(grid):
+    """A connect past ``PROXY_LIFETIME`` presents a newly delegated
+    chain instead of failing with 530."""
+    def main():
+        session = yield from grid.client.connect(grid.client_host,
+                                                 "srv.lbl.gov")
+        session.close()
+        first = grid.client.credential_chain
+        yield grid.env.timeout(PROXY_LIFETIME)
+        session = yield from grid.client.connect(grid.client_host,
+                                                 "srv.lbl.gov")
+        return first, grid.client.credential_chain, session.subjects
+
+    first, second, subjects = grid.run_process(main())
+    assert first[0].is_expired(grid.env.now)
+    assert second[0] != first[0]
+    assert not second[0].is_expired(grid.env.now)
+    assert second[1:] == first[1:]  # the same end-entity certificate
+    assert subjects == ("/CN=climate-user", "/CN=gridftp/srv.lbl.gov")
+    assert grid.gsi.rejections == 0
 
 
 def test_connect_unknown_server(grid):

@@ -141,6 +141,13 @@ def _assert_group_index(net, links):
         assert link._groups == {g for g in groups if link in g.path}
 
 
+def _assert_done_iff_finished(handles):
+    """``active`` reads ``finished_at`` alone: every path that triggers
+    a flow's ``done`` sets ``finished_at`` first."""
+    for h in handles:
+        assert h.done.triggered == (h.finished_at is not None)
+
+
 @pytest.mark.parametrize("aggregate", [False, True])
 @pytest.mark.parametrize("seed", range(20))
 def test_group_index_holds_through_random_scripts(seed, aggregate):
@@ -170,11 +177,14 @@ def test_group_index_holds_through_random_scripts(seed, aggregate):
         elif action < 0.85:
             rng.choice(live).abort("gone")
         _assert_group_index(net, links)
+        _assert_done_iff_finished(handles)
         env.run(until=env.now + rng.choice([0.0, 0.05, 0.5]))
         _assert_group_index(net, links)
+        _assert_done_iff_finished(handles)
     for h in handles:
         h.set_cap(mbps(40))  # a zero cap would hold its flow forever
     env.run(until=env.now + 1e4)
     _assert_group_index(net, links)
+    _assert_done_iff_finished(handles)
     assert net._groups == {}
     assert all(not link._groups for link in links)

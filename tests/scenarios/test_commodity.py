@@ -110,3 +110,36 @@ def test_restarts_resume_across_outage():
     assert res.restarts >= 1
     assert res.total_bytes == pytest.approx(
         res.transfers_completed * 2 * GB, rel=0.02)
+
+
+def test_figure8_outputs_are_pinned():
+    """The 1.5 h default schedule, exactly (no fault falls inside it)."""
+    res = run_figure8_schedule(CommodityTestbed(seed=5),
+                               duration=1.5 * HOURS, bin_seconds=60)
+    assert res.transfers_completed == 26
+    assert res.transfers_failed == 0
+    assert res.total_bytes == 55_834_574_848
+    assert res.restarts == 0
+    assert res.outage_bins() == 1
+
+
+def test_connect_after_the_first_proxy_expires():
+    """The client renews its proxy: a connect at 12.1 h, past the
+    lifetime of the proxy it delegated at its first connect, succeeds
+    (the 14 h Figure 8 run used to go dark after 12 h)."""
+    tb = CommodityTestbed(seed=8)
+
+    def connect():
+        session = yield from tb.client.connect(tb.dst_host,
+                                               "dallas-ws.scinet")
+        session.close()
+        return session.subjects
+
+    def main():
+        yield from connect()
+        yield tb.env.timeout(12.1 * HOURS - tb.env.now)
+        return (yield from connect())
+
+    p = tb.env.process(main())
+    tb.env.run(until=p)
+    assert p.value == ("/CN=anl-user", "/CN=gridftp/dallas-ws.scinet")

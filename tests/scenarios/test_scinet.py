@@ -52,6 +52,15 @@ def test_partitions_on_every_server():
         assert server.fs.stat("partition.dat").size == PARTITION_BYTES
 
 
+def test_table1_rows_are_pinned():
+    """Two minutes of the SC'2000 schedule, to the printed digit."""
+    res = run_table1_schedule(ScinetTestbed(seed=3), duration=120.0)
+    assert [value for _, value in res.rows()] == [
+        "8", "8", "4", "32", "1.55 Gbits/sec", "1.26 Gbits/sec",
+        "535.3 Mbits/sec", "8.0 Gbytes"]
+    assert res.copies_completed == 32
+
+
 def test_schedule_produces_expected_stream_counts():
     tb = ScinetTestbed(seed=3)
     res = run_table1_schedule(tb, duration=60.0)
