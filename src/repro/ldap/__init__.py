@@ -10,11 +10,15 @@ This substrate provides the semantics those catalogs need:
 
 - :class:`DN` — distinguished names (``lf=file1,lc=CO2 1998,rc=esg``);
 - RFC 2254-style search filters (:mod:`repro.ldap.filters`) with ``&``,
-  ``|``, ``!``, equality, presence, substring wildcards, and ordering;
+  ``|``, ``!``, equality, presence, substring wildcards, and ordering,
+  given as text or built directly as predicates (``equal``,
+  ``at_least``, ``at_most``, ``conjunction``), which is how the catalogs
+  look names up: no name is escaped or parsed;
 - :class:`DirectoryServer` — a DN-keyed tree with base/one/subtree
-  search scopes and a simulated cost model (per-operation base latency
-  plus per-entry-scanned cost), so catalog lookups take simulated time
-  just as the prototype's LDAP round trips did.
+  search scopes, taking either form of filter, and a simulated cost
+  model (per-operation base latency plus per-entry-scanned cost), so
+  catalog lookups take simulated time just as the prototype's LDAP
+  round trips did.
 """
 
 from repro.ldap.dn import DN, DnError

@@ -8,7 +8,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.ldap.dn import DN
-from repro.ldap.filters import compile_filter, fold
+from repro.ldap.filters import ANY_ENTRY, Filter, compile_filter, fold
 from repro.sim.core import Environment
 
 # Seconds a search costs per entry it examines.
@@ -168,11 +168,12 @@ class DirectoryServer:
     Each parent lazily keeps its children in DN order and an index from
     each folded ``objectclass`` value to them, dropped when a child is
     added, deleted or has its ``objectclass`` modified. A one-level
-    search with a tagged filter (see :mod:`repro.ldap.filters`) filters
-    only that index slot. The cost model is unchanged: :meth:`query`
-    charges ``SCAN_COST`` for, and ``entries_scanned`` counts, every
-    child in scope; a timed query answers from the scope it captured on
-    arrival and reads the index only while that scope is still current.
+    search with a tagged filter (see :mod:`repro.ldap.filters`) tests
+    only the filter's rest, and only on that index slot. The cost model
+    is unchanged: :meth:`query` charges ``SCAN_COST`` for, and
+    ``entries_scanned`` counts, every child in scope; a timed query
+    answers from the scope it captured on arrival and reads the index
+    only while that scope is still current.
     """
 
     def __init__(self, env: Environment, name: str = "ldap",
@@ -317,23 +318,31 @@ class DirectoryServer:
         return index
 
     def search(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
-               filter_text: str = "(objectclass=*)") -> List[Entry]:
-        """Scoped, filtered search (immediate form)."""
+               flt: Filter = ANY_ENTRY) -> List[Entry]:
+        """Scoped, filtered search (immediate form).
+
+        ``flt`` is filter text or a predicate built by
+        :mod:`repro.ldap.filters`."""
         base = DN.of(base)
         candidates = (self._candidates(base, scope)
                       if base in self._entries else [])
-        return self._filter(base, candidates, filter_text)
+        return self._filter(base, candidates, flt)
 
     def _filter(self, base: DN, candidates: List[Entry],
-                filter_text: str) -> List[Entry]:
+                flt: Filter) -> List[Entry]:
         if base not in self._entries:
             raise DirectoryError(f"{self.name}: search base {base} absent")
-        predicate = compile_filter(filter_text)
+        predicate = compile_filter(flt) if isinstance(flt, str) else flt
         self.entries_scanned += len(candidates)
         tag = getattr(predicate, "objectclass", None)
         index = self._indexes.get(base)
         if tag is not None and index is not None and index[0] is candidates:
-            candidates = index[1].get(tag, ())
+            # The slot holds exactly the children that carry the tag.
+            rest = predicate.rest
+            slot = index[1].get(tag, ())
+            if rest is None:
+                return list(slot)
+            return [e for e in slot if rest(e.folded)]
         return [e for e in candidates if predicate(e.folded)]
 
     def _candidates(self, base: DN, scope: Scope) -> List[Entry]:
@@ -351,7 +360,7 @@ class DirectoryServer:
 
     # -- timed (process) API: used by simulated components -----------------------
     def query(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
-              filter_text: str = "(objectclass=*)"):
+              flt: Filter = ANY_ENTRY):
         """Simulation process: a search costing latency + scan time."""
         self.operations += 1
         yield from self._outage_gate()
@@ -362,7 +371,7 @@ class DirectoryServer:
                       if base in self._entries else [])
         yield self.env.timeout(self.base_latency
                                + SCAN_COST * len(candidates))
-        return self._filter(base, candidates, filter_text)
+        return self._filter(base, candidates, flt)
 
     def read(self, dn: Union[str, DN]):
         """Simulation process: a single-entry lookup costing latency."""

@@ -23,34 +23,41 @@ list. Presence, substring (still case-insensitive) and ordering
 (numeric when both sides parse, else the lowercased strings) read the
 same folded values and do not depend on their order.
 
+Structured lookups: a caller that knows its filter builds the predicate
+with :func:`equal`, :func:`at_least`, :func:`at_most`, :func:`present`
+and :func:`conjunction`, the constructors the parser itself builds with,
+so a structure and its text match the same entries. A value given to a
+constructor is matched as it is, never escaped or parsed: ``*``, ``(``,
+``)``, ``\\``, NUL and whitespace at either end are plain characters of
+it. The catalogs look names up this way, and their constant filters
+are module-level predicates built once, so only a user's text is
+compiled, afresh on every call.
+
 A predicate's ``objectclass`` tag, when set, is a folded value every
-match must carry: only ``(objectclass=x)`` and an ``&`` with such a
-conjunct are tagged. The directory server takes one-level candidates
-from its per-parent ``objectclass`` index by it.
+match must carry, and its ``rest`` is the predicate left to test on an
+entry that carries it (``None`` for nothing): only
+``equal("objectclass", x)`` and a conjunction with such a conjunct are
+tagged. The directory server takes one-level candidates from its
+per-parent ``objectclass`` index by the tag and tests only the rest.
 
-:func:`compile_filter` remembers the last ``FILTER_MEMO`` texts it
-compiled, as :mod:`re` remembers patterns, so the shard queries of one
-federated lookup, and the lookups a fleet repeats, share one predicate.
-Predicates hold only the filter's own literals, and text that fails to
-parse is not remembered: it raises on every call.
-
-An assertion value escapes ``*``, ``(``, ``)``, ``\\`` and NUL as
-``\\2a``, ``\\28``, ``\\29``, ``\\5c`` and ``\\00`` (RFC 2254); :func:`escape`
-does it for a caller that builds a filter from a name. The parser strips
-the whitespace around a raw value, so :func:`escape` also encodes the
-whitespace at either end of a name (a space as ``\\20``), which then
-matches literally.
+In text, an assertion value escapes ``*``, ``(``, ``)``, ``\\`` and NUL
+as ``\\2a``, ``\\28``, ``\\29``, ``\\5c`` and ``\\00`` (RFC 2254);
+:func:`escape` does it for a caller that writes a filter around a name.
+The parser strips the whitespace around a raw value, so :func:`escape`
+also encodes the whitespace at either end of a name (a space as
+``\\20``), which then matches literally.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 Attrs = Dict[str, Tuple[str, ...]]
 Predicate = Callable[[Attrs], bool]
+Filter = Union[str, Predicate]  # text or a built predicate
 
 
 class FilterError(ValueError):
@@ -86,8 +93,8 @@ def escape(value: str) -> str:
     """``value`` as an assertion value that matches it literally.
 
     A name with no character to escape and no whitespace at either end
-    (nearly every catalog name) is returned as it is after one regex
-    search and one strip, both in C."""
+    is returned as it is after one regex search and one strip, both in
+    C."""
     if _SPECIAL.search(value) is None and value.strip() == value:
         return value
     value = value.translate(_ESCAPES)
@@ -117,16 +124,8 @@ def _unescape(value: str) -> str:
         raise FilterError(f"bad escape in {value!r}: {exc}") from exc
 
 
-# Filter texts whose compiled predicate is remembered.
-FILTER_MEMO = 64
-
-
-@functools.lru_cache(maxsize=FILTER_MEMO)
 def compile_filter(text: str) -> Predicate:
-    """Compile a filter string into a predicate over folded attributes.
-
-    The predicate is shared by every call with the same text.
-    """
+    """Compile a filter string into a predicate over folded attributes."""
     if not text or not text.strip():
         raise FilterError("empty filter")
     text = text.strip()
@@ -147,7 +146,7 @@ def _parse(text: str):
         preds, rest = _parse_list(body[1:])
         if not preds:
             raise FilterError(f"{op!r} needs at least one subfilter")
-        combined = _make_and(preds) if op == "&" else _make_or(preds)
+        combined = conjunction(*preds) if op == "&" else _make_or(preds)
         return combined, _expect_close(rest)
     if op == "!":
         inner, rest = _parse(body[1:])
@@ -176,51 +175,46 @@ def _parse_item(body: str):
     m = _ITEM.match(body)
     if m is None:
         raise FilterError(f"malformed item at {body[:30]!r}")
-    attr, op, value = m.group(1).lower(), m.group(2), m.group(3).strip()
+    attr, op, value = m.group(1), m.group(2), m.group(3).strip()
     rest = body[m.end():]
-    if op == "=":
-        if value == "*":
-            return _make_presence(attr), rest
-        if "*" in value:
-            parts = [_unescape(p) for p in value.split("*")]
-            return _make_substring(attr, parts), rest
-        if not value:
-            raise FilterError(f"empty value for {attr!r}")
-        return _make_equality(attr, _unescape(value)), rest
-    if not value:
-        raise FilterError(f"empty value for {attr!r}")
-    return _make_ordering(attr, op, _unescape(value)), rest
+    if op == ">=":
+        return at_least(attr, _unescape(value)), rest
+    if op == "<=":
+        return at_most(attr, _unescape(value)), rest
+    if value == "*":
+        return present(attr), rest
+    if "*" in value:
+        parts = [_unescape(p) for p in value.split("*")]
+        return _make_substring(attr.lower(), parts), rest
+    return equal(attr, _unescape(value)), rest
 
 
-# -- predicate builders (over folded attributes) ------------------------------
+# -- predicate constructors (over folded attributes) --------------------------
 
-def _make_and(preds):
-    def pred(attrs: Attrs) -> bool:
-        return all(p(attrs) for p in preds)
-    tags = [getattr(p, "objectclass", None) for p in preds]
-    pred.objectclass = next((t for t in tags if t is not None), None)
-    return pred
+def present(attr: str) -> Predicate:
+    """``(attr=*)``: ``attr`` has a value."""
+    attr = attr.lower()
 
-
-def _make_or(preds):
-    def pred(attrs: Attrs) -> bool:
-        return any(p(attrs) for p in preds)
-    return pred
-
-
-def _make_presence(attr: str) -> Predicate:
     def pred(attrs: Attrs) -> bool:
         return bool(attrs.get(attr))
     return pred
 
+
+# ``(objectclass=*)``: every entry (the directory's default filter).
+ANY_ENTRY = present("objectclass")
 
 # Folded tuples this long or longer are searched by bisection; ``in``
 # is faster on shorter ones.
 BISECT_FROM = 16
 
 
-def _make_equality(attr: str, value: str) -> Predicate:
-    target = value.lower()
+def equal(attr: str, value: str) -> Predicate:
+    """``(attr=value)``: a value of ``attr`` is ``value``, ignoring case.
+
+    ``value`` is matched as it is: no character of it is special.
+    """
+    attr = attr.lower()
+    target = _nonempty(attr, value).lower()
 
     def pred(attrs: Attrs) -> bool:
         values = attrs.get(attr, ())
@@ -229,7 +223,49 @@ def _make_equality(attr: str, value: str) -> Predicate:
         i = bisect_left(values, target)
         return i < len(values) and values[i] == target
     if attr == "objectclass":
-        pred.objectclass = target
+        pred.objectclass, pred.rest = target, None
+    return pred
+
+
+def at_least(attr: str, value: str) -> Predicate:
+    """``(attr>=value)``: numeric when both sides parse, else the
+    lowercased strings."""
+    return _ordering(attr, value, operator.ge)
+
+
+def at_most(attr: str, value: str) -> Predicate:
+    """``(attr<=value)``, compared as :func:`at_least` compares."""
+    return _ordering(attr, value, operator.le)
+
+
+def conjunction(*preds: Predicate) -> Predicate:
+    """``(&...)``: every one of ``preds`` holds.
+
+    Its ``objectclass`` tag is its first tagged conjunct's, and its
+    ``rest`` tests the other conjuncts and that conjunct's own rest.
+    """
+    def pred(attrs: Attrs) -> bool:
+        return all(p(attrs) for p in preds)
+    for i, p in enumerate(preds):
+        tag = getattr(p, "objectclass", None)
+        if tag is not None:
+            others = preds[:i] + ((p.rest,) if p.rest else ()) + preds[i + 1:]
+            pred.objectclass = tag
+            pred.rest = (None if not others else others[0]
+                         if len(others) == 1 else conjunction(*others))
+            break
+    return pred
+
+
+def _nonempty(attr: str, value: str) -> str:
+    if not value:
+        raise FilterError(f"empty value for {attr!r}")
+    return value
+
+
+def _make_or(preds):
+    def pred(attrs: Attrs) -> bool:
+        return any(p(attrs) for p in preds)
     return pred
 
 
@@ -243,14 +279,22 @@ def _make_substring(attr: str, parts) -> Predicate:
     return pred
 
 
-def _make_ordering(attr: str, op: str, value: str) -> Predicate:
-    def compare(v: str) -> bool:
-        try:
-            left, right = float(v), float(value)
-        except ValueError:
-            left, right = v, value.lower()  # lexicographic fallback
-        return left >= right if op == ">=" else left <= right
+def _ordering(attr: str, value: str, compare) -> Predicate:
+    attr = attr.lower()
+    low = _nonempty(attr, value).lower()
+    try:
+        number = float(value)
+    except ValueError:
+        number = None
+
+    def holds(v: str) -> bool:
+        if number is not None:
+            try:
+                return compare(float(v), number)
+            except ValueError:
+                pass
+        return compare(v, low)  # lexicographic fallback
 
     def pred(attrs: Attrs) -> bool:
-        return any(compare(v) for v in attrs.get(attr, ()))
+        return any(holds(v) for v in attrs.get(attr, ()))
     return pred

@@ -7,8 +7,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ldap.directory import DirectoryServer, Scope
 from repro.ldap.dn import DN
-from repro.ldap.filters import escape
+from repro.ldap.filters import at_least, at_most, conjunction, equal
 from repro.sim.core import Environment
+
+_DATAFILE = equal("objectclass", "datafile")
+_DATASET = equal("objectclass", "dataset")
+_VARIABLE = equal("objectclass", "variable")
 
 
 class MetadataError(Exception):
@@ -89,8 +93,8 @@ class MetadataCatalog:
     # -- browsing (Figure 2's selection panes) ---------------------------------
     def datasets(self, model: Optional[str] = None) -> List[DatasetRecord]:
         """All datasets, optionally restricted to one model."""
-        flt = ("(objectclass=dataset)" if model is None
-               else f"(&(objectclass=dataset)(model={escape(model)}))")
+        flt = (_DATASET if model is None
+               else conjunction(_DATASET, equal("model", model)))
         entries = self.directory.search(self.root, Scope.ONELEVEL, flt)
         return sorted(map(self._record, entries), key=lambda d: d.dataset_id)
 
@@ -99,9 +103,9 @@ class MetadataCatalog:
         dn = entry.dn
         vars_ = tuple(sorted(
             e.dn.rdn[1] for e in self.directory.search(
-                dn, Scope.ONELEVEL, "(objectclass=variable)")))
+                dn, Scope.ONELEVEL, _VARIABLE)))
         n_files = len(self.directory.search(
-            dn, Scope.ONELEVEL, "(objectclass=datafile)"))
+            dn, Scope.ONELEVEL, _DATAFILE))
         return DatasetRecord(
             dataset_id=dn.rdn[1],
             model=entry.first("model", ""),
@@ -115,14 +119,14 @@ class MetadataCatalog:
         return [VariableRecord(e.dn.rdn[1], e.first("units", ""),
                                e.first("longname", ""))
                 for e in self.directory.search(
-                    dn, Scope.ONELEVEL, "(objectclass=variable)")]
+                    dn, Scope.ONELEVEL, _VARIABLE)]
 
     def time_extent(self, dataset_id: str) -> Tuple[int, int]:
         """(first_year, last_year) covered by the dataset's files."""
         dn = self._dataset_dn(dataset_id)
         years = [int(e.first("year"))
                  for e in self.directory.search(
-                     dn, Scope.ONELEVEL, "(objectclass=datafile)")]
+                     dn, Scope.ONELEVEL, _DATAFILE)]
         if not years:
             raise MetadataError(f"dataset {dataset_id!r} has no files")
         return min(years), max(years)
@@ -142,12 +146,12 @@ class MetadataCatalog:
             raise MetadataError(
                 f"dataset {dataset_id!r} has no variable {variable!r} "
                 f"(has {sorted(known)})")
-        clauses = ["(objectclass=datafile)", f"(variable={escape(variable)})"]
+        clauses = [_DATAFILE, equal("variable", variable)]
         if years is not None:
-            clauses.append(f"(year>={years[0]})")
-            clauses.append(f"(year<={years[1]})")
-        flt = "(&" + "".join(clauses) + ")"
-        hits = self.directory.search(dn, Scope.ONELEVEL, flt)
+            clauses.append(at_least("year", str(years[0])))
+            clauses.append(at_most("year", str(years[1])))
+        hits = self.directory.search(dn, Scope.ONELEVEL,
+                                     conjunction(*clauses))
         if months is not None:
             lo, hi = months
             hits = [e for e in hits
@@ -160,16 +164,14 @@ class MetadataCatalog:
                     months: Optional[Tuple[int, int]] = None):
         """Simulation process: :meth:`resolve` with LDAP costs."""
         dn = self._dataset_dn(dataset_id)
-        yield from self.directory.query(dn, Scope.ONELEVEL,
-                                        "(objectclass=datafile)")
+        yield from self.directory.query(dn, Scope.ONELEVEL, _DATAFILE)
         return self.resolve(dataset_id, variable, years, months)
 
     def query_dataset(self, dataset_id: str):
         """Simulation process: one dataset's summary with LDAP costs."""
         dn = self._dataset_dn(dataset_id)
-        yield from self.directory.query(dn, Scope.ONELEVEL,
-                                        "(objectclass=*)")
-        hits = (self.directory.search(dn, Scope.BASE, "(objectclass=dataset)")
+        yield from self.directory.query(dn, Scope.ONELEVEL)
+        hits = (self.directory.search(dn, Scope.BASE, _DATASET)
                 if self.directory.exists(dn) else [])
         if not hits or hits[0].dn.rdn[1] != dataset_id:
             raise MetadataError(f"no dataset {dataset_id!r}")

@@ -15,8 +15,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ldap.directory import DirectoryServer, Entry, Scope, SharedValues
 from repro.ldap.dn import DN
-from repro.ldap.filters import escape
+from repro.ldap.filters import conjunction, equal
 from repro.sim.core import Environment
+
+
+_COLLECTION = equal("objectclass", "logicalcollection")
+_LOCATION = equal("objectclass", "location")
 
 
 class ReplicaError(Exception):
@@ -171,7 +175,7 @@ class ReplicaCatalog:
         """All registered collections."""
         out = []
         for entry in self.directory.search(
-                self.root, Scope.ONELEVEL, "(objectclass=logicalcollection)"):
+                self.root, Scope.ONELEVEL, _COLLECTION):
             coll = entry.dn.rdn[1]
             locs = self.locations(coll)
             files = {f for l in locs for f in l.files}
@@ -184,7 +188,7 @@ class ReplicaCatalog:
         """Every physical copy of a collection."""
         cdn = self._collection_dn(collection)
         return [_location_info(e) for e in self.directory.search(
-            cdn, Scope.ONELEVEL, "(objectclass=location)")]
+            cdn, Scope.ONELEVEL, _LOCATION)]
 
     def logical_file_size(self, collection: str,
                           logical_file: str) -> Optional[float]:
@@ -216,7 +220,7 @@ class ReplicaCatalog:
         cdn = self._collection_dn(collection)
         entries = yield from self.directory.query(
             cdn, Scope.ONELEVEL,
-            f"(&(objectclass=location)(filename={escape(logical_file)}))")
+            conjunction(_LOCATION, equal("filename", logical_file)))
         return [_location_info(e) for e in entries]
 
     # -- internals ------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""compile_filter remembers what it compiled; escaped values match literally.
+"""compile_filter compiles afresh; escaped values match literally.
 
-The memo must be invisible: a remembered predicate answers as a fresh
-compile of the same text does, text that does not parse raises on
-every call, and the memo never holds more than ``FILTER_MEMO`` texts.
+Text that does not parse raises on every call, and text that parses
+answers the same on every call. (``compile_filter`` kept no memo once
+the catalogs stopped passing text; the structured path is checked in
+``test_structured_filters.py``.)
 """
 
 import pytest
@@ -10,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ldap import FilterError
-from repro.ldap.filters import FILTER_MEMO, compile_filter, escape, fold
-
-fresh = compile_filter.__wrapped__
+from repro.ldap.filters import compile_filter, escape, fold
 
 ATTRS = ["fn", "host", "size"]
 # Mixed case and every character an assertion value must escape.
@@ -42,32 +41,22 @@ ENTRY = st.dictionaries(st.sampled_from(ATTRS), VALUES, max_size=3).map(
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=FILTER, entries=st.lists(ENTRY, min_size=1, max_size=4))
-def test_remembered_predicate_agrees_with_a_fresh_compile(text, entries):
-    pred = compile_filter(text)
-    assert compile_filter(text) is pred
-    again = fresh(text)
-    for attrs in entries:
-        assert pred(attrs) == again(attrs)
-    assert getattr(pred, "objectclass", None) == getattr(
-        again, "objectclass", None)
-
-
-@settings(max_examples=300, deadline=None)
 @given(text=st.one_of(
     st.text(alphabet="()&|!=*<>\\ab", max_size=12),
     FILTER.flatmap(lambda f: st.integers(0, len(f) - 1).map(
-        lambda i: f[:i] + f[i + 1:]))))
-def test_malformed_text_raises_on_every_call(text):
+        lambda i: f[:i] + f[i + 1:]))),
+    entries=st.lists(ENTRY, min_size=1, max_size=4))
+def test_malformed_text_raises_on_every_call(text, entries):
     try:
-        want = fresh(text)
+        want = compile_filter(text)
     except FilterError:
         for _ in range(3):
             with pytest.raises(FilterError):
                 compile_filter(text)
         return
-    assert compile_filter(text) is compile_filter(text)
-    assert compile_filter(text)({}) == want({})
+    again = compile_filter(text)
+    for attrs in [{}, *entries]:
+        assert again(attrs) == want(attrs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,11 +115,3 @@ def test_bad_escapes_are_malformed(text):
     for _ in range(2):
         with pytest.raises(FilterError):
             compile_filter(text)
-
-
-def test_the_memo_is_bounded():
-    for i in range(FILTER_MEMO + 10):
-        compile_filter(f"(fn=bound{i})")
-    info = compile_filter.cache_info()
-    assert info.maxsize == FILTER_MEMO
-    assert info.currsize <= FILTER_MEMO
