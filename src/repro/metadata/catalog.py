@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ldap.directory import DirectoryServer, Scope
+from repro.ldap.directory import DirectoryServer, Entry, Scope
 from repro.ldap.dn import DN
 from repro.ldap.filters import at_least, at_most, conjunction, equal
 from repro.sim.core import Environment
@@ -13,6 +13,18 @@ from repro.sim.core import Environment
 _DATAFILE = equal("objectclass", "datafile")
 _DATASET = equal("objectclass", "dataset")
 _VARIABLE = equal("objectclass", "variable")
+
+
+def _split(children) -> Tuple[List[Entry], List[Entry]]:
+    """A dataset's variable and datafile children, each in DN order."""
+    variables, files = [], []
+    for e in children:
+        classes = e.folded.get("objectclass", ())
+        if "variable" in classes:
+            variables.append(e)
+        if "datafile" in classes:
+            files.append(e)
+    return variables, files
 
 
 class MetadataError(Exception):
@@ -96,22 +108,21 @@ class MetadataCatalog:
         flt = (_DATASET if model is None
                else conjunction(_DATASET, equal("model", model)))
         entries = self.directory.search(self.root, Scope.ONELEVEL, flt)
-        return sorted(map(self._record, entries), key=lambda d: d.dataset_id)
+        return sorted(
+            (self._record(e, self.directory.search(e.dn, Scope.ONELEVEL))
+             for e in entries), key=lambda d: d.dataset_id)
 
-    def _record(self, entry) -> DatasetRecord:
-        """The summary of one dataset entry."""
-        dn = entry.dn
-        vars_ = tuple(sorted(
-            e.dn.rdn[1] for e in self.directory.search(
-                dn, Scope.ONELEVEL, _VARIABLE)))
-        n_files = len(self.directory.search(
-            dn, Scope.ONELEVEL, _DATAFILE))
+    @staticmethod
+    def _record(entry, children) -> DatasetRecord:
+        """The summary of one dataset entry, given its children."""
+        variables, files = _split(children)
         return DatasetRecord(
-            dataset_id=dn.rdn[1],
+            dataset_id=entry.dn.rdn[1],
             model=entry.first("model", ""),
             run=entry.first("run", ""),
             description=entry.first("description", ""),
-            variables=vars_, file_count=n_files)
+            variables=tuple(sorted(e.dn.rdn[1] for e in variables)),
+            file_count=len(files))
 
     def variables(self, dataset_id: str) -> List[VariableRecord]:
         """Variable descriptions for one dataset."""
@@ -141,17 +152,35 @@ class MetadataCatalog:
         Raises if the dataset lacks the variable.
         """
         dn = self._dataset_dn(dataset_id)
-        known = {v.name for v in self.variables(dataset_id)}
+        return self._select(dataset_id,
+                            self.directory.search(dn, Scope.ONELEVEL),
+                            variable, years, months)
+
+    def query_files(self, dataset_id: str, variable: str,
+                    years: Optional[Tuple[int, int]] = None,
+                    months: Optional[Tuple[int, int]] = None):
+        """Simulation process: :meth:`resolve` with LDAP costs, answered
+        from the one timed query's children."""
+        dn = self._dataset_dn(dataset_id)
+        children = yield from self.directory.query(dn, Scope.ONELEVEL)
+        return self._select(dataset_id, children, variable, years, months)
+
+    @staticmethod
+    def _select(dataset_id: str, children, variable: str,
+                years: Optional[Tuple[int, int]],
+                months: Optional[Tuple[int, int]]) -> List[str]:
+        """:meth:`resolve` over one dataset's children."""
+        variables, files = _split(children)
+        known = {e.dn.rdn[1] for e in variables}
         if known and variable not in known:
             raise MetadataError(
                 f"dataset {dataset_id!r} has no variable {variable!r} "
                 f"(has {sorted(known)})")
-        clauses = [_DATAFILE, equal("variable", variable)]
+        flt = equal("variable", variable)
         if years is not None:
-            clauses.append(at_least("year", str(years[0])))
-            clauses.append(at_most("year", str(years[1])))
-        hits = self.directory.search(dn, Scope.ONELEVEL,
-                                     conjunction(*clauses))
+            flt = conjunction(flt, at_least("year", str(years[0])),
+                              at_most("year", str(years[1])))
+        hits = [e for e in files if flt(e.folded)]
         if months is not None:
             lo, hi = months
             hits = [e for e in hits
@@ -159,23 +188,17 @@ class MetadataCatalog:
                             or int(e.first("monthlo")) > hi)]
         return sorted(e.dn.rdn[1] for e in hits)
 
-    def query_files(self, dataset_id: str, variable: str,
-                    years: Optional[Tuple[int, int]] = None,
-                    months: Optional[Tuple[int, int]] = None):
-        """Simulation process: :meth:`resolve` with LDAP costs."""
-        dn = self._dataset_dn(dataset_id)
-        yield from self.directory.query(dn, Scope.ONELEVEL, _DATAFILE)
-        return self.resolve(dataset_id, variable, years, months)
-
     def query_dataset(self, dataset_id: str):
-        """Simulation process: one dataset's summary with LDAP costs."""
+        """Simulation process: one dataset's summary with LDAP costs,
+        answered from the one timed query's children."""
         dn = self._dataset_dn(dataset_id)
-        yield from self.directory.query(dn, Scope.ONELEVEL)
-        hits = (self.directory.search(dn, Scope.BASE, _DATASET)
-                if self.directory.exists(dn) else [])
-        if not hits or hits[0].dn.rdn[1] != dataset_id:
+        children = yield from self.directory.query(dn, Scope.ONELEVEL)
+        entry = (self.directory.lookup(dn)
+                 if self.directory.exists(dn) else None)
+        if (entry is None or not _DATASET(entry.folded)
+                or entry.dn.rdn[1] != dataset_id):
             raise MetadataError(f"no dataset {dataset_id!r}")
-        return self._record(hits[0])
+        return self._record(entry, children)
 
     def file_size(self, dataset_id: str, logical_name: str) -> float:
         """Registered size of one logical file."""

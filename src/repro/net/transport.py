@@ -96,7 +96,12 @@ class _StallWatch:
 
 
 class _AbortBatch:
-    """The stall aborts due at one instant, run by one kernel event."""
+    """The stall aborts due at one instant, run by one kernel event.
+
+    The batch holds its queue entry only while it is armed: the entry
+    runs the batch, so a fired or disarmed batch drops it and leaves no
+    cycle for the garbage collector.
+    """
 
     __slots__ = ("clock", "at", "stalls", "entry")
 
@@ -111,6 +116,7 @@ class _AbortBatch:
         would have run: a tick made at an earlier previous tick first,
         ticks made at one tick in the order their watches started."""
         del self.clock.batches[self.at]
+        self.entry = None
         for stall in sorted(self.stalls, key=_tick_order):
             stall.batch = None
             stall.flow.abort(f"stalled for {stall.timeout:.0f}s")
@@ -143,6 +149,7 @@ class _StallClock:
         batch.stalls.remove(stall)
         if not batch.stalls:
             self.env.cancel(batch.entry)
+            batch.entry = None
             del self.batches[batch.at]
 
 

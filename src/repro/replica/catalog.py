@@ -15,12 +15,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ldap.directory import DirectoryServer, Entry, Scope, SharedValues
 from repro.ldap.dn import DN
-from repro.ldap.filters import conjunction, equal
+from repro.ldap.filters import Predicate, conjunction, equal
 from repro.sim.core import Environment
 
 
 _COLLECTION = equal("objectclass", "logicalcollection")
 _LOCATION = equal("objectclass", "location")
+
+
+def holding(logical_file: str) -> Predicate:
+    """The filter of a replica lookup: locations holding ``logical_file``."""
+    return conjunction(_LOCATION, equal("filename", logical_file))
 
 
 class ReplicaError(Exception):
@@ -217,10 +222,14 @@ class ReplicaCatalog:
         This is RM step (1): "it finds all replicas for the file from the
         Replica Catalog using an LDAP protocol".
         """
+        return self.find_locations(collection, holding(logical_file))
+
+    def find_locations(self, collection: str, predicate: Predicate):
+        """Simulation process: the locations of ``collection`` that
+        ``predicate`` (built by :func:`holding`) matches."""
         cdn = self._collection_dn(collection)
-        entries = yield from self.directory.query(
-            cdn, Scope.ONELEVEL,
-            conjunction(_LOCATION, equal("filename", logical_file)))
+        entries = yield from self.directory.query(cdn, Scope.ONELEVEL,
+                                                  predicate)
         return [_location_info(e) for e in entries]
 
     # -- internals ------------------------------------------------------------------

@@ -46,12 +46,14 @@ from repro.ldap.directory import (
     DirectoryUnavailable,
     SharedValues,
 )
+from repro.ldap.filters import Predicate
 from repro.obs import Observability
 from repro.replica.catalog import (
     CollectionInfo,
     LocationInfo,
     ReplicaCatalog,
     ReplicaError,
+    holding,
 )
 from repro.rm.resilience import CircuitBreaker
 from repro.sim.core import Environment
@@ -474,10 +476,11 @@ class FederatedReplicaCatalog:
         prefs = self.router.preference(collection)
         procs = {}
         skipped = 0
+        predicate = holding(logical_file)  # one filter for every shard
         for site in prefs:
             if self._breakers[site].allow(env.now):
                 procs[site] = env.process(
-                    self._site_query(site, collection, logical_file))
+                    self._site_query(site, collection, predicate))
             else:
                 skipped += 1
         if procs:
@@ -529,8 +532,9 @@ class FederatedReplicaCatalog:
                           winner, partial, stale, version, len(procs)))
 
     def _site_query(self, site_name: str, collection: str,
-                    logical_file: str):
-        """One shard's timed lookup; never raises.
+                    predicate: Predicate):
+        """One shard's timed lookup of the locations ``predicate``
+        matches; never raises.
 
         Returns ``("ok", locations)``, ``("absent", [])`` when the shard
         is healthy but has never seen the collection, or
@@ -538,8 +542,8 @@ class FederatedReplicaCatalog:
         """
         site = self.sites[site_name]
         try:
-            locations = yield from site.catalog.find_replicas(
-                collection, logical_file)
+            locations = yield from site.catalog.find_locations(
+                collection, predicate)
         except DirectoryUnavailable:
             return "down", []
         except ReplicaError:

@@ -131,6 +131,43 @@ def test_timed_query_costs_time():
     assert len(names) == 2  # one per year (2 years)
 
 
+def test_timed_query_unknown_variable_rejected():
+    env, mc, ds_id, files = catalog()
+
+    def main():
+        yield from mc.query_files(ds_id, "slp")
+
+    p = env.process(main())
+    with pytest.raises(MetadataError, match="no variable"):
+        env.run(until=p)
+    assert env.now > 0  # raised from the timed answer, after its latency
+
+
+def test_timed_queries_scan_their_scope_once():
+    """A timed query is charged for every child of the dataset, and its
+    answer comes from that one scan: no untimed search follows."""
+    from repro.ldap.directory import SCAN_COST
+    env, mc, ds_id, files = catalog()
+    directory = mc.directory
+    children = len(VARS) + len(files)
+
+    def main():
+        names = yield from mc.query_files(ds_id, "tas", years=(1996, 1996))
+        record = yield from mc.query_dataset(ds_id)
+        return names, record
+
+    before = directory.entries_scanned
+    p = env.process(main())
+    env.run()
+    names, record = p.value
+    assert directory.entries_scanned - before == 2 * children
+    assert env.now == pytest.approx(
+        2 * (directory.base_latency + SCAN_COST * children))
+    assert names == mc.resolve(ds_id, "tas", years=(1996, 1996))
+    assert len(names) == 12
+    assert record == mc.datasets()[0]
+
+
 def test_filter_values_match_literally():
     env, mc, ds_id, files = catalog()
     mc.register_dataset("pcmdi.odd.run1", "a(b)*", "run1")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.ldap.directory import DirectoryUnavailable
 from repro.net.faults import FaultSchedule
-from repro.replica.catalog import ReplicaCatalog, ReplicaError
+from repro.replica.catalog import ReplicaCatalog, ReplicaError, holding
 from repro.replica import federation
 from repro.replica.federation import FederatedReplicaCatalog
 from repro.rm.request import FileState
@@ -264,6 +264,31 @@ def test_write_invalidates_cache():
     assert meta.queried > 0             # cache was invalidated
     assert fed.cache_hits == 0
     assert meta.version == fed._version[coll]
+
+
+def test_fan_out_builds_one_filter_for_every_shard(monkeypatch):
+    """The shards of one lookup share its filter; each still scans its
+    own collection scope."""
+    env = Environment(seed=7)
+    fed = FederatedReplicaCatalog(env, SITES, replication=2,
+                                  sync_interval=10.0)
+    coll = publish(fed)
+    built = []
+
+    def counting(name):
+        built.append(name)
+        return holding(name)
+
+    monkeypatch.setattr(federation, "holding", counting)
+    scanned = {name: site.directory.entries_scanned
+               for name, site in fed.sites.items()}
+    replicas, meta = lookup(env, fed, coll, "jan.nc")
+    assert built == ["jan.nc"]
+    assert meta.queried == 2
+    assert [loc.name for loc in replicas] == ["alpha", "beta"]
+    # Each queried shard scans the collection's two locations.
+    assert sorted(site.directory.entries_scanned - scanned[name]
+                  for name, site in fed.sites.items()) == [0, 2, 2]
 
 
 # -- facade conformance ---------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the simulation environment and event queue."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Environment, Event, SimulationError, Timeout
@@ -300,3 +303,162 @@ def test_call_later_orders_like_events_and_needs_no_process():
                      ("normal", 1.0)]
     with pytest.raises(ValueError):
         env.call_later(-1.0, lambda: None)
+
+
+# -- the cyclic collector pauses for a run -----------------------------------
+
+@pytest.fixture
+def collector_on():
+    """Start with the cyclic collector on; put back what the test found."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _watch_collector(env, at=1.0):
+    """Record ``gc.isenabled()`` from a callback at ``at``: every run
+    below must read it off there."""
+    seen = []
+    env.timeout(at).add_callback(lambda _ev: seen.append(gc.isenabled()))
+    return seen
+
+
+def test_collector_restored_after_a_drained_queue(collector_on):
+    env = Environment()
+    seen = _watch_collector(env)
+    assert env.run() is None
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_a_numeric_horizon(collector_on):
+    env = Environment()
+    seen = _watch_collector(env)
+    env.timeout(50.0)
+    env.run(until=10.0)
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_a_target_event(collector_on):
+    env = Environment()
+    seen = _watch_collector(env)
+    assert env.run(until=env.timeout(2.0, value="hit")) == "hit"
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_a_stop_simulation(collector_on):
+    """A callback raising ``StopSimulation`` itself ends a plain run
+    with that exception."""
+    from repro.sim import StopSimulation
+    env = Environment()
+    seen = _watch_collector(env, 0.5)
+
+    def stop(_ev):
+        raise StopSimulation("halt")
+
+    env.timeout(1.0).add_callback(stop)
+    with pytest.raises(StopSimulation):
+        env.run()
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_a_failed_target(collector_on):
+    env = Environment()
+    seen = _watch_collector(env, 0.5)
+    target = env.event()
+    env.timeout(1.0).add_callback(
+        lambda _ev: target.fail(RuntimeError("transfer died")))
+    with pytest.raises(RuntimeError, match="transfer died"):
+        env.run(until=target)
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_when_the_queue_drains_before_the_target(
+        collector_on):
+    env = Environment()
+    seen = _watch_collector(env, 0.5)
+    env.timeout(1.0)
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=env.event())
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_a_raising_callback(collector_on):
+    env = Environment()
+    seen = _watch_collector(env, 0.5)
+    env.timeout(1.0).add_callback(lambda _ev: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        env.run(until=5.0)
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_restored_after_keyboard_interrupt(collector_on):
+    env = Environment()
+    seen = _watch_collector(env, 0.5)
+
+    def interrupt(_ev):
+        raise KeyboardInterrupt
+
+    env.timeout(1.0).add_callback(interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        env.run()
+    assert seen == [False] and gc.isenabled()
+
+
+def test_nested_run_leaves_the_collector_off(collector_on):
+    outer, inner = Environment(), Environment()
+    seen = []
+
+    def nested(_ev):
+        inner.timeout(1.0)
+        inner.run()
+        seen.append(gc.isenabled())
+
+    outer.timeout(1.0).add_callback(nested)
+    outer.run()
+    assert seen == [False] and gc.isenabled()
+
+
+def test_collector_stays_off_when_the_caller_disabled_it(collector_on):
+    env = Environment()
+    gc.disable()
+    env.timeout(1.0)
+    env.run()
+    assert not gc.isenabled()
+    env.timeout(1.0).add_callback(lambda _ev: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        env.run()
+    assert not gc.isenabled()
+
+
+def test_a_cycle_made_in_a_run_is_freed_after_it(collector_on):
+    """Nothing is lost: a cycle made inside a run outlives every
+    allocation the run makes and goes at the first collection after."""
+
+    class Node:
+        pass
+
+    env = Environment()
+    refs = []
+    alive = []
+
+    def make_cycle(_ev):
+        node = Node()
+        node.me = node
+        refs.append(weakref.ref(node))
+
+    def churn(_ev):
+        # Far past the gen-0 threshold: a collection here would free it.
+        junk = [[] for _ in range(20 * gc.get_threshold()[0])]
+        del junk
+        alive.append(refs[0]() is not None)
+
+    env.timeout(1.0).add_callback(make_cycle)
+    env.timeout(2.0).add_callback(churn)
+    env.run()
+    assert alive == [True]
+    gc.collect()
+    assert refs[0]() is None
