@@ -248,13 +248,14 @@ class ClientSession:
         # stream to flip bits in, so corruption is sampled at block
         # granularity — a block whose flow starts or completes inside an
         # open window on any path link arrives damaged.
-        path_links = conn.transport.network.topology.path(conn.src,
-                                                          conn.dst)
+        topology = conn.transport.network.topology
+        path_links = topology.path(conn.src, conn.dst)
         while queue:
             offset, block = queue.pop()
             rec = (RateRecorder(f"gridftp:{path}")
                    if series_out is not None else None)
-            suspect = any(l.corrupting for l in path_links)
+            suspect = (topology.corrupting_links > 0
+                       and any(l.corrupting for l in path_links))
             try:
                 flow = conn.transport.network.transfer(
                     conn.src, conn.dst, block,
@@ -277,7 +278,8 @@ class ClientSession:
                 conn.transfers += 1
                 handle._active_flows.remove(flow)
                 handle._completed += block
-                if suspect or any(l.corrupting for l in path_links):
+                if suspect or (topology.corrupting_links > 0 and any(
+                        l.corrupting for l in path_links)):
                     if not handle.taints:
                         handle.taints = []
                     handle.taints.append(

@@ -98,10 +98,19 @@ class TrustAnchors:
     With toy symmetric signatures, verification needs the signer's key
     material, so the registry holds :class:`KeyPair` per name; what
     matters for the model is *which* names a site chooses to trust.
+
+    A certificate whose signature checked out is remembered with the
+    :class:`KeyPair` object it was checked against and not hashed again
+    while its issuer's keys are that object (certificates are frozen:
+    a changed field misses). Expiry and chain links are always checked.
+    An entry goes when its certificate is rejected as expired or fails
+    against new keys for its issuer; until then the memo holds one entry
+    per distinct certificate verified (one per proxy delegation).
     """
 
     def __init__(self):
         self._keys: Dict[str, KeyPair] = {}
+        self._verified: Dict[Certificate, KeyPair] = {}
 
     def trust_ca(self, ca: CertificateAuthority) -> None:
         """Add a CA to the trusted set."""
@@ -114,12 +123,13 @@ class TrustAnchors:
     def verify(self, cert: Certificate, now: float) -> None:
         """Raise :class:`CredentialError` unless the cert checks out."""
         if cert.is_expired(now):
+            self._verified.pop(cert, None)
             raise CredentialError(f"certificate for {cert.subject!r} "
                                   f"expired at {cert.not_after}")
         signer = self._keys.get(cert.issuer)
         if signer is None:
             raise CredentialError(f"untrusted issuer {cert.issuer!r}")
-        if signer.sign(cert.payload) != cert.signature:
+        if not self._signed(cert, signer):
             raise CredentialError(f"bad signature on {cert.subject!r}")
 
     def verify_chain(self, chain: Tuple[Certificate, ...], now: float) -> str:
@@ -138,16 +148,30 @@ class TrustAnchors:
         self.verify(chain[-1], now)
         for cert in chain[:-1]:
             if cert.is_expired(now):
+                self._verified.pop(cert, None)
                 raise CredentialError(
                     f"proxy for {cert.subject!r} expired")
             signer = self._keys.get(cert.issuer)
             if signer is None:
                 raise CredentialError(
                     f"unknown delegator {cert.issuer!r}")
-            if signer.sign(cert.payload) != cert.signature:
+            if not self._signed(cert, signer):
                 raise CredentialError(f"bad proxy signature "
                                       f"({cert.subject!r})")
         return chain[-1].subject
+
+    def _signed(self, cert: Certificate, signer: KeyPair) -> bool:
+        """True if ``signer`` signed ``cert`` (remembered on success,
+        forgotten on failure)."""
+        known = self._verified.get(cert)
+        if known is signer:
+            return True
+        if signer.sign(cert.payload) != cert.signature:
+            if known is not None:
+                del self._verified[cert]
+            return False
+        self._verified[cert] = signer
+        return True
 
 
 class Identity:

@@ -169,7 +169,9 @@ class DirectoryServer:
     each folded ``objectclass`` value to them, dropped when a child is
     added, deleted or has its ``objectclass`` modified. A one-level
     search with a tagged filter (see :mod:`repro.ldap.filters`) tests
-    only the filter's rest, and only on that index slot. The cost model
+    only the filter's rest, and only on that index slot; one with the
+    default ``(objectclass=*)`` takes the children carrying any class
+    as the index lists them. The cost model
     is unchanged: :meth:`query` charges ``SCAN_COST`` for, and
     ``entries_scanned`` counts, every child in scope; a timed query
     answers from the scope it captured on arrival and reads the index
@@ -183,7 +185,7 @@ class DirectoryServer:
         self.base_latency = base_latency
         self._entries: Dict[DN, Entry] = {}
         self._children: Dict[DN, set] = {}
-        self._indexes: Dict[DN, tuple] = {}  # parent -> (sorted, by class)
+        self._indexes: Dict[DN, tuple] = {}  # parent -> see _index
         self.operations = 0  # instrumentation
         self.entries_scanned = 0
         self._outages: List[tuple] = []  # (start, end, mode)
@@ -305,16 +307,24 @@ class DirectoryServer:
         return list(self._index(dn)[0])
 
     def _index(self, dn: DN) -> tuple:
-        """(children in DN order, folded objectclass -> those children)."""
+        """(children in DN order, folded objectclass -> those children,
+        the children that carry an objectclass: the first list itself
+        unless one carries none)."""
         index = self._indexes.get(dn)
         if index is None:
             kids = [self._entries[c] for c in sorted(
                 self._children[dn], key=attrgetter("_str"))]
             by_class: Dict[str, List[Entry]] = {}
+            classed = kids
             for e in kids:
-                for oc in dict.fromkeys(e.folded.get("objectclass", ())):
+                classes = e.folded.get("objectclass")
+                if not classes:
+                    classed = None
+                for oc in dict.fromkeys(classes or ()):
                     by_class.setdefault(oc, []).append(e)
-            index = self._indexes[dn] = (kids, by_class)
+            if classed is None:
+                classed = [e for e in kids if e.folded.get("objectclass")]
+            index = self._indexes[dn] = (kids, by_class, classed)
         return index
 
     def search(self, base: Union[str, DN], scope: Scope = Scope.SUBTREE,
@@ -334,15 +344,18 @@ class DirectoryServer:
             raise DirectoryError(f"{self.name}: search base {base} absent")
         predicate = compile_filter(flt) if isinstance(flt, str) else flt
         self.entries_scanned += len(candidates)
-        tag = getattr(predicate, "objectclass", None)
         index = self._indexes.get(base)
-        if tag is not None and index is not None and index[0] is candidates:
-            # The slot holds exactly the children that carry the tag.
-            rest = predicate.rest
-            slot = index[1].get(tag, ())
-            if rest is None:
-                return list(slot)
-            return [e for e in slot if rest(e.folded)]
+        if index is not None and index[0] is candidates:
+            if predicate is ANY_ENTRY:
+                return list(index[2])
+            tag = getattr(predicate, "objectclass", None)
+            if tag is not None:
+                # The slot holds exactly the children that carry the tag.
+                rest = predicate.rest
+                slot = index[1].get(tag, ())
+                if rest is None:
+                    return list(slot)
+                return [e for e in slot if rest(e.folded)]
         return [e for e in candidates if predicate(e.folded)]
 
     def _candidates(self, base: DN, scope: Scope) -> List[Entry]:

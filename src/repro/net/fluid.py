@@ -661,25 +661,32 @@ class FluidNetwork:
 
     def member_set_cap(self, member: _AggregateMember, cap: float) -> None:
         """Change a member's ceiling — i.e. its GPS weight — and
-        schedule a reallocation of its aggregate."""
+        schedule a reallocation of its aggregate.
+
+        The aggregate is advanced only if it does not already stand at
+        this instant; the flush's advance refreshes its ``_remaining``.
+        Every call pushes a completion entry with the next version, even
+        for an unchanged cap, so tied finish lines pop in the same
+        order."""
         if not member.active:
             return
         agg = member._agg
         now = self.env.now
-        self._advance(agg, now)
-        if not member.active:
-            return  # the advance retired it (completion due exactly now)
+        if agg._advanced_at != now:
+            self._advance(agg, now)
+            if not member.active:
+                return  # the advance retired it (completion due now)
+        cap = min(float(cap), member.limit)
+        old = member.cap
         v = agg._v
         member._served0 = min(member._served_at(v), member.size)
         member._v0 = v
-        old = member.cap
-        member.cap = min(float(cap), member.limit)
-        agg._W += member.cap - old
+        member.cap = cap
+        agg._W += cap - old
         agg.cap = agg._W
         member._pred_version += 1
-        if member.cap > _EPS_RATE:
-            agg._push(member, v + (member.size - member._served0) / member.cap)
-        agg._refresh_remaining()
+        if cap > _EPS_RATE:
+            agg._push(member, v + (member.size - member._served0) / cap)
         stall = member._stall
         if stall is not None and stall.moving is not None:
             moving = agg.rate > 0.0 and member.cap > 0.0
@@ -960,13 +967,12 @@ class FluidNetwork:
         for mask, link in tightest.items():
             members = []
             n = 0
-            i = 0
-            while mask:
-                if mask & 1:
-                    members.append(live[i])
-                    n += nshares[i]
-                mask >>= 1
-                i += 1
+            while mask:  # set bits only, lowest (first live group) first
+                low = mask & -mask
+                i = low.bit_length() - 1
+                mask ^= low
+                members.append(live[i])
+                n += nshares[i]
             c = [link.capacity, n, members]
             classes.append(c)
             for g in members:
@@ -988,11 +994,9 @@ class FluidNetwork:
             # can take.
             delta = math.inf
             for c in classes:
-                n = c[1]
-                if n:
-                    d = c[0] / n
-                    if d < delta:
-                        delta = d
+                d = c[0] / c[1]
+                if d < delta:
+                    delta = d
             while head < nplain and plain[head] not in unfrozen:
                 head += 1
             if head < nplain:
@@ -1000,10 +1004,9 @@ class FluidNetwork:
                 if d < delta:
                     delta = d
             for f in aggs:
-                if f in unfrozen:
-                    d = (f.cap - f.rate) / f._nshares
-                    if d < delta:
-                        delta = d
+                d = (f.cap - f.rate) / f._nshares
+                if d < delta:
+                    delta = d
             if not math.isfinite(delta):
                 break  # only cap-unbounded flows on unconstrained links
             if delta < 0.0:
@@ -1017,20 +1020,17 @@ class FluidNetwork:
                 newly_frozen.append(plain[i])
                 i += 1
             for f in aggs:
-                if f in unfrozen:
-                    f.rate += delta * f._nshares
-                    if f.rate >= f.cap - _EPS_RATE:
-                        newly_frozen.append(f)
+                f.rate += delta * f._nshares
+                if f.rate >= f.cap - _EPS_RATE:
+                    newly_frozen.append(f)
             for c in classes:
-                n = c[1]
-                if n:
-                    c[0] -= delta * n
-                    if c[0] <= _EPS_RATE:
-                        for g in c[2]:
-                            for f in g.flows.values():
-                                if f in unfrozen:
-                                    f._link_bound = True
-                                    newly_frozen.append(f)
+                c[0] -= delta * c[1]
+                if c[0] <= _EPS_RATE:
+                    for g in c[2]:
+                        for f in g.flows.values():
+                            if f in unfrozen:
+                                f._link_bound = True
+                                newly_frozen.append(f)
             if not newly_frozen and delta <= _EPS_RATE:
                 # No progress possible (degenerate); freeze everything.
                 newly_frozen = list(unfrozen)
@@ -1046,6 +1046,9 @@ class FluidNetwork:
             for g, n in freed.items():
                 for c in of_group[g]:
                     c[1] -= n
+            if freed:  # nothing thaws: drop spent classes, frozen aggs
+                classes = [c for c in classes if c[1]]
+                aggs = [f for f in aggs if f in unfrozen]
         for f in unfrozen:  # left rising when the fill stopped
             if not f._is_agg:
                 f.rate = level

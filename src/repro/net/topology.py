@@ -2,7 +2,8 @@
 
 A :class:`Topology` is a directed multigraph. :meth:`Topology.duplex_link`
 creates the common case of a symmetric pair. Paths are computed by
-Dijkstra over link latency and cached; there is no other routing path.
+Dijkstra over link latency, one tree per source, and cached; there is
+no other routing path.
 
 Links carry *live* capacity that fault injection can change; the fluid
 allocator reads ``Link.capacity`` at every reallocation, so a link taken
@@ -12,6 +13,7 @@ down mid-transfer immediately stalls the flows crossing it.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Tuple
 
 
@@ -47,10 +49,10 @@ class Link:
 
     __slots__ = ("name", "src", "dst", "nominal_capacity", "capacity",
                  "latency", "site", "_groups", "_down_holds",
-                 "_degrade_holds", "_corrupt_holds")
+                 "_degrade_holds", "_corrupt_holds", "_topology")
 
     def __init__(self, name: str, src: Node, dst: Node, capacity: float,
-                 latency: float, site: str = ""):
+                 latency: float, topology: "Topology", site: str = ""):
         if capacity < 0:
             raise ValueError(f"link {name!r}: negative capacity")
         if latency < 0:
@@ -67,6 +69,7 @@ class Link:
         self._down_holds = 0
         self._degrade_holds: list = []
         self._corrupt_holds = 0
+        self._topology = topology
 
     @property
     def is_up(self) -> bool:
@@ -112,13 +115,20 @@ class Link:
         Capacity is untouched — corruption is silent by nature — so no
         reallocation is needed; the GridFTP client samples
         :attr:`corrupting` per delivered block and marks the delivered
-        file. Holds are reference-counted like outage holds.
+        file. Holds are reference-counted like outage holds; the
+        topology counts the links holding any
+        (:attr:`Topology.corrupting_links`).
         """
+        if not self._corrupt_holds:
+            self._topology.corrupting_links += 1
         self._corrupt_holds += 1
 
     def release_corrupt(self) -> None:
         """Close one bit-flip window (idempotent at zero)."""
-        self._corrupt_holds = max(0, self._corrupt_holds - 1)
+        if self._corrupt_holds:
+            self._corrupt_holds -= 1
+            if not self._corrupt_holds:
+                self._topology.corrupting_links -= 1
 
     @property
     def corrupting(self) -> bool:
@@ -146,7 +156,12 @@ class Link:
 
 
 class Topology:
-    """A directed multigraph of :class:`Node` and :class:`Link`."""
+    """A directed multigraph of :class:`Node` and :class:`Link`.
+
+    A pair's route list is built once, from its source's kept
+    shortest-path tree, and kept, so it is always the same object (path
+    groups key on its ``id``).
+    """
 
     def __init__(self, name: str = "net"):
         self.name = name
@@ -156,6 +171,10 @@ class Topology:
         # (src, dst) -> (route, the sum of its link latencies in order)
         self._path_cache: Dict[Tuple[str, str],
                                Tuple[List[Link], float]] = {}
+        self._trees: Dict[str, Dict[str, Link]] = {}  # src -> _tree(src)
+        # Links with an open corrupt-transfer hold (Link.corrupt_hold):
+        # while it is 0 no block needs its path sampled.
+        self.corrupting_links = 0
 
     # -- construction -------------------------------------------------------
     def add_node(self, name: str, site: str = "", kind: str = "router") -> Node:
@@ -175,10 +194,11 @@ class Topology:
         link_name = name or f"{src}->{dst}"
         if link_name in self.links:
             raise ValueError(f"duplicate link name {link_name!r}")
-        link = Link(link_name, s, d, capacity, latency)
+        link = Link(link_name, s, d, capacity, latency, self)
         self.links[link_name] = link
         self._adj[src].append(link)
         self._path_cache.clear()
+        self._trees.clear()
         return link
 
     def duplex_link(self, a: str, b: str, capacity: float, latency: float,
@@ -223,44 +243,52 @@ class Topology:
     def _route(self, src: str, dst: str) -> Tuple[List[Link], float]:
         cached = self._path_cache.get((src, dst))
         if cached is None:
-            path = self._dijkstra(src, dst)
-            if path is None:
+            if src not in self.nodes or dst not in self.nodes:
+                raise KeyError(f"unknown node in path {src!r} -> {dst!r}")
+            prev = self._trees.get(src)
+            if prev is None:
+                prev = self._trees[src] = self._tree(src)
+            if dst not in prev:
                 raise ValueError(f"no path {src!r} -> {dst!r}")
+            path: List[Link] = []
+            cur = dst
+            while cur != src:
+                link = prev[cur]
+                path.append(link)
+                cur = link.src.name
+            path.reverse()
             cached = (path, sum(link.latency for link in path))
             self._path_cache[(src, dst)] = cached
         return cached
 
-    def _dijkstra(self, src: str, dst: str) -> Optional[List[Link]]:
-        if src not in self.nodes or dst not in self.nodes:
-            raise KeyError(f"unknown node in path {src!r} -> {dst!r}")
+    def _tree(self, src: str) -> Dict[str, Link]:
+        """Dijkstra from ``src`` to every reachable node: each node's
+        last link on its min-latency route (``src`` itself has none).
+
+        A node is pushed only when its distance strictly falls, so it is
+        popped once at its final distance and every other entry of it is
+        stale. Its last link is final from then on (latencies are
+        non-negative), so running on past any ``dst`` leaves its route,
+        ties included, as a search stopping at ``dst`` finds it.
+        """
+        adj = self._adj
         dist: Dict[str, float] = {src: 0.0}
         prev: Dict[str, Link] = {}
         heap: List[Tuple[float, str]] = [(0.0, src)]
-        visited = set()
+        inf = math.inf
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
-            if u in visited:
+            d, u = pop(heap)
+            if d > dist[u]:
                 continue
-            if u == dst:
-                break
-            visited.add(u)
-            for link in self._adj[u]:
+            for link in adj[u]:
                 v = link.dst.name
                 nd = d + link.latency
-                if nd < dist.get(v, float("inf")):
+                if nd < dist.get(v, inf):
                     dist[v] = nd
                     prev[v] = link
-                    heapq.heappush(heap, (nd, v))
-        if dst not in prev and src != dst:
-            return None
-        path: List[Link] = []
-        cur = dst
-        while cur != src:
-            link = prev[cur]
-            path.append(link)
-            cur = link.src.name
-        path.reverse()
-        return path
+                    push(heap, (nd, v))
+        return prev
 
     def __repr__(self) -> str:
         return (f"Topology({self.name!r}, {len(self.nodes)} nodes, "

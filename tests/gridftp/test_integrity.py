@@ -55,6 +55,47 @@ def test_corrupt_window_taints_delivered_file():
     assert source_digest == content_digest("data.nc", 100 * MB)
 
 
+def _blocks_and_taints(window=None):
+    """Pull a 64 MB file on one channel; each block flow's (start, end)
+    and the taint marks, with an optional (start, duration) window."""
+    grid = Grid()
+    grid.server_fs.create("data.nc", 64 * MB)
+    if window is not None:
+        FaultInjector(grid.env, grid.net, grid.ns).install(
+            FaultSchedule().corrupt_transfer("wan:fwd", *window))
+    flows = []
+    transfer = grid.net.transfer
+
+    def recorded(*args, **kwargs):
+        flow = transfer(*args, **kwargs)
+        if kwargs.get("name", "").startswith("gridftp:"):
+            flows.append(flow)
+        return flow
+    grid.net.transfer = recorded
+    cfg = GridFtpConfig(parallelism=1, buffer_bytes=MB)
+
+    def main():
+        session = yield from grid.client.connect(grid.client_host,
+                                                 "srv.lbl.gov", cfg)
+        return (yield from session.get("data.nc", grid.client_fs,
+                                       grid.client_host, config=cfg))
+
+    stats = grid.run_process(main())
+    return ([(f.started_at, f.finished_at) for f in flows],
+            stats.tainted_blocks, marks_of(grid.client_fs.stat("data.nc")))
+
+
+def test_window_opening_during_a_block_taints_that_block():
+    """No link corrupts when the last block starts, so its start is not
+    sampled; the window opens halfway through and the block still
+    arrives damaged, and only that block."""
+    blocks, tainted, _ = _blocks_and_taints()
+    assert len(blocks) >= 2 and tainted == 0
+    start, end = blocks[-1]
+    _, tainted, marks = _blocks_and_taints(((start + end) / 2, 60.0))
+    assert tainted == 1 and len(marks) == 1
+
+
 def test_at_rest_corruption_changes_cksm():
     grid = Grid()
     grid.server_fs.create("data.nc", 10 * MB)

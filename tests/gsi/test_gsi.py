@@ -141,3 +141,100 @@ def test_handshake_cost_scales_with_rtt():
     policy = SecurityPolicy(crypto_time=0.01)
     assert policy.handshake_cost(0.1) > policy.handshake_cost(0.01)
     assert policy.handshake_cost(0.1) == pytest.approx(0.2 + 0.02)
+
+
+# -- each signature is checked once per signer ----------------------------------
+
+
+def count_signs(monkeypatch):
+    calls = []
+    sign = KeyPair.sign
+
+    def counted(self, payload):
+        calls.append(payload)
+        return sign(self, payload)
+    monkeypatch.setattr(KeyPair, "sign", counted)
+    return calls
+
+
+def test_verified_chain_is_not_rehashed(monkeypatch):
+    ca, trust = pki()
+    chain = Identity("/CN=alice", ca, trust).make_proxy(now=0.0)
+    calls = count_signs(monkeypatch)
+    assert trust.verify_chain(chain, now=1.0) == "/CN=alice"
+    assert len(calls) == 2
+    assert trust.verify_chain(chain, now=2.0) == "/CN=alice"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("subject", "/CN=eve"),
+    ("public_key", KeyPair.generate("eve").public),
+    ("issuer", "/CN=bob"),
+    ("not_after", 1e9),
+    ("signature", KeyPair.generate("eve").sign("x")),
+])
+def test_changed_field_misses_the_memo_and_fails(field, value):
+    ca, trust = pki()
+    bob = Identity("/CN=bob", ca, trust)
+    chain = Identity("/CN=alice", ca, trust).make_proxy(now=0.0)
+    trust.verify_chain(chain, now=1.0)
+    trust.verify(chain[-1], now=1.0)
+    proxy = dataclasses.replace(chain[0], **{field: value})
+    tail = bob.chain if field == "issuer" else chain[1:]
+    with pytest.raises(CredentialError, match="bad proxy signature"):
+        trust.verify_chain((proxy,) + tail, now=1.0)
+    if field == "issuer":
+        value = "DOE Science Grid CA/sub"  # any other issuer
+        trust.register_entity(value, ca.keys)
+    cert = dataclasses.replace(chain[-1], **{field: value})
+    with pytest.raises(CredentialError, match="bad signature"):
+        trust.verify(cert, now=1.0)
+
+
+def test_new_keys_for_a_name_make_its_certificates_reverify(monkeypatch):
+    ca, trust = pki()
+    alice = Identity("/CN=alice", ca, trust)
+    chain = alice.make_proxy(now=0.0)
+    trust.verify_chain(chain, now=1.0)
+    trust.register_entity("/CN=alice", KeyPair.generate("stolen"))
+    with pytest.raises(CredentialError, match="bad proxy signature"):
+        trust.verify_chain(chain, now=1.0)
+    assert chain[0] not in trust._verified  # the failed check forgot it
+    calls = count_signs(monkeypatch)
+    # Equal keys, but another object: the signature is checked again.
+    trust.register_entity("/CN=alice", KeyPair(alice.keys.private))
+    assert trust.verify_chain(chain, now=1.0) == "/CN=alice"
+    assert len(calls) == 1
+    fresh = CertificateAuthority(ca.name)  # same name, new key object
+    trust.trust_ca(fresh)
+    trust.verify_chain(chain, now=1.0)
+    assert len(calls) == 2
+
+
+def test_expiry_is_checked_after_a_remembered_success(monkeypatch):
+    monkeypatch.setattr(credentials, "PROXY_LIFETIME", 3600.0)
+    ca, trust = pki()
+    chain = Identity("/CN=alice", ca, trust).make_proxy(now=0.0)
+    for now in (1.0, 3599.0):
+        trust.verify_chain(chain, now=now)
+    assert chain[0] in trust._verified
+    with pytest.raises(CredentialError, match="proxy.*expired"):
+        trust.verify_chain(chain, now=3601.0)
+    assert list(trust._verified) == [chain[-1]]  # the proxy's entry went
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_chaos_handshakes_unchanged_by_the_memo(seed, monkeypatch):
+    from benchmarks.bench_chaos_survival import fingerprint, run_chaos
+
+    def outcome():
+        tb, ticket, _, _ = run_chaos(seed)
+        return tb.gsi.handshakes, tb.gsi.rejections, fingerprint(ticket)
+
+    memo = outcome()
+    monkeypatch.setattr(
+        TrustAnchors, "_signed",
+        lambda self, cert, signer: signer.sign(cert.payload)
+        == cert.signature)
+    assert outcome() == memo

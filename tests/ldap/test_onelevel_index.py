@@ -47,10 +47,12 @@ FILTER = st.recursive(
             lambda t: f"({t[0]}{''.join(t[1])})"),
         inner.map(lambda f: f"(!{f})")),
     max_leaves=5)
-# Half the searches are tagged, so stale or missing index slots show.
+# Half the searches are tagged, so stale or missing index slots show;
+# ``None`` is the default filter, the ``ANY_ENTRY`` predicate itself.
 CLASS_EQ = st.tuples(st.sampled_from(["objectclass", "objectClass"]),
                      CLASS).map(lambda t: f"({t[0]}={t[1]})")
 SEARCH = st.one_of(
+    st.just(None),
     CLASS_EQ,
     st.tuples(FILTER, CLASS_EQ).map(lambda t: f"(&{t[0]}{t[1]})"),
     FILTER)
@@ -82,13 +84,18 @@ def brute_force(d, live, parent, text):
     """The scan the index replaces: every child, in DN order."""
     kids = sorted((dn for dn in live.values() if dn.parent == parent),
                   key=str)
-    pred = compile_filter(text)
+    pred = compile_filter("(objectclass=*)" if text is None else text)
     return kids, [str(dn) for dn in kids if pred(d.lookup(dn).folded)]
+
+
+def _filter_args(text):
+    return () if text is None else (text,)
 
 
 def timed(d, base, text):
     def main():
-        return (yield from d.query(base, Scope.ONELEVEL, text))
+        return (yield from d.query(base, Scope.ONELEVEL,
+                                   *_filter_args(text)))
     start = d.env.now
     p = d.env.process(main())
     d.env.run()
@@ -142,7 +149,7 @@ def test_indexed_one_level_search_matches_brute_force(ops):
             for key, dn in list(live.items()):
                 kids, want = brute_force(d, live, dn, op[2])
                 scanned = d.entries_scanned
-                got = d.search(key, Scope.ONELEVEL, op[2])
+                got = d.search(key, Scope.ONELEVEL, *_filter_args(op[2]))
                 assert [str(e.dn) for e in got] == want
                 assert d.entries_scanned - scanned == len(kids)
         for key, dn in live.items():
@@ -240,3 +247,20 @@ def test_unchanged_scope_reads_current_attributes_through_the_index():
     assert out["hits"] == [f"loc=b,{ROOT}"]
     d.children(ROOT).clear()  # callers get a copy, not the index
     assert len(d.search(ROOT, Scope.ONELEVEL, "(objectclass=*)")) == 8
+
+
+# -- the default filter reads the index -------------------------------------
+
+
+def test_default_filter_leaves_out_children_without_an_objectclass():
+    env = Environment()
+    d = collection(env)
+    d.add(f"x=bare,{ROOT}", {"kind": "a"})  # add requires no objectclass
+    want = [str(e.dn) for e in d.children(ROOT) if e.get("objectclass")]
+    assert len(want) == 8 and len(d.children(ROOT)) == 9
+    scanned = d.entries_scanned
+    assert [str(e.dn) for e in d.search(ROOT, Scope.ONELEVEL)] == want
+    got, start = timed(d, ROOT, None)
+    assert got == want
+    assert env.now == start + d.base_latency + directory.SCAN_COST * 9
+    assert d.entries_scanned - scanned == 2 * 9

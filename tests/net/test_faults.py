@@ -364,10 +364,27 @@ def test_overlapping_corrupt_windows_refcount():
     inj.install(FaultSchedule()
                 .corrupt_transfer("ab:fwd", 1.0, 5.0)
                 .corrupt_transfer("ab:fwd", 3.0, 7.0))
+    env.run(until=2.0)
+    assert topo.corrupting_links == 1
     env.run(until=7.0)
-    assert link.corrupting
+    assert link.corrupting and topo.corrupting_links == 1
     env.run(until=11.0)
     assert not link.corrupting
+    assert topo.corrupting_links == 0
+
+
+def test_topology_counts_links_with_a_corrupt_hold():
+    _, topo, _, _ = fixture()
+    a, b = topo.links["ab:fwd"], topo.links["ab:rev"]
+    for hold in (a, a, b):
+        hold.corrupt_hold()
+    assert topo.corrupting_links == 2
+    a.release_corrupt()
+    assert topo.corrupting_links == 2
+    for release in (a, b, a, b):  # a second release at zero is a no-op
+        release.release_corrupt()
+    assert topo.corrupting_links == 0
+    assert not a.corrupting and not b.corrupting
 
 
 def test_corrupt_replica_marks_file_at_rest():

@@ -6,7 +6,9 @@ the same groups, shares given back per group, and one shared rate for
 every unfrozen plain flow taken in cap order. None of that may change a
 float: each rate must equal, exactly, what the straightforward
 algorithm below computes — every unfrozen flow rising by the same
-per-share increment until a link saturates or its cap binds.
+per-share increment until a link saturates or its cap binds. The link
+classes are decoded from group bit sets, so one component shape has
+more than 64 groups on one shared link.
 """
 
 import math
@@ -130,6 +132,39 @@ def _campaign_component(rng, aggregate):
     return net
 
 
+def _fleet_component(rng):
+    """The aggregated fleet's shape: more than 64 PoPs, each with its own
+    downlink route and one aggregate (members on a few window caps), all
+    ending on one shared uplink. Random regional links are crossed by
+    random subsets of PoPs, so class masks span more than 64 bits and
+    are not runs of adjacent groups; a few PoPs also carry an uncapped
+    plain flow, and a few have a dead link of their own."""
+    env = Environment(seed=rng.randrange(1 << 30))
+    topo = Topology()
+    uplink = topo.add_link("u0", "u1", mbps(rng.choice([622, 2488])),
+                           0.001)
+    regions = [topo.add_link(f"g{i}", f"g{i}.", mbps(rng.choice([155, 622])),
+                             0.001) for i in range(rng.randint(2, 5))]
+    net = FluidNetwork(env, topo, aggregation_threshold=1)
+    windows = [mbps(rng.uniform(0.5, 8)) for _ in range(3)]
+    for p in range(rng.randint(65, 100)):
+        own = [topo.add_link(f"p{p}.{i}", f"p{p}.{i + 1}",
+                             rng.choice([mbps(45), mbps(100), mbps(100)]),
+                             0.001) for i in range(rng.randint(1, 3))]
+        if rng.random() < 0.05:
+            own[0].capacity = 0.0
+        route = own + [g for g in regions if rng.random() < 0.4] + [uplink]
+        for u in range(rng.randint(1, 6)):
+            member = net.transfer("u0", "u1", 1e9, cap=rng.choice(windows),
+                                  name=f"p{p}u{u}", path=route)
+            member.done.defuse()
+        if rng.random() < 0.2:
+            flow = net.transfer("u0", "u1", 1e9, name=f"p{p}x", path=route)
+            flow.done.defuse()
+    assert len(net._aggregates) > 64
+    return net
+
+
 def _assert_fill_matches(net):
     flows = list(net._flow_map.values())
     want, bound = progressive_filling(flows)
@@ -150,6 +185,11 @@ def test_fill_matches_progressive_filling_bit_for_bit(seed, aggregate):
 def test_campaign_shaped_fill_matches_bit_for_bit(seed, aggregate):
     _assert_fill_matches(
         _campaign_component(random.Random(seed), aggregate))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fleet_shaped_fill_matches_bit_for_bit(seed):
+    _assert_fill_matches(_fleet_component(random.Random(seed)))
 
 
 def test_uncapped_flow_keeps_the_level_reached_before_the_fill_stops():
